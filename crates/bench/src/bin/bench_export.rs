@@ -6,7 +6,8 @@
 //!
 //! * `online` (`BENCH_online.json`) — session-service hot paths: audit
 //!   ingest (with and without a live metrics registry attached), enforced
-//!   release, the durability tax, and crash/recover round-trips.
+//!   release, the durability tax, crash/recover round-trips, and the
+//!   per-session cost of registering and checkpointing users at m = 2500.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput.
 //! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners and
@@ -184,6 +185,22 @@ fn batch(grid: &GridMap, users: usize, seed: u64) -> Vec<(UserId, Vector)> {
             (UserId(u), plm.emission_column(plm.perturb(cell, &mut rng)))
         })
         .collect()
+}
+
+/// The banded §V.A world on a `side × side` grid with a CSR chain
+/// (σ = 0.5 km ⇒ ≤ 81 entries per row) and the suite's PRESENCE event.
+fn sparse_world(side: usize) -> (Arc<Homogeneous>, StEvent) {
+    let grid = GridMap::new(side, side, 1.0).expect("grid");
+    let m = grid.num_cells();
+    let chain = gaussian_kernel_chain_sparse(&grid, 0.5).expect("sparse chain");
+    let event: StEvent = Presence::new(
+        Region::from_one_based_range(m, 1, m / 4).expect("range"),
+        2,
+        5,
+    )
+    .expect("presence")
+    .into();
+    (Arc::new(Homogeneous::new(chain)), event)
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -412,17 +429,8 @@ fn suite_online(
             "ingest_batch on a CSR-backed 100x100 world, 32 users, synthetic columns",
         ),
     ] {
-        let grid_s = GridMap::new(side, side, 1.0).expect("grid");
-        let ms = grid_s.num_cells();
-        let chain = gaussian_kernel_chain_sparse(&grid_s, 0.5).expect("sparse chain");
-        let provider_s = Arc::new(Homogeneous::new(chain));
-        let event_s: StEvent = Presence::new(
-            Region::from_one_based_range(ms, 1, ms / 4).expect("range"),
-            2,
-            5,
-        )
-        .expect("presence")
-        .into();
+        let (provider_s, event_s) = sparse_world(side);
+        let ms = provider_s.num_states();
         let users = opts.users.min(32);
         let steps = opts.steps.min(4);
         let feed: Vec<Vec<(UserId, Vector)>> = (0..steps)
@@ -441,21 +449,12 @@ fn suite_online(
                     .collect()
             })
             .collect();
-        let build = || {
-            let mut svc = SessionManager::new(Arc::clone(&provider_s), config()).expect("service");
-            let tpl = svc.register_template(event_s.clone()).expect("template");
-            for u in 0..users as u64 {
-                svc.add_user(UserId(u), Vector::uniform(ms)).expect("user");
-                svc.attach_event(UserId(u), tpl).expect("attach");
-            }
-            svc
-        };
         let cold_ms = best_ms(opts.reps, || {
-            let svc = build();
+            let svc = service(&provider_s, &event_s, users);
             assert_eq!(svc.num_users(), users);
         });
         let ingest_ms = best_ms(opts.reps, || {
-            let mut svc = build();
+            let mut svc = service(&provider_s, &event_s, users);
             for step in &feed {
                 svc.ingest_batch(step).expect("ingest");
             }
@@ -467,6 +466,44 @@ fn suite_online(
             note,
         });
     }
+
+    // --- Per-session footprint at m = 2500 --------------------------------
+    //
+    // All `--users` users added and attached on the 50×50 CSR world (each
+    // attach seeds a window over the template's suffix table), then one
+    // checkpoint streaming every session's posterior, attach-time π and
+    // forward vector to disk (fsync off). Both rows scale with the state a
+    // session carries.
+    let (provider_s, event_s) = sparse_world(50);
+    let register_ms = best_ms(opts.reps, || {
+        let svc = service(&provider_s, &event_s, opts.users);
+        assert_eq!(svc.num_users(), opts.users);
+    });
+    metrics.push(Metric {
+        name: "register_sparse_m2500",
+        value: opts.users as f64 / (register_ms.max(1e-6) / 1e3),
+        unit: "users/s",
+        note: "add_user + attach_event on a CSR-backed 50x50 world, in-memory",
+    });
+    let dir = tempdir("checkpoint");
+    let mut svc = service(&provider_s, &event_s, opts.users);
+    svc.make_durable(
+        &dir,
+        DurableOptions {
+            fsync: false,
+            snapshot_every: 0,
+        },
+    )
+    .expect("make_durable");
+    let checkpoint_ms = best_ms(opts.reps, || svc.checkpoint().expect("checkpoint"));
+    metrics.push(Metric {
+        name: "checkpoint_sparse_m2500",
+        value: checkpoint_ms,
+        unit: "ms",
+        note: "checkpoint() of every registered user on the 50x50 world, fsync off",
+    });
+    drop(svc);
+    std::fs::remove_dir_all(&dir).ok();
 
     metrics
 }

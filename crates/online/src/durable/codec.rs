@@ -12,7 +12,45 @@
 /// offending path.
 pub(crate) type CodecResult<T> = Result<T, String>;
 
-/// Append-only byte sink for encoding.
+/// Byte sink the encoders write through: an in-memory buffer
+/// ([`Writer`]), a running hash ([`Fnv1a64`]), or a checksummed file
+/// stream. Only [`Sink::put_bytes`] differs between them; the primitives
+/// are shared, so every sink sees the same bytes for the same value.
+pub(crate) trait Sink {
+    /// Appends raw bytes.
+    fn put_bytes(&mut self, bytes: &[u8]);
+
+    fn put_u8(&mut self, v: u8) {
+        self.put_bytes(&[v]);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    /// Length-prefixed (`u64`) slice of raw IEEE-754 doubles, handed to the
+    /// sink in 4 KiB chunks rather than one call per element.
+    fn put_f64_slice(&mut self, vs: &[f64]) {
+        self.put_u64(vs.len() as u64);
+        let mut chunk = [0u8; 4096];
+        for part in vs.chunks(chunk.len() / 8) {
+            for (dst, v) in chunk.chunks_exact_mut(8).zip(part) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            self.put_bytes(&chunk[..part.len() * 8]);
+        }
+    }
+}
+
+/// Append-only in-memory byte sink.
 #[derive(Debug, Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
@@ -26,29 +64,11 @@ impl Writer {
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
+}
 
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed (`u64`) slice of raw IEEE-754 doubles.
-    pub(crate) fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.put_f64(v);
-        }
+impl Sink for Writer {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -131,40 +151,82 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+/// Running CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven, so
+/// a streamed payload can be checksummed as it is written.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Self {
+        Crc32(!0)
     }
-    !crc
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        use std::sync::OnceLock;
+        static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            let mut table = [0u32; 256];
+            for (i, slot) in table.iter_mut().enumerate() {
+                let mut c = i as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+                *slot = c;
+            }
+            table
+        });
+        let mut crc = self.0;
+        for &b in bytes {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
+    }
+
+    pub(crate) fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
+/// CRC-32 of one buffer.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// FNV-1a 64-bit, used for configuration fingerprints and state digests.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+/// As a [`Sink`] it hashes an encoding without materializing it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    pub(crate) fn new() -> Self {
+        Fnv1a64(0xCBF2_9CE4_8422_2325)
     }
-    hash
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Sink for Fnv1a64 {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// FNV-1a 64-bit of one buffer.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a64::new();
+    hash.put_bytes(bytes);
+    hash.finish()
 }
 
 #[cfg(test)]
@@ -221,6 +283,29 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+        // Fed in pieces, the running CRC matches the one-shot value.
+        let mut crc = Crc32::new();
+        crc.update(b"1234");
+        crc.update(b"56789");
+        assert_eq!(crc.finish(), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn chunked_f64_slices_encode_like_scalars() {
+        // Longer than one 4 KiB chunk, with a ragged tail.
+        let vs: Vec<f64> = (0..1300).map(|i| i as f64 * -0.37).collect();
+        let mut chunked = Writer::new();
+        chunked.put_f64_slice(&vs);
+        let mut scalar = Writer::new();
+        scalar.put_u64(vs.len() as u64);
+        for &v in &vs {
+            scalar.put_f64(v);
+        }
+        let bytes = chunked.into_bytes();
+        assert_eq!(bytes, scalar.into_bytes());
+        let mut hash = Fnv1a64::new();
+        hash.put_f64_slice(&vs);
+        assert_eq!(hash.finish(), fnv1a64(&bytes));
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! Every committed mutation (user registration, window attach,
 //! observation/release) is appended to its shard's WAL — and, with
 //! [`DurableOptions::fsync`] on, flushed — *before* the result is returned
-//! to the caller. A checkpoint serializes the whole state into a fresh
-//! snapshot (written to a `.tmp` file and atomically renamed), starts
-//! empty WAL segments for the next generation, and prunes the old one.
+//! to the caller. A checkpoint streams the whole state, read in place from
+//! the live sessions, into a fresh snapshot (a `.tmp` file, atomically
+//! renamed), starts empty WAL segments for the next generation, and prunes
+//! the old one.
 //!
 //! # Recovery guarantees
 //!
@@ -54,8 +55,8 @@ mod codec;
 mod snapshot;
 mod wal;
 
-pub(crate) use codec::fnv1a64;
-pub(crate) use snapshot::{encode_payload, SessionSnap, SnapshotState, WindowSnap};
+pub(crate) use codec::{fnv1a64, Fnv1a64};
+pub(crate) use snapshot::{encode_payload, SessionSnap, SnapshotSource, SnapshotState, WindowSnap};
 pub(crate) use wal::{WalRecord, WalScan, WalTail};
 
 /// Errors from the durable persistence layer.
@@ -294,7 +295,7 @@ impl DurableStore {
         fingerprint: u64,
         num_shards: usize,
         seq: u64,
-        state: &SnapshotState,
+        state: &dyn SnapshotSource,
     ) -> Result<Self, DurableError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create durable directory", dir, &e))?;
         let mut store = DurableStore {
@@ -350,7 +351,7 @@ impl DurableStore {
 
     /// Compacts the WAL into a fresh snapshot of `state` as the next
     /// generation.
-    pub(crate) fn checkpoint(&mut self, state: &SnapshotState) -> Result<(), DurableError> {
+    pub(crate) fn checkpoint(&mut self, state: &dyn SnapshotSource) -> Result<(), DurableError> {
         self.checkpoint_at(self.seq + 1, state)
     }
 
@@ -359,7 +360,7 @@ impl DurableStore {
     /// WAL segments are created for the new generation (a crash between
     /// the two recovers from the new snapshot with empty tails); (3) the
     /// old generation is pruned last.
-    fn checkpoint_at(&mut self, seq: u64, state: &SnapshotState) -> Result<(), DurableError> {
+    fn checkpoint_at(&mut self, seq: u64, state: &dyn SnapshotSource) -> Result<(), DurableError> {
         let snap = snap_path(&self.dir, seq);
         let snapshot_timer = Timer::start(&self.obs.snapshot_seconds);
         snapshot::write_snapshot(&snap, seq, state, self.opts.fsync)?;

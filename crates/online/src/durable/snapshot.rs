@@ -11,15 +11,19 @@
 //! [magic "PRSNP01\0"][version u32][seq u64][payload_len u64][crc32 u32][payload]
 //! ```
 //!
-//! Snapshots are written to `<name>.tmp`, fsynced, then renamed over the
-//! final name — a crash mid-write leaves either the previous snapshot or a
-//! `.tmp` that recovery never reads, never a half-written current file.
+//! Snapshots are streamed straight from the live sessions into
+//! `<name>.tmp` behind a placeholder header, which is patched with the
+//! payload length and CRC once the payload is written; the file is then
+//! fsynced and renamed over the final name — a crash mid-write leaves
+//! either the previous snapshot or a `.tmp` that recovery never reads,
+//! never a half-written current file. Memory stays bounded: no copy of the
+//! state is ever assembled.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
-use super::codec::{crc32, CodecResult, Reader, Writer};
+use super::codec::{crc32, CodecResult, Crc32, Reader, Sink, Writer};
 use super::{io_err, DurableError};
 
 /// Magic prefix of every snapshot file.
@@ -27,9 +31,10 @@ pub(crate) const SNAP_MAGIC: &[u8; 8] = b"PRSNP01\0";
 /// Current snapshot format version.
 pub(crate) const SNAP_VERSION: u32 = 1;
 
-/// One event window's replay seed.
+/// One event window's replay seed. `V` is `Vec<f64>` when decoded and
+/// `&[f64]` when encoded in place from a live window.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WindowSnap {
+pub(crate) struct WindowSnap<V = Vec<f64>> {
     /// Template index the window was instantiated from.
     pub(crate) template: u32,
     /// Window-local cursor (observations consumed since attach).
@@ -37,14 +42,15 @@ pub(crate) struct WindowSnap {
     /// Log scale factored out of the forward mantissa.
     pub(crate) log_scale: f64,
     /// Attach-time prior the window was seeded with.
-    pub(crate) pi: Vec<f64>,
+    pub(crate) pi: V,
     /// Stacked two-world forward mantissa (length `2m`).
-    pub(crate) mantissa: Vec<f64>,
+    pub(crate) mantissa: V,
 }
 
-/// One user session's persisted state.
+/// One user session's persisted state (vectors owned or borrowed, as for
+/// [`WindowSnap`]).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SessionSnap {
+pub(crate) struct SessionSnap<V = Vec<f64>> {
     /// User id.
     pub(crate) user: u64,
     /// User-local clock.
@@ -58,12 +64,12 @@ pub(crate) struct SessionSnap {
     /// Ledger violation count.
     pub(crate) violations: u64,
     /// Filtered location posterior.
-    pub(crate) posterior: Vec<f64>,
+    pub(crate) posterior: V,
     /// Active windows, in attach order.
-    pub(crate) windows: Vec<WindowSnap>,
+    pub(crate) windows: Vec<WindowSnap<V>>,
 }
 
-/// Full service state at a checkpoint.
+/// Full service state at a checkpoint, as decoded from disk.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SnapshotState {
     /// Scenario fingerprint the state belongs to.
@@ -76,34 +82,93 @@ pub(crate) struct SnapshotState {
     pub(crate) sessions: Vec<SessionSnap>,
 }
 
-/// Serializes the snapshot payload (no file header). Deterministic: the
-/// same state always encodes to the same bytes, which is what makes
+/// A service state the snapshot encoder can stream — in production the
+/// live service itself, whose vectors are encoded in place.
+pub(crate) trait SnapshotSource {
+    /// Scenario fingerprint the state belongs to.
+    fn fingerprint(&self) -> u64;
+    /// `ServiceStats` counters in declaration order.
+    fn stats(&self) -> [u64; 6];
+    /// How many sessions [`SnapshotSource::for_each_session`] visits.
+    fn num_sessions(&self) -> usize;
+    /// Visits every session in canonical order: shard-major, then user id.
+    fn for_each_session(&self, visit: &mut dyn FnMut(SessionSnap<&[f64]>));
+}
+
+#[cfg(test)]
+impl SnapshotSource for SnapshotState {
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn stats(&self) -> [u64; 6] {
+        self.stats
+    }
+
+    fn num_sessions(&self) -> usize {
+        self.sessions.len()
+    }
+
+    fn for_each_session(&self, visit: &mut dyn FnMut(SessionSnap<&[f64]>)) {
+        for s in &self.sessions {
+            visit(SessionSnap {
+                user: s.user,
+                t: s.t,
+                budget: s.budget,
+                spent: s.spent,
+                observations: s.observations,
+                violations: s.violations,
+                posterior: &s.posterior,
+                windows: s
+                    .windows
+                    .iter()
+                    .map(|w| WindowSnap {
+                        template: w.template,
+                        t: w.t,
+                        log_scale: w.log_scale,
+                        pi: &w.pi[..],
+                        mantissa: &w.mantissa[..],
+                    })
+                    .collect(),
+            });
+        }
+    }
+}
+
+/// Streams the snapshot payload (no file header) into `w`. Deterministic:
+/// the same state always encodes to the same bytes, which is what makes
 /// `state_digest` a usable equality witness in the recovery tests.
-pub(crate) fn encode_payload(state: &SnapshotState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(state.fingerprint);
-    for &c in &state.stats {
+///
+/// # Panics
+/// If the source visits a different number of sessions than it reports —
+/// the count prefix would then misdescribe the payload.
+pub(crate) fn encode_payload(state: &dyn SnapshotSource, w: &mut dyn Sink) {
+    w.put_u64(state.fingerprint());
+    for c in state.stats() {
         w.put_u64(c);
     }
-    w.put_u64(state.sessions.len() as u64);
-    for s in &state.sessions {
+    let count = state.num_sessions();
+    w.put_u64(count as u64);
+    let mut written = 0;
+    state.for_each_session(&mut |s| {
+        written += 1;
         w.put_u64(s.user);
         w.put_u64(s.t);
         w.put_f64(s.budget);
         w.put_f64(s.spent);
         w.put_u64(s.observations);
         w.put_u64(s.violations);
-        w.put_f64_slice(&s.posterior);
+        w.put_f64_slice(s.posterior);
         w.put_u32(s.windows.len() as u32);
         for win in &s.windows {
             w.put_u32(win.template);
             w.put_u64(win.t);
             w.put_f64(win.log_scale);
-            w.put_f64_slice(&win.pi);
-            w.put_f64_slice(&win.mantissa);
+            w.put_f64_slice(win.pi);
+            w.put_f64_slice(win.mantissa);
         }
-    }
-    w.into_bytes()
+    });
+    assert_eq!(written, count, "snapshot source miscounted its sessions");
 }
 
 /// Inverse of [`encode_payload`].
@@ -154,34 +219,78 @@ pub(crate) fn decode_payload(bytes: &[u8]) -> CodecResult<SnapshotState> {
     })
 }
 
-/// Writes a snapshot for generation `seq` atomically: encode → `.tmp` →
-/// fsync → rename over the final path.
+/// The file header: magic, version, sequence label, payload length, CRC.
+fn encode_header(seq: u64, payload_len: u64, crc: u32) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(SNAP_MAGIC);
+    w.put_u32(SNAP_VERSION);
+    w.put_u64(seq);
+    w.put_u64(payload_len);
+    w.put_u32(crc);
+    w.into_bytes()
+}
+
+/// Buffered file sink that keeps the running CRC and byte count the header
+/// needs. The first write error is latched (and later bytes dropped) so the
+/// encoder stays infallible; [`write_snapshot`] reports it.
+struct FileSink {
+    out: BufWriter<File>,
+    crc: Crc32,
+    len: u64,
+    err: Option<std::io::Error>,
+}
+
+impl Sink for FileSink {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        if self.err.is_some() {
+            return;
+        }
+        self.crc.update(bytes);
+        self.len += bytes.len() as u64;
+        if let Err(e) = self.out.write_all(bytes) {
+            self.err = Some(e);
+        }
+    }
+}
+
+/// Writes a snapshot for generation `seq` atomically: placeholder header →
+/// payload streamed into `.tmp` → header patched → fsync → rename over the
+/// final path.
 pub(crate) fn write_snapshot(
     path: &Path,
     seq: u64,
-    state: &SnapshotState,
+    state: &dyn SnapshotSource,
     fsync: bool,
 ) -> Result<(), DurableError> {
-    let payload = encode_payload(state);
-    let mut bytes = SNAP_MAGIC.to_vec();
-    let mut header = Writer::new();
-    header.put_u32(SNAP_VERSION);
-    header.put_u64(seq);
-    header.put_u64(payload.len() as u64);
-    header.put_u32(crc32(&payload));
-    bytes.extend_from_slice(&header.into_bytes());
-    bytes.extend_from_slice(&payload);
-
     let tmp = path.with_extension("bin.tmp");
+    let write_err = |e: std::io::Error| io_err("write snapshot", &tmp, &e);
     {
-        let mut f = OpenOptions::new()
+        let file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(&tmp)
             .map_err(|e| io_err("create snapshot tmp", &tmp, &e))?;
-        f.write_all(&bytes)
-            .map_err(|e| io_err("write snapshot", &tmp, &e))?;
+        let mut sink = FileSink {
+            out: BufWriter::new(file),
+            crc: Crc32::new(),
+            len: 0,
+            err: None,
+        };
+        sink.out
+            .write_all(&encode_header(seq, 0, 0))
+            .map_err(write_err)?;
+        encode_payload(state, &mut sink);
+        if let Some(e) = sink.err {
+            return Err(write_err(e));
+        }
+        let mut f = sink
+            .out
+            .into_inner()
+            .map_err(|e| write_err(e.into_error()))?;
+        f.seek(SeekFrom::Start(0)).map_err(write_err)?;
+        f.write_all(&encode_header(seq, sink.len, sink.crc.finish()))
+            .map_err(write_err)?;
         if fsync {
             f.sync_data()
                 .map_err(|e| io_err("fsync snapshot", &tmp, &e))?;
@@ -281,13 +390,38 @@ mod tests {
         }
     }
 
+    fn payload(state: &SnapshotState) -> Vec<u8> {
+        let mut w = Writer::new();
+        encode_payload(state, &mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn payload_roundtrips_bit_exactly() {
         let state = sample_state();
-        let bytes = encode_payload(&state);
+        let bytes = payload(&state);
         assert_eq!(decode_payload(&bytes).unwrap(), state);
         // Determinism: encoding is a pure function of the state.
-        assert_eq!(encode_payload(&state), bytes);
+        assert_eq!(payload(&state), bytes);
+    }
+
+    #[test]
+    fn streamed_file_matches_the_in_memory_layout() {
+        let dir = tempdir();
+        let path = dir.join("snap-7.bin");
+        let state = sample_state();
+        write_snapshot(&path, 7, &state, false).unwrap();
+        // The layout the format has always had: magic, version, seq,
+        // payload length and CRC, then the payload, assembled in memory.
+        let body = payload(&state);
+        let mut expected = SNAP_MAGIC.to_vec();
+        expected.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        expected.extend_from_slice(&7u64.to_le_bytes());
+        expected.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&crc32(&body).to_le_bytes());
+        expected.extend_from_slice(&body);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use super::codec::{crc32, CodecResult, Reader, Writer};
+use super::codec::{crc32, CodecResult, Reader, Sink as _, Writer};
 use super::{io_err, DurableError};
 
 /// Magic prefix of every WAL segment file.

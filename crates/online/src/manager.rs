@@ -2,8 +2,8 @@
 //! the batched same-timestep ingest path.
 
 use crate::durable::{
-    self, DurableError, DurableOptions, DurableStore, SessionSnap, SnapshotState, WalRecord,
-    WalTail, WindowSnap,
+    self, DurableError, DurableOptions, DurableStore, SessionSnap, SnapshotSource, SnapshotState,
+    WalRecord, WalTail, WindowSnap,
 };
 use crate::obs::{RecoveryInfo, ServiceInstruments, StoreInstruments};
 use crate::session::{
@@ -20,11 +20,12 @@ use priste_linalg::Vector;
 use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_obs::Registry;
-use priste_quantify::{IncrementalTwoWorld, QuantifyError, TwoWorldEngine};
+use priste_quantify::{EventModel, IncrementalTwoWorld, QuantifyError, TwoWorldEngine};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Resolves a caller-facing thread knob: `0` means "one worker per
@@ -264,6 +265,53 @@ pub struct EnforcedRelease {
     pub report: UserReport,
 }
 
+/// The live service as a [`SnapshotSource`]: the snapshot encoder reads
+/// every posterior and window vector where it lives.
+struct LiveState<'a, P> {
+    fingerprint: u64,
+    stats: [u64; 6],
+    shards: &'a [BTreeMap<u64, Session<P>>],
+}
+
+impl<P: TransitionProvider> SnapshotSource for LiveState<'_, P> {
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn stats(&self) -> [u64; 6] {
+        self.stats
+    }
+
+    fn num_sessions(&self) -> usize {
+        self.shards.iter().map(BTreeMap::len).sum()
+    }
+
+    fn for_each_session(&self, visit: &mut dyn FnMut(SessionSnap<&[f64]>)) {
+        for session in self.shards.iter().flat_map(BTreeMap::values) {
+            visit(SessionSnap {
+                user: session.id().0,
+                t: session.observed() as u64,
+                budget: session.ledger().budget(),
+                spent: session.ledger().spent(),
+                observations: session.ledger().observations() as u64,
+                violations: session.ledger().violations() as u64,
+                posterior: session.posterior().as_slice(),
+                windows: session
+                    .windows
+                    .iter()
+                    .map(|w| WindowSnap {
+                        template: w.template as u32,
+                        t: w.state.observed() as u64,
+                        log_scale: w.state.log_scale(),
+                        pi: w.state.pi().as_slice(),
+                        mantissa: w.state.lifted_state().as_slice(),
+                    })
+                    .collect(),
+            });
+        }
+    }
+}
+
 /// The streaming service: shards many users' [`Session`]s over one shared
 /// mobility model, batches same-timestep work, and evicts expired windows.
 ///
@@ -279,15 +327,18 @@ pub struct EnforcedRelease {
 /// With a time-varying provider the window schedule is also attach-relative;
 /// absolute-time schedules would need an offsetting provider (future work).
 ///
-/// Share the model across the many per-window states with a cheap-to-clone
-/// provider — `Arc<Homogeneous>` is the intended instantiation
-/// (`TransitionProvider` is implemented for `Arc<T>`).
+/// Each registered template is an [`EventModel`] built once: every window
+/// attached from it shares the template's suffix table, so a session costs
+/// `O(m)` memory (posterior, attach-time `π`, forward vector). Share the
+/// mobility model the same way with a cheap-to-clone provider —
+/// `Arc<Homogeneous>` is the intended instantiation (`TransitionProvider`
+/// is implemented for `Arc<T>`).
 ///
 /// [`LiftedStep`]: priste_quantify::lifted::LiftedStep
 #[derive(Debug)]
 pub struct SessionManager<P> {
     provider: P,
-    templates: Vec<StEvent>,
+    templates: Vec<Arc<EventModel>>,
     shards: Vec<BTreeMap<u64, Session<P>>>,
     config: OnlineConfig,
     instruments: ServiceInstruments,
@@ -520,19 +571,15 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             .sum()
     }
 
-    /// Registers an event template (attach-relative timestamps) and returns
-    /// its index for [`SessionManager::attach_event`].
+    /// Registers an event template (attach-relative timestamps), building
+    /// its shared [`EventModel`] once, and returns its index for
+    /// [`SessionManager::attach_event`].
     ///
     /// # Errors
     /// [`QuantifyError::DomainMismatch`] (wrapped) if the event's state
     /// domain differs from the provider's.
     pub fn register_template(&mut self, event: StEvent) -> Result<usize> {
-        if event.num_cells() != self.provider.num_states() {
-            return Err(OnlineError::Quantify(QuantifyError::DomainMismatch {
-                event: event.num_cells(),
-                provider: self.provider.num_states(),
-            }));
-        }
+        let model = EventModel::new(event, &self.provider)?;
         if self.store.is_some() {
             // The template catalog is part of the scenario fingerprint that
             // binds durable files to the service; growing it under an
@@ -541,13 +588,21 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 message: "register all templates before attaching a durable store".into(),
             });
         }
-        self.templates.push(event);
+        self.templates.push(Arc::new(model));
         Ok(self.templates.len() - 1)
     }
 
-    /// Registered templates.
-    pub fn templates(&self) -> &[StEvent] {
+    /// Registered templates, as the event models their windows share.
+    pub fn templates(&self) -> &[Arc<EventModel>] {
         &self.templates
+    }
+
+    /// The shared model of template `template`.
+    fn template(&self, template: usize) -> Result<Arc<EventModel>> {
+        self.templates
+            .get(template)
+            .map(Arc::clone)
+            .ok_or(OnlineError::UnknownTemplate { template })
     }
 
     /// Adds a user with an initial location distribution.
@@ -598,17 +653,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// [`QuantifyError::DegeneratePrior`] (wrapped) when the event is
     /// already certain or impossible under the user's posterior.
     pub fn attach_event(&mut self, id: UserId, template: usize) -> Result<()> {
-        let event = self
-            .templates
-            .get(template)
-            .ok_or(OnlineError::UnknownTemplate { template })?
-            .clone();
+        let model = self.template(template)?;
         let provider = self.provider.clone();
         let shard = self.shard_of(id);
         let session = self.shards[shard]
             .get_mut(&id.0)
             .ok_or(OnlineError::UnknownUser { user: id.0 })?;
-        session.attach(template, event, provider)?;
+        session.attach(template, model, provider)?;
         if let Err(e) = Self::journal(
             &mut self.store,
             shard,
@@ -783,7 +834,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// parallel path can run disjoint shards on worker threads.
     fn process_shard(
         provider: &P,
-        templates: &[StEvent],
+        templates: &[Arc<EventModel>],
         shard: &mut BTreeMap<u64, Session<P>>,
         wanted: &BTreeMap<u64, &Vector>,
         config: &OnlineConfig,
@@ -851,7 +902,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// attach order.
     fn advance_windows(
         provider: &P,
-        templates: &[StEvent],
+        templates: &[Arc<EventModel>],
         selected: &mut [(&mut Session<P>, &Vector)],
         epsilon: f64,
     ) -> Vec<Vec<crate::session::WindowReport>> {
@@ -885,7 +936,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                     .map(|&fi| flat[fi].1.state.lifted_state().clone())
                     .collect()
             } else {
-                let engine = TwoWorldEngine::new(&templates[template], provider)
+                let engine = TwoWorldEngine::new(templates[template].event(), provider)
                     .expect("validated at registration");
                 let step = engine.step_at(age);
                 let rows: Vec<Vector> = idxs
@@ -941,52 +992,29 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             self.config.budget.to_bits(),
         );
         for t in &self.templates {
-            let _ = write!(s, "tpl={t:?};");
+            let _ = write!(s, "tpl={:?};", t.event());
         }
         durable::fnv1a64(s.as_bytes())
     }
 
-    /// Serializes the full service state (shard-major, user-id order
-    /// within a shard — deterministic for a given state).
-    fn snapshot_state(&self) -> SnapshotState {
-        let sessions = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.values())
-            .map(|session| SessionSnap {
-                user: session.id().0,
-                t: session.observed() as u64,
-                budget: session.ledger().budget(),
-                spent: session.ledger().spent(),
-                observations: session.ledger().observations() as u64,
-                violations: session.ledger().violations() as u64,
-                posterior: session.posterior().as_slice().to_vec(),
-                windows: session
-                    .windows
-                    .iter()
-                    .map(|w| WindowSnap {
-                        template: w.template as u32,
-                        t: w.state.observed() as u64,
-                        log_scale: w.state.log_scale(),
-                        pi: w.state.pi().as_slice().to_vec(),
-                        mantissa: w.state.lifted_state().as_slice().to_vec(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        SnapshotState {
+    /// The live state as a snapshot source: checkpoints and digests encode
+    /// the sessions' vectors in place instead of copying them.
+    fn live_state(&self) -> LiveState<'_, P> {
+        LiveState {
             fingerprint: self.fingerprint(),
             stats: self.stats().to_array(),
-            sessions,
+            shards: &self.shards,
         }
     }
 
-    /// Deterministic digest of the full service state (FNV-1a over the
-    /// canonical snapshot encoding): equal digests mean bit-identical
+    /// Deterministic digest of the full service state (FNV-1a streamed over
+    /// the canonical snapshot encoding): equal digests mean bit-identical
     /// posteriors, windows, ledgers, and counters. The equality witness
     /// used by the crash-recovery tests.
     pub fn state_digest(&self) -> u64 {
-        durable::fnv1a64(&durable::encode_payload(&self.snapshot_state()))
+        let mut hash = durable::Fnv1a64::new();
+        durable::encode_payload(&self.live_state(), &mut hash);
+        hash.finish()
     }
 
     /// Attaches a durable store to this service: writes a full checkpoint
@@ -1003,7 +1031,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         } else {
             1
         };
-        let state = self.snapshot_state();
+        let state = self.live_state();
         let mut store = DurableStore::open(
             dir,
             opts,
@@ -1032,16 +1060,16 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// [`OnlineError::InvalidConfig`] when no store is attached;
     /// [`OnlineError::Durable`] on I/O failure.
     pub fn checkpoint(&mut self) -> Result<()> {
-        let state = self.snapshot_state();
-        let store = self
+        let mut store = self
             .store
-            .as_mut()
+            .take()
             .ok_or_else(|| OnlineError::InvalidConfig {
                 message: "no durable store attached; call make_durable or open_durable first"
                     .into(),
             })?;
-        store.checkpoint(&state)?;
-        Ok(())
+        let written = store.checkpoint(&self.live_state());
+        self.store = Some(store);
+        Ok(written?)
     }
 
     /// Read-only crash recovery: rebuilds a service from the newest valid
@@ -1077,7 +1105,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             svc.register_template(t)?;
         }
         let rec = durable::recover_dir(dir, svc.fingerprint(), svc.config.num_shards)?;
-        svc.restore_snapshot(&rec.state)?;
+        svc.restore_snapshot(rec.state)?;
         let mut replayed_records = 0u64;
         for scan in &rec.wal {
             for record in &scan.records {
@@ -1157,34 +1185,30 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(svc)
     }
 
-    /// Rebuilds every session from a decoded snapshot.
-    fn restore_snapshot(&mut self, state: &SnapshotState) -> Result<()> {
-        for snap in &state.sessions {
+    /// Rebuilds every session from a decoded snapshot, moving its vectors
+    /// into the sessions; every window resumes on its template's shared
+    /// model.
+    fn restore_snapshot(&mut self, state: SnapshotState) -> Result<()> {
+        let m = self.provider.num_states();
+        for snap in state.sessions {
             let id = UserId(snap.user);
-            let posterior = Vector::from(snap.posterior.clone());
-            if posterior.len() != self.provider.num_states() {
+            if snap.posterior.len() != m {
                 return Err(OnlineError::InvalidConfig {
                     message: format!(
-                        "persisted posterior for user {} has length {}, expected {}",
+                        "persisted posterior for user {} has length {}, expected {m}",
                         snap.user,
-                        posterior.len(),
-                        self.provider.num_states()
+                        snap.posterior.len(),
                     ),
                 });
             }
             let mut windows = Vec::with_capacity(snap.windows.len());
-            for w in &snap.windows {
+            for w in snap.windows {
                 let template = w.template as usize;
-                let event = self
-                    .templates
-                    .get(template)
-                    .ok_or(OnlineError::UnknownTemplate { template })?
-                    .clone();
                 let state = IncrementalTwoWorld::resume(
-                    event,
+                    self.template(template)?,
                     self.provider.clone(),
-                    Vector::from(w.pi.clone()),
-                    Vector::from(w.mantissa.clone()),
+                    Vector::from(w.pi),
+                    Vector::from(w.mantissa),
                     w.log_scale,
                     w.t as usize,
                 )?;
@@ -1196,14 +1220,15 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 snap.observations as usize,
                 snap.violations as usize,
             )?;
+            let session = Session::from_parts(
+                id,
+                Vector::from(snap.posterior),
+                windows,
+                ledger,
+                snap.t as usize,
+            );
             let shard = self.shard_of(id);
-            if self.shards[shard]
-                .insert(
-                    snap.user,
-                    Session::from_parts(id, posterior, windows, ledger, snap.t as usize),
-                )
-                .is_some()
-            {
+            if self.shards[shard].insert(snap.user, session).is_some() {
                 return Err(OnlineError::DuplicateUser { user: snap.user });
             }
         }
@@ -1247,17 +1272,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             }
             WalRecord::AttachEvent { user, template } => {
                 let template = *template as usize;
-                let event = self
-                    .templates
-                    .get(template)
-                    .ok_or(OnlineError::UnknownTemplate { template })?
-                    .clone();
+                let model = self.template(template)?;
                 let provider = self.provider.clone();
                 let shard = self.shard_of(UserId(*user));
                 let session = self.shards[shard]
                     .get_mut(user)
                     .ok_or(OnlineError::UnknownUser { user: *user })?;
-                session.attach(template, event, provider)?;
+                session.attach(template, model, provider)?;
                 Ok(())
             }
             WalRecord::Observe {

@@ -4,8 +4,9 @@
 
 use priste_linalg::Vector;
 use priste_markov::TransitionProvider;
-use priste_quantify::{IncrementalTwoWorld, QuantifyError, StreamStep};
+use priste_quantify::{EventModel, IncrementalTwoWorld, QuantifyError, StreamStep};
 use std::fmt;
+use std::sync::Arc;
 
 /// Opaque user identifier (sharded by value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -270,16 +271,17 @@ impl<P: TransitionProvider> Session<P> {
         self.windows.len()
     }
 
-    /// Attaches a new event window seeded with the *current* posterior (the
-    /// sliding-window flavor of the journal extension: protection starts
-    /// from the service's present belief about the user).
+    /// Attaches a new event window over the template's shared model, seeded
+    /// with the *current* posterior (the sliding-window flavor of the
+    /// journal extension: protection starts from the service's present
+    /// belief about the user).
     pub(crate) fn attach(
         &mut self,
         template: usize,
-        event: priste_event::StEvent,
+        model: Arc<EventModel>,
         provider: P,
     ) -> Result<(), QuantifyError> {
-        let state = IncrementalTwoWorld::new(event, provider, self.posterior.clone())?;
+        let state = IncrementalTwoWorld::from_model(model, provider, self.posterior.clone())?;
         self.windows.push(EventWindow { template, state });
         Ok(())
     }

@@ -25,11 +25,14 @@
 //! viable for a service tracking many users ([`priste-online`'s sessions
 //! hold one `IncrementalTwoWorld` per active event window).
 //!
-//! Unlike the borrowing [`TwoWorldEngine`], this type **owns** its event and
-//! provider so sessions can live in long-running collections without
-//! self-referential lifetimes; share one model across windows via
-//! `Arc<Homogeneous>` (every `TransitionProvider` is also implemented for
-//! `Arc<T>`).
+//! Unlike the borrowing [`TwoWorldEngine`], this type **owns** its state so
+//! sessions can live in long-running collections without self-referential
+//! lifetimes. What depends only on the event and the chain — the event and
+//! its suffix vectors — lives in an immutable [`EventModel`] behind an
+//! `Arc`, so every window over one (event, chain) pair shares a single
+//! table and a window itself holds only `O(m)` state: `π` and `α_t`. Share
+//! the chain the same way via `Arc<Homogeneous>` (every
+//! `TransitionProvider` is also implemented for `Arc<T>`).
 
 use crate::lifted::lift_emission;
 use crate::{QuantifyError, Result, TwoWorldEngine};
@@ -37,6 +40,7 @@ use priste_event::StEvent;
 use priste_linalg::scaling::ScaledVector;
 use priste_linalg::Vector;
 use priste_markov::TransitionProvider;
+use std::sync::Arc;
 
 /// Per-observation output of the incremental quantifier — the streaming
 /// analogue of [`crate::fixed_pi::StepQuantification`] plus the adversary's
@@ -71,6 +75,35 @@ impl StreamStep {
     }
 }
 
+/// The user-independent half of the streaming quantifier: the protected
+/// event plus its lifted suffix vectors `u_t = ∏_{i=t}^{end−1} M_i·[0,1]ᵀ`
+/// under one chain. Neither depends on the user or on `π`, so a service
+/// builds one per (event, chain) pair and hands every window an `Arc` to
+/// it; the event's cached region masks are shared along with it.
+#[derive(Debug)]
+pub struct EventModel {
+    event: StEvent,
+    /// Lifted suffix vectors `u_t` (index `t−1`) for `t = 1..=end`.
+    suffix: Vec<Vector>,
+}
+
+impl EventModel {
+    /// Precomputes the suffix vectors of `event` under `provider`. Windows
+    /// built on the model must run on the same chain.
+    ///
+    /// # Errors
+    /// [`QuantifyError::DomainMismatch`] when the state domains differ.
+    pub fn new<P: TransitionProvider>(event: StEvent, provider: &P) -> Result<Self> {
+        let suffix = TwoWorldEngine::new(&event, provider)?.suffix_true_vectors();
+        Ok(EventModel { event, suffix })
+    }
+
+    /// The protected event.
+    pub fn event(&self) -> &StEvent {
+        &self.event
+    }
+}
+
 /// Streaming fixed-`π` event-privacy quantifier: carries the lifted forward
 /// vector across timestamps and updates in `O(m²)` per observation instead
 /// of replaying the horizon. Cross-validated against
@@ -79,11 +112,9 @@ impl StreamStep {
 /// `incremental_stream` integration suite.
 #[derive(Debug, Clone)]
 pub struct IncrementalTwoWorld<P> {
-    event: StEvent,
+    model: Arc<EventModel>,
     provider: P,
     pi: Vector,
-    /// Lifted suffix vectors `u_t` (index `t−1`) for `t = 1..=end`.
-    suffix: Vec<Vector>,
     prior: f64,
     /// Lifted forward vector after `t` observations.
     alpha: ScaledVector,
@@ -91,41 +122,55 @@ pub struct IncrementalTwoWorld<P> {
 }
 
 impl<P: TransitionProvider> IncrementalTwoWorld<P> {
-    /// Builds the streaming state: suffix products, the Lemma III.1 prior,
-    /// and the lifted initial vector. Owns `event` and `provider` so the
-    /// value is `'static` when they are (sessions outlive call frames).
+    /// Builds the streaming state over a private [`EventModel`]; see
+    /// [`IncrementalTwoWorld::from_model`]. Owns `event` and `provider` so
+    /// the value is `'static` when they are (sessions outlive call frames).
+    ///
+    /// # Errors
+    /// As [`EventModel::new`] and [`IncrementalTwoWorld::from_model`].
+    pub fn new(event: StEvent, provider: P, pi: Vector) -> Result<Self> {
+        Self::from_model(Arc::new(EventModel::new(event, &provider)?), provider, pi)
+    }
+
+    /// Builds the streaming state on a shared [`EventModel`] (which must
+    /// have been built over `provider`'s chain): the Lemma III.1 prior and
+    /// the lifted initial vector. Only `π` and the forward vector are
+    /// per-window; the suffix table stays shared.
     ///
     /// # Errors
     /// Domain checks from [`TwoWorldEngine::new`];
     /// [`QuantifyError::InvalidInitial`] for a bad `π`;
     /// [`QuantifyError::DegeneratePrior`] when `Pr(EVENT) ∈ {0, 1}` under
     /// `π` (there is no ratio to track).
-    pub fn new(event: StEvent, provider: P, pi: Vector) -> Result<Self> {
+    pub fn from_model(model: Arc<EventModel>, provider: P, pi: Vector) -> Result<Self> {
         pi.validate_distribution()
             .map_err(QuantifyError::InvalidInitial)?;
-        let engine = TwoWorldEngine::new(&event, &provider)?;
-        let suffix = engine.suffix_true_vectors();
+        let engine = TwoWorldEngine::new(&model.event, &provider)?;
         let lifted = engine.initial_lift(&pi)?;
         let prior = pi
-            .dot(&engine.reduce(&suffix[0]))
+            .dot(&engine.reduce(&model.suffix[0]))
             .expect("validated length");
         if !(prior > 0.0 && prior < 1.0) {
             return Err(QuantifyError::DegeneratePrior { prior });
         }
         Ok(IncrementalTwoWorld {
-            event,
+            model,
             provider,
             pi,
-            suffix,
             prior,
             alpha: ScaledVector::new(lifted),
             t: 0,
         })
     }
 
+    /// The shared per-(event, chain) table this window reads.
+    pub fn model(&self) -> &Arc<EventModel> {
+        &self.model
+    }
+
     /// The protected event.
     pub fn event(&self) -> &StEvent {
-        &self.event
+        &self.model.event
     }
 
     /// The session's fixed initial distribution.
@@ -166,27 +211,27 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         self.alpha.log_scale
     }
 
-    /// Rebuilds a quantifier from persisted dynamic state: the event and
-    /// provider (static configuration), the attach-time `π` (the replay
-    /// seed), and the checkpointed forward vector `(mantissa, log_scale)`
-    /// at cursor `t`. The static precomputation (suffix vectors, prior) is
-    /// re-derived from scratch, so a resumed quantifier is bit-identical to
+    /// Rebuilds a quantifier from persisted dynamic state: the shared
+    /// event model and provider (static configuration), the attach-time `π`
+    /// (the replay seed), and the checkpointed forward vector
+    /// `(mantissa, log_scale)` at cursor `t`. The prior is re-derived from
+    /// `π` on the same model, so a resumed quantifier is bit-identical to
     /// one that observed the same stream live.
     ///
     /// # Errors
-    /// Construction errors from [`IncrementalTwoWorld::new`];
+    /// Construction errors from [`IncrementalTwoWorld::from_model`];
     /// [`QuantifyError::InvalidResume`] when the mantissa has the wrong
     /// length, carries negative or non-finite entries, is identically zero
     /// past the first observation, or the scale is non-finite.
     pub fn resume(
-        event: StEvent,
+        model: Arc<EventModel>,
         provider: P,
         pi: Vector,
         mantissa: Vector,
         log_scale: f64,
         t: usize,
     ) -> Result<Self> {
-        let mut state = Self::new(event, provider, pi)?;
+        let mut state = Self::from_model(model, provider, pi)?;
         if mantissa.len() != 2 * state.num_states() {
             return Err(QuantifyError::InvalidResume {
                 detail: format!(
@@ -295,9 +340,8 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         Ok(step)
     }
 
-    /// Rewinds to `t = 0`, keeping the per-event precomputation (suffix
-    /// vectors, prior) so a session can be replayed or re-armed without
-    /// rebuilding.
+    /// Rewinds to `t = 0`, keeping the shared model and the prior so a
+    /// session can be replayed or re-armed without rebuilding.
     pub fn reset(&mut self) {
         let lifted = self
             .engine()
@@ -307,10 +351,10 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         self.t = 0;
     }
 
-    /// Temporary borrowing engine over the owned event/provider (checks
-    /// were done at construction; re-running them is O(1)).
+    /// Temporary borrowing engine over the model's event and the provider
+    /// (checks were done at construction; re-running them is O(1)).
     fn engine(&self) -> TwoWorldEngine<'_, &P> {
-        TwoWorldEngine::new(&self.event, &self.provider).expect("validated at construction")
+        TwoWorldEngine::new(&self.model.event, &self.provider).expect("validated at construction")
     }
 
     fn validate_emission(&self, emission_column: &Vector) -> Result<()> {
@@ -347,7 +391,7 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
 
     /// The Lemma III.2/III.3 readout at timestep `t` for a forward vector.
     fn report(&self, t: usize, alpha: &ScaledVector) -> Result<StreamStep> {
-        let u = &self.suffix[t.min(self.event.end()) - 1];
+        let u = &self.model.suffix[t.min(self.model.event.end()) - 1];
         let jb = alpha.vector.dot(u).expect("lifted lengths match");
         let jc = alpha.vector.sum();
         if jc <= 0.0 {
@@ -570,7 +614,7 @@ mod tests {
             live.observe(col).unwrap();
         }
         let mut resumed = IncrementalTwoWorld::resume(
-            presence_event(),
+            Arc::clone(live.model()),
             chain(),
             pi,
             live.lifted_state().clone(),
@@ -593,8 +637,9 @@ mod tests {
     #[test]
     fn resume_rejects_malformed_state() {
         let pi = Vector::uniform(3);
+        let model = Arc::new(EventModel::new(presence_event(), &chain()).unwrap());
         let bad_len = IncrementalTwoWorld::resume(
-            presence_event(),
+            Arc::clone(&model),
             chain(),
             pi.clone(),
             Vector::uniform(3),
@@ -603,7 +648,7 @@ mod tests {
         );
         assert!(matches!(bad_len, Err(QuantifyError::InvalidResume { .. })));
         let bad_entries = IncrementalTwoWorld::resume(
-            presence_event(),
+            Arc::clone(&model),
             chain(),
             pi.clone(),
             Vector::from(vec![0.1, f64::NAN, 0.1, 0.1, 0.1, 0.1]),
@@ -615,7 +660,7 @@ mod tests {
             Err(QuantifyError::InvalidResume { .. })
         ));
         let bad_scale = IncrementalTwoWorld::resume(
-            presence_event(),
+            Arc::clone(&model),
             chain(),
             pi.clone(),
             Vector::uniform(6),
@@ -626,8 +671,7 @@ mod tests {
             bad_scale,
             Err(QuantifyError::InvalidResume { .. })
         ));
-        let vanished =
-            IncrementalTwoWorld::resume(presence_event(), chain(), pi, Vector::zeros(6), 0.0, 2);
+        let vanished = IncrementalTwoWorld::resume(model, chain(), pi, Vector::zeros(6), 0.0, 2);
         assert!(matches!(vanished, Err(QuantifyError::InvalidResume { .. })));
     }
 

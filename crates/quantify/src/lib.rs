@@ -23,7 +23,8 @@
 //! * [`IncrementalTwoWorld`] — the streaming face: carries the lifted
 //!   forward vector across timestamps so each observation costs `O(m²)`
 //!   instead of replaying the horizon (the journal extension's per-timestamp
-//!   recursion, arXiv:1907.10814); what `priste-online` sessions hold.
+//!   recursion, arXiv:1907.10814); what `priste-online` sessions hold. Its
+//!   per-event suffix table is an [`EventModel`] shared across windows.
 //! * [`fixed_pi`] — §III's quantification for a *known* initial probability:
 //!   conditional likelihoods and realized privacy loss.
 //! * [`forward_backward`] — the classic HMM smoother (Eqs. (10)–(12)).
@@ -51,7 +52,7 @@ mod theorem;
 
 pub use engine::TwoWorldEngine;
 pub use error::QuantifyError;
-pub use incremental::{IncrementalTwoWorld, StreamStep};
+pub use incremental::{EventModel, IncrementalTwoWorld, StreamStep};
 pub use theorem::{TheoremBuilder, TheoremInputs};
 
 /// Convenience result alias.

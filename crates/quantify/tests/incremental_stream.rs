@@ -8,10 +8,13 @@ use priste_geo::{CellId, Region};
 use priste_linalg::{Matrix, Vector};
 use priste_markov::{Homogeneous, MarkovModel};
 use priste_quantify::attack::BayesianAdversary;
-use priste_quantify::{IncrementalTwoWorld, QuantifyError, TheoremBuilder, TwoWorldEngine};
+use priste_quantify::{
+    EventModel, IncrementalTwoWorld, QuantifyError, TheoremBuilder, TwoWorldEngine,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Strategy: a random row-stochastic matrix of size m.
 fn stochastic_matrix(m: usize) -> impl Strategy<Value = Matrix> {
@@ -78,6 +81,11 @@ fn build_or_skip<'c>(
         Err(QuantifyError::DegeneratePrior { .. }) => None,
         Err(e) => panic!("unexpected construction error: {e}"),
     }
+}
+
+/// Raw bit patterns, so equality means bit-identical (not merely `==`).
+fn bits(v: &Vector) -> Vec<u64> {
+    v.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 fn random_emission(rng: &mut StdRng, m: usize) -> Vector {
@@ -189,5 +197,64 @@ proptest! {
             prop_assert!((a.log_joint_total - b.log_joint_total).abs() < 1e-12);
             prop_assert!((a.posterior - b.posterior).abs() < 1e-12);
         }
+    }
+
+    /// Windows built on one shared [`EventModel`] are bit-identical to
+    /// windows that own a private one (`new`), through `peek`, `observe`,
+    /// `observe_pre_stepped`, and a mid-stream `resume`.
+    #[test]
+    fn shared_model_windows_equal_private_ones_bit_for_bit(
+        mat in stochastic_matrix(4),
+        pi in distribution(4),
+        ev in st_event(4),
+        seed in 0u64..u64::MAX / 2,
+        resume_at in 0usize..4,
+    ) {
+        let chain = Homogeneous::new(MarkovModel::new(mat).unwrap());
+        let Some(mut private) = build_or_skip(&ev, &chain, &pi) else { continue };
+        let model = Arc::new(EventModel::new(ev.clone(), &chain).unwrap());
+        let mut shared =
+            IncrementalTwoWorld::from_model(Arc::clone(&model), &chain, pi.clone()).unwrap();
+        let mut private_b = private.clone();
+        let mut shared_b = shared.clone();
+        prop_assert_eq!(private.prior().to_bits(), shared.prior().to_bits());
+        prop_assert_eq!(bits(private.lifted_state()), bits(shared.lifted_state()));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for t in 0..ev.end() + 2 {
+            if t == resume_at {
+                shared = IncrementalTwoWorld::resume(
+                    Arc::clone(&model),
+                    &chain,
+                    pi.clone(),
+                    shared.lifted_state().clone(),
+                    shared.log_scale(),
+                    shared.observed(),
+                )
+                .unwrap();
+            }
+            let col = random_emission(&mut rng, 4);
+            prop_assert_eq!(private.peek(&col).unwrap(), shared.peek(&col).unwrap());
+            prop_assert_eq!(private.observe(&col).unwrap(), shared.observe(&col).unwrap());
+            prop_assert_eq!(bits(private.lifted_state()), bits(shared.lifted_state()));
+            prop_assert_eq!(private.log_scale().to_bits(), shared.log_scale().to_bits());
+
+            let stepped = match shared_b.next_step_index() {
+                None => shared_b.lifted_state().clone(),
+                Some(idx) => TwoWorldEngine::new(model.event(), &chain)
+                    .unwrap()
+                    .step_at(idx)
+                    .apply_rows(std::slice::from_ref(shared_b.lifted_state()))
+                    .pop()
+                    .unwrap(),
+            };
+            prop_assert_eq!(
+                private_b.observe_pre_stepped(stepped.clone(), &col).unwrap(),
+                shared_b.observe_pre_stepped(stepped, &col).unwrap()
+            );
+            prop_assert_eq!(bits(private_b.lifted_state()), bits(shared_b.lifted_state()));
+        }
+        // One table served every shared window, however many were built.
+        prop_assert!(Arc::ptr_eq(shared.model(), &model));
+        prop_assert!(Arc::ptr_eq(shared_b.model(), &model));
     }
 }

@@ -126,7 +126,7 @@ impl<P: TransitionProvider + Clone> ServiceState<P> {
         self.service
             .templates()
             .first()
-            .map(|t| t.num_cells())
+            .map(|t| t.event().num_cells())
             .or_else(|| self.column_source.as_ref().map(|s| s.num_cells()))
     }
 }
