@@ -10,8 +10,10 @@
 //!   per-session cost of registering and checkpointing users at m = 2500.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput.
-//! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners and
-//!   guarded-release throughput behind the calibration ladder.
+//! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners,
+//!   guarded-release throughput behind the calibration ladder, and what one
+//!   ladder rung costs: a Planar Laplace build at m = 225 / 2500 / 10⁴ and
+//!   the heap it keeps resident at m = 2500.
 //! * `serve` (`BENCH_serve.json`) — the HTTP daemon end-to-end: an
 //!   in-process `priste_serve::Server` on an ephemeral port driven by the
 //!   closed-loop load generator; client-observed p50/p90/p99 latency and
@@ -66,11 +68,68 @@ use priste_quantify::IncrementalTwoWorld;
 use priste_serve::{LoadMode, LoadgenOptions, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 8;
+
+/// Live-heap accounting around the system allocator, switched on only
+/// while [`resident_kb`] measures, so the other suites pay one relaxed load
+/// per allocation. The workspace libraries forbid `unsafe`; this binary
+/// uses it solely to measure what a value keeps on the heap.
+struct MeteredAlloc;
+
+static METERING: AtomicBool = AtomicBool::new(false);
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+
+fn meter(delta: isize) {
+    if METERING.load(Ordering::Relaxed) {
+        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches only atomics
+// and never the memory handed out.
+unsafe impl GlobalAlloc for MeteredAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        meter(layout.size() as isize);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        meter(layout.size() as isize);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        meter(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        meter(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: MeteredAlloc = MeteredAlloc;
+
+/// Kilobytes the value `build` returns keeps resident: the heap it still
+/// holds once built (scratch freed during the build is not counted) plus
+/// its inline size. Single-threaded use only.
+fn resident_kb<T>(build: impl FnOnce() -> T) -> f64 {
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    METERING.store(true, Ordering::SeqCst);
+    let value = std::hint::black_box(build());
+    METERING.store(false, Ordering::SeqCst);
+    let heap = LIVE_BYTES.load(Ordering::SeqCst) - before;
+    (heap as f64 + std::mem::size_of_val(&value) as f64) / 1024.0
+}
 
 struct Opts {
     out: PathBuf,
@@ -727,6 +786,33 @@ fn suite_calibrate(
         value: releases as f64 / (release_ms.max(1e-6) / 1e3),
         unit: "releases/s",
         note: "single-session calibrated release behind the backoff ladder",
+    });
+
+    // One guard rung: the Planar Laplace build `with_budget` performs, on
+    // the square 1 km grids of the banded sigma = 0.5 km world.
+    let side_grid = |side: usize| GridMap::new(side, side, 1.0).expect("grid");
+    for (name, side) in [
+        ("plm_build_m225", 15),
+        ("plm_build_m2500", 50),
+        ("plm_build_m10000", 100),
+    ] {
+        let grid = side_grid(side);
+        let build_ms = best_ms(opts.reps, || {
+            std::hint::black_box(PlanarLaplace::new(grid.clone(), 2.0).expect("plm"));
+        });
+        metrics.push(Metric {
+            name,
+            value: build_ms,
+            unit: "ms",
+            note: "one PlanarLaplace::new (a guard rung) on a square 1 km grid",
+        });
+    }
+    let grid = side_grid(50);
+    metrics.push(Metric {
+        name: "plm_resident_kb_m2500",
+        value: resident_kb(|| PlanarLaplace::new(grid, 2.0).expect("plm")),
+        unit: "KB",
+        note: "heap + inline size one PlanarLaplace keeps resident at m = 2500",
     });
 
     metrics

@@ -130,30 +130,15 @@ impl RestrictedPlm {
         let base = PlanarLaplace::new(grid.clone(), alpha)?;
         let m = grid.num_cells();
         let mask = set.indicator();
-        // Surrogate per true cell: itself when inside the set, else the
-        // nearest set member (ties broken by lower index).
-        let surrogate: Vec<usize> = (0..m)
-            .map(|i| {
-                if set.contains(CellId(i)) {
-                    i
-                } else {
-                    set.iter()
-                        .min_by(|&a, &b| {
-                            let da = grid.distance_km(CellId(i), a).expect("in range");
-                            let db = grid.distance_km(CellId(i), b).expect("in range");
-                            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .expect("set is non-empty")
-                        .index()
-                }
-            })
-            .collect();
         let mut emission = Matrix::zeros(m, m);
-        for (i, &src) in surrogate.iter().enumerate() {
-            let base_row = base.emission_matrix().row(src);
-            let row = emission.row_mut(i);
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = base_row[j] * mask[j];
+        for (i, src) in surrogates(&grid, &set).into_iter().enumerate() {
+            for ((v, p), &keep) in emission
+                .row_mut(i)
+                .iter_mut()
+                .zip(base.row(src))
+                .zip(mask.as_slice())
+            {
+                *v = p * keep;
             }
         }
         emission.normalize_rows_mut();
@@ -185,7 +170,10 @@ impl Lppm for RestrictedPlm {
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(true_loc.index()), rng))
+        CellId(sample_row(
+            self.emission.row(true_loc.index()).iter().copied(),
+            rng,
+        ))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {
@@ -195,6 +183,27 @@ impl Lppm for RestrictedPlm {
             budget,
         )?))
     }
+}
+
+/// Surrogate per true cell: itself when inside `set`, else the nearest set
+/// member (ties broken by lower index).
+fn surrogates(grid: &GridMap, set: &Region) -> Vec<usize> {
+    (0..grid.num_cells())
+        .map(|i| {
+            if set.contains(CellId(i)) {
+                i
+            } else {
+                set.iter()
+                    .min_by(|&a, &b| {
+                        let da = grid.distance_km(CellId(i), a).expect("in range");
+                        let db = grid.distance_km(CellId(i), b).expect("in range");
+                        da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .expect("set is non-empty")
+                    .index()
+            }
+        })
+        .collect()
 }
 
 /// Owns the prior/posterior recursion of Algorithm 3.
@@ -319,6 +328,24 @@ mod tests {
             let o = plm.perturb(CellId(3), &mut rng);
             assert!(o.index() < 2, "emitted {o:?} outside set");
         }
+    }
+
+    #[test]
+    fn restriction_matches_the_materialised_base() {
+        let grid = GridMap::new(3, 4, 1.0).unwrap();
+        let set = Region::from_cells(12, [CellId(1), CellId(6), CellId(11)]).unwrap();
+        let restricted = RestrictedPlm::new(grid.clone(), set.clone(), 0.6).unwrap();
+        let base = PlanarLaplace::new(grid.clone(), 0.6).unwrap();
+        let mask = set.indicator();
+        let mut expected = Matrix::zeros(12, 12);
+        for (i, src) in surrogates(&grid, &set).into_iter().enumerate() {
+            let base_row = base.emission_matrix().row(src);
+            for (j, v) in expected.row_mut(i).iter_mut().enumerate() {
+                *v = base_row[j] * mask[j];
+            }
+        }
+        expected.normalize_rows_mut();
+        assert_eq!(restricted.emission_matrix().as_slice(), expected.as_slice());
     }
 
     #[test]

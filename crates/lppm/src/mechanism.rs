@@ -8,11 +8,12 @@ use rand::RngCore;
 /// perturbed one".
 ///
 /// Implementations guarantee that [`Lppm::perturb`] samples exactly from the
-/// row of [`Lppm::emission_matrix`] for the true cell — the quantification
+/// row of [`Lppm::emission_matrix`] for the true cell, and that
+/// [`Lppm::emission_column`] reads the same entries — the quantification
 /// engine's privacy accounting is only sound if the matrix *is* the
 /// mechanism, not an approximation of it.
 ///
-/// `Send + Sync` are supertraits: a mechanism is immutable matrix data, and
+/// `Send + Sync` are supertraits: a mechanism is immutable data, and
 /// requiring thread-safety here is what lets `Box<dyn Lppm>` live inside
 /// the `Send + Sync` streaming service and its parallel release path.
 pub trait Lppm: Send + Sync {
@@ -25,6 +26,11 @@ pub trait Lppm: Send + Sync {
 
     /// The row-stochastic emission matrix: entry `(i, j)` is
     /// `Pr(o = s_j | u = s_i)`.
+    ///
+    /// This is `O(m²)` memory. Implementations with a compact
+    /// representation may materialise it lazily on the first call (as
+    /// [`crate::PlanarLaplace`] does); serving paths use
+    /// [`Lppm::emission_column`] and [`Lppm::perturb`] instead.
     fn emission_matrix(&self) -> &Matrix;
 
     /// Emission column `p̃_o` for a given observation (paper Table I): the
@@ -49,17 +55,29 @@ pub trait Lppm: Send + Sync {
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>>;
 }
 
-/// Samples an index from a normalized probability row. Shared by all
-/// emission-matrix-backed implementations so sampling semantics are uniform.
-pub(crate) fn sample_row(row: &[f64], rng: &mut dyn RngCore) -> usize {
+/// Samples an index from a normalized probability row, given as its entries
+/// in order. Shared by all implementations so sampling semantics are
+/// uniform: one uniform draw, scanned down the row; if rounding leaves the
+/// draw unspent, the last positive entry (else the last entry) is returned.
+pub(crate) fn sample_row<I>(row: I, rng: &mut dyn RngCore) -> usize
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: Clone,
+{
+    let row = row.into_iter();
     let mut u = rand::Rng::gen::<f64>(rng);
-    for (i, &w) in row.iter().enumerate() {
+    let mut len = 0;
+    for w in row.clone() {
         u -= w;
         if u <= 0.0 {
-            return i;
+            return len;
         }
+        len += 1;
     }
-    row.iter().rposition(|&w| w > 0.0).unwrap_or(row.len() - 1)
+    row.enumerate()
+        .filter(|&(_, w)| w > 0.0)
+        .last()
+        .map_or(len - 1, |(i, _)| i)
 }
 
 #[cfg(test)]
@@ -73,7 +91,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let row = [0.0, 0.0, 1.0, 0.0];
         for _ in 0..200 {
-            assert_eq!(sample_row(&row, &mut rng), 2);
+            assert_eq!(sample_row(row, &mut rng), 2);
+        }
+    }
+
+    #[test]
+    fn sample_row_falls_back_to_the_last_positive_entry() {
+        // The entries sum to far less than any draw, so the scan runs out.
+        let mut rng = StdRng::seed_from_u64(3);
+        let row = [1e-300, 0.0, 2e-300, 0.0];
+        for _ in 0..50 {
+            assert_eq!(sample_row(row, &mut rng), 2);
         }
     }
 
@@ -84,7 +112,7 @@ mod tests {
         let n = 40_000;
         let mut counts = [0usize; 3];
         for _ in 0..n {
-            counts[sample_row(&row, &mut rng)] += 1;
+            counts[sample_row(row, &mut rng)] += 1;
         }
         for (c, expect) in counts.iter().zip(row) {
             let f = *c as f64 / n as f64;

@@ -2,8 +2,9 @@ use crate::lambert::planar_laplace_radius_icdf;
 use crate::mechanism::{sample_row, Lppm};
 use crate::{LppmError, Result};
 use priste_geo::{CellId, GridMap};
-use priste_linalg::Matrix;
+use priste_linalg::{Matrix, Vector};
 use rand::{Rng, RngCore};
+use std::sync::OnceLock;
 
 /// The α-Planar-Laplace mechanism (α-PLM) of Geo-indistinguishability
 /// (Andrés et al., CCS'13) — the paper's §IV.C case-study LPPM.
@@ -15,23 +16,56 @@ use rand::{Rng, RngCore};
 /// grid truncation sends the small out-of-map mass back onto the map
 /// proportionally, keeping rows stochastic.
 ///
+/// On a uniform grid the integrated mass depends only on the (Δrow, Δcol)
+/// offset between true and output cell, so the mechanism stores a
+/// translation-invariant **kernel** — one raw mass per offset,
+/// `(2·rows − 1)·(2·cols − 1)` values — plus each true cell's row sum:
+/// `O(m)` memory (≈ 120 KB at m = 2500) where the dense matrix takes
+/// `O(m²)` (50 MB). Entry `(i, j)` is `kernel[offset(j − i)] / row_sum[i]`,
+/// the one expression behind [`Lppm::emission_column`], [`Lppm::perturb`]
+/// and [`Lppm::emission_matrix`]; the last materialises the dense `O(m²)`
+/// matrix lazily on first call and is meant for tests and diagnostics —
+/// serving paths never touch it.
+///
 /// [`Lppm::perturb`] samples from the *discrete emission row*, so releases
 /// and privacy accounting use the identical distribution;
 /// [`PlanarLaplace::sample_continuous`] exposes the textbook continuous
 /// sampler (angle uniform, radius via the Lambert `W₋₁` inverse CDF) for
 /// applications working in the continuous plane.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PlanarLaplace {
     grid: GridMap,
     alpha: f64,
     supersample: usize,
-    emission: Matrix,
+    /// Raw midpoint-rule mass per offset, row-major over
+    /// `Δrow ∈ [−(rows−1), rows−1]` × `Δcol ∈ [−(cols−1), cols−1]`.
+    kernel: Vec<f64>,
+    /// Per true cell: the sum of its raw row (the normalizer).
+    row_sums: Vec<f64>,
     inside_mass: Vec<f64>,
+    /// The dense matrix, built on the first [`Lppm::emission_matrix`] call.
+    emission: OnceLock<Matrix>,
+}
+
+impl Clone for PlanarLaplace {
+    /// Clones the kernel only; the copy re-materialises its dense matrix on
+    /// demand instead of duplicating `O(m²)` memory.
+    fn clone(&self) -> Self {
+        PlanarLaplace {
+            grid: self.grid.clone(),
+            alpha: self.alpha,
+            supersample: self.supersample,
+            kernel: self.kernel.clone(),
+            row_sums: self.row_sums.clone(),
+            inside_mass: self.inside_mass.clone(),
+            emission: OnceLock::new(),
+        }
+    }
 }
 
 /// Default number of integration points per cell axis; 3×3 midpoints keep
 /// the row error well under the stochasticity tolerance at the paper's grid
-/// sizes while costing only 9 density evaluations per matrix entry.
+/// sizes while costing only 9 density evaluations per kernel offset.
 const DEFAULT_SUPERSAMPLE: usize = 3;
 
 impl PlanarLaplace {
@@ -53,14 +87,28 @@ impl PlanarLaplace {
             return Err(LppmError::InvalidBudget { value: alpha });
         }
         let supersample = supersample.max(1);
-        let (emission, inside_mass) = build_emission(&grid, alpha, supersample);
-        Ok(PlanarLaplace {
+        let mut plm = PlanarLaplace {
+            kernel: build_kernel(&grid, alpha, supersample),
             grid,
             alpha,
             supersample,
-            emission,
-            inside_mass,
-        })
+            row_sums: Vec::new(),
+            inside_mass: Vec::new(),
+            emission: OnceLock::new(),
+        };
+        plm.row_sums = (0..plm.grid.num_cells())
+            .map(|i| plm.raw_row(i).sum())
+            .collect();
+        // Full-plane integral of the kernel e^{−αd} is 2π/α²; the midpoint
+        // sum approximates ∫_cell e^{−αd} / step².
+        let step = plm.grid.cell_size_km() / supersample as f64;
+        let full_plane = std::f64::consts::TAU / (alpha * alpha);
+        plm.inside_mass = plm
+            .row_sums
+            .iter()
+            .map(|&s| (s * step * step / full_plane).min(1.0))
+            .collect();
+        Ok(plm)
     }
 
     /// The underlying grid.
@@ -105,6 +153,40 @@ impl PlanarLaplace {
         let r = planar_laplace_radius_icdf(self.alpha, rng.gen::<f64>());
         Ok((cx + r * theta.cos(), cy + r * theta.sin()))
     }
+
+    /// Row `i` of the emission matrix, in output-cell order, without
+    /// materialising it.
+    pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = f64> + Clone + '_ {
+        let (row_sum, uniform) = (self.row_sums[i], self.uniform());
+        self.raw_row(i).map(move |k| entry(k, row_sum, uniform))
+    }
+
+    /// Raw kernel masses of row `i`: for each output row the offsets
+    /// `(rj − ri, 0 − ci), (rj − ri, 1 − ci), …` are one contiguous run.
+    fn raw_row(&self, i: usize) -> impl Iterator<Item = f64> + Clone + '_ {
+        let (rows, cols) = (self.grid.rows(), self.grid.cols());
+        let width = 2 * cols - 1;
+        let first = (rows - 1 - i / cols) * width + (cols - 1 - i % cols);
+        (0..rows).flat_map(move |rj| self.kernel[first + rj * width..][..cols].iter().copied())
+    }
+
+    /// The value a row whose raw sum underflowed to 0 takes everywhere.
+    fn uniform(&self) -> f64 {
+        1.0 / self.grid.num_cells() as f64
+    }
+}
+
+/// Emission entry from its raw kernel mass and its row's raw sum —
+/// [`Matrix::normalize_rows_mut`]'s semantics, including the uniform row
+/// when the sum underflows to 0. Every read of the mechanism goes through
+/// here, so the sampled distribution *is* the accounted one.
+#[inline]
+fn entry(mass: f64, row_sum: f64, uniform: f64) -> f64 {
+    if row_sum > 0.0 {
+        mass / row_sum
+    } else {
+        uniform
+    }
 }
 
 impl Lppm for PlanarLaplace {
@@ -117,11 +199,41 @@ impl Lppm for PlanarLaplace {
     }
 
     fn emission_matrix(&self) -> &Matrix {
-        &self.emission
+        self.emission.get_or_init(|| {
+            let m = self.num_cells();
+            let mut e = Matrix::zeros(m, m);
+            for i in 0..m {
+                for (v, p) in e.row_mut(i).iter_mut().zip(self.row(i)) {
+                    *v = p;
+                }
+            }
+            e
+        })
+    }
+
+    fn emission_column(&self, observation: CellId) -> Vector {
+        let (rows, cols) = (self.grid.rows(), self.grid.cols());
+        let (ro, co) = (observation.index() / cols, observation.index() % cols);
+        let width = 2 * cols - 1;
+        let uniform = self.uniform();
+        let mut column = Vec::with_capacity(self.num_cells());
+        for ri in 0..rows {
+            // Offsets (ro − ri, co − ci) for ci = 0, 1, … run backwards
+            // through one kernel row.
+            let run = &self.kernel[(ro + rows - 1 - ri) * width + co..][..cols];
+            let sums = &self.row_sums[ri * cols..][..cols];
+            column.extend(
+                run.iter()
+                    .rev()
+                    .zip(sums)
+                    .map(|(&k, &s)| entry(k, s, uniform)),
+            );
+        }
+        Vector::from(column)
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(true_loc.index()), rng))
+        CellId(sample_row(self.row(true_loc.index()), rng))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {
@@ -133,50 +245,33 @@ impl Lppm for PlanarLaplace {
     }
 }
 
-/// Integrates the continuous density over every (true cell, output cell)
-/// pair; returns the row-normalized emission matrix and the per-row
-/// inside-grid mass fraction (see [`PlanarLaplace::inside_mass`]).
-fn build_emission(grid: &GridMap, alpha: f64, supersample: usize) -> (Matrix, Vec<f64>) {
-    let m = grid.num_cells();
+/// Integrates the continuous density `e^{−α·d}` over every output-cell
+/// offset `(Δrow, Δcol)` with a `supersample × supersample` midpoint rule;
+/// the per-sample area factors cancel in the row normalization, so the raw
+/// sums are kept.
+fn build_kernel(grid: &GridMap, alpha: f64, supersample: usize) -> Vec<f64> {
+    let (rows, cols) = (grid.rows() as isize, grid.cols() as isize);
     let cell = grid.cell_size_km();
     let step = cell / supersample as f64;
-    // Integration offsets inside a cell, relative to its top-left corner.
-    let offsets: Vec<f64> = (0..supersample).map(|k| (k as f64 + 0.5) * step).collect();
-
-    let centers: Vec<(f64, f64)> = (0..m)
-        .map(|i| grid.cell_center_km(CellId(i)).expect("index in range"))
-        .collect();
-    let corners: Vec<(f64, f64)> = centers
-        .iter()
-        .map(|&(x, y)| (x - cell / 2.0, y - cell / 2.0))
-        .collect();
-
-    let mut e = Matrix::zeros(m, m);
-    let mut inside = Vec::with_capacity(m);
-    // Full-plane integral of the kernel e^{−αd} is 2π/α²; the midpoint sum
-    // approximates ∫_cell e^{−αd} / step².
-    let full_plane = std::f64::consts::TAU / (alpha * alpha);
-    for (i, &(sx, sy)) in centers.iter().enumerate() {
-        let row = e.row_mut(i);
-        let mut row_sum = 0.0;
-        for (j, v) in row.iter_mut().enumerate() {
-            let (jx, jy) = corners[j];
+    // Integration points inside a cell, relative to its top-left corner.
+    let points: Vec<f64> = (0..supersample).map(|k| (k as f64 + 0.5) * step).collect();
+    let mut kernel = Vec::with_capacity(((2 * rows - 1) * (2 * cols - 1)) as usize);
+    for dr in 1 - rows..rows {
+        // The output cell's corner relative to the true cell's center.
+        let y = dr as f64 * cell - cell / 2.0;
+        for dc in 1 - cols..cols {
+            let x = dc as f64 * cell - cell / 2.0;
             let mut mass = 0.0;
-            for &ox in &offsets {
-                for &oy in &offsets {
-                    let d = ((jx + ox - sx).powi(2) + (jy + oy - sy).powi(2)).sqrt();
+            for &px in &points {
+                for &py in &points {
+                    let d = ((x + px).powi(2) + (y + py).powi(2)).sqrt();
                     mass += (-alpha * d).exp();
                 }
             }
-            // The per-sample area factors cancel in the row normalization
-            // below; accumulate the raw kernel sum.
-            *v = mass;
-            row_sum += mass;
+            kernel.push(mass);
         }
-        inside.push((row_sum * step * step / full_plane).min(1.0));
     }
-    e.normalize_rows_mut();
-    (e, inside)
+    kernel
 }
 
 #[cfg(test)]
@@ -320,6 +415,35 @@ mod tests {
             let f = *c as f64 / n as f64;
             assert!((f - expect).abs() < 0.01, "{f} vs {expect}");
         }
+    }
+
+    #[test]
+    fn serving_paths_leave_the_dense_matrix_unbuilt() {
+        let plm = PlanarLaplace::new(GridMap::new(3, 4, 1.0).unwrap(), 0.7).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        plm.perturb(CellId(5), &mut rng);
+        plm.emission_column(CellId(2));
+        plm.with_budget(0.35).unwrap();
+        assert!(plm.emission.get().is_none());
+        plm.emission_matrix();
+        assert!(plm.emission.get().is_some());
+        assert!(plm.clone().emission.get().is_none());
+    }
+
+    #[test]
+    fn underflowed_rows_are_uniform() {
+        // With 2×2 integration points none lies at distance 0, so at this
+        // budget every e^{−αd} underflows and each row sum is 0.
+        let plm = PlanarLaplace::with_supersample(grid5(), 1e4, 2).unwrap();
+        let e = plm.emission_matrix();
+        assert!(e.as_slice().iter().all(|&p| p == 1.0 / 25.0));
+        assert!(plm.inside_mass().iter().all(|&f| f == 0.0));
+        assert_eq!(
+            plm.emission_column(CellId(7)).as_slice(),
+            e.col(7).as_slice()
+        );
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!(plm.perturb(CellId(0), &mut rng).index() < 25);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Lppm for UniformMechanism {
     }
 
     fn perturb(&self, _true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(0), rng))
+        CellId(sample_row(self.emission.row(0).iter().copied(), rng))
     }
 
     fn with_budget(&self, _budget: f64) -> Result<Box<dyn Lppm>> {
@@ -113,7 +113,10 @@ impl Lppm for RandomizedResponse {
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(true_loc.index()), rng))
+        CellId(sample_row(
+            self.emission.row(true_loc.index()).iter().copied(),
+            rng,
+        ))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {
@@ -183,7 +186,10 @@ impl Lppm for ExponentialMechanism {
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(true_loc.index()), rng))
+        CellId(sample_row(
+            self.emission.row(true_loc.index()).iter().copied(),
+            rng,
+        ))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {

@@ -377,9 +377,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// feasible remains. The audit path ([`SessionManager::ingest_batch`])
     /// stays available for observations produced elsewhere.
     ///
+    /// Every rung of the guard's backoff ladder is built here, once.
+    ///
     /// # Errors
     /// [`OnlineError::InvalidConfig`] when the mechanism's domain does not
-    /// match the mobility model; guard-configuration validation errors.
+    /// match the mobility model; guard-configuration validation errors;
+    /// rung build failures.
     pub fn enable_enforcement(&mut self, lppm: Box<dyn Lppm>, guard: GuardConfig) -> Result<()> {
         guard.validate()?;
         priste_calibrate::validate_mechanism(
@@ -390,10 +393,11 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         .map_err(|e| OnlineError::InvalidConfig {
             message: e.to_string(),
         })?;
-        self.enforcer = Some(Enforcer {
-            cache: MechanismCache::new(lppm),
-            guard,
-        });
+        // Build the whole backoff ladder now, so no release stalls on a
+        // rung build mid-traffic.
+        let mut cache = MechanismCache::new(lppm);
+        cache.prewarm(&guard)?;
+        self.enforcer = Some(Enforcer { cache, guard });
         Ok(())
     }
 
@@ -1409,15 +1413,15 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         seed: u64,
         threads: usize,
     ) -> Result<Vec<EnforcedRelease>> {
-        let mut enforcer = self.enforcer.take().ok_or(OnlineError::NotEnforcing)?;
-        let result = self.release_batch_with(&mut enforcer, batch, seed, threads);
+        let enforcer = self.enforcer.take().ok_or(OnlineError::NotEnforcing)?;
+        let result = self.release_batch_with(&enforcer, batch, seed, threads);
         self.enforcer = Some(enforcer);
         result
     }
 
     fn release_batch_with(
         &mut self,
-        enforcer: &mut Enforcer,
+        enforcer: &Enforcer,
         batch: &[(UserId, CellId)],
         seed: u64,
         threads: usize,
@@ -1427,9 +1431,6 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
             .release_batch_seconds
             .is_enabled()
             .then(Instant::now);
-        // The ladder is deterministic from the guard config: build it once
-        // so the workers can share the cache read-only.
-        enforcer.cache.prewarm(&enforcer.guard)?;
 
         // ---- Validation pass (no mutation). -----------------------------
         let m = self.provider.num_states();
@@ -1454,6 +1455,8 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         let templates = &self.templates;
         let config = &self.config;
         let guard = &enforcer.guard;
+        // `enable_enforcement` built the whole ladder, so the workers can
+        // share the cache read-only.
         let cache = &enforcer.cache;
         let guard_obs = self.instruments.guard.clone();
         let guard_obs = &guard_obs;

@@ -12,6 +12,7 @@ use priste_online::{OnlineConfig, OnlineError, SessionManager, UserId, Verdict};
 use priste_quantify::{IncrementalTwoWorld, QuantifyError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn region(num_cells: usize, ids: &[usize]) -> Region {
@@ -541,6 +542,88 @@ fn enforcing_and_audit_paths_share_the_session_state() {
     assert_eq!(report.t, 2);
     assert_eq!(report.windows[0].window_t, 2);
     let _ = chain;
+}
+
+/// Counts every [`Lppm::with_budget`] call of a PLM and of the rungs built
+/// from it.
+struct CountingPlm {
+    inner: Box<dyn Lppm>,
+    builds: Arc<AtomicUsize>,
+}
+
+impl Lppm for CountingPlm {
+    fn num_cells(&self) -> usize {
+        self.inner.num_cells()
+    }
+
+    fn budget(&self) -> f64 {
+        self.inner.budget()
+    }
+
+    fn emission_matrix(&self) -> &priste_linalg::Matrix {
+        self.inner.emission_matrix()
+    }
+
+    fn emission_column(&self, observation: CellId) -> Vector {
+        self.inner.emission_column(observation)
+    }
+
+    fn perturb(&self, true_loc: CellId, rng: &mut dyn rand::RngCore) -> CellId {
+        self.inner.perturb(true_loc, rng)
+    }
+
+    fn with_budget(&self, budget: f64) -> priste_lppm::Result<Box<dyn Lppm>> {
+        self.builds.fetch_add(1, Ordering::SeqCst);
+        Ok(Box::new(CountingPlm {
+            inner: self.inner.with_budget(budget)?,
+            builds: Arc::clone(&self.builds),
+        }))
+    }
+}
+
+#[test]
+fn enable_enforcement_builds_the_whole_ladder_up_front() {
+    let grid = priste_geo::GridMap::new(3, 3, 1.0).unwrap();
+    let m = grid.num_cells();
+    let provider = Arc::new(Homogeneous::new(gaussian_kernel_chain(&grid, 1.0).unwrap()));
+    let mut service = SessionManager::new(Arc::clone(&provider), OnlineConfig::default()).unwrap();
+    let tpl = service
+        .register_template(
+            Presence::new(Region::from_one_based_range(m, 1, 3).unwrap(), 1, 3)
+                .unwrap()
+                .into(),
+        )
+        .unwrap();
+    for u in 0..4 {
+        service.add_user(UserId(u), Vector::uniform(m)).unwrap();
+        service.attach_event(UserId(u), tpl).unwrap();
+    }
+    let builds = Arc::new(AtomicUsize::new(0));
+    let plm = CountingPlm {
+        inner: Box::new(PlanarLaplace::new(grid, 4.0).unwrap()),
+        builds: Arc::clone(&builds),
+    };
+    // An unreachable target walks every rung down to the floor.
+    let guard = priste_calibrate::GuardConfig {
+        target_epsilon: 1e-4,
+        floor: 0.25,
+        ..priste_calibrate::GuardConfig::default()
+    };
+    service.enable_enforcement(Box::new(plm), guard).unwrap();
+    // 4 → 2 → 1 → 0.5 → 0.25: every rung but the base is a build.
+    assert_eq!(builds.load(Ordering::SeqCst), 4);
+
+    let mut rng = StdRng::seed_from_u64(5);
+    let rel = service.release(UserId(0), CellId(0), &mut rng).unwrap();
+    assert_eq!(rel.attempts, 5, "the release must walk the whole ladder");
+    let batch: Vec<(UserId, CellId)> = (0..4).map(|u| (UserId(u), CellId(u as usize))).collect();
+    service.release_batch(&batch, 9, 1).unwrap();
+    service.release_batch(&batch, 10, 2).unwrap();
+    assert_eq!(
+        builds.load(Ordering::SeqCst),
+        4,
+        "releases must not build rungs"
+    );
 }
 
 /// A multi-user enforcing service over an 8-shard 3×3 world.
