@@ -12,7 +12,7 @@
 //! |---|---|
 //! | [`hash`] | jump consistent hash + the slot→address [`ShardMap`] |
 //! | [`pool`] | per-worker keep-alive pools, `/readyz` probes, the at-most-once forward policy |
-//! | [`router`] | the [`Router`] daemon: routing, admin plane, drain |
+//! | [`router`] | the [`Router`]: the upstream-forwarding handler on `priste_serve`'s daemon skeleton, its prober, the admin plane |
 //!
 //! # Topology
 //!
@@ -31,8 +31,10 @@
 //! ```
 //!
 //! Workers are plain `priste_serve` daemons: same JSON protocol, same
-//! drain semantics, each with its own durable directory. The router
-//! adds fail-fast 503 + `Retry-After` when a worker is down,
+//! drain semantics, each with its own durable directory. The router is
+//! a second `Handler` on the same `priste_serve::daemon` skeleton, so
+//! acceptor, serving pool, request envelope, health/metrics plane and
+//! drain are one piece of code for both tiers. The router adds fail-fast 503 + `Retry-After` when a worker is down,
 //! retry-with-backoff on connection establishment (never after request
 //! bytes are sent — budget spends must be at-most-once), and an
 //! `x-request-id` that traces one request across both processes.
@@ -68,7 +70,7 @@ pub mod router;
 pub use error::{ClusterError, Result};
 pub use hash::{jump_hash, ShardMap};
 pub use pool::PoolConfig;
-pub use router::{Router, RouterConfig, RouterDrainHandle, RouterSummary, WorkerStatus};
+pub use router::{Router, RouterConfig, WorkerStatus};
 
 /// Every metric the router exports, as `(base name, kind, help)` rows —
 /// the cluster rows of the CLI `metrics` reference table, kept honest

@@ -24,7 +24,8 @@
 
 use crate::error::{ClusterError, Result};
 use priste_obs::{Counter, Gauge, Registry};
-use std::io::{self, Read, Write};
+use priste_serve::http::{read_response, ClientResponse, ReadError};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -68,19 +69,6 @@ pub enum ForwardError {
     Io(io::Error),
     /// The worker answered bytes that do not parse as HTTP: 502.
     Malformed(String),
-}
-
-/// A parsed upstream response, minimally: what the router relays.
-#[derive(Debug)]
-pub struct UpstreamResponse {
-    /// Status code.
-    pub status: u16,
-    /// `content-type` value (defaulted when the worker omits it).
-    pub content_type: String,
-    /// Body bytes.
-    pub body: Vec<u8>,
-    /// Whether the worker asked to close the connection.
-    pub close: bool,
 }
 
 /// One worker endpoint: remappable address, health flag, idle pool, and
@@ -167,7 +155,7 @@ impl Upstream {
         let mut stream = self.connect_once().ok()?;
         let wire = "GET /readyz HTTP/1.1\r\nhost: cluster\r\nconnection: close\r\n\r\n";
         stream.write_all(wire.as_bytes()).ok()?;
-        let resp = read_upstream_response(&mut stream, &mut Vec::new()).ok()?;
+        let resp = read_response(&mut stream, &mut Vec::new()).ok()?;
         Some(resp.status)
     }
 
@@ -241,10 +229,10 @@ impl Upstream {
         &self,
         wire: &[u8],
         route: &str,
-    ) -> std::result::Result<UpstreamResponse, ForwardError> {
+    ) -> std::result::Result<ClientResponse, ForwardError> {
         let started = std::time::Instant::now();
         let mut conn = self.obtain()?;
-        let outcome = self.exchange(&mut conn, wire);
+        let outcome = exchange(&mut conn, wire);
         match &outcome {
             Ok(resp) => {
                 self.registry
@@ -254,7 +242,7 @@ impl Upstream {
                         self.slot, resp.status
                     ))
                     .observe(started.elapsed().as_secs_f64());
-                if !resp.close {
+                if !resp.wants_close() {
                     self.checkin(conn);
                 }
             }
@@ -264,16 +252,26 @@ impl Upstream {
         }
         outcome
     }
+}
 
-    fn exchange(
-        &self,
-        conn: &mut TcpStream,
-        wire: &[u8],
-    ) -> std::result::Result<UpstreamResponse, ForwardError> {
-        conn.write_all(wire).map_err(ForwardError::Io)?;
-        let mut buf = Vec::new();
-        read_upstream_response(conn, &mut buf)
-    }
+/// One request/response round trip on `conn`. An EOF before any
+/// response byte is [`ForwardError::Io`] — the worker may have died
+/// after committing — and a bad or partial response is
+/// [`ForwardError::Malformed`].
+fn exchange(
+    conn: &mut TcpStream,
+    wire: &[u8],
+) -> std::result::Result<ClientResponse, ForwardError> {
+    conn.write_all(wire).map_err(ForwardError::Io)?;
+    read_response(conn, &mut Vec::new()).map_err(|e| match e {
+        ReadError::Io(e) => ForwardError::Io(e),
+        ReadError::Closed => ForwardError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "worker closed before responding",
+        )),
+        ReadError::Malformed(msg) => ForwardError::Malformed(msg),
+        other => ForwardError::Malformed(other.to_string()),
+    })
 }
 
 /// `true` when the socket has no pending EOF or stray bytes.
@@ -289,87 +287,6 @@ fn connection_is_fresh(conn: &TcpStream) -> bool {
         Err(_) => false,
     };
     conn.set_nonblocking(false).is_ok() && verdict
-}
-
-/// Parses one upstream HTTP/1.1 response: status line, headers (for
-/// `content-length`, `content-type`, `connection`), explicit-length
-/// body. Anything else is [`ForwardError::Malformed`].
-pub fn read_upstream_response(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-) -> std::result::Result<UpstreamResponse, ForwardError> {
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if buf.len() > 64 * 1024 {
-            return Err(ForwardError::Malformed(
-                "response head exceeds 64 KiB".into(),
-            ));
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).map_err(ForwardError::Io)?;
-        if n == 0 {
-            return Err(if buf.is_empty() {
-                ForwardError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "worker closed before responding",
-                ))
-            } else {
-                ForwardError::Malformed("worker closed mid-response head".into())
-            });
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    buf.drain(..head_end + 4);
-    let mut lines = head.lines();
-    let status_line = lines.next().unwrap_or("");
-    if !status_line.starts_with("HTTP/1.") {
-        return Err(ForwardError::Malformed(format!(
-            "bad status line: {status_line:?}"
-        )));
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ForwardError::Malformed(format!("bad status line: {status_line:?}")))?;
-    let mut length = 0usize;
-    let mut content_type = "application/octet-stream".to_owned();
-    let mut close = false;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ForwardError::Malformed(format!(
-                "bad header line: {line:?}"
-            )));
-        };
-        let value = value.trim();
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            length = value
-                .parse()
-                .map_err(|_| ForwardError::Malformed(format!("bad content-length: {value:?}")))?;
-        } else if name.trim().eq_ignore_ascii_case("content-type") {
-            content_type = value.to_owned();
-        } else if name.trim().eq_ignore_ascii_case("connection") {
-            close = value.eq_ignore_ascii_case("close");
-        }
-    }
-    while buf.len() < length {
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).map_err(ForwardError::Io)?;
-        if n == 0 {
-            return Err(ForwardError::Malformed("worker closed mid-body".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let body = buf.drain(..length).collect();
-    Ok(UpstreamResponse {
-        status,
-        content_type,
-        body,
-        close,
-    })
 }
 
 /// Resolves an address string eagerly, so a typo'd `--worker-addrs`

@@ -1,14 +1,18 @@
-//! The router daemon: accepts client connections, maps each request's
-//! user id onto a slot, and relays the exchange to that slot's worker.
+//! The router daemon: the upstream-forwarding [`Handler`] on
+//! `priste_serve`'s daemon skeleton, plus a prober thread.
 //!
 //! # Architecture
 //!
-//! The threading mirrors `priste_serve`: one non-blocking acceptor
-//! feeds a fixed pool of serving threads over a channel, each owning
-//! one keep-alive client connection at a time. A dedicated prober
-//! thread walks every upstream's `/readyz` on a fixed interval so a
-//! dead worker is noticed (and its slots fail fast with 503 +
-//! `Retry-After`) without any client paying the discovery timeout.
+//! The worker daemon and the router are two handlers on one
+//! [`Daemon`]: the skeleton owns the acceptor, the serving pool, the
+//! keep-alive loop, the request envelope and `/metrics`, `/healthz`,
+//! `/readyz` (which also answers 503 + `Retry-After` while no worker is
+//! healthy). This module maps each request's user id onto a slot and
+//! relays the exchange to that slot's worker. A dedicated prober thread
+//! walks every upstream's `/readyz` on a fixed interval, until the
+//! daemon's [`DrainHandle`] drains, so a dead worker is noticed (and its
+//! slots fail fast with 503 + `Retry-After`) without any client paying
+//! the discovery timeout.
 //!
 //! # Request identity across processes
 //!
@@ -27,18 +31,16 @@ use crate::error::{ClusterError, Result};
 use crate::hash::ShardMap;
 use crate::pool::{validate_addr, ForwardError, PoolConfig, Upstream};
 use priste_obs::json::{self, Json};
-use priste_obs::{Counter, Gauge, Registry};
-use priste_serve::http::{write_response, ReadError, Request, RequestReader, Response};
-use priste_serve::proto::encode_error;
-use priste_serve::signal;
+use priste_obs::{Counter, Registry};
+use priste_serve::daemon::{Daemon, DaemonConfig, DrainHandle, DrainSummary, Handler};
+use priste_serve::http::{Request, Response};
+use priste_serve::proto::{self, encode_error};
 use std::fmt::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs for [`Router::start`].
 #[derive(Debug, Clone)]
@@ -76,35 +78,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// What the drained router did, returned by [`Router::wait`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterSummary {
-    /// Client connections accepted over the router's lifetime.
-    pub connections: u64,
-    /// Client requests answered (any status).
-    pub requests: u64,
-    /// Client requests answered with a 4xx/5xx status.
-    pub errors: u64,
-}
-
-/// Clonable switch that starts a graceful router drain.
-#[derive(Debug, Clone)]
-pub struct RouterDrainHandle {
-    flag: Arc<AtomicBool>,
-}
-
-impl RouterDrainHandle {
-    /// Flips the router into draining mode (idempotent).
-    pub fn drain(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-}
-
 /// One row of [`Router::workers_snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerStatus {
@@ -116,33 +89,16 @@ pub struct WorkerStatus {
     pub healthy: bool,
 }
 
-struct Shared {
-    upstreams: Vec<Upstream>,
-    registry: Registry,
-    config: RouterConfig,
-    draining: Arc<AtomicBool>,
-    started: Instant,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    next_request_id: AtomicU64,
-    in_flight: Gauge,
-    connections_total: Counter,
+/// The [`Handler`] behind [`Router`]: slot routing, forwarding, and the
+/// admin plane over the upstream set the prober shares.
+struct Routes {
+    upstreams: Arc<[Upstream]>,
+    drain: DrainHandle,
+    retry_after_seconds: u64,
     remaps_total: Counter,
-    uptime: Gauge,
 }
 
-impl Shared {
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
-    fn bump_error(&self, route: &str) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        self.registry
-            .counter(&format!("cluster_errors_total{{route=\"{route}\"}}"))
-            .inc();
-    }
-
+impl Routes {
     fn slot_of(&self, user: u64) -> usize {
         crate::hash::jump_hash(user, self.upstreams.len() as u32) as usize
     }
@@ -150,15 +106,58 @@ impl Shared {
     fn first_healthy(&self) -> Option<&Upstream> {
         self.upstreams.iter().find(|u| u.is_healthy())
     }
+
+    /// A 503 the client should retry after `Retry-After` seconds.
+    fn unavailable(&self, message: &str) -> Response {
+        let mut resp = Response::json(503, encode_error(message));
+        resp.retry_after = Some(self.retry_after_seconds);
+        resp
+    }
+}
+
+impl Handler for Routes {
+    const FAMILY: &'static str = "cluster";
+    const SPAN: &'static str = "cluster_request";
+    const ID_PREFIX: &'static str = "cluster-";
+
+    fn route(&self, path: &str) -> Option<&'static str> {
+        match path {
+            "/cluster/workers" => Some("/cluster/workers"),
+            "/cluster/remap" => Some("/cluster/remap"),
+            _ => proto::route(path),
+        }
+    }
+
+    fn handle(&self, route: &'static str, req: &Request, request_id: &str) -> Option<Response> {
+        Some(match (req.method.as_str(), route) {
+            ("POST", "/v1/ingest") | ("POST", "/v1/release") => {
+                route_by_body(self, route, req, request_id)
+            }
+            ("GET", "/v1/users/:id/spend") => {
+                let user = proto::spend_user(&req.path).expect("route matched");
+                forward_to(self, self.slot_of(user), route, req, request_id)
+            }
+            ("GET", "/v1/config") => match self.first_healthy() {
+                Some(upstream) => forward_to(self, upstream.slot(), route, req, request_id),
+                None => self.unavailable("no healthy workers"),
+            },
+            ("GET", "/cluster/workers") => workers_response(self),
+            ("POST", "/cluster/remap") => remap_response(self, &req.body),
+            _ => return None,
+        })
+    }
+
+    fn not_ready(&self) -> Option<Response> {
+        self.first_healthy()
+            .is_none()
+            .then(|| self.unavailable("no healthy workers"))
+    }
 }
 
 /// A running router; dropping it without [`Router::wait`] detaches the
 /// threads.
 pub struct Router {
-    shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    daemon: Daemon<Routes>,
     prober: JoinHandle<()>,
 }
 
@@ -180,92 +179,51 @@ impl Router {
         for addr in map.addrs() {
             validate_addr(addr)?;
         }
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-
-        registry
-            .gauge(&format!(
-                "priste_build_info{{version=\"{}\"}}",
-                env!("CARGO_PKG_VERSION")
-            ))
-            .set(1.0);
         registry.gauge("cluster_slots").set(map.len() as f64);
-        let uptime = registry.gauge("process_uptime_seconds");
-        let in_flight = registry.gauge("cluster_requests_in_flight");
-        let connections_total = registry.counter("cluster_connections_total");
-        let remaps_total = registry.counter("cluster_remaps_total");
-        if config.handle_signals {
-            signal::install();
-        }
-
-        let upstreams: Vec<Upstream> = map
+        let upstreams: Arc<[Upstream]> = map
             .addrs()
             .iter()
             .enumerate()
             .map(|(slot, addr)| Upstream::new(slot, addr.clone(), config.pool.clone(), &registry))
             .collect();
-        for upstream in &upstreams {
+        for upstream in upstreams.iter() {
             upstream.probe();
         }
 
-        let draining = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(Shared {
-            upstreams,
-            registry,
-            config,
-            draining,
-            started: Instant::now(),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            next_request_id: AtomicU64::new(0),
-            in_flight,
-            connections_total,
-            remaps_total,
-            uptime,
-        });
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..shared.config.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                thread::spawn(move || worker_loop(&shared, &rx))
-            })
-            .collect();
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || accept_loop(&shared, &listener, &tx))
+        let drain = DrainHandle::default();
+        let routes = Routes {
+            upstreams: Arc::clone(&upstreams),
+            drain: drain.clone(),
+            retry_after_seconds: config.retry_after_seconds,
+            remaps_total: registry.counter("cluster_remaps_total"),
         };
-        let prober = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || probe_loop(&shared))
+        let daemon_config = DaemonConfig {
+            workers: config.workers,
+            max_body_bytes: config.max_body_bytes,
+            poll_interval: config.poll_interval,
+            metrics_snapshot: config.metrics_snapshot,
+            handle_signals: config.handle_signals,
         };
-        Ok(Router {
-            shared,
-            local_addr,
-            acceptor,
-            workers,
-            prober,
-        })
+        let daemon = Daemon::start(routes, drain.clone(), registry, daemon_config, addr)?;
+        let probe_interval = config.probe_interval;
+        let prober = thread::spawn(move || probe_loop(&upstreams, &drain, probe_interval));
+        Ok(Router { daemon, prober })
     }
 
     /// The bound address (the resolved port when started on port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.daemon.local_addr()
     }
 
     /// A clonable handle that can start a drain from any thread.
-    pub fn drain_handle(&self) -> RouterDrainHandle {
-        RouterDrainHandle {
-            flag: Arc::clone(&self.shared.draining),
-        }
+    pub fn drain_handle(&self) -> DrainHandle {
+        self.daemon.drain_handle()
     }
 
     /// The live shard map with per-worker health.
     pub fn workers_snapshot(&self) -> Vec<WorkerStatus> {
-        self.shared
+        self.daemon
+            .handler()
             .upstreams
             .iter()
             .map(|u| WorkerStatus {
@@ -283,83 +241,47 @@ impl Router {
     /// [`ClusterError::Config`] for an out-of-range slot or an
     /// unresolvable address.
     pub fn rebind_slot(&self, slot: usize, addr: &str) -> Result<()> {
-        rebind(&self.shared, slot, addr)
+        rebind(self.daemon.handler(), slot, addr)
     }
 
     /// Blocks until a drain is requested and every in-flight client
-    /// request has been answered, then writes the final metrics
-    /// snapshot (when configured) and returns the [`RouterSummary`].
+    /// request has been answered, stops the prober, then writes the
+    /// final metrics snapshot (when configured) and returns the
+    /// [`DrainSummary`] (`checkpointed` is always false: the router
+    /// holds no state).
     ///
     /// # Errors
     /// Snapshot-write failures; the drain itself cannot fail.
-    pub fn wait(self) -> Result<RouterSummary> {
-        let _ = self.acceptor.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-        let _ = self.prober.join();
-        let shared = self.shared;
-        shared.uptime.set(shared.started.elapsed().as_secs_f64());
-        if let Some(path) = &shared.config.metrics_snapshot {
-            std::fs::write(path, shared.registry.render_json())?;
-        }
-        Ok(RouterSummary {
-            connections: shared.connections_total.get(),
-            requests: shared.requests.load(Ordering::Relaxed),
-            errors: shared.errors.load(Ordering::Relaxed),
+    pub fn wait(self) -> Result<DrainSummary> {
+        let prober = self.prober;
+        self.daemon.wait(|_| {
+            let _ = prober.join();
+            Ok::<_, ClusterError>(false)
         })
     }
 }
 
-fn rebind(shared: &Shared, slot: usize, addr: &str) -> Result<()> {
-    let Some(upstream) = shared.upstreams.get(slot) else {
+fn rebind(routes: &Routes, slot: usize, addr: &str) -> Result<()> {
+    let Some(upstream) = routes.upstreams.get(slot) else {
         return Err(ClusterError::Config(format!(
             "slot {slot} out of range (map has {} slots)",
-            shared.upstreams.len()
+            routes.upstreams.len()
         )));
     };
     validate_addr(addr)?;
     upstream.rebind(addr);
-    shared.remaps_total.inc();
+    routes.remaps_total.inc();
     Ok(())
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::Sender<TcpStream>) {
-    loop {
-        if shared.config.handle_signals && signal::triggered() {
-            shared.draining.store(true, Ordering::SeqCst);
-        }
-        if shared.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.connections_total.inc();
-                if tx.send(stream).is_err() {
-                    return;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn probe_loop(shared: &Shared) {
-    while !shared.draining() {
-        for upstream in &shared.upstreams {
+fn probe_loop(upstreams: &[Upstream], drain: &DrainHandle, interval: Duration) {
+    while !drain.is_draining() {
+        for upstream in upstreams {
             upstream.probe();
         }
         // Sleep in poll-sized slices so a drain is noticed promptly.
-        let mut remaining = shared.config.probe_interval;
-        while !remaining.is_zero() && !shared.draining() {
+        let mut remaining = interval;
+        while !remaining.is_zero() && !drain.is_draining() {
             let step = remaining.min(Duration::from_millis(25));
             thread::sleep(step);
             remaining = remaining.saturating_sub(step);
@@ -367,166 +289,9 @@ fn probe_loop(shared: &Shared) {
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
-    loop {
-        let stream = {
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        match stream {
-            Ok(stream) => handle_connection(shared, stream),
-            Err(_) => return,
-        }
-    }
-}
-
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = RequestReader::new(stream, shared.config.max_body_bytes);
-    loop {
-        match reader.read_request() {
-            Ok(req) => {
-                shared.in_flight.add(1.0);
-                let mut resp = handle_request(shared, &req);
-                shared.in_flight.add(-1.0);
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                if shared.draining() || req.wants_close() {
-                    resp.close = true;
-                }
-                if write_response(&mut writer, &resp).is_err() || resp.close {
-                    return;
-                }
-            }
-            Err(ReadError::Idle) => {
-                if shared.draining() {
-                    return;
-                }
-            }
-            Err(ReadError::Closed) | Err(ReadError::Io(_)) => return,
-            Err(ReadError::Malformed(msg)) => {
-                shared.bump_error("malformed");
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                let mut resp = Response::json(400, encode_error(&msg));
-                resp.close = true;
-                let _ = write_response(&mut writer, &resp);
-                return;
-            }
-            Err(ReadError::TooLarge) => {
-                shared.bump_error("malformed");
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                let mut resp = Response::json(413, encode_error("request too large"));
-                resp.close = true;
-                let _ = write_response(&mut writer, &resp);
-                return;
-            }
-        }
-    }
-}
-
-/// Stable route label for metrics (path parameters collapsed).
-fn route_label(path: &str) -> &'static str {
-    match path {
-        "/v1/ingest" => "/v1/ingest",
-        "/v1/release" => "/v1/release",
-        "/v1/config" => "/v1/config",
-        "/metrics" => "/metrics",
-        "/healthz" => "/healthz",
-        "/readyz" => "/readyz",
-        "/cluster/workers" => "/cluster/workers",
-        "/cluster/remap" => "/cluster/remap",
-        _ if spend_user(path).is_some() => "/v1/users/:id/spend",
-        _ => "unknown",
-    }
-}
-
-/// Parses `/v1/users/<id>/spend`.
-fn spend_user(path: &str) -> Option<u64> {
-    path.strip_prefix("/v1/users/")?
-        .strip_suffix("/spend")?
-        .parse()
-        .ok()
-}
-
-fn handle_request(shared: &Shared, req: &Request) -> Response {
-    let route = route_label(&req.path);
-    let start = Instant::now();
-    let request_id = match req.header("x-request-id") {
-        Some(id) => id.to_owned(),
-        None => format!(
-            "cluster-{}",
-            shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1
-        ),
-    };
-    let mut span = shared.registry.span("cluster_request");
-    let mut resp = dispatch(shared, route, req, &request_id);
-    let status = resp.status;
-    span.annotate("status", f64::from(status));
-    drop(span);
-    shared
-        .registry
-        .histogram(&format!(
-            "cluster_request_seconds{{route=\"{route}\",status=\"{status}\"}}"
-        ))
-        .observe(start.elapsed().as_secs_f64());
-    if status >= 400 {
-        shared.bump_error(route);
-    }
-    resp.request_id = Some(request_id);
-    resp
-}
-
-fn dispatch(shared: &Shared, route: &'static str, req: &Request, request_id: &str) -> Response {
-    match (req.method.as_str(), route) {
-        ("POST", "/v1/ingest") | ("POST", "/v1/release") => {
-            route_by_body(shared, route, req, request_id)
-        }
-        ("GET", "/v1/users/:id/spend") => {
-            let user = spend_user(&req.path).expect("route_label matched");
-            let slot = shared.slot_of(user);
-            forward_to(shared, slot, route, req, request_id)
-        }
-        ("GET", "/v1/config") => match shared.first_healthy() {
-            Some(upstream) => forward_to(shared, upstream.slot(), route, req, request_id),
-            None => all_down(shared),
-        },
-        ("GET", "/metrics") => {
-            shared.uptime.set(shared.started.elapsed().as_secs_f64());
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: shared.registry.render_prometheus().into_bytes(),
-                request_id: None,
-                retry_after: None,
-                close: false,
-            }
-        }
-        ("GET", "/healthz") => Response::text(200, "ok\n"),
-        ("GET", "/readyz") => {
-            if shared.draining() {
-                Response::json(503, encode_error("draining"))
-            } else if shared.first_healthy().is_none() {
-                let mut resp = Response::json(503, encode_error("no healthy workers"));
-                resp.retry_after = Some(shared.config.retry_after_seconds);
-                resp
-            } else {
-                Response::text(200, "ready\n")
-            }
-        }
-        ("GET", "/cluster/workers") => workers_response(shared),
-        ("POST", "/cluster/remap") => remap_response(shared, &req.body),
-        (_, "unknown") => Response::json(404, encode_error("no such route")),
-        _ => Response::json(405, encode_error("method not allowed on this route")),
-    }
-}
-
 /// Routes an ingest/release by the `"user"` field of its JSON body.
 fn route_by_body(
-    shared: &Shared,
+    routes: &Routes,
     route: &'static str,
     req: &Request,
     request_id: &str,
@@ -540,20 +305,20 @@ fn route_by_body(
     let Some(user) = doc.get("user").and_then(Json::as_u64) else {
         return Response::json(400, encode_error("missing or non-integer field \"user\""));
     };
-    let slot = shared.slot_of(user);
-    forward_to(shared, slot, route, req, request_id)
+    let slot = routes.slot_of(user);
+    forward_to(routes, slot, route, req, request_id)
 }
 
 /// Serializes `req` for the upstream (minimal rebuilt head, request id
 /// propagated) and relays the worker's answer.
 fn forward_to(
-    shared: &Shared,
+    routes: &Routes,
     slot: usize,
     route: &str,
     req: &Request,
     request_id: &str,
 ) -> Response {
-    let upstream = &shared.upstreams[slot];
+    let upstream = &routes.upstreams[slot];
     let mut wire = format!(
         "{} {} HTTP/1.1\r\nhost: cluster\r\nx-request-id: {request_id}\r\n",
         req.method, req.path
@@ -572,19 +337,13 @@ fn forward_to(
     wire.extend_from_slice(&req.body);
 
     match upstream.forward(&wire, route) {
-        Ok(up) => {
-            let mut resp = Response::json(up.status, String::new());
-            resp.body = up.body;
-            resp.content_type = content_type_static(&up.content_type);
-            resp
-        }
+        Ok(up) => Response {
+            content_type: content_type_static(up.header("content-type").unwrap_or("")),
+            body: up.body,
+            ..Response::json(up.status, String::new())
+        },
         Err(ForwardError::Down) => {
-            let mut resp = Response::json(
-                503,
-                encode_error(&format!("worker {slot} ({}) is down", upstream.addr())),
-            );
-            resp.retry_after = Some(shared.config.retry_after_seconds);
-            resp
+            routes.unavailable(&format!("worker {slot} ({}) is down", upstream.addr()))
         }
         Err(ForwardError::Io(e)) => Response::json(
             502,
@@ -608,38 +367,15 @@ fn content_type_static(ct: &str) -> &'static str {
     }
 }
 
-fn all_down(shared: &Shared) -> Response {
-    let mut resp = Response::json(503, encode_error("no healthy workers"));
-    resp.retry_after = Some(shared.config.retry_after_seconds);
-    resp
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn workers_response(shared: &Shared) -> Response {
-    let rows: Vec<String> = shared
+fn workers_response(routes: &Routes) -> Response {
+    let rows: Vec<String> = routes
         .upstreams
         .iter()
         .map(|u| {
             format!(
                 "{{\"slot\": {}, \"addr\": {}, \"healthy\": {}}}",
                 u.slot(),
-                json_string(&u.addr()),
+                json::quote(&u.addr()),
                 u.is_healthy()
             )
         })
@@ -648,14 +384,14 @@ fn workers_response(shared: &Shared) -> Response {
         200,
         format!(
             "{{\"slots\": {}, \"draining\": {}, \"workers\": [{}]}}",
-            shared.upstreams.len(),
-            shared.draining(),
+            routes.upstreams.len(),
+            routes.drain.is_draining(),
             rows.join(", ")
         ),
     )
 }
 
-fn remap_response(shared: &Shared, body: &[u8]) -> Response {
+fn remap_response(routes: &Routes, body: &[u8]) -> Response {
     let Ok(text) = std::str::from_utf8(body) else {
         return Response::json(400, encode_error("body is not valid UTF-8"));
     };
@@ -668,14 +404,14 @@ fn remap_response(shared: &Shared, body: &[u8]) -> Response {
     let Some(addr) = doc.get("addr").and_then(Json::as_str) else {
         return Response::json(400, encode_error("missing or non-string field \"addr\""));
     };
-    match rebind(shared, slot as usize, addr) {
+    match rebind(routes, slot as usize, addr) {
         Ok(()) => {
-            let upstream = &shared.upstreams[slot as usize];
+            let upstream = &routes.upstreams[slot as usize];
             Response::json(
                 200,
                 format!(
                     "{{\"slot\": {slot}, \"addr\": {}, \"healthy\": {}}}",
-                    json_string(&upstream.addr()),
+                    json::quote(&upstream.addr()),
                     upstream.is_healthy()
                 ),
             )

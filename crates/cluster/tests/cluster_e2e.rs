@@ -13,6 +13,7 @@ use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous};
 use priste_obs::{json, Registry};
 use priste_online::{DurableOptions, OnlineConfig, SessionManager, UserId};
+use priste_serve::http::read_response;
 use priste_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -178,45 +179,15 @@ impl Client {
         self.stream.write_all(wire.as_bytes()).unwrap();
     }
 
-    /// Reads one response: (status, head, body).
+    /// Reads one response: (status, its header lines, body).
     fn read_response(&mut self) -> (u16, String, String) {
-        let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk).expect("read response");
-            assert!(n > 0, "router closed mid-response");
-            self.buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8(self.buf[..head_end].to_vec()).unwrap();
-        self.buf.drain(..head_end + 4);
-        let status: u16 = head
-            .lines()
-            .next()
-            .unwrap()
-            .split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap();
-        let length: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.trim()
-                    .eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse().unwrap())
-            })
-            .unwrap_or(0);
-        while self.buf.len() < length {
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk).expect("read body");
-            assert!(n > 0, "router closed mid-body");
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-        let body = String::from_utf8(self.buf.drain(..length).collect()).unwrap();
-        (status, head, body)
+        let resp = read_response(&mut self.stream, &mut self.buf).expect("read response");
+        let head = resp
+            .headers
+            .iter()
+            .map(|(name, value)| format!("{name}: {value}\r\n"))
+            .collect();
+        (resp.status, head, String::from_utf8(resp.body).unwrap())
     }
 
     fn get(&mut self, path: &str) -> (u16, String, String) {
@@ -605,6 +576,16 @@ fn metrics_schema_covers_router_exports() {
         &format!("{{\"slot\": 0, \"addr\": \"{worker_addr}\"}}"),
     );
     client.get("/metrics");
+    // A malformed client request is answered by the router itself.
+    let mut garbage = Client::connect(&router.local_addr().to_string());
+    garbage.send_raw("THIS IS NOT HTTP\r\n\r\n");
+    assert_eq!(garbage.read_response().0, 400);
+    assert_eq!(
+        registry
+            .counter("cluster_errors_total{route=\"malformed\"}")
+            .get(),
+        1
+    );
 
     router.drain_handle().drain();
     router.wait().unwrap();

@@ -38,25 +38,6 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a string for embedding in a JSON double-quoted literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Splits `name{labels}` into (`name`, `labels`); labels exclude braces
 /// and are empty when the name is unlabeled.
 fn split_labels(name: &str) -> (&str, &str) {
@@ -157,13 +138,13 @@ impl Registry {
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         for (name, instrument) in self.snapshot() {
-            let key = escape_json(&name);
+            let key = crate::json::quote(&name);
             match instrument {
                 Instrument::Counter(c) => {
-                    counters.push(format!("\"{key}\": {}", c.get()));
+                    counters.push(format!("{key}: {}", c.get()));
                 }
                 Instrument::Gauge(g) => {
-                    gauges.push(format!("\"{key}\": {}", json_f64(g.get())));
+                    gauges.push(format!("{key}: {}", json_f64(g.get())));
                 }
                 Instrument::Histogram(h) => {
                     let buckets: Vec<String> = h
@@ -174,7 +155,7 @@ impl Registry {
                         .map(|(i, n)| format!("[{}, {n}]", json_f64(Histogram::bucket_le(i))))
                         .collect();
                     histograms.push(format!(
-                        "\"{key}\": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p90\": {}, \
+                        "{key}: {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p90\": {}, \
                          \"p99\": {}, \"buckets\": [{}]}}",
                         h.count(),
                         json_f64(h.sum()),

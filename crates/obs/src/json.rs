@@ -3,12 +3,14 @@
 //! The workspace hand-rolls its JSON artifacts (`BENCH_*.json`, the
 //! metrics snapshots) rather than depending on serde; this module is the
 //! matching reader so `bench_export --compare` and the e2e tests can load
-//! them back. It accepts standard JSON (RFC 8259) with two deliberate
+//! them back, plus [`quote`], the one string quoter every hand-rolled
+//! writer uses. The parser accepts standard JSON (RFC 8259) with two deliberate
 //! simplifications: numbers parse through [`f64`] (ints above 2⁵³ lose
 //! precision) and `\uXXXX` escapes outside the BMP must be paired
 //! surrogates.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +100,29 @@ impl Json {
     pub fn is_null(&self) -> bool {
         matches!(self, Json::Null)
     }
+}
+
+/// `s` as a JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped, `\n`/`\r`/`\t` use their short escapes, and every
+/// other control character below U+0020 becomes `\u00XX`.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed).
@@ -339,6 +364,18 @@ mod tests {
         );
         let s = parse(r#""a\n\tA😀""#).unwrap();
         assert_eq!(s.as_str(), Some("a\n\tA😀"));
+    }
+
+    #[test]
+    fn quote_round_trips_through_parse() {
+        let mut nasty: String = (0u8..0x20).map(char::from).collect();
+        nasty.push_str("\"\\plain\u{1F600}\u{7f}");
+        assert_eq!(parse(&quote(&nasty)).unwrap(), Json::Str(nasty.clone()));
+        for c in nasty.chars() {
+            let s = c.to_string();
+            assert_eq!(parse(&quote(&s)).unwrap(), Json::Str(s), "{c:?}");
+        }
+        assert_eq!(quote("a\"b\n\u{1}"), r#""a\"b\n\u0001""#);
     }
 
     #[test]

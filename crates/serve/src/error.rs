@@ -1,5 +1,6 @@
 //! Error type for the serving layer.
 
+use crate::http::ReadError;
 use priste_online::OnlineError;
 use std::fmt;
 use std::io;
@@ -50,5 +51,16 @@ impl From<io::Error> for ServeError {
 impl From<OnlineError> for ServeError {
     fn from(e: OnlineError) -> Self {
         ServeError::Online(e)
+    }
+}
+
+/// A response the client could not read: transport failures stay I/O,
+/// everything else is a protocol violation.
+impl From<ReadError> for ServeError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Io(e) => ServeError::Io(e),
+            other => ServeError::Protocol(other.to_string()),
+        }
     }
 }

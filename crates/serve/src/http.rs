@@ -1,7 +1,8 @@
-//! Minimal HTTP/1.1 wire handling: a buffered request reader and a
-//! response writer, both hand-rolled over [`std::io`].
+//! Minimal HTTP/1.1 wire handling, hand-rolled over [`std::io`]: the
+//! server side's buffered request reader and response writer, and the
+//! client side's [`read_response`] (load generator and router upstreams).
 //!
-//! The reader is deliberately small — method/path/version request line,
+//! The request reader is deliberately small — method/path/version request line,
 //! `name: value` headers, and a `content-length`-delimited body are the
 //! whole grammar (no chunked transfer, no continuation lines). It is
 //! written against any [`Read`] source so the parser is unit-testable
@@ -16,6 +17,10 @@ use std::time::{Duration, Instant};
 
 /// Upper bound on the request line + headers.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Upper bound on a response's status line + headers, as a client reads
+/// them.
+const MAX_RESPONSE_HEAD_BYTES: usize = 64 * 1024;
 
 /// How long a request may dangle half-transmitted before the connection
 /// is declared malformed. Bounds drain time: an in-flight request is
@@ -39,25 +44,44 @@ impl Request {
     /// First header value under `name` (ASCII case-insensitive lookup —
     /// names are stored lowercased).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Whether the client asked for the connection to close after this
     /// exchange.
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        asks_close(&self.headers)
     }
 }
 
-/// Why [`RequestReader::read_request`] returned without a request.
+/// Header `(name, value)` pairs, names lowercased, in arrival order.
+type Headers = Vec<(String, String)>;
+
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    let name = name.to_ascii_lowercase();
+    headers
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v.as_str())
+}
+
+fn asks_close(headers: &[(String, String)]) -> bool {
+    find_header(headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+}
+
+/// The declared body length; zero without the header.
+fn content_length(headers: &[(String, String)]) -> Result<usize, ReadError> {
+    find_header(headers, "content-length").map_or(Ok(0), |v| {
+        v.parse()
+            .map_err(|_| ReadError::Malformed(format!("bad content-length: {v:?}")))
+    })
+}
+
+/// Why [`RequestReader::read_request`] (or [`read_response`]) returned
+/// without a message.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed the connection between requests — not an error.
+    /// The peer closed the connection between messages — not an error.
     Closed,
     /// The read timed out with no request bytes pending: re-check the
     /// drain flag and call again.
@@ -75,11 +99,35 @@ impl std::fmt::Display for ReadError {
         match self {
             ReadError::Closed => write!(f, "connection closed"),
             ReadError::Idle => write!(f, "idle timeout"),
-            ReadError::Malformed(msg) => write!(f, "malformed request: {msg}"),
+            ReadError::Malformed(msg) => write!(f, "malformed HTTP message: {msg}"),
             ReadError::TooLarge => write!(f, "request too large"),
             ReadError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
+}
+
+/// Appends one read's worth of bytes from `source` to `buf`.
+fn fill(source: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let mut chunk = [0u8; 4096];
+    let n = source.read(&mut chunk)?;
+    buf.extend_from_slice(&chunk[..n]);
+    Ok(n)
+}
+
+/// Length of the head (up to its blank line) and of the head plus that
+/// blank line, tolerating bare-LF line endings.
+fn head_end(buf: &[u8]) -> Option<(usize, usize)> {
+    for i in 0..buf.len().saturating_sub(1) {
+        if buf[i] == b'\n' {
+            if buf[i + 1] == b'\n' {
+                return Some((i, i + 2));
+            }
+            if buf.get(i + 1) == Some(&b'\r') && buf.get(i + 2) == Some(&b'\n') {
+                return Some((i, i + 3));
+            }
+        }
+    }
+    None
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -108,29 +156,6 @@ impl<R: Read> RequestReader<R> {
         }
     }
 
-    fn fill(&mut self) -> io::Result<usize> {
-        let mut chunk = [0u8; 4096];
-        let n = self.source.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
-    }
-
-    /// Position just past the blank line ending the head, plus the head
-    /// length itself, tolerating bare-LF line endings.
-    fn head_end(buf: &[u8]) -> Option<(usize, usize)> {
-        for i in 0..buf.len().saturating_sub(1) {
-            if buf[i] == b'\n' {
-                if buf[i + 1] == b'\n' {
-                    return Some((i, i + 2));
-                }
-                if buf.get(i + 1) == Some(&b'\r') && buf.get(i + 2) == Some(&b'\n') {
-                    return Some((i, i + 3));
-                }
-            }
-        }
-        None
-    }
-
     /// Blocks until `ready(buf)` returns a value, refilling from the
     /// source. `deadline` starts counting once any request byte exists.
     fn pump<T>(
@@ -153,7 +178,7 @@ impl<R: Read> RequestReader<R> {
                     ));
                 }
             }
-            match self.fill() {
+            match fill(&mut self.source, &mut self.buf) {
                 Ok(0) => {
                     return Err(if self.buf.is_empty() && started.is_none() {
                         ReadError::Closed
@@ -180,19 +205,13 @@ impl<R: Read> RequestReader<R> {
     /// and call again; buffered partial state is preserved.
     pub fn read_request(&mut self) -> Result<Request, ReadError> {
         let mut started = (!self.buf.is_empty()).then(Instant::now);
-        let (head_len, consumed) = self.pump(&mut started, Self::head_end, |buf| {
-            buf.len() > MAX_HEAD_BYTES
-        })?;
+        let (head_len, consumed) =
+            self.pump(&mut started, head_end, |buf| buf.len() > MAX_HEAD_BYTES)?;
         let head = self.buf[..head_len].to_vec();
         self.buf.drain(..consumed);
         let (method, path, headers) = parse_head(&head)?;
 
-        let length = match headers.iter().find(|(n, _)| n == "content-length") {
-            None => 0,
-            Some((_, v)) => v
-                .parse::<usize>()
-                .map_err(|_| ReadError::Malformed(format!("bad content-length: {v:?}")))?,
-        };
+        let length = content_length(&headers)?;
         if length > self.max_body {
             return Err(ReadError::TooLarge);
         }
@@ -212,12 +231,33 @@ impl<R: Read> RequestReader<R> {
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn parse_head(head: &[u8]) -> Result<(String, String, Vec<(String, String)>), ReadError> {
+/// The head's first line and its parsed `name: value` headers (names
+/// lowercased). A header value holding a control character other than
+/// HTAB — a lone CR included — is malformed (RFC 9110 §5.5), so no
+/// value can smuggle a line into a head it is echoed or forwarded into.
+fn split_head(head: &[u8]) -> Result<(&str, Headers), ReadError> {
     let text = std::str::from_utf8(head)
         .map_err(|_| ReadError::Malformed("head is not valid UTF-8".into()))?;
     let mut lines = text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
-    let request_line = lines.next().unwrap_or("");
+    let first = lines.next().unwrap_or("");
+    let mut headers = Vec::new();
+    for line in lines.filter(|l| !l.is_empty()) {
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(ReadError::Malformed(format!("bad header line: {line:?}")));
+        };
+        let name = name.trim().to_ascii_lowercase();
+        if value.bytes().any(|b| (b < 0x20 && b != b'\t') || b == 0x7f) {
+            return Err(ReadError::Malformed(format!(
+                "control character in header {name:?}"
+            )));
+        }
+        headers.push((name, value.trim().to_owned()));
+    }
+    Ok((first, headers))
+}
+
+fn parse_head(head: &[u8]) -> Result<(String, String, Headers), ReadError> {
+    let (request_line, headers) = split_head(head)?;
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -230,18 +270,82 @@ fn parse_head(head: &[u8]) -> Result<(String, String, Vec<(String, String)>), Re
             "bad request line: {request_line:?}"
         )));
     }
-    let mut headers = Vec::new();
-    for line in lines.filter(|l| !l.is_empty()) {
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ReadError::Malformed(format!("bad header line: {line:?}")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-    }
     Ok((method.to_owned(), path.to_owned(), headers))
 }
 
+/// One response as a client reads it with [`read_response`].
+#[derive(Debug, Clone)]
+pub struct ClientResponse {
+    /// Status code.
+    pub status: u16,
+    /// Headers with lowercased names, in arrival order.
+    pub headers: Vec<(String, String)>,
+    /// The `content-length`-delimited body (empty without the header).
+    pub body: Vec<u8>,
+}
+
+impl ClientResponse {
+    /// First header value under `name` (ASCII case-insensitive).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        find_header(&self.headers, name)
+    }
+
+    /// Whether the server announced it will close the connection.
+    pub fn wants_close(&self) -> bool {
+        asks_close(&self.headers)
+    }
+}
+
+/// Reads one response from `source`: status line, headers and a
+/// `content-length` body, the framing [`write_response`] produces.
+/// `buf` carries bytes read past this response over to the next call.
+///
+/// # Errors
+/// [`ReadError::Closed`] when the peer closed before sending a byte;
+/// [`ReadError::Malformed`] for anything unparseable, a head over
+/// 64 KiB, or a close mid-response; and
+/// [`ReadError::Io`] for transport failures, timeouts included.
+pub fn read_response(
+    source: &mut impl Read,
+    buf: &mut Vec<u8>,
+) -> Result<ClientResponse, ReadError> {
+    let (head_len, consumed) = loop {
+        if let Some(found) = head_end(buf) {
+            break found;
+        }
+        if buf.len() > MAX_RESPONSE_HEAD_BYTES {
+            return Err(ReadError::Malformed("response head exceeds 64 KiB".into()));
+        }
+        if fill(source, buf).map_err(ReadError::Io)? == 0 {
+            return Err(if buf.is_empty() {
+                ReadError::Closed
+            } else {
+                ReadError::Malformed("connection closed mid-response head".into())
+            });
+        }
+    };
+    let (status_line, headers) = split_head(&buf[..head_len])?;
+    let status = status_line
+        .strip_prefix("HTTP/1.")
+        .and_then(|rest| rest.split_whitespace().nth(1))
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| ReadError::Malformed(format!("bad status line: {status_line:?}")))?;
+    let length = content_length(&headers)?;
+    buf.drain(..consumed);
+    while buf.len() < length {
+        if fill(source, buf).map_err(ReadError::Io)? == 0 {
+            return Err(ReadError::Malformed("connection closed mid-body".into()));
+        }
+    }
+    Ok(ClientResponse {
+        status,
+        headers,
+        body: buf.drain(..length).collect(),
+    })
+}
+
 /// One response, written with an explicit `content-length` (the only
-/// framing the loadgen-side reader understands too).
+/// framing [`read_response`] understands too).
 #[derive(Debug, Clone)]
 pub struct Response {
     /// Status code.
@@ -383,6 +487,57 @@ mod tests {
             read_one("POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab"),
             Err(ReadError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn rejects_control_characters_in_header_values() {
+        for wire in [
+            "GET / HTTP/1.1\r\nx-request-id: a\rset-cookie: x\r\n\r\n",
+            "GET / HTTP/1.1\r\nx-request-id: \rset-cookie: x\r\n\r\n",
+            "GET / HTTP/1.1\r\nx-request-id: a\x00b\r\n\r\n",
+            "GET / HTTP/1.1\r\nx-request-id: a\x7fb\r\n\r\n",
+        ] {
+            assert!(
+                matches!(read_one(wire), Err(ReadError::Malformed(_))),
+                "accepted {wire:?}"
+            );
+        }
+        let req = read_one("GET / HTTP/1.1\r\nx-request-id: a\tb\r\n\r\n").unwrap();
+        assert_eq!(req.header("x-request-id"), Some("a\tb"));
+    }
+
+    #[test]
+    fn reads_written_responses_back_and_splits_their_errors() {
+        let mut wire = Vec::new();
+        let mut first = Response::text(200, "ok\n");
+        first.request_id = Some("id-1".to_owned());
+        write_response(&mut wire, &first).unwrap();
+        let mut second = Response::json(503, "{}".to_owned());
+        second.close = true;
+        write_response(&mut wire, &second).unwrap();
+        let (mut source, mut buf) = (Cursor::new(wire), Vec::new());
+        let one = read_response(&mut source, &mut buf).unwrap();
+        assert_eq!((one.status, one.body.as_slice()), (200, &b"ok\n"[..]));
+        assert_eq!(one.header("X-Request-Id"), Some("id-1"));
+        assert!(!one.wants_close());
+        let two = read_response(&mut source, &mut buf).unwrap();
+        assert_eq!((two.status, two.body.as_slice()), (503, &b"{}"[..]));
+        assert!(two.wants_close());
+        assert!(matches!(
+            read_response(&mut source, &mut buf),
+            Err(ReadError::Closed)
+        ));
+
+        let read = |wire: &[u8]| read_response(&mut Cursor::new(wire.to_vec()), &mut Vec::new());
+        for bad in [
+            &b"BLARG NOT HTTP\r\n\r\n"[..],
+            b"HTTP/1.1 200 OK\r\ncontent-length: 9\r\n\r\nshort",
+            b"HTTP/1.1 200 OK\r\ncontent-le",
+        ] {
+            assert!(matches!(read(bad), Err(ReadError::Malformed(_))), "{bad:?}");
+        }
+        let huge = vec![b'x'; MAX_RESPONSE_HEAD_BYTES + 4096];
+        assert!(matches!(read(&huge), Err(ReadError::Malformed(_))));
     }
 
     /// A source that yields `WouldBlock` forever — the idle keep-alive

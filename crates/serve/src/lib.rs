@@ -16,9 +16,12 @@
 //! | `GET /healthz` | Liveness (always 200 while the process serves) |
 //! | `GET /readyz` | Readiness (503 once draining) |
 //!
-//! Every request runs under a `priste_obs` span (`span_http_request_seconds`)
-//! and lands in `serve_request_seconds{route,status}`; the `x-request-id`
-//! header is echoed (or assigned) for correlation. SIGINT/SIGTERM — or
+//! The connection model, the per-request envelope and the health/metrics
+//! plane are [`daemon`]'s, a skeleton the `priste_cluster` router runs on
+//! too; [`Server`] is the `SessionManager` handler on it. Every request
+//! runs under a `priste_obs` span (`span_http_request_seconds`) and lands
+//! in `serve_request_seconds{route,status}`; the `x-request-id` header
+//! is echoed (or assigned) for correlation. SIGINT/SIGTERM — or
 //! [`DrainHandle::drain`] — trigger a graceful drain: stop accepting,
 //! answer in-flight requests, write a final durable checkpoint and
 //! metrics snapshot.
@@ -55,6 +58,7 @@
 //! println!("served {} requests", summary.requests);
 //! ```
 
+pub mod daemon;
 pub mod error;
 pub mod http;
 pub mod loadgen;
@@ -62,6 +66,7 @@ pub mod proto;
 pub mod server;
 pub mod signal;
 
+pub use daemon::{DrainHandle, DrainSummary};
 pub use error::{Result, ServeError};
 pub use loadgen::{LoadMode, LoadgenOptions, LoadgenReport};
-pub use server::{DrainHandle, DrainSummary, Server, ServerConfig};
+pub use server::{Server, ServerConfig};

@@ -17,11 +17,12 @@
 //! latency-under-load measurements that include queueing delay.
 
 use crate::error::{Result, ServeError};
+use crate::http::read_response;
 use priste_obs::json::{self, Json};
 use priste_obs::Histogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -123,52 +124,6 @@ impl LoadgenReport {
     }
 }
 
-/// Minimal response reader: status line, headers (for `content-length`),
-/// body. The server always sends explicit lengths, so this is the whole
-/// grammar a client needs.
-fn read_response(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Result<(u16, Vec<u8>)> {
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(ServeError::Protocol("server closed mid-response".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    buf.drain(..head_end + 4);
-    let mut lines = head.lines();
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ServeError::Protocol(format!("bad status line: {status_line:?}")))?;
-    let mut length = 0usize;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                length = value.trim().parse().map_err(|_| {
-                    ServeError::Protocol(format!("bad content-length: {:?}", value.trim()))
-                })?;
-            }
-        }
-    }
-    while buf.len() < length {
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(ServeError::Protocol("server closed mid-body".into()));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let body = buf.drain(..length).collect();
-    Ok((status, body))
-}
-
 fn connect(addr: &str) -> Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
@@ -182,12 +137,14 @@ fn get_json(addr: &str, path: &str) -> Result<Json> {
     let mut stream = connect(addr)?;
     let request = format!("GET {path} HTTP/1.1\r\nhost: priste\r\nconnection: close\r\n\r\n");
     stream.write_all(request.as_bytes())?;
-    let mut buf = Vec::new();
-    let (status, body) = read_response(&mut stream, &mut buf)?;
-    if status != 200 {
-        return Err(ServeError::Protocol(format!("{path} answered {status}")));
+    let resp = read_response(&mut stream, &mut Vec::new())?;
+    if resp.status != 200 {
+        return Err(ServeError::Protocol(format!(
+            "{path} answered {}",
+            resp.status
+        )));
     }
-    let text = String::from_utf8_lossy(&body).into_owned();
+    let text = String::from_utf8_lossy(&resp.body).into_owned();
     json::parse(&text).map_err(|e| ServeError::Protocol(format!("{path} body: {e}")))
 }
 
@@ -316,7 +273,7 @@ fn connection_loop(
         };
         let t0 = Instant::now();
         stream.write_all(wire.as_bytes())?;
-        let (status, _body) = read_response(&mut stream, &mut buf)?;
+        let status = read_response(&mut stream, &mut buf)?.status;
         latency.observe(t0.elapsed().as_secs_f64());
         if status != 200 {
             errors.fetch_add(1, Ordering::Relaxed);

@@ -11,7 +11,6 @@ use priste_calibrate::Decision;
 use priste_markov::TransitionProvider;
 use priste_obs::json::{self, Json};
 use priste_online::{EnforcedRelease, Session, UserReport, Verdict};
-use std::fmt::Write;
 
 /// JSON has no Inf/NaN literals; map them to `null` (the convention the
 /// metrics exporter already uses).
@@ -108,29 +107,28 @@ pub fn decode_release(body: &[u8]) -> Result<ReleaseRequest, String> {
     })
 }
 
-/// `{"error": "..."}` body for non-200 responses.
-pub fn encode_error(message: &str) -> String {
-    format!("{{\"error\": {}}}", json_string(message))
+/// Stable metric label of a `/v1` route, path parameters collapsed
+/// (`/v1/users/:id/spend`); `None` for any other path.
+pub fn route(path: &str) -> Option<&'static str> {
+    match path {
+        "/v1/ingest" => Some("/v1/ingest"),
+        "/v1/release" => Some("/v1/release"),
+        "/v1/config" => Some("/v1/config"),
+        _ => spend_user(path).map(|_| "/v1/users/:id/spend"),
+    }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// The user id of a `/v1/users/<id>/spend` path.
+pub fn spend_user(path: &str) -> Option<u64> {
+    path.strip_prefix("/v1/users/")?
+        .strip_suffix("/spend")?
+        .parse()
+        .ok()
+}
+
+/// `{"error": "..."}` body for non-200 responses.
+pub fn encode_error(message: &str) -> String {
+    format!("{{\"error\": {}}}", json::quote(message))
 }
 
 fn verdict_str(v: Verdict) -> &'static str {

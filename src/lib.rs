@@ -128,8 +128,7 @@ pub mod prelude {
         PlanarLaplaceError, PlannedStep, PlannerConfig, PlmQualityLoss, UtilityModel,
     };
     pub use priste_cluster::{
-        jump_hash, ClusterError, PoolConfig, Router, RouterConfig, RouterDrainHandle,
-        RouterSummary, ShardMap, WorkerStatus,
+        jump_hash, ClusterError, PoolConfig, Router, RouterConfig, ShardMap, WorkerStatus,
     };
     pub use priste_core::{
         runner, DeltaLocSource, MechanismSource, PlmSource, Priste, PristeConfig, ReleaseRecord,
