@@ -7,7 +7,8 @@
 //! * `online` (`BENCH_online.json`) — session-service hot paths: audit
 //!   ingest (with and without a live metrics registry attached), enforced
 //!   release, the durability tax, crash/recover round-trips, and the
-//!   per-session cost of registering and checkpointing users at m = 2500.
+//!   per-session cost of registering, checkpointing and recovering users at
+//!   m = 2500.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput.
 //! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners,
@@ -531,8 +532,8 @@ fn suite_online(
     // All `--users` users added and attached on the 50×50 CSR world (each
     // attach seeds a window over the template's suffix table), then one
     // checkpoint streaming every session's posterior, attach-time π and
-    // forward vector to disk (fsync off). Both rows scale with the state a
-    // session carries.
+    // forward vector to disk (fsync off), and one recovery reading it back.
+    // All three rows scale with the state a session carries.
     let (provider_s, event_s) = sparse_world(50);
     let register_ms = best_ms(opts.reps, || {
         let svc = service(&provider_s, &event_s, opts.users);
@@ -561,7 +562,34 @@ fn suite_online(
         unit: "ms",
         note: "checkpoint() of every registered user on the 50x50 world, fsync off",
     });
+    // The read side of the same directory: one CRC-checked snapshot of
+    // every session, decoded and restored. The previous rep's service is
+    // dropped inside the timed closure; the digest check stays outside it.
+    let digest = svc.state_digest();
     drop(svc);
+    let mut recovered = None;
+    let recover_ms = best_ms(opts.reps, || {
+        recovered = Some(
+            SessionManager::recover(
+                Arc::clone(&provider_s),
+                config(),
+                vec![event_s.clone()],
+                &dir,
+            )
+            .expect("recover"),
+        );
+    });
+    assert_eq!(
+        recovered.expect("recovered").state_digest(),
+        digest,
+        "recovery must be exact"
+    );
+    metrics.push(Metric {
+        name: "recover_snapshot_sparse_m2500",
+        value: recover_ms,
+        unit: "ms",
+        note: "recover() of that checkpoint: CRC check, decode, restore, empty WAL tail",
+    });
     std::fs::remove_dir_all(&dir).ok();
 
     metrics

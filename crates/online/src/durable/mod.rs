@@ -22,10 +22,11 @@
 //! Every committed mutation (user registration, window attach,
 //! observation/release) is appended to its shard's WAL — and, with
 //! [`DurableOptions::fsync`] on, flushed — *before* the result is returned
-//! to the caller. A checkpoint streams the whole state, read in place from
-//! the live sessions, into a fresh snapshot (a `.tmp` file, atomically
-//! renamed), starts empty WAL segments for the next generation, and prunes
-//! the old one.
+//! to the caller. A checkpoint first creates empty WAL segments for the
+//! next generation, then streams the whole state, read in place from the
+//! live sessions, into a fresh snapshot (a `.tmp` file, atomically
+//! renamed), and only then switches to the new segments and prunes the old
+//! generation — so the newest snapshot on disk always has its segments.
 //!
 //! # Recovery guarantees
 //!
@@ -180,6 +181,15 @@ pub(crate) fn snap_path(dir: &Path, seq: u64) -> PathBuf {
 /// File name of shard `shard`'s generation-`seq` WAL segment.
 pub(crate) fn wal_path(dir: &Path, seq: u64, shard: usize) -> PathBuf {
     dir.join(format!("wal-{seq:016x}-{shard:04x}.log"))
+}
+
+/// Best-effort flush of `dir`'s entries (file creations, renames) to
+/// stable storage. Not every platform can open a directory for syncing;
+/// there the entries reach disk on the file system's own schedule.
+pub(crate) fn sync_dir(dir: &Path) {
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_data();
+    }
 }
 
 /// Parses `snap-<seq>.bin` back into its sequence number.
@@ -355,22 +365,16 @@ impl DurableStore {
         self.checkpoint_at(self.seq + 1, state)
     }
 
-    /// Crash-ordering: (1) snapshot is written and atomically renamed —
-    /// once durable, it alone reproduces all acknowledged state; (2) fresh
-    /// WAL segments are created for the new generation (a crash between
-    /// the two recovers from the new snapshot with empty tails); (3) the
-    /// old generation is pruned last.
+    /// Crash-ordering: (1) empty WAL segments for every shard of the new
+    /// generation are created and persisted; (2) the snapshot is written
+    /// and atomically renamed — once durable, it alone reproduces all
+    /// acknowledged state; (3) the store switches to the new segments and
+    /// prunes the old generation. A crash or error before (2) completes
+    /// leaves the old snapshot newest, with the old WAL segments the store
+    /// keeps appending to, so recovery still reads every record; after
+    /// (2), recovery finds the new snapshot with all of its (empty)
+    /// segments.
     fn checkpoint_at(&mut self, seq: u64, state: &dyn SnapshotSource) -> Result<(), DurableError> {
-        let snap = snap_path(&self.dir, seq);
-        let snapshot_timer = Timer::start(&self.obs.snapshot_seconds);
-        snapshot::write_snapshot(&snap, seq, state, self.opts.fsync)?;
-        drop(snapshot_timer);
-        if self.obs.snapshot_bytes.is_enabled() {
-            if let Ok(meta) = std::fs::metadata(&snap) {
-                self.obs.snapshot_bytes.set(meta.len() as f64);
-            }
-        }
-        self.obs.checkpoints.inc();
         let mut wals = Vec::with_capacity(self.num_shards);
         for shard in 0..self.num_shards {
             wals.push(wal::WalWriter::create(
@@ -381,6 +385,19 @@ impl DurableStore {
                 self.opts.fsync,
             )?);
         }
+        if self.opts.fsync {
+            sync_dir(&self.dir);
+        }
+        let snap = snap_path(&self.dir, seq);
+        let snapshot_timer = Timer::start(&self.obs.snapshot_seconds);
+        snapshot::write_snapshot(&snap, seq, state, self.opts.fsync)?;
+        drop(snapshot_timer);
+        if self.obs.snapshot_bytes.is_enabled() {
+            if let Ok(meta) = std::fs::metadata(&snap) {
+                self.obs.snapshot_bytes.set(meta.len() as f64);
+            }
+        }
+        self.obs.checkpoints.inc();
         self.wals = wals;
         self.seq = seq;
         self.records_since_checkpoint = 0;

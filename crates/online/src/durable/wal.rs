@@ -258,9 +258,12 @@ pub(crate) fn read_segment(
             f.read_to_end(&mut bytes)
                 .map_err(|e| io_err("read WAL segment", path, &e))?;
         }
-        // A checkpoint creates every shard segment eagerly, so a missing
-        // file only happens for shards that never saw a record after an
-        // interrupted checkpoint; treat it as empty.
+        // A checkpoint creates and persists every shard segment before it
+        // renames the snapshot that names them into place, so this layer
+        // never leaves a snapshot without its segments. A missing file is
+        // a directory written by an older build, which renamed the snapshot
+        // first and crashed before the segment existed — no record reached
+        // it; treat it as empty.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok(WalScan {
                 records: Vec::new(),
