@@ -8,7 +8,7 @@
 //!   ingest (with and without a live metrics registry attached), enforced
 //!   release, the durability tax, crash/recover round-trips, and the
 //!   per-session cost of registering, checkpointing and recovering users at
-//!   m = 2500.
+//!   m = 2500, and the resident growth of 10⁵ registered idle users there.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput.
 //! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners,
@@ -76,6 +76,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 8;
+
+/// Users in the idle-population row.
+const IDLE_USERS: usize = 100_000;
 
 /// Live-heap accounting around the system allocator, switched on only
 /// while [`resident_kb`] measures, so the other suites pay one relaxed load
@@ -263,6 +266,17 @@ fn sparse_world(side: usize) -> (Arc<Homogeneous>, StEvent) {
     (Arc::new(Homogeneous::new(chain)), event)
 }
 
+/// This process's resident set in MB (`VmRSS`; 0 where `/proc` is absent).
+fn vm_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 fn tempdir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("priste-bench-export-{tag}-{}", std::process::id()));
@@ -290,7 +304,7 @@ struct Metric {
     name: &'static str,
     value: f64,
     unit: &'static str,
-    note: &'static str,
+    note: String,
 }
 
 /// Units where a *larger* fresh value is an improvement. Everything else
@@ -320,7 +334,7 @@ fn suite_online(
         name: "cold_start",
         value: cold_ms,
         unit: "ms",
-        note: "build + register + add/attach all users, in-memory",
+        note: "build + register + add/attach all users, in-memory".into(),
     });
 
     // Audit ingest throughput, in-memory, observability detached.
@@ -334,7 +348,7 @@ fn suite_online(
         name: "audit_ingest",
         value: observations / ((ingest_ms - cold_ms).max(1e-6) / 1e3),
         unit: "obs/s",
-        note: "sequential ingest_batch, cold-start cost subtracted",
+        note: "sequential ingest_batch, cold-start cost subtracted".into(),
     });
 
     // The observability tax: the same stream with a live metrics registry
@@ -351,13 +365,13 @@ fn suite_online(
         name: "audit_ingest_observed",
         value: observations / ((observed_ms - cold_ms).max(1e-6) / 1e3),
         unit: "obs/s",
-        note: "ingest with a live metrics registry attached, cold-start subtracted",
+        note: "ingest with a live metrics registry attached, cold-start subtracted".into(),
     });
     metrics.push(Metric {
         name: "obs_overhead",
         value: (observed_ms - cold_ms).max(1e-6) / (ingest_ms - cold_ms).max(1e-6),
         unit: "x",
-        note: "observed vs unobserved ingest wall-clock ratio",
+        note: "observed vs unobserved ingest wall-clock ratio".into(),
     });
 
     // The durability tax: the same stream journaled to a per-shard WAL
@@ -383,13 +397,13 @@ fn suite_online(
         name: "durable_ingest",
         value: observations / ((durable_ms - cold_ms).max(1e-6) / 1e3),
         unit: "obs/s",
-        note: "journaled ingest (fsync off), cold-start cost subtracted",
+        note: "journaled ingest (fsync off), cold-start cost subtracted".into(),
     });
     metrics.push(Metric {
         name: "journaling_overhead",
         value: (durable_ms - cold_ms).max(1e-6) / (ingest_ms - cold_ms).max(1e-6),
         unit: "x",
-        note: "durable vs in-memory wall-clock ratio for the same stream",
+        note: "durable vs in-memory wall-clock ratio for the same stream".into(),
     });
 
     // Enforced release throughput behind the calibration guard.
@@ -417,7 +431,7 @@ fn suite_online(
         name: "enforced_release",
         value: observations / ((release_ms - cold_ms).max(1e-6) / 1e3),
         unit: "releases/s",
-        note: "guarded release incl. mechanism sampling, cold-start subtracted",
+        note: "guarded release incl. mechanism sampling, cold-start subtracted".into(),
     });
 
     // Recovery from a WAL-only directory (crash mid-stream, no snapshot
@@ -463,7 +477,7 @@ fn suite_online(
             name,
             value: ms,
             unit: "ms",
-            note,
+            note: note.into(),
         });
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -523,7 +537,7 @@ fn suite_online(
             name,
             value: (users * steps) as f64 / ((ingest_ms - cold_ms).max(1e-6) / 1e3),
             unit: "obs/s",
-            note,
+            note: note.into(),
         });
     }
 
@@ -543,8 +557,36 @@ fn suite_online(
         name: "register_sparse_m2500",
         value: opts.users as f64 / (register_ms.max(1e-6) / 1e3),
         unit: "users/s",
-        note: "add_user + attach_event on a CSR-backed 50x50 world, in-memory",
+        note: "add_user + attach_event on a CSR-backed 50x50 world, in-memory".into(),
     });
+
+    // --- The idle population at m = 2500 ---------------------------------
+    //
+    // 10⁵ users registered with one prior and one template and never
+    // observed — the majority of a live service. Copy-on-write sessions
+    // share the prior and the template's initial lift, so the population
+    // costs a few hundred bytes per user instead of ~80 KB (~7.5 GB).
+    let rss_before = vm_rss_mb();
+    let started = Instant::now();
+    let idle = service(&provider_s, &event_s, IDLE_USERS);
+    let setup_s = started.elapsed().as_secs_f64();
+    let growth_mb = vm_rss_mb() - rss_before;
+    assert_eq!(idle.num_users(), IDLE_USERS);
+    assert!(
+        growth_mb < 1024.0,
+        "{IDLE_USERS} idle users grew VmRSS by {growth_mb:.0} MB"
+    );
+    drop(idle);
+    metrics.push(Metric {
+        name: "register_idle_m2500_1e5",
+        value: growth_mb,
+        unit: "MB",
+        note: format!(
+            "VmRSS growth registering 10^5 users (add_user + attach_event, one prior) \
+             on the 50x50 CSR world; set-up {setup_s:.2} s"
+        ),
+    });
+
     let dir = tempdir("checkpoint");
     let mut svc = service(&provider_s, &event_s, opts.users);
     svc.make_durable(
@@ -560,7 +602,7 @@ fn suite_online(
         name: "checkpoint_sparse_m2500",
         value: checkpoint_ms,
         unit: "ms",
-        note: "checkpoint() of every registered user on the 50x50 world, fsync off",
+        note: "checkpoint() of every registered user on the 50x50 world, fsync off".into(),
     });
     // The read side of the same directory: one CRC-checked snapshot of
     // every session, decoded and restored. The previous rep's service is
@@ -588,7 +630,7 @@ fn suite_online(
         name: "recover_snapshot_sparse_m2500",
         value: recover_ms,
         unit: "ms",
-        note: "recover() of that checkpoint: CRC check, decode, restore, empty WAL tail",
+        note: "recover() of that checkpoint: CRC check, decode, restore, empty WAL tail".into(),
     });
     std::fs::remove_dir_all(&dir).ok();
 
@@ -618,7 +660,7 @@ fn suite_quantify(
         name: "quantifier_cold_start",
         value: cold_ms,
         unit: "ms",
-        note: "IncrementalTwoWorld construction (prior lifting included)",
+        note: "IncrementalTwoWorld construction (prior lifting included)".into(),
     });
 
     // Long enough to dwarf timer granularity: cycle the columns so one
@@ -636,7 +678,7 @@ fn suite_quantify(
         name: "incremental_observe",
         value: total as f64 / ((observe_ms - cold_ms).max(1e-6) / 1e3),
         unit: "steps/s",
-        note: "per-step two-world update + privacy-loss bound, construction subtracted",
+        note: "per-step two-world update + privacy-loss bound, construction subtracted".into(),
     });
 
     // --- Grid-size axis: dense vs CSR transition backends -----------------
@@ -695,7 +737,7 @@ fn suite_quantify(
                 name: dense_name,
                 value: steps as f64 / (dense_ms.max(1e-6) / 1e3),
                 unit: "steps/s",
-                note: "incremental observe, dense O(m^2) backend, banded sigma=0.5 world",
+                note: "incremental observe, dense O(m^2) backend, banded sigma=0.5 world".into(),
             });
         } else {
             println!("quantify: dense comparator at m={ms} skipped (--dense-max-cells)");
@@ -714,7 +756,7 @@ fn suite_quantify(
             name: sparse_name,
             value: steps as f64 / (sparse_ms.max(1e-6) / 1e3),
             unit: "steps/s",
-            note: "incremental observe, CSR O(nnz) backend, banded sigma=0.5 world",
+            note: "incremental observe, CSR O(nnz) backend, banded sigma=0.5 world".into(),
         });
     }
 
@@ -749,7 +791,7 @@ fn suite_calibrate(
         name: "plan_uniform",
         value: uniform_ms,
         unit: "ms",
-        note: "uniform-split planner over the bench horizon",
+        note: "uniform-split planner over the bench horizon".into(),
     });
 
     let greedy_ms = best_ms(opts.reps, || {
@@ -767,7 +809,7 @@ fn suite_calibrate(
         name: "plan_greedy",
         value: greedy_ms,
         unit: "ms",
-        note: "greedy planner over the bench horizon",
+        note: "greedy planner over the bench horizon".into(),
     });
 
     let knapsack_ms = best_ms(opts.reps, || {
@@ -786,7 +828,7 @@ fn suite_calibrate(
         name: "plan_knapsack",
         value: knapsack_ms,
         unit: "ms",
-        note: "utility-aware knapsack planner over the bench horizon",
+        note: "utility-aware knapsack planner over the bench horizon".into(),
     });
 
     let releases = (opts.steps * 32).max(128);
@@ -813,7 +855,7 @@ fn suite_calibrate(
         name: "guarded_release",
         value: releases as f64 / (release_ms.max(1e-6) / 1e3),
         unit: "releases/s",
-        note: "single-session calibrated release behind the backoff ladder",
+        note: "single-session calibrated release behind the backoff ladder".into(),
     });
 
     // One guard rung: the Planar Laplace build `with_budget` performs, on
@@ -832,7 +874,7 @@ fn suite_calibrate(
             name,
             value: build_ms,
             unit: "ms",
-            note: "one PlanarLaplace::new (a guard rung) on a square 1 km grid",
+            note: "one PlanarLaplace::new (a guard rung) on a square 1 km grid".into(),
         });
     }
     let grid = side_grid(50);
@@ -840,7 +882,7 @@ fn suite_calibrate(
         name: "plm_resident_kb_m2500",
         value: resident_kb(|| PlanarLaplace::new(grid, 2.0).expect("plm")),
         unit: "KB",
-        note: "heap + inline size one PlanarLaplace keeps resident at m = 2500",
+        note: "heap + inline size one PlanarLaplace keeps resident at m = 2500".into(),
     });
 
     metrics
@@ -909,25 +951,25 @@ fn suite_serve(
             name: "serve_p50_ms",
             value: report.quantile_ms(0.50),
             unit: "ms",
-            note: "client-observed median request latency, mixed ingest/release",
+            note: "client-observed median request latency, mixed ingest/release".into(),
         },
         Metric {
             name: "serve_p90_ms",
             value: report.quantile_ms(0.90),
             unit: "ms",
-            note: "client-observed p90 request latency",
+            note: "client-observed p90 request latency".into(),
         },
         Metric {
             name: "serve_p99_ms",
             value: report.quantile_ms(0.99),
             unit: "ms",
-            note: "client-observed p99 request latency",
+            note: "client-observed p99 request latency".into(),
         },
         Metric {
             name: "serve_throughput",
             value: report.throughput(),
             unit: "req/s",
-            note: "sustained closed-loop throughput, 4 connections",
+            note: "sustained closed-loop throughput, 4 connections".into(),
         },
     ]
 }
@@ -1064,19 +1106,19 @@ fn suite_cluster(
         name: "cluster_direct_p50_ms",
         value: direct_p50,
         unit: "ms",
-        note: "median latency straight to one stall-free worker, mixed mode",
+        note: "median latency straight to one stall-free worker, mixed mode".into(),
     });
     metrics.push(Metric {
         name: "cluster_routed_p50_ms",
         value: routed_p50,
         unit: "ms",
-        note: "median latency through the router to the same worker build",
+        note: "median latency through the router to the same worker build".into(),
     });
     metrics.push(Metric {
         name: "cluster_router_overhead_p50_ms",
         value: (routed_p50 - direct_p50).max(0.0),
         unit: "ms",
-        note: "router-added median latency (routed minus direct, clamped at zero)",
+        note: "router-added median latency (routed minus direct, clamped at zero)".into(),
     });
 
     // --- Throughput scaling at 1/2/4 workers, stall-bound -----------------
@@ -1115,7 +1157,7 @@ fn suite_cluster(
             name,
             value: report.throughput(),
             unit: "req/s",
-            note,
+            note: note.into(),
         });
     }
 

@@ -1,6 +1,7 @@
-//! The online guard: per-release budget backoff that converts any
-//! emission-matrix LPPM into one whose realized release stream certifies a
-//! target ε-spatiotemporal event privacy level.
+//! The online guard: per-release budget backoff that wraps any
+//! emission-matrix LPPM so that every committed release column certifies a
+//! target ε-spatiotemporal event privacy level under the ledger's model
+//! (see *What is certified* below).
 //!
 //! This is the per-timestamp calibration loop of the journal extension
 //! (*Protecting Spatiotemporal Event Privacy in Continuous Location-Based
@@ -23,6 +24,18 @@
 //! convention the suppression decision itself is treated as
 //! observation-independent — the standard modelling assumption for
 //! release/suppress mechanisms.
+//!
+//! **What is certified.** The guard checks the ledger's model of the
+//! committed column: a release is charged as the accepted rung's column
+//! `M_k(·, o)`, a suppression as the flat column. Neither is the
+//! algorithm-aware likelihood an adversary who knows the guard would use.
+//! Releasing `o` at rung `k` also reveals that the rungs before `k`
+//! rejected their candidates, and a suppression that every rung did; both
+//! events have probabilities that depend on the true location. The
+//! certificate therefore bounds the loss of the committed-column model, not
+//! the exact ε-ST-event privacy of the realized stream. Choosing the rung
+//! from public state alone, by certifying every column of a rung before
+//! sampling, would make the two coincide (`ROADMAP.md`, direction 1).
 
 use crate::{CalibrateError, Result};
 use priste_event::StEvent;
@@ -550,13 +563,15 @@ pub struct CalibratedRelease {
 ///
 /// Each protected event is tracked by an [`IncrementalTwoWorld`], so one
 /// release costs `O(k · a · m²)` for `k` events and `a` backoff attempts —
-/// no horizon replay. The guarantee (under [`OnExhaustion::Suppress`]):
-/// at every timestep the committed observation prefix satisfies
+/// no horizon replay. What it checks (under [`OnExhaustion::Suppress`]):
+/// at every timestep the committed column prefix satisfies
 /// `|ln odds-lift| ≤ target_epsilon` for every protected event under the
-/// construction-time `π` — exactly ε-ST-event privacy of the realized
-/// stream, re-checkable offline with
+/// construction-time `π`, re-checkable offline with
 /// [`TheoremBuilder`](priste_quantify::TheoremBuilder) (the
-/// `guard_properties` proptest suite pins this).
+/// `guard_properties` proptest suite pins this). That is the ledger's model
+/// of the committed columns, not the algorithm-aware likelihood of the
+/// realized stream: the rung a release came from depends on the true
+/// location too (see the module docs, *What is certified*).
 #[derive(Debug)]
 pub struct CalibratedMechanism<P> {
     cache: MechanismCache,

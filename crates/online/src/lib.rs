@@ -68,6 +68,7 @@ pub mod durable;
 mod error;
 mod manager;
 mod obs;
+mod priors;
 pub mod session;
 
 pub use durable::{DurableError, DurableOptions};

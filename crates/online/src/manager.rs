@@ -6,6 +6,7 @@ use crate::durable::{
     WalRecord, WalTail, WindowSnap,
 };
 use crate::obs::{RecoveryInfo, ServiceInstruments, StoreInstruments};
+use crate::priors::{same_bits, PriorTable};
 use crate::session::{
     report_from_step, BudgetLedger, EventWindow, Session, UserId, UserReport, Verdict,
 };
@@ -20,7 +21,9 @@ use priste_linalg::Vector;
 use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_obs::Registry;
-use priste_quantify::{EventModel, IncrementalTwoWorld, QuantifyError, TwoWorldEngine};
+use priste_quantify::{
+    EventModel, IncrementalTwoWorld, QuantifyError, TwoWorldEngine, WindowStart,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
@@ -328,11 +331,19 @@ impl<P: TransitionProvider> SnapshotSource for LiveState<'_, P> {
 /// absolute-time schedules would need an offsetting provider (future work).
 ///
 /// Each registered template is an [`EventModel`] built once: every window
-/// attached from it shares the template's suffix table, so a session costs
-/// `O(m)` memory (posterior, attach-time `π`, forward vector). Share the
-/// mobility model the same way with a cheap-to-clone provider —
-/// `Arc<Homogeneous>` is the intended instantiation (`TransitionProvider`
-/// is implemented for `Arc<T>`).
+/// attached from it shares the template's suffix table. Session state is
+/// copy-on-write on top of that: [`SessionManager::add_user`] interns the
+/// prior by its bits, so users registered with the same `π` share one
+/// vector, and attaching a template to a user who has not been observed
+/// yet clones that (template, prior) pair's cached start — the shared `π`
+/// and lifted initial vector — in `O(1)`. An idle user therefore costs
+/// `O(1)` memory (a few hundred bytes); the first observation gives the
+/// session its own posterior and forward vectors, `O(m)` from then on
+/// (about 60 KB at `m = 2500` with one window). Recovery re-interns, so a
+/// restored idle population shares again. Share the mobility model the
+/// same way with a cheap-to-clone provider — `Arc<Homogeneous>` is the
+/// intended instantiation (`TransitionProvider` is implemented for
+/// `Arc<T>`).
 ///
 /// [`LiftedStep`]: priste_quantify::lifted::LiftedStep
 #[derive(Debug)]
@@ -340,6 +351,7 @@ pub struct SessionManager<P> {
     provider: P,
     templates: Vec<Arc<EventModel>>,
     shards: Vec<BTreeMap<u64, Session<P>>>,
+    priors: PriorTable,
     config: OnlineConfig,
     instruments: ServiceInstruments,
     recovery: Option<RecoveryInfo>,
@@ -359,6 +371,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             provider,
             templates: Vec::new(),
             shards,
+            priors: PriorTable::default(),
             config,
             instruments: ServiceInstruments::new(),
             recovery: None,
@@ -609,22 +622,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             .ok_or(OnlineError::UnknownTemplate { template })
     }
 
-    /// Adds a user with an initial location distribution.
+    /// Adds a user with an initial location distribution. Users added with
+    /// bit-identical priors share one vector until their first observation.
     ///
     /// # Errors
     /// [`OnlineError::DuplicateUser`]; validation errors for a bad `π`.
     pub fn add_user(&mut self, id: UserId, pi: Vector) -> Result<()> {
-        if pi.len() != self.provider.num_states() {
-            return Err(OnlineError::Quantify(QuantifyError::InvalidInitial(
-                priste_linalg::LinalgError::DimensionMismatch {
-                    op: "session initial distribution",
-                    expected: self.provider.num_states(),
-                    actual: pi.len(),
-                },
-            )));
-        }
-        pi.validate_distribution()
-            .map_err(|e| OnlineError::Quantify(QuantifyError::InvalidInitial(e)))?;
+        let pi = self.intern_prior(pi, "session initial distribution")?;
         let shard = self.shard_of(id);
         if self.shards[shard].contains_key(&id.0) {
             return Err(OnlineError::DuplicateUser { user: id.0 });
@@ -644,26 +648,42 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         self.maybe_checkpoint()
     }
 
+    /// Checks a registration prior's length and interns it: a prior
+    /// bit-identical to a live interned one shares that one, and a new one
+    /// must pass the distribution check first.
+    fn intern_prior(&mut self, pi: Vector, op: &'static str) -> Result<Arc<Vector>> {
+        let m = self.provider.num_states();
+        if pi.len() != m {
+            return Err(OnlineError::Quantify(QuantifyError::InvalidInitial(
+                priste_linalg::LinalgError::DimensionMismatch {
+                    op,
+                    expected: m,
+                    actual: pi.len(),
+                },
+            )));
+        }
+        self.priors
+            .intern(pi)
+            .map_err(|e| OnlineError::Quantify(QuantifyError::InvalidInitial(e)))
+    }
+
     /// Read access to one session.
     pub fn session(&self, id: UserId) -> Option<&Session<P>> {
         self.shards[self.shard_of(id)].get(&id.0)
     }
 
     /// Attaches a registered template to a user as a new event window,
-    /// seeded with the user's current filtered posterior.
+    /// seeded with the user's current filtered posterior. For a user not
+    /// observed yet this is `O(1)`: the window shares the (template, prior)
+    /// pair's cached start with every other such user.
     ///
     /// # Errors
     /// [`OnlineError::UnknownUser`]/[`OnlineError::UnknownTemplate`];
     /// [`QuantifyError::DegeneratePrior`] (wrapped) when the event is
     /// already certain or impossible under the user's posterior.
     pub fn attach_event(&mut self, id: UserId, template: usize) -> Result<()> {
-        let model = self.template(template)?;
-        let provider = self.provider.clone();
         let shard = self.shard_of(id);
-        let session = self.shards[shard]
-            .get_mut(&id.0)
-            .ok_or(OnlineError::UnknownUser { user: id.0 })?;
-        session.attach(template, model, provider)?;
+        self.attach_window(shard, id.0, template)?;
         if let Err(e) = Self::journal(
             &mut self.store,
             shard,
@@ -682,6 +702,24 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             return Err(e);
         }
         self.maybe_checkpoint()
+    }
+
+    /// Attaches `template` to one session without journaling: the window
+    /// starts from the (template, prior) pair's cached start when the
+    /// session's posterior is an interned prior, and from a fresh one
+    /// otherwise.
+    fn attach_window(&mut self, shard: usize, uid: u64, template: usize) -> Result<()> {
+        let model = self.template(template)?;
+        let session = self.shards[shard]
+            .get_mut(&uid)
+            .ok_or(OnlineError::UnknownUser { user: uid })?;
+        let pi = session.shared_posterior();
+        let provider = &self.provider;
+        let start = self.priors.start(pi, template, || {
+            WindowStart::new(&model, provider, Arc::clone(pi))
+        })?;
+        session.attach(template, model, self.provider.clone(), start);
+        Ok(())
     }
 
     /// Removes a user, returning whether it existed.
@@ -883,11 +921,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         let mut moved = vec![0.0; provider.num_states()];
         for (age, idxs) in by_age {
             if age == 0 {
-                // First observation: no propagation, just weigh the prior.
+                // First observation: no propagation, just weigh the prior
+                // (borrowed, not copied: it may be shared).
                 for &i in &idxs {
                     let (session, col) = &mut selected[i];
-                    let p = session.posterior().clone();
-                    session.weigh_posterior(p, col);
+                    let prior = Arc::clone(session.shared_posterior());
+                    session.weigh_posterior(prior.as_slice(), col);
                 }
                 continue;
             }
@@ -895,7 +934,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             for &i in &idxs {
                 let (session, col) = &mut selected[i];
                 matrix.vecmat_into(session.posterior().as_slice(), &mut moved);
-                session.weigh_posterior(Vector::from(moved.clone()), col);
+                session.weigh_posterior(&moved, col);
             }
         }
     }
@@ -933,12 +972,11 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
 
         let mut staged: Vec<Option<crate::session::WindowReport>> = vec![None; flat.len()];
         for ((template, age), idxs) in groups {
-            // One step for the whole group (the first observation has no
-            // transition step: it is emission-weighting only).
+            // One step for the whole group. The first observation has no
+            // transition step: it weighs the (possibly shared) initial
+            // vector in place of a stepped copy.
             let stepped: Vec<Vector> = if age == 0 {
-                idxs.iter()
-                    .map(|&fi| flat[fi].1.state.lifted_state().clone())
-                    .collect()
+                Vec::new()
             } else {
                 let engine = TwoWorldEngine::new(templates[template].event(), provider)
                     .expect("validated at registration");
@@ -949,9 +987,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                     .collect();
                 step.apply_rows(&rows)
             };
-            for (moved, &fi) in stepped.into_iter().zip(&idxs) {
+            let mut stepped = stepped.into_iter();
+            for &fi in &idxs {
                 let (_, window, col) = &mut flat[fi];
-                let report = match window.state.observe_pre_stepped(moved, col) {
+                let observed = match stepped.next() {
+                    Some(moved) => window.state.observe_pre_stepped(moved, col),
+                    None => window.state.observe(col),
+                };
+                let report = match observed {
                     Ok(step) => report_from_step(window.template, &step, epsilon),
                     Err(QuantifyError::ZeroLikelihood { t }) => crate::session::WindowReport {
                         template: window.template,
@@ -1189,9 +1232,11 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(svc)
     }
 
-    /// Rebuilds every session from a decoded snapshot, moving its vectors
-    /// into the sessions; every window resumes on its template's shared
-    /// model.
+    /// Rebuilds every session from a decoded snapshot; every window resumes
+    /// on its template's shared model. Unobserved sessions' posteriors and
+    /// window priors go through the prior table, and a `t = 0` window whose
+    /// vector is its prior's cached start, bit for bit, shares that start —
+    /// so a restored idle population shares its state as it did live.
     fn restore_snapshot(&mut self, state: SnapshotState) -> Result<()> {
         let m = self.provider.num_states();
         for snap in state.sessions {
@@ -1205,17 +1250,42 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                     ),
                 });
             }
+            // As live: only a never-observed session's posterior is an
+            // interned prior, and a window attached since the session's last
+            // observation shares its posterior.
+            let posterior = Vector::from(snap.posterior);
+            let posterior = if snap.t == 0 {
+                self.intern_prior(posterior, "persisted initial distribution")?
+            } else {
+                Arc::new(posterior)
+            };
             let mut windows = Vec::with_capacity(snap.windows.len());
             for w in snap.windows {
                 let template = w.template as usize;
-                let state = IncrementalTwoWorld::resume(
-                    self.template(template)?,
-                    self.provider.clone(),
-                    Vector::from(w.pi),
-                    Vector::from(w.mantissa),
-                    w.log_scale,
-                    w.t as usize,
-                )?;
+                let model = self.template(template)?;
+                let pi = Vector::from(w.pi);
+                let pi = if same_bits(&pi, &posterior) {
+                    Arc::clone(&posterior)
+                } else {
+                    self.intern_prior(pi, "persisted window prior")?
+                };
+                let provider = &self.provider;
+                let start = self.priors.start(&pi, template, || {
+                    WindowStart::new(&model, provider, Arc::clone(&pi))
+                })?;
+                let provider = self.provider.clone();
+                let state = if w.t == 0 && start.matches(&w.mantissa, w.log_scale) {
+                    IncrementalTwoWorld::from_start(model, provider, start)
+                } else {
+                    IncrementalTwoWorld::resume(
+                        model,
+                        provider,
+                        start,
+                        Vector::from(w.mantissa),
+                        w.log_scale,
+                        w.t as usize,
+                    )?
+                };
                 windows.push(EventWindow { template, state });
             }
             let ledger = BudgetLedger::from_parts(
@@ -1224,13 +1294,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 snap.observations as usize,
                 snap.violations as usize,
             )?;
-            let session = Session::from_parts(
-                id,
-                Vector::from(snap.posterior),
-                windows,
-                ledger,
-                snap.t as usize,
-            );
+            let session = Session::from_parts(id, posterior, windows, ledger, snap.t as usize);
             let shard = self.shard_of(id);
             if self.shards[shard].insert(snap.user, session).is_some() {
                 return Err(OnlineError::DuplicateUser { user: snap.user });
@@ -1250,18 +1314,8 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         match record {
             WalRecord::AddUser { user, pi } => {
                 let id = UserId(*user);
-                let pi = Vector::from(pi.clone());
-                if pi.len() != self.provider.num_states() {
-                    return Err(OnlineError::Quantify(QuantifyError::InvalidInitial(
-                        priste_linalg::LinalgError::DimensionMismatch {
-                            op: "journaled initial distribution",
-                            expected: self.provider.num_states(),
-                            actual: pi.len(),
-                        },
-                    )));
-                }
-                pi.validate_distribution()
-                    .map_err(|e| OnlineError::Quantify(QuantifyError::InvalidInitial(e)))?;
+                let pi =
+                    self.intern_prior(Vector::from(pi.clone()), "journaled initial distribution")?;
                 let shard = self.shard_of(id);
                 if self.shards[shard].contains_key(user) {
                     return Err(OnlineError::DuplicateUser { user: *user });
@@ -1275,15 +1329,8 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 Ok(())
             }
             WalRecord::AttachEvent { user, template } => {
-                let template = *template as usize;
-                let model = self.template(template)?;
-                let provider = self.provider.clone();
                 let shard = self.shard_of(UserId(*user));
-                let session = self.shards[shard]
-                    .get_mut(user)
-                    .ok_or(OnlineError::UnknownUser { user: *user })?;
-                session.attach(template, model, provider)?;
-                Ok(())
+                self.attach_window(shard, *user, *template as usize)
             }
             WalRecord::Observe {
                 user,

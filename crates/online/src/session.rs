@@ -4,7 +4,7 @@
 
 use priste_linalg::Vector;
 use priste_markov::TransitionProvider;
-use priste_quantify::{EventModel, IncrementalTwoWorld, QuantifyError, StreamStep};
+use priste_quantify::{EventModel, IncrementalTwoWorld, StreamStep, WindowStart};
 use std::fmt;
 use std::sync::Arc;
 
@@ -202,19 +202,24 @@ impl<P: TransitionProvider> EventWindow<P> {
 /// Per-user session state. Owned by the
 /// [`SessionManager`](crate::SessionManager); read access is public for
 /// reporting and tests.
+///
+/// The posterior sits behind an `Arc` that is never written through: a
+/// fresh session shares its prior with every user registered with the same
+/// bits, windows attached before the first observation share it too, and
+/// the first observation installs the session's own vector.
 #[derive(Debug, Clone)]
 pub struct Session<P> {
     id: UserId,
     /// Filtered location posterior `Pr(u_t | o_1..o_t)` under the service's
     /// mobility model; the π handed to windows attached at time `t`.
-    posterior: Vector,
+    posterior: Arc<Vector>,
     pub(crate) windows: Vec<EventWindow<P>>,
     ledger: BudgetLedger,
     t: usize,
 }
 
 impl<P: TransitionProvider> Session<P> {
-    pub(crate) fn new(id: UserId, pi: Vector, budget: f64) -> Self {
+    pub(crate) fn new(id: UserId, pi: Arc<Vector>, budget: f64) -> Self {
         Session {
             id,
             posterior: pi,
@@ -227,7 +232,7 @@ impl<P: TransitionProvider> Session<P> {
     /// Rebuilds a session from persisted state (durable recovery).
     pub(crate) fn from_parts(
         id: UserId,
-        posterior: Vector,
+        posterior: Arc<Vector>,
         windows: Vec<EventWindow<P>>,
         ledger: BudgetLedger,
         t: usize,
@@ -261,6 +266,11 @@ impl<P: TransitionProvider> Session<P> {
         &self.posterior
     }
 
+    /// The posterior's shared allocation (the π of the next attach).
+    pub(crate) fn shared_posterior(&self) -> &Arc<Vector> {
+        &self.posterior
+    }
+
     /// The privacy-budget ledger.
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
@@ -271,35 +281,45 @@ impl<P: TransitionProvider> Session<P> {
         self.windows.len()
     }
 
-    /// Attaches a new event window over the template's shared model, seeded
-    /// with the *current* posterior (the sliding-window flavor of the
-    /// journal extension: protection starts from the service's present
-    /// belief about the user).
+    /// The active windows in attach order: each one's template index and
+    /// quantifier.
+    pub fn windows(&self) -> impl Iterator<Item = (usize, &IncrementalTwoWorld<P>)> {
+        self.windows.iter().map(|w| (w.template, &w.state))
+    }
+
+    /// Attaches a new event window over the template's shared model from
+    /// `start`, which the caller built (or took from a cache) on the
+    /// *current* posterior — the sliding-window flavor of the journal
+    /// extension: protection starts from the service's present belief about
+    /// the user.
     pub(crate) fn attach(
         &mut self,
         template: usize,
         model: Arc<EventModel>,
         provider: P,
-    ) -> Result<(), QuantifyError> {
-        let state = IncrementalTwoWorld::from_model(model, provider, self.posterior.clone())?;
+        start: WindowStart,
+    ) {
+        debug_assert!(Arc::ptr_eq(start.pi(), &self.posterior));
+        let state = IncrementalTwoWorld::from_start(model, provider, start);
         self.windows.push(EventWindow { template, state });
-        Ok(())
     }
 
     /// Folds one observation into the filtered posterior. The transition
     /// propagation (`posterior · M`) is done by the caller so it can be
-    /// batched across sessions; this applies the emission weighting. A
-    /// vanished posterior (observation impossible under the model) resets
-    /// to uniform and reports `false`.
-    pub(crate) fn weigh_posterior(&mut self, propagated: Vector, emission: &Vector) -> bool {
-        let mut p = propagated
-            .hadamard(emission)
-            .expect("validated emission length");
+    /// batched across sessions; this applies the emission weighting into a
+    /// fresh vector. A vanished posterior (observation impossible under the
+    /// model) resets to uniform and reports `false`.
+    pub(crate) fn weigh_posterior(&mut self, propagated: &[f64], emission: &Vector) -> bool {
+        let mut p: Vector = propagated
+            .iter()
+            .zip(emission.as_slice())
+            .map(|(a, b)| a * b)
+            .collect();
         if p.normalize_mut().is_err() {
-            self.posterior = Vector::uniform(self.posterior.len());
+            self.posterior = Arc::new(Vector::uniform(self.posterior.len()));
             return false;
         }
-        self.posterior = p;
+        self.posterior = Arc::new(p);
         true
     }
 

@@ -30,8 +30,11 @@
 //! lifetimes. What depends only on the event and the chain — the event and
 //! its suffix vectors — lives in an immutable [`EventModel`] behind an
 //! `Arc`, so every window over one (event, chain) pair shares a single
-//! table and a window itself holds only `O(m)` state: `π` and `α_t`. Share
-//! the chain the same way via `Arc<Homogeneous>` (every
+//! table. A window's own state is `π` and `α_t`, both copy-on-write behind
+//! `Arc`s: windows started from one [`WindowStart`] share the same `π` and
+//! lifted initial vector, so an unobserved window costs `O(1)` memory and
+//! becomes `O(m)` only on its first observation, which installs a fresh
+//! `α_t`. Share the chain the same way via `Arc<Homogeneous>` (every
 //! `TransitionProvider` is also implemented for `Arc<T>`).
 
 use crate::lifted::lift_emission;
@@ -40,7 +43,7 @@ use priste_event::StEvent;
 use priste_linalg::scaling::ScaledVector;
 use priste_linalg::Vector;
 use priste_markov::TransitionProvider;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Per-observation output of the incremental quantifier — the streaming
 /// analogue of [`crate::fixed_pi::StepQuantification`] plus the adversary's
@@ -104,20 +107,121 @@ impl EventModel {
     }
 }
 
+/// The model-free `t = 0` state of a window: the initial distribution
+/// `π`, `Pr(EVENT)` under it, and the lifted initial vector. Every window
+/// attached from one (event model, `π`) pair starts from the same bits, so
+/// a service builds the start once and hands each new window a clone — two
+/// `Arc` bumps instead of an `O(m)` lift, validation and prior dot product.
+/// A start never holds the [`EventModel`] it was built on; pair it with
+/// that model (and its chain) in [`IncrementalTwoWorld::from_start`].
+#[derive(Debug, Clone)]
+pub struct WindowStart {
+    pi: Arc<Vector>,
+    prior: f64,
+    alpha: Arc<ScaledVector>,
+}
+
+impl WindowStart {
+    /// The Lemma III.1 prior and the lifted initial vector of `π` under
+    /// `model` (built over `provider`'s chain).
+    ///
+    /// # Errors
+    /// Domain checks from [`TwoWorldEngine::new`];
+    /// [`QuantifyError::InvalidInitial`] for a bad `π`;
+    /// [`QuantifyError::DegeneratePrior`] when `Pr(EVENT) ∈ {0, 1}` under
+    /// `π` (there is no ratio to track).
+    pub fn new<P: TransitionProvider>(
+        model: &EventModel,
+        provider: &P,
+        pi: Arc<Vector>,
+    ) -> Result<Self> {
+        pi.validate_distribution()
+            .map_err(QuantifyError::InvalidInitial)?;
+        let engine = TwoWorldEngine::new(&model.event, provider)?;
+        let lifted = engine.initial_lift(&pi)?;
+        let prior = pi
+            .dot(&engine.reduce(&model.suffix[0]))
+            .expect("validated length");
+        if !(prior > 0.0 && prior < 1.0) {
+            return Err(QuantifyError::DegeneratePrior { prior });
+        }
+        Ok(WindowStart {
+            pi,
+            prior,
+            alpha: Arc::new(ScaledVector::new(lifted)),
+        })
+    }
+
+    /// The initial distribution, shared with every window built from it.
+    pub fn pi(&self) -> &Arc<Vector> {
+        &self.pi
+    }
+
+    /// `Pr(EVENT)` under `π`.
+    pub fn prior(&self) -> f64 {
+        self.prior
+    }
+
+    /// Whether a persisted `t = 0` forward vector is this start's, bit for
+    /// bit (a `-0.0` never matches a `0.0`).
+    pub fn matches(&self, mantissa: &[f64], log_scale: f64) -> bool {
+        log_scale.to_bits() == self.alpha.log_scale.to_bits()
+            && mantissa.len() == self.alpha.len()
+            && mantissa
+                .iter()
+                .zip(self.alpha.vector.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// A handle that does not keep the start's vectors alive.
+    pub fn downgrade(&self) -> WeakWindowStart {
+        WeakWindowStart {
+            pi: Arc::downgrade(&self.pi),
+            prior: self.prior,
+            alpha: Arc::downgrade(&self.alpha),
+        }
+    }
+}
+
+/// A [`WindowStart`] held by [`Weak`] references: a cache of starts frees
+/// each one once no window (and no caller) uses it any more.
+#[derive(Debug, Clone)]
+pub struct WeakWindowStart {
+    pi: Weak<Vector>,
+    prior: f64,
+    alpha: Weak<ScaledVector>,
+}
+
+impl WeakWindowStart {
+    /// The start, if its vectors are still alive.
+    pub fn upgrade(&self) -> Option<WindowStart> {
+        Some(WindowStart {
+            pi: self.pi.upgrade()?,
+            prior: self.prior,
+            alpha: self.alpha.upgrade()?,
+        })
+    }
+}
+
 /// Streaming fixed-`π` event-privacy quantifier: carries the lifted forward
 /// vector across timestamps and updates in `O(m²)` per observation instead
 /// of replaying the horizon. Cross-validated against
 /// [`TheoremBuilder`](crate::TheoremBuilder) /
 /// [`TwoWorldEngine`](crate::TwoWorldEngine) by the
 /// `incremental_stream` integration suite.
+///
+/// `π` and the forward vector sit behind `Arc`s that are never written
+/// through: every state change installs a fresh vector. Clones, and windows
+/// built from one [`WindowStart`], therefore share their vectors until one
+/// of them observes.
 #[derive(Debug, Clone)]
 pub struct IncrementalTwoWorld<P> {
     model: Arc<EventModel>,
     provider: P,
-    pi: Vector,
+    pi: Arc<Vector>,
     prior: f64,
     /// Lifted forward vector after `t` observations.
-    alpha: ScaledVector,
+    alpha: Arc<ScaledVector>,
     t: usize,
 }
 
@@ -138,29 +242,33 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     /// per-window; the suffix table stays shared.
     ///
     /// # Errors
-    /// Domain checks from [`TwoWorldEngine::new`];
-    /// [`QuantifyError::InvalidInitial`] for a bad `π`;
-    /// [`QuantifyError::DegeneratePrior`] when `Pr(EVENT) ∈ {0, 1}` under
-    /// `π` (there is no ratio to track).
+    /// As [`WindowStart::new`].
     pub fn from_model(model: Arc<EventModel>, provider: P, pi: Vector) -> Result<Self> {
-        pi.validate_distribution()
-            .map_err(QuantifyError::InvalidInitial)?;
-        let engine = TwoWorldEngine::new(&model.event, &provider)?;
-        let lifted = engine.initial_lift(&pi)?;
-        let prior = pi
-            .dot(&engine.reduce(&model.suffix[0]))
-            .expect("validated length");
-        if !(prior > 0.0 && prior < 1.0) {
-            return Err(QuantifyError::DegeneratePrior { prior });
-        }
-        Ok(IncrementalTwoWorld {
+        let start = WindowStart::new(&model, &provider, Arc::new(pi))?;
+        Ok(Self::from_start(model, provider, start))
+    }
+
+    /// A window at `t = 0` from a prepared [`WindowStart`], which must have
+    /// been built on `model` and `provider`'s chain: `O(1)`, and
+    /// bit-identical to [`IncrementalTwoWorld::from_model`] on the start's
+    /// `π`.
+    ///
+    /// # Panics
+    /// Panics if the start's `π` is not over `provider`'s state domain.
+    pub fn from_start(model: Arc<EventModel>, provider: P, start: WindowStart) -> Self {
+        assert_eq!(
+            start.pi.len(),
+            provider.num_states(),
+            "window start built over another state domain"
+        );
+        IncrementalTwoWorld {
             model,
             provider,
-            pi,
-            prior,
-            alpha: ScaledVector::new(lifted),
+            pi: start.pi,
+            prior: start.prior,
+            alpha: start.alpha,
             t: 0,
-        })
+        }
     }
 
     /// The shared per-(event, chain) table this window reads.
@@ -212,26 +320,29 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     }
 
     /// Rebuilds a quantifier from persisted dynamic state: the shared
-    /// event model and provider (static configuration), the attach-time `π`
-    /// (the replay seed), and the checkpointed forward vector
-    /// `(mantissa, log_scale)` at cursor `t`. The prior is re-derived from
-    /// `π` on the same model, so a resumed quantifier is bit-identical to
-    /// one that observed the same stream live.
+    /// event model and provider (static configuration), the attach-time
+    /// start (re-derived from the persisted `π` with [`WindowStart::new`],
+    /// the replay seed), and the checkpointed forward vector
+    /// `(mantissa, log_scale)` at cursor `t`. The prior comes from `π` on
+    /// the same model, so a resumed quantifier is bit-identical to one that
+    /// observed the same stream live.
     ///
     /// # Errors
-    /// Construction errors from [`IncrementalTwoWorld::from_model`];
     /// [`QuantifyError::InvalidResume`] when the mantissa has the wrong
     /// length, carries negative or non-finite entries, is identically zero
     /// past the first observation, or the scale is non-finite.
+    ///
+    /// # Panics
+    /// As [`IncrementalTwoWorld::from_start`].
     pub fn resume(
         model: Arc<EventModel>,
         provider: P,
-        pi: Vector,
+        start: WindowStart,
         mantissa: Vector,
         log_scale: f64,
         t: usize,
     ) -> Result<Self> {
-        let mut state = Self::from_model(model, provider, pi)?;
+        let mut state = Self::from_start(model, provider, start);
         if mantissa.len() != 2 * state.num_states() {
             return Err(QuantifyError::InvalidResume {
                 detail: format!(
@@ -260,10 +371,10 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
                 detail: format!("non-finite log scale {log_scale}"),
             });
         }
-        state.alpha = ScaledVector {
+        state.alpha = Arc::new(ScaledVector {
             vector: mantissa,
             log_scale,
-        };
+        });
         state.t = t;
         Ok(state)
     }
@@ -296,7 +407,7 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         self.validate_emission(emission_column)?;
         let advanced = self.advanced_alpha(emission_column);
         let step = self.report(self.t + 1, &advanced)?;
-        self.alpha = advanced;
+        self.alpha = Arc::new(advanced);
         self.t += 1;
         Ok(step)
     }
@@ -327,15 +438,9 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
             2 * self.num_states(),
             "pre-stepped vector must be lifted"
         );
-        let mut advanced = ScaledVector {
-            vector: stepped
-                .hadamard(&lift_emission(emission_column))
-                .expect("lifted emission length"),
-            log_scale: self.alpha.log_scale,
-        };
-        advanced.renormalize();
+        let advanced = self.weighed(&stepped, emission_column);
         let step = self.report(self.t + 1, &advanced)?;
-        self.alpha = advanced;
+        self.alpha = Arc::new(advanced);
         self.t += 1;
         Ok(step)
     }
@@ -347,7 +452,7 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
             .engine()
             .initial_lift(&self.pi)
             .expect("validated at construction");
-        self.alpha = ScaledVector::new(lifted);
+        self.alpha = Arc::new(ScaledVector::new(lifted));
         self.t = 0;
     }
 
@@ -376,15 +481,22 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     /// `α_{t+1}` from `α_t`: apply the scheduled lifted step (none before
     /// the first observation), weight by the lifted emission, renormalize.
     fn advanced_alpha(&self, emission_column: &Vector) -> ScaledVector {
-        let next_t = self.t + 1;
-        let mut a = self.alpha.clone();
-        if next_t >= 2 {
-            a.vector = self.engine().step_at(next_t - 1).apply_row(&a.vector);
+        if self.t == 0 {
+            return self.weighed(&self.alpha.vector, emission_column);
         }
-        a.vector = a
-            .vector
-            .hadamard(&lift_emission(emission_column))
-            .expect("lifted emission length");
+        let stepped = self.engine().step_at(self.t).apply_row(&self.alpha.vector);
+        self.weighed(&stepped, emission_column)
+    }
+
+    /// Weighs an already-stepped mantissa by the lifted emission into a
+    /// fresh forward vector at the current scale, renormalized.
+    fn weighed(&self, stepped: &Vector, emission_column: &Vector) -> ScaledVector {
+        let mut a = ScaledVector {
+            vector: stepped
+                .hadamard(&lift_emission(emission_column))
+                .expect("lifted emission length"),
+            log_scale: self.alpha.log_scale,
+        };
         a.renormalize();
         a
     }
@@ -613,10 +725,11 @@ mod tests {
         for col in &cols {
             live.observe(col).unwrap();
         }
+        let start = WindowStart::new(live.model(), &chain(), Arc::new(pi)).unwrap();
         let mut resumed = IncrementalTwoWorld::resume(
             Arc::clone(live.model()),
             chain(),
-            pi,
+            start,
             live.lifted_state().clone(),
             live.log_scale(),
             live.observed(),
@@ -636,12 +749,12 @@ mod tests {
 
     #[test]
     fn resume_rejects_malformed_state() {
-        let pi = Vector::uniform(3);
         let model = Arc::new(EventModel::new(presence_event(), &chain()).unwrap());
+        let start = WindowStart::new(&model, &chain(), Arc::new(Vector::uniform(3))).unwrap();
         let bad_len = IncrementalTwoWorld::resume(
             Arc::clone(&model),
             chain(),
-            pi.clone(),
+            start.clone(),
             Vector::uniform(3),
             0.0,
             1,
@@ -650,7 +763,7 @@ mod tests {
         let bad_entries = IncrementalTwoWorld::resume(
             Arc::clone(&model),
             chain(),
-            pi.clone(),
+            start.clone(),
             Vector::from(vec![0.1, f64::NAN, 0.1, 0.1, 0.1, 0.1]),
             0.0,
             1,
@@ -662,7 +775,7 @@ mod tests {
         let bad_scale = IncrementalTwoWorld::resume(
             Arc::clone(&model),
             chain(),
-            pi.clone(),
+            start.clone(),
             Vector::uniform(6),
             f64::INFINITY,
             1,
@@ -671,7 +784,7 @@ mod tests {
             bad_scale,
             Err(QuantifyError::InvalidResume { .. })
         ));
-        let vanished = IncrementalTwoWorld::resume(model, chain(), pi, Vector::zeros(6), 0.0, 2);
+        let vanished = IncrementalTwoWorld::resume(model, chain(), start, Vector::zeros(6), 0.0, 2);
         assert!(matches!(vanished, Err(QuantifyError::InvalidResume { .. })));
     }
 

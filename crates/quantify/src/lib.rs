@@ -52,7 +52,7 @@ mod theorem;
 
 pub use engine::TwoWorldEngine;
 pub use error::QuantifyError;
-pub use incremental::{EventModel, IncrementalTwoWorld, StreamStep};
+pub use incremental::{EventModel, IncrementalTwoWorld, StreamStep, WeakWindowStart, WindowStart};
 pub use theorem::{TheoremBuilder, TheoremInputs};
 
 /// Convenience result alias.

@@ -9,7 +9,7 @@ use priste_linalg::{Matrix, Vector};
 use priste_markov::{Homogeneous, MarkovModel};
 use priste_quantify::attack::BayesianAdversary;
 use priste_quantify::{
-    EventModel, IncrementalTwoWorld, QuantifyError, TheoremBuilder, TwoWorldEngine,
+    EventModel, IncrementalTwoWorld, QuantifyError, TheoremBuilder, TwoWorldEngine, WindowStart,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -225,7 +225,7 @@ proptest! {
                 shared = IncrementalTwoWorld::resume(
                     Arc::clone(&model),
                     &chain,
-                    pi.clone(),
+                    WindowStart::new(&model, &chain, Arc::new(pi.clone())).unwrap(),
                     shared.lifted_state().clone(),
                     shared.log_scale(),
                     shared.observed(),
@@ -256,5 +256,47 @@ proptest! {
         // One table served every shared window, however many were built.
         prop_assert!(Arc::ptr_eq(shared.model(), &model));
         prop_assert!(Arc::ptr_eq(shared_b.model(), &model));
+    }
+
+    /// Windows started from one shared [`WindowStart`] are bit-identical to
+    /// `from_model` windows, share `π` and the initial vector until they
+    /// observe, and never write through to each other: each observation
+    /// installs the observer's own forward vector.
+    #[test]
+    fn windows_from_one_start_match_from_model_and_never_alias(
+        mat in stochastic_matrix(4),
+        pi in distribution(4),
+        ev in st_event(4),
+        seed in 0u64..u64::MAX / 2,
+    ) {
+        let chain = Homogeneous::new(MarkovModel::new(mat).unwrap());
+        let Some(mut private) = build_or_skip(&ev, &chain, &pi) else { continue };
+        let model = Arc::new(EventModel::new(ev.clone(), &chain).unwrap());
+        let start = WindowStart::new(&model, &chain, Arc::new(pi.clone())).unwrap();
+        prop_assert!(start.matches(private.lifted_state().as_slice(), private.log_scale()));
+        prop_assert_eq!(start.prior().to_bits(), private.prior().to_bits());
+        let mut a = IncrementalTwoWorld::from_start(Arc::clone(&model), &chain, start.clone());
+        let b = IncrementalTwoWorld::from_start(Arc::clone(&model), &chain, start.clone());
+        prop_assert!(std::ptr::eq(a.pi(), b.pi()));
+        prop_assert!(std::ptr::eq(a.lifted_state(), b.lifted_state()));
+        let idle_bits = bits(b.lifted_state());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..ev.end() + 2 {
+            let col = random_emission(&mut rng, 4);
+            prop_assert_eq!(private.observe(&col).unwrap(), a.observe(&col).unwrap());
+            prop_assert_eq!(bits(private.lifted_state()), bits(a.lifted_state()));
+            prop_assert_eq!(private.log_scale().to_bits(), a.log_scale().to_bits());
+        }
+        prop_assert!(!std::ptr::eq(a.lifted_state(), b.lifted_state()));
+        prop_assert_eq!(bits(b.lifted_state()), idle_bits);
+        prop_assert_eq!(b.observed(), 0);
+        // Rewinding installs a fresh initial vector with the start's bits.
+        a.reset();
+        prop_assert!(start.matches(a.lifted_state().as_slice(), a.log_scale()));
+        // A dead start cannot be revived from its weak handle.
+        let weak = start.downgrade();
+        prop_assert!(weak.upgrade().is_some());
+        drop((start, a, b));
+        prop_assert!(weak.upgrade().is_none());
     }
 }
