@@ -284,6 +284,45 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Best milliseconds of `checkpoint()` on `svc`, made durable in a fresh
+/// directory, then of `recover()` from that directory; recovery must
+/// reproduce the live digest. The previous rep's recovered service is
+/// dropped inside the timed closure; the digest check stays outside it.
+fn checkpoint_and_recover(
+    opts: &Opts,
+    provider: &Arc<Homogeneous>,
+    event: &StEvent,
+    mut svc: SessionManager<Arc<Homogeneous>>,
+    tag: &str,
+) -> (f64, f64) {
+    let dir = tempdir(tag);
+    svc.make_durable(
+        &dir,
+        DurableOptions {
+            fsync: false,
+            snapshot_every: 0,
+        },
+    )
+    .expect("make_durable");
+    let checkpoint_ms = best_ms(opts.reps, || svc.checkpoint().expect("checkpoint"));
+    let digest = svc.state_digest();
+    drop(svc);
+    let mut recovered = None;
+    let recover_ms = best_ms(opts.reps, || {
+        recovered = Some(
+            SessionManager::recover(Arc::clone(provider), config(), vec![event.clone()], &dir)
+                .expect("recover"),
+        );
+    });
+    assert_eq!(
+        recovered.expect("recovered").state_digest(),
+        digest,
+        "recovery must be exact"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    (checkpoint_ms, recover_ms)
+}
+
 /// Best (minimum) wall-clock milliseconds of `reps` runs of `f`, after one
 /// unmeasured warm-up run. The minimum is the robust estimator for a
 /// regression gate: scheduler preemption and noisy neighbors only ever add
@@ -544,10 +583,10 @@ fn suite_online(
     // --- Per-session footprint at m = 2500 --------------------------------
     //
     // All `--users` users added and attached on the 50×50 CSR world (each
-    // attach seeds a window over the template's suffix table), then one
-    // checkpoint streaming every session's posterior, attach-time π and
-    // forward vector to disk (fsync off), and one recovery reading it back.
-    // All three rows scale with the state a session carries.
+    // attach seeds a window over the template's suffix table), then
+    // checkpoints of those sessions to disk (fsync off) and recoveries
+    // reading them back. Every row scales with the state a session
+    // carries.
     let (provider_s, event_s) = sparse_world(50);
     let register_ms = best_ms(opts.reps, || {
         let svc = service(&provider_s, &event_s, opts.users);
@@ -587,52 +626,49 @@ fn suite_online(
         ),
     });
 
-    let dir = tempdir("checkpoint");
-    let mut svc = service(&provider_s, &event_s, opts.users);
-    svc.make_durable(
-        &dir,
-        DurableOptions {
-            fsync: false,
-            snapshot_every: 0,
-        },
-    )
-    .expect("make_durable");
-    let checkpoint_ms = best_ms(opts.reps, || svc.checkpoint().expect("checkpoint"));
-    metrics.push(Metric {
-        name: "checkpoint_sparse_m2500",
-        value: checkpoint_ms,
-        unit: "ms",
-        note: "checkpoint() of every registered user on the 50x50 world, fsync off".into(),
-    });
-    // The read side of the same directory: one CRC-checked snapshot of
-    // every session, decoded and restored. The previous rep's service is
-    // dropped inside the timed closure; the digest check stays outside it.
-    let digest = svc.state_digest();
-    drop(svc);
-    let mut recovered = None;
-    let recover_ms = best_ms(opts.reps, || {
-        recovered = Some(
-            SessionManager::recover(
-                Arc::clone(&provider_s),
-                config(),
-                vec![event_s.clone()],
-                &dir,
-            )
-            .expect("recover"),
-        );
-    });
-    assert_eq!(
-        recovered.expect("recovered").state_digest(),
-        digest,
-        "recovery must be exact"
-    );
-    metrics.push(Metric {
-        name: "recover_snapshot_sparse_m2500",
-        value: recover_ms,
-        unit: "ms",
-        note: "recover() of that checkpoint: CRC check, decode, restore, empty WAL tail".into(),
-    });
-    std::fs::remove_dir_all(&dir).ok();
+    // Checkpoint and recover the `--users` sessions twice: idle, where
+    // every session shares the prior and its initial lift (written once,
+    // then by reference), and each observed once, where every session's
+    // vectors are its own and the snapshot carries ≈ 80 KB per session.
+    let idle = service(&provider_s, &event_s, opts.users);
+    let mut active = service(&provider_s, &event_s, opts.users);
+    let m = provider_s.num_states();
+    let round: Vec<(UserId, Vector)> = (0..opts.users as u64)
+        .map(|u| {
+            let column = (0..m).map(|i| 0.1 + ((i as u64 + u) % 7) as f64 / 10.0);
+            (UserId(u), column.collect())
+        })
+        .collect();
+    active.ingest_batch(&round).expect("ingest");
+    for (svc, checkpoint, recover, what) in [
+        (
+            idle,
+            "checkpoint_sparse_m2500",
+            "recover_snapshot_sparse_m2500",
+            "every registered user",
+        ),
+        (
+            active,
+            "checkpoint_active_m2500",
+            "recover_snapshot_active_m2500",
+            "every registered user, each observed once",
+        ),
+    ] {
+        let (checkpoint_ms, recover_ms) =
+            checkpoint_and_recover(opts, &provider_s, &event_s, svc, checkpoint);
+        metrics.push(Metric {
+            name: checkpoint,
+            value: checkpoint_ms,
+            unit: "ms",
+            note: format!("checkpoint() of {what} on the 50x50 world, fsync off"),
+        });
+        metrics.push(Metric {
+            name: recover,
+            value: recover_ms,
+            unit: "ms",
+            note: "recover() of that checkpoint: CRC check, decode, restore, empty WAL tail".into(),
+        });
+    }
 
     metrics
 }

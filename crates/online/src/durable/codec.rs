@@ -13,12 +13,15 @@
 //! sixteen 256-entry tables, built at compile time, fold a 16-byte block
 //! into the register with sixteen independent lookups. A bytewise table
 //! loop instead chains one lookup per byte, each waiting on the last, and
-//! that made a checkpoint at m = 2500 CRC-bound: each session carries its
-//! posterior, attach-time π and 2m-long forward mantissa, ≈ 80 KB, so
-//! 10⁴ sessions stream ≈ 762 MiB, which the bytewise loop checksummed in
-//! ≈ 2.4 s of a ≈ 3.2 s checkpoint. Slicing-by-16 takes ≈ 0.48 s for the
-//! same volume (2-vCPU Xeon); the value is unchanged, so the file formats
-//! are too.
+//! that made a snapshot-format-1 checkpoint at m = 2500 CRC-bound: each
+//! session carried its posterior, attach-time π and 2m-long forward
+//! mantissa inline, ≈ 80 KB, so 10⁴ sessions streamed ≈ 762 MiB, which
+//! the bytewise loop checksummed in ≈ 2.4 s of a ≈ 3.2 s checkpoint.
+//! Slicing-by-16 takes ≈ 0.48 s for the same volume (2-vCPU Xeon); the
+//! value is unchanged, so the file formats are too. Format 2 writes a
+//! vector shared by many sessions once (see the snapshot module), so only
+//! observed sessions still stream their own ≈ 80 KB; 10⁴ sessions that
+//! share one prior and its initial lift take ≈ 0.9 MB.
 
 /// Decode failures carry a human-readable detail; callers wrap them into
 /// [`DurableError::Corrupt`](crate::durable::DurableError::Corrupt) with the

@@ -57,7 +57,9 @@ mod snapshot;
 mod wal;
 
 pub(crate) use codec::{fnv1a64, Fnv1a64};
-pub(crate) use snapshot::{encode_payload, SessionSnap, SnapshotSource, SnapshotState, WindowSnap};
+pub(crate) use snapshot::{
+    encode_payload, Layout, SessionSnap, SnapshotSource, SnapshotState, WindowSnap,
+};
 pub(crate) use wal::{WalRecord, WalScan, WalTail};
 
 /// Errors from the durable persistence layer.
@@ -298,7 +300,8 @@ pub(crate) struct DurableStore {
 impl DurableStore {
     /// Creates (or re-attaches to) a durable directory by writing a fresh
     /// checkpoint at generation `seq` and opening empty WAL segments for
-    /// it. Older generations are pruned.
+    /// it. Older generations are pruned. `obs` records from the start, so
+    /// this opening checkpoint is counted and timed too.
     pub(crate) fn open(
         dir: &Path,
         opts: DurableOptions,
@@ -306,6 +309,7 @@ impl DurableStore {
         num_shards: usize,
         seq: u64,
         state: &dyn SnapshotSource,
+        obs: StoreInstruments,
     ) -> Result<Self, DurableError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create durable directory", dir, &e))?;
         let mut store = DurableStore {
@@ -316,7 +320,7 @@ impl DurableStore {
             seq,
             wals: Vec::new(),
             records_since_checkpoint: 0,
-            obs: StoreInstruments::disabled(),
+            obs,
         };
         store.checkpoint_at(seq, state)?;
         Ok(store)
@@ -327,8 +331,8 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Swaps in live (or inert) instrument handles; the default from
-    /// [`DurableStore::open`] is fully disabled.
+    /// Swaps in live (or inert) instrument handles, e.g. when a registry
+    /// is attached after [`DurableStore::open`].
     pub(crate) fn set_instruments(&mut self, obs: StoreInstruments) {
         self.obs = obs;
     }
@@ -433,6 +437,12 @@ impl DurableStore {
 mod tests {
     use super::*;
 
+    /// A store on `dir` whose opening checkpoint is the empty state.
+    fn open_empty(dir: &Path, opts: DurableOptions, fp: u64, shards: usize) -> DurableStore {
+        let obs = StoreInstruments::disabled();
+        DurableStore::open(dir, opts, fp, shards, 1, &empty_state(fp), obs).unwrap()
+    }
+
     fn empty_state(fingerprint: u64) -> SnapshotState {
         SnapshotState {
             fingerprint,
@@ -455,9 +465,7 @@ mod tests {
     fn open_checkpoint_prune_cycle() {
         let dir = tempdir("cycle");
         let fp = 0x1234;
-        let mut store =
-            DurableStore::open(&dir, DurableOptions::default(), fp, 2, 1, &empty_state(fp))
-                .unwrap();
+        let mut store = open_empty(&dir, DurableOptions::default(), fp, 2);
         store
             .append(
                 0,
@@ -492,7 +500,7 @@ mod tests {
             fsync: false,
             snapshot_every: 2,
         };
-        let mut store = DurableStore::open(&dir, opts, fp, 1, 1, &empty_state(fp)).unwrap();
+        let mut store = open_empty(&dir, opts, fp, 1);
         let rec = WalRecord::RemoveUser { user: 9 };
         assert!(!store.append(0, &rec).unwrap());
         assert!(store.append(0, &rec).unwrap());
@@ -505,9 +513,7 @@ mod tests {
     fn corrupt_newest_snapshot_falls_back_and_flags_the_skip() {
         let dir = tempdir("fallback");
         let fp = 0x77;
-        let mut store =
-            DurableStore::open(&dir, DurableOptions::default(), fp, 1, 1, &empty_state(fp))
-                .unwrap();
+        let mut store = open_empty(&dir, DurableOptions::default(), fp, 1);
         store.checkpoint(&empty_state(fp)).unwrap();
         // Resurrect a valid older generation, then damage the newest.
         let older = empty_state(fp);
@@ -531,12 +537,70 @@ mod tests {
             Err(DurableError::Io { .. })
         ));
         let fp = 0x99;
-        DurableStore::open(&dir, DurableOptions::default(), fp, 1, 1, &empty_state(fp)).unwrap();
+        open_empty(&dir, DurableOptions::default(), fp, 1);
         assert!(matches!(
             recover_dir(&dir, fp + 1, 1),
             Err(DurableError::Mismatch { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Bit-equal vectors in separate allocations — what a version-1 file
+    /// decodes to — are each written inline, and recover to the live
+    /// service's digest: the format shares by allocation, never by value,
+    /// and recovery re-shares by value.
+    #[test]
+    fn separate_bit_equal_vectors_roundtrip_to_the_live_digest() {
+        use crate::{OnlineConfig, SessionManager, UserId};
+        use priste_event::{Presence, StEvent};
+        use priste_geo::{CellId, Region};
+        use priste_linalg::Vector;
+        use priste_markov::{Homogeneous, MarkovModel};
+        use std::sync::Arc;
+
+        let chain = Arc::new(Homogeneous::new(MarkovModel::paper_example()));
+        let region = Region::from_cells(3, [CellId(0), CellId(1)]).unwrap();
+        let event: StEvent = Presence::new(region, 2, 3).unwrap().into();
+        let config = OnlineConfig {
+            num_shards: 2,
+            ..OnlineConfig::default()
+        };
+        let opts = DurableOptions {
+            fsync: false,
+            snapshot_every: 0,
+        };
+        let mut svc = SessionManager::new(Arc::clone(&chain), config.clone()).unwrap();
+        let tpl = svc.register_template(event.clone()).unwrap();
+        for u in 0..4 {
+            svc.add_user(UserId(u), Vector::uniform(3)).unwrap();
+            svc.attach_event(UserId(u), tpl).unwrap();
+        }
+        // An observed user whose second window's π is its posterior.
+        svc.ingest(UserId(3), Vector::from(vec![0.7, 0.2, 0.1]))
+            .unwrap();
+        svc.attach_event(UserId(3), tpl).unwrap();
+        let live = tempdir("separate-live");
+        svc.make_durable(&live, opts).unwrap();
+
+        let shared = snapshot::read_snapshot(&snap_path(&live, 1), 1).unwrap();
+        let mut logical = codec::Writer::new();
+        encode_payload(&shared, &mut logical, Layout::Logical);
+        let separate = snapshot::decode_payload(&logical.into_bytes(), 1).unwrap();
+        for s in &separate.sessions {
+            let pi = &s.windows.last().unwrap().pi;
+            assert_eq!(s.posterior, *pi);
+            assert!(!Arc::ptr_eq(&s.posterior, pi));
+        }
+        let dir = tempdir("separate");
+        let obs = StoreInstruments::disabled();
+        DurableStore::open(&dir, opts, separate.fingerprint, 2, 1, &separate, obs).unwrap();
+        let size = |d: &Path| std::fs::metadata(snap_path(d, 1)).unwrap().len();
+        assert!(size(&dir) > size(&live), "every vector is written inline");
+        let back = SessionManager::recover(chain, config, vec![event], &dir).unwrap();
+        assert_eq!(back.state_digest(), svc.state_digest());
+        for d in [live, dir] {
+            std::fs::remove_dir_all(d).unwrap();
+        }
     }
 
     #[test]

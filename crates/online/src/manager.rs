@@ -26,7 +26,7 @@ use priste_quantify::{
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -312,6 +312,45 @@ impl<P: TransitionProvider> SnapshotSource for LiveState<'_, P> {
                     .collect(),
             });
         }
+    }
+}
+
+/// What restoring a snapshot has already worked out, keyed by allocation
+/// address, so a vector the snapshot shares between many slots is handled
+/// once.
+#[derive(Default)]
+struct RestoreMemo {
+    /// Every allocation a key names, kept alive so that no keyed address
+    /// can be freed and reused while the memo lives.
+    pinned: Vec<Arc<Vector>>,
+    /// Decoded vector → the interned prior it restored to.
+    priors: HashMap<usize, Arc<Vector>>,
+    /// (decoded mantissa, window π, template, log-scale bits) → whether the
+    /// mantissa is that start's lifted vector.
+    starts: HashMap<(usize, usize, usize, u64), bool>,
+}
+
+impl RestoreMemo {
+    /// Whether a persisted `t = 0` window vector is `start`'s own, checked
+    /// once per distinct (mantissa, start).
+    fn at_start(
+        &mut self,
+        start: &WindowStart,
+        template: usize,
+        mantissa: &Arc<Vector>,
+        log_scale: f64,
+    ) -> bool {
+        let key = (
+            Arc::as_ptr(mantissa) as usize,
+            Arc::as_ptr(start.pi()) as usize,
+            template,
+            log_scale.to_bits(),
+        );
+        *self.starts.entry(key).or_insert_with(|| {
+            self.pinned.push(Arc::clone(mantissa));
+            self.pinned.push(Arc::clone(start.pi()));
+            start.matches(mantissa.as_slice(), log_scale)
+        })
     }
 }
 
@@ -628,7 +667,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// # Errors
     /// [`OnlineError::DuplicateUser`]; validation errors for a bad `π`.
     pub fn add_user(&mut self, id: UserId, pi: Vector) -> Result<()> {
-        let pi = self.intern_prior(pi, "session initial distribution")?;
+        let pi = self.intern_prior(Arc::new(pi), "session initial distribution")?;
         let shard = self.shard_of(id);
         if self.shards[shard].contains_key(&id.0) {
             return Err(OnlineError::DuplicateUser { user: id.0 });
@@ -651,7 +690,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// Checks a registration prior's length and interns it: a prior
     /// bit-identical to a live interned one shares that one, and a new one
     /// must pass the distribution check first.
-    fn intern_prior(&mut self, pi: Vector, op: &'static str) -> Result<Arc<Vector>> {
+    fn intern_prior(&mut self, pi: Arc<Vector>, op: &'static str) -> Result<Arc<Vector>> {
         let m = self.provider.num_states();
         if pi.len() != m {
             return Err(OnlineError::Quantify(QuantifyError::InvalidInitial(
@@ -1055,12 +1094,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// Deterministic digest of the full service state (FNV-1a streamed over
-    /// the canonical snapshot encoding): equal digests mean bit-identical
-    /// posteriors, windows, ledgers, and counters. The equality witness
-    /// used by the crash-recovery tests.
+    /// the logical snapshot encoding, every vector inline): equal digests
+    /// mean bit-identical posteriors, windows, ledgers, and counters. The
+    /// equality witness used by the crash-recovery tests. It does not
+    /// depend on which vectors share an allocation, so a recovered service
+    /// that shares more than the live one did still digests the same.
     pub fn state_digest(&self) -> u64 {
         let mut hash = durable::Fnv1a64::new();
-        durable::encode_payload(&self.live_state(), &mut hash);
+        durable::encode_payload(&self.live_state(), &mut hash, durable::Layout::Logical);
         hash.finish()
     }
 
@@ -1079,17 +1120,20 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             1
         };
         let state = self.live_state();
-        let mut store = DurableStore::open(
+        let obs = self
+            .instruments
+            .registry
+            .as_ref()
+            .map_or_else(StoreInstruments::disabled, StoreInstruments::from_registry);
+        let store = DurableStore::open(
             dir,
             opts,
             state.fingerprint,
             self.config.num_shards,
             start,
             &state,
+            obs,
         )?;
-        if let Some(registry) = &self.instruments.registry {
-            store.set_instruments(StoreInstruments::from_registry(registry));
-        }
         self.store = Some(store);
         Ok(())
     }
@@ -1237,8 +1281,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// window priors go through the prior table, and a `t = 0` window whose
     /// vector is its prior's cached start, bit for bit, shares that start —
     /// so a restored idle population shares its state as it did live.
+    ///
+    /// A vector the snapshot shares between slots decodes to one `Arc`,
+    /// and [`RestoreMemo`] interns it, or checks it against its start, once:
+    /// restoring N idle sessions costs `O(distinct vectors × m)`, not
+    /// `O(N × m)`.
     fn restore_snapshot(&mut self, state: SnapshotState) -> Result<()> {
         let m = self.provider.num_states();
+        let mut memo = RestoreMemo::default();
         for snap in state.sessions {
             let id = UserId(snap.user);
             if snap.posterior.len() != m {
@@ -1253,35 +1303,36 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             // As live: only a never-observed session's posterior is an
             // interned prior, and a window attached since the session's last
             // observation shares its posterior.
-            let posterior = Vector::from(snap.posterior);
+            let decoded = Arc::as_ptr(&snap.posterior);
             let posterior = if snap.t == 0 {
-                self.intern_prior(posterior, "persisted initial distribution")?
+                self.intern_decoded(&mut memo, &snap.posterior, "persisted initial distribution")?
             } else {
-                Arc::new(posterior)
+                snap.posterior
             };
             let mut windows = Vec::with_capacity(snap.windows.len());
             for w in snap.windows {
                 let template = w.template as usize;
                 let model = self.template(template)?;
-                let pi = Vector::from(w.pi);
-                let pi = if same_bits(&pi, &posterior) {
+                // `decoded` is still allocated: it is `posterior` or pinned in `memo`.
+                let pi = if Arc::as_ptr(&w.pi) == decoded || same_bits(&w.pi, &posterior) {
                     Arc::clone(&posterior)
                 } else {
-                    self.intern_prior(pi, "persisted window prior")?
+                    self.intern_decoded(&mut memo, &w.pi, "persisted window prior")?
                 };
                 let provider = &self.provider;
                 let start = self.priors.start(&pi, template, || {
                     WindowStart::new(&model, provider, Arc::clone(&pi))
                 })?;
                 let provider = self.provider.clone();
-                let state = if w.t == 0 && start.matches(&w.mantissa, w.log_scale) {
+                let state = if w.t == 0 && memo.at_start(&start, template, &w.mantissa, w.log_scale)
+                {
                     IncrementalTwoWorld::from_start(model, provider, start)
                 } else {
                     IncrementalTwoWorld::resume(
                         model,
                         provider,
                         start,
-                        Vector::from(w.mantissa),
+                        Arc::unwrap_or_clone(w.mantissa),
                         w.log_scale,
                         w.t as usize,
                     )?
@@ -1305,6 +1356,24 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(())
     }
 
+    /// The interned prior for a decoded vector, interned once per decoded
+    /// allocation.
+    fn intern_decoded(
+        &mut self,
+        memo: &mut RestoreMemo,
+        decoded: &Arc<Vector>,
+        op: &'static str,
+    ) -> Result<Arc<Vector>> {
+        let key = Arc::as_ptr(decoded) as usize;
+        if let Some(interned) = memo.priors.get(&key) {
+            return Ok(Arc::clone(interned));
+        }
+        let interned = self.intern_prior(Arc::clone(decoded), op)?;
+        memo.pinned.push(Arc::clone(decoded));
+        memo.priors.insert(key, Arc::clone(&interned));
+        Ok(interned)
+    }
+
     /// Applies one journaled record without re-journaling it. Replaying an
     /// `Observe` record runs the exact same per-row arithmetic as the
     /// original (possibly batched) execution — posterior propagation and
@@ -1314,8 +1383,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         match record {
             WalRecord::AddUser { user, pi } => {
                 let id = UserId(*user);
-                let pi =
-                    self.intern_prior(Vector::from(pi.clone()), "journaled initial distribution")?;
+                let pi = self.intern_prior(
+                    Arc::new(Vector::from(pi.clone())),
+                    "journaled initial distribution",
+                )?;
                 let shard = self.shard_of(id);
                 if self.shards[shard].contains_key(user) {
                     return Err(OnlineError::DuplicateUser { user: *user });

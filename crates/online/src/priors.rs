@@ -74,11 +74,11 @@ fn address(pi: &Arc<Vector>) -> usize {
 
 impl PriorTable {
     /// The shared allocation for `pi`: an existing live prior with the
-    /// same bits, or `pi` itself, newly interned once it passes
+    /// same bits, or `pi`'s own allocation, newly interned once it passes
     /// [`Vector::validate_distribution`]. Every interned prior is therefore
     /// a valid distribution, and a registration that matches one skips the
     /// check.
-    pub(crate) fn intern(&mut self, pi: Vector) -> Result<Arc<Vector>, LinalgError> {
+    pub(crate) fn intern(&mut self, pi: Arc<Vector>) -> Result<Arc<Vector>, LinalgError> {
         let bits = hash_bits(&pi);
         if let Some(addrs) = self.by_bits.get(&bits) {
             for addr in addrs {
@@ -90,13 +90,12 @@ impl PriorTable {
             }
         }
         pi.validate_distribution()?;
-        let shared = Arc::new(pi);
-        let addr = address(&shared);
+        let addr = address(&pi);
         self.entries.insert(
             addr,
             Entry {
                 bits,
-                pi: Arc::downgrade(&shared),
+                pi: Arc::downgrade(&pi),
                 starts: Vec::new(),
             },
         );
@@ -104,7 +103,7 @@ impl PriorTable {
         if self.entries.len() >= 2 * self.swept.max(MIN_SWEEP) {
             self.sweep();
         }
-        Ok(shared)
+        Ok(pi)
     }
 
     /// The window start of `template` on `pi`. For an interned `pi` the
@@ -161,9 +160,15 @@ mod tests {
     #[test]
     fn equal_bits_share_and_signed_zeros_do_not() {
         let mut table = PriorTable::default();
-        let a = table.intern(Vector::from(vec![0.0, 0.5, 0.5])).unwrap();
-        let b = table.intern(Vector::from(vec![0.0, 0.5, 0.5])).unwrap();
-        let negative = table.intern(Vector::from(vec![-0.0, 0.5, 0.5])).unwrap();
+        let a = table
+            .intern(Arc::new(Vector::from(vec![0.0, 0.5, 0.5])))
+            .unwrap();
+        let b = table
+            .intern(Arc::new(Vector::from(vec![0.0, 0.5, 0.5])))
+            .unwrap();
+        let negative = table
+            .intern(Arc::new(Vector::from(vec![-0.0, 0.5, 0.5])))
+            .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &negative));
         assert_eq!(*a, *negative, "value-equal, bit-distinct");
@@ -172,27 +177,31 @@ mod tests {
     #[test]
     fn unused_priors_are_freed_and_swept() {
         let mut table = PriorTable::default();
-        let kept = table.intern(Vector::uniform(4)).unwrap();
+        let kept = table.intern(Arc::new(Vector::uniform(4))).unwrap();
         for i in 0..10 * MIN_SWEEP {
             let p = (i + 1) as f64 / (20 * MIN_SWEEP) as f64;
             drop(
                 table
-                    .intern(Vector::from(vec![p, 1.0 - p, 0.0, 0.0]))
+                    .intern(Arc::new(Vector::from(vec![p, 1.0 - p, 0.0, 0.0])))
                     .unwrap(),
             );
         }
         assert!(table.entries.len() < 2 * MIN_SWEEP + 1);
         assert!(Arc::ptr_eq(
             &kept,
-            &table.intern(Vector::uniform(4)).unwrap()
+            &table.intern(Arc::new(Vector::uniform(4))).unwrap()
         ));
     }
 
     #[test]
     fn only_valid_distributions_are_interned() {
         let mut table = PriorTable::default();
-        assert!(table.intern(Vector::from(vec![0.5, 0.6])).is_err());
-        assert!(table.intern(Vector::from(vec![1.5, -0.5])).is_err());
+        assert!(table
+            .intern(Arc::new(Vector::from(vec![0.5, 0.6])))
+            .is_err());
+        assert!(table
+            .intern(Arc::new(Vector::from(vec![1.5, -0.5])))
+            .is_err());
         assert!(table.entries.is_empty());
     }
 }

@@ -761,3 +761,42 @@ fn release_batch_validates_before_mutating() {
         Err(OnlineError::NotEnforcing)
     ));
 }
+
+/// A service observed before it is made durable counts, sizes and times its
+/// opening checkpoint like every later one.
+#[test]
+fn opening_checkpoint_of_an_observed_service_is_measured() {
+    let registry = priste_obs::Registry::new();
+    let mut svc = SessionManager::new(paper_chain(), OnlineConfig::default()).unwrap();
+    svc.register_template(presence_template()).unwrap();
+    svc.add_user(UserId(1), Vector::uniform(3)).unwrap();
+    svc.attach_event(UserId(1), 0).unwrap();
+    svc.observe(&registry);
+    let dir = std::env::temp_dir().join(format!(
+        "priste-service-opening-checkpoint-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    svc.make_durable(
+        &dir,
+        priste_online::DurableOptions {
+            fsync: false,
+            snapshot_every: 0,
+        },
+    )
+    .unwrap();
+    let checkpoints = registry.counter("durable_checkpoints_total");
+    let bytes = registry.gauge("durable_snapshot_bytes");
+    let seconds = registry.histogram("durable_snapshot_seconds");
+    let on_disk = std::fs::metadata(dir.join("snap-0000000000000001.bin"))
+        .unwrap()
+        .len();
+    assert_eq!(checkpoints.get(), 1);
+    assert_eq!(bytes.get(), on_disk as f64);
+    assert_eq!(seconds.count(), 1);
+    svc.checkpoint().unwrap();
+    assert_eq!(checkpoints.get(), 2);
+    assert_eq!(seconds.count(), 2);
+    drop(svc);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
