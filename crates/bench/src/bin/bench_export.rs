@@ -8,7 +8,8 @@
 //!   ingest (with and without a live metrics registry attached), enforced
 //!   release, the durability tax, crash/recover round-trips, and the
 //!   per-session cost of registering, checkpointing and recovering users at
-//!   m = 2500, and the resident growth of 10⁵ registered idle users there.
+//!   m = 2500, the resident growth of 10⁵ registered idle users there, and
+//!   the heap one steady-state durable ingest allocates there.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput.
 //! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners,
@@ -71,7 +72,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,18 +81,24 @@ const SHARDS: usize = 8;
 /// Users in the idle-population row.
 const IDLE_USERS: usize = 100_000;
 
-/// Live-heap accounting around the system allocator, switched on only
-/// while [`resident_kb`] measures, so the other suites pay one relaxed load
-/// per allocation. The workspace libraries forbid `unsafe`; this binary
-/// uses it solely to measure what a value keeps on the heap.
+/// Heap accounting around the system allocator, switched on only while
+/// [`resident_kb`] or [`allocated_kb`] measures, so the other suites pay
+/// one relaxed load per allocation. The workspace libraries forbid
+/// `unsafe`; this binary uses it solely to measure what a value keeps on
+/// the heap and what a call allocates.
 struct MeteredAlloc;
 
 static METERING: AtomicBool = AtomicBool::new(false);
+/// Bytes allocated minus bytes freed while metering.
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+/// Bytes allocated while metering, frees ignored (a growing `realloc`
+/// counts its growth).
+static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 fn meter(delta: isize) {
     if METERING.load(Ordering::Relaxed) {
         LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(delta.max(0) as usize, Ordering::Relaxed);
     }
 }
 
@@ -133,6 +140,16 @@ fn resident_kb<T>(build: impl FnOnce() -> T) -> f64 {
     METERING.store(false, Ordering::SeqCst);
     let heap = LIVE_BYTES.load(Ordering::SeqCst) - before;
     (heap as f64 + std::mem::size_of_val(&value) as f64) / 1024.0
+}
+
+/// Kilobytes `run` allocates, whether or not it frees them again.
+/// Single-threaded use only.
+fn allocated_kb(run: impl FnOnce()) -> f64 {
+    let before = ALLOCATED_BYTES.load(Ordering::SeqCst);
+    METERING.store(true, Ordering::SeqCst);
+    run();
+    METERING.store(false, Ordering::SeqCst);
+    (ALLOCATED_BYTES.load(Ordering::SeqCst) - before) as f64 / 1024.0
 }
 
 struct Opts {
@@ -597,6 +614,65 @@ fn suite_online(
         value: opts.users as f64 / (register_ms.max(1e-6) / 1e3),
         unit: "users/s",
         note: "add_user + attach_event on a CSR-backed 50x50 world, in-memory".into(),
+    });
+
+    // --- Steady-state allocation at m = 2500 -----------------------------
+    //
+    // A durable ingest of a user whose posterior and window vectors are
+    // already its own — the observed half of a live service — should write
+    // them in place and encode its WAL frame into the shard's kept buffer:
+    // no O(m) allocation at all. Two warm rounds give every user its own
+    // vectors and size the service's scratch and frame buffers; the
+    // columns are built before metering starts.
+    let users = opts.users.min(32);
+    let m = provider_s.num_states();
+    let column = |u: usize, round: usize| -> Vector {
+        (0..m)
+            .map(|i| 0.1 + ((i + u + round) % 7) as f64 / 10.0)
+            .collect()
+    };
+    let dir = tempdir("alloc");
+    let mut svc = service(&provider_s, &event_s, users);
+    svc.make_durable(
+        &dir,
+        DurableOptions {
+            fsync: false,
+            snapshot_every: 0,
+        },
+    )
+    .expect("make_durable");
+    for round in 0..2 {
+        for u in 0..users {
+            svc.ingest(UserId(u as u64), column(u, round))
+                .expect("ingest");
+        }
+    }
+    let rounds = 3;
+    let metered: Vec<(UserId, Vector)> = (2..2 + rounds)
+        .flat_map(|round| (0..users).map(move |u| (u, round)))
+        .map(|(u, round)| (UserId(u as u64), column(u, round)))
+        .collect();
+    let ingests = metered.len();
+    let kb = allocated_kb(|| {
+        for (u, col) in metered {
+            svc.ingest(u, col).expect("ingest");
+        }
+    }) / ingests as f64;
+    drop(svc);
+    std::fs::remove_dir_all(&dir).ok();
+    let m_vector_kb = (m * 8) as f64 / 1024.0;
+    assert!(
+        kb < m_vector_kb,
+        "a steady-state ingest allocated {kb:.1} KB, over one m-vector ({m_vector_kb:.1} KB)"
+    );
+    metrics.push(Metric {
+        name: "ingest_alloc_kb_m2500",
+        value: kb,
+        unit: "KB",
+        note: format!(
+            "mean heap allocated per durable ingest of an already-observed user \
+             ({users} users, {rounds} rounds) on the 50x50 CSR world, fsync off"
+        ),
     });
 
     // --- The idle population at m = 2500 ---------------------------------

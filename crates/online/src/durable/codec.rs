@@ -28,9 +28,9 @@
 /// offending path.
 pub(crate) type CodecResult<T> = Result<T, String>;
 
-/// Byte sink the encoders write through: an in-memory buffer
-/// ([`Writer`]), a running hash ([`Fnv1a64`]), or a checksummed file
-/// stream. Only [`Sink::put_bytes`] differs between them; the primitives
+/// Byte sink the encoders write through: an in-memory buffer (a
+/// `Vec<u8>`, appended to), a running hash ([`Fnv1a64`]), or a checksummed
+/// file stream. Only [`Sink::put_bytes`] differs between them; the primitives
 /// are shared, so every sink sees the same bytes for the same value.
 pub(crate) trait Sink {
     /// Appends raw bytes.
@@ -66,25 +66,11 @@ pub(crate) trait Sink {
     }
 }
 
-/// Append-only in-memory byte sink.
-#[derive(Debug, Default)]
-pub(crate) struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    pub(crate) fn new() -> Self {
-        Writer::default()
-    }
-
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-impl Sink for Writer {
+/// In-memory sink: bytes are appended, so one buffer can be cleared and
+/// reused for every frame.
+impl Sink for Vec<u8> {
     fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.extend_from_slice(bytes);
     }
 }
 
@@ -135,7 +121,7 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Counterpart of [`Writer::put_f64_slice`]. The length prefix is
+    /// Counterpart of [`Sink::put_f64_slice`]. The length prefix is
     /// sanity-checked against the remaining buffer before allocating, so a
     /// corrupt prefix cannot trigger an absurd allocation; the checked
     /// bytes are then taken at once and decoded eight at a time.
@@ -299,14 +285,13 @@ mod tests {
 
     #[test]
     fn primitives_roundtrip() {
-        let mut w = Writer::new();
-        w.put_u8(7);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 3);
-        w.put_f64(-0.125);
-        w.put_f64(f64::INFINITY);
-        w.put_f64_slice(&[1.0, 2.5, f64::MIN_POSITIVE]);
-        let bytes = w.into_bytes();
+        let mut bytes = Vec::new();
+        bytes.put_u8(7);
+        bytes.put_u32(0xDEAD_BEEF);
+        bytes.put_u64(u64::MAX - 3);
+        bytes.put_f64(-0.125);
+        bytes.put_f64(f64::INFINITY);
+        bytes.put_f64_slice(&[1.0, 2.5, f64::MIN_POSITIVE]);
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8("u8").unwrap(), 7);
         assert_eq!(r.get_u32("u32").unwrap(), 0xDEAD_BEEF);
@@ -322,9 +307,8 @@ mod tests {
 
     #[test]
     fn truncation_and_trailing_bytes_are_reported() {
-        let mut w = Writer::new();
-        w.put_u32(1);
-        let bytes = w.into_bytes();
+        let mut bytes = Vec::new();
+        bytes.put_u32(1);
         let mut r = Reader::new(&bytes);
         assert!(r.get_u64("u64").is_err());
         let mut r = Reader::new(&bytes);
@@ -334,9 +318,8 @@ mod tests {
 
     #[test]
     fn corrupt_length_prefix_is_rejected_before_allocation() {
-        let mut w = Writer::new();
-        w.put_u64(u64::MAX);
-        let bytes = w.into_bytes();
+        let mut bytes = Vec::new();
+        bytes.put_u64(u64::MAX);
         let mut r = Reader::new(&bytes);
         assert!(r.get_f64_slice("slice").is_err());
     }
@@ -358,18 +341,17 @@ mod tests {
     fn chunked_f64_slices_encode_like_scalars() {
         // Longer than one 4 KiB chunk, with a ragged tail.
         let vs: Vec<f64> = (0..1300).map(|i| i as f64 * -0.37).collect();
-        let mut chunked = Writer::new();
+        let mut chunked = Vec::new();
         chunked.put_f64_slice(&vs);
-        let mut scalar = Writer::new();
+        let mut scalar = Vec::new();
         scalar.put_u64(vs.len() as u64);
         for &v in &vs {
             scalar.put_f64(v);
         }
-        let bytes = chunked.into_bytes();
-        assert_eq!(bytes, scalar.into_bytes());
+        assert_eq!(chunked, scalar);
         let mut hash = Fnv1a64::new();
         hash.put_f64_slice(&vs);
-        assert_eq!(hash.finish(), fnv1a64(&bytes));
+        assert_eq!(hash.finish(), fnv1a64(&chunked));
     }
 
     /// The bytewise table loop the slicing kernel replaced: one lookup and

@@ -471,7 +471,7 @@ mod tests {
                 0,
                 &WalRecord::AddUser {
                     user: 0,
-                    pi: vec![0.5, 0.5],
+                    pi: vec![0.5, 0.5].into(),
                 },
             )
             .unwrap();
@@ -583,9 +583,9 @@ mod tests {
         svc.make_durable(&live, opts).unwrap();
 
         let shared = snapshot::read_snapshot(&snap_path(&live, 1), 1).unwrap();
-        let mut logical = codec::Writer::new();
+        let mut logical = Vec::new();
         encode_payload(&shared, &mut logical, Layout::Logical);
-        let separate = snapshot::decode_payload(&logical.into_bytes(), 1).unwrap();
+        let separate = snapshot::decode_payload(&logical, 1).unwrap();
         for s in &separate.sessions {
             let pi = &s.windows.last().unwrap().pi;
             assert_eq!(s.posterior, *pi);

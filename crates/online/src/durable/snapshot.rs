@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use priste_linalg::Vector;
 
-use super::codec::{crc32, CodecResult, Crc32, Reader, Sink, Writer};
+use super::codec::{crc32, CodecResult, Crc32, Reader, Sink};
 use super::{io_err, sync_dir, DurableError};
 
 /// Magic prefix of every snapshot file.
@@ -383,13 +383,13 @@ pub(crate) fn decode_payload(bytes: &[u8], version: u32) -> CodecResult<Snapshot
 
 /// The file header: magic, version, sequence label, payload length, CRC.
 fn encode_header(seq: u64, payload_len: u64, crc: u32) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Vec::new();
     w.put_bytes(SNAP_MAGIC);
     w.put_u32(SNAP_VERSION);
     w.put_u64(seq);
     w.put_u64(payload_len);
     w.put_u32(crc);
-    w.into_bytes()
+    w
 }
 
 /// Write buffer of the snapshot file sink. At m = 2500 an observed session
@@ -573,9 +573,9 @@ mod tests {
     }
 
     fn payload(state: &SnapshotState, layout: Layout) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         encode_payload(state, &mut w, layout);
-        w.into_bytes()
+        w
     }
 
     /// A whole snapshot file around `body`, header built field by field.
@@ -701,8 +701,8 @@ mod tests {
 
     /// A hand-built payload of `sessions` sessions; `slots` writes each
     /// session's posterior slot, window count and windows.
-    fn crafted(sessions: u64, mut slots: impl FnMut(&mut Writer, u64)) -> Vec<u8> {
-        let mut w = Writer::new();
+    fn crafted(sessions: u64, mut slots: impl FnMut(&mut Vec<u8>, u64)) -> Vec<u8> {
+        let mut w = Vec::new();
         w.put_u64(0xF00D);
         for _ in 0..6 {
             w.put_u64(0);
@@ -717,15 +717,15 @@ mod tests {
             w.put_u64(0);
             slots(&mut w, user);
         }
-        w.into_bytes()
+        w
     }
 
-    fn inline(w: &mut Writer, v: &[f64]) {
+    fn inline(w: &mut Vec<u8>, v: &[f64]) {
         w.put_u8(VEC_INLINE);
         w.put_f64_slice(v);
     }
 
-    fn reference(w: &mut Writer, id: u32) {
+    fn reference(w: &mut Vec<u8>, id: u32) {
         w.put_u8(VEC_REF);
         w.put_u32(id);
     }
@@ -759,7 +759,7 @@ mod tests {
     /// error its decode must report.
     fn hostile_payloads() -> Vec<(&'static str, Vec<u8>, u32)> {
         let dist = [0.5, 0.5];
-        let no_windows = |w: &mut Writer| w.put_u32(0);
+        let no_windows = |w: &mut Vec<u8>| w.put_u32(0);
         vec![
             (
                 "unknown vector tag 2",
@@ -879,7 +879,7 @@ mod tests {
     /// huge), or a raw `u64`, with `x` folded into small ranges so decodes
     /// reach deep states.
     fn tokens_payload(sessions: u64, tokens: &[(u8, u64)]) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         w.put_u64(0xF00D);
         for _ in 0..6 {
             w.put_u64(1);
@@ -908,7 +908,7 @@ mod tests {
                 _ => w.put_u64(x),
             }
         }
-        w.into_bytes()
+        w
     }
 
     proptest! {

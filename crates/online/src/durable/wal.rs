@@ -15,13 +15,16 @@
 //!
 //! Records are appended (and optionally fsynced) **before** the
 //! corresponding result is returned to the caller, so every observation a
-//! client ever saw the effect of is on disk.
+//! client ever saw the effect of is on disk. A record borrows its vector
+//! from the caller, and the writer encodes every frame into one buffer it
+//! keeps, so a steady-state append allocates nothing.
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use super::codec::{crc32, CodecResult, Reader, Sink as _, Writer};
+use super::codec::{crc32, CodecResult, Crc32, Reader, Sink};
 use super::{io_err, DurableError};
 
 /// Magic prefix of every WAL segment file.
@@ -33,14 +36,15 @@ pub(crate) const WAL_VERSION: u32 = 1;
 const MAX_FRAME_LEN: u32 = 1 << 28;
 
 /// One committed mutation, journaled before its effect is acknowledged.
+/// Vectors are borrowed when journaling and owned when read back.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum WalRecord {
+pub(crate) enum WalRecord<'a> {
     /// A user session was registered with the given prior.
     AddUser {
         /// User id.
         user: u64,
         /// Initial location distribution.
-        pi: Vec<f64>,
+        pi: Cow<'a, [f64]>,
     },
     /// A user session was deregistered.
     RemoveUser {
@@ -64,7 +68,7 @@ pub(crate) enum WalRecord {
         /// Whether the guard suppressed this release (stats bookkeeping).
         suppressed: bool,
         /// The emission column that was committed into the session.
-        column: Vec<f64>,
+        column: Cow<'a, [f64]>,
     },
 }
 
@@ -73,9 +77,8 @@ const TAG_REMOVE_USER: u8 = 2;
 const TAG_ATTACH_EVENT: u8 = 3;
 const TAG_OBSERVE: u8 = 4;
 
-impl WalRecord {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+impl WalRecord<'_> {
+    fn encode_payload(&self, w: &mut impl Sink) {
         match self {
             WalRecord::AddUser { user, pi } => {
                 w.put_u8(TAG_ADD_USER);
@@ -102,17 +105,29 @@ impl WalRecord {
                 w.put_f64_slice(column);
             }
         }
-        w.into_bytes()
     }
 
-    fn decode_payload(payload: &[u8]) -> CodecResult<Self> {
+    /// Replaces `frame` with this record's frame bytes — length and CRC
+    /// header, then the payload — encoding in place: eight placeholder
+    /// bytes, the payload, then the header patched in. Reusing one `frame`
+    /// makes an append allocation-free once the buffer has grown.
+    fn encode_frame_into(&self, frame: &mut Vec<u8>) {
+        frame.clear();
+        frame.extend_from_slice(&[0; 8]);
+        self.encode_payload(frame);
+        let (head, payload) = frame.split_at_mut(8);
+        head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    }
+
+    fn decode_payload(payload: &[u8]) -> CodecResult<WalRecord<'static>> {
         let mut r = Reader::new(payload);
         let tag = r.get_u8("record tag")?;
         let user = r.get_u64("record uid")?;
         let record = match tag {
             TAG_ADD_USER => WalRecord::AddUser {
                 user,
-                pi: r.get_f64_slice("add-user prior")?,
+                pi: Cow::Owned(r.get_f64_slice("add-user prior")?),
             },
             TAG_REMOVE_USER => WalRecord::RemoveUser { user },
             TAG_ATTACH_EVENT => WalRecord::AttachEvent {
@@ -122,22 +137,12 @@ impl WalRecord {
             TAG_OBSERVE => WalRecord::Observe {
                 user,
                 suppressed: r.get_u8("observe suppressed flag")? != 0,
-                column: r.get_f64_slice("observe column")?,
+                column: Cow::Owned(r.get_f64_slice("observe column")?),
             },
             other => return Err(format!("unknown WAL record tag {other}")),
         };
         r.expect_end("WAL record")?;
         Ok(record)
-    }
-
-    /// Full frame bytes: length + CRC header followed by the payload.
-    pub(crate) fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
     }
 }
 
@@ -157,13 +162,11 @@ pub(crate) enum WalTail {
 
 /// Encoded WAL header for generation `seq`, shard `shard`.
 fn encode_header(seq: u64, shard: u32, fingerprint: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u32(WAL_VERSION);
-    w.put_u64(seq);
-    w.put_u32(shard);
-    w.put_u64(fingerprint);
     let mut bytes = WAL_MAGIC.to_vec();
-    bytes.extend_from_slice(&w.into_bytes());
+    bytes.put_u32(WAL_VERSION);
+    bytes.put_u64(seq);
+    bytes.put_u32(shard);
+    bytes.put_u64(fingerprint);
     bytes
 }
 
@@ -175,6 +178,8 @@ pub(crate) struct WalWriter {
     file: File,
     path: PathBuf,
     fsync: bool,
+    /// The last frame written; its allocation is reused by the next one.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -199,6 +204,7 @@ impl WalWriter {
             file,
             path: path.to_path_buf(),
             fsync,
+            frame: Vec::new(),
         };
         writer.sync()?;
         Ok(writer)
@@ -209,11 +215,11 @@ impl WalWriter {
     /// time the fsync separately from the write — with `fsync` on, a
     /// record is on disk once its `sync` returns).
     pub(crate) fn append_unsynced(&mut self, record: &WalRecord) -> Result<usize, DurableError> {
-        let frame = record.encode_frame();
+        record.encode_frame_into(&mut self.frame);
         self.file
-            .write_all(&frame)
+            .write_all(&self.frame)
             .map_err(|e| io_err("append WAL record", &self.path, &e))?;
-        Ok(frame.len())
+        Ok(self.frame.len())
     }
 
     pub(crate) fn sync(&mut self) -> Result<(), DurableError> {
@@ -230,9 +236,26 @@ impl WalWriter {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WalScan {
     /// Records whose frames passed the CRC check, in append order.
-    pub(crate) records: Vec<WalRecord>,
+    pub(crate) records: Vec<WalRecord<'static>>,
     /// How the segment ended.
     pub(crate) tail: WalTail,
+}
+
+/// The user a damaged final frame is charged to: the uid in its first 9
+/// payload bytes (tag + uid), when they survived — unless some prefix of
+/// the bytes carries the frame's CRC. Then the frame was whole and its
+/// length prefix is what broke, so the bytes after it were frames too and
+/// the damage is not attributable.
+fn attribute_tear(payload: &[u8], want_crc: u32) -> Option<u64> {
+    let user = u64::from_le_bytes(payload.get(1..9)?.try_into().expect("8 bytes"));
+    let mut crc = Crc32::new();
+    for byte in payload {
+        crc.update(std::slice::from_ref(byte));
+        if crc.finish() == want_crc {
+            return None;
+        }
+    }
+    Some(user)
 }
 
 /// Read a shard segment, validating the header against the expected
@@ -245,7 +268,11 @@ pub(crate) struct WalScan {
 ///   but real corruption — stop reading and report an unattributable tear,
 ///   which makes recovery exhaust the whole shard. Frames after the damage
 ///   are dropped; since exhaustion dominates any spend they could add, the
-///   recovered ledger still never under-counts.
+///   recovered ledger still never under-counts;
+/// * a frame that runs to EOF but whose CRC matches a *shorter* prefix of
+///   its bytes had its length prefix damaged: the real frame ended earlier
+///   and more data followed it, so this too is mid-file corruption and
+///   unattributable.
 pub(crate) fn read_segment(
     path: &Path,
     seq: u64,
@@ -331,15 +358,6 @@ pub(crate) fn read_segment(
         let want_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
         let payload_start = pos + 8;
         let partial_payload = &bytes[payload_start..];
-        let attribute = |payload: &[u8]| {
-            if payload.len() >= 9 {
-                Some(u64::from_le_bytes(
-                    payload[1..9].try_into().expect("8 bytes"),
-                ))
-            } else {
-                None
-            }
-        };
         if len > MAX_FRAME_LEN {
             // Garbage length prefix: the header bytes themselves are torn.
             return Ok(WalScan {
@@ -352,7 +370,7 @@ pub(crate) fn read_segment(
             return Ok(WalScan {
                 records,
                 tail: WalTail::Torn {
-                    user: attribute(partial_payload),
+                    user: attribute_tear(partial_payload, want_crc),
                 },
             });
         }
@@ -366,7 +384,11 @@ pub(crate) fn read_segment(
             return Ok(WalScan {
                 records,
                 tail: WalTail::Torn {
-                    user: if at_eof { attribute(payload) } else { None },
+                    user: if at_eof {
+                        attribute_tear(payload, want_crc)
+                    } else {
+                        None
+                    },
                 },
             });
         }
@@ -380,12 +402,25 @@ pub(crate) fn read_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn sample_records() -> Vec<WalRecord> {
+    /// The frame encoder the reused-buffer one replaced: the payload in a
+    /// buffer of its own, then a fresh frame with the header in front.
+    fn encode_frame(record: &WalRecord) -> Vec<u8> {
+        let mut payload = Vec::new();
+        record.encode_payload(&mut payload);
+        let mut frame = Vec::with_capacity(payload.len() + 8);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    fn sample_records() -> Vec<WalRecord<'static>> {
         vec![
             WalRecord::AddUser {
                 user: 42,
-                pi: vec![0.25; 4],
+                pi: Cow::Owned(vec![0.25; 4]),
             },
             WalRecord::AttachEvent {
                 user: 42,
@@ -394,12 +429,12 @@ mod tests {
             WalRecord::Observe {
                 user: 42,
                 suppressed: false,
-                column: vec![0.5, 0.125, 0.25, 0.125],
+                column: Cow::Owned(vec![0.5, 0.125, 0.25, 0.125]),
             },
             WalRecord::Observe {
                 user: 7,
                 suppressed: true,
-                column: vec![1.0, 0.0, 0.0, 0.0],
+                column: Cow::Owned(vec![1.0, 0.0, 0.0, 0.0]),
             },
             WalRecord::RemoveUser { user: 7 },
         ]
@@ -434,7 +469,7 @@ mod tests {
         let records = sample_records()[..4].to_vec();
         write_segment(&path, &records);
         let full = std::fs::read(&path).unwrap();
-        let last_frame = records.last().unwrap().encode_frame();
+        let last_frame = encode_frame(records.last().unwrap());
         // Keep the length+crc header and the first 9 payload bytes of the
         // final frame: enough to attribute, not enough to verify.
         let cut = full.len() - last_frame.len() + 8 + 9;
@@ -452,7 +487,7 @@ mod tests {
         let records = sample_records();
         write_segment(&path, &records);
         let full = std::fs::read(&path).unwrap();
-        let last_frame = records.last().unwrap().encode_frame();
+        let last_frame = encode_frame(records.last().unwrap());
         let cut = full.len() - last_frame.len() + 3;
         std::fs::write(&path, &full[..cut]).unwrap();
         let scan = read_segment(&path, 3, 2, 0xFEED).unwrap();
@@ -505,6 +540,192 @@ mod tests {
         assert!(scan.records.is_empty());
         assert_eq!(scan.tail, WalTail::Clean);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Any record: arbitrary uids, templates and flags, and vectors of
+    /// arbitrary bit patterns (NaNs, infinities, signed zeros included).
+    fn record() -> impl Strategy<Value = WalRecord<'static>> {
+        (
+            0u8..4,
+            0u64..=u64::MAX,
+            0u32..=u32::MAX,
+            proptest::bool::ANY,
+            proptest::collection::vec(0u64..=u64::MAX, 0..40),
+        )
+            .prop_map(|(kind, user, template, suppressed, bits)| {
+                let values: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+                match kind {
+                    0 => WalRecord::AddUser {
+                        user,
+                        pi: Cow::Owned(values),
+                    },
+                    1 => WalRecord::RemoveUser { user },
+                    2 => WalRecord::AttachEvent { user, template },
+                    _ => WalRecord::Observe {
+                        user,
+                        suppressed,
+                        column: Cow::Owned(values),
+                    },
+                }
+            })
+    }
+
+    /// A record's uid, read back from its frame bytes.
+    fn frame_user(frame: &[u8]) -> u64 {
+        u64::from_le_bytes(frame[9..17].try_into().unwrap())
+    }
+
+    /// Writes `bytes` as a segment file and scans it.
+    fn scan(path: &Path, bytes: &[u8]) -> Result<WalScan, DurableError> {
+        std::fs::write(path, bytes).unwrap();
+        read_segment(path, 3, 2, 0xFEED)
+    }
+
+    /// The records' frames, as the oracle encodes them.
+    fn encode_all(records: &[WalRecord]) -> Vec<Vec<u8>> {
+        records.iter().map(encode_frame).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// One reused buffer encodes every record to exactly the bytes of
+        /// the allocate-per-frame encoder, whatever the frame before it
+        /// left in the buffer, and a writer's segment is the header plus
+        /// those frames.
+        #[test]
+        fn reused_buffer_frames_match_the_oracle(
+            records in proptest::collection::vec(record(), 1..12),
+        ) {
+            let mut buf = Vec::new();
+            for r in &records {
+                r.encode_frame_into(&mut buf);
+                prop_assert_eq!(&buf, &encode_frame(r));
+            }
+            let dir = tempdir();
+            let path = dir.join("wal-oracle.log");
+            write_segment(&path, &records);
+            let mut want = encode_header(3, 2, 0xFEED);
+            want.extend(encode_all(&records).concat());
+            prop_assert_eq!(std::fs::read(&path).unwrap(), want);
+        }
+
+        /// Arbitrary bytes after a valid header never panic, and whatever
+        /// records come back are a prefix of those bytes, frame for frame.
+        #[test]
+        fn arbitrary_frame_bytes_never_panic(
+            raw in proptest::collection::vec(0u8..=255, 0..256),
+            lengths in proptest::collection::vec(0u32..64, 0..4),
+        ) {
+            // Plausible length prefixes in front of random bytes make the
+            // scan reach its CRC and decode paths, not only the tears.
+            let mut bytes = encode_header(3, 2, 0xFEED);
+            for (len, chunk) in lengths.iter().zip(raw.chunks(64)) {
+                bytes.extend_from_slice(&len.to_le_bytes());
+                bytes.extend_from_slice(chunk);
+            }
+            bytes.extend_from_slice(&raw);
+            let dir = tempdir();
+            match scan(&dir.join("wal-arbitrary.log"), &bytes) {
+                Ok(found) => {
+                    let prefix = encode_all(&found.records).concat();
+                    prop_assert!(bytes[HEADER_LEN..].starts_with(&prefix));
+                }
+                Err(e) => prop_assert!(matches!(e, DurableError::Corrupt { .. }), "{}", e),
+            }
+        }
+
+        /// A valid segment cut at any offset reads back the whole frames
+        /// before the cut. A cut on a frame boundary is clean; a cut inside
+        /// a frame is a tear, attributed to its user once the tag and uid
+        /// survived.
+        #[test]
+        fn truncation_at_any_offset_reads_the_prefix(
+            records in proptest::collection::vec(record(), 1..6),
+            cut in 0usize..=usize::MAX,
+        ) {
+            let frames = encode_all(&records);
+            let mut bytes = encode_header(3, 2, 0xFEED);
+            bytes.extend(frames.concat());
+            let cut = cut % (bytes.len() + 1);
+            let dir = tempdir();
+            let found = scan(&dir.join("wal-cut.log"), &bytes[..cut]).unwrap();
+            let (mut whole, mut at) = (0, HEADER_LEN);
+            while whole < frames.len() && at + frames[whole].len() <= cut {
+                at += frames[whole].len();
+                whole += 1;
+            }
+            prop_assert_eq!(encode_all(&found.records), frames[..whole].to_vec());
+            let tail = if cut < HEADER_LEN {
+                WalTail::Torn { user: None }
+            } else if cut == at {
+                WalTail::Clean
+            } else {
+                let user = (cut - at >= 17).then(|| frame_user(&frames[whole]));
+                WalTail::Torn { user }
+            };
+            prop_assert_eq!(found.tail, tail);
+        }
+
+        /// A flipped bit ends the scan at its frame: the frames before it
+        /// come back, and the tear is attributable only when the bit is in
+        /// the final frame's CRC or payload. A flip mid-file, or in a
+        /// length prefix, is not.
+        #[test]
+        fn a_flipped_bit_is_attributed_only_in_the_final_frame(
+            records in proptest::collection::vec(record(), 1..6),
+            bit in 0usize..=usize::MAX,
+        ) {
+            let frames = encode_all(&records);
+            let mut bytes = encode_header(3, 2, 0xFEED);
+            bytes.extend(frames.concat());
+            let bit = bit % ((bytes.len() - HEADER_LEN) * 8);
+            let byte = HEADER_LEN + bit / 8;
+            bytes[byte] ^= 1 << (bit % 8);
+            let (mut victim, mut at) = (0, HEADER_LEN);
+            while at + frames[victim].len() <= byte {
+                at += frames[victim].len();
+                victim += 1;
+            }
+            let dir = tempdir();
+            let found = scan(&dir.join("wal-flip.log"), &bytes).unwrap();
+            prop_assert_eq!(encode_all(&found.records), frames[..victim].to_vec());
+            let final_frame = victim + 1 == frames.len();
+            let in_length = byte < at + 4;
+            let user = (final_frame && !in_length).then(|| frame_user(&bytes[at..]));
+            prop_assert_eq!(found.tail, WalTail::Torn { user });
+        }
+
+        /// A length prefix that lies — shorter, longer, past the end of the
+        /// file, or absurd — ends the scan at its frame unattributed, even
+        /// on the final frame: the frame's bytes are intact, so its CRC
+        /// gives the lie away.
+        #[test]
+        fn a_lying_length_prefix_is_never_attributed(
+            records in proptest::collection::vec(record(), 1..6),
+            victim in 0usize..6,
+            lie in 0u32..=u32::MAX,
+            near in proptest::bool::ANY,
+        ) {
+            let frames = encode_all(&records);
+            let victim = victim % frames.len();
+            let at = HEADER_LEN + frames[..victim].iter().map(Vec::len).sum::<usize>();
+            let real = (frames[victim].len() - 8) as u32;
+            let len = if near {
+                real ^ (lie % 63 + 1)
+            } else if lie == real {
+                real ^ 1
+            } else {
+                lie
+            };
+            let mut bytes = encode_header(3, 2, 0xFEED);
+            bytes.extend(frames.concat());
+            bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+            let dir = tempdir();
+            let found = scan(&dir.join("wal-lie.log"), &bytes).unwrap();
+            prop_assert_eq!(encode_all(&found.records), frames[..victim].to_vec());
+            prop_assert_eq!(found.tail, WalTail::Torn { user: None });
+        }
     }
 
     fn tempdir() -> PathBuf {

@@ -14,9 +14,10 @@
 //!   temporal correlations (arXiv:1410.5919).
 //! * [`SessionManager`] — shards users, batches same-timestep work (one
 //!   posterior matmul per group, one shared
-//!   [`LiftedStep`](priste_quantify::lifted::LiftedStep) applied via
-//!   `apply_rows` per (template, window-age) group), and evicts expired
-//!   windows.
+//!   [`LiftedStep`](priste_quantify::lifted::LiftedStep) per (template,
+//!   window-age) group, run for each window in a reused scratch), and
+//!   evicts expired windows. A session that owns its vectors is updated in
+//!   place, so steady-state observations allocate no `O(m)` buffer.
 //! * [`OnlineConfig`] — ε threshold, shard count, window linger, budget.
 //!
 //! Beyond the audit path, the service runs in **enforcing mode**:

@@ -21,11 +21,13 @@ use priste_linalg::Vector;
 use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_obs::Registry;
+use priste_quantify::lifted::StepScratch;
 use priste_quantify::{
     EventModel, IncrementalTwoWorld, QuantifyError, TwoWorldEngine, WindowStart,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
@@ -134,6 +136,16 @@ where
         }
     });
     (items, merged, failure)
+}
+
+/// The buffers one shard's batched observation runs in: the posterior's
+/// propagated row and the lifted window step. Kept across calls, so a
+/// steady-state observation of a session that owns its vectors allocates
+/// no `O(m)` buffer (at `m = 2500` the scratch itself is about 100 KB).
+#[derive(Debug, Default)]
+struct ShardScratch {
+    moved: Vec<f64>,
+    step: StepScratch,
 }
 
 /// Service configuration.
@@ -358,11 +370,12 @@ impl RestoreMemo {
 /// mobility model, batches same-timestep work, and evicts expired windows.
 ///
 /// Batching: within one [`SessionManager::ingest_batch`] call every
-/// session's posterior propagation `p · M` is stacked into one matrix
-/// product per (shard, user-age) group, and every event window sharing a
-/// (template, window-age) pair is advanced through **one shared
-/// [`LiftedStep`]** via its batched `apply_rows` path — the step is built
-/// once and applied to the whole group instead of once per user.
+/// session's posterior propagation `p · M` runs per (shard, user-age)
+/// group, and every event window sharing a (template, window-age) pair is
+/// advanced through **one shared [`LiftedStep`]**, built once for the
+/// group and run for each of its windows by
+/// [`IncrementalTwoWorld::observe_with_step`] in the service's reused
+/// scratch buffers.
 ///
 /// Windows run on their own local clock (timestep 1 = first observation
 /// after attach), so event templates are written in attach-relative time.
@@ -378,8 +391,12 @@ impl RestoreMemo {
 /// and lifted initial vector — in `O(1)`. An idle user therefore costs
 /// `O(1)` memory (a few hundred bytes); the first observation gives the
 /// session its own posterior and forward vectors, `O(m)` from then on
-/// (about 60 KB at `m = 2500` with one window). Recovery re-interns, so a
-/// restored idle population shares again. Share the mobility model the
+/// (about 60 KB at `m = 2500` with one window). From then on observations
+/// overwrite those vectors in place, and the durable journal encodes into a
+/// buffer it keeps, so a steady-state ingest allocates no `O(m)` buffer; a
+/// vector another session, window, clone or cache still holds is copied on
+/// its first write, never written. Recovery re-interns, so a restored idle
+/// population shares again. Share the mobility model the
 /// same way with a cheap-to-clone provider — `Arc<Homogeneous>` is the
 /// intended instantiation (`TransitionProvider` is implemented for
 /// `Arc<T>`).
@@ -396,6 +413,7 @@ pub struct SessionManager<P> {
     recovery: Option<RecoveryInfo>,
     enforcer: Option<Enforcer>,
     store: Option<DurableStore>,
+    scratch: ShardScratch,
 }
 
 impl<P: TransitionProvider + Clone> SessionManager<P> {
@@ -416,6 +434,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             recovery: None,
             enforcer: None,
             store: None,
+            scratch: ShardScratch::default(),
         })
     }
 
@@ -518,7 +537,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             &WalRecord::Observe {
                 user: id.0,
                 suppressed,
-                column: outcome.column.as_slice().to_vec(),
+                column: Cow::Borrowed(outcome.column.as_slice()),
             },
         )?;
         let report = self.commit_one(shard, id.0, &outcome.column);
@@ -552,6 +571,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             &mut self.shards[shard],
             &wanted,
             &self.config,
+            &mut self.scratch,
         );
         self.instruments.absorb(&delta);
         reports.pop().expect("one observation in, one report out")
@@ -680,7 +700,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             shard,
             &WalRecord::AddUser {
                 user: id.0,
-                pi: pi.as_slice().to_vec(),
+                pi: Cow::Borrowed(pi.as_slice()),
             },
         )?;
         self.shards[shard].insert(id.0, Session::new(id, pi, self.config.budget));
@@ -822,6 +842,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 &mut self.shards[shard_idx],
                 wanted,
                 &self.config,
+                &mut self.scratch,
             );
             self.instruments.absorb(&delta);
             reports.append(&mut shard_reports);
@@ -855,7 +876,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                     &WalRecord::Observe {
                         user: uid,
                         suppressed: false,
-                        column: col.as_slice().to_vec(),
+                        column: Cow::Borrowed(col.as_slice()),
                     },
                 )?;
             }
@@ -912,24 +933,39 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// One shard's slice of a batched ingest: posterior propagation, window
     /// advancement, ledger/eviction — returning the reports (session-id
     /// order) plus the stats delta to merge. Free of `&mut self` so the
-    /// parallel path can run disjoint shards on worker threads.
+    /// parallel path can run disjoint shards on worker threads, each with
+    /// its own `scratch`.
+    ///
+    /// Only the sessions between the batch's lowest and highest user id are
+    /// visited, so a one-user batch costs `O(log n)` to select.
     fn process_shard(
         provider: &P,
         templates: &[Arc<EventModel>],
         shard: &mut BTreeMap<u64, Session<P>>,
         wanted: &BTreeMap<u64, &Vector>,
         config: &OnlineConfig,
+        scratch: &mut ShardScratch,
     ) -> (Vec<UserReport>, ServiceStats) {
         let mut stats = ServiceStats::default();
         let mut reports = Vec::with_capacity(wanted.len());
+        let (Some((&first, _)), Some((&last, _))) =
+            (wanted.first_key_value(), wanted.last_key_value())
+        else {
+            return (reports, stats);
+        };
         let mut selected: Vec<(&mut Session<P>, &Vector)> = shard
-            .values_mut()
-            .filter_map(|s| wanted.get(&s.id().0).map(|col| (s, *col)))
+            .range_mut(first..=last)
+            .filter_map(|(uid, s)| wanted.get(uid).map(|col| (s, *col)))
             .collect();
 
-        Self::propagate_posteriors(provider, &mut selected);
-        let window_reports =
-            Self::advance_windows(provider, templates, &mut selected, config.epsilon);
+        Self::propagate_posteriors(provider, &mut selected, &mut scratch.moved);
+        let window_reports = Self::advance_windows(
+            provider,
+            templates,
+            &mut selected,
+            config.epsilon,
+            &mut scratch.step,
+        );
 
         for ((session, _), wreps) in selected.iter_mut().zip(window_reports) {
             for r in &wreps {
@@ -948,16 +984,20 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// Batched posterior filtering: streams each selected session's `p · M`
-    /// through the provider's backend (grouped by user age, so time-varying
-    /// providers fetch the right matrix; one shared scratch buffer per
-    /// group), then applies each session's emission weighting. With a CSR
-    /// chain each propagation costs `O(nnz)` instead of `O(m²)`.
-    fn propagate_posteriors(provider: &P, selected: &mut [(&mut Session<P>, &Vector)]) {
+    /// through the provider's backend into the reused `moved` row (grouped
+    /// by user age, so time-varying providers fetch the right matrix), then
+    /// applies each session's emission weighting. With a CSR chain each
+    /// propagation costs `O(nnz)` instead of `O(m²)`.
+    fn propagate_posteriors(
+        provider: &P,
+        selected: &mut [(&mut Session<P>, &Vector)],
+        moved: &mut Vec<f64>,
+    ) {
         let mut by_age: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, (session, _)) in selected.iter().enumerate() {
             by_age.entry(session.observed()).or_default().push(i);
         }
-        let mut moved = vec![0.0; provider.num_states()];
+        moved.resize(provider.num_states(), 0.0);
         for (age, idxs) in by_age {
             if age == 0 {
                 // First observation: no propagation, just weigh the prior
@@ -972,21 +1012,22 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             let matrix = provider.transition_at(age);
             for &i in &idxs {
                 let (session, col) = &mut selected[i];
-                matrix.vecmat_into(session.posterior().as_slice(), &mut moved);
-                session.weigh_posterior(&moved, col);
+                matrix.vecmat_into(session.posterior().as_slice(), moved);
+                session.weigh_posterior(moved, col);
             }
         }
     }
 
     /// Batched window advancement: every window sharing a (template,
     /// window-age) pair is moved through one shared lifted step built once
-    /// from the template schedule. Returns per-session window reports in
-    /// attach order.
+    /// from the template schedule, each in turn through the reused
+    /// `scratch`. Returns per-session window reports in attach order.
     fn advance_windows(
         provider: &P,
         templates: &[Arc<EventModel>],
         selected: &mut [(&mut Session<P>, &Vector)],
         epsilon: f64,
+        scratch: &mut StepScratch,
     ) -> Vec<Vec<crate::session::WindowReport>> {
         let mut results: Vec<Vec<crate::session::WindowReport>> = selected
             .iter()
@@ -1013,24 +1054,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         for ((template, age), idxs) in groups {
             // One step for the whole group. The first observation has no
             // transition step: it weighs the (possibly shared) initial
-            // vector in place of a stepped copy.
-            let stepped: Vec<Vector> = if age == 0 {
-                Vec::new()
-            } else {
-                let engine = TwoWorldEngine::new(templates[template].event(), provider)
-                    .expect("validated at registration");
-                let step = engine.step_at(age);
-                let rows: Vec<Vector> = idxs
-                    .iter()
-                    .map(|&fi| flat[fi].1.state.lifted_state().clone())
-                    .collect();
-                step.apply_rows(&rows)
-            };
-            let mut stepped = stepped.into_iter();
+            // vector into the window's own first forward vector.
+            let engine = TwoWorldEngine::new(templates[template].event(), provider)
+                .expect("validated at registration");
+            let step = (age > 0).then(|| engine.step_at(age));
             for &fi in &idxs {
                 let (_, window, col) = &mut flat[fi];
-                let observed = match stepped.next() {
-                    Some(moved) => window.state.observe_pre_stepped(moved, col),
+                let observed = match &step {
+                    Some(step) => window.state.observe_with_step(step, scratch, col),
                     None => window.state.observe(col),
                 };
                 let report = match observed {
@@ -1384,7 +1415,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             WalRecord::AddUser { user, pi } => {
                 let id = UserId(*user);
                 let pi = self.intern_prior(
-                    Arc::new(Vector::from(pi.clone())),
+                    Arc::new(Vector::from(pi.as_ref())),
                     "journaled initial distribution",
                 )?;
                 let shard = self.shard_of(id);
@@ -1481,8 +1512,9 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
             .collect();
         let (mut reports, merged, failure) =
             fan_out_shards(jobs, threads, |(shard, wanted), out, delta| {
+                let mut scratch = ShardScratch::default();
                 let (mut shard_reports, shard_delta) =
-                    Self::process_shard(provider, templates, shard, wanted, config);
+                    Self::process_shard(provider, templates, shard, wanted, config, &mut scratch);
                 out.append(&mut shard_reports);
                 delta.absorb(&shard_delta);
                 Ok(())
@@ -1609,19 +1641,16 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
                     .iter()
                     .map(|(uid, outcome)| (*uid, &outcome.column))
                     .collect();
+                let mut scratch = ShardScratch::default();
                 let (reports, shard_delta) =
-                    Self::process_shard(provider, templates, shard, &columns, config);
+                    Self::process_shard(provider, templates, shard, &columns, config, &mut scratch);
                 delta.absorb(&shard_delta);
                 for ((_, outcome), report) in outcomes.into_iter().zip(reports) {
                     let suppressed = outcome.decision == Decision::Suppressed;
                     if suppressed {
                         delta.suppressed += 1;
                     }
-                    let column = if journaling {
-                        outcome.column.as_slice().to_vec()
-                    } else {
-                        Vec::new()
-                    };
+                    let column = journaling.then_some(outcome.column);
                     out.push((
                         EnforcedRelease {
                             decision: outcome.decision,
@@ -1648,13 +1677,14 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
             for (release, suppressed, column) in &items {
                 let uid = release.report.user;
                 let shard = self.shard_of(uid);
+                let column = column.as_ref().expect("kept while journaling");
                 if let Err(e) = Self::journal(
                     &mut self.store,
                     shard,
                     &WalRecord::Observe {
                         user: uid.0,
                         suppressed: *suppressed,
-                        column: column.clone(),
+                        column: Cow::Borrowed(column.as_slice()),
                     },
                 ) {
                     journal_err = Some(e);

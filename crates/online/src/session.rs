@@ -203,10 +203,15 @@ impl<P: TransitionProvider> EventWindow<P> {
 /// [`SessionManager`](crate::SessionManager); read access is public for
 /// reporting and tests.
 ///
-/// The posterior sits behind an `Arc` that is never written through: a
-/// fresh session shares its prior with every user registered with the same
-/// bits, windows attached before the first observation share it too, and
-/// the first observation installs the session's own vector.
+/// The posterior sits behind an `Arc` that is written through only while
+/// the session is its sole holder: a fresh session shares its prior with
+/// every user registered with the same bits (and the service's prior table
+/// keeps a weak handle on it), windows attached before the first
+/// observation share it too, and the first observation installs the
+/// session's own vector. Later observations overwrite that vector in
+/// place — until a window attached in between shares it as its `π`, or the
+/// session is cloned, after which the next observation again installs a
+/// fresh one. A shared vector is never written.
 #[derive(Debug, Clone)]
 pub struct Session<P> {
     id: UserId,
@@ -306,20 +311,30 @@ impl<P: TransitionProvider> Session<P> {
 
     /// Folds one observation into the filtered posterior. The transition
     /// propagation (`posterior · M`) is done by the caller so it can be
-    /// batched across sessions; this applies the emission weighting into a
-    /// fresh vector. A vanished posterior (observation impossible under the
-    /// model) resets to uniform and reports `false`.
+    /// batched across sessions; this applies the emission weighting and
+    /// normalizes — in place when the session owns its posterior, into a
+    /// fresh vector when anyone else holds it. A vanished posterior
+    /// (observation impossible under the model) resets to uniform and
+    /// reports `false`.
     pub(crate) fn weigh_posterior(&mut self, propagated: &[f64], emission: &Vector) -> bool {
-        let mut p: Vector = propagated
+        let weighed = propagated
             .iter()
             .zip(emission.as_slice())
-            .map(|(a, b)| a * b)
-            .collect();
+            .map(|(a, b)| a * b);
+        match Arc::get_mut(&mut self.posterior) {
+            Some(owned) => {
+                for (dst, x) in owned.as_mut_slice().iter_mut().zip(weighed) {
+                    *dst = x;
+                }
+            }
+            None => self.posterior = Arc::new(weighed.collect()),
+        }
+        let p = Arc::get_mut(&mut self.posterior).expect("owned or just installed");
         if p.normalize_mut().is_err() {
-            self.posterior = Arc::new(Vector::uniform(self.posterior.len()));
+            let n = p.len();
+            p.as_mut_slice().fill(1.0 / n as f64);
             return false;
         }
-        self.posterior = Arc::new(p);
         true
     }
 

@@ -3,6 +3,8 @@
 //! share one `π` and one lifted initial vector. Sharing must never be
 //! observable: every user of a shared service must end up bit-identical to
 //! the same user replayed alone, and a write must un-share only the writer.
+//! Once a session owns its vectors, observations overwrite them in place;
+//! a vector anyone else holds is never written.
 
 use priste_calibrate::GuardConfig;
 use priste_event::{Presence, StEvent};
@@ -176,6 +178,122 @@ fn state_bits(s: &Session<Arc<Homogeneous>>) -> String {
     )
 }
 
+/// Where a session's vectors live: the posterior's address, and each
+/// window's age, `π` and forward-vector address.
+struct Addresses {
+    observed: usize,
+    posterior: *const Vector,
+    windows: Vec<(usize, *const Vector, *const Vector)>,
+}
+
+fn addresses(s: &Session<Arc<Homogeneous>>) -> Addresses {
+    Addresses {
+        observed: s.observed(),
+        posterior: s.posterior(),
+        windows: s
+            .windows()
+            .map(|(_, w)| {
+                (
+                    w.observed(),
+                    w.pi() as *const _,
+                    w.lifted_state() as *const _,
+                )
+            })
+            .collect(),
+    }
+}
+
+/// The users an op observes.
+fn observed_by(op: &Op) -> Vec<u64> {
+    match op {
+        Op::Ingest(batch) => batch.iter().map(|(u, _)| *u).collect(),
+        Op::Release(u, _, _) => vec![*u],
+        Op::Add(..) | Op::Attach(..) => vec![],
+    }
+}
+
+/// Applies `op` and checks where it wrote. A session that owns its vectors
+/// keeps their addresses: its posterior after the first observation,
+/// unless a window attached since shares it as `π` (that first write must
+/// move it), and every window's forward vector after the window's first
+/// observation. Nothing shared is written: users the op does not touch
+/// keep every bit, every window keeps its `π`, and with `clone` set every
+/// session is cloned first — sharing all of its vectors — and the clones
+/// keep every bit while the service moves on.
+fn apply_checking_writes(
+    svc: &mut SessionManager<Arc<Homogeneous>>,
+    op: &Op,
+    clone: bool,
+) -> Vec<(u64, String)> {
+    let live: Vec<u64> = (0..USERS)
+        .filter(|&u| svc.session(UserId(u)).is_some())
+        .collect();
+    let session = |svc: &SessionManager<_>, u: u64| svc.session(UserId(u)).unwrap().clone();
+    let before: Vec<(Addresses, String, Vec<Vec<u64>>)> = live
+        .iter()
+        .map(|&u| {
+            let s = svc.session(UserId(u)).unwrap();
+            let pis = s.windows().map(|(_, w)| bits(w.pi())).collect();
+            (addresses(s), state_bits(s), pis)
+        })
+        .collect();
+    let clones: Vec<Session<_>> = if clone {
+        live.iter().map(|&u| session(svc, u)).collect()
+    } else {
+        Vec::new()
+    };
+    let reports = apply(svc, op);
+    let observed = observed_by(op);
+    let touched =
+        |u: u64| observed.contains(&u) || matches!(op, Op::Add(v, _) | Op::Attach(v, _) if *v == u);
+    for (&u, (was, was_bits, was_pis)) in live.iter().zip(&before) {
+        let s = svc.session(UserId(u)).unwrap();
+        if !touched(u) {
+            assert_eq!(&state_bits(s), was_bits, "untouched user {u} changed");
+            continue;
+        }
+        if !observed.contains(&u) {
+            continue;
+        }
+        for (_, w) in s.windows() {
+            assert!(
+                was_pis.contains(&bits(w.pi())),
+                "user {u}: a window π changed"
+            );
+        }
+        if clone {
+            continue;
+        }
+        let now = addresses(s);
+        let posterior_shared = was.windows.iter().any(|&(_, pi, _)| pi == was.posterior);
+        if posterior_shared {
+            assert_ne!(
+                now.posterior, was.posterior,
+                "user {u}: wrote a shared posterior"
+            );
+        } else if was.observed >= 1 {
+            assert_eq!(now.posterior, was.posterior, "user {u}: posterior moved");
+        }
+        for &(age, _, alpha) in &now.windows {
+            if age >= 2 {
+                assert!(
+                    was.windows.iter().any(|&(_, _, a)| a == alpha),
+                    "user {u}: an observed window's forward vector moved"
+                );
+            }
+        }
+    }
+    for (c, (_, was_bits, _)) in clones.iter().zip(&before) {
+        assert_eq!(
+            &state_bits(c),
+            was_bits,
+            "a clone of user {} changed",
+            c.id().0
+        );
+    }
+    reports
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -186,8 +304,8 @@ proptest! {
         let ops = script(&raw);
         let mut shared = service();
         let mut shared_reports: Vec<Vec<String>> = vec![Vec::new(); USERS as usize];
-        for op in &ops {
-            for (u, report) in apply(&mut shared, op) {
+        for (i, op) in ops.iter().enumerate() {
+            for (u, report) in apply_checking_writes(&mut shared, op, i % 4 == 3) {
                 shared_reports[u as usize].push(report);
             }
         }
@@ -303,7 +421,7 @@ fn recovery_shares_idle_state_again() {
     let digest = svc.state_digest();
     drop(svc);
 
-    let recovered = SessionManager::recover(chain(), config(), templates(), &dir).unwrap();
+    let mut recovered = SessionManager::recover(chain(), config(), templates(), &dir).unwrap();
     assert_eq!(recovered.state_digest(), digest);
     let first = recovered.session(UserId(0)).unwrap();
     let (_, first_window) = first.windows().next().unwrap();
@@ -326,5 +444,31 @@ fn recovery_shares_idle_state_again() {
         active_window.lifted_state(),
         first_window.lifted_state()
     ));
+
+    // Observing a recovered idle user never writes the vectors the idle
+    // population shares; the active user's recovered vectors are its own,
+    // so its next observation writes them in place.
+    let idle_bits = state_bits(recovered.session(UserId(2)).unwrap());
+    let at = |svc: &SessionManager<Arc<Homogeneous>>, u: u64| {
+        let s = svc.session(UserId(u)).unwrap();
+        let (_, w) = s.windows().next().unwrap();
+        (
+            s.posterior() as *const Vector,
+            w.lifted_state() as *const Vector,
+        )
+    };
+    let active_at = at(&recovered, idle);
+    for u in [1, idle] {
+        recovered
+            .ingest(UserId(u), Vector::from(vec![0.4; 9]))
+            .unwrap();
+    }
+    assert_eq!(state_bits(recovered.session(UserId(2)).unwrap()), idle_bits);
+    assert_eq!(
+        at(&recovered, idle),
+        active_at,
+        "recovered owned vectors moved"
+    );
+    assert_ne!(at(&recovered, 1).0, at(&recovered, 2).0);
     std::fs::remove_dir_all(&dir).unwrap();
 }

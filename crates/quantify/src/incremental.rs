@@ -34,10 +34,13 @@
 //! `Arc`s: windows started from one [`WindowStart`] share the same `π` and
 //! lifted initial vector, so an unobserved window costs `O(1)` memory and
 //! becomes `O(m)` only on its first observation, which installs a fresh
-//! `α_t`. Share the chain the same way via `Arc<Homogeneous>` (every
+//! `α_t`. From then on the window owns `α_t`, and the batched
+//! [`IncrementalTwoWorld::observe_with_step`] overwrites it in place; a
+//! vector anyone else still holds is never written, only replaced. Share
+//! the chain the same way via `Arc<Homogeneous>` (every
 //! `TransitionProvider` is also implemented for `Arc<T>`).
 
-use crate::lifted::lift_emission;
+use crate::lifted::{lift_emission, LiftedStep, StepScratch};
 use crate::{QuantifyError, Result, TwoWorldEngine};
 use priste_event::StEvent;
 use priste_linalg::scaling::ScaledVector;
@@ -210,10 +213,13 @@ impl WeakWindowStart {
 /// [`TwoWorldEngine`](crate::TwoWorldEngine) by the
 /// `incremental_stream` integration suite.
 ///
-/// `π` and the forward vector sit behind `Arc`s that are never written
-/// through: every state change installs a fresh vector. Clones, and windows
-/// built from one [`WindowStart`], therefore share their vectors until one
-/// of them observes.
+/// `π` and the forward vector sit behind `Arc`s. `π` is never written.
+/// The forward vector is written through only while this window is its
+/// sole holder — no clone, [`WindowStart`] or weak handle shares it — and
+/// only by [`IncrementalTwoWorld::observe_with_step`]; every other state
+/// change installs a fresh vector. Clones, and windows built from one
+/// start, therefore share their vectors until one of them observes, and a
+/// write never reaches the others.
 #[derive(Debug, Clone)]
 pub struct IncrementalTwoWorld<P> {
     model: Arc<EventModel>,
@@ -412,35 +418,52 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         Ok(step)
     }
 
-    /// Batched-path variant of [`IncrementalTwoWorld::observe`]: the caller
-    /// has already applied this timestep's lifted transition to
-    /// [`IncrementalTwoWorld::lifted_state`] (typically via
-    /// [`LiftedStep::apply_rows`](crate::lifted::LiftedStep::apply_rows)
-    /// with one step shared across many sessions) and hands back the moved
-    /// mantissa; only the emission weighting and the report remain here.
-    ///
-    /// For the first observation (`next_step_index() == None`) pass the
-    /// current mantissa unchanged.
+    /// Batched-path variant of [`IncrementalTwoWorld::observe`] for every
+    /// observation after the first: `step` is this window's scheduled
+    /// transition (`step_at` of [`IncrementalTwoWorld::next_step_index`]),
+    /// typically built once and shared by every window at the same age. The
+    /// step, the emission weighting and the renormalization run in
+    /// `scratch`; only a successful observation lands in the window. An
+    /// owned forward vector is then overwritten in place, and one shared
+    /// with anyone else (a window start, a clone) is replaced by a fresh
+    /// one — so a window that already owns its state allocates nothing.
+    /// Bit-identical to [`IncrementalTwoWorld::observe`].
     ///
     /// # Errors
-    /// See [`IncrementalTwoWorld::peek`].
+    /// See [`IncrementalTwoWorld::peek`]. On error the state is unchanged.
     ///
     /// # Panics
-    /// Panics if `stepped.len() != 2m`.
-    pub fn observe_pre_stepped(
+    /// Panics before the first observation (it has no transition step)
+    /// and if `step` is over another state domain.
+    pub fn observe_with_step(
         &mut self,
-        stepped: Vector,
+        step: &LiftedStep<'_>,
+        scratch: &mut StepScratch,
         emission_column: &Vector,
     ) -> Result<StreamStep> {
         self.validate_emission(emission_column)?;
-        assert_eq!(
-            stepped.len(),
-            2 * self.num_states(),
-            "pre-stepped vector must be lifted"
-        );
-        let advanced = self.weighed(&stepped, emission_column);
-        let step = self.report(self.t + 1, &advanced)?;
-        self.alpha = Arc::new(advanced);
+        assert!(self.t >= 1, "the first observation has no transition step");
+        step.apply_row_scratch(self.alpha.vector.as_slice(), scratch);
+        let weighed = &mut scratch.out;
+        let e = emission_column.as_slice();
+        let (out_f, out_t) = weighed.vector.as_mut_slice().split_at_mut(e.len());
+        for ((f, t), &w) in out_f.iter_mut().zip(out_t).zip(e) {
+            *f *= w;
+            *t *= w;
+        }
+        weighed.log_scale = self.alpha.log_scale;
+        weighed.renormalize();
+        let step = self.report(self.t + 1, weighed)?;
+        match Arc::get_mut(&mut self.alpha) {
+            Some(alpha) => {
+                alpha
+                    .vector
+                    .as_mut_slice()
+                    .copy_from_slice(weighed.vector.as_slice());
+                alpha.log_scale = weighed.log_scale;
+            }
+            None => self.alpha = Arc::new(weighed.clone()),
+        }
         self.t += 1;
         Ok(step)
     }
@@ -619,34 +642,89 @@ mod tests {
         assert_eq!(inc.observed(), 1);
     }
 
+    fn bits(v: &Vector) -> Vec<u64> {
+        v.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One [`IncrementalTwoWorld::observe_with_step`] on `window`, with the
+    /// step it is scheduled for (plain `observe` for the first one).
+    fn observe_scratch(
+        window: &mut IncrementalTwoWorld<Homogeneous>,
+        scratch: &mut StepScratch,
+        col: &Vector,
+    ) -> Result<StreamStep> {
+        let Some(idx) = window.next_step_index() else {
+            return window.observe(col);
+        };
+        let provider = chain();
+        let event = window.event().clone();
+        let engine = TwoWorldEngine::new(&event, &provider).unwrap();
+        window.observe_with_step(&engine.step_at(idx), scratch, col)
+    }
+
     #[test]
-    fn pre_stepped_path_equals_self_stepped_path() {
+    fn scratch_step_path_equals_self_stepped_path() {
         let pi = Vector::from(vec![0.2, 0.4, 0.4]);
         let mut plain = IncrementalTwoWorld::new(presence_event(), chain(), pi.clone()).unwrap();
         let mut batched = plain.clone();
+        let mut scratch = StepScratch::default();
         let cols = [
             Vector::from(vec![0.5, 0.3, 0.2]),
             Vector::from(vec![0.2, 0.2, 0.6]),
             Vector::from(vec![0.9, 0.05, 0.05]),
         ];
-        let provider = chain();
         for col in &cols {
             let a = plain.observe(col).unwrap();
-            let stepped = match batched.next_step_index() {
-                None => batched.lifted_state().clone(),
-                Some(idx) => {
-                    let engine = TwoWorldEngine::new(batched.event(), &provider).unwrap();
-                    let step = engine.step_at(idx);
-                    step.apply_rows(std::slice::from_ref(batched.lifted_state()))
-                        .pop()
-                        .unwrap()
-                }
-            };
-            let b = batched.observe_pre_stepped(stepped, col).unwrap();
-            assert!((a.log_joint_event - b.log_joint_event).abs() < 1e-12);
-            assert!((a.log_joint_total - b.log_joint_total).abs() < 1e-12);
-            assert!((a.posterior - b.posterior).abs() < 1e-12);
+            let b = observe_scratch(&mut batched, &mut scratch, col).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(bits(plain.lifted_state()), bits(batched.lifted_state()));
+            assert_eq!(plain.log_scale().to_bits(), batched.log_scale().to_bits());
         }
+    }
+
+    #[test]
+    fn scratch_step_rejects_an_impossible_column_without_touching_the_window() {
+        let mut oracle =
+            IncrementalTwoWorld::new(presence_event(), chain(), Vector::uniform(3)).unwrap();
+        oracle.observe(&Vector::from(vec![0.0, 0.0, 1.0])).unwrap();
+        oracle.observe(&Vector::from(vec![0.0, 0.0, 1.0])).unwrap();
+        // Only the window owns its forward vector, so a successful
+        // observation would write it in place.
+        let mut window =
+            IncrementalTwoWorld::new(presence_event(), chain(), Vector::uniform(3)).unwrap();
+        let mut scratch = StepScratch::default();
+        for col in [
+            Vector::from(vec![0.0, 0.0, 1.0]),
+            Vector::from(vec![0.0, 0.0, 1.0]),
+        ] {
+            observe_scratch(&mut window, &mut scratch, &col).unwrap();
+        }
+        let before = (bits(window.lifted_state()), window.log_scale().to_bits());
+        let at = window.lifted_state() as *const Vector;
+        // From s3 only {s2, s3} are reachable: an s1-only column is impossible.
+        let err = observe_scratch(
+            &mut window,
+            &mut scratch,
+            &Vector::from(vec![1.0, 0.0, 0.0]),
+        )
+        .unwrap_err();
+        assert_eq!(err, QuantifyError::ZeroLikelihood { t: 3 });
+        assert_eq!(window.observed(), 2, "failed observe must not advance");
+        assert_eq!(
+            (bits(window.lifted_state()), window.log_scale().to_bits()),
+            before
+        );
+        let next = Vector::from(vec![0.3, 0.3, 0.4]);
+        assert_eq!(
+            observe_scratch(&mut window, &mut scratch, &next).unwrap(),
+            oracle.observe(&next).unwrap()
+        );
+        assert_eq!(bits(window.lifted_state()), bits(oracle.lifted_state()));
+        assert_eq!(window.log_scale().to_bits(), oracle.log_scale().to_bits());
+        assert!(
+            std::ptr::eq(window.lifted_state(), at),
+            "owned: updated in place"
+        );
     }
 
     #[test]

@@ -15,12 +15,40 @@
 //! lets the incremental quantifier and the streaming service run on
 //! 10⁴-cell grids. The kernels write into preallocated buffers (no
 //! `split_halves`/`concat` round-trips) and borrow the region's cached
-//! indicator masks ([`Region::masks`]), so the steady-state per-observation
-//! path performs no `O(m)` allocations beyond its output vector.
+//! indicator masks ([`Region::masks`]). [`LiftedStep::apply_row`] and
+//! [`LiftedStep::apply_rows`] allocate only their output vectors; the
+//! streaming service's per-observation path runs the same kernel into a
+//! caller-kept [`StepScratch`] and allocates nothing.
 
 use priste_geo::Region;
+use priste_linalg::scaling::ScaledVector;
 use priste_linalg::{Matrix, Vector};
 use priste_markov::TransitionMatrix;
+
+/// Reusable buffers for one lifted row application: the two `m`-long
+/// halves a row is moved through `M` in, and the `2m`-long output with the
+/// log scale it carries. It starts empty (`Default`) and is sized on first
+/// use, and again only when `m` changes. A batch driver keeps one and hands
+/// it to [`IncrementalTwoWorld::observe_with_step`] for every window it
+/// advances, so a steady-state observation allocates no `O(m)` buffer.
+///
+/// [`IncrementalTwoWorld::observe_with_step`]: crate::IncrementalTwoWorld::observe_with_step
+#[derive(Debug, Clone)]
+pub struct StepScratch {
+    half_f: Vec<f64>,
+    half_t: Vec<f64>,
+    pub(crate) out: ScaledVector,
+}
+
+impl Default for StepScratch {
+    fn default() -> Self {
+        StepScratch {
+            half_f: Vec::new(),
+            half_t: Vec::new(),
+            out: ScaledVector::new(Vector::zeros(0)),
+        }
+    }
+}
 
 /// One lifted transition step `M_t`, by shape.
 #[derive(Debug, Clone)]
@@ -114,6 +142,27 @@ impl LiftedStep<'_> {
         m.vecmat_into(&x[..n], buf_f);
         m.vecmat_into(&x[n..], buf_t);
         self.combine_moved_into(buf_f, buf_t, out);
+    }
+
+    /// [`LiftedStep::apply_row`] into `scratch.out`'s mantissa (sized to
+    /// `2m` here), moving the halves through `scratch`'s own buffers.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != 2m`.
+    pub(crate) fn apply_row_scratch(&self, x: &[f64], scratch: &mut StepScratch) {
+        let n = self.base_states();
+        assert_eq!(x.len(), 2 * n, "lifted row vector length mismatch");
+        if scratch.half_f.len() != n {
+            scratch.half_f = vec![0.0; n];
+            scratch.half_t = vec![0.0; n];
+            scratch.out.vector = Vector::zeros(2 * n);
+        }
+        self.apply_row_into(
+            x,
+            &mut scratch.half_f,
+            &mut scratch.half_t,
+            scratch.out.vector.as_mut_slice(),
+        );
     }
 
     /// Row-vector application `x · M_t` for a lifted row vector

@@ -5,11 +5,13 @@
 
 use priste_event::{Pattern, Presence, StEvent};
 use priste_geo::{CellId, Region};
-use priste_linalg::{Matrix, Vector};
+use priste_linalg::{Matrix, SparseMatrix, Vector};
 use priste_markov::{Homogeneous, MarkovModel};
 use priste_quantify::attack::BayesianAdversary;
+use priste_quantify::lifted::StepScratch;
 use priste_quantify::{
-    EventModel, IncrementalTwoWorld, QuantifyError, TheoremBuilder, TwoWorldEngine, WindowStart,
+    EventModel, IncrementalTwoWorld, QuantifyError, StreamStep, TheoremBuilder, TwoWorldEngine,
+    WindowStart,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -86,6 +88,19 @@ fn build_or_skip<'c>(
 /// Raw bit patterns, so equality means bit-identical (not merely `==`).
 fn bits(v: &Vector) -> Vec<u64> {
     v.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every field of a [`StreamStep`], as bits.
+fn step_bits(s: &StreamStep) -> (usize, [u64; 6]) {
+    let fields = [
+        s.prior,
+        s.log_joint_event,
+        s.log_joint_total,
+        s.posterior,
+        s.odds_lift,
+        s.privacy_loss,
+    ];
+    (s.t, fields.map(f64::to_bits))
 }
 
 fn random_emission(rng: &mut StdRng, m: usize) -> Vector {
@@ -165,43 +180,74 @@ proptest! {
         }
     }
 
-    /// The batched path (one shared [`LiftedStep`] applied via
-    /// `apply_rows`, then `observe_pre_stepped`) is the same recursion.
+    /// The batched path — one shared [`LiftedStep`] per window age, run by
+    /// `observe_with_step` through one reused [`StepScratch`] — is
+    /// `observe`, bit for bit: every report field, the mantissa and the log
+    /// scale, on dense and CSR chains. Windows over one start join the
+    /// stream at staggered times, so the scratch serves several windows at
+    /// several ages; once a window owns its forward vector it is updated
+    /// in place, and the start's shared vector is never written.
     #[test]
-    fn pre_stepped_batching_equals_sequential_observe(
-        mat in stochastic_matrix(3),
-        pi in distribution(3),
-        ev in st_event(3),
+    fn scratch_step_equals_observe_bit_for_bit(
+        mat in stochastic_matrix(4),
+        pis in proptest::collection::vec(distribution(4), 1..4),
+        ev in st_event(4),
         seed in 0u64..u64::MAX / 2,
     ) {
-        let chain = Homogeneous::new(MarkovModel::new(mat).unwrap());
-        let Some(mut plain) = build_or_skip(&ev, &chain, &pi) else { continue };
-        let mut batched = plain.clone();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..ev.end() + 2 {
-            let col = random_emission(&mut rng, 3);
-            let a = plain.observe(&col).unwrap();
-            let stepped = match batched.next_step_index() {
-                None => batched.lifted_state().clone(),
-                Some(idx) => {
-                    let engine = TwoWorldEngine::new(batched.event(), &chain).unwrap();
-                    engine
-                        .step_at(idx)
-                        .apply_rows(std::slice::from_ref(batched.lifted_state()))
-                        .pop()
-                        .unwrap()
+        let sparse = SparseMatrix::from_dense(&mat, 0.0);
+        for chain in [
+            Homogeneous::new(MarkovModel::new(mat.clone()).unwrap()),
+            Homogeneous::new(MarkovModel::new_sparse(sparse.clone()).unwrap()),
+        ] {
+            let model = Arc::new(EventModel::new(ev.clone(), &chain).unwrap());
+            let mut windows = Vec::new();
+            for pi in &pis {
+                let start = match WindowStart::new(&model, &chain, Arc::new(pi.clone())) {
+                    Ok(start) => start,
+                    Err(QuantifyError::DegeneratePrior { .. }) => continue,
+                    Err(e) => panic!("unexpected construction error: {e}"),
+                };
+                let oracle = IncrementalTwoWorld::from_start(Arc::clone(&model), &chain, start);
+                let idle = oracle.clone();
+                let initial = bits(idle.lifted_state());
+                windows.push((oracle.clone(), oracle, idle, initial, None));
+            }
+            let mut scratch = StepScratch::default();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for t in 0..ev.end() + 2 + windows.len() {
+                for (i, (oracle, batched, _, _, owned)) in windows.iter_mut().enumerate() {
+                    if t < i {
+                        continue;
+                    }
+                    let col = random_emission(&mut rng, 4);
+                    let want = oracle.observe(&col).unwrap();
+                    let got = match batched.next_step_index() {
+                        None => batched.observe(&col).unwrap(),
+                        Some(idx) => {
+                            let engine = TwoWorldEngine::new(model.event(), &chain).unwrap();
+                            let got = batched
+                                .observe_with_step(&engine.step_at(idx), &mut scratch, &col)
+                                .unwrap();
+                            let at = batched.lifted_state() as *const Vector;
+                            prop_assert_eq!(*owned.get_or_insert(at), at, "owned: in place");
+                            got
+                        }
+                    };
+                    prop_assert_eq!(step_bits(&want), step_bits(&got));
+                    prop_assert_eq!(bits(oracle.lifted_state()), bits(batched.lifted_state()));
+                    prop_assert_eq!(oracle.log_scale().to_bits(), batched.log_scale().to_bits());
                 }
-            };
-            let b = batched.observe_pre_stepped(stepped, &col).unwrap();
-            prop_assert!((a.log_joint_event - b.log_joint_event).abs() < 1e-12);
-            prop_assert!((a.log_joint_total - b.log_joint_total).abs() < 1e-12);
-            prop_assert!((a.posterior - b.posterior).abs() < 1e-12);
+            }
+            for (_, _, idle, initial, _) in &windows {
+                prop_assert_eq!(&bits(idle.lifted_state()), initial);
+                prop_assert_eq!(idle.observed(), 0);
+            }
         }
     }
 
     /// Windows built on one shared [`EventModel`] are bit-identical to
     /// windows that own a private one (`new`), through `peek`, `observe`,
-    /// `observe_pre_stepped`, and a mid-stream `resume`.
+    /// `observe_with_step`, and a mid-stream `resume`.
     #[test]
     fn shared_model_windows_equal_private_ones_bit_for_bit(
         mat in stochastic_matrix(4),
@@ -217,6 +263,7 @@ proptest! {
             IncrementalTwoWorld::from_model(Arc::clone(&model), &chain, pi.clone()).unwrap();
         let mut private_b = private.clone();
         let mut shared_b = shared.clone();
+        let mut scratch = StepScratch::default();
         prop_assert_eq!(private.prior().to_bits(), shared.prior().to_bits());
         prop_assert_eq!(bits(private.lifted_state()), bits(shared.lifted_state()));
         let mut rng = StdRng::seed_from_u64(seed);
@@ -238,19 +285,20 @@ proptest! {
             prop_assert_eq!(bits(private.lifted_state()), bits(shared.lifted_state()));
             prop_assert_eq!(private.log_scale().to_bits(), shared.log_scale().to_bits());
 
-            let stepped = match shared_b.next_step_index() {
-                None => shared_b.lifted_state().clone(),
-                Some(idx) => TwoWorldEngine::new(model.event(), &chain)
-                    .unwrap()
-                    .step_at(idx)
-                    .apply_rows(std::slice::from_ref(shared_b.lifted_state()))
-                    .pop()
-                    .unwrap(),
-            };
-            prop_assert_eq!(
-                private_b.observe_pre_stepped(stepped.clone(), &col).unwrap(),
-                shared_b.observe_pre_stepped(stepped, &col).unwrap()
-            );
+            match shared_b.next_step_index() {
+                None => prop_assert_eq!(
+                    private_b.observe(&col).unwrap(),
+                    shared_b.observe(&col).unwrap()
+                ),
+                Some(idx) => {
+                    let engine = TwoWorldEngine::new(model.event(), &chain).unwrap();
+                    let step = engine.step_at(idx);
+                    prop_assert_eq!(
+                        private_b.observe_with_step(&step, &mut scratch, &col).unwrap(),
+                        shared_b.observe_with_step(&step, &mut scratch, &col).unwrap()
+                    );
+                }
+            }
             prop_assert_eq!(bits(private_b.lifted_state()), bits(shared_b.lifted_state()));
         }
         // One table served every shared window, however many were built.
