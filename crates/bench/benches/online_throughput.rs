@@ -1,9 +1,8 @@
 //! Throughput bench for the streaming subsystem: incremental per-timestep
 //! checking ([`IncrementalTwoWorld`], `O(m²)` per observation → `O(T·m²)`
-//! per horizon) versus full-horizon replay (the offline
-//! [`FixedPiQuantifier`]/`TheoremBuilder` path, `O(t·m²)` per candidate →
-//! `O(T²·m²)` per horizon), plus users×horizon scaling of the sharded
-//! [`SessionManager`].
+//! per horizon) versus full-horizon replay (the offline [`TheoremBuilder`]
+//! path, `O(t·m²)` per candidate → `O(T²·m²)` per horizon), plus
+//! users×horizon scaling of the sharded [`SessionManager`].
 //!
 //! Expected shape: at `T = 10` the two are comparable (constant factors
 //! dominate); from `T ≥ 50` the incremental path wins by roughly `T/2` and
@@ -17,7 +16,7 @@ use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous, TransitionMatrix};
 use priste_online::{OnlineConfig, SessionManager, UserId};
 use priste_quantify::lifted::LiftedStep;
-use priste_quantify::{fixed_pi::FixedPiQuantifier, IncrementalTwoWorld};
+use priste_quantify::{IncrementalTwoWorld, TheoremBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -102,11 +101,12 @@ fn bench_incremental_vs_replay(c: &mut Criterion) {
             &horizon,
             |b, _| {
                 b.iter(|| {
-                    let mut quant =
-                        FixedPiQuantifier::new(&event, &provider, pi.clone()).expect("quantifier");
+                    let mut builder = TheoremBuilder::new(&event, &provider).expect("builder");
                     let mut last = 0.0;
                     for col in &cols {
-                        last = quant.observe(col).expect("observe").privacy_loss;
+                        let inputs = builder.candidate(col).expect("candidate");
+                        last = inputs.privacy_loss(&pi).expect("loss");
+                        builder.commit(col.clone()).expect("commit");
                     }
                     last
                 })

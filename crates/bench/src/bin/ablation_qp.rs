@@ -6,8 +6,9 @@
 //! * **structured simplex scan** — this repository's exact `O(m²)` method;
 //! * **generic projected gradient** — the "treat it as a dense box QP"
 //!   approach one would use to drive a black-box solver (lower bound only);
-//! * **box knapsack machinery** — the literal paper feasible set (see
-//!   DESIGN.md on why the box relaxation is the wrong reading).
+//! * **box knapsack machinery** — the literal paper feasible set, which is
+//!   the wrong reading: without `Σπ = 1` Eq. (15) is unsatisfiable for any
+//!   mechanism (see `priste_qp::simplex`).
 //!
 //! Reported per program: each method's maximum estimate and runtime. The
 //! structured scan is exact, so any generic lower bound above it would be a
@@ -115,5 +116,5 @@ fn main() {
     }
     println!("\nNote: the box maxima sit above the simplex maxima — the literal box");
     println!("relaxation rejects releases the simplex (correct) reading certifies,");
-    println!("and with a scaled-down π it rejects *every* release (DESIGN.md).");
+    println!("and with a scaled-down π it rejects *every* release.");
 }

@@ -1,5 +1,5 @@
 //! Ablation: HMM rescaling vs raw floating point in the quantification
-//! chain (DESIGN.md "Numerical scaling").
+//! chain.
 //!
 //! The joint probabilities of Lemmas III.2/III.3 are products of `T`
 //! sub-stochastic factors; raw `f64` evaluation underflows once

@@ -1,5 +1,5 @@
-//! Regenerates the paper's fig9 series. See DESIGN.md for the experiment
-//! index; run with `--paper` for full §V.A scale.
+//! Regenerates the data series of the paper's Fig. 9 (§V); run with
+//! `--paper` for full §V.A scale.
 
 use priste_bench::{experiments, output, Scale};
 

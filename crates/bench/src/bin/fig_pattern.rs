@@ -1,5 +1,5 @@
-//! Regenerates the paper's fig_pattern series. See DESIGN.md for the experiment
-//! index; run with `--paper` for full §V.A scale.
+//! Regenerates the paper's appendix PATTERN-event series (Fig. 7 style,
+//! §V); run with `--paper` for full §V.A scale.
 
 use priste_bench::{experiments, output, Scale};
 

@@ -3,8 +3,8 @@
 //! Every table and figure of the paper has (a) a binary in `src/bin/` that
 //! regenerates its data series (printed as a table and written as CSV under
 //! `target/experiments/`), and (b) a Criterion bench in `benches/`
-//! exercising its computational core. See DESIGN.md for the experiment
-//! index and EXPERIMENTS.md for measured-vs-paper comparisons.
+//! exercising its computational core. Each binary and bench is named after
+//! the paper figure or table (§V) it reproduces.
 //!
 //! Scale control: the paper runs 20×20 grids, 50 timestamps, 100 runs per
 //! point. That is reproducible here ([`Scale::paper`]) but takes hours for

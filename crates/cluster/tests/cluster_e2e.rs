@@ -580,6 +580,9 @@ fn metrics_schema_covers_router_exports() {
     let mut garbage = Client::connect(&router.local_addr().to_string());
     garbage.send_raw("THIS IS NOT HTTP\r\n\r\n");
     assert_eq!(garbage.read_response().0, 400);
+    // So is a body nested past json::MAX_DEPTH, and the router keeps serving.
+    assert_eq!(client.post("/v1/ingest", &"[".repeat(10_000)).0, 400);
+    assert_eq!(client.ingest(2, 2).0, 200);
     assert_eq!(
         registry
             .counter("cluster_errors_total{route=\"malformed\"}")

@@ -10,8 +10,10 @@ pub struct PristeConfig {
     /// the paper's CPLEX wall-clock threshold (Table III sweeps this).
     pub qp_work_budget: u64,
     /// Feasible set for adversarial initial probabilities. The faithful
-    /// reading of Theorem IV.1 is [`ConstraintSet::Simplex`] (see
-    /// DESIGN.md); [`ConstraintSet::Box`] exists for the ablation study.
+    /// reading of Theorem IV.1 is [`ConstraintSet::Simplex`]: the literal
+    /// box without `Σπ = 1` makes Eq. (15) unsatisfiable for any mechanism
+    /// (see `priste_qp::simplex`); [`ConstraintSet::Box`] exists for the
+    /// ablation study.
     pub constraint: ConstraintSet,
     /// Budget decay factor applied on each failed check (Algorithm 2
     /// line 19 uses ½; §IV.C discusses the efficiency/utility trade-off of

@@ -201,7 +201,7 @@ mod tests {
     use priste_geo::Region;
     use priste_linalg::Vector;
     use priste_markov::{gaussian_kernel_chain, Homogeneous};
-    use priste_quantify::fixed_pi::FixedPiQuantifier;
+    use priste_quantify::IncrementalTwoWorld;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -269,7 +269,8 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let pi = Vector::uniform(9);
-        let mut quantifier = FixedPiQuantifier::new(&events[0], chain.clone(), pi).unwrap();
+        let mut quantifier =
+            IncrementalTwoWorld::new(events[0].clone(), chain.clone(), pi).unwrap();
 
         let traj = chain
             .model()

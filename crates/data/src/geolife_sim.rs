@@ -1,5 +1,4 @@
-//! GeoLife substitute: a commuter simulator (see DESIGN.md
-//! "Substitutions").
+//! GeoLife substitute: a commuter simulator.
 //!
 //! The real dataset is 1.7 GB of GPS traces and cannot ship with this
 //! repository; what the paper actually *consumes* from it is a single

@@ -17,9 +17,9 @@
 //!   dataset is not redistributable with this repository): a commuter
 //!   simulator producing multi-day home↔work trajectories with Gaussian
 //!   jitter and exploration noise over a Beijing-extent grid, trained into
-//!   a transition matrix exactly the way §V.A trains on GeoLife. See
-//!   DESIGN.md "Substitutions" for why this preserves the evaluated
-//!   behaviour.
+//!   a transition matrix exactly the way §V.A trains on GeoLife. This
+//!   preserves the evaluated behaviour because the experiments consume only
+//!   a discretized trajectory and the transition matrix trained from it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

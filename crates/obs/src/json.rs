@@ -7,10 +7,20 @@
 //! writer uses. The parser accepts standard JSON (RFC 8259) with two deliberate
 //! simplifications: numbers parse through [`f64`] (ints above 2⁵³ lose
 //! precision) and `\uXXXX` escapes outside the BMP must be paired
-//! surrogates.
+//! surrogates. Nesting is capped at [`MAX_DEPTH`], so hostile input cannot
+//! exhaust the stack of the thread parsing it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts; a deeper
+/// document is an `Err` naming the byte offset of the first bracket past
+/// the limit. The parser recurses once per level, and an unbounded depth
+/// overflows a default 2 MiB thread stack (an uncatchable abort) at around
+/// 10⁴ levels. The deepest document the workspace writes or reads is 5
+/// levels (a traced metrics snapshot); request and response bodies,
+/// `BENCH_*.json` and the end-to-end benchmark's output are at most 3.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,7 +142,7 @@ pub fn quote(s: &str) -> String {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -163,12 +173,17 @@ fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value nested inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -276,7 +291,7 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     Ok(code)
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -285,7 +300,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -298,7 +313,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -311,7 +326,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -383,6 +398,21 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "1 2", "{'a': 1}", "tru"] {
             assert!(parse(bad).is_err(), "should reject: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth_without_overflowing_the_stack() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "null" + &"}".repeat(depth);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // A plain spawned thread has the default stack, as the daemons'
+        // workers do; unbounded recursion would abort the whole process.
+        let hostile = std::thread::spawn(|| parse(&"[".repeat(100_000)).is_err());
+        assert!(hostile.join().unwrap());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Exact global maximization of `f(π) = (π·a)(π·g) + π·h` over the
 //! probability simplex `{π ≥ 0, Σπ = 1}` — the feasible set Theorem IV.1
-//! actually requires (see DESIGN.md: the literal box `0 ≤ π ≤ 1` *without*
+//! actually requires (the literal box `0 ≤ π ≤ 1` *without*
 //! the sum constraint makes Eq. (15) unsatisfiable for any mechanism,
 //! contradicting the paper's own α→0 termination argument, so the simplex
 //! constraint is implicit in the paper).

@@ -13,7 +13,8 @@ use priste_markov::TransitionProvider;
 /// The paper's formulas assume `start ≥ 2` (mass can only enter the true
 /// world through a transition). For events starting at `t = 1` the initial
 /// vector itself is lifted world-aware: `[π∘(1−s), π∘s]`, so membership at
-/// the first timestamp is counted (documented deviation in DESIGN.md).
+/// the first timestamp is counted (a deviation: with the paper's
+/// all-false initial lift, presence at `t = 1` would never count).
 #[derive(Debug, Clone)]
 pub struct TwoWorldEngine<'e, P> {
     event: &'e StEvent,
@@ -77,8 +78,10 @@ impl<'e, P: TransitionProvider> TwoWorldEngine<'e, P> {
                     }
                 } else if t >= start && t < end {
                     // Eq. (7): must stay inside the region of the
-                    // *destination* timestamp t+1 (see DESIGN.md on the
-                    // paper's index ambiguity here).
+                    // *destination* timestamp t+1 (the paper's index is
+                    // ambiguous here; this is the reading `StEvent::eval`
+                    // defines, checked against enumeration in
+                    // tests/oracle.rs).
                     LiftedStep::Hold {
                         m,
                         region: p.region_at(t + 1).expect("t+1 is inside the window"),

@@ -48,9 +48,9 @@ use priste_linalg::Vector;
 use priste_markov::TransitionProvider;
 use std::sync::{Arc, Weak};
 
-/// Per-observation output of the incremental quantifier — the streaming
-/// analogue of [`crate::fixed_pi::StepQuantification`] plus the adversary's
-/// posterior view.
+/// Per-observation output of the incremental quantifier: §III's fixed-`π`
+/// quantification (prior, joints, realized privacy loss) plus an exact
+/// Bayesian adversary's posterior view of the event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamStep {
     /// Timestep `t` of the observation just consumed (1-based).
@@ -864,28 +864,5 @@ mod tests {
         ));
         let vanished = IncrementalTwoWorld::resume(model, chain(), start, Vector::zeros(6), 0.0, 2);
         assert!(matches!(vanished, Err(QuantifyError::InvalidResume { .. })));
-    }
-
-    #[test]
-    fn posterior_agrees_with_bayesian_adversary() {
-        let ev = presence_event();
-        let pi = Vector::from(vec![0.3, 0.3, 0.4]);
-        let mut inc = IncrementalTwoWorld::new(ev.clone(), chain(), pi.clone()).unwrap();
-        let mut adv = crate::attack::BayesianAdversary::new(&ev, chain(), pi).unwrap();
-        for col in [
-            Vector::from(vec![0.6, 0.3, 0.1]),
-            Vector::from(vec![0.1, 0.3, 0.6]),
-            Vector::from(vec![0.4, 0.4, 0.2]),
-        ] {
-            let s = inc.observe(&col).unwrap();
-            let inf = adv.observe(&col).unwrap();
-            assert!(
-                (s.posterior - inf.posterior).abs() < 1e-10,
-                "posterior {} vs {}",
-                s.posterior,
-                inf.posterior
-            );
-            assert!((s.odds_lift - inf.odds_lift).abs() < 1e-9 * inf.odds_lift.max(1.0));
-        }
     }
 }

@@ -25,24 +25,22 @@
 //!   instead of replaying the horizon (the journal extension's per-timestamp
 //!   recursion, arXiv:1907.10814); what `priste-online` sessions hold. Its
 //!   per-event suffix table is an [`EventModel`] shared across windows.
-//! * [`fixed_pi`] — §III's quantification for a *known* initial probability:
-//!   conditional likelihoods and realized privacy loss.
+//!   It is also the fixed-π and exact-Bayes face: each [`StreamStep`]
+//!   reports §III's realized privacy loss for a *known* initial
+//!   probability, and the posterior and odds lift of an exact Bayesian
+//!   adversary — the lift Definition II.4 bounds by `e^ε`.
 //! * [`forward_backward`] — the classic HMM smoother (Eqs. (10)–(12)).
 //! * [`naive`] — Appendix B exponential baselines (general Boolean events
 //!   via [`priste_event::EventExpr`], plus Algorithm 4's PATTERN-specific
 //!   enumeration).
-//! * [`attack`] — an exact Bayesian adversary whose posterior-odds lift is
-//!   what the ε guarantee bounds; used to verify releases operationally.
 //! * [`sweep`] — ε-capacity analysis: the smallest certifiable ε per
 //!   timestep, by bisection over the exact Theorem IV.1 checker.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod attack;
 mod engine;
 mod error;
-pub mod fixed_pi;
 pub mod forward_backward;
 mod incremental;
 pub mod lifted;

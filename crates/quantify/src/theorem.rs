@@ -13,8 +13,9 @@ use priste_markov::TransitionProvider;
 ///
 /// `b` and `c` share one log-scale; both Theorem IV.1 inequalities are
 /// jointly homogeneous of degree 1 in `(b, c)`, so the scale never changes a
-/// decision (see DESIGN.md "Numerical scaling") and the QP layer can consume
-/// the carried vectors directly.
+/// decision and the QP layer can consume the carried vectors directly. The
+/// scale exists because raw products of `T` sub-stochastic factors
+/// underflow `f64` over long horizons (the `ablation_scaling` bench binary).
 #[derive(Debug, Clone)]
 pub struct TheoremInputs {
     /// Timestep `t` these inputs describe (1-based).
@@ -94,9 +95,10 @@ impl TheoremInputs {
 /// budget between tries) and only the location actually released updates
 /// the internal state (Algorithm 2 lines 21–25).
 ///
-/// Cloning snapshots the full release history (streaming sessions fork
-/// adversary state this way); [`TheoremBuilder::reset`] rewinds to `t = 0`
-/// while keeping the per-event precomputation.
+/// Cloning snapshots the full release history, so a caller can score
+/// several continuations of one released prefix;
+/// [`TheoremBuilder::reset`] rewinds to `t = 0` while keeping the
+/// per-event precomputation.
 ///
 /// Owns its event and provider (like
 /// [`IncrementalTwoWorld`](crate::IncrementalTwoWorld)), so the value is

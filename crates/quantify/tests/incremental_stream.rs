@@ -7,7 +7,6 @@ use priste_event::{Pattern, Presence, StEvent};
 use priste_geo::{CellId, Region};
 use priste_linalg::{Matrix, SparseMatrix, Vector};
 use priste_markov::{Homogeneous, MarkovModel};
-use priste_quantify::attack::BayesianAdversary;
 use priste_quantify::lifted::StepScratch;
 use priste_quantify::{
     EventModel, IncrementalTwoWorld, QuantifyError, StreamStep, TheoremBuilder, TwoWorldEngine,
@@ -114,8 +113,11 @@ fn random_emission(rng: &mut StdRng, m: usize) -> Vector {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Per-step joints, posteriors and losses from the incremental state
-    /// equal the offline builder replaying the whole horizon.
+    /// Per-step joints, posteriors, odds lifts and losses from the
+    /// incremental state equal the offline builder replaying the whole
+    /// horizon: the posterior is exact Bayes `(π·b)/(π·c)`, the odds lift
+    /// is the likelihood ratio `Pr(o|E)/Pr(o|¬E)`, and the loss is
+    /// [`TheoremInputs::privacy_loss`](priste_quantify::TheoremInputs::privacy_loss).
     #[test]
     fn incremental_equals_full_horizon_replay(
         mat in stochastic_matrix(3),
@@ -151,32 +153,25 @@ proptest! {
                 (stream.log_joint_total - off_jc).abs() < 1e-9,
                 "t={} joint(o): {} vs {} ({})", t, stream.log_joint_total, off_jc, ev
             );
-            builder.commit(col).unwrap();
-        }
-    }
-
-    /// The incremental posterior is the exact Bayesian adversary's.
-    #[test]
-    fn incremental_posterior_is_the_adversary_posterior(
-        mat in stochastic_matrix(4),
-        pi in distribution(4),
-        ev in st_event(4),
-        seed in 0u64..u64::MAX / 2,
-    ) {
-        let chain = Homogeneous::new(MarkovModel::new(mat).unwrap());
-        // The shim inlines this body into the per-case loop, so `continue`
-        // skips just this sampled case.
-        let Some(mut inc) = build_or_skip(&ev, &chain, &pi) else { continue };
-        let mut adv = BayesianAdversary::new(&ev, &chain, pi).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..ev.end() + 2 {
-            let col = random_emission(&mut rng, 4);
-            let stream = inc.observe(&col).unwrap();
-            let inf = adv.observe(&col).unwrap();
+            let prior = inputs.prior(&pi);
+            let jb = pi.dot(&inputs.b).unwrap();
+            let jc = pi.dot(&inputs.c).unwrap();
             prop_assert!(
-                (stream.posterior - inf.posterior).abs() < 1e-9,
-                "posterior {} vs {} ({})", stream.posterior, inf.posterior, ev
+                (stream.posterior - jb / jc).abs() < 1e-9,
+                "t={} posterior: {} vs {} ({})", t, stream.posterior, jb / jc, ev
             );
+            let ratio = (jb / prior) / ((jc - jb) / (1.0 - prior));
+            prop_assert!(
+                (stream.odds_lift.ln() - ratio.ln()).abs() < 1e-9,
+                "t={} odds lift: {} vs likelihood ratio {} ({})", t, stream.odds_lift, ratio, ev
+            );
+            if let Ok(loss) = inputs.privacy_loss(&pi) {
+                prop_assert!(
+                    (stream.privacy_loss - loss).abs() < 1e-9,
+                    "t={} loss: {} vs {} ({})", t, stream.privacy_loss, loss, ev
+                );
+            }
+            builder.commit(col).unwrap();
         }
     }
 

@@ -10,7 +10,7 @@ use priste_event::{Pattern, Presence, StEvent};
 use priste_geo::{CellId, Region};
 use priste_linalg::{Matrix, Vector};
 use priste_markov::{Homogeneous, MarkovModel, TimeVarying};
-use priste_quantify::{naive, TheoremBuilder, TwoWorldEngine};
+use priste_quantify::{naive, IncrementalTwoWorld, QuantifyError, TheoremBuilder, TwoWorldEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,6 +108,20 @@ fn joint_matches_enumeration_before_during_and_after_the_event() {
         let emissions: Vec<Vector> = (0..horizon).map(|_| random_emission(&mut rng, m)).collect();
 
         let mut builder = TheoremBuilder::new(&event, &chain).unwrap();
+        // The streaming tracker carries the same joints forward; it has no
+        // ratio to track (and refuses to build) when the prior is 0 or 1.
+        let mut stream = match IncrementalTwoWorld::new(event.clone(), &chain, pi.clone()) {
+            Ok(stream) => Some(stream),
+            Err(QuantifyError::DegeneratePrior { .. }) => None,
+            Err(e) => panic!("case {case}: {e}"),
+        };
+        // PRESENCE in cell 0 at t = 1 and its complement partition every
+        // trajectory, so their joints sum to the enumerated Pr(o_1..o_t).
+        let first_cell = Region::from_cells(m, [CellId(0)]).unwrap();
+        let partition: Vec<StEvent> = [first_cell.complement(), first_cell]
+            .into_iter()
+            .map(|r| Presence::new(r, 1, 1).unwrap().into())
+            .collect();
         for t in 1..=horizon {
             let inputs = builder.candidate(&emissions[t - 1]).unwrap();
             let fast_joint_e = pi.dot(&inputs.b).unwrap() * inputs.bc_log_scale.exp();
@@ -127,6 +141,23 @@ fn joint_matches_enumeration_before_during_and_after_the_event() {
                 fast_joint_all >= fast_joint_e - 1e-12,
                 "total joint below event joint"
             );
+            if let Some(stream) = stream.as_mut() {
+                let step = stream.observe(&emissions[t - 1]).unwrap();
+                let stream_joint_e = step.log_joint_event.exp();
+                assert!(
+                    (stream_joint_e - slow_joint_e).abs() < 1e-10 * slow_joint_e.max(1e-30),
+                    "case {case} t={t} event {event}: streamed joint(E) {stream_joint_e} vs {slow_joint_e}"
+                );
+                let slow_total: f64 = partition
+                    .iter()
+                    .map(|part| naive::joint(part, &&chain, &pi, &emissions[..t], LIMIT).unwrap())
+                    .sum();
+                let stream_total = step.log_joint_total.exp();
+                assert!(
+                    (stream_total - slow_total).abs() < 1e-10 * slow_total,
+                    "case {case} t={t} event {event}: streamed joint(o) {stream_total} vs {slow_total}"
+                );
+            }
             builder.commit(emissions[t - 1].clone()).unwrap();
         }
     }

@@ -277,6 +277,11 @@ fn malformed_traffic_gets_4xx_and_bumps_error_counters() {
     assert_eq!(status, 400); // neither observed nor column
     let (status, _, _) = client.post("/v1/ingest", "not json");
     assert_eq!(status, 400);
+    // Nested past json::MAX_DEPTH: refused, and the worker keeps serving.
+    let (status, _, _) = client.post("/v1/ingest", &"[".repeat(10_000));
+    assert_eq!(status, 400);
+    let (status, _, _) = client.post("/v1/ingest", "{\"user\": 1, \"observed\": 3}");
+    assert_eq!(status, 200);
     let (status, _, _) = client.post("/v1/ingest", "{\"user\": 1, \"observed\": 99}");
     assert_eq!(status, 400); // outside the 9-cell domain
     let (status, _, _) = client.get("/no/such/route");
@@ -294,11 +299,11 @@ fn malformed_traffic_gets_4xx_and_bumps_error_counters() {
         registry
             .counter("serve_errors_total{route=\"/v1/ingest\"}")
             .get(),
-        4
+        5
     );
     server.drain_handle().drain();
     let summary = server.wait().unwrap();
-    assert_eq!(summary.errors, 6);
+    assert_eq!(summary.errors, 7);
 }
 
 #[test]

@@ -12,7 +12,9 @@
 //! adversary's MAP guesses barely beating the base rate — while against an
 //! *unprotected* mechanism the same adversary's lifts blow through the
 //! band. One [`Pipeline`] is built once; each run derives a fresh auditor
-//! and adversary from it.
+//! and adversary from it: the adversary is the pipeline's exact-Bayes
+//! quantifier, whose `odds_lift` is the adversary's posterior odds over
+//! prior odds.
 
 use priste::prelude::*;
 use rand::rngs::StdRng;
@@ -53,7 +55,7 @@ fn main() -> Result<(), PristeError> {
 
         // --- Protected: PriSTE-calibrated releases. ---
         let mut audit = pipeline.audit()?;
-        let mut adversary = pipeline.adversary()?;
+        let mut adversary = pipeline.quantifier()?;
         for &loc in &traj {
             let rec = audit.release(loc, &mut rng)?;
             let mech: Box<dyn Lppm> = if rec.final_budget == 0.0 {
@@ -61,18 +63,18 @@ fn main() -> Result<(), PristeError> {
             } else {
                 Box::new(PlanarLaplace::new(grid.clone(), rec.final_budget)?)
             };
-            let inference = adversary.observe(&mech.emission_column(rec.observed))?;
-            protected_worst = protected_worst.max(inference.odds_lift.ln().abs());
+            let step = adversary.observe(&mech.emission_column(rec.observed))?;
+            protected_worst = protected_worst.max(step.odds_lift.ln().abs());
         }
 
         // --- Unprotected: the same α-PLM without calibration. ---
         let plm = pipeline.mechanism_instance()?;
         let mut rng = StdRng::seed_from_u64(run);
-        let mut adversary = pipeline.adversary()?;
+        let mut adversary = pipeline.quantifier()?;
         for &loc in &traj {
             let obs = plm.perturb(loc, &mut rng);
-            let inference = adversary.observe(&plm.emission_column(obs))?;
-            plain_worst = plain_worst.max(inference.odds_lift.ln().abs());
+            let step = adversary.observe(&plm.emission_column(obs))?;
+            plain_worst = plain_worst.max(step.odds_lift.ln().abs());
         }
     }
 

@@ -91,7 +91,8 @@
 //! | `SessionManager::enable_enforcement(lppm, guard)` | `…​.serve_enforcing()` |
 //! | `CalibratedMechanism::new(lppm, &events, provider, π, guard)` | `…​.enforce()` |
 //! | `IncrementalTwoWorld::new(event, provider, π)` | `…​.quantifier()` |
-//! | `BayesianAdversary::new(&event, provider, π)` | `…​.adversary()` |
+//! | the removed `quantify::attack` adversary / `quantify::fixed_pi` quantifier, built from `(&event, provider, π)` | `IncrementalTwoWorld::new(event, provider, π)` / `…​.quantifier()` |
+//! | their per-step outputs | `StreamStep` |
 //! | `TheoremBuilder::new(&event, provider)` + `TheoremChecker::new(ε, solver)` | `…​.checker()` |
 //! | `plan_greedy(lppm, &event, provider, T, ε, &cfg)` | `…​.plan_greedy(T)` |
 
@@ -152,8 +153,7 @@ pub mod prelude {
     };
     pub use priste_qp::{ConstraintSet, SolverConfig, TheoremChecker, TheoremVerdict};
     pub use priste_quantify::{
-        attack::BayesianAdversary, fixed_pi::FixedPiQuantifier, forward_backward, naive,
-        IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
+        forward_backward, naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
     };
     pub use priste_serve::{
         DrainHandle, DrainSummary, LoadMode, LoadgenOptions, LoadgenReport, ServeError, Server,

@@ -65,7 +65,7 @@ use priste_markov::{Homogeneous, MarkovModel, TimeVarying, TransitionProvider};
 use priste_obs::Registry;
 use priste_online::{DurableOptions, OnlineConfig, SessionManager};
 use priste_qp::TheoremChecker;
-use priste_quantify::{attack::BayesianAdversary, IncrementalTwoWorld, TheoremBuilder};
+use priste_quantify::{IncrementalTwoWorld, TheoremBuilder};
 use priste_serve::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -825,21 +825,6 @@ impl Pipeline {
                     .map_err(Into::into)
             })
             .collect()
-    }
-
-    /// An exact Bayesian adversary for the first pipeline event — the
-    /// operational meaning of the ε guarantee (odds lifts in `[e^{−ε},
-    /// e^{ε}]`).
-    ///
-    /// # Errors
-    /// See [`Pipeline::quantifier`].
-    pub fn adversary(&self) -> Result<BayesianAdversary<SharedProvider>> {
-        let event = self.first_event()?;
-        Ok(BayesianAdversary::new(
-            event,
-            self.provider(),
-            self.pi.clone(),
-        )?)
     }
 
     /// A Theorem IV.1 checking pair for the first pipeline event: the

@@ -43,11 +43,10 @@ use priste::prelude::{
     // qp
     ConstraintSet, SolverConfig, TheoremChecker, TheoremVerdict,
     // quantify
-    forward_backward, naive, BayesianAdversary, FixedPiQuantifier, IncrementalTwoWorld,
-    StreamStep, TheoremBuilder, TwoWorldEngine,
+    forward_backward, naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
 };
 use priste::online::Session;
-use priste::quantify::{attack::Inference, TheoremInputs};
+use priste::quantify::TheoremInputs;
 use rand::RngCore;
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -120,8 +119,6 @@ fn pipeline_method_set_is_pinned() {
         Pipeline::quantifier;
     let _: fn(&Pipeline) -> Result<Vec<IncrementalTwoWorld<SharedProvider>>, PristeError> =
         Pipeline::quantifiers;
-    let _: fn(&Pipeline) -> Result<BayesianAdversary<SharedProvider>, PristeError> =
-        Pipeline::adversary;
     let _: fn(&Pipeline) -> Result<(TheoremBuilder<SharedProvider>, TheoremChecker), PristeError> =
         Pipeline::checker;
     let _: fn(&Pipeline, usize) -> Result<BudgetPlan, PristeError> = Pipeline::plan_greedy;
@@ -226,5 +223,5 @@ fn prelude_symbols_are_usable() {
     assert_eq!(pipeline.num_cells(), 4);
     assert_eq!(pipeline.events().len(), 1);
     let _: &Vector = pipeline.initial();
-    let _unused: (Option<Inference>, Option<TheoremInputs>) = (None, None);
+    let _unused: Option<TheoremInputs> = None;
 }

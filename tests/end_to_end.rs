@@ -64,7 +64,8 @@ fn algorithm2_guarantees_hold_for_many_adversarial_priors() {
     }
 
     for pi in priors {
-        let Ok(mut q) = FixedPiQuantifier::new(&event, Homogeneous::new(chain.clone()), pi.clone())
+        let Ok(mut q) =
+            IncrementalTwoWorld::new(event.clone(), Homogeneous::new(chain.clone()), pi.clone())
         else {
             continue; // degenerate prior for this event — nothing to bound
         };

@@ -445,3 +445,23 @@ fn quickstart_example_runs_to_completion() {
         "quickstart did not reach its final OK line: {stdout}"
     );
 }
+
+/// `examples/adversary_bound.rs` asserts that an exact Bayesian adversary's
+/// worst `|ln odds-lift|` over PriSTE-protected streams stays within ε: the
+/// end-to-end operational check of the guarantee. It must run to
+/// completion and print its protected-stream summary.
+#[test]
+fn adversary_bound_example_runs_to_completion() {
+    let out = Command::new(env!("CARGO"))
+        .args(["run", "--quiet", "--example", "adversary_bound"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("spawn cargo run --example adversary_bound");
+    assert!(
+        out.status.success(),
+        "adversary_bound failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("PriSTE-protected"), "{stdout}");
+}

@@ -136,7 +136,7 @@ fn deadline_zero_forces_conservative_fallbacks_but_never_unsoundness() {
     let mut rng = StdRng::seed_from_u64(3);
     let traj = chain.sample_trajectory(CellId(4), 5, &mut rng).unwrap();
     let mut adversary =
-        BayesianAdversary::new(&event, Homogeneous::new(chain), Vector::uniform(9)).unwrap();
+        IncrementalTwoWorld::new(event, Homogeneous::new(chain), Vector::uniform(9)).unwrap();
     for &loc in &traj {
         let rec = priste.release(loc, &mut rng).unwrap();
         assert_eq!(
@@ -145,11 +145,11 @@ fn deadline_zero_forces_conservative_fallbacks_but_never_unsoundness() {
         );
         assert!(rec.conservative_hits > 0);
         let uniform = UniformMechanism::new(9);
-        let inf = adversary
+        let step = adversary
             .observe(&uniform.emission_column(rec.observed))
             .unwrap();
         assert!(
-            (inf.odds_lift - 1.0).abs() < 1e-9,
+            (step.odds_lift - 1.0).abs() < 1e-9,
             "uniform releases leak nothing"
         );
     }
@@ -171,7 +171,7 @@ fn reducible_chain_with_unreachable_event_region_is_degenerate_not_wrong() {
     let event = parse_event("PRESENCE(S={3:4}, T={2:3})", 4).unwrap();
     // Prior concentrated on the unreachable component.
     let pi = Vector::from(vec![0.5, 0.5, 0.0, 0.0]);
-    assert!(FixedPiQuantifier::new(&event, Homogeneous::new(chain), pi).is_err());
+    assert!(IncrementalTwoWorld::new(event, Homogeneous::new(chain), pi).is_err());
 }
 
 #[test]
