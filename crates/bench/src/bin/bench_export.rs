@@ -9,7 +9,8 @@
 //!   release, the durability tax, crash/recover round-trips, and the
 //!   per-session cost of registering, checkpointing and recovering users at
 //!   m = 2500, the resident growth of 10⁵ registered idle users there, and
-//!   the heap one steady-state durable ingest allocates there.
+//!   the heap one steady-state durable ingest, one first ingest and one
+//!   enforcing release allocate there.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput.
 //! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners,
@@ -672,6 +673,83 @@ fn suite_online(
         note: format!(
             "mean heap allocated per durable ingest of an already-observed user \
              ({users} users, {rounds} rounds) on the 50x50 CSR world, fsync off"
+        ),
+    });
+
+    // --- First ingests and guarded releases at m = 2500 ------------------
+    //
+    // A user's first ingest should allocate only the state it keeps from
+    // then on — its posterior (one m-vector) and its window's forward
+    // vector (one 2m-vector) — and an enforcing release of an observed user
+    // one candidate column per guard attempt plus one (the windows are
+    // stepped once per release into the service's kept buffers, not once
+    // per attempt). One ingest and one release round warm the scratch.
+    let mut svc = service(&provider_s, &event_s, users);
+    svc.ingest(UserId(0), column(0, 0)).expect("ingest");
+    let firsts: Vec<(UserId, Vector)> = (1..users)
+        .map(|u| (UserId(u as u64), column(u, 0)))
+        .collect();
+    let ingests = firsts.len();
+    let kb = allocated_kb(|| {
+        for (u, col) in firsts {
+            svc.ingest(u, col).expect("ingest");
+        }
+    }) / ingests as f64;
+    let kept_kb = 3.0 * m_vector_kb;
+    assert!(
+        kb <= kept_kb + 4.0,
+        "a first ingest allocated {kb:.1} KB, over the {kept_kb:.1} KB it keeps plus 4 KB"
+    );
+    metrics.push(Metric {
+        name: "first_ingest_alloc_kb_m2500",
+        value: kb,
+        unit: "KB",
+        note: format!(
+            "mean heap allocated by the first ingest of a registered user ({ingests} users) \
+             on the 50x50 CSR world, in-memory; it keeps {kept_kb:.1} KB"
+        ),
+    });
+    svc.enable_enforcement(
+        Box::new(PlanarLaplace::new(GridMap::new(50, 50, 1.0).expect("grid"), 2.0).expect("plm")),
+        GuardConfig::default(),
+    )
+    .expect("enforcement");
+    let mut rng = StdRng::seed_from_u64(5);
+    let at = |u: usize| CellId((u * 37) % m);
+    for u in 0..users {
+        svc.release(UserId(u as u64), at(u), &mut rng)
+            .expect("release");
+    }
+    let (mut total_kb, mut attempts) = (0.0, 0);
+    let releases = 2 * users;
+    for round in 0..2 {
+        for u in 0..users {
+            let mut tried = 0;
+            let kb = allocated_kb(|| {
+                tried = svc
+                    .release(UserId(u as u64), at(u + round), &mut rng)
+                    .expect("release")
+                    .attempts;
+            });
+            let bound_kb = (tried + 1) as f64 * m_vector_kb;
+            assert!(
+                kb < bound_kb,
+                "a release of {tried} attempts allocated {kb:.1} KB, not under {bound_kb:.1} KB"
+            );
+            total_kb += kb;
+            attempts += tried;
+        }
+    }
+    drop(svc);
+    metrics.push(Metric {
+        name: "release_alloc_kb_m2500",
+        value: total_kb / releases as f64,
+        unit: "KB",
+        note: format!(
+            "mean heap allocated per enforcing release of an already-observed user \
+             ({releases} releases, {:.1} guard attempts each) on the 50x50 CSR world, \
+             in-memory",
+            attempts as f64 / releases as f64
         ),
     });
 

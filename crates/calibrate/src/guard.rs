@@ -44,6 +44,7 @@ use priste_linalg::Vector;
 use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_obs::{Counter, Histogram, Registry};
+use priste_quantify::lifted::StepScratch;
 use priste_quantify::{IncrementalTwoWorld, QuantifyError};
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -562,12 +563,13 @@ pub struct CalibratedRelease {
 /// a set of protected events before it leaves the mechanism.
 ///
 /// Each protected event is tracked by an [`IncrementalTwoWorld`], so one
-/// release costs `O(k · a · m²)` for `k` events and `a` backoff attempts —
-/// no horizon replay. What it checks (under [`OnExhaustion::Suppress`]):
-/// at every timestep the committed column prefix satisfies
-/// `|ln odds-lift| ≤ target_epsilon` for every protected event under the
-/// construction-time `π`, re-checkable offline with
-/// [`TheoremBuilder`](priste_quantify::TheoremBuilder) (the
+/// release of `k` events with `a` backoff attempts costs one lifted step
+/// per window (`O(k·m²)`, `O(k·nnz)` on a CSR chain) plus `O(k·m)` per
+/// attempt, and the commit's own step — no horizon replay. What it checks
+/// (under [`OnExhaustion::Suppress`]): at every timestep the committed
+/// column prefix satisfies `|ln odds-lift| ≤ target_epsilon` for every
+/// protected event under the construction-time `π`, re-checkable offline
+/// with [`TheoremBuilder`](priste_quantify::TheoremBuilder) (the
 /// `guard_properties` proptest suite pins this). That is the ledger's model
 /// of the committed columns, not the algorithm-aware likelihood of the
 /// realized stream: the rung a release came from depends on the true
@@ -577,6 +579,8 @@ pub struct CalibratedMechanism<P> {
     cache: MechanismCache,
     config: GuardConfig,
     worlds: Vec<IncrementalTwoWorld<P>>,
+    /// One staging scratch per world, kept across releases.
+    staged: Vec<StepScratch>,
     t: usize,
     /// Always-on suppression counter — the single source of truth behind
     /// [`CalibratedMechanism::suppressed`] and, once
@@ -618,6 +622,7 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
             cache: MechanismCache::new(lppm),
             config,
             worlds,
+            staged: Vec::new(),
             t: 0,
             suppressed,
             instruments,
@@ -676,10 +681,13 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
         true_loc: CellId,
         rng: &mut dyn RngCore,
     ) -> Result<CalibratedRelease> {
-        let worlds = &self.worlds;
-        let outcome = run_guard(&mut self.cache, &self.config, true_loc, rng, |column| {
-            peek_worst_loss(worlds, column)
-        })?;
+        let outcome = run_guard(
+            &mut self.cache,
+            &self.config,
+            true_loc,
+            rng,
+            peek_worst_loss(&self.worlds, &mut self.staged),
+        )?;
         let mut loss = 0.0f64;
         for world in &mut self.worlds {
             loss = loss.max(world.observe(&outcome.column)?.privacy_loss);
@@ -698,29 +706,51 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
     }
 }
 
-/// Worst cumulative realized loss across a set of worlds were `column`
-/// committed next. A zero-likelihood candidate (impossible under the
-/// model) is reported as `+∞` — uncertifiable, so the backoff moves on —
-/// rather than an error. Takes any iterator of worlds so both
-/// [`CalibratedMechanism`] and `priste-online`'s enforcing sessions (whose
-/// windows wrap their quantifiers) share one policy.
+/// The guard's per-attempt check for one release: the worst cumulative
+/// realized loss across a set of worlds were a candidate column committed
+/// next. Every world is staged once here ([`IncrementalTwoWorld::stage`],
+/// into `staged`, one scratch per world, grown as needed and reusable
+/// across releases); the returned closure then weighs each candidate
+/// against the staged rows ([`IncrementalTwoWorld::peek_staged`]), so an
+/// attempt costs `O(m)` per world and allocates nothing — bit-identical to
+/// calling [`IncrementalTwoWorld::peek`] per world per attempt. A
+/// zero-likelihood candidate (impossible under the model) is reported as
+/// `+∞` — uncertifiable, so the backoff moves on — rather than an error.
+/// Takes any cloneable iterator of worlds so both [`CalibratedMechanism`]
+/// and `priste-online`'s enforcing sessions (whose windows wrap their
+/// quantifiers) share one policy. The worlds must not observe while the
+/// closure lives.
 ///
-/// # Errors
-/// Quantification errors other than zero likelihood.
-pub fn peek_worst_loss<'w, P: TransitionProvider + 'w>(
-    worlds: impl IntoIterator<Item = &'w IncrementalTwoWorld<P>>,
-    column: &Vector,
-) -> Result<f64> {
-    let mut worst = 0.0f64;
-    for world in worlds {
-        let loss = match world.peek(column) {
-            Ok(step) => step.privacy_loss,
-            Err(QuantifyError::ZeroLikelihood { .. }) => f64::INFINITY,
-            Err(e) => return Err(e.into()),
-        };
-        worst = worst.max(loss);
+/// The closure fails with quantification errors other than zero
+/// likelihood.
+pub fn peek_worst_loss<'a, P, I>(
+    worlds: I,
+    staged: &'a mut Vec<StepScratch>,
+) -> impl FnMut(&Vector) -> Result<f64> + 'a
+where
+    P: TransitionProvider + 'a,
+    I: IntoIterator<Item = &'a IncrementalTwoWorld<P>>,
+    I::IntoIter: Clone + 'a,
+{
+    let worlds = worlds.into_iter();
+    for (i, world) in worlds.clone().enumerate() {
+        if i == staged.len() {
+            staged.push(StepScratch::default());
+        }
+        world.stage(&mut staged[i]);
     }
-    Ok(worst)
+    move |column| {
+        let mut worst = 0.0f64;
+        for (world, scratch) in worlds.clone().zip(staged.iter_mut()) {
+            let loss = match world.peek_staged(scratch, column) {
+                Ok(step) => step.privacy_loss,
+                Err(QuantifyError::ZeroLikelihood { .. }) => f64::INFINITY,
+                Err(e) => return Err(e.into()),
+            };
+            worst = worst.max(loss);
+        }
+        Ok(worst)
+    }
 }
 
 #[cfg(test)]

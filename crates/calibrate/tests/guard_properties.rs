@@ -9,18 +9,28 @@
 //! 2. **No spurious suppression** — a release is only ever suppressed when
 //!    the *uncalibrated* (base-budget) candidate genuinely violates the
 //!    target under the same offline replay.
+//!
+//! A third property pins the staged guard ([`peek_worst_loss`], one lifted
+//! step per window per release) to the guard it replaced, which peeked
+//! every window afresh on every attempt: same outcome, same RNG draws, in
+//! every entry point that runs it.
 
-use priste_calibrate::{CalibratedMechanism, Decision, GuardConfig, OnExhaustion};
+use priste_calibrate::{
+    peek_worst_loss, run_guard, CalibratedMechanism, Decision, GuardConfig, MechanismCache,
+    OnExhaustion,
+};
 use priste_core::test_support::homogeneous_world;
 use priste_event::{Presence, StEvent};
 use priste_geo::{CellId, GridMap, Region};
 use priste_linalg::Vector;
 use priste_lppm::{Lppm, PlanarLaplace};
-use priste_markov::Homogeneous;
-use priste_quantify::TheoremBuilder;
+use priste_markov::{Homogeneous, TransitionProvider};
+use priste_online::{OnlineConfig, SessionManager, UserId};
+use priste_quantify::{IncrementalTwoWorld, QuantifyError, TheoremBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use std::sync::Arc;
 
 const SIDE: usize = 3;
 const M: usize = SIDE * SIDE;
@@ -85,6 +95,29 @@ fn col_at(reference: &PlanarLaplace, base: f64, budget: f64, observed: CellId) -
             .unwrap()
             .emission_column(observed)
     }
+}
+
+/// The unstaged guard check: every world peeked afresh per attempt, a
+/// zero-likelihood candidate scored `+∞`.
+fn plain_worst_loss<'w, P: TransitionProvider + 'w>(
+    worlds: impl IntoIterator<Item = &'w IncrementalTwoWorld<P>>,
+    column: &Vector,
+) -> priste_calibrate::Result<f64> {
+    let mut worst = 0.0f64;
+    for world in worlds {
+        let loss = match world.peek(column) {
+            Ok(step) => step.privacy_loss,
+            Err(QuantifyError::ZeroLikelihood { .. }) => f64::INFINITY,
+            Err(e) => return Err(e.into()),
+        };
+        worst = worst.max(loss);
+    }
+    Ok(worst)
+}
+
+/// The RNG `release_batch` draws a shard's candidates from.
+fn shard_rng(seed: u64, shard: usize) -> StdRng {
+    StdRng::seed_from_u64(seed.wrapping_add((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 proptest! {
@@ -201,6 +234,114 @@ proptest! {
                 Decision::Suppressed => Vector::filled(M, 1.0 / M as f64),
             };
             builder.commit(column).unwrap();
+        }
+    }
+
+    /// The staged guard decides exactly as the per-attempt `peek` guard:
+    /// the bare closure returns an equal [`GuardOutcome`] and leaves the
+    /// RNG at the same draw, and [`CalibratedMechanism::release`],
+    /// [`SessionManager::release`] and [`SessionManager::release_batch`]
+    /// report that outcome's decision and attempts. Sessions carry windows
+    /// of two ages, so staging is exercised at `t = 0` and `t ≥ 1`.
+    ///
+    /// [`GuardOutcome`]: priste_calibrate::GuardOutcome
+    #[test]
+    fn staged_guard_equals_per_attempt_peek_guard(s in scenario()) {
+        let (grid, provider) = world();
+        let pi = Vector::uniform(M);
+        let config = GuardConfig {
+            target_epsilon: s.target,
+            floor: s.floor,
+            on_exhaustion: OnExhaustion::Suppress,
+            ..GuardConfig::default()
+        };
+        let plm = || -> Box<dyn Lppm> { Box::new(PlanarLaplace::new(grid.clone(), s.alpha).unwrap()) };
+        let mut reference = MechanismCache::new(plm());
+
+        let mut guard = CalibratedMechanism::new(
+            plm(),
+            std::slice::from_ref(&s.event),
+            provider.clone(),
+            pi.clone(),
+            config.clone(),
+        )
+        .unwrap();
+        let mut staged = Vec::new();
+        let mut rng = StdRng::seed_from_u64(s.seed);
+        for &loc in &s.trajectory {
+            let loc = CellId(loc);
+            let mut plain_rng = rng.clone();
+            let plain = run_guard(&mut reference, &config, loc, &mut plain_rng, |column| {
+                plain_worst_loss(guard.worlds(), column)
+            })
+            .unwrap();
+            let mut staged_rng = rng.clone();
+            let got = run_guard(
+                &mut reference,
+                &config,
+                loc,
+                &mut staged_rng,
+                peek_worst_loss(guard.worlds(), &mut staged),
+            )
+            .unwrap();
+            prop_assert_eq!(&got, &plain);
+            prop_assert_eq!(staged_rng.next_u64(), plain_rng.clone().next_u64());
+            let release = guard.release(loc, &mut rng).unwrap();
+            prop_assert_eq!(&release.decision, &plain.decision);
+            prop_assert_eq!(&release.attempts, &plain.attempts);
+            prop_assert_eq!(rng.clone().next_u64(), plain_rng.next_u64());
+        }
+
+        let mut svc = SessionManager::new(
+            Arc::new(provider),
+            OnlineConfig { num_shards: 1, budget: 1e6, ..OnlineConfig::default() },
+        )
+        .unwrap();
+        svc.enable_enforcement(plm(), config.clone()).unwrap();
+        let template = svc.register_template(s.event.clone()).unwrap();
+        let users = [UserId(1), UserId(2)];
+        for id in users {
+            svc.add_user(id, pi.clone()).unwrap();
+            svc.attach_event(id, template).unwrap();
+        }
+        let mut rng = StdRng::seed_from_u64(s.seed);
+        for (step, &loc) in s.trajectory.iter().enumerate() {
+            let loc = CellId(loc);
+            let id = users[0];
+            let mut plain_rng = rng.clone();
+            let plain = run_guard(&mut reference, &config, loc, &mut plain_rng, |column| {
+                plain_worst_loss(svc.session(id).unwrap().windows().map(|(_, w)| w), column)
+            })
+            .unwrap();
+            let release = svc.release(id, loc, &mut rng).unwrap();
+            prop_assert_eq!(&release.decision, &plain.decision);
+            prop_assert_eq!(release.attempts, plain.attempts.len());
+            prop_assert_eq!(rng.clone().next_u64(), plain_rng.next_u64());
+
+            let seed = s.seed ^ step as u64;
+            let batch = [(users[0], loc), (users[1], CellId((loc.index() + 1) % M))];
+            let mut batch_rng = shard_rng(seed, 0);
+            let mut want = Vec::new();
+            for &(id, loc) in &batch {
+                let session = svc.session(id).unwrap();
+                want.push(
+                    run_guard(&mut reference, &config, loc, &mut batch_rng, |column| {
+                        plain_worst_loss(session.windows().map(|(_, w)| w), column)
+                    })
+                    .unwrap(),
+                );
+            }
+            let got = svc.release_batch(&batch, seed, 1).unwrap();
+            prop_assert_eq!(got.len(), want.len());
+            for (release, plain) in got.iter().zip(&want) {
+                prop_assert_eq!(&release.decision, &plain.decision);
+                prop_assert_eq!(release.attempts, plain.attempts.len());
+            }
+            if step == 0 {
+                // A second, younger window over the user's posterior; the
+                // event may already be certain under it.
+                let _ = svc.attach_event(users[0], template);
+            }
         }
     }
 }

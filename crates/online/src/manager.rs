@@ -139,13 +139,16 @@ where
 }
 
 /// The buffers one shard's batched observation runs in: the posterior's
-/// propagated row and the lifted window step. Kept across calls, so a
-/// steady-state observation of a session that owns its vectors allocates
-/// no `O(m)` buffer (at `m = 2500` the scratch itself is about 100 KB).
+/// propagated row, the lifted window step, and the guard's staged windows
+/// (one per window of the session being released). Kept across calls, so
+/// a steady-state observation or release of a session that owns its
+/// vectors allocates no `O(m)` buffer (at `m = 2500` the scratch itself is
+/// about 140 KB, plus 120 KB per staged window).
 #[derive(Debug, Default)]
 struct ShardScratch {
     moved: Vec<f64>,
     step: StepScratch,
+    guard: Vec<StepScratch>,
 }
 
 /// Service configuration.
@@ -522,7 +525,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 &enforcer.guard,
                 true_loc,
                 rng,
-                |column| peek_worst_loss(session.windows.iter().map(|w| &w.state), column),
+                peek_worst_loss(
+                    session.windows.iter().map(|w| &w.state),
+                    &mut self.scratch.guard,
+                ),
             );
             self.enforcer = Some(enforcer);
             result?
@@ -1623,14 +1629,22 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         let (mut items, merged, failure) =
             fan_out_shards(jobs, threads, |(shard_idx, shard, wanted), out, delta| {
                 let mut rng = shard_rng(seed, shard_idx);
+                let mut scratch = ShardScratch::default();
                 // Guard every user against their own windows (peek-only;
                 // commits follow below).
                 let mut outcomes: Vec<(u64, GuardOutcome)> = Vec::with_capacity(wanted.len());
                 for (&uid, &loc) in wanted {
                     let session = shard.get(&uid).expect("validated above");
-                    let outcome = run_guard_prewarmed(cache, guard, loc, &mut rng, |column| {
-                        peek_worst_loss(session.windows.iter().map(|w| &w.state), column)
-                    })?;
+                    let outcome = run_guard_prewarmed(
+                        cache,
+                        guard,
+                        loc,
+                        &mut rng,
+                        peek_worst_loss(
+                            session.windows.iter().map(|w| &w.state),
+                            &mut scratch.guard,
+                        ),
+                    )?;
                     guard_obs.record(&outcome);
                     outcomes.push((uid, outcome));
                 }
@@ -1641,7 +1655,6 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
                     .iter()
                     .map(|(uid, outcome)| (*uid, &outcome.column))
                     .collect();
-                let mut scratch = ShardScratch::default();
                 let (reports, shard_delta) =
                     Self::process_shard(provider, templates, shard, &columns, config, &mut scratch);
                 delta.absorb(&shard_delta);

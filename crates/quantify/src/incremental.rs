@@ -40,7 +40,7 @@
 //! the chain the same way via `Arc<Homogeneous>` (every
 //! `TransitionProvider` is also implemented for `Arc<T>`).
 
-use crate::lifted::{lift_emission, LiftedStep, StepScratch};
+use crate::lifted::{LiftedStep, StepScratch};
 use crate::{QuantifyError, Result, TwoWorldEngine};
 use priste_event::StEvent;
 use priste_linalg::scaling::ScaledVector;
@@ -220,6 +220,13 @@ impl WeakWindowStart {
 /// change installs a fresh vector. Clones, and windows built from one
 /// start, therefore share their vectors until one of them observes, and a
 /// write never reaches the others.
+///
+/// Every observation and peek splits into a step, `β = α_t·M_t` (none
+/// before the first observation, where `β = α_0`), and a weighing,
+/// `α_{t+1} ∝ β ⊙ [e, e]` for the emission column `e`. Only the weighing
+/// depends on the column, so a guard that tries many candidates at one
+/// timestep stages `β` once ([`IncrementalTwoWorld::stage`]) and pays
+/// `O(m)` per candidate ([`IncrementalTwoWorld::peek_staged`]).
 #[derive(Debug, Clone)]
 pub struct IncrementalTwoWorld<P> {
     model: Arc<EventModel>,
@@ -392,28 +399,71 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         (self.t >= 1).then_some(self.t)
     }
 
-    /// Quantifies the next observation without committing it.
+    /// Quantifies the next observation without committing it. A caller
+    /// that peeks several candidates at one timestep stages once
+    /// ([`IncrementalTwoWorld::stage`]) and peeks each through
+    /// [`IncrementalTwoWorld::peek_staged`] instead, bit-identically.
     ///
     /// # Errors
     /// Emission validation; [`QuantifyError::ZeroLikelihood`] when the
     /// observation stream would have zero probability under the model.
     pub fn peek(&self, emission_column: &Vector) -> Result<StreamStep> {
-        self.validate_emission(emission_column)?;
-        let advanced = self.advanced_alpha(emission_column);
-        self.report(self.t + 1, &advanced)
+        let mut scratch = StepScratch::default();
+        self.stage(&mut scratch);
+        self.peek_staged(&mut scratch, emission_column)
+    }
+
+    /// Computes the column-independent half of the next observation once:
+    /// `β = α_t·M_t` into `scratch` (`O(nnz)`). Before the first
+    /// observation `β = α_0`, which the window holds already, so staging
+    /// only marks the scratch. The stage holds until this window observes.
+    pub fn stage(&self, scratch: &mut StepScratch) {
+        if self.t >= 1 {
+            self.engine()
+                .step_at(self.t)
+                .apply_row_scratch(self.alpha.vector.as_slice(), scratch);
+        }
+        scratch.staged = Some(self.stamp());
+    }
+
+    /// [`IncrementalTwoWorld::peek`] against a prior
+    /// [`IncrementalTwoWorld::stage`]: weighs the column into the scratch's
+    /// reused buffer (`O(m)`, no allocation once it is sized), leaving the
+    /// window and `β` untouched for the next candidate.
+    ///
+    /// # Errors
+    /// As [`IncrementalTwoWorld::peek`].
+    ///
+    /// # Panics
+    /// Panics if `scratch` was not staged by this window at its current
+    /// age.
+    pub fn peek_staged(
+        &self,
+        scratch: &mut StepScratch,
+        emission_column: &Vector,
+    ) -> Result<StreamStep> {
+        assert_eq!(
+            scratch.staged,
+            Some(self.stamp()),
+            "scratch not staged by this window at its current age"
+        );
+        self.weigh(&scratch.stepped, emission_column, &mut scratch.weighed)
     }
 
     /// Consumes one observation: one structured lifted step plus an emission
-    /// weighting (`O(m²)`), then the two inner products of the module docs.
+    /// weighing (`O(m²)`), then the two inner products of the module docs.
+    /// The weighing writes straight into the window's new forward vector,
+    /// so a window's first observation allocates that `2m` vector only.
     ///
     /// # Errors
     /// See [`IncrementalTwoWorld::peek`]. On error the state is unchanged,
     /// so a session can skip an impossible observation and continue.
     pub fn observe(&mut self, emission_column: &Vector) -> Result<StreamStep> {
-        self.validate_emission(emission_column)?;
-        let advanced = self.advanced_alpha(emission_column);
-        let step = self.report(self.t + 1, &advanced)?;
-        self.alpha = Arc::new(advanced);
+        let mut scratch = StepScratch::default();
+        self.stage(&mut scratch);
+        let mut next = ScaledVector::new(Vector::zeros(0));
+        let step = self.weigh(&scratch.stepped, emission_column, &mut next)?;
+        self.alpha = Arc::new(next);
         self.t += 1;
         Ok(step)
     }
@@ -422,12 +472,12 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     /// observation after the first: `step` is this window's scheduled
     /// transition (`step_at` of [`IncrementalTwoWorld::next_step_index`]),
     /// typically built once and shared by every window at the same age. The
-    /// step, the emission weighting and the renormalization run in
+    /// step, the emission weighing and the renormalization run in
     /// `scratch`; only a successful observation lands in the window. An
-    /// owned forward vector is then overwritten in place, and one shared
-    /// with anyone else (a window start, a clone) is replaced by a fresh
-    /// one — so a window that already owns its state allocates nothing.
-    /// Bit-identical to [`IncrementalTwoWorld::observe`].
+    /// owned forward vector then trades buffers with the scratch, and one
+    /// shared with anyone else (a window start, a clone) is replaced by the
+    /// scratch's — so a window that already owns its state allocates
+    /// nothing. Bit-identical to [`IncrementalTwoWorld::observe`].
     ///
     /// # Errors
     /// See [`IncrementalTwoWorld::peek`]. On error the state is unchanged.
@@ -441,28 +491,15 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         scratch: &mut StepScratch,
         emission_column: &Vector,
     ) -> Result<StreamStep> {
-        self.validate_emission(emission_column)?;
         assert!(self.t >= 1, "the first observation has no transition step");
         step.apply_row_scratch(self.alpha.vector.as_slice(), scratch);
-        let weighed = &mut scratch.out;
-        let e = emission_column.as_slice();
-        let (out_f, out_t) = weighed.vector.as_mut_slice().split_at_mut(e.len());
-        for ((f, t), &w) in out_f.iter_mut().zip(out_t).zip(e) {
-            *f *= w;
-            *t *= w;
-        }
-        weighed.log_scale = self.alpha.log_scale;
-        weighed.renormalize();
-        let step = self.report(self.t + 1, weighed)?;
+        let step = self.weigh(&scratch.stepped, emission_column, &mut scratch.weighed)?;
         match Arc::get_mut(&mut self.alpha) {
-            Some(alpha) => {
-                alpha
-                    .vector
-                    .as_mut_slice()
-                    .copy_from_slice(weighed.vector.as_slice());
-                alpha.log_scale = weighed.log_scale;
+            Some(alpha) => std::mem::swap(alpha, &mut scratch.weighed),
+            None => {
+                let empty = ScaledVector::new(Vector::zeros(0));
+                self.alpha = Arc::new(std::mem::replace(&mut scratch.weighed, empty));
             }
-            None => self.alpha = Arc::new(weighed.clone()),
         }
         self.t += 1;
         Ok(step)
@@ -501,27 +538,39 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         Ok(())
     }
 
-    /// `α_{t+1}` from `α_t`: apply the scheduled lifted step (none before
-    /// the first observation), weight by the lifted emission, renormalize.
-    fn advanced_alpha(&self, emission_column: &Vector) -> ScaledVector {
-        if self.t == 0 {
-            return self.weighed(&self.alpha.vector, emission_column);
-        }
-        let stepped = self.engine().step_at(self.t).apply_row(&self.alpha.vector);
-        self.weighed(&stepped, emission_column)
+    /// What a staged scratch records: this window's forward-vector
+    /// address and age.
+    fn stamp(&self) -> (usize, usize) {
+        (Arc::as_ptr(&self.alpha) as usize, self.t)
     }
 
-    /// Weighs an already-stepped mantissa by the lifted emission into a
-    /// fresh forward vector at the current scale, renormalized.
-    fn weighed(&self, stepped: &Vector, emission_column: &Vector) -> ScaledVector {
-        let mut a = ScaledVector {
-            vector: stepped
-                .hadamard(&lift_emission(emission_column))
-                .expect("lifted emission length"),
-            log_scale: self.alpha.log_scale,
+    /// The weighing kernel of every observation and peek: validates `e`,
+    /// writes `β ⊙ [e, e]` in one pass into `out` (`β` is `α_0` before the
+    /// first observation, `stepped` after; a fresh `out` is allocated once
+    /// at `2m`, a sized one reused) at the window's log scale, renormalizes,
+    /// and reads the report for `t + 1` out of it.
+    fn weigh(
+        &self,
+        stepped: &[f64],
+        emission_column: &Vector,
+        out: &mut ScaledVector,
+    ) -> Result<StreamStep> {
+        self.validate_emission(emission_column)?;
+        let beta = if self.t == 0 {
+            self.alpha.vector.as_slice()
+        } else {
+            stepped
         };
-        a.renormalize();
-        a
+        let e = emission_column.as_slice();
+        let (beta_f, beta_t) = beta.split_at(e.len());
+        let mut v = std::mem::replace(&mut out.vector, Vector::zeros(0)).into_vec();
+        v.clear();
+        let weighed = beta_f.iter().zip(e).chain(beta_t.iter().zip(e));
+        v.extend(weighed.map(|(b, w)| b * w));
+        out.vector = Vector::from(v);
+        out.log_scale = self.alpha.log_scale;
+        out.renormalize();
+        self.report(self.t + 1, out)
     }
 
     /// The Lemma III.2/III.3 readout at timestep `t` for a forward vector.
@@ -640,6 +689,19 @@ mod tests {
         let o = inc.observe(&col).unwrap();
         assert_eq!(o, p1);
         assert_eq!(inc.observed(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not staged")]
+    fn a_stage_does_not_survive_an_observation() {
+        let mut inc =
+            IncrementalTwoWorld::new(presence_event(), chain(), Vector::uniform(3)).unwrap();
+        let col = Vector::from(vec![0.6, 0.3, 0.1]);
+        let mut scratch = StepScratch::default();
+        inc.stage(&mut scratch);
+        inc.peek_staged(&mut scratch, &col).unwrap();
+        inc.observe(&col).unwrap();
+        let _ = inc.peek_staged(&mut scratch, &col);
     }
 
     fn bits(v: &Vector) -> Vec<u64> {

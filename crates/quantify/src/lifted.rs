@@ -16,28 +16,40 @@
 //! 10⁴-cell grids. The kernels write into preallocated buffers (no
 //! `split_halves`/`concat` round-trips) and borrow the region's cached
 //! indicator masks ([`Region::masks`]). [`LiftedStep::apply_row`] and
-//! [`LiftedStep::apply_rows`] allocate only their output vectors; the
-//! streaming service's per-observation path runs the same kernel into a
-//! caller-kept [`StepScratch`] and allocates nothing.
+//! [`LiftedStep::apply_rows`] allocate only their output vectors; they
+//! serve the offline replays and the benchmarks. The serving path never
+//! calls them: the incremental quantifier steps a window once into a
+//! caller-kept [`StepScratch`] and weighs emission columns against that
+//! stepped row, so a steady-state observation or guard attempt allocates
+//! nothing.
 
 use priste_geo::Region;
 use priste_linalg::scaling::ScaledVector;
 use priste_linalg::{Matrix, Vector};
 use priste_markov::TransitionMatrix;
 
-/// Reusable buffers for one lifted row application: the two `m`-long
-/// halves a row is moved through `M` in, and the `2m`-long output with the
-/// log scale it carries. It starts empty (`Default`) and is sized on first
-/// use, and again only when `m` changes. A batch driver keeps one and hands
-/// it to [`IncrementalTwoWorld::observe_with_step`] for every window it
-/// advances, so a steady-state observation allocates no `O(m)` buffer.
+/// Reusable buffers for one lifted row application and the emission
+/// weighing after it: the two `m`-long halves a row is moved through `M`
+/// in, the stepped `2m` row `β = α_t·M_t`, and the `2m` weighed forward
+/// vector with the log scale it carries. It starts empty (`Default`), and
+/// each buffer is sized on its first use and again only when `m` changes.
+/// A batch driver keeps one and hands it to
+/// [`IncrementalTwoWorld::observe_with_step`] for every window it advances;
+/// the guard stages one per window with [`IncrementalTwoWorld::stage`] and
+/// peeks every candidate through it. Either way a steady-state observation
+/// or attempt allocates no `O(m)` buffer.
 ///
 /// [`IncrementalTwoWorld::observe_with_step`]: crate::IncrementalTwoWorld::observe_with_step
+/// [`IncrementalTwoWorld::stage`]: crate::IncrementalTwoWorld::stage
 #[derive(Debug, Clone)]
 pub struct StepScratch {
     half_f: Vec<f64>,
     half_t: Vec<f64>,
-    pub(crate) out: ScaledVector,
+    pub(crate) stepped: Vec<f64>,
+    pub(crate) weighed: ScaledVector,
+    /// The window (its forward vector's address and age) `stepped` was
+    /// staged for, if any.
+    pub(crate) staged: Option<(usize, usize)>,
 }
 
 impl Default for StepScratch {
@@ -45,7 +57,9 @@ impl Default for StepScratch {
         StepScratch {
             half_f: Vec::new(),
             half_t: Vec::new(),
-            out: ScaledVector::new(Vector::zeros(0)),
+            stepped: Vec::new(),
+            weighed: ScaledVector::new(Vector::zeros(0)),
+            staged: None,
         }
     }
 }
@@ -144,8 +158,9 @@ impl LiftedStep<'_> {
         self.combine_moved_into(buf_f, buf_t, out);
     }
 
-    /// [`LiftedStep::apply_row`] into `scratch.out`'s mantissa (sized to
-    /// `2m` here), moving the halves through `scratch`'s own buffers.
+    /// [`LiftedStep::apply_row`] into `scratch.stepped` (sized to `2m`
+    /// here), moving the halves through `scratch`'s own buffers. Clears
+    /// the scratch's staging mark.
     ///
     /// # Panics
     /// Panics if `x.len() != 2m`.
@@ -155,13 +170,14 @@ impl LiftedStep<'_> {
         if scratch.half_f.len() != n {
             scratch.half_f = vec![0.0; n];
             scratch.half_t = vec![0.0; n];
-            scratch.out.vector = Vector::zeros(2 * n);
+            scratch.stepped = vec![0.0; 2 * n];
         }
+        scratch.staged = None;
         self.apply_row_into(
             x,
             &mut scratch.half_f,
             &mut scratch.half_t,
-            scratch.out.vector.as_mut_slice(),
+            &mut scratch.stepped,
         );
     }
 

@@ -5,9 +5,10 @@
 
 use priste_event::{Pattern, Presence, StEvent};
 use priste_geo::{CellId, Region};
+use priste_linalg::scaling::ScaledVector;
 use priste_linalg::{Matrix, SparseMatrix, Vector};
 use priste_markov::{Homogeneous, MarkovModel};
-use priste_quantify::lifted::StepScratch;
+use priste_quantify::lifted::{lift_emission, StepScratch};
 use priste_quantify::{
     EventModel, IncrementalTwoWorld, QuantifyError, StreamStep, TheoremBuilder, TwoWorldEngine,
     WindowStart,
@@ -341,5 +342,74 @@ proptest! {
         prop_assert!(weak.upgrade().is_some());
         drop((start, a, b));
         prop_assert!(weak.upgrade().is_none());
+    }
+
+    /// The staged peek is the plain peek is the next observation, bit for
+    /// bit, at `t = 0` and at every later age, on dense and CSR chains: one
+    /// [`IncrementalTwoWorld::stage`] serves several candidates through
+    /// [`IncrementalTwoWorld::peek_staged`], each equal to `peek`; the
+    /// committed candidate's `peek` equals what `observe` and
+    /// `observe_with_step` report; and the forward vector both install
+    /// equals an independent step → `hadamard(lift_emission)` →
+    /// renormalize of the previous one. Staging and peeking never touch
+    /// the window.
+    #[test]
+    fn staged_peek_equals_peek_equals_next_observation_bit_for_bit(
+        mat in stochastic_matrix(4),
+        pi in distribution(4),
+        ev in st_event(4),
+        seed in 0u64..u64::MAX / 2,
+        candidates in 1usize..4,
+    ) {
+        let sparse = SparseMatrix::from_dense(&mat, 0.0);
+        for chain in [
+            Homogeneous::new(MarkovModel::new(mat.clone()).unwrap()),
+            Homogeneous::new(MarkovModel::new_sparse(sparse.clone()).unwrap()),
+        ] {
+            let Some(mut plain) = build_or_skip(&ev, &chain, &pi) else { continue };
+            let mut batched = plain.clone();
+            let model = Arc::clone(plain.model());
+            let engine = TwoWorldEngine::new(model.event(), &chain).unwrap();
+            let mut staged = StepScratch::default();
+            let mut scratch = StepScratch::default();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..ev.end() + 2 {
+                let before = (bits(plain.lifted_state()), plain.log_scale().to_bits(), plain.observed());
+                plain.stage(&mut staged);
+                let cols: Vec<Vector> =
+                    (0..candidates).map(|_| random_emission(&mut rng, 4)).collect();
+                for col in &cols {
+                    let peeked = plain.peek(col).unwrap();
+                    let staged_peek = plain.peek_staged(&mut staged, col).unwrap();
+                    prop_assert_eq!(step_bits(&staged_peek), step_bits(&peeked));
+                }
+                let after = (bits(plain.lifted_state()), plain.log_scale().to_bits(), plain.observed());
+                prop_assert_eq!(&after, &before);
+
+                let col = cols.last().unwrap();
+                let want = plain.peek_staged(&mut staged, col).unwrap();
+                let stepped = match plain.next_step_index() {
+                    None => plain.lifted_state().clone(),
+                    Some(idx) => engine.step_at(idx).apply_row(plain.lifted_state()),
+                };
+                let mut oracle = ScaledVector {
+                    vector: stepped.hadamard(&lift_emission(col)).unwrap(),
+                    log_scale: plain.log_scale(),
+                };
+                oracle.renormalize();
+                prop_assert_eq!(step_bits(&plain.observe(col).unwrap()), step_bits(&want));
+                let via_step = match batched.next_step_index() {
+                    None => batched.observe(col).unwrap(),
+                    Some(idx) => batched
+                        .observe_with_step(&engine.step_at(idx), &mut scratch, col)
+                        .unwrap(),
+                };
+                prop_assert_eq!(step_bits(&via_step), step_bits(&want));
+                for window in [&plain, &batched] {
+                    prop_assert_eq!(bits(window.lifted_state()), bits(&oracle.vector));
+                    prop_assert_eq!(window.log_scale().to_bits(), oracle.log_scale.to_bits());
+                }
+            }
+        }
     }
 }

@@ -407,8 +407,13 @@ pub fn status_text(code: u16) -> &'static str {
 }
 
 /// Serializes `resp` onto `w` (status line, headers, blank line, body).
+/// Head and body are encoded into one buffer and handed over in a single
+/// `write_all`, so on a `TCP_NODELAY` socket an answer leaves as one
+/// segment and wakes the client once.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    let mut head = format!(
+    let mut head = String::with_capacity(160 + resp.body.len());
+    let _ = write!(
+        head,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
         resp.status,
         status_text(resp.status),
@@ -428,8 +433,9 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     } else {
         "connection: keep-alive\r\n\r\n"
     });
-    w.write_all(head.as_bytes())?;
-    w.write_all(&resp.body)?;
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(&resp.body);
+    w.write_all(&wire)?;
     w.flush()
 }
 
@@ -581,6 +587,40 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("content-length: 11\r\n"), "{text}");
         assert!(text.contains("x-request-id: req-7\r\n"), "{text}");
+        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"), "{text}");
+    }
+
+    /// A sink that counts the `write` calls it takes.
+    #[derive(Default)]
+    struct CountingWriter {
+        wire: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        let mut resp = Response::json(200, "{\"ok\":true}".to_owned());
+        resp.request_id = Some("req-8".to_owned());
+        resp.retry_after = Some(1);
+        let mut out = CountingWriter::default();
+        write_response(&mut out, &resp).unwrap();
+        assert_eq!(out.writes, 1);
+        let mut plain = Vec::new();
+        write_response(&mut plain, &resp).unwrap();
+        assert_eq!(out.wire, plain);
+        let text = String::from_utf8(plain).unwrap();
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"), "{text}");
     }
 }
