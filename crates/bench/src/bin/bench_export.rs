@@ -1055,6 +1055,7 @@ fn suite_calibrate(
         ("plm_build_m225", 15),
         ("plm_build_m2500", 50),
         ("plm_build_m10000", 100),
+        ("plm_build_m40000", 200),
     ] {
         let grid = side_grid(side);
         let build_ms = best_ms(opts.reps, || {

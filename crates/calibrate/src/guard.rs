@@ -158,8 +158,8 @@ pub fn validate_mechanism(lppm: &dyn Lppm, num_states: usize, floor: f64) -> Res
 /// [`Lppm::with_budget`] on first use (or all at once by
 /// [`MechanismCache::prewarm`]) and cached by budget bits: the α, α·β,
 /// α·β², … ladder repeats across timestamps, and a rebuild re-discretizes
-/// the mechanism (for the Planar Laplace mechanism an `O(m)` kernel: a few
-/// milliseconds and ~120 KB per rung at m = 2500).
+/// the mechanism (for the Planar Laplace mechanism an `O(m)` kernel and
+/// summed-area table: ~1 ms and ~120 KB per rung at m = 2500).
 pub struct MechanismCache {
     base: Box<dyn Lppm>,
     base_budget: f64,

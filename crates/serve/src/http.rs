@@ -20,7 +20,7 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Upper bound on a response's status line + headers, as a client reads
 /// them.
-const MAX_RESPONSE_HEAD_BYTES: usize = 64 * 1024;
+pub const MAX_RESPONSE_HEAD_BYTES: usize = 64 * 1024;
 
 /// How long a request may dangle half-transmitted before the connection
 /// is declared malformed. Bounds drain time: an in-flight request is
@@ -207,6 +207,11 @@ impl<R: Read> RequestReader<R> {
         let mut started = (!self.buf.is_empty()).then(Instant::now);
         let (head_len, consumed) =
             self.pump(&mut started, head_end, |buf| buf.len() > MAX_HEAD_BYTES)?;
+        // One read may carry the buffer past the cap and the blank line
+        // with it.
+        if head_len > MAX_HEAD_BYTES {
+            return Err(ReadError::TooLarge);
+        }
         let head = self.buf[..head_len].to_vec();
         self.buf.drain(..consumed);
         let (method, path, headers) = parse_head(&head)?;
@@ -309,12 +314,13 @@ pub fn read_response(
     source: &mut impl Read,
     buf: &mut Vec<u8>,
 ) -> Result<ClientResponse, ReadError> {
+    let too_large = || ReadError::Malformed("response head exceeds 64 KiB".into());
     let (head_len, consumed) = loop {
         if let Some(found) = head_end(buf) {
             break found;
         }
         if buf.len() > MAX_RESPONSE_HEAD_BYTES {
-            return Err(ReadError::Malformed("response head exceeds 64 KiB".into()));
+            return Err(too_large());
         }
         if fill(source, buf).map_err(ReadError::Io)? == 0 {
             return Err(if buf.is_empty() {
@@ -324,6 +330,9 @@ pub fn read_response(
             });
         }
     };
+    if head_len > MAX_RESPONSE_HEAD_BYTES {
+        return Err(too_large());
+    }
     let (status_line, headers) = split_head(&buf[..head_len])?;
     let status = status_line
         .strip_prefix("HTTP/1.")
@@ -493,6 +502,13 @@ mod tests {
             read_one("POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab"),
             Err(ReadError::Malformed(_))
         ));
+        // The read that carries the buffer past the cap also carries the
+        // blank line; the head is refused all the same.
+        let long = format!(
+            "GET / HTTP/1.1\r\nx: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
+        assert!(matches!(read_one(&long), Err(ReadError::TooLarge)));
     }
 
     #[test]
@@ -544,6 +560,14 @@ mod tests {
         }
         let huge = vec![b'x'; MAX_RESPONSE_HEAD_BYTES + 4096];
         assert!(matches!(read(&huge), Err(ReadError::Malformed(_))));
+        let long = format!(
+            "HTTP/1.1 200 OK\r\nx: {}\r\n\r\n",
+            "a".repeat(MAX_RESPONSE_HEAD_BYTES)
+        );
+        assert!(matches!(
+            read(long.as_bytes()),
+            Err(ReadError::Malformed(_))
+        ));
     }
 
     /// A source that yields `WouldBlock` forever — the idle keep-alive

@@ -296,7 +296,9 @@ fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> R
         (None, None) => unreachable!("decode_ingest enforces one-of"),
     };
     handler.stall();
-    match st.service.ingest(UserId(parsed.user), column) {
+    let outcome = st.service.ingest(UserId(parsed.user), column);
+    drop(st);
+    match outcome {
         Ok(report) => Response::json(200, proto::encode_report(&report)),
         Err(e) => online_error(&e),
     }
@@ -327,12 +329,14 @@ fn release<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> 
         return resp;
     }
     handler.stall();
-    let st = &mut *st;
-    match st.service.release(
+    let state = &mut *st;
+    let outcome = state.service.release(
         UserId(parsed.user),
         CellId(parsed.true_location),
-        &mut st.rng,
-    ) {
+        &mut state.rng,
+    );
+    drop(st);
+    match outcome {
         Ok(release) => Response::json(200, proto::encode_release(&release)),
         Err(e) => online_error(&e),
     }
