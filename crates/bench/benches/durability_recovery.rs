@@ -132,6 +132,7 @@ fn bench_recovery(c: &mut Criterion) {
                         config(),
                         vec![event.clone()],
                         &dir,
+                        None,
                     )
                     .expect("recover")
                     .state_digest()

@@ -8,9 +8,10 @@
 //!   ingest (with and without a live metrics registry attached), enforced
 //!   release, the durability tax, crash/recover round-trips, and the
 //!   per-session cost of registering, checkpointing and recovering users at
-//!   m = 2500, the resident growth of 10⁵ registered idle users there, and
+//!   m = 2500, the resident growth of 10⁵ registered idle users there,
 //!   the heap one steady-state durable ingest, one first ingest and one
-//!   enforcing release allocate there.
+//!   enforcing release allocate there, and the time and WAL bytes of one
+//!   journaled observed-cell ingest there.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput.
 //! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners,
@@ -328,8 +329,14 @@ fn checkpoint_and_recover(
     let mut recovered = None;
     let recover_ms = best_ms(opts.reps, || {
         recovered = Some(
-            SessionManager::recover(Arc::clone(provider), config(), vec![event.clone()], &dir)
-                .expect("recover"),
+            SessionManager::recover(
+                Arc::clone(provider),
+                config(),
+                vec![event.clone()],
+                &dir,
+                None,
+            )
+            .expect("recover"),
         );
     });
     assert_eq!(
@@ -525,9 +532,14 @@ fn suite_online(
         drop(svc); // crash
 
         let ms = best_ms(opts.reps, || {
-            let recovered =
-                SessionManager::recover(Arc::clone(provider), config(), vec![event.clone()], &dir)
-                    .expect("recover");
+            let recovered = SessionManager::recover(
+                Arc::clone(provider),
+                config(),
+                vec![event.clone()],
+                &dir,
+                None,
+            )
+            .expect("recover");
             assert_eq!(recovered.state_digest(), digest, "recovery must be exact");
         });
         metrics.push(Metric {
@@ -674,6 +686,66 @@ fn suite_online(
             "mean heap allocated per durable ingest of an already-observed user \
              ({users} users, {rounds} rounds) on the 50x50 CSR world, fsync off"
         ),
+    });
+
+    // --- Journaled observed-cell ingests at m = 2500 ---------------------
+    //
+    // The daemon's `"observed"` path: the service holds the α = 2 Planar
+    // Laplace mechanism, builds each column itself and journals the ingest
+    // by reference (cell, budget and column hash) instead of as its 20 KB
+    // column. Each rep times up to four rounds of the users on a fresh
+    // durable service (fsync off); the first rep warms and is not counted.
+    // The WAL bytes are the store's own counter.
+    let plm_s = PlanarLaplace::new(GridMap::new(50, 50, 1.0).expect("grid"), 2.0).expect("plm");
+    let rounds = opts.steps.min(4);
+    let ingests = rounds * users;
+    let (mut best_us, mut wal_bytes) = (f64::INFINITY, 0.0);
+    for rep in 0..=opts.reps.max(1) {
+        let dir = tempdir("observed");
+        let mut svc = service(&provider_s, &event_s, users);
+        svc.set_mechanism(Box::new(plm_s.clone()))
+            .expect("mechanism");
+        svc.make_durable(
+            &dir,
+            DurableOptions {
+                fsync: false,
+                snapshot_every: 0,
+            },
+        )
+        .expect("make_durable");
+        let registry = Registry::new();
+        svc.observe(&registry);
+        let started = Instant::now();
+        for round in 0..rounds {
+            for u in 0..users {
+                let cell = CellId((u * 37 + round * 11) % m);
+                svc.ingest_observed(UserId(u as u64), cell).expect("ingest");
+            }
+        }
+        let us = started.elapsed().as_secs_f64() * 1e6 / ingests as f64;
+        if rep > 0 {
+            best_us = best_us.min(us);
+        }
+        wal_bytes = registry.counter("durable_wal_bytes_total").get() as f64 / ingests as f64;
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    metrics.push(Metric {
+        name: "durable_ingest_observed_m2500",
+        value: best_us,
+        unit: "us",
+        note: format!(
+            "ingest_observed (the daemon's observed-cell path) journaled by reference, \
+             {users} users x {rounds} rounds on the 50x50 CSR world, fsync off"
+        ),
+    });
+    metrics.push(Metric {
+        name: "wal_bytes_per_observe_m2500",
+        value: wal_bytes,
+        unit: "B",
+        note: "WAL bytes per journaled observed-cell ingest at m = 2500 \
+               (a column record is 8m + 26 = 20026 B)"
+            .into(),
     });
 
     // --- First ingests and guarded releases at m = 2500 ------------------

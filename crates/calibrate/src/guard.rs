@@ -193,6 +193,11 @@ impl MechanismCache {
         self.base_budget
     }
 
+    /// The prototype mechanism itself.
+    pub fn base(&self) -> &dyn Lppm {
+        self.base.as_ref()
+    }
+
     /// State-domain size `m`.
     pub fn num_cells(&self) -> usize {
         self.base.num_cells()
@@ -433,6 +438,13 @@ impl Default for GuardInstruments {
     }
 }
 
+/// The flat column a suppressed release commits over `m` states: every
+/// state emits "nothing" with the same likelihood, so the realized loss is
+/// unchanged while model time advances.
+pub fn suppression_column(m: usize) -> Vector {
+    Vector::filled(m, 1.0 / m as f64)
+}
+
 /// Runs one release through the backoff loop. `worst_loss` evaluates a
 /// candidate emission column against the caller's protected events and
 /// returns the worst *cumulative* realized loss were it committed
@@ -515,14 +527,11 @@ where
         // genuinely ships a floor-budget candidate).
         if budget <= config.floor || attempts.len() >= MAX_ATTEMPTS {
             return Ok(match config.on_exhaustion {
-                OnExhaustion::Suppress => {
-                    let m = source.num_cells();
-                    GuardOutcome {
-                        decision: Decision::Suppressed,
-                        attempts,
-                        column: Vector::filled(m, 1.0 / m as f64),
-                    }
-                }
+                OnExhaustion::Suppress => GuardOutcome {
+                    decision: Decision::Suppressed,
+                    attempts,
+                    column: suppression_column(source.num_cells()),
+                },
                 OnExhaustion::ReleaseAtFloor => GuardOutcome {
                     decision: Decision::Released {
                         observed,

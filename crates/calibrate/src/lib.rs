@@ -63,9 +63,9 @@ pub mod utility;
 
 pub use error::CalibrateError;
 pub use guard::{
-    peek_worst_loss, run_guard, run_guard_prewarmed, validate_mechanism, Attempt,
-    CalibratedMechanism, CalibratedRelease, Decision, GuardConfig, GuardInstruments, GuardOutcome,
-    MechanismCache, OnExhaustion,
+    peek_worst_loss, run_guard, run_guard_prewarmed, suppression_column, validate_mechanism,
+    Attempt, CalibratedMechanism, CalibratedRelease, Decision, GuardConfig, GuardInstruments,
+    GuardOutcome, MechanismCache, OnExhaustion,
 };
 pub use plan::{
     plan_greedy, plan_knapsack, plan_knapsack_with_probes, plan_uniform_split, BudgetPlan,

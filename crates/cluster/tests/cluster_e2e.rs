@@ -95,6 +95,7 @@ fn adopt_worker(dir: &Path) -> (Server<Arc<Homogeneous>>, Registry) {
             fsync: false,
             snapshot_every: 0,
         },
+        Some(Box::new(PlanarLaplace::new(grid.clone(), 3.0).unwrap())),
     )
     .unwrap();
     finish_worker(service, &grid)

@@ -278,10 +278,42 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     hash.finish()
 }
 
+/// Word-wise hash of a vector's bits: `-0.0` and `0.0` hash apart. Four
+/// independent lanes keep the multiply chain off the critical path (about
+/// 1 µs at m = 2500). It keys the interned-prior table and, as part of the
+/// WAL format, names the column of a by-reference record, so its value for
+/// a given vector must never change.
+pub(crate) fn word_hash(values: &[f64]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(K);
+    let chunks = values.chunks_exact(4);
+    let tail = chunks.remainder();
+    let mut lanes = [values.len() as u64; 4];
+    for chunk in chunks {
+        for (lane, x) in lanes.iter_mut().zip(chunk) {
+            *lane = mix(*lane, x.to_bits());
+        }
+    }
+    let h = lanes.into_iter().fold(0, mix);
+    tail.iter().fold(h, |h, x| mix(h, x.to_bits()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The word hash names a column in every by-reference WAL record on
+    /// disk, so its values are pinned.
+    #[test]
+    fn word_hash_is_pinned() {
+        assert_eq!(word_hash(&[]), 0);
+        assert_eq!(
+            word_hash(&[0.25, -0.0, 1.0, 3.5, 1e-300]),
+            0x27A3_D075_38EC_2E4D
+        );
+        assert_ne!(word_hash(&[0.0]), word_hash(&[-0.0]));
+    }
 
     #[test]
     fn primitives_roundtrip() {

@@ -28,12 +28,35 @@
 //! renamed), and only then switches to the new segments and prunes the old
 //! generation — so the newest snapshot on disk always has its segments.
 //!
+//! # What the journal records
+//!
+//! Replay never re-runs the calibration guard or touches an RNG: every
+//! observation record names the committed emission column, whole or by
+//! reference to the mechanism that produced it.
+//!
+//! | Record | Journals | Frame bytes at m = 2500 | Replay needs |
+//! |---|---|---|---|
+//! | column | an ingest of a caller-supplied column | 20 026 (`8m + 26`) | nothing |
+//! | by reference | an ingest of an observed cell, a guarded release | 37 | the mechanism |
+//! | suppression | a withheld guarded release (the flat column) | 17 | nothing |
+//!
+//! A by-reference record holds the released cell, the budget the column was
+//! drawn at and a 64-bit word hash of the column. Replay rebuilds the
+//! column from the mechanism handed to
+//! [`SessionManager::recover`](crate::SessionManager::recover) or
+//! [`SessionManager::open_durable`](crate::SessionManager::open_durable):
+//! the mechanism itself for an observed cell, which must have the journaled
+//! budget, and the rung at the journaled budget for a release (built
+//! through the guard's mechanism cache). Recovery fails with
+//! [`DurableError::Replay`], naming the record, when no mechanism was
+//! given, the cell is outside the domain, or the rebuilt column hashes
+//! differently. A restart under another mechanism therefore stops at the
+//! first such record instead of replaying a different state.
+//!
 //! # Recovery guarantees
 //!
 //! Recovery loads the newest valid snapshot and deterministically replays
-//! its WAL tail (the journal records the *committed emission column*, so
-//! replay never re-runs the calibration guard or touches an RNG). The
-//! recovered ledger can never under-count spend:
+//! its WAL tail. The recovered ledger can never under-count spend:
 //!
 //! * a torn final WAL record that can be attributed to a user (its uid
 //!   prefix survived) conservatively rounds that user's ledger up to
@@ -56,11 +79,11 @@ mod codec;
 mod snapshot;
 mod wal;
 
-pub(crate) use codec::{fnv1a64, Fnv1a64};
+pub(crate) use codec::{fnv1a64, word_hash, Fnv1a64};
 pub(crate) use snapshot::{
     encode_payload, Layout, SessionSnap, SnapshotSource, SnapshotState, WindowSnap,
 };
-pub(crate) use wal::{WalRecord, WalScan, WalTail};
+pub(crate) use wal::{Emitter, WalRecord, WalScan, WalTail};
 
 /// Errors from the durable persistence layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,6 +126,19 @@ pub enum DurableError {
         /// The directory scanned.
         dir: PathBuf,
     },
+    /// A WAL record decoded cleanly but cannot be replayed: it journals a
+    /// column by reference and recovery was given no mechanism to rebuild
+    /// it, it names a cell outside the domain, or the rebuilt column's hash
+    /// differs from the journaled one (recovery runs another mechanism or
+    /// budget than the service that wrote it).
+    Replay {
+        /// The WAL segment holding the record.
+        path: PathBuf,
+        /// The record's 0-based position in that segment.
+        record: usize,
+        /// The record and why it cannot be replayed.
+        detail: String,
+    },
 }
 
 impl fmt::Display for DurableError {
@@ -135,6 +171,17 @@ impl fmt::Display for DurableError {
             }
             DurableError::NoSnapshot { dir } => {
                 write!(f, "no readable snapshot in {}", dir.display())
+            }
+            DurableError::Replay {
+                path,
+                record,
+                detail,
+            } => {
+                write!(
+                    f,
+                    "cannot replay record {record} of {}: {detail}",
+                    path.display()
+                )
             }
         }
     }
@@ -596,7 +643,7 @@ mod tests {
         DurableStore::open(&dir, opts, separate.fingerprint, 2, 1, &separate, obs).unwrap();
         let size = |d: &Path| std::fs::metadata(snap_path(d, 1)).unwrap().len();
         assert!(size(&dir) > size(&live), "every vector is written inline");
-        let back = SessionManager::recover(chain, config, vec![event], &dir).unwrap();
+        let back = SessionManager::recover(chain, config, vec![event], &dir, None).unwrap();
         assert_eq!(back.state_digest(), svc.state_digest());
         for d in [live, dir] {
             std::fs::remove_dir_all(d).unwrap();

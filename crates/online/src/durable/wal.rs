@@ -18,6 +18,14 @@
 //! client ever saw the effect of is on disk. A record borrows its vector
 //! from the caller, and the writer encodes every frame into one buffer it
 //! keeps, so a steady-state append allocates nothing.
+//!
+//! An observation is journaled one of two ways. A column the caller
+//! supplied is journaled whole ([`WalRecord::Observe`]). A column the
+//! service's own mechanism produced is journaled *by reference*
+//! ([`WalRecord::Emitted`], [`WalRecord::Suppressed`]): the released cell,
+//! the budget it was drawn at and a hash of the column, 37 bytes a frame
+//! instead of `8m + 26`. Replay rebuilds such a column from the mechanism
+//! recovery is given and refuses one whose hash differs.
 
 use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
@@ -58,10 +66,11 @@ pub(crate) enum WalRecord<'a> {
         /// Template index the window was instantiated from.
         template: u32,
     },
-    /// A committed observation: the emission column that was actually
-    /// ingested (post-guard, i.e. the *released* column in enforcing mode).
-    /// Journaling the committed column — not the RNG state — is what makes
-    /// replay deterministic without re-running the calibration guard.
+    /// A committed observation whose emission column the caller supplied.
+    /// Nothing but the column itself can reproduce it, so it is journaled
+    /// whole. Journals written before by-reference records existed also
+    /// hold guard releases this way, with the suppression flag set for a
+    /// withheld one.
     Observe {
         /// User id.
         user: u64,
@@ -70,12 +79,47 @@ pub(crate) enum WalRecord<'a> {
         /// The emission column that was committed into the session.
         column: Cow<'a, [f64]>,
     },
+    /// A committed observation the service's mechanism produced, journaled
+    /// by reference: the column is `M_budget(·, cell)`, a pure function of
+    /// the mechanism, the budget and the cell, so replay rebuilds it and
+    /// checks it against `hash` instead of reading `m` floats back.
+    Emitted {
+        /// User id.
+        user: u64,
+        /// Which of the service's mechanisms produced the column.
+        by: Emitter,
+        /// The released (observed) cell.
+        cell: u32,
+        /// The location budget of the mechanism that produced the column;
+        /// finite and positive in every record that decodes.
+        budget: f64,
+        /// [`word_hash`](super::word_hash) of the committed column.
+        hash: u64,
+    },
+    /// A guard release that was withheld: the flat column was committed.
+    Suppressed {
+        /// User id.
+        user: u64,
+    },
+}
+
+/// The mechanism behind a [`WalRecord::Emitted`] column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Emitter {
+    /// The service's mechanism itself, at its own budget: an ingest of an
+    /// observed cell.
+    Source,
+    /// A rung of the enforcing guard's ladder: a guarded release.
+    Guard,
 }
 
 const TAG_ADD_USER: u8 = 1;
 const TAG_REMOVE_USER: u8 = 2;
 const TAG_ATTACH_EVENT: u8 = 3;
 const TAG_OBSERVE: u8 = 4;
+const TAG_EMITTED_SOURCE: u8 = 5;
+const TAG_EMITTED_GUARD: u8 = 6;
+const TAG_SUPPRESSED: u8 = 7;
 
 impl WalRecord<'_> {
     fn encode_payload(&self, w: &mut impl Sink) {
@@ -103,6 +147,26 @@ impl WalRecord<'_> {
                 w.put_u64(*user);
                 w.put_u8(u8::from(*suppressed));
                 w.put_f64_slice(column);
+            }
+            WalRecord::Emitted {
+                user,
+                by,
+                cell,
+                budget,
+                hash,
+            } => {
+                w.put_u8(match by {
+                    Emitter::Source => TAG_EMITTED_SOURCE,
+                    Emitter::Guard => TAG_EMITTED_GUARD,
+                });
+                w.put_u64(*user);
+                w.put_u32(*cell);
+                w.put_f64(*budget);
+                w.put_u64(*hash);
+            }
+            WalRecord::Suppressed { user } => {
+                w.put_u8(TAG_SUPPRESSED);
+                w.put_u64(*user);
             }
         }
     }
@@ -139,6 +203,27 @@ impl WalRecord<'_> {
                 suppressed: r.get_u8("observe suppressed flag")? != 0,
                 column: Cow::Owned(r.get_f64_slice("observe column")?),
             },
+            TAG_EMITTED_SOURCE | TAG_EMITTED_GUARD => {
+                let cell = r.get_u32("emitted cell")?;
+                let budget = r.get_f64("emitted budget")?;
+                if !(budget > 0.0 && budget.is_finite()) {
+                    return Err(format!(
+                        "emitted budget {budget} is not positive and finite"
+                    ));
+                }
+                WalRecord::Emitted {
+                    user,
+                    by: if tag == TAG_EMITTED_SOURCE {
+                        Emitter::Source
+                    } else {
+                        Emitter::Guard
+                    },
+                    cell,
+                    budget,
+                    hash: r.get_u64("emitted column hash")?,
+                }
+            }
+            TAG_SUPPRESSED => WalRecord::Suppressed { user },
             other => return Err(format!("unknown WAL record tag {other}")),
         };
         r.expect_end("WAL record")?;
@@ -436,6 +521,21 @@ mod tests {
                 suppressed: true,
                 column: Cow::Owned(vec![1.0, 0.0, 0.0, 0.0]),
             },
+            WalRecord::Emitted {
+                user: 42,
+                by: Emitter::Source,
+                cell: 3,
+                budget: 2.0,
+                hash: 0xDEAD_BEEF_0BAD_CAFE,
+            },
+            WalRecord::Emitted {
+                user: 7,
+                by: Emitter::Guard,
+                cell: 0,
+                budget: 0.25,
+                hash: 1,
+            },
+            WalRecord::Suppressed { user: 42 },
             WalRecord::RemoveUser { user: 7 },
         ]
     }
@@ -542,17 +642,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Any record: arbitrary uids, templates and flags, and vectors of
-    /// arbitrary bit patterns (NaNs, infinities, signed zeros included).
+    /// Any record: arbitrary uids, templates, cells, hashes and flags,
+    /// positive finite budgets, and vectors of arbitrary bit patterns
+    /// (NaNs, infinities, signed zeros included).
     fn record() -> impl Strategy<Value = WalRecord<'static>> {
         (
-            0u8..4,
+            0u8..6,
             0u64..=u64::MAX,
             0u32..=u32::MAX,
             proptest::bool::ANY,
             proptest::collection::vec(0u64..=u64::MAX, 0..40),
+            1e-9f64..1e9,
         )
-            .prop_map(|(kind, user, template, suppressed, bits)| {
+            .prop_map(|(kind, user, word, flag, bits, budget)| {
+                let hash = bits.first().copied().unwrap_or(user);
                 let values: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
                 match kind {
                     0 => WalRecord::AddUser {
@@ -560,14 +663,47 @@ mod tests {
                         pi: Cow::Owned(values),
                     },
                     1 => WalRecord::RemoveUser { user },
-                    2 => WalRecord::AttachEvent { user, template },
-                    _ => WalRecord::Observe {
+                    2 => WalRecord::AttachEvent {
                         user,
-                        suppressed,
+                        template: word,
+                    },
+                    3 => WalRecord::Observe {
+                        user,
+                        suppressed: flag,
                         column: Cow::Owned(values),
                     },
+                    4 => WalRecord::Emitted {
+                        user,
+                        by: if flag {
+                            Emitter::Guard
+                        } else {
+                            Emitter::Source
+                        },
+                        cell: word,
+                        budget,
+                        hash,
+                    },
+                    _ => WalRecord::Suppressed { user },
                 }
             })
+    }
+
+    /// A by-reference payload with every field chosen by the caller.
+    fn emitted_payload(tag: u8, user: u64, cell: u32, budget: u64, hash: u64) -> Vec<u8> {
+        let mut payload = vec![tag];
+        payload.put_u64(user);
+        payload.put_u32(cell);
+        payload.put_u64(budget);
+        payload.put_u64(hash);
+        payload
+    }
+
+    /// `payload` behind a true length prefix and CRC.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
     }
 
     /// A record's uid, read back from its frame bytes.
@@ -588,6 +724,62 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every record decodes back to itself from its encoding, and a
+        /// by-reference frame is 37 bytes (a suppression 17) whatever it
+        /// names.
+        #[test]
+        fn every_record_decodes_to_itself(r in record()) {
+            let frame = encode_frame(&r);
+            let back = WalRecord::decode_payload(&frame[8..]).unwrap();
+            prop_assert_eq!(&back, &r);
+            match r {
+                WalRecord::Emitted { .. } => prop_assert_eq!(frame.len(), 37),
+                WalRecord::Suppressed { .. } => prop_assert_eq!(frame.len(), 17),
+                _ => {}
+            }
+        }
+
+        /// A whole, CRC-clean by-reference frame that is nonetheless wrong
+        /// — a budget that is not positive and finite, an unknown tag, a
+        /// payload cut short or carrying trailing bytes — is refused as
+        /// corrupt, never decoded and never a panic.
+        #[test]
+        fn hostile_by_reference_frames_are_refused(
+            user in 0u64..=u64::MAX,
+            cell in 0u32..=u32::MAX,
+            hash in 0u64..=u64::MAX,
+            bits in 0u64..=u64::MAX,
+            kind in 0usize..3,
+            which in 0usize..6,
+            unknown in 8u8..=255,
+            keep in 0usize..29,
+            guard in proptest::bool::ANY,
+        ) {
+            let tag = if guard { TAG_EMITTED_GUARD } else { TAG_EMITTED_SOURCE };
+            let budget = match which {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::NAN,
+                3 => f64::INFINITY,
+                4 => f64::NEG_INFINITY,
+                _ => -f64::from_bits(bits).abs(),
+            };
+            let payload = match kind {
+                0 => emitted_payload(tag, user, cell, budget.to_bits(), hash),
+                1 => emitted_payload(unknown, user, cell, 1.0f64.to_bits(), hash),
+                _ => emitted_payload(tag, user, cell, 1.0f64.to_bits(), hash)[..keep].to_vec(),
+            };
+            let mut long = emitted_payload(tag, user, cell, 2.0f64.to_bits(), hash);
+            long.push(unknown);
+            let dir = tempdir();
+            for payload in [payload, long] {
+                let mut bytes = encode_header(3, 2, 0xFEED);
+                bytes.extend(framed(&payload));
+                let found = scan(&dir.join("wal-hostile.log"), &bytes);
+                prop_assert!(matches!(found, Err(DurableError::Corrupt { .. })), "{:?}", found);
+            }
+        }
 
         /// One reused buffer encodes every record to exactly the bytes of
         /// the allocate-per-frame encoder, whatever the frame before it

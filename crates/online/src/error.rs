@@ -16,6 +16,10 @@ pub enum OnlineError {
     /// [`SessionManager::release`](crate::SessionManager::release) was
     /// called on a service that never enabled enforcement.
     NotEnforcing,
+    /// [`SessionManager::ingest_observed`](crate::SessionManager::ingest_observed)
+    /// was called on a service that holds no mechanism to turn the observed
+    /// cell into an emission column.
+    NoMechanism,
     /// A true location handed to the enforcing path was outside the
     /// mechanism's domain.
     InvalidLocation {
@@ -70,6 +74,12 @@ impl fmt::Display for OnlineError {
             OnlineError::Calibrate(e) => write!(f, "calibration error: {e}"),
             OnlineError::NotEnforcing => {
                 write!(f, "enforcing mode is not enabled on this service")
+            }
+            OnlineError::NoMechanism => {
+                write!(
+                    f,
+                    "no mechanism configured on this service; send an explicit emission column"
+                )
             }
             OnlineError::InvalidLocation { cell, num_cells } => {
                 write!(
@@ -144,6 +154,7 @@ mod tests {
                 message: "y".into(),
             }),
             OnlineError::NotEnforcing,
+            OnlineError::NoMechanism,
             OnlineError::InvalidLocation {
                 cell: 9,
                 num_cells: 4,
@@ -151,6 +162,11 @@ mod tests {
             OnlineError::ShardPanicked { shard: 2 },
             OnlineError::Durable(DurableError::NoSnapshot {
                 dir: std::path::PathBuf::from("/tmp/d"),
+            }),
+            OnlineError::Durable(DurableError::Replay {
+                path: std::path::PathBuf::from("/tmp/d/wal.log"),
+                record: 3,
+                detail: "z".into(),
             }),
         ] {
             assert!(!e.to_string().is_empty());

@@ -34,8 +34,11 @@
 //! committed mutation to a per-shard CRC-framed write-ahead log *before*
 //! its result returns, compacts periodically into atomic snapshots, and
 //! [`SessionManager::recover`] restores the exact committed state after a
-//! crash — rounding torn-tail ledger spend *up*, never down. See the
-//! [`durable`] module docs for the file format and recovery guarantees.
+//! crash — rounding torn-tail ledger spend *up*, never down. An observation
+//! the service's own mechanism produced
+//! ([`SessionManager::ingest_observed`], a guarded release) is journaled by
+//! reference, so recovery takes that mechanism. See the [`durable`] module
+//! docs for the file format and recovery guarantees.
 //!
 //! Share the mobility model across the fleet with `Arc`:
 //!

@@ -2,8 +2,8 @@
 //! the batched same-timestep ingest path.
 
 use crate::durable::{
-    self, DurableError, DurableOptions, DurableStore, SessionSnap, SnapshotSource, SnapshotState,
-    WalRecord, WalTail, WindowSnap,
+    self, DurableError, DurableOptions, DurableStore, Emitter, SessionSnap, SnapshotSource,
+    SnapshotState, WalRecord, WalTail, WindowSnap,
 };
 use crate::obs::{RecoveryInfo, ServiceInstruments, StoreInstruments};
 use crate::priors::{same_bits, PriorTable};
@@ -12,8 +12,8 @@ use crate::session::{
 };
 use crate::{OnlineError, Result};
 use priste_calibrate::{
-    peek_worst_loss, run_guard, run_guard_prewarmed, Decision, GuardConfig, GuardOutcome,
-    MechanismCache,
+    peek_worst_loss, run_guard, run_guard_prewarmed, suppression_column, Decision, GuardConfig,
+    GuardOutcome, MechanismCache,
 };
 use priste_event::StEvent;
 use priste_geo::CellId;
@@ -270,6 +270,35 @@ struct Enforcer {
     guard: GuardConfig,
 }
 
+/// The by-reference record of a column a mechanism emitted for `cell`.
+/// Every domain fits the record's 32-bit cell ([`SessionManager::new`]).
+fn emitted(
+    user: u64,
+    by: Emitter,
+    cell: CellId,
+    budget: f64,
+    column: &Vector,
+) -> WalRecord<'static> {
+    WalRecord::Emitted {
+        user,
+        by,
+        cell: cell.index() as u32,
+        budget,
+        hash: durable::word_hash(column.as_slice()),
+    }
+}
+
+/// How a guard outcome is journaled: a release by reference to its rung,
+/// a suppression as the flat column's marker.
+fn release_record(user: u64, outcome: &GuardOutcome) -> WalRecord<'static> {
+    match outcome.decision {
+        Decision::Released {
+            observed, budget, ..
+        } => emitted(user, Emitter::Guard, observed, budget, &outcome.column),
+        Decision::Suppressed => WalRecord::Suppressed { user },
+    }
+}
+
 /// Outcome of one enforcing-mode release.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnforcedRelease {
@@ -414,6 +443,9 @@ pub struct SessionManager<P> {
     config: OnlineConfig,
     instruments: ServiceInstruments,
     recovery: Option<RecoveryInfo>,
+    /// The mechanism observed cells come from ([`SessionManager::set_mechanism`]);
+    /// during recovery, also the source of every by-reference column.
+    mechanism: Option<MechanismCache>,
     enforcer: Option<Enforcer>,
     store: Option<DurableStore>,
     scratch: ShardScratch,
@@ -423,9 +455,19 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// Creates an empty service over one shared mobility model.
     ///
     /// # Errors
-    /// [`OnlineError::InvalidConfig`] from [`OnlineConfig::validate`].
+    /// [`OnlineError::InvalidConfig`] from [`OnlineConfig::validate`], or
+    /// for a model of more than 2³² states (the journal names cells in 32
+    /// bits).
     pub fn new(provider: P, config: OnlineConfig) -> Result<Self> {
         config.validate()?;
+        if u32::try_from(provider.num_states().saturating_sub(1)).is_err() {
+            return Err(OnlineError::InvalidConfig {
+                message: format!(
+                    "{} states exceed the journal's 32-bit cell index",
+                    provider.num_states()
+                ),
+            });
+        }
         let shards = (0..config.num_shards).map(|_| BTreeMap::new()).collect();
         Ok(SessionManager {
             provider,
@@ -435,10 +477,43 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             config,
             instruments: ServiceInstruments::new(),
             recovery: None,
+            mechanism: None,
             enforcer: None,
             store: None,
             scratch: ShardScratch::default(),
         })
+    }
+
+    /// Hands the service its mechanism: the LPPM whose released cells
+    /// clients report. [`SessionManager::ingest_observed`] turns an observed
+    /// cell into its emission column with it, and a durable service then
+    /// journals the observation by reference (cell, budget and column hash)
+    /// instead of journaling the `m`-long column; recovering such a journal
+    /// needs the same mechanism ([`SessionManager::recover`]). Replaces any
+    /// mechanism set before. The enforcing guard's ladder
+    /// ([`SessionManager::enable_enforcement`]) is separate.
+    ///
+    /// # Errors
+    /// [`OnlineError::InvalidConfig`] when the mechanism's domain does not
+    /// match the mobility model.
+    pub fn set_mechanism(&mut self, lppm: Box<dyn Lppm>) -> Result<()> {
+        let m = self.provider.num_states();
+        if lppm.num_cells() != m {
+            return Err(OnlineError::InvalidConfig {
+                message: format!(
+                    "mechanism domain ({} cells) does not match the model ({m} states)",
+                    lppm.num_cells()
+                ),
+            });
+        }
+        self.mechanism = Some(MechanismCache::new(lppm));
+        Ok(())
+    }
+
+    /// The state-domain size `m` every location and column is checked
+    /// against.
+    pub fn num_states(&self) -> usize {
+        self.provider.num_states()
     }
 
     /// Switches the service into **enforcing mode**: instead of merely
@@ -535,17 +610,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         };
         let shard = self.shard_of(id);
         let suppressed = outcome.decision == Decision::Suppressed;
-        // Journal the committed column (with its suppression flag, so
-        // replay reconstructs the stats) before it leaves the mechanism.
-        Self::journal(
-            &mut self.store,
-            shard,
-            &WalRecord::Observe {
-                user: id.0,
-                suppressed,
-                column: Cow::Borrowed(outcome.column.as_slice()),
-            },
-        )?;
+        // Journal the committed column by reference (a suppression as
+        // such, so replay reconstructs the stats) before it leaves the
+        // mechanism.
+        if self.store.is_some() {
+            Self::journal(&mut self.store, shard, &release_record(id.0, &outcome))?;
+        }
         let report = self.commit_one(shard, id.0, &outcome.column);
         // Count the suppression only once the flat column actually
         // committed — a failed release must not skew the stats.
@@ -817,6 +887,49 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(reports.pop().expect("one observation in, one report out"))
     }
 
+    /// Ingests one observation for one user as the cell the service's
+    /// mechanism released: the emission column is the mechanism's column
+    /// for `observed`, computed here. The result is bit-identical to
+    /// [`SessionManager::ingest`] with that column, but a durable service
+    /// journals the observation by reference, a 37-byte record instead of
+    /// the `8m + 26`-byte column.
+    ///
+    /// # Errors
+    /// [`OnlineError::InvalidLocation`] for a cell outside the domain;
+    /// [`OnlineError::UnknownUser`]; [`OnlineError::NoMechanism`] without
+    /// [`SessionManager::set_mechanism`]; emission validation and
+    /// journaling errors. All are detected before any state is mutated.
+    pub fn ingest_observed(&mut self, id: UserId, observed: CellId) -> Result<UserReport> {
+        let start = self
+            .instruments
+            .ingest_seconds
+            .is_enabled()
+            .then(Instant::now);
+        let m = self.provider.num_states();
+        if observed.index() >= m {
+            return Err(OnlineError::InvalidLocation {
+                cell: observed.index(),
+                num_cells: m,
+            });
+        }
+        let shard = self.shard_of(id);
+        if !self.shards[shard].contains_key(&id.0) {
+            return Err(OnlineError::UnknownUser { user: id.0 });
+        }
+        let mechanism = self.mechanism.as_ref().ok_or(OnlineError::NoMechanism)?;
+        let budget = mechanism.base_budget();
+        let column = mechanism.base().emission_column(observed);
+        self.check_emission(column.as_slice())?;
+        if self.store.is_some() {
+            let record = emitted(id.0, Emitter::Source, observed, budget, &column);
+            Self::journal(&mut self.store, shard, &record)?;
+        }
+        let report = self.commit_one(shard, id.0, &column);
+        self.maybe_checkpoint()?;
+        self.record_ingest(start, 1);
+        Ok(report)
+    }
+
     /// Ingests one same-timestep batch: at most one observation (as the
     /// released emission column) per user. Returns one [`UserReport`] per
     /// entry, sorted by user id.
@@ -855,21 +968,25 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         }
         reports.sort_by_key(|r| r.user);
         self.maybe_checkpoint()?;
+        self.record_ingest(start, batch.len());
+        Ok(reports)
+    }
+
+    /// Records an ingest of `batch` observations that started at `start`
+    /// (`None` while the telemetry is off).
+    fn record_ingest(&self, start: Option<Instant>, batch: usize) {
         if let Some(t0) = start {
             self.instruments
                 .ingest_seconds
                 .observe(t0.elapsed().as_secs_f64());
-            self.instruments
-                .ingest_batch_size
-                .observe(batch.len() as f64);
+            self.instruments.ingest_batch_size.observe(batch as f64);
             self.instruments
                 .update_occupancy(self.shards.iter().map(BTreeMap::len));
         }
-        Ok(reports)
     }
 
-    /// Appends one [`WalRecord::Observe`] per batch entry (audit path:
-    /// nothing is suppressed).
+    /// Appends one [`WalRecord::Observe`] per batch entry: a caller-supplied
+    /// column is journaled whole (audit path: nothing is suppressed).
     fn journal_observations(&mut self, by_shard: &[BTreeMap<u64, &Vector>]) -> Result<()> {
         if self.store.is_none() {
             return Ok(());
@@ -915,16 +1032,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         &self,
         batch: &'b [(UserId, Vector)],
     ) -> Result<Vec<BTreeMap<u64, &'b Vector>>> {
-        let m = self.provider.num_states();
         let mut by_shard: Vec<BTreeMap<u64, &Vector>> =
             (0..self.shards.len()).map(|_| BTreeMap::new()).collect();
         for (id, col) in batch {
-            if col.len() != m || col.as_slice().iter().any(|&x| x < 0.0 || !x.is_finite()) {
-                return Err(OnlineError::Quantify(QuantifyError::InvalidEmission {
-                    expected: m,
-                    actual: col.len(),
-                }));
-            }
+            self.check_emission(col.as_slice())?;
             let shard = self.shard_of(*id);
             if !self.shards[shard].contains_key(&id.0) {
                 return Err(OnlineError::UnknownUser { user: id.0 });
@@ -934,6 +1045,19 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             }
         }
         Ok(by_shard)
+    }
+
+    /// An emission column must have one finite, non-negative entry per
+    /// state.
+    fn check_emission(&self, column: &[f64]) -> Result<()> {
+        let m = self.provider.num_states();
+        if column.len() != m || column.iter().any(|&x| x < 0.0 || !x.is_finite()) {
+            return Err(OnlineError::Quantify(QuantifyError::InvalidEmission {
+                expected: m,
+                actual: column.len(),
+            }));
+        }
+        Ok(())
     }
 
     /// One shard's slice of a batched ingest: posterior propagation, window
@@ -1099,9 +1223,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
 
     /// Fingerprint binding durable files to this service's scenario: the
     /// state-domain size, the accounting-relevant configuration, and the
-    /// registered template catalog. The WAL journals *committed emission
-    /// columns*, so the mechanism/guard configuration is deliberately not
-    /// part of the binding — replay never re-runs the guard.
+    /// registered template catalog. The mechanism is bound per record
+    /// instead: a column record carries its column, and a by-reference
+    /// record the hash of the column its mechanism produced, which replay
+    /// checks against the column the recovery mechanism rebuilds. Recovery
+    /// under another mechanism therefore fails at the first record it
+    /// would replay differently, a journal of explicit columns recovers
+    /// without one, and replay never re-runs the guard.
     fn fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -1206,6 +1334,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// the directory was written under — a fingerprint mismatch is
     /// rejected rather than silently mixing state.
     ///
+    /// `mechanism` becomes the recovered service's mechanism
+    /// ([`SessionManager::set_mechanism`]), and replay rebuilds every
+    /// by-reference column from it: an observed cell's from the mechanism
+    /// itself, a guarded release's from its rung at the journaled budget.
+    /// Pass the mechanism the service ran with; a journal of explicit
+    /// columns only needs none. See the [`crate::durable`] module docs.
+    ///
     /// The returned service has **no store attached**: recovering twice
     /// from the same directory is side-effect-free and byte-deterministic
     /// (equal [`SessionManager::state_digest`]s). Use
@@ -1219,25 +1354,26 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     ///
     /// # Errors
     /// [`OnlineError::Durable`] for unreadable/corrupt/mismatched durable
-    /// state; quantify/session validation errors when persisted state
-    /// fails its invariants.
+    /// state, and [`DurableError::Replay`] naming the first by-reference
+    /// record `mechanism` (or its absence) cannot reproduce;
+    /// quantify/session validation errors when persisted state fails its
+    /// invariants.
     pub fn recover(
         provider: P,
         config: OnlineConfig,
         templates: Vec<StEvent>,
         dir: &Path,
+        mechanism: Option<Box<dyn Lppm>>,
     ) -> Result<Self> {
         let t0 = Instant::now();
-        let mut svc = Self::new(provider, config)?;
-        for t in templates {
-            svc.register_template(t)?;
-        }
+        let mut svc = Self::with_scenario(provider, config, templates, mechanism)?;
         let rec = durable::recover_dir(dir, svc.fingerprint(), svc.config.num_shards)?;
         svc.restore_snapshot(rec.state)?;
         let mut replayed_records = 0u64;
-        for scan in &rec.wal {
-            for record in &scan.records {
-                svc.replay(record)?;
+        for (shard, scan) in rec.wal.iter().enumerate() {
+            let segment = durable::wal_path(dir, rec.seq, shard);
+            for (index, record) in scan.records.iter().enumerate() {
+                svc.replay(record, &segment, index)?;
                 replayed_records += 1;
             }
         }
@@ -1290,26 +1426,40 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         templates: Vec<StEvent>,
         dir: &Path,
         opts: DurableOptions,
+        mechanism: Option<Box<dyn Lppm>>,
     ) -> Result<Self> {
-        let recovered = Self::recover(provider.clone(), config.clone(), templates.clone(), dir);
-        let mut svc = match recovered {
-            Ok(svc) => svc,
-            Err(OnlineError::Durable(
-                DurableError::NoSnapshot { .. }
-                | DurableError::Io {
-                    kind: std::io::ErrorKind::NotFound,
-                    ..
-                },
-            )) => {
-                let mut svc = Self::new(provider, config)?;
-                for t in templates {
-                    svc.register_template(t)?;
-                }
-                svc
-            }
-            Err(e) => return Err(e),
+        let holds_state = match durable::list_generations(dir) {
+            Ok(generations) => !generations.is_empty(),
+            Err(DurableError::Io {
+                kind: std::io::ErrorKind::NotFound,
+                ..
+            }) => false,
+            Err(e) => return Err(e.into()),
+        };
+        let mut svc = if holds_state {
+            Self::recover(provider, config, templates, dir, mechanism)?
+        } else {
+            Self::with_scenario(provider, config, templates, mechanism)?
         };
         svc.make_durable(dir, opts)?;
+        Ok(svc)
+    }
+
+    /// An empty service with its templates registered and, when given, its
+    /// mechanism set.
+    fn with_scenario(
+        provider: P,
+        config: OnlineConfig,
+        templates: Vec<StEvent>,
+        mechanism: Option<Box<dyn Lppm>>,
+    ) -> Result<Self> {
+        let mut svc = Self::new(provider, config)?;
+        for t in templates {
+            svc.register_template(t)?;
+        }
+        if let Some(lppm) = mechanism {
+            svc.set_mechanism(lppm)?;
+        }
         Ok(svc)
     }
 
@@ -1411,12 +1561,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(interned)
     }
 
-    /// Applies one journaled record without re-journaling it. Replaying an
-    /// `Observe` record runs the exact same per-row arithmetic as the
-    /// original (possibly batched) execution — posterior propagation and
-    /// lifted window steps are row-independent — so the recovered state is
-    /// bit-identical to what the live service held after committing it.
-    fn replay(&mut self, record: &WalRecord) -> Result<()> {
+    /// Applies one journaled record, the `index`-th of `segment`, without
+    /// re-journaling it. Replaying an observation runs the exact same
+    /// per-row arithmetic as the original (possibly batched) execution —
+    /// posterior propagation and lifted window steps are row-independent —
+    /// on the same column, journaled or rebuilt bit for bit, so the
+    /// recovered state is bit-identical to what the live service held
+    /// after committing it.
+    fn replay(&mut self, record: &WalRecord, segment: &Path, index: usize) -> Result<()> {
         match record {
             WalRecord::AddUser { user, pi } => {
                 let id = UserId(*user);
@@ -1444,26 +1596,85 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 user,
                 suppressed,
                 column,
-            } => self.replay_observe(*user, column, *suppressed),
+            } => self.replay_observe(*user, &Vector::from(column.to_vec()), *suppressed),
+            WalRecord::Emitted {
+                user,
+                by,
+                cell,
+                budget,
+                hash,
+            } => {
+                let column = self
+                    .rebuild_column(*user, *by, *cell, *budget, *hash)
+                    .map_err(|detail| DurableError::Replay {
+                        path: segment.to_path_buf(),
+                        record: index,
+                        detail,
+                    })?;
+                self.replay_observe(*user, &column, false)
+            }
+            WalRecord::Suppressed { user } => {
+                let column = suppression_column(self.provider.num_states());
+                self.replay_observe(*user, &column, true)
+            }
         }
     }
 
-    /// Replays one committed observation as a singleton commit.
-    fn replay_observe(&mut self, user: u64, column: &[f64], suppressed: bool) -> Result<()> {
+    /// The column a by-reference record names, rebuilt from the service's
+    /// mechanism and checked against the journaled hash; `Err` says why it
+    /// cannot be.
+    fn rebuild_column(
+        &mut self,
+        user: u64,
+        by: Emitter,
+        cell: u32,
+        budget: f64,
+        hash: u64,
+    ) -> std::result::Result<Vector, String> {
+        let what = match by {
+            Emitter::Source => format!("observed cell {cell} of user {user} at budget {budget}"),
+            Emitter::Guard => {
+                format!("guarded release of cell {cell} to user {user} at budget {budget}")
+            }
+        };
         let m = self.provider.num_states();
-        if column.len() != m || column.iter().any(|&x| x < 0.0 || !x.is_finite()) {
-            return Err(OnlineError::Quantify(QuantifyError::InvalidEmission {
-                expected: m,
-                actual: column.len(),
-            }));
+        let Some(cache) = self.mechanism.as_mut() else {
+            return Err(format!(
+                "{what} is journaled by reference, and recovery was given no mechanism"
+            ));
+        };
+        if cell as usize >= m {
+            return Err(format!("{what}: the cell is outside the {m}-cell domain"));
         }
-        let id = UserId(user);
-        let shard = self.shard_of(id);
+        let lppm = match by {
+            Emitter::Source if budget != cache.base_budget() => {
+                return Err(format!(
+                    "{what}: the recovery mechanism's budget is {}",
+                    cache.base_budget()
+                ));
+            }
+            Emitter::Source => cache.base(),
+            Emitter::Guard => cache.at(budget).map_err(|e| format!("{what}: {e}"))?,
+        };
+        let column = lppm.emission_column(CellId(cell as usize));
+        let rebuilt = durable::word_hash(column.as_slice());
+        if rebuilt != hash {
+            return Err(format!(
+                "{what}: the recovery mechanism's column hashes to {rebuilt:#018x}, \
+                 the journal holds {hash:#018x}"
+            ));
+        }
+        Ok(column)
+    }
+
+    /// Replays one committed observation as a singleton commit.
+    fn replay_observe(&mut self, user: u64, column: &Vector, suppressed: bool) -> Result<()> {
+        self.check_emission(column.as_slice())?;
+        let shard = self.shard_of(UserId(user));
         if !self.shards[shard].contains_key(&user) {
             return Err(OnlineError::UnknownUser { user });
         }
-        let column = Vector::from(column.to_vec());
-        let _ = self.commit_one(shard, user, &column);
+        let _ = self.commit_one(shard, user, column);
         if suppressed {
             self.instruments.suppressed.inc();
         }
@@ -1534,16 +1745,7 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         }
         reports.sort_by_key(|r| r.user);
         self.maybe_checkpoint()?;
-        if let Some(t0) = start {
-            self.instruments
-                .ingest_seconds
-                .observe(t0.elapsed().as_secs_f64());
-            self.instruments
-                .ingest_batch_size
-                .observe(batch.len() as f64);
-            self.instruments
-                .update_occupancy(self.shards.iter().map(BTreeMap::len));
-        }
+        self.record_ingest(start, batch.len());
         Ok(reports)
     }
 
@@ -1658,20 +1860,18 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
                 let (reports, shard_delta) =
                     Self::process_shard(provider, templates, shard, &columns, config, &mut scratch);
                 delta.absorb(&shard_delta);
-                for ((_, outcome), report) in outcomes.into_iter().zip(reports) {
-                    let suppressed = outcome.decision == Decision::Suppressed;
-                    if suppressed {
+                for ((uid, outcome), report) in outcomes.into_iter().zip(reports) {
+                    if outcome.decision == Decision::Suppressed {
                         delta.suppressed += 1;
                     }
-                    let column = journaling.then_some(outcome.column);
+                    let record = journaling.then(|| release_record(uid, &outcome));
                     out.push((
                         EnforcedRelease {
                             decision: outcome.decision,
                             attempts: outcome.attempts.len(),
                             report,
                         },
-                        suppressed,
-                        column,
+                        record,
                     ));
                 }
                 Ok(())
@@ -1684,25 +1884,14 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         // release that mutated a ledger must reach the WAL. (The parallel
         // path applies before journaling; a crash in between loses only
         // never-acknowledged releases, which is sound.)
-        items.sort_by_key(|(r, _, _)| r.report.user);
+        items.sort_by_key(|(r, _)| r.report.user);
         let mut journal_err = None;
-        if journaling {
-            for (release, suppressed, column) in &items {
-                let uid = release.report.user;
-                let shard = self.shard_of(uid);
-                let column = column.as_ref().expect("kept while journaling");
-                if let Err(e) = Self::journal(
-                    &mut self.store,
-                    shard,
-                    &WalRecord::Observe {
-                        user: uid.0,
-                        suppressed: *suppressed,
-                        column: Cow::Borrowed(column.as_slice()),
-                    },
-                ) {
-                    journal_err = Some(e);
-                    break;
-                }
+        for (release, record) in &items {
+            let Some(record) = record else { continue };
+            let shard = self.shard_of(release.report.user);
+            if let Err(e) = Self::journal(&mut self.store, shard, record) {
+                journal_err = Some(e);
+                break;
             }
         }
         if let Some(e) = failure {
@@ -1714,7 +1903,7 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         if let Some(e) = journal_err {
             return Err(e);
         }
-        let releases: Vec<EnforcedRelease> = items.into_iter().map(|(r, _, _)| r).collect();
+        let releases: Vec<EnforcedRelease> = items.into_iter().map(|(r, _)| r).collect();
         self.maybe_checkpoint()?;
         if let Some(t0) = start {
             self.instruments
@@ -1733,6 +1922,106 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use priste_geo::GridMap;
+    use priste_lppm::PlanarLaplace;
+    use priste_markov::{gaussian_kernel_chain, Homogeneous};
+    use proptest::prelude::*;
+
+    /// A 3×3 world, the α = 2 Planar Laplace mechanism on it, and a
+    /// two-shard durable service in `dir` holding user 5 (shard 1), whose
+    /// store is ready to take hand-made records.
+    fn durable_world(
+        dir: &Path,
+    ) -> (
+        Arc<Homogeneous>,
+        PlanarLaplace,
+        SessionManager<Arc<Homogeneous>>,
+    ) {
+        let grid = GridMap::new(3, 3, 1.0).unwrap();
+        let chain = Arc::new(Homogeneous::new(gaussian_kernel_chain(&grid, 1.0).unwrap()));
+        let plm = PlanarLaplace::new(grid, 2.0).unwrap();
+        let mut svc = SessionManager::new(Arc::clone(&chain), two_shards()).unwrap();
+        svc.add_user(UserId(5), Vector::uniform(9)).unwrap();
+        let opts = DurableOptions {
+            fsync: false,
+            snapshot_every: 0,
+        };
+        svc.make_durable(dir, opts).unwrap();
+        (chain, plm, svc)
+    }
+
+    fn two_shards() -> OnlineConfig {
+        OnlineConfig {
+            num_shards: 2,
+            ..OnlineConfig::default()
+        }
+    }
+
+    fn tempdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "priste-manager-test-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Recovers `dir` with `mechanism` and returns the replay failure.
+    fn replay_failure(
+        chain: Arc<Homogeneous>,
+        dir: &Path,
+        mechanism: Option<Box<dyn Lppm>>,
+    ) -> (std::path::PathBuf, usize, String) {
+        match SessionManager::recover(chain, two_shards(), Vec::new(), dir, mechanism) {
+            Err(OnlineError::Durable(DurableError::Replay {
+                path,
+                record,
+                detail,
+            })) => (path, record, detail),
+            other => panic!("expected a replay failure, got {other:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A by-reference record that decodes but does not hold — a cell
+        /// outside the domain, a hash no column of the mechanism has, an
+        /// observed cell at another budget than the mechanism's — fails
+        /// recovery with a replay error naming its segment and position,
+        /// and never panics. So does any by-reference record when recovery
+        /// is given no mechanism.
+        #[test]
+        fn unreplayable_by_reference_records_fail_recovery(
+            cell in 0u32..=u32::MAX,
+            flip in 1u64..=u64::MAX,
+            budget in 1e-3f64..2.0,
+            kind in 0usize..4,
+        ) {
+            let dir = tempdir("unreplayable");
+            let (chain, plm, mut svc) = durable_world(&dir);
+            let inside = CellId(cell as usize % 9);
+            let hash = |lppm: &dyn Lppm| durable::word_hash(lppm.emission_column(inside).as_slice());
+            let rung = plm.with_budget(budget).unwrap();
+            let (by, cell, budget, hash) = match kind {
+                0 => (Emitter::Source, 9 + cell % (u32::MAX - 9), 2.0, hash(&plm)),
+                1 => (Emitter::Source, inside.0 as u32, 2.0, hash(&plm) ^ flip),
+                2 => (Emitter::Guard, inside.0 as u32, budget, hash(rung.as_ref()) ^ flip),
+                _ => (Emitter::Source, inside.0 as u32, budget, hash(rung.as_ref())),
+            };
+            let record = WalRecord::Emitted { user: 5, by, cell, budget, hash };
+            svc.store.as_mut().unwrap().append(1, &record).unwrap();
+            drop(svc);
+            let (path, index, detail) = replay_failure(Arc::clone(&chain), &dir, Some(Box::new(plm)));
+            prop_assert!(path.ends_with("wal-0000000000000001-0001.log"), "{}", path.display());
+            prop_assert_eq!(index, 0);
+            prop_assert!(detail.contains("of user 5") || detail.contains("to user 5"), "{}", detail);
+            let (_, _, detail) = replay_failure(chain, &dir, None);
+            prop_assert!(detail.contains("no mechanism"), "{}", detail);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 
     #[test]
     fn fan_out_contains_worker_panics_and_keeps_surviving_deltas() {

@@ -14,6 +14,7 @@
 //! which the entry's own `Weak` keeps from being reused while the entry
 //! exists.
 
+use crate::durable::word_hash;
 use priste_linalg::{LinalgError, Vector};
 use priste_quantify::{QuantifyError, WeakWindowStart, WindowStart};
 use std::collections::HashMap;
@@ -42,23 +43,6 @@ pub(crate) struct PriorTable {
     swept: usize,
 }
 
-/// Word-wise hash of a vector's bits: `-0.0` and `0.0` hash apart. Four
-/// independent lanes keep the multiply chain off the critical path.
-fn hash_bits(v: &Vector) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(K);
-    let chunks = v.as_slice().chunks_exact(4);
-    let tail = chunks.remainder();
-    let mut lanes = [v.len() as u64; 4];
-    for chunk in chunks {
-        for (lane, x) in lanes.iter_mut().zip(chunk) {
-            *lane = mix(*lane, x.to_bits());
-        }
-    }
-    let h = lanes.into_iter().fold(0, mix);
-    tail.iter().fold(h, |h, x| mix(h, x.to_bits()))
-}
-
 /// Whether two vectors are equal bit for bit (`-0.0 ≠ 0.0`).
 pub(crate) fn same_bits(a: &Vector, b: &Vector) -> bool {
     a.len() == b.len()
@@ -79,7 +63,7 @@ impl PriorTable {
     /// a valid distribution, and a registration that matches one skips the
     /// check.
     pub(crate) fn intern(&mut self, pi: Arc<Vector>) -> Result<Arc<Vector>, LinalgError> {
-        let bits = hash_bits(&pi);
+        let bits = word_hash(pi.as_slice());
         if let Some(addrs) = self.by_bits.get(&bits) {
             for addr in addrs {
                 if let Some(live) = self.entries[addr].pi.upgrade() {

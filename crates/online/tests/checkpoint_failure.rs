@@ -89,7 +89,7 @@ fn failed_checkpoint_loses_no_later_record() {
     ingest_round(&mut svc, 1);
     ingest_round(&mut svc, 2);
 
-    let recovered = SessionManager::recover(chain(), config(), templates(), &dir).unwrap();
+    let recovered = SessionManager::recover(chain(), config(), templates(), &dir, None).unwrap();
     for u in 0..USERS {
         let live = svc.session(UserId(u)).unwrap().ledger();
         let back = recovered.session(UserId(u)).unwrap().ledger();

@@ -421,7 +421,8 @@ fn recovery_shares_idle_state_again() {
     let digest = svc.state_digest();
     drop(svc);
 
-    let mut recovered = SessionManager::recover(chain(), config(), templates(), &dir).unwrap();
+    let mut recovered =
+        SessionManager::recover(chain(), config(), templates(), &dir, None).unwrap();
     assert_eq!(recovered.state_digest(), digest);
     let first = recovered.session(UserId(0)).unwrap();
     let (_, first_window) = first.windows().next().unwrap();

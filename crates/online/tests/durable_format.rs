@@ -167,7 +167,7 @@ fn fixture_directory_recovers_to_the_pinned_digest() {
         for name in WAL_SEGMENTS.into_iter().chain([SNAPSHOT]) {
             std::fs::copy(fixture_dir(fixture).join(name), dir.join(name)).unwrap();
         }
-        let svc = SessionManager::recover(chain(), config(), templates(), &dir).unwrap();
+        let svc = SessionManager::recover(chain(), config(), templates(), &dir, None).unwrap();
         assert_eq!(svc.state_digest(), PINNED_DIGEST, "{fixture}");
         assert_eq!(svc.num_users(), 4);
         // Restored windows and WAL-replayed attaches share the models too.
@@ -217,7 +217,7 @@ fn idle_users_are_written_once_and_recover_shared() {
         "snapshot is {snapshot} B, bound {bound} B"
     );
 
-    let back = SessionManager::recover(provider, config(), vec![event], &dir).unwrap();
+    let back = SessionManager::recover(provider, config(), vec![event], &dir, None).unwrap();
     assert_eq!(back.state_digest(), svc.state_digest());
     let first = back.session(UserId(0)).unwrap();
     for u in 1..IDLE {

@@ -14,7 +14,9 @@
 //! Every request runs inside one envelope: `x-request-id` echoed or
 //! minted as `<ID_PREFIX><n>`, a span named [`Handler::SPAN`], and the
 //! `<FAMILY>_request_seconds{route,status}` histogram, with 4xx/5xx
-//! answers counted in `<FAMILY>_errors_total{route}`. The skeleton also
+//! answers counted in `<FAMILY>_errors_total{route}`. A handler that
+//! panics answers 500 and its worker keeps serving; what the panic left
+//! behind is the handler's to report, through [`Handler::not_ready`]. The skeleton also
 //! keeps `<FAMILY>_requests_in_flight`, `<FAMILY>_connections_total`,
 //! `priste_build_info` and `process_uptime_seconds`, and serves
 //! `/metrics`, `/healthz` and `/readyz` itself; every other path goes to
@@ -35,6 +37,7 @@ use crate::signal;
 use priste_obs::{Counter, Gauge, Registry};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
@@ -350,8 +353,14 @@ fn handle_request<H: Handler>(shared: &Shared<H>, req: &Request) -> Response {
         ),
     };
     let mut span = shared.registry.span(H::SPAN);
-    let mut resp = dispatch(shared, route, req, &request_id)
-        .unwrap_or_else(|| Response::json(405, encode_error("method not allowed on this route")));
+    let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
+        dispatch(shared, route, req, &request_id)
+    }));
+    let mut resp = match dispatched {
+        Ok(Some(resp)) => resp,
+        Ok(None) => Response::json(405, encode_error("method not allowed on this route")),
+        Err(_) => Response::json(500, encode_error("internal error: the handler panicked")),
+    };
     let status = resp.status;
     span.annotate("status", f64::from(status));
     drop(span);

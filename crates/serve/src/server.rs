@@ -8,6 +8,15 @@
 //! serialization happen outside the lock, so the critical section is
 //! just the posterior update or guarded release itself.
 //!
+//! # Panics
+//!
+//! A request whose handling panics is answered 500 by the skeleton. If it
+//! panicked inside the service, the state lock is poisoned and the
+//! in-memory state may be half-committed, so from then on every `/v1`
+//! route answers 503, `/readyz` reports unready, and the drain writes no
+//! final checkpoint. The journal holds every acknowledged commit: restart
+//! the worker to recover from it.
+//!
 //! # Graceful drain
 //!
 //! [`DrainHandle::drain`] (or SIGINT/SIGTERM when
@@ -74,23 +83,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// The mutexed mutable core: the service, the release RNG, and the
-/// mechanism used to derive emission columns for `"observed"` ingests.
+/// The mutexed mutable core: the service and the release RNG.
 struct ServiceState<P> {
     service: SessionManager<P>,
     rng: StdRng,
-    column_source: Option<Box<dyn Lppm>>,
-}
-
-impl<P: TransitionProvider + Clone> ServiceState<P> {
-    /// The state-domain size requests are validated against.
-    fn domain_size(&self) -> Option<usize> {
-        self.service
-            .templates()
-            .first()
-            .map(|t| t.event().num_cells())
-            .or_else(|| self.column_source.as_ref().map(|s| s.num_cells()))
-    }
 }
 
 /// The [`Handler`] behind [`Server`]: the `/v1` routes over one
@@ -102,8 +98,10 @@ struct Service<P> {
 }
 
 impl<P: TransitionProvider + Clone> Service<P> {
-    fn lock_state(&self) -> MutexGuard<'_, ServiceState<P>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// The state, or the 503 every route answers once a panic has
+    /// poisoned the lock: the state may be half-committed.
+    fn lock_state(&self) -> std::result::Result<MutexGuard<'_, ServiceState<P>>, Response> {
+        self.state.lock().map_err(|_| poisoned())
     }
 
     /// Applies [`ServerConfig::request_stall`] while the caller holds
@@ -133,6 +131,10 @@ impl<P: TransitionProvider + Clone + Send + 'static> Handler for Service<P> {
             _ => return None,
         })
     }
+
+    fn not_ready(&self) -> Option<Response> {
+        self.state.is_poisoned().then(poisoned)
+    }
 }
 
 /// A running daemon; dropping it without [`Server::wait`] detaches the
@@ -145,28 +147,32 @@ impl<P: TransitionProvider + Clone + Send + 'static> Server<P> {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
     /// serving `service` on a worker pool.
     ///
-    /// `column_source` is the mechanism used to turn an `"observed"`
-    /// cell into an emission column (and is orthogonal to the enforcing
-    /// guard, which the service carries internally). `registry` should
-    /// be the same registry the service's `observe` was pointed at, so
-    /// `/metrics` exposes service, guard, durable, and server series
-    /// together.
+    /// `column_source`, when given, becomes the service's mechanism
+    /// ([`SessionManager::set_mechanism`]): it turns an `"observed"` cell
+    /// into an emission column, and a durable service journals such an
+    /// ingest by reference to it. It is orthogonal to the enforcing guard,
+    /// which the service carries internally. `registry` should be the same
+    /// registry the service's `observe` was pointed at, so `/metrics`
+    /// exposes service, guard, durable, and server series together.
     ///
     /// # Errors
-    /// [`crate::ServeError::Io`] when the bind fails.
+    /// [`crate::ServeError::Online`] when the mechanism's domain does not
+    /// match the service's; [`crate::ServeError::Io`] when the bind fails.
     pub fn start(
-        service: SessionManager<P>,
+        mut service: SessionManager<P>,
         column_source: Option<Box<dyn Lppm>>,
         registry: Registry,
         config: ServerConfig,
         addr: &str,
     ) -> Result<Server<P>> {
+        if let Some(mechanism) = column_source {
+            service.set_mechanism(mechanism)?;
+        }
         let drain = DrainHandle::default();
         let handler = Service {
             state: Mutex::new(ServiceState {
                 service,
                 rng: StdRng::seed_from_u64(config.seed),
-                column_source,
             }),
             drain: drain.clone(),
             request_stall: config.request_stall,
@@ -195,14 +201,17 @@ impl<P: TransitionProvider + Clone + Send + 'static> Server<P> {
     /// Blocks until a drain is requested (via [`DrainHandle::drain`] or
     /// a handled signal) and every in-flight request has been answered,
     /// then finalizes: a durable checkpoint when the service is
-    /// durable, and the final metrics snapshot when configured.
+    /// durable and its state was not poisoned by a panic, and the final
+    /// metrics snapshot when configured.
     ///
     /// # Errors
     /// Checkpoint or snapshot-write failures; the drain itself cannot
     /// fail.
     pub fn wait(self) -> Result<DrainSummary> {
         self.daemon.wait(|service| {
-            let mut st = service.lock_state();
+            let Ok(mut st) = service.lock_state() else {
+                return Ok(false);
+            };
             if st.service.durable_dir().is_none() {
                 return Ok(false);
             }
@@ -212,12 +221,20 @@ impl<P: TransitionProvider + Clone + Send + 'static> Server<P> {
     }
 }
 
+/// The answer of a service whose state a panic poisoned.
+fn poisoned() -> Response {
+    Response::json(
+        503,
+        proto::encode_error("service state poisoned by a panic; restart to recover"),
+    )
+}
+
 /// Maps a service error onto the HTTP status it deserves.
 fn online_status(e: &OnlineError) -> u16 {
     match e {
         OnlineError::UnknownUser { .. } | OnlineError::UnknownTemplate { .. } => 404,
         OnlineError::InvalidLocation { .. } | OnlineError::Quantify(_) => 400,
-        OnlineError::NotEnforcing => 409,
+        OnlineError::NotEnforcing | OnlineError::NoMechanism => 409,
         _ => 500,
     }
 }
@@ -253,17 +270,16 @@ fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> R
         Ok(parsed) => parsed,
         Err(msg) => return Response::json(400, proto::encode_error(&msg)),
     };
-    let mut st = handler.lock_state();
-    let Some(m) = st.domain_size() else {
-        return Response::json(
-            500,
-            proto::encode_error("service has no templates and no mechanism"),
-        );
+    let mut st = match handler.lock_state() {
+        Ok(st) => st,
+        Err(resp) => return resp,
     };
+    let m = st.service.num_states();
     if let Err(resp) = ensure_user(&mut st, parsed.user, m) {
         return resp;
     }
-    let column = match (parsed.observed, parsed.column) {
+    let id = UserId(parsed.user);
+    let outcome = match (parsed.observed, parsed.column) {
         (Some(cell), _) => {
             if cell >= m {
                 return Response::json(
@@ -271,15 +287,8 @@ fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> R
                     proto::encode_error(&format!("observed cell {cell} outside domain of {m}")),
                 );
             }
-            let Some(source) = &st.column_source else {
-                return Response::json(
-                    409,
-                    proto::encode_error(
-                        "no mechanism configured; send an explicit \"column\" instead",
-                    ),
-                );
-            };
-            source.emission_column(CellId(cell))
+            handler.stall();
+            st.service.ingest_observed(id, CellId(cell))
         }
         (None, Some(column)) => {
             if column.len() != m {
@@ -291,12 +300,11 @@ fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> R
                     )),
                 );
             }
-            Vector::from(column)
+            handler.stall();
+            st.service.ingest(id, Vector::from(column))
         }
         (None, None) => unreachable!("decode_ingest enforces one-of"),
     };
-    handler.stall();
-    let outcome = st.service.ingest(UserId(parsed.user), column);
     drop(st);
     match outcome {
         Ok(report) => Response::json(200, proto::encode_report(&report)),
@@ -309,13 +317,11 @@ fn release<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> 
         Ok(parsed) => parsed,
         Err(msg) => return Response::json(400, proto::encode_error(&msg)),
     };
-    let mut st = handler.lock_state();
-    let Some(m) = st.domain_size() else {
-        return Response::json(
-            500,
-            proto::encode_error("service has no templates and no mechanism"),
-        );
+    let mut st = match handler.lock_state() {
+        Ok(st) => st,
+        Err(resp) => return resp,
     };
+    let m = st.service.num_states();
     if parsed.true_location >= m {
         return Response::json(
             400,
@@ -344,7 +350,10 @@ fn release<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> 
 
 fn spend<P: TransitionProvider + Clone>(handler: &Service<P>, path: &str) -> Response {
     let user = proto::spend_user(path).expect("route matched");
-    let st = handler.lock_state();
+    let st = match handler.lock_state() {
+        Ok(st) => st,
+        Err(resp) => return resp,
+    };
     match st.service.session(UserId(user)) {
         Some(session) => Response::json(200, proto::encode_spend(session)),
         None => Response::json(404, proto::encode_error(&format!("unknown user {user}"))),
@@ -352,12 +361,15 @@ fn spend<P: TransitionProvider + Clone>(handler: &Service<P>, path: &str) -> Res
 }
 
 fn config<P: TransitionProvider + Clone>(handler: &Service<P>) -> Response {
-    let st = handler.lock_state();
+    let st = match handler.lock_state() {
+        Ok(st) => st,
+        Err(resp) => return resp,
+    };
     let cfg = st.service.config();
     Response::json(
         200,
         proto::encode_config(
-            st.domain_size().unwrap_or(0),
+            st.service.num_states(),
             cfg.epsilon,
             cfg.budget,
             st.service.enforcing(),

@@ -62,7 +62,9 @@
 //! * `recover` — read-only inspection of a durable directory: rebuild the
 //!   state from snapshot + WAL replay (rebuilding the scenario from the
 //!   same flags `stream` was given) and print every user's ledger without
-//!   journaling anything. With `--metrics-json PATH` the recovery
+//!   journaling anything. Guarded releases and observed-cell ingests are
+//!   journaled by reference to the mechanism, so `--alpha` must match too:
+//!   another α fails recovery, naming the first record it cannot replay. With `--metrics-json PATH` the recovery
 //!   telemetry (replay duration, replayed/torn record counts) is dumped
 //!   alongside the service counters. `--cluster-workers N` adds a shard
 //!   audit: which slot of an N-worker cluster each recovered user id

@@ -643,7 +643,9 @@ impl Pipeline {
     /// With [`PipelineBuilder::durable`] configured, the service opens over
     /// the durable directory: existing state (spent budget included) is
     /// recovered, a fresh directory starts empty, and every committed
-    /// mutation is journaled from then on.
+    /// mutation is journaled from then on. The pipeline's mechanism, when
+    /// configured, is the service's mechanism: it rebuilds the columns the
+    /// journal holds by reference.
     ///
     /// # Errors
     /// Service-configuration and template-registration failures; durable
@@ -656,6 +658,7 @@ impl Pipeline {
                 self.events.clone(),
                 dir,
                 self.durable_options,
+                self.mechanism_instance().ok(),
             )?
         } else {
             let mut service = SessionManager::new(self.provider(), self.service_config.clone())?;
@@ -675,7 +678,8 @@ impl Pipeline {
     /// directory *without* attaching a store, so inspecting state (e.g. the
     /// `priste recover` subcommand) neither journals nor checkpoints.
     /// Recovering twice from the same directory yields byte-identical
-    /// state ([`SessionManager::state_digest`]).
+    /// state ([`SessionManager::state_digest`]). Replay rebuilds
+    /// by-reference columns from the pipeline's mechanism.
     ///
     /// # Errors
     /// [`PristeError::Pipeline`] when no durable directory was configured;
@@ -692,6 +696,7 @@ impl Pipeline {
             self.service_config.clone(),
             self.events.clone(),
             dir,
+            self.mechanism_instance().ok(),
         )?;
         if let Some(registry) = &self.registry {
             service.observe(registry);
