@@ -10,7 +10,7 @@
 //!   `pipeline_equivalence` proptest suite); only wall-clock differs.
 //! * **enforcing release** — per-user sequential [`SessionManager::release`]
 //!   vs one [`SessionManager::release_batch`] with per-shard RNG streams
-//!   and a prewarmed, read-only mechanism ladder.
+//!   and one shared, immutable guard ladder.
 //!
 //! Expected shape on multi-core hardware: ≥1.5× throughput at 10k users
 //! for the parallel paths (the per-shard work — posterior matmuls, shared

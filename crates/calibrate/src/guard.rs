@@ -35,7 +35,7 @@
 //! certificate therefore bounds the loss of the committed-column model, not
 //! the exact ε-ST-event privacy of the realized stream. Choosing the rung
 //! from public state alone, by certifying every column of a rung before
-//! sampling, would make the two coincide (`ROADMAP.md`, direction 1).
+//! sampling, would make the two coincide (`ROADMAP.md`, direction 3).
 
 use crate::{CalibrateError, Result};
 use priste_event::StEvent;
@@ -47,13 +47,11 @@ use priste_obs::{Counter, Histogram, Registry};
 use priste_quantify::lifted::StepScratch;
 use priste_quantify::{IncrementalTwoWorld, QuantifyError};
 use rand::RngCore;
-use std::collections::BTreeMap;
-use std::fmt;
 
-/// Safety cap on backoff attempts per release. A ladder that would exceed
-/// it (backoff very close to 1) jumps straight to the floor for its final
-/// rung, so the floor is still always evaluated before the exhaustion
-/// policy fires.
+/// Safety cap on a ladder's rungs, hence on backoff attempts per release.
+/// A ladder that would exceed it (backoff very close to 1) jumps straight
+/// to the floor for its final rung, so the floor is still always evaluated
+/// before the exhaustion policy fires.
 const MAX_ATTEMPTS: usize = 200;
 
 /// What the guard does when even the floor budget cannot certify.
@@ -142,6 +140,12 @@ pub fn validate_mechanism(lppm: &dyn Lppm, num_states: usize, floor: f64) -> Res
             ),
         });
     }
+    check_floor(lppm, floor)
+}
+
+/// The backoff floor must not exceed the mechanism's base budget, or there
+/// is nothing to back off to.
+fn check_floor(lppm: &dyn Lppm, floor: f64) -> Result<()> {
     if floor > lppm.budget() {
         return Err(CalibrateError::InvalidConfig {
             message: format!(
@@ -154,150 +158,60 @@ pub fn validate_mechanism(lppm: &dyn Lppm, num_states: usize, floor: f64) -> Res
     Ok(())
 }
 
-/// A prototype LPPM plus its budget-decayed variants, built via
-/// [`Lppm::with_budget`] on first use (or all at once by
-/// [`MechanismCache::prewarm`]) and cached by budget bits: the α, α·β,
-/// α·β², … ladder repeats across timestamps, and a rebuild re-discretizes
-/// the mechanism (for the Planar Laplace mechanism an `O(m)` kernel and
-/// summed-area table: ~1 ms and ~120 KB per rung at m = 2500).
-pub struct MechanismCache {
-    base: Box<dyn Lppm>,
-    base_budget: f64,
-    variants: BTreeMap<u64, Box<dyn Lppm>>,
+/// The guard's backoff ladder, built once: the prototype mechanism (rung
+/// 0) and its budget-decayed variants α·β, α·β², … down to the floor, in
+/// the order [`run_guard`] walks them, plus the [`GuardConfig`] they were
+/// built for. Immutable, so one ladder serves every release of a guard,
+/// including the worker threads of `priste-online`'s parallel release
+/// path. A rung re-discretizes the mechanism (for the Planar Laplace
+/// mechanism an `O(m)` kernel and summed-area table: ~1 ms and ~120 KB at
+/// m = 2500).
+#[derive(Debug)]
+pub struct GuardLadder {
+    config: GuardConfig,
+    rungs: Vec<Box<dyn Lppm>>,
 }
 
-impl fmt::Debug for MechanismCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MechanismCache")
-            .field("base_budget", &self.base_budget)
-            .field("num_cells", &self.base.num_cells())
-            .field("cached_variants", &self.variants.len())
-            .finish()
-    }
-}
-
-impl MechanismCache {
-    /// Wraps a prototype mechanism; its construction-time budget is the
-    /// ladder's starting rung.
-    pub fn new(base: Box<dyn Lppm>) -> Self {
-        let base_budget = base.budget();
-        MechanismCache {
-            base,
-            base_budget,
-            variants: BTreeMap::new(),
-        }
-    }
-
-    /// The prototype's budget (the guard's first attempt each release).
-    pub fn base_budget(&self) -> f64 {
-        self.base_budget
-    }
-
-    /// The prototype mechanism itself.
-    pub fn base(&self) -> &dyn Lppm {
-        self.base.as_ref()
-    }
-
-    /// State-domain size `m`.
-    pub fn num_cells(&self) -> usize {
-        self.base.num_cells()
-    }
-
-    /// The (cached) variant of the prototype at `budget`.
+impl GuardLadder {
+    /// Validates `config` and builds every rung: the prototype itself,
+    /// then geometric backoff clamped at the floor, which is always the
+    /// last rung (a backoff so close to 1 that the ladder would exceed 200
+    /// rungs jumps to the floor for its 200th).
     ///
     /// # Errors
-    /// Mechanism rebuild failures (non-positive budget).
-    pub fn at(&mut self, budget: f64) -> Result<&dyn Lppm> {
-        if budget == self.base_budget {
-            return Ok(self.base.as_ref());
-        }
-        if !self.variants.contains_key(&budget.to_bits()) {
-            let built = self.base.with_budget(budget)?;
-            self.variants.insert(budget.to_bits(), built);
-        }
-        Ok(self.variants[&budget.to_bits()].as_ref())
-    }
-
-    /// Pre-builds every rung of `config`'s backoff ladder (the exact budget
-    /// sequence [`run_guard`] walks), so subsequent lookups need no
-    /// mutation and the cache can be shared read-only across the worker
-    /// threads of a parallel release path ([`run_guard_prewarmed`]).
-    ///
-    /// # Errors
-    /// Mechanism rebuild failures.
-    pub fn prewarm(&mut self, config: &GuardConfig) -> Result<()> {
-        let mut budget = self.base_budget.max(config.floor);
-        let mut rungs = 0usize;
-        loop {
-            self.at(budget)?;
-            rungs += 1;
-            if budget <= config.floor || rungs >= MAX_ATTEMPTS {
-                return Ok(());
-            }
-            budget = if rungs >= MAX_ATTEMPTS - 1 {
+    /// [`CalibrateError::InvalidConfig`] for a bad `config` or a floor
+    /// above the prototype's budget; mechanism rebuild failures.
+    pub fn new(lppm: Box<dyn Lppm>, config: GuardConfig) -> Result<Self> {
+        config.validate()?;
+        check_floor(lppm.as_ref(), config.floor)?;
+        let mut budget = lppm.budget();
+        let mut rungs = vec![lppm];
+        while budget > config.floor && rungs.len() < MAX_ATTEMPTS {
+            budget = if rungs.len() == MAX_ATTEMPTS - 1 {
                 config.floor
             } else {
                 (budget * config.backoff).max(config.floor)
             };
+            let rung = rungs[0].with_budget(budget)?;
+            rungs.push(rung);
         }
+        Ok(GuardLadder { config, rungs })
     }
 
-    /// Read-only rung lookup; the rung must already exist (base budget or
-    /// [`MechanismCache::prewarm`]ed / previously-built variant).
-    ///
-    /// # Errors
-    /// [`CalibrateError::InvalidConfig`] naming the missing budget.
-    pub fn get(&self, budget: f64) -> Result<&dyn Lppm> {
-        if budget == self.base_budget {
-            return Ok(self.base.as_ref());
-        }
-        self.variants
-            .get(&budget.to_bits())
-            .map(Box::as_ref)
-            .ok_or_else(|| CalibrateError::InvalidConfig {
-                message: format!("budget {budget} is not prewarmed in the mechanism cache"),
-            })
-    }
-}
-
-/// Where [`run_guard`]'s loop obtains the mechanism for each rung: a
-/// mutable cache that builds variants on demand, or a prewarmed cache
-/// shared read-only across threads.
-trait RungSource {
-    fn rung(&mut self, budget: f64) -> Result<&dyn Lppm>;
-    fn num_cells(&self) -> usize;
-    fn base_budget(&self) -> f64;
-}
-
-struct BuildOnDemand<'a>(&'a mut MechanismCache);
-
-impl RungSource for BuildOnDemand<'_> {
-    fn rung(&mut self, budget: f64) -> Result<&dyn Lppm> {
-        self.0.at(budget)
+    /// The configuration the ladder was built for.
+    pub fn config(&self) -> &GuardConfig {
+        &self.config
     }
 
-    fn num_cells(&self) -> usize {
-        self.0.num_cells()
+    /// The rungs in walk order; rung 0 is the prototype, the last the
+    /// floor.
+    pub fn rungs(&self) -> &[Box<dyn Lppm>] {
+        &self.rungs
     }
 
-    fn base_budget(&self) -> f64 {
-        self.0.base_budget()
-    }
-}
-
-struct Prewarmed<'a>(&'a MechanismCache);
-
-impl RungSource for Prewarmed<'_> {
-    fn rung(&mut self, budget: f64) -> Result<&dyn Lppm> {
-        self.0.get(budget)
-    }
-
-    fn num_cells(&self) -> usize {
-        self.0.num_cells()
-    }
-
-    fn base_budget(&self) -> f64 {
-        self.0.base_budget()
+    /// The prototype mechanism (rung 0).
+    pub fn base(&self) -> &dyn Lppm {
+        self.rungs[0].as_ref()
     }
 }
 
@@ -445,62 +359,30 @@ pub fn suppression_column(m: usize) -> Vector {
     Vector::filled(m, 1.0 / m as f64)
 }
 
-/// Runs one release through the backoff loop. `worst_loss` evaluates a
-/// candidate emission column against the caller's protected events and
-/// returns the worst *cumulative* realized loss were it committed
-/// (`peek`, not `observe` — nothing is mutated until the caller commits
-/// [`GuardOutcome::column`]).
+/// Runs one release down `ladder`: each rung in turn samples a candidate
+/// for `true_loc` until one certifies. `worst_loss` evaluates a candidate
+/// emission column against the caller's protected events and returns the
+/// worst *cumulative* realized loss were it committed (`peek`, not
+/// `observe` — nothing is mutated until the caller commits
+/// [`GuardOutcome::column`]). When the floor rung fails too, the ladder's
+/// [`OnExhaustion`] policy decides.
 ///
 /// # Errors
-/// Mechanism rebuild failures and whatever `worst_loss` raises.
+/// Whatever `worst_loss` raises.
 pub fn run_guard<F>(
-    cache: &mut MechanismCache,
-    config: &GuardConfig,
-    true_loc: CellId,
-    rng: &mut dyn RngCore,
-    worst_loss: F,
-) -> Result<GuardOutcome>
-where
-    F: FnMut(&Vector) -> Result<f64>,
-{
-    run_guard_with(BuildOnDemand(cache), config, true_loc, rng, worst_loss)
-}
-
-/// [`run_guard`] against a **shared, read-only** cache: every rung of the
-/// ladder must already exist ([`MechanismCache::prewarm`] with the same
-/// `config`). This is the loop the parallel batched release path runs on —
-/// many worker threads, one cache, no locks.
-///
-/// # Errors
-/// As [`run_guard`], plus a missing (un-prewarmed) rung.
-pub fn run_guard_prewarmed<F>(
-    cache: &MechanismCache,
-    config: &GuardConfig,
-    true_loc: CellId,
-    rng: &mut dyn RngCore,
-    worst_loss: F,
-) -> Result<GuardOutcome>
-where
-    F: FnMut(&Vector) -> Result<f64>,
-{
-    run_guard_with(Prewarmed(cache), config, true_loc, rng, worst_loss)
-}
-
-fn run_guard_with<S, F>(
-    mut source: S,
-    config: &GuardConfig,
+    ladder: &GuardLadder,
     true_loc: CellId,
     rng: &mut dyn RngCore,
     mut worst_loss: F,
 ) -> Result<GuardOutcome>
 where
-    S: RungSource,
     F: FnMut(&Vector) -> Result<f64>,
 {
+    let config = &ladder.config;
     let mut attempts = Vec::new();
-    let mut budget = source.base_budget().max(config.floor);
-    loop {
-        let mechanism = source.rung(budget)?;
+    let mut last = None;
+    for mechanism in &ladder.rungs {
+        let budget = mechanism.budget();
         let observed = mechanism.perturb(true_loc, rng);
         let column = mechanism.emission_column(observed);
         let loss = worst_loss(&column)?;
@@ -522,35 +404,27 @@ where
                 column,
             });
         }
-        // The floor is always the last rung actually evaluated; only after
-        // it fails does the exhaustion policy fire (so `ReleaseAtFloor`
-        // genuinely ships a floor-budget candidate).
-        if budget <= config.floor || attempts.len() >= MAX_ATTEMPTS {
-            return Ok(match config.on_exhaustion {
-                OnExhaustion::Suppress => GuardOutcome {
-                    decision: Decision::Suppressed,
-                    attempts,
-                    column: suppression_column(source.num_cells()),
-                },
-                OnExhaustion::ReleaseAtFloor => GuardOutcome {
-                    decision: Decision::Released {
-                        observed,
-                        budget,
-                        certified: false,
-                    },
-                    attempts,
-                    column,
-                },
-            });
-        }
-        budget = if attempts.len() >= MAX_ATTEMPTS - 1 {
-            // Out of attempts: make the last rung the floor itself rather
-            // than wherever a slow backoff happens to sit.
-            config.floor
-        } else {
-            (budget * config.backoff).max(config.floor)
-        };
+        last = Some((observed, budget, column));
     }
+    // Every rung failed, the floor last, so `ReleaseAtFloor` genuinely
+    // ships a floor-budget candidate.
+    let (observed, budget, column) = last.expect("a ladder has at least one rung");
+    Ok(match config.on_exhaustion {
+        OnExhaustion::Suppress => GuardOutcome {
+            decision: Decision::Suppressed,
+            attempts,
+            column: suppression_column(ladder.base().num_cells()),
+        },
+        OnExhaustion::ReleaseAtFloor => GuardOutcome {
+            decision: Decision::Released {
+                observed,
+                budget,
+                certified: false,
+            },
+            attempts,
+            column,
+        },
+    })
 }
 
 /// Record of one calibrated release.
@@ -585,8 +459,7 @@ pub struct CalibratedRelease {
 /// location too (see the module docs, *What is certified*).
 #[derive(Debug)]
 pub struct CalibratedMechanism<P> {
-    cache: MechanismCache,
-    config: GuardConfig,
+    ladder: GuardLadder,
     worlds: Vec<IncrementalTwoWorld<P>>,
     /// One staging scratch per world, kept across releases.
     staged: Vec<StepScratch>,
@@ -607,7 +480,7 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
     /// # Errors
     /// Configuration validation; domain mismatches between the mechanism
     /// and the model; [`IncrementalTwoWorld::new`] failures (bad `π`,
-    /// degenerate event priors).
+    /// degenerate event priors); rung build failures.
     pub fn new(
         lppm: Box<dyn Lppm>,
         events: &[StEvent],
@@ -615,8 +488,8 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
         pi: Vector,
         config: GuardConfig,
     ) -> Result<Self> {
-        config.validate()?;
         validate_mechanism(lppm.as_ref(), provider.num_states(), config.floor)?;
+        let ladder = GuardLadder::new(lppm, config)?;
         let worlds = events
             .iter()
             .map(|ev| IncrementalTwoWorld::new(ev.clone(), provider.clone(), pi.clone()))
@@ -628,8 +501,7 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
         let mut instruments = GuardInstruments::disabled();
         instruments.suppressions = suppressed.clone();
         Ok(CalibratedMechanism {
-            cache: MechanismCache::new(lppm),
-            config,
+            ladder,
             worlds,
             staged: Vec::new(),
             t: 0,
@@ -651,12 +523,12 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
 
     /// The guard configuration.
     pub fn config(&self) -> &GuardConfig {
-        &self.config
+        self.ladder.config()
     }
 
     /// The prototype mechanism's budget (first rung of every release).
     pub fn base_budget(&self) -> f64 {
-        self.cache.base_budget()
+        self.ladder.base().budget()
     }
 
     /// Timesteps committed so far.
@@ -682,17 +554,15 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
     /// Calibrates and commits one release for the true location.
     ///
     /// # Errors
-    /// Mechanism rebuild failures; quantification errors other than the
-    /// zero-likelihood case (which the guard treats as an uncertifiable
-    /// candidate, not an error).
+    /// Quantification errors other than the zero-likelihood case (which
+    /// the guard treats as an uncertifiable candidate, not an error).
     pub fn release(
         &mut self,
         true_loc: CellId,
         rng: &mut dyn RngCore,
     ) -> Result<CalibratedRelease> {
         let outcome = run_guard(
-            &mut self.cache,
-            &self.config,
+            &self.ladder,
             true_loc,
             rng,
             peek_worst_loss(&self.worlds, &mut self.staged),
@@ -822,16 +692,73 @@ mod tests {
     }
 
     #[test]
-    fn cache_reuses_variants_and_keeps_the_base() {
+    fn ladder_runs_from_the_base_to_the_floor() {
         let (grid, _) = world();
-        let mut cache = MechanismCache::new(plm(&grid, 1.0));
-        assert_eq!(cache.base_budget(), 1.0);
-        assert_eq!(cache.at(1.0).unwrap().budget(), 1.0);
-        assert_eq!(cache.at(0.5).unwrap().budget(), 0.5);
-        assert_eq!(cache.at(0.5).unwrap().budget(), 0.5);
-        assert!(cache.at(-1.0).is_err());
-        let dbg = format!("{cache:?}");
-        assert!(dbg.contains("cached_variants"), "{dbg}");
+        let budgets = |ladder: &GuardLadder| -> Vec<f64> {
+            ladder.rungs().iter().map(|r| r.budget()).collect()
+        };
+        let halving = GuardConfig {
+            floor: 0.1,
+            ..GuardConfig::default()
+        };
+        let ladder = GuardLadder::new(plm(&grid, 1.0), halving.clone()).unwrap();
+        assert_eq!(budgets(&ladder), [1.0, 0.5, 0.25, 0.125, 0.1]);
+        assert_eq!(ladder.config(), &halving);
+
+        // A backoff this slow would take thousands of rungs: the cap ends
+        // the ladder at the floor instead.
+        let slow = GuardConfig {
+            backoff: 0.999,
+            ..GuardConfig::default()
+        };
+        let ladder = GuardLadder::new(plm(&grid, 1.0), slow.clone()).unwrap();
+        let b = budgets(&ladder);
+        assert_eq!(b.len(), MAX_ATTEMPTS);
+        assert_eq!(b[0], 1.0);
+        assert!(
+            b.windows(2).all(|w| w[1] < w[0]),
+            "budgets strictly decrease"
+        );
+        assert!(
+            b[MAX_ATTEMPTS - 2] > 0.8,
+            "the last rung jumps to the floor"
+        );
+        assert_eq!(b[MAX_ATTEMPTS - 1], slow.floor);
+
+        // An unreachable target walks every rung, then ships the floor
+        // candidate under `ReleaseAtFloor`.
+        let config = GuardConfig {
+            target_epsilon: 1e-3,
+            on_exhaustion: OnExhaustion::ReleaseAtFloor,
+            ..slow
+        };
+        let ladder = GuardLadder::new(plm(&grid, 1.0), config).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let outcome = run_guard(&ladder, CellId(4), &mut rng, |_| Ok(1.0)).unwrap();
+        let walked: Vec<f64> = outcome.attempts.iter().map(|a| a.budget).collect();
+        assert_eq!(walked, budgets(&ladder));
+        let last = outcome.attempts.last().unwrap();
+        assert_eq!(
+            outcome.decision,
+            Decision::Released {
+                observed: last.observed,
+                budget: ladder.config().floor,
+                certified: false,
+            }
+        );
+        let floor = ladder.rungs().last().unwrap();
+        assert_eq!(outcome.column, floor.emission_column(last.observed));
+
+        assert!(matches!(
+            GuardLadder::new(
+                plm(&grid, 1.0),
+                GuardConfig {
+                    floor: 2.0,
+                    ..halving
+                }
+            ),
+            Err(CalibrateError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   per-event incremental quantifiers, and shrinks the location budget
 //!   (geometric backoff to a floor) until the release certifies —
 //!   suppressing it (configurable [`OnExhaustion`]) when nothing feasible
-//!   remains. `priste-online` builds its *enforcing mode* on the same
-//!   [`run_guard`] loop.
+//!   remains. Its rungs are one prebuilt [`GuardLadder`], and
+//!   `priste-online` builds its *enforcing mode* on the same [`run_guard`]
+//!   loop over it.
 //!
 //! ```
 //! use priste_calibrate::{CalibratedMechanism, GuardConfig};
@@ -63,9 +64,9 @@ pub mod utility;
 
 pub use error::CalibrateError;
 pub use guard::{
-    peek_worst_loss, run_guard, run_guard_prewarmed, suppression_column, validate_mechanism,
-    Attempt, CalibratedMechanism, CalibratedRelease, Decision, GuardConfig, GuardInstruments,
-    GuardOutcome, MechanismCache, OnExhaustion,
+    peek_worst_loss, run_guard, suppression_column, validate_mechanism, Attempt,
+    CalibratedMechanism, CalibratedRelease, Decision, GuardConfig, GuardInstruments, GuardLadder,
+    GuardOutcome, OnExhaustion,
 };
 pub use plan::{
     plan_greedy, plan_knapsack, plan_knapsack_with_probes, plan_uniform_split, BudgetPlan,

@@ -36,7 +36,6 @@
 //! online [`guard`](crate::guard) is what certifies the *realized* prefix
 //! at run time.
 
-use crate::guard::MechanismCache;
 use crate::utility::UtilityModel;
 use crate::{CalibrateError, Result};
 use priste_event::StEvent;
@@ -104,6 +103,11 @@ impl PlannerConfig {
         if !(self.floor > 0.0 && self.floor.is_finite()) {
             return Err(CalibrateError::InvalidConfig {
                 message: format!("floor must be positive and finite, got {}", self.floor),
+            });
+        }
+        if !self.eps_ceiling.is_finite() {
+            return Err(CalibrateError::InvalidConfig {
+                message: format!("eps_ceiling must be finite, got {}", self.eps_ceiling),
             });
         }
         if !(self.eps_floor > 0.0 && self.eps_floor < self.eps_ceiling) {
@@ -253,7 +257,7 @@ pub fn plan_greedy<P: TransitionProvider>(
     config: &PlannerConfig,
 ) -> Result<BudgetPlan> {
     let mut planner = Planner::new(lppm, event, provider, horizon, target, config)?;
-    let mut previous = planner.cache.base_budget();
+    let mut previous = planner.lppm.budget();
     for _ in 0..horizon {
         previous = planner.plan_step_greedy(previous)?;
     }
@@ -280,7 +284,7 @@ pub fn plan_uniform_split<P: TransitionProvider>(
     config: &PlannerConfig,
 ) -> Result<BudgetPlan> {
     let mut planner = Planner::new(lppm, event, provider, horizon, target, config)?;
-    let base = planner.cache.base_budget();
+    let base = planner.lppm.budget();
     let split = (target / horizon as f64).clamp(config.floor, base);
     for _ in 0..horizon {
         planner.plan_step_fixed(split)?;
@@ -394,7 +398,7 @@ pub fn plan_knapsack_with_probes<P: TransitionProvider>(
 
     // Phase 2: piecewise-linear knapsack over the concavified curves.
     let mut planner = Planner::new(lppm, event, provider, horizon, target, config)?;
-    let base = planner.cache.base_budget();
+    let base = planner.lppm.budget();
     let rungs = budget_ladder(base, config);
     let envelope = concave_envelope(&rungs, model);
     let proposal = allocate(
@@ -516,11 +520,14 @@ fn allocate(
     budgets
 }
 
-/// Shared planner state: the mechanism ladder cache, the Theorem builder
+/// Shared planner state: the prototype mechanism, the Theorem builder
 /// advanced along the canonical worst-column history, and the accumulated
 /// steps.
 struct Planner<P> {
-    cache: MechanismCache,
+    /// The prototype; every other budget the search visits is built from
+    /// it with [`Lppm::with_budget`], `O(m)` next to the `m` Theorem
+    /// candidates computed per rung.
+    lppm: Box<dyn Lppm>,
     builder: TheoremBuilder<P>,
     target: f64,
     eps_hi: f64,
@@ -552,7 +559,7 @@ impl<P: TransitionProvider> Planner<P> {
         crate::guard::validate_mechanism(lppm.as_ref(), provider.num_states(), config.floor)?;
         let builder = TheoremBuilder::new(event, provider)?;
         Ok(Planner {
-            cache: MechanismCache::new(lppm),
+            lppm,
             builder,
             target,
             eps_hi: config.eps_ceiling.max(target),
@@ -565,7 +572,13 @@ impl<P: TransitionProvider> Planner<P> {
     /// All `m` candidate emission columns and their Theorem inputs at one
     /// budget, against the current committed history.
     fn step_inputs(&mut self, budget: f64) -> Result<(Vec<Vector>, Vec<TheoremInputs>)> {
-        let mechanism = self.cache.at(budget)?;
+        let built;
+        let mechanism = if budget == self.lppm.budget() {
+            self.lppm.as_ref()
+        } else {
+            built = self.lppm.with_budget(budget)?;
+            built.as_ref()
+        };
         let m = mechanism.num_cells();
         let mut columns = Vec::with_capacity(m);
         let mut inputs = Vec::with_capacity(m);
@@ -609,7 +622,7 @@ impl<P: TransitionProvider> Planner<P> {
     /// step's budget); returns the chosen budget for warm-starting the
     /// next step.
     fn plan_step_greedy(&mut self, start: f64) -> Result<f64> {
-        let base = self.cache.base_budget();
+        let base = self.lppm.budget();
         self.plan_step_search(start, base)
     }
 
@@ -620,7 +633,7 @@ impl<P: TransitionProvider> Planner<P> {
     /// budget; the knapsack repair caps at the proposed allocation plus
     /// whatever slack earlier steps banked.
     fn plan_step_search(&mut self, start: f64, cap: f64) -> Result<f64> {
-        let cap = cap.clamp(self.config.floor, self.cache.base_budget());
+        let cap = cap.clamp(self.config.floor, self.lppm.budget());
         let cfg = self.config.clone();
         let mut budget = start.clamp(cfg.floor, cap);
         let mut rungs = 0usize;
@@ -849,6 +862,24 @@ mod tests {
             ..PlannerConfig::default()
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn planner_rejects_an_infinite_eps_ceiling() {
+        let (grid, provider) = world();
+        let event = presence(grid.num_cells());
+        let cfg = PlannerConfig {
+            eps_ceiling: f64::INFINITY,
+            ..PlannerConfig::default()
+        };
+        // The ceiling bounds the capacity bisection, whose checker needs a
+        // finite ε: an infinite one must be a config error, not a panic.
+        match plan_greedy(plm(&grid, 2.0), &event, provider, 2, 1.0, &cfg) {
+            Err(CalibrateError::InvalidConfig { message }) => {
+                assert!(message.contains("eps_ceiling"), "{message}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! every entry point that runs it.
 
 use priste_calibrate::{
-    peek_worst_loss, run_guard, CalibratedMechanism, Decision, GuardConfig, MechanismCache,
+    peek_worst_loss, run_guard, CalibratedMechanism, Decision, GuardConfig, GuardLadder,
     OnExhaustion,
 };
 use priste_core::test_support::homogeneous_world;
@@ -256,7 +256,7 @@ proptest! {
             ..GuardConfig::default()
         };
         let plm = || -> Box<dyn Lppm> { Box::new(PlanarLaplace::new(grid.clone(), s.alpha).unwrap()) };
-        let mut reference = MechanismCache::new(plm());
+        let reference = GuardLadder::new(plm(), config.clone()).unwrap();
 
         let mut guard = CalibratedMechanism::new(
             plm(),
@@ -271,14 +271,13 @@ proptest! {
         for &loc in &s.trajectory {
             let loc = CellId(loc);
             let mut plain_rng = rng.clone();
-            let plain = run_guard(&mut reference, &config, loc, &mut plain_rng, |column| {
+            let plain = run_guard(&reference, loc, &mut plain_rng, |column| {
                 plain_worst_loss(guard.worlds(), column)
             })
             .unwrap();
             let mut staged_rng = rng.clone();
             let got = run_guard(
-                &mut reference,
-                &config,
+                &reference,
                 loc,
                 &mut staged_rng,
                 peek_worst_loss(guard.worlds(), &mut staged),
@@ -309,7 +308,7 @@ proptest! {
             let loc = CellId(loc);
             let id = users[0];
             let mut plain_rng = rng.clone();
-            let plain = run_guard(&mut reference, &config, loc, &mut plain_rng, |column| {
+            let plain = run_guard(&reference, loc, &mut plain_rng, |column| {
                 plain_worst_loss(svc.session(id).unwrap().windows().map(|(_, w)| w), column)
             })
             .unwrap();
@@ -325,7 +324,7 @@ proptest! {
             for &(id, loc) in &batch {
                 let session = svc.session(id).unwrap();
                 want.push(
-                    run_guard(&mut reference, &config, loc, &mut batch_rng, |column| {
+                    run_guard(&reference, loc, &mut batch_rng, |column| {
                         plain_worst_loss(session.windows().map(|(_, w)| w), column)
                     })
                     .unwrap(),

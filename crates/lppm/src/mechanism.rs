@@ -2,6 +2,7 @@ use crate::Result;
 use priste_geo::CellId;
 use priste_linalg::{Matrix, Vector};
 use rand::RngCore;
+use std::fmt;
 
 /// The paper's LPPM abstraction (§II.A): "the LPPM can be considered as an
 /// emission matrix that takes user's true location as input and outputs a
@@ -53,6 +54,17 @@ pub trait Lppm: Send + Sync {
     /// # Errors
     /// [`crate::LppmError::InvalidBudget`] for non-positive budgets.
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>>;
+}
+
+/// A mechanism prints as its domain size and budget, not its `O(m²)`
+/// emission matrix.
+impl fmt::Debug for dyn Lppm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lppm")
+            .field("num_cells", &self.num_cells())
+            .field("budget", &self.budget())
+            .finish()
+    }
 }
 
 /// Samples an index from a normalized probability row, given as its entries

@@ -46,12 +46,13 @@
 //! [`SessionManager::recover`](crate::SessionManager::recover) or
 //! [`SessionManager::open_durable`](crate::SessionManager::open_durable):
 //! the mechanism itself for an observed cell, which must have the journaled
-//! budget, and the rung at the journaled budget for a release (built
-//! through the guard's mechanism cache). Recovery fails with
-//! [`DurableError::Replay`], naming the record, when no mechanism was
-//! given, the cell is outside the domain, or the rebuilt column hashes
-//! differently. A restart under another mechanism therefore stops at the
-//! first such record instead of replaying a different state.
+//! budget, and the rung at the journaled budget for a release (built with
+//! [`Lppm::with_budget`](priste_lppm::Lppm::with_budget) once per budget
+//! per recovery). Recovery fails with [`DurableError::Replay`], naming the
+//! record, when no mechanism was given, the cell is outside the domain, or
+//! the rebuilt column hashes differently. A restart under another
+//! mechanism therefore stops at the first such record instead of
+//! replaying a different state.
 //!
 //! # Recovery guarantees
 //!

@@ -12,8 +12,8 @@ use crate::session::{
 };
 use crate::{OnlineError, Result};
 use priste_calibrate::{
-    peek_worst_loss, run_guard, run_guard_prewarmed, suppression_column, Decision, GuardConfig,
-    GuardOutcome, MechanismCache,
+    peek_worst_loss, run_guard, suppression_column, Decision, GuardConfig, GuardLadder,
+    GuardOutcome,
 };
 use priste_event::StEvent;
 use priste_geo::CellId;
@@ -28,6 +28,7 @@ use priste_quantify::{
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
@@ -260,16 +261,6 @@ impl ServiceStats {
     }
 }
 
-/// The enforcing-mode machinery: one shared mechanism ladder plus the
-/// guard configuration. Sessions in an enforcing service release through
-/// [`SessionManager::release`], which consults the user's event windows
-/// *before* anything leaves the mechanism.
-#[derive(Debug)]
-struct Enforcer {
-    cache: MechanismCache,
-    guard: GuardConfig,
-}
-
 /// The by-reference record of a column a mechanism emitted for `cell`.
 /// Every domain fits the record's 32-bit cell ([`SessionManager::new`]).
 fn emitted(
@@ -445,8 +436,11 @@ pub struct SessionManager<P> {
     recovery: Option<RecoveryInfo>,
     /// The mechanism observed cells come from ([`SessionManager::set_mechanism`]);
     /// during recovery, also the source of every by-reference column.
-    mechanism: Option<MechanismCache>,
-    enforcer: Option<Enforcer>,
+    mechanism: Option<Box<dyn Lppm>>,
+    /// The enforcing guard's ladder ([`SessionManager::enable_enforcement`]):
+    /// every [`SessionManager::release`] walks it, consulting the user's
+    /// event windows *before* anything leaves the mechanism.
+    enforcer: Option<GuardLadder>,
     store: Option<DurableStore>,
     scratch: ShardScratch,
 }
@@ -506,7 +500,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 ),
             });
         }
-        self.mechanism = Some(MechanismCache::new(lppm));
+        self.mechanism = Some(lppm);
         Ok(())
     }
 
@@ -533,7 +527,6 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// match the mobility model; guard-configuration validation errors;
     /// rung build failures.
     pub fn enable_enforcement(&mut self, lppm: Box<dyn Lppm>, guard: GuardConfig) -> Result<()> {
-        guard.validate()?;
         priste_calibrate::validate_mechanism(
             lppm.as_ref(),
             self.provider.num_states(),
@@ -542,11 +535,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         .map_err(|e| OnlineError::InvalidConfig {
             message: e.to_string(),
         })?;
-        // Build the whole backoff ladder now, so no release stalls on a
-        // rung build mid-traffic.
-        let mut cache = MechanismCache::new(lppm);
-        cache.prewarm(&guard)?;
-        self.enforcer = Some(Enforcer { cache, guard });
+        self.enforcer = Some(GuardLadder::new(lppm, guard)?);
         Ok(())
     }
 
@@ -580,35 +569,27 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             .release_seconds
             .is_enabled()
             .then(Instant::now);
-        let mut enforcer = self.enforcer.take().ok_or(OnlineError::NotEnforcing)?;
-        let outcome = {
-            let m = self.provider.num_states();
-            if true_loc.index() >= m {
-                self.enforcer = Some(enforcer);
-                return Err(OnlineError::InvalidLocation {
-                    cell: true_loc.index(),
-                    num_cells: m,
-                });
-            }
-            let shard = self.shard_of(id);
-            let Some(session) = self.shards[shard].get(&id.0) else {
-                self.enforcer = Some(enforcer);
-                return Err(OnlineError::UnknownUser { user: id.0 });
-            };
-            let result = run_guard(
-                &mut enforcer.cache,
-                &enforcer.guard,
-                true_loc,
-                rng,
-                peek_worst_loss(
-                    session.windows.iter().map(|w| &w.state),
-                    &mut self.scratch.guard,
-                ),
-            );
-            self.enforcer = Some(enforcer);
-            result?
-        };
+        let ladder = self.enforcer.as_ref().ok_or(OnlineError::NotEnforcing)?;
+        let m = self.provider.num_states();
+        if true_loc.index() >= m {
+            return Err(OnlineError::InvalidLocation {
+                cell: true_loc.index(),
+                num_cells: m,
+            });
+        }
         let shard = self.shard_of(id);
+        let session = self.shards[shard]
+            .get(&id.0)
+            .ok_or(OnlineError::UnknownUser { user: id.0 })?;
+        let outcome = run_guard(
+            ladder,
+            true_loc,
+            rng,
+            peek_worst_loss(
+                session.windows.iter().map(|w| &w.state),
+                &mut self.scratch.guard,
+            ),
+        )?;
         let suppressed = outcome.decision == Decision::Suppressed;
         // Journal the committed column by reference (a suppression as
         // such, so replay reconstructs the stats) before it leaves the
@@ -917,8 +898,8 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             return Err(OnlineError::UnknownUser { user: id.0 });
         }
         let mechanism = self.mechanism.as_ref().ok_or(OnlineError::NoMechanism)?;
-        let budget = mechanism.base_budget();
-        let column = mechanism.base().emission_column(observed);
+        let budget = mechanism.budget();
+        let column = mechanism.emission_column(observed);
         self.check_emission(column.as_slice())?;
         if self.store.is_some() {
             let record = emitted(id.0, Emitter::Source, observed, budget, &column);
@@ -1370,10 +1351,11 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         let rec = durable::recover_dir(dir, svc.fingerprint(), svc.config.num_shards)?;
         svc.restore_snapshot(rec.state)?;
         let mut replayed_records = 0u64;
+        let mut rungs = HashMap::new();
         for (shard, scan) in rec.wal.iter().enumerate() {
             let segment = durable::wal_path(dir, rec.seq, shard);
             for (index, record) in scan.records.iter().enumerate() {
-                svc.replay(record, &segment, index)?;
+                svc.replay(record, &segment, index, &mut rungs)?;
                 replayed_records += 1;
             }
         }
@@ -1567,8 +1549,15 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// posterior propagation and lifted window steps are row-independent —
     /// on the same column, journaled or rebuilt bit for bit, so the
     /// recovered state is bit-identical to what the live service held
-    /// after committing it.
-    fn replay(&mut self, record: &WalRecord, segment: &Path, index: usize) -> Result<()> {
+    /// after committing it. `rungs` holds the guard rungs rebuilt so far,
+    /// by budget bits.
+    fn replay(
+        &mut self,
+        record: &WalRecord,
+        segment: &Path,
+        index: usize,
+        rungs: &mut HashMap<u64, Box<dyn Lppm>>,
+    ) -> Result<()> {
         match record {
             WalRecord::AddUser { user, pi } => {
                 let id = UserId(*user);
@@ -1605,7 +1594,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 hash,
             } => {
                 let column = self
-                    .rebuild_column(*user, *by, *cell, *budget, *hash)
+                    .rebuild_column(rungs, *user, *by, *cell, *budget, *hash)
                     .map_err(|detail| DurableError::Replay {
                         path: segment.to_path_buf(),
                         record: index,
@@ -1621,10 +1610,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// The column a by-reference record names, rebuilt from the service's
-    /// mechanism and checked against the journaled hash; `Err` says why it
-    /// cannot be.
+    /// mechanism (a guarded release's from its rung at the journaled
+    /// budget, built once into `rungs`) and checked against the journaled
+    /// hash; `Err` says why it cannot be.
     fn rebuild_column(
-        &mut self,
+        &self,
+        rungs: &mut HashMap<u64, Box<dyn Lppm>>,
         user: u64,
         by: Emitter,
         cell: u32,
@@ -1638,7 +1629,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             }
         };
         let m = self.provider.num_states();
-        let Some(cache) = self.mechanism.as_mut() else {
+        let Some(mechanism) = self.mechanism.as_deref() else {
             return Err(format!(
                 "{what} is journaled by reference, and recovery was given no mechanism"
             ));
@@ -1647,14 +1638,22 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             return Err(format!("{what}: the cell is outside the {m}-cell domain"));
         }
         let lppm = match by {
-            Emitter::Source if budget != cache.base_budget() => {
+            _ if budget == mechanism.budget() => mechanism,
+            Emitter::Source => {
                 return Err(format!(
                     "{what}: the recovery mechanism's budget is {}",
-                    cache.base_budget()
+                    mechanism.budget()
                 ));
             }
-            Emitter::Source => cache.base(),
-            Emitter::Guard => cache.at(budget).map_err(|e| format!("{what}: {e}"))?,
+            Emitter::Guard => match rungs.entry(budget.to_bits()) {
+                Entry::Occupied(rung) => &**rung.into_mut(),
+                Entry::Vacant(slot) => {
+                    let rung = mechanism
+                        .with_budget(budget)
+                        .map_err(|e| format!("{what}: {e}"))?;
+                    &**slot.insert(rung)
+                }
+            },
         };
         let column = lppm.emission_column(CellId(cell as usize));
         let rebuilt = durable::word_hash(column.as_slice());
@@ -1693,7 +1692,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
 /// thread-safe (the pipeline's `Arc`-backed provider is). Work fans out
 /// over the service's own shards with `std::thread::scope`: shards hold
 /// disjoint sessions, so there is nothing to lock, and the enforcing path
-/// draws from one prewarmed, read-only mechanism ladder.
+/// shares one immutable [`GuardLadder`].
 impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
     /// [`SessionManager::ingest_batch`] with the per-shard work fanned out
     /// over up to `threads` workers (`0` = one per available core).
@@ -1771,19 +1770,7 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         seed: u64,
         threads: usize,
     ) -> Result<Vec<EnforcedRelease>> {
-        let enforcer = self.enforcer.take().ok_or(OnlineError::NotEnforcing)?;
-        let result = self.release_batch_with(&enforcer, batch, seed, threads);
-        self.enforcer = Some(enforcer);
-        result
-    }
-
-    fn release_batch_with(
-        &mut self,
-        enforcer: &Enforcer,
-        batch: &[(UserId, CellId)],
-        seed: u64,
-        threads: usize,
-    ) -> Result<Vec<EnforcedRelease>> {
+        let ladder = self.enforcer.as_ref().ok_or(OnlineError::NotEnforcing)?;
         let start = self
             .instruments
             .release_batch_seconds
@@ -1812,10 +1799,6 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         let provider = &self.provider;
         let templates = &self.templates;
         let config = &self.config;
-        let guard = &enforcer.guard;
-        // `enable_enforcement` built the whole ladder, so the workers can
-        // share the cache read-only.
-        let cache = &enforcer.cache;
         let guard_obs = self.instruments.guard.clone();
         let guard_obs = &guard_obs;
         let journaling = self.store.is_some();
@@ -1837,9 +1820,8 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
                 let mut outcomes: Vec<(u64, GuardOutcome)> = Vec::with_capacity(wanted.len());
                 for (&uid, &loc) in wanted {
                     let session = shard.get(&uid).expect("validated above");
-                    let outcome = run_guard_prewarmed(
-                        cache,
-                        guard,
+                    let outcome = run_guard(
+                        ladder,
                         loc,
                         &mut rng,
                         peek_worst_loss(

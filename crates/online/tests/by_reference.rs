@@ -190,7 +190,7 @@ fn guarded_releases_and_suppressions_replay_by_reference() {
     };
     svc.enable_enforcement(Box::new(plm(2.0)), guard).unwrap();
     let mut rng = StdRng::seed_from_u64(11);
-    let (mut released, mut suppressed) = (0, 0);
+    let (mut released, mut backed_off, mut suppressed) = (0, 0, 0);
     for r in 0..ROUNDS {
         for u in 0..USERS {
             match svc
@@ -198,12 +198,19 @@ fn guarded_releases_and_suppressions_replay_by_reference() {
                 .unwrap()
                 .decision
             {
-                Decision::Released { .. } => released += 1,
+                Decision::Released { budget, .. } => {
+                    released += 1;
+                    if budget < 2.0 {
+                        backed_off += 1;
+                    }
+                }
                 Decision::Suppressed => suppressed += 1,
             }
         }
     }
     assert!(released > 0 && suppressed > 0, "{released} / {suppressed}");
+    // Replay must rebuild a rung below the base, not only the base itself.
+    assert!(backed_off > 0, "no release was drawn below the base budget");
     assert_eq!(
         wal_record_bytes(&dir),
         37 * released + 17 * suppressed,

@@ -125,7 +125,7 @@ pub mod prelude {
     pub use crate::{Audit, AuditSource, Pipeline, PipelineBuilder, PristeError, SharedProvider};
     pub use priste_calibrate::{
         plan_greedy, plan_knapsack, plan_uniform_split, BudgetPlan, CalibratedMechanism,
-        CalibratedRelease, Decision, GuardConfig, MeanEpsilon, MechanismCache, OnExhaustion,
+        CalibratedRelease, Decision, GuardConfig, GuardLadder, MeanEpsilon, OnExhaustion,
         PlanarLaplaceError, PlannedStep, PlannerConfig, PlmQualityLoss, UtilityModel,
     };
     pub use priste_cluster::{

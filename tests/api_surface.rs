@@ -19,7 +19,7 @@ use priste::prelude::{
     Audit, AuditSource, Pipeline, PipelineBuilder, PristeError, SharedProvider,
     // calibrate
     plan_greedy, plan_knapsack, plan_uniform_split, BudgetPlan, CalibratedMechanism,
-    CalibratedRelease, Decision, GuardConfig, MeanEpsilon, MechanismCache, OnExhaustion,
+    CalibratedRelease, Decision, GuardConfig, GuardLadder, MeanEpsilon, OnExhaustion,
     PlanarLaplaceError, PlannedStep, PlannerConfig, PlmQualityLoss, UtilityModel,
     // core
     runner, DeltaLocSource, MechanismSource, PlmSource, Priste, PristeConfig, ReleaseRecord,
@@ -161,6 +161,23 @@ fn parallel_service_methods_are_pinned() {
     ) -> Result<Vec<EnforcedRelease>, OnlineError> = Mgr::release_batch;
     let _: fn(&mut Mgr, UserId, CellId, &mut dyn RngCore) -> Result<EnforcedRelease, OnlineError> =
         Mgr::release;
+}
+
+/// Pins the guard's prebuilt ladder and the one loop that walks it, the
+/// entry points `CalibratedMechanism` and the enforcing service share.
+#[test]
+#[allow(clippy::type_complexity)]
+fn guard_ladder_and_loop_are_pinned() {
+    use priste::calibrate::{run_guard, CalibrateError, GuardOutcome};
+    type Loss = fn(&Vector) -> Result<f64, CalibrateError>;
+    let _: fn(Box<dyn Lppm>, GuardConfig) -> Result<GuardLadder, CalibrateError> = GuardLadder::new;
+    let _: fn(
+        &GuardLadder,
+        CellId,
+        &mut dyn RngCore,
+        Loss,
+    ) -> Result<GuardOutcome, CalibrateError> = run_guard::<Loss>;
+    assert_send_sync::<GuardLadder>();
 }
 
 /// Every fallible facade API returns `PristeError`, and the ten layer
