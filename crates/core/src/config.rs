@@ -1,20 +1,16 @@
 use crate::{CoreError, Result};
-use priste_qp::{ConstraintSet, SolverConfig};
+use priste_qp::SolverConfig;
 
 /// Configuration of the PriSTE framework.
 #[derive(Debug, Clone)]
 pub struct PristeConfig {
     /// The ε of ε-spatiotemporal event privacy (Definition II.4).
     pub epsilon: f64,
-    /// QP work budget per constraint check — the deterministic analogue of
-    /// the paper's CPLEX wall-clock threshold (Table III sweeps this).
+    /// QP work budget (coordinate pairs) per Theorem IV.1 check — the
+    /// deterministic analogue of the paper's CPLEX wall-clock threshold,
+    /// which `qp_deadline` mirrors directly. Defaults to
+    /// `SolverConfig::default().work_budget`.
     pub qp_work_budget: u64,
-    /// Feasible set for adversarial initial probabilities. The faithful
-    /// reading of Theorem IV.1 is [`ConstraintSet::Simplex`]: the literal
-    /// box without `Σπ = 1` makes Eq. (15) unsatisfiable for any mechanism
-    /// (see `priste_qp::simplex`); [`ConstraintSet::Box`] exists for the
-    /// ablation study.
-    pub constraint: ConstraintSet,
     /// Budget decay factor applied on each failed check (Algorithm 2
     /// line 19 uses ½; §IV.C discusses the efficiency/utility trade-off of
     /// other values).
@@ -34,8 +30,7 @@ impl Default for PristeConfig {
     fn default() -> Self {
         PristeConfig {
             epsilon: 1.0,
-            qp_work_budget: 200_000,
-            constraint: ConstraintSet::Simplex,
+            qp_work_budget: SolverConfig::default().work_budget,
             decay: 0.5,
             budget_floor: 1e-4,
             max_attempts: 40,
@@ -88,7 +83,6 @@ impl PristeConfig {
     pub fn solver_config(&self) -> SolverConfig {
         SolverConfig {
             work_budget: self.qp_work_budget,
-            constraint: self.constraint,
             deadline: self.qp_deadline,
             ..SolverConfig::default()
         }

@@ -1,13 +1,6 @@
-//! Jacobi eigendecomposition for real symmetric matrices.
-//!
-//! The QP substrate needs eigenvalues of the (symmetrized) Theorem IV.1
-//! quadratic-form matrices for two purposes: a *concavity certificate*
-//! (all eigenvalues ≤ 0 ⇒ projected gradient finds the global box maximum)
-//! and a *spectral upper bound* on the maximum of the quadratic form over
-//! the unit box. The cyclic Jacobi method is simple, unconditionally stable,
-//! and plenty fast for the `m ≤ 400` matrices PriSTE produces — and since
-//! those matrices are rank ≤ 2 outer products, Jacobi converges in a handful
-//! of sweeps.
+//! Jacobi eigendecomposition for real symmetric matrices. The cyclic
+//! Jacobi method is simple, unconditionally stable, and plenty fast for
+//! small dense matrices; low-rank inputs converge in a handful of sweeps.
 
 use crate::{LinalgError, Matrix, Result, Vector};
 
@@ -32,7 +25,7 @@ impl SymmetricEigen {
     }
 
     /// Whether every eigenvalue is ≤ `tol` (negative semi-definiteness up to
-    /// tolerance) — the concavity certificate used by the QP solver.
+    /// tolerance).
     pub fn is_negative_semidefinite(&self, tol: f64) -> bool {
         self.values.iter().all(|&l| l <= tol)
     }

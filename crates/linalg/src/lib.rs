@@ -20,8 +20,7 @@
 //!   mobility kernels, with `O(nnz)` products in both orientations and a
 //!   `from_dense(threshold)` compressor; see the density cutover in
 //!   `priste_markov`.
-//! * [`eigen`] — a Jacobi eigensolver for symmetric matrices, used by the QP
-//!   substrate for concavity certificates and spectral upper bounds.
+//! * [`eigen`] — a Jacobi eigensolver for symmetric matrices.
 //! * [`scaling`] — HMM-style rescaled vectors that keep long products of
 //!   sub-stochastic factors inside `f64` range while tracking the logarithm
 //!   of the accumulated scale.

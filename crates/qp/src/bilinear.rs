@@ -1,27 +1,10 @@
-//! Budgeted global maximization of `f(π) = (π·a)(π·g) + π·h` over the box
-//! `0 ≤ π ≤ 1` (with `a ≥ 0`) — the exact shape of both Theorem IV.1
-//! constraints.
-//!
-//! Strategy (all exact LP slices, no heuristics in the certificates):
-//!
-//! * **Lower bound / witness search** — parametric sweep over `u = π·a`:
-//!   for fixed `u` the objective is the *linear* `π·(u·g + h)`, and the
-//!   slice optimum is an exact knapsack LP. A grid over `u` plus golden-
-//!   section refinement around the best slices finds the global maximum up
-//!   to the slice resolution.
-//! * **Upper bound / certificate** — interval decomposition: on a slice
-//!   band `u ∈ [u₁, u₂]`, `(π·a)(π·g) ≤ max(u₁·(π·g), u₂·(π·g))` for every
-//!   feasible `π` regardless of the sign of `π·g`, so
-//!   `f ≤ max(max-LP(u₁·g + h), max-LP(u₂·g + h))` over the band — two
-//!   exact band-knapsack LPs. The bound tightens as bands shrink; the
-//!   solver refines geometrically until it certifies, refutes, or runs out
-//!   of budget.
+//! The structured program `f(π) = (π·a)(π·g) + π·h` (with `a ≥ 0`) — the
+//! exact shape of both Theorem IV.1 constraints. [`crate::simplex`]
+//! maximizes it over the probability simplex.
 
-use crate::knapsack::{max_with_band, max_with_equality};
-use crate::{ConstraintSet, SolverConfig, Verdict};
 use priste_linalg::Vector;
 
-/// The structured program `f(π) = (π·a)(π·g) + π·h`, `0 ≤ π ≤ 1`.
+/// The structured program `f(π) = (π·a)(π·g) + π·h` over the simplex.
 #[derive(Debug, Clone)]
 pub struct BilinearProgram {
     /// Non-negative coefficient vector of the first bilinear factor.
@@ -64,258 +47,13 @@ impl BilinearProgram {
         let l = pi.dot(&self.h).expect("length");
         u * v + l
     }
-
-    /// Exact optimum of the `u`-slice `max π·(u·g + h) s.t. π·a = u`.
-    fn slice(&self, u: f64) -> Option<(f64, Vector)> {
-        let w: Vector = self
-            .g
-            .as_slice()
-            .iter()
-            .zip(self.h.as_slice())
-            .map(|(&gi, &hi)| u * gi + hi)
-            .collect();
-        max_with_equality(&w, &self.a, u).map(|s| (s.value, s.point))
-    }
-
-    /// Sound upper bound for `f` over the band `u ∈ [lo, hi]`.
-    fn band_upper_bound(&self, lo: f64, hi: f64) -> f64 {
-        let mut bound = f64::NEG_INFINITY;
-        for u_ext in [lo, hi] {
-            let w: Vector = self
-                .g
-                .as_slice()
-                .iter()
-                .zip(self.h.as_slice())
-                .map(|(&gi, &hi_)| u_ext * gi + hi_)
-                .collect();
-            if let Some(s) = max_with_band(&w, &self.a, lo, hi) {
-                bound = bound.max(s.value);
-            }
-        }
-        bound
-    }
-}
-
-/// Result of a budgeted maximization: the best point found and bound
-/// bookkeeping.
-#[derive(Debug, Clone)]
-pub struct MaximizeOutcome {
-    /// Best feasible point found.
-    pub best_point: Vector,
-    /// Its objective value (a valid lower bound on the true maximum).
-    pub lower_bound: f64,
-    /// Proven upper bound on the true maximum (box mode only; `+∞` when the
-    /// budget ran out before the first full decomposition pass).
-    pub upper_bound: f64,
-    /// Work units consumed.
-    pub work_used: u64,
-}
-
-/// Number of `u`-slices in the initial lower-bound sweep.
-const INITIAL_SLICES: usize = 48;
-/// Golden-section refinement iterations per promising bracket.
-const REFINE_ITERS: usize = 24;
-/// Initial number of bands in the upper-bound decomposition.
-const INITIAL_BANDS: usize = 16;
-/// Geometric growth of the band count per refinement round.
-const BAND_GROWTH: usize = 4;
-
-/// Budgeted maximization of a [`BilinearProgram`].
-///
-/// In [`ConstraintSet::Simplex`] mode this delegates to the *exact* `O(m²)`
-/// pair scan of [`crate::simplex`]; in [`ConstraintSet::Box`] mode it runs
-/// the parametric sweep + interval-decomposition machinery below.
-pub fn maximize(p: &BilinearProgram, cfg: &SolverConfig) -> MaximizeOutcome {
-    maximize_inner(p, cfg, false)
-}
-
-/// `stop_when_positive` short-circuits as soon as any feasible point beats
-/// the tolerance — the right policy when the caller only needs a
-/// non-positivity verdict, wasteful when it wants tight bounds.
-fn maximize_inner(
-    p: &BilinearProgram,
-    cfg: &SolverConfig,
-    stop_when_positive: bool,
-) -> MaximizeOutcome {
-    if cfg.constraint == ConstraintSet::Simplex {
-        let early = if stop_when_positive {
-            cfg.tolerance
-        } else {
-            f64::INFINITY
-        };
-        let out =
-            crate::simplex::maximize_simplex_deadline(p, cfg.work_budget, early, cfg.deadline);
-        return MaximizeOutcome {
-            best_point: out.best_point,
-            lower_bound: out.best_value,
-            upper_bound: if out.complete {
-                out.best_value
-            } else {
-                f64::INFINITY
-            },
-            work_used: out.work_used,
-        };
-    }
-    let mut work = 0u64;
-    let total_a = p.a.sum();
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_point = Vector::zeros(p.dim());
-
-    let consider = |val: f64, point: Vector, best_val: &mut f64, best_point: &mut Vector| {
-        if val > *best_val {
-            *best_val = val;
-            *best_point = point;
-        }
-    };
-
-    // --- Lower-bound sweep over u-slices (box mode). ---
-    let slice_val = |u: f64, work: &mut u64| -> Option<(f64, Vector)> {
-        *work += 1;
-        p.slice(u)
-    };
-
-    let mut slice_best_u = 0.0;
-    for k in 0..=INITIAL_SLICES {
-        if work >= cfg.work_budget {
-            break;
-        }
-        let u = total_a * k as f64 / INITIAL_SLICES as f64;
-        if let Some((v, pt)) = slice_val(u, &mut work) {
-            if v > best_val {
-                slice_best_u = u;
-            }
-            consider(v, pt, &mut best_val, &mut best_point);
-        }
-    }
-    // Golden-section refinement around the best slice.
-    let gr = 0.5 * (5.0_f64.sqrt() - 1.0);
-    let width = total_a / INITIAL_SLICES as f64;
-    let (mut lo, mut hi) = (
-        (slice_best_u - width).max(0.0),
-        (slice_best_u + width).min(total_a),
-    );
-    for _ in 0..REFINE_ITERS {
-        if work >= cfg.work_budget || hi - lo < 1e-12 * total_a.max(1.0) {
-            break;
-        }
-        let u1 = hi - gr * (hi - lo);
-        let u2 = lo + gr * (hi - lo);
-        let v1 = slice_val(u1, &mut work).map(|(v, pt)| {
-            consider(v, pt, &mut best_val, &mut best_point);
-            v
-        });
-        let v2 = slice_val(u2, &mut work).map(|(v, pt)| {
-            consider(v, pt, &mut best_val, &mut best_point);
-            v
-        });
-        match (v1, v2) {
-            (Some(a1), Some(a2)) if a1 < a2 => lo = u1,
-            (Some(_), Some(_)) => hi = u2,
-            _ => break,
-        }
-    }
-
-    // --- Upper-bound decomposition (box). ---
-    // Each round also *probes* the highest-bound bands with exact equality
-    // slices, so the lower bound chases the upper bound: a narrow slice-LP
-    // peak missed by the initial sweep is rediscovered through its band.
-    let mut upper = f64::INFINITY;
-    let mut bands = INITIAL_BANDS;
-    loop {
-        if work + 2 * bands as u64 > cfg.work_budget {
-            break;
-        }
-        let mut ub = f64::NEG_INFINITY;
-        let mut band_bounds: Vec<(f64, usize)> = Vec::with_capacity(bands);
-        for k in 0..bands {
-            let lo_u = total_a * k as f64 / bands as f64;
-            let hi_u = total_a * (k + 1) as f64 / bands as f64;
-            work += 2;
-            let b = p.band_upper_bound(lo_u, hi_u);
-            band_bounds.push((b, k));
-            ub = ub.max(b);
-        }
-        upper = upper.min(ub);
-        // Probe the most promising bands (by UB) with exact slices.
-        band_bounds.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap_or(std::cmp::Ordering::Equal));
-        for &(_, k) in band_bounds.iter().take(8) {
-            if work >= cfg.work_budget {
-                break;
-            }
-            let mid = total_a * (k as f64 + 0.5) / bands as f64;
-            if let Some((v, pt)) = slice_val(mid, &mut work) {
-                consider(v, pt, &mut best_val, &mut best_point);
-            }
-        }
-        // Stop once the bound is conclusive or converged.
-        let conclusive = upper <= cfg.tolerance || (stop_when_positive && best_val > cfg.tolerance);
-        if conclusive || upper - best_val < cfg.tolerance * (1.0 + best_val.abs()) {
-            break;
-        }
-        bands *= BAND_GROWTH;
-    }
-
-    MaximizeOutcome {
-        best_point,
-        lower_bound: best_val,
-        upper_bound: upper,
-        work_used: work,
-    }
-}
-
-/// Budgeted non-positivity check: `max f ≤ 0`?
-pub fn check_nonpositive(p: &BilinearProgram, cfg: &SolverConfig) -> Verdict {
-    let outcome = maximize_inner(p, cfg, true);
-    if outcome.lower_bound > cfg.tolerance {
-        return Verdict::Violated {
-            witness: outcome.best_point,
-            value: outcome.lower_bound,
-        };
-    }
-    if outcome.upper_bound <= cfg.tolerance {
-        return Verdict::Holds {
-            upper_bound: outcome.upper_bound,
-        };
-    }
-    Verdict::Unknown {
-        lower_bound: outcome.lower_bound,
-        upper_bound: outcome.upper_bound,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn grid_max(p: &BilinearProgram, steps: usize) -> f64 {
-        // Dense grid over the box (n ≤ 3 only).
-        let n = p.dim();
-        assert!(n <= 3);
-        let mut idx = vec![0usize; n];
-        let mut best = f64::NEG_INFINITY;
-        loop {
-            let pi = Vector::from(
-                idx.iter()
-                    .map(|&k| k as f64 / steps as f64)
-                    .collect::<Vec<_>>(),
-            );
-            best = best.max(p.eval(&pi));
-            let mut k = n;
-            loop {
-                if k == 0 {
-                    return best;
-                }
-                k -= 1;
-                idx[k] += 1;
-                if idx[k] <= steps {
-                    break;
-                }
-                idx[k] = 0;
-            }
-        }
-    }
+    use crate::simplex::{check_nonpositive, maximize_simplex};
+    use crate::{SolverConfig, Verdict};
 
     #[test]
     fn eval_matches_definition() {
@@ -339,15 +77,8 @@ mod tests {
         );
     }
 
-    fn box_cfg(budget: u64) -> SolverConfig {
-        SolverConfig {
-            constraint: crate::ConstraintSet::Box,
-            ..SolverConfig::with_budget(budget)
-        }
-    }
-
     #[test]
-    fn certifies_obviously_nonpositive_programs_in_both_modes() {
+    fn certifies_obviously_nonpositive_programs() {
         // g ≤ 0, h ≤ 0 ⇒ f ≤ 0 everywhere.
         let p = BilinearProgram::new(
             Vector::from(vec![0.5, 0.8, 0.2]),
@@ -355,7 +86,6 @@ mod tests {
             Vector::from(vec![-0.1, 0.0, -0.5]),
         );
         assert!(check_nonpositive(&p, &SolverConfig::default()).holds());
-        assert!(check_nonpositive(&p, &box_cfg(200_000)).holds());
     }
 
     #[test]
@@ -365,59 +95,15 @@ mod tests {
             Vector::from(vec![1.0, 1.0]),
             Vector::from(vec![0.0, 0.0]),
         );
-        match check_nonpositive(&p, &box_cfg(200_000)) {
+        match check_nonpositive(&p, &SolverConfig::default()) {
             Verdict::Violated { witness, value } => {
-                assert!(value > 3.0, "max should be 4 at π = 1, got {value}");
+                assert!(
+                    (value - 1.0).abs() < 1e-12,
+                    "f ≡ 1 on the simplex, got {value}"
+                );
                 assert!((p.eval(&witness) - value).abs() < 1e-9);
             }
             v => panic!("expected violation, got {v:?}"),
-        }
-    }
-
-    #[test]
-    fn lower_bound_matches_grid_on_random_programs() {
-        let mut rng = StdRng::seed_from_u64(101);
-        for case in 0..120 {
-            let n = rng.gen_range(1..=3);
-            let p = BilinearProgram::new(
-                Vector::from((0..n).map(|_| rng.gen::<f64>()).collect::<Vec<_>>()),
-                Vector::from((0..n).map(|_| rng.gen_range(-1.5..1.5)).collect::<Vec<_>>()),
-                Vector::from((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<_>>()),
-            );
-            let out = maximize(&p, &box_cfg(200_000));
-            let grid = grid_max(&p, 25);
-            assert!(
-                out.lower_bound >= grid - 5e-3,
-                "case {case}: solver {} below grid {grid}",
-                out.lower_bound
-            );
-            assert!(
-                out.upper_bound >= grid - 1e-9,
-                "case {case}: UNSOUND upper bound {} below grid {grid}",
-                out.upper_bound
-            );
-        }
-    }
-
-    #[test]
-    fn upper_bound_is_sound_and_reasonably_tight() {
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..60 {
-            let n = rng.gen_range(2..=3);
-            let p = BilinearProgram::new(
-                Vector::from((0..n).map(|_| rng.gen::<f64>()).collect::<Vec<_>>()),
-                Vector::from((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<_>>()),
-                Vector::from((0..n).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<_>>()),
-            );
-            let out = maximize(&p, &box_cfg(2_000_000));
-            assert!(out.upper_bound >= out.lower_bound - 1e-9);
-            // With a generous budget the gap should close substantially.
-            assert!(
-                out.upper_bound - out.lower_bound < 0.05 * (1.0 + out.lower_bound.abs()),
-                "gap too wide: [{}, {}]",
-                out.lower_bound,
-                out.upper_bound
-            );
         }
     }
 
@@ -430,14 +116,13 @@ mod tests {
             Vector::from(vec![0.02, -0.5, 0.01, -0.2]),
             Vector::from(vec![0.0, 0.01, -0.01, 0.0]),
         );
-        let generous = maximize(&p, &box_cfg(500_000));
-        let tight = check_nonpositive(&p, &box_cfg(4));
-        if generous.lower_bound > 1e-9 {
-            assert!(
-                !tight.holds(),
-                "tiny budget claimed Holds on a violated program"
-            );
-        }
+        let full = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        assert!(full.best_value > 1e-9, "program must be violable");
+        let tight = check_nonpositive(&p, &SolverConfig::with_budget(1));
+        assert!(
+            !tight.holds(),
+            "tiny budget claimed Holds on a violated program"
+        );
     }
 
     #[test]
@@ -447,22 +132,15 @@ mod tests {
             Vector::from(vec![1.0, 1.0]),
             Vector::from(vec![0.0, 0.0]),
         );
-        let out = maximize(&p, &SolverConfig::default());
-        // On the simplex, πa = πg = 1 always ⇒ f = 1 (vs 4 on the box).
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        // On the simplex, πa = πg = 1 always ⇒ f = 1 (vs 4 at π = 1 on the
+        // box the paper states literally).
         assert!(
-            (out.lower_bound - 1.0).abs() < 1e-6,
+            (out.best_value - 1.0).abs() < 1e-12,
             "got {}",
-            out.lower_bound
+            out.best_value
         );
-        let s = out.best_point.sum();
-        assert!((s - 1.0).abs() < 1e-9);
-        // Box mode sees the larger maximum.
-        let box_out = maximize(&p, &box_cfg(200_000));
-        assert!(
-            box_out.lower_bound > 3.9,
-            "box max should be 4, got {}",
-            box_out.lower_bound
-        );
+        assert!((out.best_point.sum() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -474,7 +152,6 @@ mod tests {
             Vector::from(vec![-1.0]),
         );
         assert!(check_nonpositive(&p, &SolverConfig::default()).holds());
-        assert!(check_nonpositive(&p, &box_cfg(200_000)).holds());
     }
 
     #[test]

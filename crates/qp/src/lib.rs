@@ -3,42 +3,41 @@
 //!
 //! Theorem IV.1 reduces ε-spatiotemporal event privacy for *arbitrary*
 //! initial probabilities to: "is the maximum of a quadratic form over the
-//! box `0 ≤ π ≤ 1` non-positive?" — for two specific quadratic forms per
-//! candidate release. Both forms are **rank-1 bilinear plus linear**:
+//! probability simplex `π ≥ 0, Σπ = 1` non-positive?" — for two specific
+//! quadratic forms per candidate release. The paper states the box
+//! `0 ≤ π ≤ 1`, but its derivation substitutes `Pr(¬EVENT) = 1 − π·aᵀ`,
+//! which presumes `Σπ = 1`; without it every π can be scaled toward zero
+//! and Eq. (15) is violated by every mechanism. Both forms are **rank-1
+//! bilinear plus linear**:
 //!
 //! ```text
 //! Eq. (15):  f₁(π) = (π·a)(π·g₁) + π·b      g₁ = (e^ε−1)·b − e^ε·c  (≤ 0)
 //! Eq. (16):  f₂(π) = (π·a)(π·g₂) − e^ε·π·b  g₂ = (e^ε−1)·b + c      (≥ 0)
 //! ```
 //!
-//! because the paper's quadratic matrices are outer products `aᵀ(…)`. The
-//! general problem is NP-hard with one negative eigenvalue (Pardalos &
-//! Vavasis, cited by the paper), so — like CPLEX under the paper's
-//! one-second threshold — this solver is *budgeted* and returns a
-//! three-valued [`Verdict`]:
+//! because the paper's quadratic matrices are outer products `aᵀ(…)`. On
+//! the simplex such a form attains its maximum on an edge, so the
+//! `O(m²)` pair scan of [`simplex`] is exact. Like CPLEX under the paper's
+//! one-second threshold, the scan is *budgeted* and returns a three-valued
+//! [`Verdict`]:
 //!
-//! * `Holds` — a **sound** certificate: a proven upper bound ≤ 0, obtained
-//!   from interval decomposition over `u = π·a` with exact knapsack LPs on
-//!   each slice ([`bilinear`]).
+//! * `Holds` — a **sound** certificate: a complete pair scan whose every
+//!   pair value is finite and ≤ the tolerance.
 //! * `Violated` — a concrete witness `π` with `f(π) > 0`.
-//! * `Unknown` — budget exhausted with the maximum still straddling zero;
-//!   the framework's *conservative release* (§IV.C) treats this as a
-//!   failure and keeps decaying the mechanism's budget, so privacy is never
-//!   claimed without a certificate.
-//!
-//! A generic dense-matrix solver ([`generic`]) covers non-structured inputs
-//! and cross-checks the structured path in tests and the ablation bench.
+//! * `Unknown` — budget or deadline exhausted, or a non-finite pair value,
+//!   before certifying; the framework's *conservative release* (§IV.C)
+//!   treats this as a failure and keeps decaying the mechanism's budget, so
+//!   privacy is never claimed without a certificate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod bilinear;
-pub mod generic;
 pub mod knapsack;
 pub mod simplex;
 pub mod theorem;
 
-pub use bilinear::{maximize, BilinearProgram};
+pub use bilinear::BilinearProgram;
 pub use knapsack::{max_budgeted, SliceSolution};
 pub use theorem::{TheoremChecker, TheoremVerdict};
 
@@ -47,9 +46,9 @@ use priste_linalg::Vector;
 /// Outcome of a budgeted non-positivity check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
-    /// Certified: the maximum over the feasible set is ≤ 0.
+    /// Certified: the maximum over the simplex is ≤ 0.
     Holds {
-        /// The proven upper bound (≤ 0).
+        /// The exact maximum (≤ the tolerance).
         upper_bound: f64,
     },
     /// Refuted: a feasible point with a strictly positive value.
@@ -59,12 +58,11 @@ pub enum Verdict {
         /// Its objective value (> 0).
         value: f64,
     },
-    /// Budget exhausted before certifying either way.
+    /// Budget exhausted (or a non-finite pair value met) before certifying
+    /// either way.
     Unknown {
         /// Best (largest) objective value found so far.
         lower_bound: f64,
-        /// Best proven upper bound so far.
-        upper_bound: f64,
     },
 }
 
@@ -75,35 +73,17 @@ impl Verdict {
     }
 }
 
-/// Feasible set for the maximization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstraintSet {
-    /// The probability simplex `π ≥ 0, Σπ = 1` — the set Theorem IV.1
-    /// actually needs (its derivation substitutes `Pr(¬EVENT) = 1 − π·aᵀ`,
-    /// which presumes `Σπ = 1`). **Default.** Exactly solvable in `O(m²)`
-    /// by the pair scan of [`crate::simplex`].
-    Simplex,
-    /// The paper's *literally stated* constraint `0 ≤ π_i ≤ 1` without the
-    /// sum constraint. Kept for the ablation bench and as documentation:
-    /// dropping `Σπ = 1` makes Eq. (15) violable for every mechanism
-    /// (scale any π toward zero), contradicting the paper's own α→0
-    /// termination argument — so the simplex is the faithful reading.
-    Box,
-}
-
 /// Budget and tolerances for a check.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Abstract work units (≈ one knapsack LP or one gradient sweep each).
-    /// The deterministic analogue of the paper's CPLEX wall-clock threshold
-    /// (Table III); exhausting it yields [`Verdict::Unknown`].
+    /// Coordinate pairs the scan may examine. The deterministic analogue of
+    /// the paper's CPLEX wall-clock threshold (Table III); exhausting it
+    /// yields [`Verdict::Unknown`].
     pub work_budget: u64,
     /// Decision tolerance: values within `±tolerance` of zero count as
     /// non-positive (absorbs floating-point noise in the homogeneous
     /// rescaling).
     pub tolerance: f64,
-    /// Feasible set.
-    pub constraint: ConstraintSet,
     /// Optional wall-clock deadline for one check — the faithful analogue
     /// of the paper's CPLEX time threshold (Table III). `None` (default)
     /// keeps checks fully deterministic via `work_budget` alone.
@@ -115,7 +95,6 @@ impl Default for SolverConfig {
         SolverConfig {
             work_budget: 200_000,
             tolerance: 1e-9,
-            constraint: ConstraintSet::Simplex,
             deadline: None,
         }
     }
@@ -136,19 +115,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_simplex_mode() {
-        let c = SolverConfig::default();
-        assert_eq!(c.constraint, ConstraintSet::Simplex);
-        assert!(c.work_budget > 0);
-    }
-
-    #[test]
     fn verdict_holds_predicate() {
         assert!(Verdict::Holds { upper_bound: -0.5 }.holds());
-        assert!(!Verdict::Unknown {
-            lower_bound: -1.0,
-            upper_bound: 1.0
-        }
-        .holds());
+        assert!(!Verdict::Unknown { lower_bound: -1.0 }.holds());
     }
 }

@@ -1,9 +1,7 @@
 //! Exact global maximization of `f(π) = (π·a)(π·g) + π·h` over the
 //! probability simplex `{π ≥ 0, Σπ = 1}` — the feasible set Theorem IV.1
-//! actually requires (the literal box `0 ≤ π ≤ 1` *without*
-//! the sum constraint makes Eq. (15) unsatisfiable for any mechanism,
-//! contradicting the paper's own α→0 termination argument, so the simplex
-//! constraint is implicit in the paper).
+//! actually requires (see the crate docs for why the paper's literal box
+//! is the wrong reading).
 //!
 //! **Why this is exact and fast.** Fix `u = π·a`. On the slice
 //! `{π ∈ simplex, π·a = u}` the objective is linear, so its maximum sits at
@@ -16,8 +14,8 @@
 //! NP-hard general-case behaviour on the box form.
 //!
 //! The work budget caps the number of pairs examined; an exhausted budget
-//! yields `Unknown` (conservative release), an early positive pair yields
-//! `Violated` immediately.
+//! or a non-finite pair value yields `Unknown` (conservative release), an
+//! early positive pair yields `Violated` immediately.
 
 use crate::bilinear::BilinearProgram;
 use crate::{SolverConfig, Verdict};
@@ -70,22 +68,20 @@ pub struct SimplexOutcome {
     pub best_point: Vector,
     /// Its value — the exact global maximum when `complete` is true.
     pub best_value: f64,
-    /// Whether every pair was examined within the budget.
+    /// Whether every pair was examined within the budget, each with a
+    /// finite value.
     pub complete: bool,
     /// Pairs examined.
     pub work_used: u64,
 }
 
 /// Scans all coordinate pairs (each one work unit). Stops early when the
-/// budget or wall-clock deadline runs out; `early_exit_above` (if finite)
-/// stops as soon as any pair exceeds it — the violation fast-path.
-pub fn maximize_simplex(p: &BilinearProgram, budget: u64, early_exit_above: f64) -> SimplexOutcome {
-    maximize_simplex_deadline(p, budget, early_exit_above, None)
-}
-
-/// [`maximize_simplex`] with an optional wall-clock deadline (elapsed time
-/// is polled every 1024 pairs to keep the hot loop branch-cheap).
-pub fn maximize_simplex_deadline(
+/// budget or the wall-clock `deadline` runs out (elapsed time is polled
+/// every 1024 pairs to keep the hot loop branch-cheap), or at the first
+/// non-finite pair value, which no comparison could rank; either leaves the
+/// scan incomplete. `early_exit_above` (if finite) stops as soon as any
+/// pair exceeds it — the violation fast-path.
+pub fn maximize_simplex(
     p: &BilinearProgram,
     budget: u64,
     early_exit_above: f64,
@@ -111,6 +107,10 @@ pub fn maximize_simplex_deadline(
             }
             work += 1;
             let (l, v) = pair_max(p, i, j);
+            if !v.is_finite() {
+                complete = false;
+                break 'outer;
+            }
             if v > best_v {
                 best_v = v;
                 best = (i, j, l);
@@ -135,13 +135,14 @@ pub fn maximize_simplex_deadline(
     }
 }
 
-/// Budgeted non-positivity check over the simplex.
+/// Budgeted non-positivity check: `max f ≤ 0` over the simplex?
 ///
 /// * Every examined pair with value > tolerance ⇒ `Violated` (sound).
 /// * All pairs examined and none positive ⇒ `Holds` (exact certificate).
-/// * Budget exhausted first ⇒ `Unknown`.
-pub fn check_nonpositive_simplex(p: &BilinearProgram, cfg: &SolverConfig) -> Verdict {
-    let out = maximize_simplex_deadline(p, cfg.work_budget, cfg.tolerance, cfg.deadline);
+/// * Budget or deadline exhausted, or a non-finite pair value, first ⇒
+///   `Unknown`.
+pub fn check_nonpositive(p: &BilinearProgram, cfg: &SolverConfig) -> Verdict {
+    let out = maximize_simplex(p, cfg.work_budget, cfg.tolerance, cfg.deadline);
     if out.best_value > cfg.tolerance {
         return Verdict::Violated {
             witness: out.best_point,
@@ -155,7 +156,6 @@ pub fn check_nonpositive_simplex(p: &BilinearProgram, cfg: &SolverConfig) -> Ver
     }
     Verdict::Unknown {
         lower_bound: out.best_value,
-        upper_bound: f64::INFINITY,
     }
 }
 
@@ -206,7 +206,7 @@ mod tests {
         for case in 0..200 {
             let n = rng.gen_range(1..=3);
             let p = random_program(&mut rng, n);
-            let exact = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+            let exact = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
             assert!(exact.complete);
             let grid = simplex_grid_max(&p, 120);
             assert!(
@@ -229,7 +229,7 @@ mod tests {
             Vector::from(vec![-1.0, 1.0]),
             Vector::from(vec![0.0, 0.0]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
         assert!((out.best_value - 0.125).abs() < 1e-12);
         assert!((out.best_point[0] - 0.25).abs() < 1e-9);
     }
@@ -238,11 +238,11 @@ mod tests {
     fn budget_exhaustion_reports_incomplete() {
         let mut rng = StdRng::seed_from_u64(7);
         let p = random_program(&mut rng, 20);
-        let out = maximize_simplex(&p, 5, f64::NEG_INFINITY);
+        let out = maximize_simplex(&p, 5, f64::NEG_INFINITY, None);
         // early_exit_above = −∞ forces an exit on the very first improving
         // pair, marking the scan incomplete.
         assert!(!out.complete);
-        let v = check_nonpositive_simplex(&p, &SolverConfig::with_budget(3));
+        let v = check_nonpositive(&p, &SolverConfig::with_budget(3));
         // With 20 states and budget 3, either a genuine violation was found
         // among the first pairs or the verdict must be Unknown.
         match v {
@@ -261,10 +261,10 @@ mod tests {
             Vector::from(vec![-1.0; 6]),
             Vector::from(vec![-0.1; 6]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
         assert!(out.complete);
         assert_eq!(out.work_used, (n * (n + 1) / 2) as u64);
-        assert!(check_nonpositive_simplex(&p, &SolverConfig::default()).holds());
+        assert!(check_nonpositive(&p, &SolverConfig::default()).holds());
     }
 
     #[test]
@@ -275,9 +275,32 @@ mod tests {
             Vector::from(vec![2.0, 0.1]),
             Vector::from(vec![0.5, 0.0]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
         // f(e_0) = 1·2 + 0.5 = 2.5.
         assert!((out.best_value - 2.5).abs() < 1e-12);
         assert_eq!(out.best_point.as_slice(), &[1.0, 0.0]);
+    }
+
+    #[test]
+    fn nan_pair_values_never_certify() {
+        // An all-negative program certifies; a NaN anywhere in `h` must turn
+        // that into `Unknown`, never a `Holds` that skipped the NaN pairs.
+        let clean = BilinearProgram::new(
+            Vector::from(vec![0.5; 4]),
+            Vector::from(vec![-1.0; 4]),
+            Vector::from(vec![-0.1; 4]),
+        );
+        assert!(check_nonpositive(&clean, &SolverConfig::default()).holds());
+        for k in 0..4 {
+            let mut h = clean.h.clone();
+            h[k] = f64::NAN;
+            let p = BilinearProgram::new(clean.a.clone(), clean.g.clone(), h);
+            let v = check_nonpositive(&p, &SolverConfig::default());
+            assert!(
+                matches!(v, Verdict::Unknown { .. }),
+                "NaN at {k} gave {v:?}"
+            );
+            assert!(!maximize_simplex(&p, u64::MAX, f64::INFINITY, None).complete);
+        }
     }
 }

@@ -3,12 +3,17 @@
 //! budgeted non-positivity check on both.
 //!
 //! Normalization note: the two inequalities are jointly homogeneous of
-//! degree 1 in `(b, c)`, so the checker rescales the pair by `1/max(c)`
-//! before solving — keeping slice LPs in a friendly floating-point range
-//! without changing any verdict. `a` is *not* rescaled (the inequalities
-//! are not homogeneous in `a`; its entries are genuine probabilities).
+//! degree 1 in `(b, c)`, so the checker rescales the pair by a power of
+//! two `2^k ≈ 1/max(c)` — keeping pair values and the tolerance on one
+//! scale whatever the magnitude of the joint. A power of two is exact
+//! wherever the result is normal, and applying it as at most two factors
+//! cannot overflow, not even for a subnormal `max(c)` (where `1/max(c)` is
+//! `+∞` and would turn every pair value into NaN).
+//! `a` is *not* rescaled (the inequalities are not homogeneous in `a`; its
+//! entries are genuine probabilities).
 
-use crate::bilinear::{check_nonpositive, BilinearProgram};
+use crate::bilinear::BilinearProgram;
+use crate::simplex::check_nonpositive;
 use crate::{SolverConfig, Verdict};
 use priste_linalg::Vector;
 
@@ -32,7 +37,7 @@ pub enum TheoremVerdict {
     Violated {
         /// The refuted inequality.
         constraint: Constraint,
-        /// Witness initial distribution (box point).
+        /// Witness initial distribution (a point of the simplex).
         witness: Vector,
         /// Positive objective value at the witness.
         value: f64,
@@ -63,11 +68,18 @@ impl TheoremChecker {
     /// Creates a checker for ε-spatiotemporal event privacy.
     ///
     /// # Panics
-    /// Panics for a non-positive or non-finite ε (configuration bug).
+    /// Panics for a non-positive or non-finite ε, or a negative or
+    /// non-finite tolerance (configuration bugs: a NaN tolerance would
+    /// certify every program).
     pub fn new(epsilon: f64, config: SolverConfig) -> Self {
         assert!(
             epsilon.is_finite() && epsilon > 0.0,
             "epsilon must be positive and finite, got {epsilon}"
+        );
+        assert!(
+            config.tolerance.is_finite() && config.tolerance >= 0.0,
+            "tolerance must be non-negative and finite, got {}",
+            config.tolerance
         );
         TheoremChecker { epsilon, config }
     }
@@ -97,9 +109,12 @@ impl TheoremChecker {
         assert_eq!(a.len(), b.len(), "a/b length mismatch");
         assert_eq!(a.len(), c.len(), "a/c length mismatch");
         // Joint rescale of (b, c): homogeneous, so verdicts are unchanged.
-        let scale = c.max().filter(|&m| m > 0.0).map(|m| 1.0 / m).unwrap_or(1.0);
-        let bs = b.scale(scale);
-        let cs = c.scale(scale);
+        let k = c
+            .max()
+            .filter(|m| m.is_finite() && *m > 0.0)
+            .map_or(0, |m| -(m.log2().floor() as i32));
+        let bs = scale_pow2(b, k);
+        let cs = scale_pow2(c, k);
         let e_eps = self.epsilon.exp();
 
         // Eq. (15): (π·a)·(π·[(e^ε−1)b − e^ε c]) + π·b ≤ 0.
@@ -143,6 +158,24 @@ impl TheoremChecker {
         }
         TheoremVerdict::Satisfied
     }
+}
+
+/// `2^k` for `-1022 ≤ k ≤ 1023`, built from its bits.
+fn pow2(k: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&k), "2^{k} is not a normal f64");
+    f64::from_bits(((k + 1023) as u64) << 52)
+}
+
+/// `v · 2^k` for `-1024 ≤ k ≤ 1074`, as one factor when `2^k` is a normal
+/// f64 and as two halves otherwise.
+fn scale_pow2(v: &Vector, k: i32) -> Vector {
+    let (k1, k2) = if (-1022..=1023).contains(&k) {
+        (k, 0)
+    } else {
+        (k / 2, k - k / 2)
+    };
+    let (s1, s2) = (pow2(k1), pow2(k2));
+    v.as_slice().iter().map(|&x| x * s1 * s2).collect()
 }
 
 #[cfg(test)]
@@ -214,18 +247,29 @@ mod tests {
 
     #[test]
     fn scaling_b_and_c_jointly_preserves_verdicts() {
-        let a = Vector::from(vec![0.5, 0.3, 0.1]);
-        let b = Vector::from(vec![0.2, 0.05, 0.01]);
-        let c = Vector::from(vec![0.3, 0.3, 0.25]);
-        let checker = TheoremChecker::new(0.4, SolverConfig::default());
-        let v1 = checker.check(&a, &b, &c);
-        for gamma in [1e-30, 1e-10, 1e10] {
-            let v2 = checker.check(&a, &b.scale(gamma), &c.scale(gamma));
-            assert_eq!(
-                v1.satisfied(),
-                v2.satisfied(),
-                "verdict changed under joint rescale by {gamma}"
-            );
+        // The second case is leaky at ε = 0.05; at γ ≤ 1e-310 `max(c)` is
+        // subnormal, where a `1/max(c)` rescale overflows.
+        let cases = [
+            (
+                vec![0.5, 0.3, 0.1],
+                vec![0.2, 0.05, 0.01],
+                vec![0.3, 0.3, 0.25],
+                0.4,
+            ),
+            (vec![0.6, 0.2], vec![0.55, 0.02], vec![0.6, 0.5], 0.05),
+        ];
+        for (a, b, c, eps) in cases {
+            let (a, b, c) = (Vector::from(a), Vector::from(b), Vector::from(c));
+            let checker = TheoremChecker::new(eps, SolverConfig::default());
+            let v1 = checker.check(&a, &b, &c);
+            for gamma in [1e-30, 1e-10, 1e10, 1e-310, 1e-315] {
+                let v2 = checker.check(&a, &b.scale(gamma), &c.scale(gamma));
+                assert_eq!(
+                    std::mem::discriminant(&v1),
+                    std::mem::discriminant(&v2),
+                    "ε = {eps}: verdict changed under joint rescale by {gamma}: {v1:?} vs {v2:?}"
+                );
+            }
         }
     }
 
@@ -250,6 +294,16 @@ mod tests {
     #[should_panic(expected = "epsilon must be positive")]
     fn rejects_bad_epsilon() {
         let _ = TheoremChecker::new(0.0, SolverConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "tolerance must be non-negative")]
+    fn rejects_nan_tolerance() {
+        let config = SolverConfig {
+            tolerance: f64::NAN,
+            ..SolverConfig::default()
+        };
+        let _ = TheoremChecker::new(1.0, config);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Cross-solver containment properties: the exact simplex maximum can never
-//! exceed any sound box bound (the box contains the simplex), and all
-//! solver paths agree with brute force on small instances.
+//! Properties of the exact simplex pair scan: its witness is feasible and
+//! achieves its value, and its maximum obeys the analytic shift and
+//! homogeneity identities.
 
 use priste_linalg::Vector;
 use priste_qp::simplex::maximize_simplex;
-use priste_qp::{bilinear, BilinearProgram, ConstraintSet, SolverConfig};
+use priste_qp::BilinearProgram;
 use proptest::prelude::*;
 
 fn program(n: usize) -> impl Strategy<Value = BilinearProgram> {
@@ -18,40 +18,14 @@ fn program(n: usize) -> impl Strategy<Value = BilinearProgram> {
         })
 }
 
-fn box_cfg() -> SolverConfig {
-    SolverConfig {
-        constraint: ConstraintSet::Box,
-        ..SolverConfig::with_budget(300_000)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Box maximum ≥ simplex maximum, always (containment), and the box
-    /// upper bound is sound for the simplex too.
-    #[test]
-    fn box_dominates_simplex(p in program(5)) {
-        let simplex = maximize_simplex(&p, u64::MAX, f64::INFINITY);
-        prop_assert!(simplex.complete);
-        let boxed = bilinear::maximize(&p, &box_cfg());
-        // The box LB comes from a golden-section sweep with ~1e-6 slice
-        // resolution; containment up to that resolution.
-        prop_assert!(
-            boxed.lower_bound >= simplex.best_value - 1e-5 * (1.0 + simplex.best_value.abs()),
-            "box LB {} below simplex max {}",
-            boxed.lower_bound,
-            simplex.best_value
-        );
-        // The box UPPER bound is sound, so it must dominate exactly.
-        prop_assert!(boxed.upper_bound >= simplex.best_value - 1e-9);
-    }
 
     /// The simplex scan's reported point achieves its reported value and is
     /// feasible.
     #[test]
     fn simplex_witness_is_feasible_and_achieving(p in program(6)) {
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
         prop_assert!((out.best_point.sum() - 1.0).abs() < 1e-9);
         for &x in out.best_point.as_slice() {
             prop_assert!((-1e-12..=1.0 + 1e-12).contains(&x));
@@ -63,12 +37,12 @@ proptest! {
     /// exactly c (since Σπ = 1) — an analytic identity the scan must obey.
     #[test]
     fn linear_shift_identity(p in program(4), c in -2.0f64..2.0) {
-        let base = maximize_simplex(&p, u64::MAX, f64::INFINITY).best_value;
+        let base = maximize_simplex(&p, u64::MAX, f64::INFINITY, None).best_value;
         let shifted_h = Vector::from(
             p.h.as_slice().iter().map(|&x| x + c).collect::<Vec<_>>(),
         );
         let shifted = BilinearProgram::new(p.a.clone(), p.g.clone(), shifted_h);
-        let shifted_max = maximize_simplex(&shifted, u64::MAX, f64::INFINITY).best_value;
+        let shifted_max = maximize_simplex(&shifted, u64::MAX, f64::INFINITY, None).best_value;
         prop_assert!(
             (shifted_max - base - c).abs() < 1e-8,
             "shift identity broken: {shifted_max} vs {base} + {c}"
@@ -80,13 +54,13 @@ proptest! {
     #[test]
     fn bilinear_homogeneity_in_g(p in program(4), k in 0.1f64..4.0) {
         let zero_h = BilinearProgram::new(p.a.clone(), p.g.clone(), Vector::zeros(4));
-        let base = maximize_simplex(&zero_h, u64::MAX, f64::INFINITY).best_value;
+        let base = maximize_simplex(&zero_h, u64::MAX, f64::INFINITY, None).best_value;
         let scaled = BilinearProgram::new(
             p.a.clone(),
             p.g.scale(k),
             Vector::zeros(4),
         );
-        let scaled_max = maximize_simplex(&scaled, u64::MAX, f64::INFINITY).best_value;
+        let scaled_max = maximize_simplex(&scaled, u64::MAX, f64::INFINITY, None).best_value;
         // max(k·f) = k·max(f) only when max ≥ 0 is not required — it holds
         // for any sign because scaling g scales every pair value linearly.
         prop_assert!(

@@ -151,7 +151,7 @@ pub mod prelude {
         DurableError, DurableOptions, EnforcedRelease, OnlineConfig, OnlineError, RecoveryInfo,
         ServiceStats, SessionManager, UserId, UserReport, Verdict, WindowReport,
     };
-    pub use priste_qp::{ConstraintSet, SolverConfig, TheoremChecker, TheoremVerdict};
+    pub use priste_qp::{SolverConfig, TheoremChecker, TheoremVerdict};
     pub use priste_quantify::{
         forward_backward, naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
     };

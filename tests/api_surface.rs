@@ -41,7 +41,7 @@ use priste::prelude::{
     EnforcedRelease, OnlineConfig, OnlineError, ServiceStats, SessionManager, UserId,
     UserReport, Verdict, WindowReport,
     // qp
-    ConstraintSet, SolverConfig, TheoremChecker, TheoremVerdict,
+    SolverConfig, TheoremChecker, TheoremVerdict,
     // quantify
     forward_backward, naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
 };
