@@ -13,7 +13,9 @@
 //!   enforcing release allocate there, and the time and WAL bytes of one
 //!   journaled observed-cell ingest there.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
-//!   engine: quantifier construction and per-step observe throughput.
+//!   engine: quantifier construction and per-step observe throughput, and
+//!   what the banded §V.A chain those worlds run on costs: one build at
+//!   m = 2500 / 10⁴ / 4·10⁴ and the heap one build allocates at m = 2500.
 //! * `calibrate` (`BENCH_calibrate.json`) — the three budget planners,
 //!   guarded-release throughput behind the calibration ladder, and what one
 //!   ladder rung costs: a Planar Laplace build at m = 225 / 2500 / 10⁴ and
@@ -270,7 +272,7 @@ fn batch(grid: &GridMap, users: usize, seed: u64) -> Vec<(UserId, Vector)> {
 }
 
 /// The banded §V.A world on a `side × side` grid with a CSR chain
-/// (σ = 0.5 km ⇒ ≤ 81 entries per row) and the suite's PRESENCE event.
+/// (σ = 0.5 km ⇒ ≤ 45 entries per row) and the suite's PRESENCE event.
 fn sparse_world(side: usize) -> (Arc<Homogeneous>, StEvent) {
     let grid = GridMap::new(side, side, 1.0).expect("grid");
     let m = grid.num_cells();
@@ -554,7 +556,7 @@ fn suite_online(
     // --- Grid-size axis: CSR-backed service ingest ------------------------
     //
     // The session manager on 50×50 and 100×100 banded worlds (σ = 0.5 km ⇒
-    // ≤ 81 entries per row), proving the streaming tier inherits the
+    // ≤ 45 entries per row), proving the streaming tier inherits the
     // O(nnz)-per-observation cost. Synthetic emission columns and a small
     // fixed cohort: a PLM discretization and 500 users at m = 10⁴ would
     // measure setup, not ingest. No dense twin here — the quantify suite
@@ -945,7 +947,7 @@ fn suite_quantify(
 
     // --- Grid-size axis: dense vs CSR transition backends -----------------
     //
-    // The banded §V.A world (σ = 0.5 km on 1 km cells ⇒ ≤ 81 entries per
+    // The banded §V.A world (σ = 0.5 km on 1 km cells ⇒ ≤ 45 entries per
     // row) at m ∈ {225, 2500, 10⁴}. The dense comparator is the CSR
     // chain's densified twin — identical numerics, O(m²) per observation —
     // and is capped by `--dense-max-cells`. Emission columns are synthetic
@@ -1021,6 +1023,50 @@ fn suite_quantify(
             note: "incremental observe, CSR O(nnz) backend, banded sigma=0.5 world".into(),
         });
     }
+
+    // What the banded world itself costs: one σ = 0.5 km chain build (one
+    // `exp` per patch offset, then each row's kept patch entries copied
+    // straight into the CSR arrays).
+    let side_grid = |side: usize| GridMap::new(side, side, 1.0).expect("grid");
+    for (name, side) in [
+        ("chain_build_m2500", 50),
+        ("chain_build_m10000", 100),
+        ("chain_build_m40000", 200),
+    ] {
+        let grid = side_grid(side);
+        let build_ms = best_ms(opts.reps, || {
+            std::hint::black_box(gaussian_kernel_chain_sparse(&grid, 0.5).expect("sparse chain"));
+        });
+        metrics.push(Metric {
+            name,
+            value: build_ms,
+            unit: "ms",
+            note: "one gaussian_kernel_chain_sparse (sigma = 0.5 km) on a square 1 km grid".into(),
+        });
+    }
+    let grid = side_grid(50);
+    let mut chain = None;
+    let kb = allocated_kb(|| {
+        chain = Some(gaussian_kernel_chain_sparse(&grid, 0.5).expect("sparse chain"));
+    });
+    let chain = chain.expect("chain");
+    let csr = chain.transition_matrix().as_sparse().expect("csr");
+    // The CSR arrays the chain keeps: a column index and a value per entry,
+    // and `m + 1` row offsets.
+    let (index, value) = (std::mem::size_of::<usize>(), std::mem::size_of::<f64>());
+    let csr_kb = (csr.nnz() * (index + value) + (csr.rows() + 1) * index) as f64 / 1024.0;
+    assert!(
+        kb <= 1.1 * csr_kb,
+        "one chain build at m = 2500 allocated {kb:.1} KB for a {csr_kb:.1} KB CSR"
+    );
+    metrics.push(Metric {
+        name: "chain_build_alloc_kb_m2500",
+        value: kb,
+        unit: "KB",
+        note: format!(
+            "heap one sigma = 0.5 km chain build allocates at m = 2500 (asserted <= 1.1 x its {csr_kb:.0} KB CSR)"
+        ),
+    });
 
     metrics
 }

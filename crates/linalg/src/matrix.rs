@@ -434,46 +434,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Outer product `colᵀ · row` producing `col.len() × row.len()`.
-    pub fn outer(col: &Vector, row: &Vector) -> Matrix {
-        let mut out = Matrix::zeros(col.len(), row.len());
-        for r in 0..col.len() {
-            let cv = col[r];
-            if cv == 0.0 {
-                continue;
-            }
-            for c in 0..row.len() {
-                out.data[r * row.len() + c] = cv * row[c];
-            }
-        }
-        out
-    }
-
-    /// Symmetric part `(A + Aᵀ)/2` — the canonical quadratic-form matrix.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square.
-    pub fn symmetrize(&self) -> Matrix {
-        assert!(self.is_square(), "symmetrize requires a square matrix");
-        let n = self.rows;
-        let mut out = Matrix::zeros(n, n);
-        for r in 0..n {
-            for c in 0..n {
-                out.data[r * n + c] = 0.5 * (self.data[r * n + c] + self.data[c * n + r]);
-            }
-        }
-        out
-    }
-
-    /// Evaluates the quadratic form `x · A · xᵀ`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] if shapes disagree.
-    pub fn quadratic_form(&self, x: &Vector) -> Result<f64> {
-        let ax = self.try_matvec(x)?;
-        x.dot(&ax)
-    }
-
     /// Largest absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
@@ -667,25 +627,6 @@ mod tests {
         let tl = m.sub(&msd).unwrap();
         let lifted = Matrix::from_blocks(&tl, &msd, &Matrix::zeros(3, 3), &m).unwrap();
         lifted.validate_stochastic().unwrap();
-    }
-
-    #[test]
-    fn outer_and_symmetrize() {
-        let a = Vector::from(vec![1.0, 2.0]);
-        let b = Vector::from(vec![3.0, 4.0]);
-        let o = Matrix::outer(&a, &b);
-        assert_eq!(o.get(1, 0), 6.0);
-        let s = o.symmetrize();
-        assert_eq!(s.get(0, 1), s.get(1, 0));
-        assert_eq!(s.get(0, 1), 0.5 * (4.0 + 6.0));
-    }
-
-    #[test]
-    fn quadratic_form_matches_manual() {
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]).unwrap();
-        let x = Vector::from(vec![1.0, 2.0]);
-        // x A xᵀ = 2 + 2 + 2 + 12 = 18
-        assert_eq!(a.quadratic_form(&x).unwrap(), 18.0);
     }
 
     #[test]

@@ -27,45 +27,56 @@ pub struct SparseMatrix {
 }
 
 impl SparseMatrix {
-    /// Builds a CSR matrix from per-row `(column, value)` entry lists.
+    /// Wraps raw CSR arrays after validating them.
     ///
-    /// Each row's entries must have strictly increasing, in-range column
-    /// indices.
+    /// Row `r`'s entries are `col_idx[row_ptr[r]..row_ptr[r+1]]` and the
+    /// matching `values`; `row_ptr` has `rows + 1` non-decreasing offsets,
+    /// starts at 0 and ends at `nnz = col_idx.len() = values.len()`, and each
+    /// row's columns are in range and strictly increasing.
     ///
     /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when `entries.len() !=
-    /// rows` or when a column index is out of range or out of order.
-    pub fn from_row_entries(
+    /// Returns [`LinalgError::DimensionMismatch`] naming the first violated
+    /// rule.
+    pub fn from_csr(
         rows: usize,
         cols: usize,
-        entries: &[Vec<(usize, f64)>],
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
     ) -> Result<Self> {
-        if entries.len() != rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "sparse from_row_entries",
-                expected: rows,
-                actual: entries.len(),
-            });
+        let mismatch = |op, expected, actual| {
+            Err(LinalgError::DimensionMismatch {
+                op,
+                expected,
+                actual,
+            })
+        };
+        let nnz = col_idx.len();
+        if values.len() != nnz {
+            return mismatch("sparse from_csr values length", nnz, values.len());
         }
-        let nnz: usize = entries.iter().map(Vec::len).sum();
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        for row in entries {
-            for (k, &(c, v)) in row.iter().enumerate() {
-                let ordered = k == 0 || row[k - 1].0 < c;
-                if c >= cols || !ordered {
-                    return Err(LinalgError::DimensionMismatch {
-                        op: "sparse from_row_entries column",
-                        expected: cols,
-                        actual: c,
-                    });
-                }
-                col_idx.push(c);
-                values.push(v);
+        if row_ptr.len().checked_sub(1) != Some(rows) {
+            let expected = rows.saturating_add(1);
+            return mismatch("sparse from_csr row_ptr length", expected, row_ptr.len());
+        }
+        if row_ptr[0] != 0 {
+            return mismatch("sparse from_csr row_ptr start", 0, row_ptr[0]);
+        }
+        if row_ptr[rows] != nnz {
+            return mismatch("sparse from_csr row_ptr end", nnz, row_ptr[rows]);
+        }
+        if let Some(w) = row_ptr.windows(2).find(|w| w[1] < w[0]) {
+            return mismatch("sparse from_csr row_ptr order", w[0], w[1]);
+        }
+        for w in row_ptr.windows(2) {
+            // Strictly increasing columns are all in range if the last is.
+            let row = &col_idx[w[0]..w[1]];
+            if let Some(k) = row.windows(2).position(|p| p[0] >= p[1]) {
+                return mismatch("sparse from_csr column order", row[k], row[k + 1]);
             }
-            row_ptr.push(col_idx.len());
+            if let Some(&c) = row.last().filter(|&&c| c >= cols) {
+                return mismatch("sparse from_csr column", cols, c);
+            }
         }
         Ok(SparseMatrix {
             rows,
@@ -384,24 +395,41 @@ mod tests {
     }
 
     #[test]
-    fn from_row_entries_validates_order_and_range() {
-        let ok = SparseMatrix::from_row_entries(2, 3, &[vec![(0, 1.0), (2, 2.0)], vec![]]);
-        assert!(ok.is_ok());
-        assert!(SparseMatrix::from_row_entries(2, 3, &[vec![(3, 1.0)], vec![]]).is_err());
-        assert!(SparseMatrix::from_row_entries(2, 3, &[vec![(1, 1.0), (1, 2.0)], vec![]]).is_err());
-        assert!(SparseMatrix::from_row_entries(1, 3, &[vec![], vec![]]).is_err());
+    fn from_csr_validates_structure_order_and_range() {
+        let csr = |rows, cols, p: &[usize], c: &[usize], v: &[f64]| {
+            SparseMatrix::from_csr(rows, cols, p.to_vec(), c.to_vec(), v.to_vec())
+        };
+        let ok = csr(2, 3, &[0, 2, 2], &[0, 2], &[1.0, 2.0]).unwrap();
+        assert_eq!(ok.get(0, 2), 2.0);
+        assert_eq!(ok.row_entries(1).0.len(), 0);
+        // Column out of range, repeated, and decreasing within a row.
+        assert!(csr(2, 3, &[0, 1, 1], &[3], &[1.0]).is_err());
+        assert!(csr(2, 3, &[0, 2, 2], &[1, 1], &[1.0, 2.0]).is_err());
+        assert!(csr(2, 3, &[0, 2, 2], &[2, 0], &[1.0, 2.0]).is_err());
+        // A decreasing column across a row boundary is fine.
+        assert!(csr(2, 3, &[0, 1, 2], &[2, 0], &[1.0, 2.0]).is_ok());
+        // row_ptr of the wrong length, not starting at 0, non-monotone, or
+        // not ending at nnz.
+        assert!(csr(1, 3, &[0, 0, 0], &[], &[]).is_err());
+        assert!(csr(1, 3, &[1, 1], &[0], &[1.0]).is_err());
+        assert!(csr(2, 3, &[0, 3, 2], &[0, 1], &[1.0, 2.0]).is_err());
+        assert!(csr(2, 3, &[0, 1, 1], &[0, 1], &[1.0, 2.0]).is_err());
+        assert!(csr(2, 3, &[0, 1, 3], &[0, 1], &[1.0, 2.0]).is_err());
+        // col_idx and values of different lengths.
+        assert!(csr(1, 3, &[0, 2], &[0, 1], &[1.0]).is_err());
+        assert!(csr(1, 3, &[0, 1], &[0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
     fn validate_stochastic_mirrors_dense_rules() {
         let mut s = SparseMatrix::from_dense(&dense3(), 0.0);
         s.validate_stochastic().unwrap();
-        s = SparseMatrix::from_row_entries(1, 2, &[vec![(0, 0.4), (1, 0.4)]]).unwrap();
+        s = SparseMatrix::from_csr(1, 2, vec![0, 2], vec![0, 1], vec![0.4, 0.4]).unwrap();
         assert!(matches!(
             s.validate_stochastic(),
             Err(LinalgError::NotStochastic { row: 0, .. })
         ));
-        s = SparseMatrix::from_row_entries(1, 2, &[vec![(0, -0.5), (1, 1.5)]]).unwrap();
+        s = SparseMatrix::from_csr(1, 2, vec![0, 2], vec![0, 1], vec![-0.5, 1.5]).unwrap();
         assert!(matches!(
             s.validate_stochastic(),
             Err(LinalgError::NegativeEntry { .. })
@@ -411,7 +439,7 @@ mod tests {
     #[test]
     fn normalize_rows_skips_empty_rows() {
         let mut s =
-            SparseMatrix::from_row_entries(2, 2, &[vec![(0, 2.0), (1, 6.0)], vec![]]).unwrap();
+            SparseMatrix::from_csr(2, 2, vec![0, 2, 2], vec![0, 1], vec![2.0, 6.0]).unwrap();
         s.normalize_rows_mut();
         assert!((s.get(0, 0) - 0.25).abs() < 1e-15);
         assert!((s.get(0, 1) - 0.75).abs() < 1e-15);
@@ -420,7 +448,7 @@ mod tests {
 
     #[test]
     fn empty_shape_has_zero_density() {
-        let s = SparseMatrix::from_row_entries(0, 0, &[]).unwrap();
+        let s = SparseMatrix::from_csr(0, 0, vec![0], vec![], vec![]).unwrap();
         assert_eq!(s.density(), 0.0);
         assert_eq!(s.nnz(), 0);
     }

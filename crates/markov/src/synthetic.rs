@@ -52,13 +52,20 @@ pub fn gaussian_kernel_chain(grid: &GridMap, sigma: f64) -> Result<MarkovModel> 
 
 /// Banded CSR variant of [`gaussian_kernel_chain`] for large grids.
 ///
-/// Builds the same `exp(−d(i,j)² / (2σ²))` kernel but truncates it at the
-/// radius where the weight falls below [`SPARSE_KERNEL_TRUNCATION`], visiting
-/// only the `O(band²)` neighbor cells of each row instead of the full
-/// `O(m²)` distance table. The result is a sparse-backed [`MarkovModel`]
-/// whose per-row support is a `(2R+1)²` patch around the cell (clipped at
-/// map edges), with `R ≈ 7.4σ` in cells — per-observation quantification
-/// cost then scales with `nnz`, not `m²`.
+/// Builds the same `exp(−d(i,j)² / (2σ²))` kernel but truncates it where the
+/// weight falls below [`SPARSE_KERNEL_TRUNCATION`]: row `i` keeps the cells
+/// within the disc `d ≤ σ·√(2 ln 10¹²) ≈ 7.43σ` of cell `i` (clipped at map
+/// edges) — at σ = 0.5 km on 1 km cells that is at most 45 entries per row —
+/// instead of all `m`. The result is a sparse-backed [`MarkovModel`], so
+/// per-observation quantification cost scales with `nnz`, not `m²`.
+///
+/// Cost: the weights depend only on the cell offset, so the
+/// `(2R_r+1)×(2R_c+1)` patch of them (`R = ⌈7.43σ / cell size⌉` cells,
+/// clamped to the grid's rows and columns) is computed once, one `exp` per
+/// offset. Each row then scans its patch, clipped at the map edges, and
+/// copies the kept entries straight into the CSR arrays, which are reserved
+/// up front: one copy per stored entry, and little allocated beyond the CSR
+/// returned.
 ///
 /// Numerics: rows are renormalized over the kept entries, so each entry
 /// differs from the dense generator's by at most the truncated tail
@@ -79,28 +86,47 @@ pub fn gaussian_kernel_chain_sparse(grid: &GridMap, sigma: f64) -> Result<Markov
     let radius = (cutoff_km / grid.cell_size_km()).ceil() as usize;
     let (rows, cols) = (grid.rows(), grid.cols());
     let cell = grid.cell_size_km();
-    let mut entries: Vec<Vec<(usize, f64)>> = Vec::with_capacity(grid.num_cells());
+    // No row reaches further than the grid does, so the patch never
+    // outgrows it however large σ is.
+    let (rad_r, rad_c) = (radius.min(rows - 1), radius.min(cols - 1));
+    let width = 2 * rad_c + 1;
+    let patch: Vec<f64> = (0..(2 * rad_r + 1) * width)
+        .map(|k| {
+            // The same exact integer offsets the per-cell loop would form,
+            // so every weight is bit-identical to evaluating it per entry.
+            let dy = ((k / width) as f64 - rad_r as f64) * cell;
+            let dx = ((k % width) as f64 - rad_c as f64) * cell;
+            (-(dx * dx + dy * dy) * inv_two_sigma_sq).exp()
+        })
+        .collect();
+    let m = grid.num_cells();
+    let kept = patch
+        .iter()
+        .filter(|&&w| w >= SPARSE_KERNEL_TRUNCATION)
+        .count();
+    let capacity = m.saturating_mul(kept).min(m.saturating_mul(m));
+    let mut row_ptr = Vec::with_capacity(m + 1);
+    let mut col_idx = Vec::with_capacity(capacity);
+    let mut values = Vec::with_capacity(capacity);
+    row_ptr.push(0);
     for r in 0..rows {
+        let (r_lo, r_hi) = (r.saturating_sub(rad_r), (r + rad_r).min(rows - 1));
         for c in 0..cols {
-            let r_lo = r.saturating_sub(radius);
-            let r_hi = (r + radius).min(rows - 1);
-            let c_lo = c.saturating_sub(radius);
-            let c_hi = (c + radius).min(cols - 1);
-            let mut row = Vec::with_capacity((r_hi - r_lo + 1) * (c_hi - c_lo + 1));
+            let (c_lo, c_hi) = (c.saturating_sub(rad_c), (c + rad_c).min(cols - 1));
             for rr in r_lo..=r_hi {
-                for cc in c_lo..=c_hi {
-                    let dy = (rr as f64 - r as f64) * cell;
-                    let dx = (cc as f64 - c as f64) * cell;
-                    let w = (-(dx * dx + dy * dy) * inv_two_sigma_sq).exp();
+                // Patch row `rr − r`, from column offset `c_lo − c` on.
+                let start = (rr + rad_r - r) * width + c_lo + rad_c - c;
+                for (cc, &w) in (c_lo..=c_hi).zip(&patch[start..]) {
                     if w >= SPARSE_KERNEL_TRUNCATION {
-                        row.push((rr * cols + cc, w));
+                        col_idx.push(rr * cols + cc);
+                        values.push(w);
                     }
                 }
             }
-            entries.push(row);
+            row_ptr.push(col_idx.len());
         }
     }
-    let mut t = SparseMatrix::from_row_entries(grid.num_cells(), grid.num_cells(), &entries)
+    let mut t = SparseMatrix::from_csr(m, m, row_ptr, col_idx, values)
         .expect("patch columns are in-range and row-major ordered");
     t.normalize_rows_mut();
     MarkovModel::new_sparse(t)
@@ -191,15 +217,72 @@ mod tests {
         let chain = gaussian_kernel_chain_sparse(&grid, 0.5).unwrap();
         assert!(chain.is_sparse());
         chain.transition_matrix().validate_stochastic().unwrap();
-        // σ = 0.5 km on 1 km cells: radius 4 cells ⇒ ≤ 81-cell patches on a
-        // 400-cell map.
+        // σ = 0.5 km on 1 km cells: the kept disc d ≤ 3.72 km holds ≤ 45
+        // cells of each row's 9×9 patch, on a 400-cell map.
         assert!(chain.transition_matrix().density() < 0.35);
+    }
+
+    /// The per-entry build the patch build replaced: one `exp` per cell of
+    /// every row's clipped `(2R+1)²` box, with `R` unclamped.
+    fn per_entry_oracle(grid: &GridMap, sigma: f64) -> SparseMatrix {
+        let inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma);
+        let cutoff_km = sigma * (2.0 * (1.0 / SPARSE_KERNEL_TRUNCATION).ln()).sqrt();
+        let radius = (cutoff_km / grid.cell_size_km()).ceil() as usize;
+        let (rows, cols) = (grid.rows(), grid.cols());
+        let cell = grid.cell_size_km();
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..rows {
+            for c in 0..cols {
+                let r_lo = r.saturating_sub(radius);
+                let r_hi = (r + radius).min(rows - 1);
+                let c_lo = c.saturating_sub(radius);
+                let c_hi = (c + radius).min(cols - 1);
+                for rr in r_lo..=r_hi {
+                    for cc in c_lo..=c_hi {
+                        let dy = (rr as f64 - r as f64) * cell;
+                        let dx = (cc as f64 - c as f64) * cell;
+                        let w = (-(dx * dx + dy * dy) * inv_two_sigma_sq).exp();
+                        if w >= SPARSE_KERNEL_TRUNCATION {
+                            col_idx.push(rr * cols + cc);
+                            values.push(w);
+                        }
+                    }
+                }
+                row_ptr.push(col_idx.len());
+            }
+        }
+        let m = grid.num_cells();
+        let mut t = SparseMatrix::from_csr(m, m, row_ptr, col_idx, values).unwrap();
+        t.normalize_rows_mut();
+        t
+    }
+
+    #[test]
+    fn patch_build_is_bit_identical_to_per_entry_build() {
+        for (rows, cols, cell) in [(12, 12, 1.0), (7, 19, 1.0), (11, 11, 0.3), (16, 5, 0.3)] {
+            let grid = GridMap::new(rows, cols, cell).unwrap();
+            for sigma in [0.05, 0.3, 0.5, 1.3] {
+                let oracle = per_entry_oracle(&grid, sigma);
+                let chain = gaussian_kernel_chain_sparse(&grid, sigma).unwrap();
+                let built = chain.transition_matrix().as_sparse().unwrap();
+                assert_eq!(built.nnz(), oracle.nnz(), "{rows}x{cols}@{cell} σ={sigma}");
+                for i in 0..grid.num_cells() {
+                    let (bc, bv) = built.row_entries(i);
+                    let (oc, ov) = oracle.row_entries(i);
+                    assert_eq!(bc, oc, "{rows}x{cols}@{cell} σ={sigma} row {i} columns");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(bv), bits(ov), "{rows}x{cols}@{cell} σ={sigma} row {i}");
+                }
+            }
+        }
     }
 
     #[test]
     fn sparse_generator_matches_dense_generator() {
-        let grid = GridMap::new(6, 6, 1.0).unwrap();
-        for sigma in [0.5, 1.0, 2.0] {
+        // σ = 1000 km on 4×4 reaches far past the map: the patch is clamped
+        // to the grid and every row keeps all 16 cells.
+        for (side, sigma) in [(6, 0.5), (6, 1.0), (6, 2.0), (4, 1000.0)] {
+            let grid = GridMap::new(side, side, 1.0).unwrap();
             let dense = gaussian_kernel_chain(&grid, sigma).unwrap();
             let sparse = gaussian_kernel_chain_sparse(&grid, sigma).unwrap();
             let d = dense.transition();
@@ -213,6 +296,9 @@ mod tests {
                         s.get(i, j)
                     );
                 }
+            }
+            if sigma == 1000.0 {
+                assert_eq!(s.as_sparse().unwrap().nnz(), 16 * 16);
             }
         }
     }

@@ -64,7 +64,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | `priste` (this crate) | the facade: [`Pipeline`]/[`PipelineBuilder`], [`PristeError`], the prelude, the CLI |
-//! | [`linalg`] | dense matrices/vectors, Jacobi eigensolver, HMM scaling |
+//! | [`linalg`] | dense matrices/vectors, CSR sparse matrices, HMM scaling |
 //! | [`geo`] | grids, cells, regions, GPS geodesy |
 //! | [`markov`] | mobility models: training, sampling, synthesis |
 //! | [`event`] | event ASTs, `PRESENCE`/`PATTERN`, the event DSL |

@@ -1095,7 +1095,7 @@ mod tests {
 
     #[test]
     fn sparse_mobility_converts_banded_chains_and_serves() {
-        // σ = 0.5 km on a 20×20 grid of 1 km cells: ≤ 81-cell kernel patches
+        // σ = 0.5 km on a 20×20 grid of 1 km cells: ≤ 45 kept cells a row
         // on 400 cells sit below the cutover density, so CSR is kept.
         let grid = GridMap::new(20, 20, 1.0).unwrap();
         let chain = priste_markov::gaussian_kernel_chain_sparse(&grid, 0.5).unwrap();
