@@ -69,7 +69,7 @@ pub struct PlannerConfig {
     /// ε-capacity bisection tolerance.
     pub tolerance: f64,
     /// Worker threads for the per-column oracle fan-out (`std::thread`
-    /// scoped; 1 = sequential).
+    /// scoped; at least 1, and 1 = sequential).
     pub threads: usize,
     /// Budget and tolerances of the underlying Theorem IV.1 checks.
     pub solver: SolverConfig,
@@ -121,6 +121,11 @@ impl PlannerConfig {
         if !(self.tolerance > 0.0 && self.tolerance.is_finite()) {
             return Err(CalibrateError::InvalidConfig {
                 message: format!("tolerance must be positive, got {}", self.tolerance),
+            });
+        }
+        if self.threads == 0 {
+            return Err(CalibrateError::InvalidConfig {
+                message: "threads must be at least 1, got 0".into(),
             });
         }
         Ok(())
@@ -877,6 +882,24 @@ mod tests {
         match plan_greedy(plm(&grid, 2.0), &event, provider, 2, 1.0, &cfg) {
             Err(CalibrateError::InvalidConfig { message }) => {
                 assert!(message.contains("eps_ceiling"), "{message}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn planner_rejects_zero_threads() {
+        let (grid, provider) = world();
+        let event = presence(grid.num_cells());
+        let cfg = PlannerConfig {
+            threads: 0,
+            ..PlannerConfig::default()
+        };
+        // `0` is not "all cores" here: it must be a config error, not a
+        // silent single thread.
+        match plan_greedy(plm(&grid, 2.0), &event, provider, 2, 1.0, &cfg) {
+            Err(CalibrateError::InvalidConfig { message }) => {
+                assert!(message.contains("threads"), "{message}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }

@@ -262,6 +262,10 @@ mod tests {
                 .map(|&c| world.grid.distance_km(first, c).unwrap())
                 .fold(0.0f64, f64::max);
             assert!(max_d > 10.0, "commute should cross the map, max {max_d} km");
+            // Anchored days dwell: many consecutive steps repeat a cell.
+            let dwells = day.windows(2).filter(|w| w[0] == w[1]).count();
+            let dwell_share = dwells as f64 / (day.len() - 1) as f64;
+            assert!(dwell_share > 0.1, "dwell share {dwell_share}");
         }
     }
 

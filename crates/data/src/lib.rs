@@ -10,9 +10,6 @@
 //! * [`geolife`] — a parser for the real GeoLife GPS dataset's `.plt`
 //!   files (Zheng et al.), with grid discretization and Markov training, so
 //!   the actual data can be dropped in by anyone who has it.
-//! * [`stats`] — trajectory statistics (radius of gyration, visit entropy,
-//!   dwell fractions) used to validate that simulated data behaves like
-//!   commuter GPS traces.
 //! * [`geolife_sim`] — the **substitute** used by default here (the 1.7 GB
 //!   dataset is not redistributable with this repository): a commuter
 //!   simulator producing multi-day home↔work trajectories with Gaussian
@@ -27,7 +24,6 @@
 mod error;
 pub mod geolife;
 pub mod geolife_sim;
-pub mod stats;
 pub mod synthetic;
 
 pub use error::DataError;

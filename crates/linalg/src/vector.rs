@@ -198,30 +198,6 @@ impl Vector {
         self.data.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
     }
 
-    /// Index of the largest entry; `None` for empty vectors.
-    pub fn argmax(&self) -> Option<usize> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for (i, &x) in self.data.iter().enumerate().skip(1) {
-            if x > self.data[best] {
-                best = i;
-            }
-        }
-        Some(best)
-    }
-
-    /// Euclidean (L2) norm.
-    pub fn norm2(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// L1 norm (sum of absolute values).
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Normalizes the vector in place so entries sum to 1.
     ///
     /// # Errors
@@ -451,11 +427,7 @@ mod tests {
         assert_eq!(v.max(), Some(3.0));
         assert_eq!(v.min(), Some(-4.0));
         assert_eq!(v.max_abs(), 4.0);
-        assert_eq!(v.argmax(), Some(0));
-        assert_eq!(v.norm1(), 8.0);
-        assert!((v.norm2() - 26.0_f64.sqrt()).abs() < 1e-12);
         assert_eq!(Vector::zeros(0).max(), None);
-        assert_eq!(Vector::zeros(0).argmax(), None);
     }
 
     #[test]

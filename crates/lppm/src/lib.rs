@@ -8,26 +8,19 @@
 //!   quantification engine and the PriSTE framework, including the
 //!   budget-scaling hook that Algorithm 2's exponential decay drives.
 //! * [`PlanarLaplace`] — the α-Planar-Laplace mechanism of
-//!   Geo-indistinguishability (Andrés et al., CCS'13), §IV.C's case study:
-//!   continuous polar-Laplace sampling via the Lambert `W₋₁` function plus a
-//!   grid-discretized emission matrix.
+//!   Geo-indistinguishability (Andrés et al., CCS'13), §IV.C's case study,
+//!   as a grid-discretized emission matrix.
 //! * [`DeltaLocationSet`] — δ-location-set privacy (Xiao & Xiong, CCS'15),
 //!   §IV.D's case study: the emission domain restricted to the smallest cell
 //!   set carrying prior mass ≥ 1−δ, with the Eq. (21) posterior update.
-//! * [`UniformMechanism`] / [`RandomizedResponse`] /
-//!   [`ExponentialMechanism`] — baselines: the α→0 limit that §IV.C's
-//!   convergence argument relies on, the classic discrete ε-DP mechanism,
-//!   and an exactly geo-indistinguishable discrete alternative to the
-//!   truncated Planar Laplace.
-//! * [`lambert`] — a from-scratch Lambert W implementation (both real
-//!   branches), the only special function the continuous sampler needs.
+//! * [`UniformMechanism`] — the baseline: the α→0 limit that §IV.C's
+//!   convergence argument relies on.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod delta_loc;
 mod error;
-pub mod lambert;
 mod mechanism;
 mod planar_laplace;
 mod simple;
@@ -36,7 +29,7 @@ pub use delta_loc::{DeltaLocationSet, PosteriorTracker};
 pub use error::LppmError;
 pub use mechanism::Lppm;
 pub use planar_laplace::PlanarLaplace;
-pub use simple::{ExponentialMechanism, RandomizedResponse, UniformMechanism};
+pub use simple::UniformMechanism;
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, LppmError>;

@@ -1,9 +1,8 @@
-use crate::lambert::planar_laplace_radius_icdf;
 use crate::mechanism::{sample_row, Lppm};
 use crate::{LppmError, Result};
 use priste_geo::{CellId, GridMap};
 use priste_linalg::{Matrix, Vector};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 use std::sync::OnceLock;
 
 /// The α-Planar-Laplace mechanism (α-PLM) of Geo-indistinguishability
@@ -30,10 +29,7 @@ use std::sync::OnceLock;
 /// serving paths never touch it.
 ///
 /// [`Lppm::perturb`] samples from the *discrete emission row*, so releases
-/// and privacy accounting use the identical distribution;
-/// [`PlanarLaplace::sample_continuous`] exposes the textbook continuous
-/// sampler (angle uniform, radius via the Lambert `W₋₁` inverse CDF) for
-/// applications working in the continuous plane.
+/// and privacy accounting use the identical distribution.
 #[derive(Debug)]
 pub struct PlanarLaplace {
     grid: GridMap,
@@ -128,29 +124,6 @@ impl PlanarLaplace {
     /// matrix.
     pub fn inside_mass(&self) -> &[f64] {
         &self.inside_mass
-    }
-
-    /// Draws a continuous planar-Laplace perturbation of the true cell's
-    /// center: returns `(x_km, y_km)` in grid coordinates. The caller may
-    /// re-discretize with [`GridMap::nearest_cell`].
-    ///
-    /// # Errors
-    /// [`LppmError::CellOutOfRange`] for an out-of-domain cell.
-    pub fn sample_continuous<R: Rng + ?Sized>(
-        &self,
-        true_loc: CellId,
-        rng: &mut R,
-    ) -> Result<(f64, f64)> {
-        let (cx, cy) =
-            self.grid
-                .cell_center_km(true_loc)
-                .map_err(|_| LppmError::CellOutOfRange {
-                    cell: true_loc.index(),
-                    num_cells: self.grid.num_cells(),
-                })?;
-        let theta = rng.gen::<f64>() * std::f64::consts::TAU;
-        let r = planar_laplace_radius_icdf(self.alpha, rng.gen::<f64>());
-        Ok((cx + r * theta.cos(), cy + r * theta.sin()))
     }
 
     /// Row `i` of the emission matrix, in output-cell order, without
@@ -511,48 +484,5 @@ mod tests {
         assert_eq!(halved.num_cells(), 25);
         halved.emission_matrix().validate_stochastic().unwrap();
         assert!(halved.with_budget(0.0).is_err());
-    }
-
-    #[test]
-    fn continuous_sampler_centers_on_true_location() {
-        let plm = PlanarLaplace::new(grid5(), 2.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let (cx, cy) = plm.grid().cell_center_km(CellId(12)).unwrap();
-        let n = 20_000;
-        let (mut sx, mut sy) = (0.0, 0.0);
-        for _ in 0..n {
-            let (x, y) = plm.sample_continuous(CellId(12), &mut rng).unwrap();
-            sx += x;
-            sy += y;
-        }
-        // Noise is symmetric: the sample mean converges to the center.
-        assert!((sx / n as f64 - cx).abs() < 0.05);
-        assert!((sy / n as f64 - cy).abs() < 0.05);
-    }
-
-    #[test]
-    fn continuous_radius_has_expected_mean() {
-        // Polar Laplace radius has mean 2/α.
-        let plm = PlanarLaplace::new(grid5(), 0.5).unwrap();
-        let mut rng = StdRng::seed_from_u64(6);
-        let (cx, cy) = plm.grid().cell_center_km(CellId(12)).unwrap();
-        let n = 30_000;
-        let mut sum_r = 0.0;
-        for _ in 0..n {
-            let (x, y) = plm.sample_continuous(CellId(12), &mut rng).unwrap();
-            sum_r += ((x - cx).powi(2) + (y - cy).powi(2)).sqrt();
-        }
-        let mean = sum_r / n as f64;
-        assert!((mean - 4.0).abs() < 0.1, "mean radius {mean}, expected 4.0");
-    }
-
-    #[test]
-    fn continuous_sampler_rejects_bad_cell() {
-        let plm = PlanarLaplace::new(grid5(), 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(matches!(
-            plm.sample_continuous(CellId(25), &mut rng),
-            Err(LppmError::CellOutOfRange { .. })
-        ));
     }
 }

@@ -479,26 +479,10 @@ impl Registry {
     /// always-on `ServiceStats` counters surface in an exported snapshot
     /// without losing their pre-attach values.
     pub fn adopt_counter(&self, name: &str, counter: &Counter) {
-        self.adopt(name, Instrument::Counter(counter.clone()));
-    }
-
-    /// Registers an existing gauge under `name` (see
-    /// [`Registry::adopt_counter`]).
-    pub fn adopt_gauge(&self, name: &str, gauge: &Gauge) {
-        self.adopt(name, Instrument::Gauge(gauge.clone()));
-    }
-
-    /// Registers an existing histogram under `name` (see
-    /// [`Registry::adopt_counter`]).
-    pub fn adopt_histogram(&self, name: &str, histogram: &Histogram) {
-        self.adopt(name, Instrument::Histogram(histogram.clone()));
-    }
-
-    fn adopt(&self, name: &str, instrument: Instrument) {
         self.shard(name)
             .write()
             .expect("registry shard poisoned")
-            .insert(name.to_owned(), instrument);
+            .insert(name.to_owned(), Instrument::Counter(counter.clone()));
     }
 
     /// A sorted snapshot of every registered instrument.
@@ -533,11 +517,6 @@ impl Registry {
     /// [`Span`]: crate::Span
     pub fn set_sink(&self, sink: Arc<dyn crate::EventSink>) {
         *self.inner.sink.write().expect("sink lock poisoned") = Some(sink);
-    }
-
-    /// Removes the event sink.
-    pub fn clear_sink(&self) {
-        *self.inner.sink.write().expect("sink lock poisoned") = None;
     }
 
     pub(crate) fn sink(&self) -> Option<Arc<dyn crate::EventSink>> {

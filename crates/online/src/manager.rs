@@ -76,7 +76,9 @@ where
     J: Send,
     T: Send,
 {
-    let threads = resolve_threads(threads);
+    // Never more buckets than jobs: the caller's count only caps the
+    // workers, so a huge request must not size the bucket list.
+    let threads = resolve_threads(threads).min(jobs.len());
     let mut buckets: Vec<Vec<(usize, J)>> = (0..threads).map(|_| Vec::new()).collect();
     for (k, job) in jobs.into_iter().enumerate() {
         buckets[k % threads].push(job);
@@ -88,7 +90,6 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = buckets
             .into_iter()
-            .filter(|bucket| !bucket.is_empty())
             .map(|bucket| {
                 let fallback_shard = bucket[0].0;
                 let handle = scope.spawn(move || {
@@ -2020,6 +2021,48 @@ mod tests {
         assert_eq!(items, vec![0, 2]);
         assert_eq!(stats.observations, 2, "surviving shards' deltas absorbed");
         assert_eq!(failure, Some(OnlineError::ShardPanicked { shard: 1 }));
+    }
+
+    #[test]
+    fn huge_thread_counts_match_one_thread() {
+        // A thread count far above the shard count (the CLI passes
+        // `--threads` through) caps the workers at one per non-empty shard.
+        let fleet = || {
+            let grid = GridMap::new(3, 3, 1.0).unwrap();
+            let chain = Arc::new(Homogeneous::new(gaussian_kernel_chain(&grid, 1.0).unwrap()));
+            let config = OnlineConfig {
+                num_shards: 3,
+                ..OnlineConfig::default()
+            };
+            let mut svc = SessionManager::new(chain, config).unwrap();
+            let region = priste_geo::Region::from_one_based_range(9, 1, 3).unwrap();
+            let event = priste_event::Presence::new(region, 1, 3).unwrap().into();
+            let tpl = svc.register_template(event).unwrap();
+            for u in 0..7 {
+                svc.add_user(UserId(u), Vector::uniform(9)).unwrap();
+                svc.attach_event(UserId(u), tpl).unwrap();
+            }
+            let plm = PlanarLaplace::new(grid, 3.0).unwrap();
+            svc.enable_enforcement(Box::new(plm), GuardConfig::default())
+                .unwrap();
+            svc
+        };
+        let column = |u: u64| {
+            let mut col = Vector::filled(9, 0.1);
+            col[(u % 9) as usize] = 0.5;
+            col
+        };
+        let ingest: Vec<(UserId, Vector)> = (0..7).map(|u| (UserId(u), column(u))).collect();
+        let release: Vec<(UserId, CellId)> = (0..7)
+            .map(|u| (UserId(u), CellId((u % 9) as usize)))
+            .collect();
+        let run = |threads: usize| {
+            let mut svc = fleet();
+            let reports = svc.ingest_batch_parallel(&ingest, threads).unwrap();
+            let releases = svc.release_batch(&release, 11, threads).unwrap();
+            (reports, releases, svc.stats())
+        };
+        assert_eq!(run(usize::MAX), run(1));
     }
 
     #[test]

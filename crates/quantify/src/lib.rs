@@ -29,7 +29,6 @@
 //!   reports §III's realized privacy loss for a *known* initial
 //!   probability, and the posterior and odds lift of an exact Bayesian
 //!   adversary — the lift Definition II.4 bounds by `e^ε`.
-//! * [`forward_backward`] — the classic HMM smoother (Eqs. (10)–(12)).
 //! * [`naive`] — Appendix B exponential baselines (general Boolean events
 //!   via [`priste_event::EventExpr`], plus Algorithm 4's PATTERN-specific
 //!   enumeration).
@@ -41,7 +40,6 @@
 
 mod engine;
 mod error;
-pub mod forward_backward;
 mod incremental;
 pub mod lifted;
 pub mod naive;

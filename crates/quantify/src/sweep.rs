@@ -21,7 +21,7 @@
 //!   (the repo builds with vendored deps only, so no rayon — scoped
 //!   threads are the whole machinery).
 
-use crate::{Result, TheoremInputs};
+use crate::TheoremInputs;
 use priste_qp::{SolverConfig, TheoremChecker};
 
 /// Relative half-width of the initial warm-start window around a hint;
@@ -238,49 +238,6 @@ pub fn min_certifiable_epsilons(
     out
 }
 
-/// Sweeps a whole release sequence: the per-timestep minimal certifiable ε
-/// for a fixed (uncalibrated) mechanism — the curve that tells a user where
-/// in time their event is most exposed. Warm-starts each timestep from the
-/// previous answer.
-///
-/// `emission_columns[i]` is the column released at timestep `i+1`; the
-/// builder is advanced with the same columns.
-///
-/// # Errors
-/// Propagates quantification errors from the builder.
-pub fn epsilon_capacity_curve<P: priste_markov::TransitionProvider>(
-    builder: &mut crate::TheoremBuilder<P>,
-    emission_columns: &[priste_linalg::Vector],
-    eps_max: f64,
-    solver: &SolverConfig,
-) -> Result<Vec<EpsilonCapacity>> {
-    epsilon_capacity_curve_threaded(builder, emission_columns, eps_max, solver, 1)
-}
-
-/// [`epsilon_capacity_curve`] with a `threads` knob: the per-timestep
-/// [`TheoremInputs`] are collected sequentially (the builder's recurrence
-/// is inherently ordered and cheap next to the bisections), then the
-/// bisections fan out via [`min_certifiable_epsilons`].
-///
-/// # Errors
-/// Propagates quantification errors from the builder.
-pub fn epsilon_capacity_curve_threaded<P: priste_markov::TransitionProvider>(
-    builder: &mut crate::TheoremBuilder<P>,
-    emission_columns: &[priste_linalg::Vector],
-    eps_max: f64,
-    solver: &SolverConfig,
-    threads: usize,
-) -> Result<Vec<EpsilonCapacity>> {
-    let mut inputs = Vec::with_capacity(emission_columns.len());
-    for col in emission_columns {
-        inputs.push(builder.candidate(col)?);
-        builder.commit(col.clone())?;
-    }
-    Ok(min_certifiable_epsilons(
-        &inputs, 1e-4, eps_max, 1e-3, solver, threads, None,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,21 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_curve_tracks_the_event_window() {
-        let (ev, chain) = setup();
-        let mut builder = TheoremBuilder::new(&ev, chain).unwrap();
-        // Moderately informative columns at every step.
-        let col = Vector::from(vec![0.5, 0.3, 0.2]);
-        let cols = vec![col.clone(), col.clone(), col.clone(), col];
-        let curve =
-            epsilon_capacity_curve(&mut builder, &cols, 8.0, &SolverConfig::default()).unwrap();
-        assert_eq!(curve.len(), 4);
-        for c in &curve {
-            assert!(c.min_epsilon.is_some());
-        }
-    }
-
-    #[test]
     fn threaded_curve_matches_sequential() {
         let (ev, chain) = setup();
         let cols: Vec<Vector> = [
@@ -422,20 +364,28 @@ mod tests {
         .into_iter()
         .map(Vector::from)
         .collect();
+        // The per-timestep curve of one release sequence, as the planner
+        // collects it: candidate, then commit, at every step.
+        let mut builder = TheoremBuilder::new(&ev, chain).unwrap();
+        let inputs: Vec<TheoremInputs> = cols
+            .iter()
+            .map(|col| {
+                let inp = builder.candidate(col).unwrap();
+                builder.commit(col.clone()).unwrap();
+                inp
+            })
+            .collect();
         let cfg = SolverConfig::default();
-        let mut b1 = TheoremBuilder::new(&ev, chain.clone()).unwrap();
-        let seq = epsilon_capacity_curve_threaded(&mut b1, &cols, 8.0, &cfg, 1).unwrap();
-        let mut b2 = TheoremBuilder::new(&ev, chain).unwrap();
-        let par = epsilon_capacity_curve_threaded(&mut b2, &cols, 8.0, &cfg, 3).unwrap();
-        assert_eq!(seq.len(), par.len());
+        let seq = min_certifiable_epsilons(&inputs, 1e-4, 8.0, 1e-3, &cfg, 1, None);
+        let par = min_certifiable_epsilons(&inputs, 1e-4, 8.0, 1e-3, &cfg, 3, None);
+        assert_eq!((seq.len(), par.len()), (5, 5));
         for (s, p) in seq.iter().zip(&par) {
-            match (s.min_epsilon, p.min_epsilon) {
-                (Some(a), Some(b)) => assert!(
-                    (a - b).abs() <= 2e-3,
-                    "sequential {a} vs threaded {b} beyond tolerance"
-                ),
-                (a, b) => assert_eq!(a, b),
-            }
+            // Moderately informative columns stay certifiable at every step.
+            let (a, b) = (s.min_epsilon.unwrap(), p.min_epsilon.unwrap());
+            assert!(
+                (a - b).abs() <= 2e-3,
+                "sequential {a} vs threaded {b} beyond tolerance"
+            );
         }
     }
 

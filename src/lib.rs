@@ -68,7 +68,7 @@
 //! | [`geo`] | grids, cells, regions, GPS geodesy |
 //! | [`markov`] | mobility models: training, sampling, synthesis |
 //! | [`event`] | event ASTs, `PRESENCE`/`PATTERN`, the event DSL |
-//! | [`lppm`] | Planar Laplace, δ-location-set, baselines, Lambert W |
+//! | [`lppm`] | Planar Laplace, δ-location-set, the uniform baseline |
 //! | [`quantify`] | two-possible-world engine (Lemmas III.1–III.3) |
 //! | [`qp`] | Theorem IV.1 constraint checking (CPLEX substitute) |
 //! | [`calibrate`] | budget planners + the calibration guard (ε-event-privacy enforcement) |
@@ -134,14 +134,11 @@ pub mod prelude {
     pub use priste_core::{
         runner, DeltaLocSource, MechanismSource, PlmSource, Priste, PristeConfig, ReleaseRecord,
     };
-    pub use priste_data::{geolife, geolife_sim, stats, synthetic, World};
+    pub use priste_data::{geolife, geolife_sim, synthetic, World};
     pub use priste_event::{dsl::parse_event, EventExpr, Pattern, Predicate, Presence, StEvent};
     pub use priste_geo::{CellId, GeoBounds, GpsPoint, GridMap, Region};
     pub use priste_linalg::{Matrix, Vector};
-    pub use priste_lppm::{
-        DeltaLocationSet, ExponentialMechanism, Lppm, PlanarLaplace, RandomizedResponse,
-        UniformMechanism,
-    };
+    pub use priste_lppm::{DeltaLocationSet, Lppm, PlanarLaplace, UniformMechanism};
     pub use priste_markov::{
         gaussian_kernel_chain, stationary_distribution, train_mle, Homogeneous, MarkovModel,
         TimeVarying, TransitionProvider,
@@ -153,7 +150,7 @@ pub mod prelude {
     };
     pub use priste_qp::{SolverConfig, TheoremChecker, TheoremVerdict};
     pub use priste_quantify::{
-        forward_backward, naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
+        naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
     };
     pub use priste_serve::{
         DrainHandle, DrainSummary, LoadMode, LoadgenOptions, LoadgenReport, ServeError, Server,

@@ -24,7 +24,7 @@ use priste::prelude::{
     // core
     runner, DeltaLocSource, MechanismSource, PlmSource, Priste, PristeConfig, ReleaseRecord,
     // data
-    geolife, geolife_sim, stats, synthetic, World,
+    geolife, geolife_sim, synthetic, World,
     // event
     parse_event, EventExpr, Pattern, Predicate, Presence, StEvent,
     // geo
@@ -32,8 +32,7 @@ use priste::prelude::{
     // linalg
     Matrix, Vector,
     // lppm
-    DeltaLocationSet, ExponentialMechanism, Lppm, PlanarLaplace, RandomizedResponse,
-    UniformMechanism,
+    DeltaLocationSet, Lppm, PlanarLaplace, UniformMechanism,
     // markov
     gaussian_kernel_chain, stationary_distribution, train_mle, Homogeneous, MarkovModel,
     TimeVarying, TransitionProvider,
@@ -43,7 +42,7 @@ use priste::prelude::{
     // qp
     SolverConfig, TheoremChecker, TheoremVerdict,
     // quantify
-    forward_backward, naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
+    naive, IncrementalTwoWorld, StreamStep, TheoremBuilder, TwoWorldEngine,
 };
 use priste::online::Session;
 use priste::quantify::TheoremInputs;

@@ -1,10 +1,10 @@
 //! Smoke tests for the runnable targets: the `priste_cli` binary and the
 //! `examples/`.
 //!
-//! Compilation of all five examples is already gated by `cargo test` itself
+//! Compilation of all eight examples is already gated by `cargo test` itself
 //! (cargo builds example targets as part of the test profile, and each is
-//! declared in `Cargo.toml`); these tests additionally prove the seeded entry
-//! points *run to completion*.
+//! declared in `Cargo.toml`); these tests additionally prove that four of the
+//! seeded entry points *run to completion* (CI runs all eight).
 
 use std::process::Command;
 
@@ -464,4 +464,28 @@ fn adversary_bound_example_runs_to_completion() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("PriSTE-protected"), "{stdout}");
+}
+
+/// `examples/streaming_service.rs` — 100 users over m = 64 for 12 steps —
+/// is the only example on the `ingest_batch_parallel(.., 0)` path (one
+/// worker per core). It must run to completion and account for every
+/// observation.
+#[test]
+fn streaming_service_example_runs_to_completion() {
+    let out = Command::new(env!("CARGO"))
+        .args(["run", "--quiet", "--example", "streaming_service"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("spawn cargo run --example streaming_service");
+    assert!(
+        out.status.success(),
+        "streaming_service failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("100 users × 12 steps → 1200 observations"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("OK"), "{stdout}");
 }
