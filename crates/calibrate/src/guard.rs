@@ -13,9 +13,9 @@
 //! exponential decay of the paper's Algorithm 2, with the per-timestep
 //! budget semantics of δ-location-set privacy under temporal correlations
 //! (arXiv:1410.5919) — and a fresh candidate is drawn from the weaker
-//! mechanism. When even the floor budget cannot certify, the configurable
-//! [`OnExhaustion`] policy decides between suppressing the release and
-//! shipping the floor candidate uncertified.
+//! mechanism. When even the floor budget cannot certify, the release is
+//! withheld: the guard never ships a candidate it could not certify (the
+//! journal version's suppression, arXiv:1907.10814).
 //!
 //! A suppressed timestamp commits the **flat** emission column: every
 //! state emits "nothing" with the same likelihood, so both possible worlds
@@ -51,21 +51,8 @@ use rand::RngCore;
 /// Safety cap on a ladder's rungs, hence on backoff attempts per release.
 /// A ladder that would exceed it (backoff very close to 1) jumps straight
 /// to the floor for its final rung, so the floor is still always evaluated
-/// before the exhaustion policy fires.
+/// before the release is suppressed.
 const MAX_ATTEMPTS: usize = 200;
-
-/// What the guard does when even the floor budget cannot certify.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnExhaustion {
-    /// Withhold the release and commit the flat (uninformative) column —
-    /// the adversary learns only that time passed. **Default.**
-    #[default]
-    Suppress,
-    /// Release the floor-budget candidate anyway and record it as
-    /// uncertified — for deployments where availability outranks the
-    /// guarantee; the realized loss may then exceed the target.
-    ReleaseAtFloor,
-}
 
 /// Configuration of the online calibration guard.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,11 +63,9 @@ pub struct GuardConfig {
     /// Geometric budget decay factor in `(0, 1)`; `0.5` is Algorithm 2's
     /// halving.
     pub backoff: f64,
-    /// Smallest location budget the backoff may reach before the
-    /// [`OnExhaustion`] policy fires.
+    /// Smallest location budget the backoff may reach before the release
+    /// is suppressed.
     pub floor: f64,
-    /// Policy when no feasible budget remains.
-    pub on_exhaustion: OnExhaustion,
 }
 
 impl Default for GuardConfig {
@@ -89,7 +74,6 @@ impl Default for GuardConfig {
             target_epsilon: 1.0,
             backoff: 0.5,
             floor: 1e-3,
-            on_exhaustion: OnExhaustion::Suppress,
         }
     }
 }
@@ -229,33 +213,21 @@ pub struct Attempt {
     pub certified: bool,
 }
 
-/// The guard's verdict for one timestamp.
+/// The guard's verdict for one timestamp. Either way the committed prefix
+/// certifies the target: a release is the first candidate that did, and a
+/// suppression preserves the previous (certified) loss.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Decision {
-    /// A candidate was released.
+    /// A certified candidate was released.
     Released {
         /// The released observation.
         observed: CellId,
         /// The budget it was drawn at.
         budget: f64,
-        /// Whether the release certifies the target (`false` only under
-        /// [`OnExhaustion::ReleaseAtFloor`]).
-        certified: bool,
     },
-    /// The release was withheld ([`OnExhaustion::Suppress`]); the flat
-    /// column was committed instead.
+    /// Every rung failed, so the release was withheld; the flat column was
+    /// committed instead.
     Suppressed,
-}
-
-impl Decision {
-    /// Whether this timestamp's committed prefix certifies the target
-    /// (suppression preserves the previous — certified — loss).
-    pub fn certified(&self) -> bool {
-        match self {
-            Decision::Released { certified, .. } => *certified,
-            Decision::Suppressed => true,
-        }
-    }
 }
 
 /// Outcome of one guard pass, decoupled from any particular world store so
@@ -273,9 +245,9 @@ pub struct GuardOutcome {
 }
 
 /// Observability handles for one guard instance — the privacy-vs-utility
-/// signals an operator watches: releases vs suppressions vs floor
-/// releases, the per-release location budget actually spent, and how deep
-/// the backoff ladder had to walk.
+/// signals an operator watches: releases vs suppressions, the per-release
+/// location budget actually spent, and how deep the backoff ladder had to
+/// walk.
 ///
 /// All handles are cheap clonable atomics (`priste-obs`), so recording is
 /// safe from the parallel batched release path. The
@@ -288,9 +260,6 @@ pub struct GuardInstruments {
     /// Withheld releases — flat column committed
     /// (`guard_suppressions_total`).
     pub suppressions: Counter,
-    /// Uncertified floor-budget releases under
-    /// [`OnExhaustion::ReleaseAtFloor`] (`guard_floor_releases_total`).
-    pub floor_releases: Counter,
     /// Location budget of each released candidate — the per-release ε
     /// spend (`guard_epsilon_spent`).
     pub epsilon_spent: Histogram,
@@ -304,7 +273,6 @@ impl GuardInstruments {
         GuardInstruments {
             releases: Counter::disabled(),
             suppressions: Counter::disabled(),
-            floor_releases: Counter::disabled(),
             epsilon_spent: Histogram::disabled(),
             backoff_depth: Histogram::disabled(),
         }
@@ -315,7 +283,6 @@ impl GuardInstruments {
         GuardInstruments {
             releases: registry.counter("guard_releases_total"),
             suppressions: registry.counter("guard_suppressions_total"),
-            floor_releases: registry.counter("guard_floor_releases_total"),
             epsilon_spent: registry.histogram("guard_epsilon_spent"),
             backoff_depth: registry.histogram("guard_backoff_depth"),
         }
@@ -324,20 +291,8 @@ impl GuardInstruments {
     /// Records one guard verdict.
     pub fn record(&self, outcome: &GuardOutcome) {
         match &outcome.decision {
-            Decision::Released {
-                budget,
-                certified: true,
-                ..
-            } => {
+            Decision::Released { budget, .. } => {
                 self.releases.inc();
-                self.epsilon_spent.observe(*budget);
-            }
-            Decision::Released {
-                budget,
-                certified: false,
-                ..
-            } => {
-                self.floor_releases.inc();
                 self.epsilon_spent.observe(*budget);
             }
             Decision::Suppressed => self.suppressions.inc(),
@@ -364,8 +319,8 @@ pub fn suppression_column(m: usize) -> Vector {
 /// emission column against the caller's protected events and returns the
 /// worst *cumulative* realized loss were it committed (`peek`, not
 /// `observe` — nothing is mutated until the caller commits
-/// [`GuardOutcome::column`]). When the floor rung fails too, the ladder's
-/// [`OnExhaustion`] policy decides.
+/// [`GuardOutcome::column`]). When the floor rung fails too, the release is
+/// suppressed and the flat [`suppression_column`] is committed instead.
 ///
 /// # Errors
 /// Whatever `worst_loss` raises.
@@ -378,15 +333,13 @@ pub fn run_guard<F>(
 where
     F: FnMut(&Vector) -> Result<f64>,
 {
-    let config = &ladder.config;
     let mut attempts = Vec::new();
-    let mut last = None;
     for mechanism in &ladder.rungs {
         let budget = mechanism.budget();
         let observed = mechanism.perturb(true_loc, rng);
         let column = mechanism.emission_column(observed);
         let loss = worst_loss(&column)?;
-        let certified = loss <= config.target_epsilon;
+        let certified = loss <= ladder.config.target_epsilon;
         attempts.push(Attempt {
             budget,
             observed,
@@ -395,35 +348,16 @@ where
         });
         if certified {
             return Ok(GuardOutcome {
-                decision: Decision::Released {
-                    observed,
-                    budget,
-                    certified: true,
-                },
+                decision: Decision::Released { observed, budget },
                 attempts,
                 column,
             });
         }
-        last = Some((observed, budget, column));
     }
-    // Every rung failed, the floor last, so `ReleaseAtFloor` genuinely
-    // ships a floor-budget candidate.
-    let (observed, budget, column) = last.expect("a ladder has at least one rung");
-    Ok(match config.on_exhaustion {
-        OnExhaustion::Suppress => GuardOutcome {
-            decision: Decision::Suppressed,
-            attempts,
-            column: suppression_column(ladder.base().num_cells()),
-        },
-        OnExhaustion::ReleaseAtFloor => GuardOutcome {
-            decision: Decision::Released {
-                observed,
-                budget,
-                certified: false,
-            },
-            attempts,
-            column,
-        },
+    Ok(GuardOutcome {
+        decision: Decision::Suppressed,
+        attempts,
+        column: suppression_column(ladder.base().num_cells()),
     })
 }
 
@@ -448,8 +382,8 @@ pub struct CalibratedRelease {
 /// Each protected event is tracked by an [`IncrementalTwoWorld`], so one
 /// release of `k` events with `a` backoff attempts costs one lifted step
 /// per window (`O(k·m²)`, `O(k·nnz)` on a CSR chain) plus `O(k·m)` per
-/// attempt, and the commit's own step — no horizon replay. What it checks
-/// (under [`OnExhaustion::Suppress`]): at every timestep the committed
+/// attempt, and the commit's own step — no horizon replay. What it checks:
+/// at every timestep the committed
 /// column prefix satisfies `|ln odds-lift| ≤ target_epsilon` for every
 /// protected event under the construction-time `π`, re-checkable offline
 /// with [`TheoremBuilder`](priste_quantify::TheoremBuilder) (the
@@ -572,8 +506,8 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
             loss = loss.max(world.observe(&outcome.column)?.privacy_loss);
         }
         self.t += 1;
-        // One record call covers releases/suppressions/floor releases,
-        // ε spend, and ladder depth; the suppression counter inside is
+        // One record call covers releases/suppressions, ε spend, and
+        // ladder depth; the suppression counter inside is
         // always-on, the rest follow the attached registry.
         self.instruments.record(&outcome);
         Ok(CalibratedRelease {
@@ -645,11 +579,7 @@ mod tests {
         homogeneous_world(3, 1.0)
     }
 
-    fn guarded(
-        alpha: f64,
-        target: f64,
-        on_exhaustion: OnExhaustion,
-    ) -> CalibratedMechanism<Homogeneous> {
+    fn guarded(alpha: f64, target: f64) -> CalibratedMechanism<Homogeneous> {
         let (grid, provider) = world();
         let m = grid.num_cells();
         let lppm = plm(&grid, alpha);
@@ -660,7 +590,6 @@ mod tests {
             Vector::uniform(m),
             GuardConfig {
                 target_epsilon: target,
-                on_exhaustion,
                 ..GuardConfig::default()
             },
         )
@@ -725,11 +654,10 @@ mod tests {
         );
         assert_eq!(b[MAX_ATTEMPTS - 1], slow.floor);
 
-        // An unreachable target walks every rung, then ships the floor
-        // candidate under `ReleaseAtFloor`.
+        // An unreachable target walks every rung, the floor last, then
+        // suppresses.
         let config = GuardConfig {
             target_epsilon: 1e-3,
-            on_exhaustion: OnExhaustion::ReleaseAtFloor,
             ..slow
         };
         let ladder = GuardLadder::new(plm(&grid, 1.0), config).unwrap();
@@ -738,16 +666,10 @@ mod tests {
         let walked: Vec<f64> = outcome.attempts.iter().map(|a| a.budget).collect();
         assert_eq!(walked, budgets(&ladder));
         let last = outcome.attempts.last().unwrap();
-        assert_eq!(
-            outcome.decision,
-            Decision::Released {
-                observed: last.observed,
-                budget: ladder.config().floor,
-                certified: false,
-            }
-        );
-        let floor = ladder.rungs().last().unwrap();
-        assert_eq!(outcome.column, floor.emission_column(last.observed));
+        assert_eq!(last.budget, ladder.config().floor);
+        assert!(!last.certified);
+        assert_eq!(outcome.decision, Decision::Suppressed);
+        assert_eq!(outcome.column, suppression_column(grid.num_cells()));
 
         assert!(matches!(
             GuardLadder::new(
@@ -763,11 +685,13 @@ mod tests {
 
     #[test]
     fn every_committed_step_certifies_under_suppress() {
-        let mut mech = guarded(3.0, 0.6, OnExhaustion::Suppress);
+        let mut mech = guarded(3.0, 0.6);
         let mut rng = StdRng::seed_from_u64(5);
         for loc in [0usize, 0, 1, 4, 8, 2] {
             let rel = mech.release(CellId(loc), &mut rng).unwrap();
-            assert!(rel.decision.certified());
+            if let Decision::Released { .. } = rel.decision {
+                assert!(rel.attempts.last().unwrap().certified);
+            }
             assert!(
                 rel.loss <= 0.6 + 1e-9,
                 "t={}: committed loss {} exceeds target",
@@ -781,7 +705,7 @@ mod tests {
 
     #[test]
     fn tight_targets_trigger_backoff_or_suppression() {
-        let mut mech = guarded(4.0, 0.05, OnExhaustion::Suppress);
+        let mut mech = guarded(4.0, 0.05);
         let mut rng = StdRng::seed_from_u64(9);
         let mut backed_off = 0usize;
         for loc in [0usize, 1, 0, 2] {
@@ -798,44 +722,12 @@ mod tests {
     }
 
     #[test]
-    fn release_at_floor_ships_uncertified_candidates() {
-        let (grid, provider) = world();
-        let m = grid.num_cells();
-        let lppm = plm(&grid, 4.0);
-        let mut mech = CalibratedMechanism::new(
-            lppm,
-            &[presence(m, 3, 1, 3)],
-            provider,
-            Vector::uniform(m),
-            GuardConfig {
-                target_epsilon: 1e-3,
-                floor: 2.0, // only two rungs: 4.0 and 2.0
-                on_exhaustion: OnExhaustion::ReleaseAtFloor,
-                ..GuardConfig::default()
-            },
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let rel = mech.release(CellId(0), &mut rng).unwrap();
-        match rel.decision {
-            Decision::Released {
-                certified, budget, ..
-            } => {
-                assert!(!certified, "a 1e-3 target cannot certify at budget 2");
-                assert_eq!(budget, 2.0);
-            }
-            Decision::Suppressed => panic!("policy was ReleaseAtFloor"),
-        }
-        assert_eq!(mech.suppressed(), 0);
-    }
-
-    #[test]
     fn suppression_commits_the_flat_column_and_preserves_loss() {
         let (grid, provider) = world();
         let m = grid.num_cells();
         let lppm = plm(&grid, 4.0);
         // A floor of 1.0 keeps every rung informative, so a 1e-4 target is
-        // unreachable and the policy must fire.
+        // unreachable and the release must be suppressed.
         let mut mech = CalibratedMechanism::new(
             lppm,
             &[presence(m, 3, 2, 4)],
@@ -844,7 +736,6 @@ mod tests {
             GuardConfig {
                 target_epsilon: 1e-4,
                 floor: 1.0,
-                on_exhaustion: OnExhaustion::Suppress,
                 ..GuardConfig::default()
             },
         )

@@ -20,8 +20,8 @@
 //!   [`Lppm`](priste_lppm::Lppm), peeks every candidate release through
 //!   per-event incremental quantifiers, and shrinks the location budget
 //!   (geometric backoff to a floor) until the release certifies —
-//!   suppressing it (configurable [`OnExhaustion`]) when nothing feasible
-//!   remains. Its rungs are one prebuilt [`GuardLadder`], and
+//!   suppressing it when nothing feasible remains, so no uncertified
+//!   candidate ever ships. Its rungs are one prebuilt [`GuardLadder`], and
 //!   `priste-online` builds its *enforcing mode* on the same [`run_guard`]
 //!   loop over it.
 //!
@@ -66,7 +66,7 @@ pub use error::CalibrateError;
 pub use guard::{
     peek_worst_loss, run_guard, suppression_column, validate_mechanism, Attempt,
     CalibratedMechanism, CalibratedRelease, Decision, GuardConfig, GuardInstruments, GuardLadder,
-    GuardOutcome, OnExhaustion,
+    GuardOutcome,
 };
 pub use plan::{
     plan_greedy, plan_knapsack, plan_knapsack_with_probes, plan_uniform_split, BudgetPlan,

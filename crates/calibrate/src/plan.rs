@@ -53,7 +53,21 @@ use std::fmt;
 /// explode the item count. The final rung is always the floor.
 const MAX_LADDER_RUNGS: usize = 64;
 
-/// Tunables of the offline planners.
+/// Lower end of the per-column ε-capacity bisection bracket.
+const EPS_FLOOR: f64 = 1e-4;
+
+/// Upper end of the ε-capacity bisection bracket (raised to the target
+/// when the target is larger); capacities beyond it are reported as
+/// `None`.
+const EPS_CEILING: f64 = 16.0;
+
+/// ε-capacity bisection tolerance.
+const CAPACITY_TOLERANCE: f64 = 1e-3;
+
+/// Tunables of the offline planners. The ε-capacity bisection that
+/// reports each step's capacity is fixed: bracket `[1e-4, max(16, ε*)]`,
+/// tolerance 1e-3, and every Theorem IV.1 check runs under
+/// [`SolverConfig::default`].
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Geometric ladder factor in `(0, 1)` for the budget search.
@@ -61,18 +75,9 @@ pub struct PlannerConfig {
     /// Smallest per-step location budget before a step is declared
     /// infeasible.
     pub floor: f64,
-    /// Lower end of the ε-capacity bisection bracket.
-    pub eps_floor: f64,
-    /// Upper end of the ε-capacity bisection bracket (raised to the target
-    /// automatically); capacities beyond it are reported as `None`.
-    pub eps_ceiling: f64,
-    /// ε-capacity bisection tolerance.
-    pub tolerance: f64,
     /// Worker threads for the per-column oracle fan-out (`std::thread`
     /// scoped; at least 1, and 1 = sequential).
     pub threads: usize,
-    /// Budget and tolerances of the underlying Theorem IV.1 checks.
-    pub solver: SolverConfig,
 }
 
 impl Default for PlannerConfig {
@@ -80,11 +85,7 @@ impl Default for PlannerConfig {
         PlannerConfig {
             backoff: 0.5,
             floor: 1e-3,
-            eps_floor: 1e-4,
-            eps_ceiling: 16.0,
-            tolerance: 1e-3,
             threads: 1,
-            solver: SolverConfig::default(),
         }
     }
 }
@@ -103,24 +104,6 @@ impl PlannerConfig {
         if !(self.floor > 0.0 && self.floor.is_finite()) {
             return Err(CalibrateError::InvalidConfig {
                 message: format!("floor must be positive and finite, got {}", self.floor),
-            });
-        }
-        if !self.eps_ceiling.is_finite() {
-            return Err(CalibrateError::InvalidConfig {
-                message: format!("eps_ceiling must be finite, got {}", self.eps_ceiling),
-            });
-        }
-        if !(self.eps_floor > 0.0 && self.eps_floor < self.eps_ceiling) {
-            return Err(CalibrateError::InvalidConfig {
-                message: format!(
-                    "need 0 < eps_floor < eps_ceiling, got [{}, {}]",
-                    self.eps_floor, self.eps_ceiling
-                ),
-            });
-        }
-        if !(self.tolerance > 0.0 && self.tolerance.is_finite()) {
-            return Err(CalibrateError::InvalidConfig {
-                message: format!("tolerance must be positive, got {}", self.tolerance),
             });
         }
         if self.threads == 0 {
@@ -567,7 +550,7 @@ impl<P: TransitionProvider> Planner<P> {
             lppm,
             builder,
             target,
-            eps_hi: config.eps_ceiling.max(target),
+            eps_hi: EPS_CEILING.max(target),
             config: config.clone(),
             warm_capacity: None,
             steps: Vec::with_capacity(horizon),
@@ -598,14 +581,11 @@ impl<P: TransitionProvider> Planner<P> {
     /// Whether every candidate column certifies the target, fanned out over
     /// the configured worker threads.
     fn all_certify(&self, inputs: &[TheoremInputs]) -> bool {
-        let epsilon = self.target;
-        let solver = &self.config.solver;
+        let checker = &TheoremChecker::new(self.target, SolverConfig::default());
         let check = |chunk: &[TheoremInputs]| {
-            chunk.iter().all(|inp| {
-                TheoremChecker::new(epsilon, solver.clone())
-                    .check(&inp.a, &inp.b, &inp.c)
-                    .satisfied()
-            })
+            chunk
+                .iter()
+                .all(|inp| checker.check(&inp.a, &inp.b, &inp.c).satisfied())
         };
         let threads = self.config.threads.clamp(1, inputs.len().max(1));
         if threads == 1 {
@@ -695,14 +675,13 @@ impl<P: TransitionProvider> Planner<P> {
         columns: &[Vector],
         inputs: &[TheoremInputs],
     ) -> Result<()> {
-        let cfg = &self.config;
         let capacities = min_certifiable_epsilons(
             inputs,
-            cfg.eps_floor,
+            EPS_FLOOR,
             self.eps_hi,
-            cfg.tolerance,
-            &cfg.solver,
-            cfg.threads,
+            CAPACITY_TOLERANCE,
+            &SolverConfig::default(),
+            self.config.threads,
             self.warm_capacity,
         );
         // Step capacity: the worst per-column capacity; off-scale columns
@@ -773,7 +752,7 @@ mod tests {
         assert!(greedy.all_certified(), "greedy plan: {greedy:?}");
         let certified = greedy.certified_epsilon().unwrap();
         assert!(
-            certified <= 1.0 + cfg.tolerance,
+            certified <= 1.0 + CAPACITY_TOLERANCE,
             "certified ε {certified} must not exceed the target"
         );
         let uniform = plan_uniform_split(plm(&grid, 2.0), &event, provider, 4, 1.0, &cfg).unwrap();
@@ -870,24 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn planner_rejects_an_infinite_eps_ceiling() {
-        let (grid, provider) = world();
-        let event = presence(grid.num_cells());
-        let cfg = PlannerConfig {
-            eps_ceiling: f64::INFINITY,
-            ..PlannerConfig::default()
-        };
-        // The ceiling bounds the capacity bisection, whose checker needs a
-        // finite ε: an infinite one must be a config error, not a panic.
-        match plan_greedy(plm(&grid, 2.0), &event, provider, 2, 1.0, &cfg) {
-            Err(CalibrateError::InvalidConfig { message }) => {
-                assert!(message.contains("eps_ceiling"), "{message}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn planner_rejects_zero_threads() {
         let (grid, provider) = world();
         let event = presence(grid.num_cells());
@@ -926,7 +887,10 @@ mod tests {
         );
         if knap.all_certified() {
             let certified = knap.certified_epsilon().unwrap();
-            assert!(certified <= 1.0 + cfg.tolerance, "certified ε {certified}");
+            assert!(
+                certified <= 1.0 + CAPACITY_TOLERANCE,
+                "certified ε {certified}"
+            );
         }
     }
 

@@ -2,7 +2,7 @@
 //! guarantees against the *offline* machinery:
 //!
 //! 1. **Re-certification** — every prefix a [`CalibratedMechanism`] commits
-//!    (under the default `Suppress` policy) must re-certify at the target
+//!    (it suppresses what it cannot certify) must re-certify at the target
 //!    ε* when replayed through the offline [`TheoremBuilder`] — the
 //!    any-horizon ground truth the incremental peeks are supposed to
 //!    shortcut.
@@ -17,7 +17,6 @@
 
 use priste_calibrate::{
     peek_worst_loss, run_guard, CalibratedMechanism, Decision, GuardConfig, GuardLadder,
-    OnExhaustion,
 };
 use priste_core::test_support::homogeneous_world;
 use priste_event::{Presence, StEvent};
@@ -137,7 +136,6 @@ proptest! {
             GuardConfig {
                 target_epsilon: s.target,
                 floor: s.floor,
-                on_exhaustion: OnExhaustion::Suppress,
                 ..GuardConfig::default()
             },
         )
@@ -150,9 +148,18 @@ proptest! {
         let mut committed = Vec::new();
         for &loc in &s.trajectory {
             let release = guard.release(CellId(loc), &mut rng).unwrap();
-            prop_assert!(release.decision.certified(), "Suppress policy never ships uncertified");
             let column = match &release.decision {
-                Decision::Released { observed, budget, .. } => {
+                Decision::Released { observed, budget } => {
+                    // The guard ships only the candidate its last attempt
+                    // certified.
+                    let last = release.attempts.last().unwrap();
+                    prop_assert!(last.certified, "released an uncertified candidate");
+                    prop_assert!(
+                        last.worst_loss <= s.target,
+                        "released at loss {} above target {}",
+                        last.worst_loss,
+                        s.target
+                    );
                     col_at(&reference, s.alpha, *budget, *observed)
                 }
                 Decision::Suppressed => Vector::filled(M, 1.0 / M as f64),
@@ -195,7 +202,6 @@ proptest! {
             GuardConfig {
                 target_epsilon: s.target,
                 floor: s.floor,
-                on_exhaustion: OnExhaustion::Suppress,
                 ..GuardConfig::default()
             },
         )
@@ -228,7 +234,7 @@ proptest! {
             }
             // Advance the offline mirror with what was actually committed.
             let column = match &release.decision {
-                Decision::Released { observed, budget, .. } => {
+                Decision::Released { observed, budget } => {
                     col_at(&reference, s.alpha, *budget, *observed)
                 }
                 Decision::Suppressed => Vector::filled(M, 1.0 / M as f64),
@@ -252,7 +258,6 @@ proptest! {
         let config = GuardConfig {
             target_epsilon: s.target,
             floor: s.floor,
-            on_exhaustion: OnExhaustion::Suppress,
             ..GuardConfig::default()
         };
         let plm = || -> Box<dyn Lppm> { Box::new(PlanarLaplace::new(grid.clone(), s.alpha).unwrap()) };

@@ -36,7 +36,7 @@ use priste_event::StEvent;
 use priste_geo::{CellId, GridMap};
 use priste_linalg::Vector;
 use priste_markov::{Homogeneous, MarkovModel};
-use priste_qp::TheoremChecker;
+use priste_qp::{SolverConfig, TheoremChecker};
 use priste_quantify::TheoremBuilder;
 use proptest::prelude::*;
 
@@ -79,12 +79,12 @@ fn world_of(s: &Scenario) -> (GridMap, Homogeneous) {
 /// columns at ε* and commits the most-revealing column — exactly the
 /// planner's own evaluation, reproduced from scratch through the public
 /// offline APIs.
-fn replay(plan: &BudgetPlan, s: &Scenario, chain: MarkovModel, cfg: &PlannerConfig) {
+fn replay(plan: &BudgetPlan, s: &Scenario, chain: MarkovModel) {
     let grid = GridMap::new(s.side, s.side, 1.0).unwrap();
     let reference = plm(&grid, s.alpha);
     let m = grid.num_cells();
     let mut builder = TheoremBuilder::new(&s.event, Homogeneous::new(chain)).unwrap();
-    let checker = TheoremChecker::new(s.target, cfg.solver.clone());
+    let checker = TheoremChecker::new(s.target, SolverConfig::default());
     let uniform_pi = Vector::uniform(m);
     for step in &plan.steps {
         let mech = reference.with_budget(step.budget).unwrap();
@@ -168,7 +168,7 @@ proptest! {
             }
 
             // (a) Offline re-certification along the canonical history.
-            replay(plan, &s, chain.clone(), &cfg);
+            replay(plan, &s, chain.clone());
         }
 
         // (c) Utility ordering under the knapsack's own model.

@@ -2,26 +2,18 @@ use crate::{CoreError, Result};
 use priste_qp::SolverConfig;
 
 /// Configuration of the PriSTE framework.
+///
+/// Algorithm 2's budget ladder is fixed, not configured: each failed check
+/// halves the budget (`DECAY` = ½, line 19), and once the halved budget
+/// falls below `BUDGET_FLOOR` = 1e-4, or after `MAX_ATTEMPTS` = 40
+/// candidates, the timestamp is released through the *uniform* mechanism
+/// (the paper's α → 0 limit, which satisfies Eqs. (15)/(16) for every π).
+/// Each Theorem IV.1 check runs under [`SolverConfig::default`]'s work
+/// budget.
 #[derive(Debug, Clone)]
 pub struct PristeConfig {
     /// The ε of ε-spatiotemporal event privacy (Definition II.4).
     pub epsilon: f64,
-    /// QP work budget (coordinate pairs) per Theorem IV.1 check — the
-    /// deterministic analogue of the paper's CPLEX wall-clock threshold,
-    /// which `qp_deadline` mirrors directly. Defaults to
-    /// `SolverConfig::default().work_budget`.
-    pub qp_work_budget: u64,
-    /// Budget decay factor applied on each failed check (Algorithm 2
-    /// line 19 uses ½; §IV.C discusses the efficiency/utility trade-off of
-    /// other values).
-    pub decay: f64,
-    /// Budget floor: once the decayed budget falls below this, the
-    /// framework releases through the *uniform* mechanism (the paper's
-    /// α = 0 limit, which always satisfies Eqs. (15)/(16)).
-    pub budget_floor: f64,
-    /// Maximum calibration attempts per timestamp before forcing the
-    /// uniform fallback — a safety net against pathological inputs.
-    pub max_attempts: u32,
     /// Optional wall-clock deadline per QP check (Table III's threshold).
     pub qp_deadline: Option<std::time::Duration>,
 }
@@ -30,10 +22,6 @@ impl Default for PristeConfig {
     fn default() -> Self {
         PristeConfig {
             epsilon: 1.0,
-            qp_work_budget: SolverConfig::default().work_budget,
-            decay: 0.5,
-            budget_floor: 1e-4,
-            max_attempts: 40,
             qp_deadline: None,
         }
     }
@@ -58,31 +46,12 @@ impl PristeConfig {
                 message: format!("epsilon must be positive, got {}", self.epsilon),
             });
         }
-        if !(self.decay.is_finite() && self.decay > 0.0 && self.decay < 1.0) {
-            return Err(CoreError::InvalidConfig {
-                message: format!("decay must lie in (0,1), got {}", self.decay),
-            });
-        }
-        if !(self.budget_floor.is_finite() && self.budget_floor >= 0.0) {
-            return Err(CoreError::InvalidConfig {
-                message: format!(
-                    "budget floor must be non-negative, got {}",
-                    self.budget_floor
-                ),
-            });
-        }
-        if self.max_attempts == 0 {
-            return Err(CoreError::InvalidConfig {
-                message: "max_attempts must be at least 1".into(),
-            });
-        }
         Ok(())
     }
 
     /// The solver configuration for one constraint check.
     pub fn solver_config(&self) -> SolverConfig {
         SolverConfig {
-            work_budget: self.qp_work_budget,
             deadline: self.qp_deadline,
             ..SolverConfig::default()
         }
@@ -105,29 +74,16 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
-        let c = PristeConfig {
-            decay: 1.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = PristeConfig {
-            budget_floor: f64::NAN,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = PristeConfig {
-            max_attempts: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]
     fn solver_config_inherits_fields() {
         let c = PristeConfig {
-            qp_work_budget: 123,
+            qp_deadline: Some(std::time::Duration::from_millis(3)),
             ..Default::default()
         };
-        assert_eq!(c.solver_config().work_budget, 123);
+        let solver = c.solver_config();
+        assert_eq!(solver.deadline, c.qp_deadline);
+        assert_eq!(solver.work_budget, SolverConfig::default().work_budget);
     }
 }

@@ -9,6 +9,19 @@ use priste_quantify::TheoremBuilder;
 use rand::RngCore;
 use std::sync::Arc;
 
+/// Budget decay factor applied after each failed check: Algorithm 2
+/// line 19 halves the budget.
+const DECAY: f64 = 0.5;
+
+/// Once the decayed budget falls below this, the timestamp is released
+/// through the uniform mechanism (the paper's α → 0 limit).
+const BUDGET_FLOOR: f64 = 1e-4;
+
+/// Candidates per timestamp before the uniform fallback is forced — a
+/// safety net for base budgets so large that halving would not reach
+/// [`BUDGET_FLOOR`] first.
+const MAX_ATTEMPTS: u32 = 40;
+
 /// Outcome of one released timestamp.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReleaseRecord {
@@ -164,8 +177,8 @@ where
             }
 
             // Line 19: decay the budget and retry.
-            let next_budget = budget * self.config.decay;
-            if next_budget < self.config.budget_floor || attempts >= self.config.max_attempts {
+            let next_budget = budget * DECAY;
+            if next_budget < BUDGET_FLOOR || attempts >= MAX_ATTEMPTS {
                 // The paper's α→0 limit: the uniform mechanism carries no
                 // information about the true location, so both Theorem IV.1
                 // inequalities hold for every π (§IV.C). Release through it
@@ -276,14 +289,14 @@ mod tests {
             .model()
             .sample_trajectory(CellId(0), 8, &mut rng)
             .unwrap();
-        let mut source_for_columns = PlmSource::new(grid.clone(), 0.5).unwrap();
+        let reference = priste_lppm::PlanarLaplace::new(grid.clone(), 0.5).unwrap();
         for &loc in &traj {
             let rec = priste.release(loc, &mut rng).unwrap();
             // Reconstruct the emission column the framework released under.
-            let mech: Arc<Box<dyn priste_lppm::Lppm>> = if rec.final_budget == 0.0 {
-                Arc::new(Box::new(UniformMechanism::new(9)))
+            let mech: Box<dyn priste_lppm::Lppm> = if rec.final_budget == 0.0 {
+                Box::new(UniformMechanism::new(9))
             } else {
-                source_for_columns.at_budget(rec.final_budget).unwrap()
+                reference.with_budget(rec.final_budget).unwrap()
             };
             let col = mech.emission_column(rec.observed);
             let step = quantifier.observe(&col).unwrap();
@@ -382,14 +395,13 @@ mod tests {
 
     #[test]
     fn uniform_fallback_engages_under_impossible_epsilon() {
-        // ε so small that even heavy decay rarely certifies within the
-        // attempt cap: the fallback must keep the stream flowing with
-        // budget 0 rather than erroring.
+        // ε so small that even the bottom of the halving ladder rarely
+        // certifies: the fallback must keep the stream flowing with budget
+        // 0 rather than erroring.
         let (grid, chain) = small_world();
         let events = vec![presence_event(&grid)];
         let source = PlmSource::new(grid.clone(), 1.0).unwrap();
-        let mut config = PristeConfig::with_epsilon(1e-4);
-        config.max_attempts = 3;
+        let config = PristeConfig::with_epsilon(1e-4);
         let mut priste = Priste::new(&events, chain.clone(), source, grid, config).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let traj = chain

@@ -11,7 +11,6 @@ use priste_geo::{CellId, GridMap};
 use priste_linalg::Vector;
 use priste_lppm::{DeltaLocationSet, Lppm, PlanarLaplace, PosteriorTracker};
 use priste_markov::MarkovModel;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Supplier of the base mechanism at each timestamp, with a hook for
@@ -52,13 +51,11 @@ impl<T: MechanismSource + ?Sized> MechanismSource for Box<T> {
     }
 }
 
-/// Algorithm 2's source: a fixed α-Planar-Laplace mechanism with a cache of
-/// decayed variants (the α, α/2, α/4, … ladder repeats across timestamps
-/// and runs, and each rebuild costs an `O(m²)` discretization).
+/// Algorithm 2's source: a fixed α-Planar-Laplace mechanism. The framework
+/// builds its decayed variants itself through [`Lppm::with_budget`].
 pub struct PlmSource {
     base: Arc<Box<dyn Lppm>>,
     alpha: f64,
-    cache: HashMap<u64, Arc<Box<dyn Lppm>>>,
 }
 
 impl PlmSource {
@@ -79,24 +76,7 @@ impl PlmSource {
         PlmSource {
             base: Arc::new(lppm),
             alpha,
-            cache: HashMap::new(),
         }
-    }
-
-    /// Returns the (cached) variant of the base mechanism at `budget`.
-    ///
-    /// # Errors
-    /// Mechanism rebuild failures.
-    pub fn at_budget(&mut self, budget: f64) -> Result<Arc<Box<dyn Lppm>>> {
-        if budget == self.alpha {
-            return Ok(Arc::clone(&self.base));
-        }
-        if let Some(hit) = self.cache.get(&budget.to_bits()) {
-            return Ok(Arc::clone(hit));
-        }
-        let built = Arc::new(self.base.with_budget(budget)?);
-        self.cache.insert(budget.to_bits(), Arc::clone(&built));
-        Ok(built)
     }
 }
 
@@ -199,19 +179,6 @@ mod tests {
 
     fn grid() -> GridMap {
         GridMap::new(2, 2, 1.0).unwrap()
-    }
-
-    #[test]
-    fn plm_source_caches_decayed_budgets() {
-        let mut src = PlmSource::new(grid(), 0.8).unwrap();
-        assert_eq!(src.base_budget(), 0.8);
-        let a = src.at_budget(0.4).unwrap();
-        let b = src.at_budget(0.4).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "cache must return the same mechanism");
-        assert_eq!(a.budget(), 0.4);
-        // The base budget bypasses the cache.
-        let base = src.at_budget(0.8).unwrap();
-        assert_eq!(base.budget(), 0.8);
     }
 
     #[test]

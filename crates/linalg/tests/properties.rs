@@ -54,23 +54,26 @@ proptest! {
         a.matmul(&b).unwrap().validate_stochastic().unwrap();
     }
 
-    /// Scaled forward steps represent exactly the raw product (while the
-    /// raw value stays representable).
+    /// Forward steps on the carried vector, each followed by
+    /// `renormalize`, represent exactly the raw product (while the raw value
+    /// stays representable). Emissions span nine decades, so the product
+    /// often leaves the renormalization window.
     #[test]
     fn scaled_vector_represents_raw_product(
         m in stochastic(3),
-        e in proptest::collection::vec(0.05f64..1.0, 3),
-        steps in 1usize..12,
+        e in proptest::collection::vec(-9.0f64..0.0, 3),
+        steps in 1usize..20,
     ) {
-        let emission = Vector::from(e);
+        let emission = Vector::from(e.iter().map(|x| 10f64.powf(*x)).collect::<Vec<_>>());
         let mut scaled = ScaledVector::new(Vector::uniform(3));
         let mut raw = Vector::uniform(3);
         for _ in 0..steps {
-            scaled.forward_step(&m, &emission);
+            scaled.vector = m.vecmat(&scaled.vector).hadamard(&emission).unwrap();
+            scaled.renormalize();
             raw = m.vecmat(&raw).hadamard(&emission).unwrap();
         }
         let represented = scaled.vector.scale(scaled.log_scale.exp());
-        prop_assert!(represented.max_abs_diff(&raw) < 1e-10 * raw.max_abs().max(1e-30));
+        prop_assert!(represented.max_abs_diff(&raw) < 1e-10 * raw.max_abs());
     }
 
     /// Concat/split round-trips and preserves sums.

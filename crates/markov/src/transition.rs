@@ -15,7 +15,6 @@
 //!
 //! [`TransitionProvider`]: crate::TransitionProvider
 
-use priste_linalg::scaling::ScaledVector;
 use priste_linalg::{Matrix, Result as LinalgResult, SparseMatrix, Vector};
 use rand::Rng;
 
@@ -204,40 +203,6 @@ impl TransitionMatrix {
         }
     }
 
-    /// One forward HMM factor: `s ← (s · M) ∘ e`, mirroring
-    /// [`ScaledVector::forward_step`] over either backend.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn forward_step(&self, s: &mut ScaledVector, e: &Vector) {
-        s.vector = self
-            .vecmat(&s.vector)
-            .hadamard(e)
-            .expect("emission dimension mismatch");
-        s.renormalize();
-    }
-
-    /// One plain transition: `s ← s · M`, mirroring
-    /// [`ScaledVector::transition_step`].
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn transition_step(&self, s: &mut ScaledVector) {
-        s.vector = self.vecmat(&s.vector);
-        s.renormalize();
-    }
-
-    /// One backward HMM factor: `s ← M · (s ∘ e)`, mirroring
-    /// [`ScaledVector::backward_step`].
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn backward_step(&self, s: &mut ScaledVector, e: &Vector) {
-        let weighted = s.vector.hadamard(e).expect("emission dimension mismatch");
-        s.vector = self.matvec(&weighted);
-        s.renormalize();
-    }
-
     /// Samples a next state from row `r`'s categorical distribution. CSR
     /// rows sample among the stored entries only (structural zeros carry no
     /// probability mass by construction).
@@ -319,27 +284,6 @@ mod tests {
         assert_eq!(tm_d.get(1, 2), tm_s.get(1, 2));
         assert_eq!(tm_d.nnz(), tm_s.nnz());
         assert_eq!(tm_d.to_dense_matrix(), tm_s.to_dense_matrix());
-    }
-
-    #[test]
-    fn scaled_steps_match_scaling_module() {
-        let d = banded4();
-        let tm = TransitionMatrix::Sparse(SparseMatrix::from_dense(&d, 0.0));
-        let e = Vector::from(vec![0.5, 0.2, 0.2, 0.1]);
-
-        let mut ours = ScaledVector::new(Vector::uniform(4));
-        let mut reference = ScaledVector::new(Vector::uniform(4));
-        tm.forward_step(&mut ours, &e);
-        reference.forward_step(&d, &e);
-        assert_eq!(ours, reference);
-
-        tm.backward_step(&mut ours, &e);
-        reference.backward_step(&d, &e);
-        assert_eq!(ours, reference);
-
-        tm.transition_step(&mut ours);
-        reference.transition_step(&d);
-        assert_eq!(ours, reference);
     }
 
     #[test]

@@ -284,9 +284,9 @@ fn emitted(
 /// a suppression as the flat column's marker.
 fn release_record(user: u64, outcome: &GuardOutcome) -> WalRecord<'static> {
     match outcome.decision {
-        Decision::Released {
-            observed, budget, ..
-        } => emitted(user, Emitter::Guard, observed, budget, &outcome.column),
+        Decision::Released { observed, budget } => {
+            emitted(user, Emitter::Guard, observed, budget, &outcome.column)
+        }
         Decision::Suppressed => WalRecord::Suppressed { user },
     }
 }
@@ -516,8 +516,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// the mechanism and every [`SessionManager::release`] consults the
     /// user's event windows through the calibration guard — shrinking the
     /// location budget (geometric backoff) until the release certifies
-    /// `guard.target_epsilon`, and applying the guard's
-    /// [`OnExhaustion`](priste_calibrate::OnExhaustion) policy when nothing
+    /// `guard.target_epsilon`, and suppressing the release when nothing
     /// feasible remains. The audit path ([`SessionManager::ingest_batch`])
     /// stays available for observations produced elsewhere.
     ///

@@ -6,7 +6,7 @@
 //! to, the same state; the by-reference journal is 37 bytes a record; and
 //! recovery under another mechanism, or none, fails naming the record.
 
-use priste_calibrate::{Decision, GuardConfig, OnExhaustion};
+use priste_calibrate::{Decision, GuardConfig};
 use priste_event::{Presence, StEvent};
 use priste_geo::{CellId, GridMap, Region};
 use priste_lppm::{Lppm, PlanarLaplace};
@@ -185,7 +185,6 @@ fn guarded_releases_and_suppressions_replay_by_reference() {
     let guard = GuardConfig {
         target_epsilon: 0.05,
         floor: 0.5,
-        on_exhaustion: OnExhaustion::Suppress,
         ..GuardConfig::default()
     };
     svc.enable_enforcement(Box::new(plm(2.0)), guard).unwrap();

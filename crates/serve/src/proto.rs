@@ -171,16 +171,12 @@ pub fn encode_report(report: &UserReport) -> String {
 
 /// Serializes an [`EnforcedRelease`] (the release response body). The
 /// decision is flattened: `"outcome"` is `"released"` or `"suppressed"`,
-/// with `observed`/`budget` present only when released.
+/// with `observed`/`budget` present only when released. `"certified"` is
+/// always `true`: the guard suppresses what it cannot certify.
 pub fn encode_release(release: &EnforcedRelease) -> String {
     let decision = match release.decision {
-        Decision::Released {
-            observed,
-            budget,
-            certified,
-        } => format!(
-            "\"outcome\": \"released\", \"observed\": {}, \"budget\": {}, \"certified\": \
-             {certified}",
+        Decision::Released { observed, budget } => format!(
+            "\"outcome\": \"released\", \"observed\": {}, \"budget\": {}, \"certified\": true",
             observed.index(),
             num(budget)
         ),

@@ -40,7 +40,6 @@ use rand::SeedableRng;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
-use std::thread;
 use std::time::Duration;
 
 /// Tuning knobs for [`Server::start`].
@@ -60,13 +59,6 @@ pub struct ServerConfig {
     pub handle_signals: bool,
     /// Seed for the server-side release RNG.
     pub seed: u64,
-    /// Synthetic serialized-commit stall: hold the state lock this much
-    /// longer on every ingest/release. Zero (the default) disables it.
-    /// This exists for capacity benchmarks and drain/failover drills —
-    /// it models a worker whose throughput is bounded by a serialized
-    /// downstream commit (e.g. a slow WAL device) rather than by CPU,
-    /// which is the regime where horizontal sharding pays off.
-    pub request_stall: Duration,
 }
 
 impl Default for ServerConfig {
@@ -78,7 +70,6 @@ impl Default for ServerConfig {
             metrics_snapshot: None,
             handle_signals: false,
             seed: 7,
-            request_stall: Duration::ZERO,
         }
     }
 }
@@ -94,7 +85,6 @@ struct ServiceState<P> {
 struct Service<P> {
     state: Mutex<ServiceState<P>>,
     drain: DrainHandle,
-    request_stall: Duration,
 }
 
 impl<P: TransitionProvider + Clone> Service<P> {
@@ -102,14 +92,6 @@ impl<P: TransitionProvider + Clone> Service<P> {
     /// poisoned the lock: the state may be half-committed.
     fn lock_state(&self) -> std::result::Result<MutexGuard<'_, ServiceState<P>>, Response> {
         self.state.lock().map_err(|_| poisoned())
-    }
-
-    /// Applies [`ServerConfig::request_stall`] while the caller holds
-    /// the state lock, so the stall serializes like a real commit would.
-    fn stall(&self) {
-        if !self.request_stall.is_zero() {
-            thread::sleep(self.request_stall);
-        }
     }
 }
 
@@ -175,7 +157,6 @@ impl<P: TransitionProvider + Clone + Send + 'static> Server<P> {
                 rng: StdRng::seed_from_u64(config.seed),
             }),
             drain: drain.clone(),
-            request_stall: config.request_stall,
         };
         let config = DaemonConfig {
             workers: config.workers,
@@ -287,7 +268,6 @@ fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> R
                     proto::encode_error(&format!("observed cell {cell} outside domain of {m}")),
                 );
             }
-            handler.stall();
             st.service.ingest_observed(id, CellId(cell))
         }
         (None, Some(column)) => {
@@ -300,7 +280,6 @@ fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> R
                     )),
                 );
             }
-            handler.stall();
             st.service.ingest(id, Vector::from(column))
         }
         (None, None) => unreachable!("decode_ingest enforces one-of"),
@@ -334,7 +313,6 @@ fn release<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> 
     if let Err(resp) = ensure_user(&mut st, parsed.user, m) {
         return resp;
     }
-    handler.stall();
     let state = &mut *st;
     let outcome = state.service.release(
         UserId(parsed.user),

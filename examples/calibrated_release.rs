@@ -91,9 +91,7 @@ fn main() -> Result<(), PristeError> {
         let rel = calibrated.release(loc, &mut cal_rng)?;
         calibrated_worst = calibrated_worst.max(rel.loss);
         match rel.decision {
-            Decision::Released {
-                observed, budget, ..
-            } => println!(
+            Decision::Released { observed, budget } => println!(
                 "  t={} true={} released={} budget={:.4} loss={:.4} ({} attempts)",
                 rel.t,
                 loc.one_based(),

@@ -27,8 +27,8 @@
 //!                      [--event SPEC] [--epsilon F] [--alpha F] [--side N]
 //!                      [--sigma F] [--shards N] [--linger N] [--budget F]
 //!                      [--mode audit|enforce] [--floor F] [--backoff F]
-//!                      [--durable-dir PATH] [--stall-us N]
-//!                      [--metrics-json PATH] [--trace] [--seed N]
+//!                      [--durable-dir PATH] [--metrics-json PATH] [--trace]
+//!                      [--seed N]
 //! priste-cli cluster   (--spawn N | --worker-addrs H:P,H:P,... | --shard-map FILE)
 //!                      [--addr HOST:PORT] [--workers N] [--retry-after SECS]
 //!                      [--durable-root PATH] [--metrics-json PATH] [--trace]
@@ -187,8 +187,8 @@ const USAGE: &str = "usage:
                        [--event SPEC] [--epsilon F] [--alpha F] [--side N] [--sigma F]
                        [--shards N] [--linger N] [--budget F]
                        [--mode audit|enforce] [--floor F] [--backoff F]
-                       [--durable-dir PATH] [--stall-us N]
-                       [--metrics-json PATH] [--trace] [--seed N]
+                       [--durable-dir PATH] [--metrics-json PATH] [--trace]
+                       [--seed N]
   priste-cli cluster   (--spawn N | --worker-addrs H:P,H:P,... | --shard-map FILE)
                        [--addr HOST:PORT] [--workers N] [--retry-after SECS]
                        [--durable-root PATH] [--metrics-json PATH] [--trace]
@@ -281,7 +281,6 @@ const SERVE_FLAGS: &[&str] = &[
     "floor",
     "backoff",
     "durable-dir",
-    "stall-us",
     "metrics-json",
     "trace",
     "seed",
@@ -309,7 +308,6 @@ const CLUSTER_FLAGS: &[&str] = &[
     "mode",
     "floor",
     "backoff",
-    "stall-us",
     "seed",
 ];
 const LOADGEN_FLAGS: &[&str] = &[
@@ -1061,7 +1059,6 @@ fn cmd_calibrate(flags: &Flags) -> Result<(), CliError> {
         backoff: flags.f64_or("backoff", 0.5)?,
         floor: flags.f64_or("floor", 1e-3)?,
         threads: flags.usize_or("threads", 1)?,
-        ..PlannerConfig::default()
     };
     planner_cfg.validate().map_err(usage)?;
     if planner_cfg.floor > alpha {
@@ -1204,9 +1201,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
         metrics_snapshot: flags.0.get("metrics-json").map(std::path::PathBuf::from),
         handle_signals: true,
         seed: flags.u64_or("seed", 1)?,
-        // Capacity-drill knob: a synthetic serialized-commit stall, held
-        // inside the state lock. Zero (the default) serves at full speed.
-        request_stall: std::time::Duration::from_micros(flags.u64_or("stall-us", 0)?),
         ..ServerConfig::default()
     };
     let server = if mode == "enforce" {
@@ -1347,7 +1341,7 @@ fn spawn_workers(
         cmd.arg("serve").args(["--addr", "127.0.0.1:0"]);
         for key in [
             "kind", "event", "epsilon", "alpha", "side", "sigma", "shards", "linger", "budget",
-            "mode", "floor", "backoff", "stall-us",
+            "mode", "floor", "backoff",
         ] {
             if let Some(value) = flags.0.get(key) {
                 cmd.arg(format!("--{key}")).arg(value);
@@ -1607,11 +1601,6 @@ const METRIC_SCHEMA: &[(&str, &str, &str)] = &[
         "guard decisions to suppress instead of release",
     ),
     (
-        "guard_floor_releases_total",
-        "counter",
-        "guard releases forced out at the floor budget (uncertified)",
-    ),
-    (
         "guard_epsilon_spent",
         "histogram",
         "realized privacy loss per guarded release",
@@ -1776,6 +1765,14 @@ mod tests {
                 assert!(msg.contains("stream"), "{msg}");
             }
             _ => panic!("unknown flag must be a usage error"),
+        }
+        // Neither daemon takes a synthetic request stall.
+        let stall = "--stall-us";
+        for command in ["serve", "cluster"] {
+            match flags(command, &[stall, "1"]) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(stall), "{msg}"),
+                _ => panic!("{command} {stall} must be a usage error"),
+            }
         }
     }
 

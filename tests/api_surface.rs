@@ -19,7 +19,7 @@ use priste::prelude::{
     Audit, AuditSource, Pipeline, PipelineBuilder, PristeError, SharedProvider,
     // calibrate
     plan_greedy, plan_knapsack, plan_uniform_split, BudgetPlan, CalibratedMechanism,
-    CalibratedRelease, Decision, GuardConfig, GuardLadder, MeanEpsilon, OnExhaustion,
+    CalibratedRelease, Decision, GuardConfig, GuardLadder, MeanEpsilon,
     PlanarLaplaceError, PlannedStep, PlannerConfig, PlmQualityLoss, UtilityModel,
     // core
     runner, DeltaLocSource, MechanismSource, PlmSource, Priste, PristeConfig, ReleaseRecord,

@@ -74,15 +74,7 @@ fn invalid_configurations_are_rejected_up_front() {
             ..Default::default()
         },
         PristeConfig {
-            decay: 0.0,
-            ..Default::default()
-        },
-        PristeConfig {
-            decay: 1.5,
-            ..Default::default()
-        },
-        PristeConfig {
-            max_attempts: 0,
+            epsilon: f64::NAN,
             ..Default::default()
         },
     ] {
@@ -123,7 +115,6 @@ fn deadline_zero_forces_conservative_fallbacks_but_never_unsoundness() {
     let events = vec![event.clone()];
     let mut config = PristeConfig::with_epsilon(0.5);
     config.qp_deadline = Some(std::time::Duration::from_nanos(1));
-    config.max_attempts = 3;
     let source = PlmSource::new(grid.clone(), 0.5).unwrap();
     let mut priste = Priste::new(
         &events,
