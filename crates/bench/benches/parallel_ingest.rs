@@ -145,7 +145,7 @@ fn bench_parallel_release(c: &mut Criterion) {
             BenchmarkId::new("sequential", users),
             &users,
             |b, &users| {
-                let mut svc = enforcing_service(&grid, &provider, &event, users);
+                let svc = enforcing_service(&grid, &provider, &event, users);
                 let mut rng = StdRng::seed_from_u64(3);
                 b.iter(|| {
                     let mut attempts = 0usize;

@@ -23,7 +23,10 @@
 //! * `serve` (`BENCH_serve.json`) — the HTTP daemon end-to-end: an
 //!   in-process `priste_serve::Server` on an ephemeral port driven by the
 //!   closed-loop load generator; client-observed p50/p90/p99 latency and
-//!   sustained throughput over the full request count.
+//!   sustained throughput over the full request count, plus the
+//!   throughput of observed-cell ingests at m = 2500 from two connections
+//!   (`serve_ingest_throughput_m2500`), where a request costs enough for
+//!   two connections to contend for the service.
 //! * `cluster` (`BENCH_cluster.json`) — the router tier: router-added
 //!   median latency versus hitting a worker directly, and ingest
 //!   throughput through the router across 1/2/4 workers. Every worker does
@@ -1280,7 +1283,52 @@ fn suite_serve(
             unit: "req/s",
             note: "sustained closed-loop throughput, 4 connections".into(),
         },
+        serve_ingest_m2500(opts),
     ]
+}
+
+/// Closed-loop observed-cell ingests on the 50×50 CSR world from two
+/// connections. An ingest there is ~0.1 ms of lifted-kernel work, so the
+/// two connections contend for the service unless requests for users in
+/// different shards run in parallel; the 6×6 world is too cheap per
+/// request to show that.
+fn serve_ingest_m2500(opts: &Opts) -> Metric {
+    let (provider, event) = sparse_world(50);
+    let users = opts.users.max(2);
+    let mechanism = PlanarLaplace::new(GridMap::new(50, 50, 1.0).expect("grid"), 2.0).expect("plm");
+    let server = Server::start(
+        service(&provider, &event, users),
+        Some(Box::new(mechanism)),
+        Registry::new(),
+        ServerConfig {
+            poll_interval: std::time::Duration::from_millis(5),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind ephemeral loopback port");
+    let report = priste_serve::loadgen::run(&LoadgenOptions {
+        addr: server.local_addr().to_string(),
+        requests: ((users * opts.steps * 2) as u64).max(1_000),
+        connections: 2,
+        users: users as u64,
+        mode: LoadMode::Ingest,
+        seed: 42,
+        rate: None,
+    })
+    .expect("load generator");
+    server.drain_handle().drain();
+    let summary = server.wait().expect("drain");
+    assert_eq!(report.errors, 0, "observed-cell ingests must not fail");
+    assert_eq!(summary.errors, 0, "the server must not count errors");
+    Metric {
+        name: "serve_ingest_throughput_m2500",
+        value: report.throughput(),
+        unit: "req/s",
+        note: format!(
+            "closed-loop observed-cell ingests, 50x50 CSR world, {users} users, 2 connections"
+        ),
+    }
 }
 
 /// One in-process worker for the cluster suite: the same enforcing

@@ -75,6 +75,7 @@ use crate::obs::StoreInstruments;
 use priste_obs::Timer;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 mod codec;
 mod snapshot;
@@ -84,7 +85,7 @@ pub(crate) use codec::{fnv1a64, word_hash, Fnv1a64};
 pub(crate) use snapshot::{
     encode_payload, Layout, SessionSnap, SnapshotSource, SnapshotState, WindowSnap,
 };
-pub(crate) use wal::{Emitter, WalRecord, WalScan, WalTail};
+pub(crate) use wal::{Emitter, WalRecord, WalScan, WalTail, WalWriter};
 
 /// Errors from the durable persistence layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,25 +332,29 @@ pub(crate) fn recover_dir(
     Err(last_err.expect("at least one generation was tried"))
 }
 
-/// Open append-side handle on a durable directory: the current generation's
-/// per-shard WAL writers plus the checkpoint machinery.
+/// Open append-side handle on a durable directory: the checkpoint
+/// machinery and the counters every shard's appends share. The current
+/// generation's per-shard WAL writers are handed out by
+/// [`DurableStore::open`] and [`DurableStore::checkpoint`], and each shard
+/// keeps its own, so appends to different shards never share a lock.
 #[derive(Debug)]
 pub(crate) struct DurableStore {
     dir: PathBuf,
     opts: DurableOptions,
     fingerprint: u64,
     num_shards: usize,
-    seq: u64,
-    wals: Vec<wal::WalWriter>,
-    records_since_checkpoint: usize,
+    /// The current generation; only a checkpoint, which holds every
+    /// shard's lock, moves it.
+    seq: AtomicU64,
+    records_since_checkpoint: AtomicUsize,
     obs: StoreInstruments,
 }
 
 impl DurableStore {
     /// Creates (or re-attaches to) a durable directory by writing a fresh
-    /// checkpoint at generation `seq` and opening empty WAL segments for
-    /// it. Older generations are pruned. `obs` records from the start, so
-    /// this opening checkpoint is counted and timed too.
+    /// checkpoint at generation `seq`, and returns the store with one empty
+    /// WAL writer per shard. Older generations are pruned. `obs` records
+    /// from the start, so this opening checkpoint is counted and timed too.
     pub(crate) fn open(
         dir: &Path,
         opts: DurableOptions,
@@ -358,20 +363,19 @@ impl DurableStore {
         seq: u64,
         state: &dyn SnapshotSource,
         obs: StoreInstruments,
-    ) -> Result<Self, DurableError> {
+    ) -> Result<(Self, Vec<wal::WalWriter>), DurableError> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create durable directory", dir, &e))?;
-        let mut store = DurableStore {
+        let store = DurableStore {
             dir: dir.to_path_buf(),
             opts,
             fingerprint,
             num_shards,
-            seq,
-            wals: Vec::new(),
-            records_since_checkpoint: 0,
+            seq: AtomicU64::new(seq),
+            records_since_checkpoint: AtomicUsize::new(0),
             obs,
         };
-        store.checkpoint_at(seq, state)?;
-        Ok(store)
+        let wals = store.checkpoint_at(seq, state)?;
+        Ok((store, wals))
     }
 
     /// The directory this store journals into.
@@ -385,48 +389,58 @@ impl DurableStore {
         self.obs = obs;
     }
 
-    /// Appends one committed record to its shard's WAL. Returns whether the
-    /// auto-compaction threshold has been crossed (the caller should
-    /// checkpoint at its next safe point).
+    /// Appends one committed record to `wal`, its shard's writer. Returns
+    /// whether the auto-compaction threshold has been crossed (the caller
+    /// should checkpoint at its next safe point).
     pub(crate) fn append(
-        &mut self,
-        shard: usize,
+        &self,
+        wal: &mut wal::WalWriter,
         record: &WalRecord,
     ) -> Result<bool, DurableError> {
         let append_timer = Timer::start(&self.obs.append_seconds);
-        let bytes = self.wals[shard].append_unsynced(record)?;
+        let bytes = wal.append_unsynced(record)?;
         let fsync_timer = Timer::start(&self.obs.fsync_seconds);
-        self.wals[shard].sync()?;
+        wal.sync()?;
         drop(fsync_timer);
         drop(append_timer);
         self.obs.bytes.add(bytes as u64);
-        self.records_since_checkpoint += 1;
-        Ok(self.opts.snapshot_every > 0
-            && self.records_since_checkpoint >= self.opts.snapshot_every)
+        self.records_since_checkpoint
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(self.due())
     }
 
     /// Whether the auto-compaction threshold has been crossed since the
     /// last checkpoint.
     pub(crate) fn due(&self) -> bool {
-        self.opts.snapshot_every > 0 && self.records_since_checkpoint >= self.opts.snapshot_every
+        self.opts.snapshot_every > 0
+            && self.records_since_checkpoint.load(Ordering::Relaxed) >= self.opts.snapshot_every
     }
 
     /// Compacts the WAL into a fresh snapshot of `state` as the next
-    /// generation.
-    pub(crate) fn checkpoint(&mut self, state: &dyn SnapshotSource) -> Result<(), DurableError> {
-        self.checkpoint_at(self.seq + 1, state)
+    /// generation, and returns that generation's empty per-shard writers.
+    /// The caller must hold every shard still from reading `state` until
+    /// it has installed them.
+    pub(crate) fn checkpoint(
+        &self,
+        state: &dyn SnapshotSource,
+    ) -> Result<Vec<wal::WalWriter>, DurableError> {
+        self.checkpoint_at(self.seq.load(Ordering::Relaxed) + 1, state)
     }
 
     /// Crash-ordering: (1) empty WAL segments for every shard of the new
     /// generation are created and persisted; (2) the snapshot is written
     /// and atomically renamed — once durable, it alone reproduces all
-    /// acknowledged state; (3) the store switches to the new segments and
-    /// prunes the old generation. A crash or error before (2) completes
-    /// leaves the old snapshot newest, with the old WAL segments the store
-    /// keeps appending to, so recovery still reads every record; after
-    /// (2), recovery finds the new snapshot with all of its (empty)
+    /// acknowledged state; (3) the caller switches to the new segments and
+    /// the old generation is pruned. A crash or error before (2) completes
+    /// leaves the old snapshot newest, with the old WAL segments the
+    /// shards keep appending to, so recovery still reads every record;
+    /// after (2), recovery finds the new snapshot with all of its (empty)
     /// segments.
-    fn checkpoint_at(&mut self, seq: u64, state: &dyn SnapshotSource) -> Result<(), DurableError> {
+    fn checkpoint_at(
+        &self,
+        seq: u64,
+        state: &dyn SnapshotSource,
+    ) -> Result<Vec<wal::WalWriter>, DurableError> {
         let mut wals = Vec::with_capacity(self.num_shards);
         for shard in 0..self.num_shards {
             wals.push(wal::WalWriter::create(
@@ -450,11 +464,10 @@ impl DurableStore {
             }
         }
         self.obs.checkpoints.inc();
-        self.wals = wals;
-        self.seq = seq;
-        self.records_since_checkpoint = 0;
+        self.seq.store(seq, Ordering::Relaxed);
+        self.records_since_checkpoint.store(0, Ordering::Relaxed);
         self.prune(seq);
-        Ok(())
+        Ok(wals)
     }
 
     /// Best-effort removal of files from other generations (and stale
@@ -485,8 +498,14 @@ impl DurableStore {
 mod tests {
     use super::*;
 
-    /// A store on `dir` whose opening checkpoint is the empty state.
-    fn open_empty(dir: &Path, opts: DurableOptions, fp: u64, shards: usize) -> DurableStore {
+    /// A store on `dir` whose opening checkpoint is the empty state, with
+    /// its per-shard writers.
+    fn open_empty(
+        dir: &Path,
+        opts: DurableOptions,
+        fp: u64,
+        shards: usize,
+    ) -> (DurableStore, Vec<WalWriter>) {
         let obs = StoreInstruments::disabled();
         DurableStore::open(dir, opts, fp, shards, 1, &empty_state(fp), obs).unwrap()
     }
@@ -513,10 +532,10 @@ mod tests {
     fn open_checkpoint_prune_cycle() {
         let dir = tempdir("cycle");
         let fp = 0x1234;
-        let mut store = open_empty(&dir, DurableOptions::default(), fp, 2);
+        let (store, mut wals) = open_empty(&dir, DurableOptions::default(), fp, 2);
         store
             .append(
-                0,
+                &mut wals[0],
                 &WalRecord::AddUser {
                     user: 0,
                     pi: vec![0.5, 0.5].into(),
@@ -548,12 +567,12 @@ mod tests {
             fsync: false,
             snapshot_every: 2,
         };
-        let mut store = open_empty(&dir, opts, fp, 1);
+        let (store, mut wals) = open_empty(&dir, opts, fp, 1);
         let rec = WalRecord::RemoveUser { user: 9 };
-        assert!(!store.append(0, &rec).unwrap());
-        assert!(store.append(0, &rec).unwrap());
-        store.checkpoint(&empty_state(fp)).unwrap();
-        assert!(!store.append(0, &rec).unwrap());
+        assert!(!store.append(&mut wals[0], &rec).unwrap());
+        assert!(store.append(&mut wals[0], &rec).unwrap());
+        let mut wals = store.checkpoint(&empty_state(fp)).unwrap();
+        assert!(!store.append(&mut wals[0], &rec).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -561,7 +580,7 @@ mod tests {
     fn corrupt_newest_snapshot_falls_back_and_flags_the_skip() {
         let dir = tempdir("fallback");
         let fp = 0x77;
-        let mut store = open_empty(&dir, DurableOptions::default(), fp, 1);
+        let (store, _) = open_empty(&dir, DurableOptions::default(), fp, 1);
         store.checkpoint(&empty_state(fp)).unwrap();
         // Resurrect a valid older generation, then damage the newest.
         let older = empty_state(fp);

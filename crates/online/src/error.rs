@@ -54,8 +54,10 @@ pub enum OnlineError {
         /// The offending user id.
         user: u64,
     },
-    /// A shard worker thread panicked during a fanned-out batch. The
-    /// surviving shards' results and stats deltas are still absorbed, so
+    /// A shard worker thread panicked during a fanned-out batch, or an
+    /// earlier call panicked inside this shard's critical section, so its
+    /// sessions may be half-committed. In a batch the surviving shards'
+    /// results and stats deltas are still absorbed, so
     /// [`ServiceStats`](crate::ServiceStats) stays consistent with the
     /// session state that actually mutated.
     ShardPanicked {
@@ -99,7 +101,7 @@ impl fmt::Display for OnlineError {
                 write!(f, "user {user} appears twice in one ingest batch")
             }
             OnlineError::ShardPanicked { shard } => {
-                write!(f, "shard {shard} worker panicked during a batched pass")
+                write!(f, "shard {shard} panicked mid-update")
             }
             OnlineError::Durable(e) => write!(f, "durable persistence error: {e}"),
         }

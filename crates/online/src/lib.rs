@@ -12,8 +12,9 @@
 //!   arXiv:1907.10814), and a conservative [`BudgetLedger`]. The sliding
 //!   per-user window state is in the spirit of δ-location-set privacy under
 //!   temporal correlations (arXiv:1410.5919).
-//! * [`SessionManager`] — shards users, batches same-timestep work (one
-//!   posterior matmul per group, one shared
+//! * [`SessionManager`] — shards users behind one lock per shard (calls
+//!   for users in different shards run in parallel), batches same-timestep
+//!   work (one posterior matmul per group, one shared
 //!   [`LiftedStep`](priste_quantify::lifted::LiftedStep) per (template,
 //!   window-age) group, run for each window in a reused scratch), and
 //!   evicts expired windows. A session that owns its vectors is updated in
@@ -77,7 +78,7 @@ pub mod session;
 
 pub use durable::{DurableError, DurableOptions};
 pub use error::OnlineError;
-pub use manager::{EnforcedRelease, OnlineConfig, ServiceStats, SessionManager};
+pub use manager::{shard_rng, EnforcedRelease, OnlineConfig, ServiceStats, SessionManager};
 pub use obs::RecoveryInfo;
 pub use session::{BudgetLedger, Session, UserId, UserReport, Verdict, WindowReport};
 

@@ -3,7 +3,7 @@
 
 use crate::durable::{
     self, DurableError, DurableOptions, DurableStore, Emitter, SessionSnap, SnapshotSource,
-    SnapshotState, WalRecord, WalTail, WindowSnap,
+    SnapshotState, WalRecord, WalTail, WalWriter, WindowSnap,
 };
 use crate::obs::{RecoveryInfo, ServiceInstruments, StoreInstruments};
 use crate::priors::{same_bits, PriorTable};
@@ -31,7 +31,8 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Resolves a caller-facing thread knob: `0` means "one worker per
@@ -46,10 +47,12 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// One deterministic RNG stream per shard, split from a batch seed: the
-/// parallel release path draws identical candidates for a shard no matter
-/// how shards are assigned to worker threads.
-fn shard_rng(seed: u64, shard: usize) -> StdRng {
+/// One deterministic RNG stream per shard, split from a seed. The parallel
+/// release path draws a shard's candidates from it, so they do not depend
+/// on how shards are assigned to worker threads; a daemon keeps one stream
+/// per shard for its releases, so a shard's draws depend only on the order
+/// of its own requests.
+pub fn shard_rng(seed: u64, shard: usize) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_add((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
@@ -151,6 +154,51 @@ struct ShardScratch {
     moved: Vec<f64>,
     step: StepScratch,
     guard: Vec<StepScratch>,
+}
+
+/// A [`ShardScratch`] lent from the service's free list for one call and
+/// handed back when dropped: resident scratch is bounded by the number of
+/// concurrent calls, not by the number of shards.
+struct Lease<'a> {
+    pool: &'a Mutex<Vec<ShardScratch>>,
+    scratch: ShardScratch,
+}
+
+impl<'a> Lease<'a> {
+    fn take(pool: &'a Mutex<Vec<ShardScratch>>) -> Self {
+        let scratch = pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop()
+            .unwrap_or_default();
+        Lease { pool, scratch }
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(scratch);
+    }
+}
+
+/// One shard: its sessions and, while a durable store is attached, the
+/// writer of its WAL segment.
+#[derive(Debug)]
+struct Shard<P> {
+    sessions: BTreeMap<u64, Session<P>>,
+    wal: Option<WalWriter>,
+}
+
+/// A shard reached through `&mut self`, which no other call can hold: no
+/// lock is taken. A shard a panic poisoned is refused.
+fn owned<P>(shard: &mut Mutex<Shard<P>>, idx: usize) -> Result<&mut Shard<P>> {
+    shard
+        .get_mut()
+        .map_err(|_| OnlineError::ShardPanicked { shard: idx })
 }
 
 /// Service configuration.
@@ -305,11 +353,12 @@ pub struct EnforcedRelease {
 }
 
 /// The live service as a [`SnapshotSource`]: the snapshot encoder reads
-/// every posterior and window vector where it lives.
+/// every posterior and window vector where it lives, in shards the caller
+/// holds.
 struct LiveState<'a, P> {
     fingerprint: u64,
     stats: [u64; 6],
-    shards: &'a [BTreeMap<u64, Session<P>>],
+    shards: Vec<&'a BTreeMap<u64, Session<P>>>,
 }
 
 impl<P: TransitionProvider> SnapshotSource for LiveState<'_, P> {
@@ -322,11 +371,11 @@ impl<P: TransitionProvider> SnapshotSource for LiveState<'_, P> {
     }
 
     fn num_sessions(&self) -> usize {
-        self.shards.iter().map(BTreeMap::len).sum()
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     fn for_each_session(&self, visit: &mut dyn FnMut(SessionSnap<&[f64]>)) {
-        for session in self.shards.iter().flat_map(BTreeMap::values) {
+        for session in self.shards.iter().flat_map(|s| s.values()) {
             visit(SessionSnap {
                 user: session.id().0,
                 t: session.observed() as u64,
@@ -425,13 +474,53 @@ impl RestoreMemo {
 /// intended instantiation (`TransitionProvider` is implemented for
 /// `Arc<T>`).
 ///
+/// # Concurrency
+///
+/// Each shard sits behind its own mutex, together with its WAL writer. The
+/// single-user calls take `&self` and lock only their user's shard:
+/// [`SessionManager::ingest`], [`SessionManager::ingest_observed`],
+/// [`SessionManager::release`], [`SessionManager::enroll`],
+/// [`SessionManager::add_user`], [`SessionManager::attach_event`],
+/// [`SessionManager::remove_user`] and [`SessionManager::session`]. Calls
+/// for users in different shards run in parallel; calls within one shard
+/// run one at a time, in the order they take its lock. Counting users reads
+/// per-shard counters and locks nothing. The provider, templates,
+/// configuration, mechanism and guard ladder are read-only once set up.
+///
+/// Set-up ([`SessionManager::register_template`],
+/// [`SessionManager::set_mechanism`], [`SessionManager::enable_enforcement`],
+/// [`SessionManager::observe`], [`SessionManager::make_durable`]), recovery
+/// and the batch paths ([`SessionManager::ingest_batch`],
+/// [`SessionManager::ingest_batch_parallel`],
+/// [`SessionManager::release_batch`]) take `&mut self`, which excludes
+/// every other call: the batch paths reach the shards through
+/// `Mutex::get_mut` and take no lock.
+///
+/// Lock order: a single-user call holds one shard lock at a time. While it
+/// holds it, it may take the prior table's lock (registering a prior or
+/// attaching a window), which is always taken last and held only for that
+/// step. A checkpoint, explicit ([`SessionManager::checkpoint`]) or the
+/// automatic one a call runs after releasing its shard lock, takes every
+/// shard lock in index order; it is the only holder of more than one.
+///
+/// Panics: a panic inside a shard's critical section poisons that shard,
+/// whose state may be half-committed. From then on every call on the shard
+/// fails with [`OnlineError::ShardPanicked`], no checkpoint is written, and
+/// [`SessionManager::is_poisoned`] reports it, which is what a daemon fences
+/// its routes on. The journal holds every acknowledged commit: recover from
+/// it.
+///
 /// [`LiftedStep`]: priste_quantify::lifted::LiftedStep
 #[derive(Debug)]
 pub struct SessionManager<P> {
     provider: P,
     templates: Vec<Arc<EventModel>>,
-    shards: Vec<BTreeMap<u64, Session<P>>>,
-    priors: PriorTable,
+    shards: Vec<Mutex<Shard<P>>>,
+    /// Sessions per shard, stored under the shard's lock on every add and
+    /// remove, so that counting users locks no shard.
+    occupancy: Vec<AtomicUsize>,
+    /// Held only while a prior is interned or a window start is looked up.
+    priors: Mutex<PriorTable>,
     config: OnlineConfig,
     instruments: ServiceInstruments,
     recovery: Option<RecoveryInfo>,
@@ -443,7 +532,8 @@ pub struct SessionManager<P> {
     /// event windows *before* anything leaves the mechanism.
     enforcer: Option<GuardLadder>,
     store: Option<DurableStore>,
-    scratch: ShardScratch,
+    /// Free scratch buffers, one lent to each call that steps sessions.
+    scratch: Mutex<Vec<ShardScratch>>,
 }
 
 impl<P: TransitionProvider + Clone> SessionManager<P> {
@@ -463,19 +553,29 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 ),
             });
         }
-        let shards = (0..config.num_shards).map(|_| BTreeMap::new()).collect();
+        let shards = (0..config.num_shards)
+            .map(|_| {
+                Mutex::new(Shard {
+                    sessions: BTreeMap::new(),
+                    wal: None,
+                })
+            })
+            .collect();
         Ok(SessionManager {
             provider,
             templates: Vec::new(),
             shards,
-            priors: PriorTable::default(),
+            occupancy: (0..config.num_shards)
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+            priors: Mutex::default(),
             config,
             instruments: ServiceInstruments::new(),
             recovery: None,
             mechanism: None,
             enforcer: None,
             store: None,
-            scratch: ShardScratch::default(),
+            scratch: Mutex::default(),
         })
     }
 
@@ -509,6 +609,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// against.
     pub fn num_states(&self) -> usize {
         self.provider.num_states()
+    }
+
+    /// Whether a mechanism is set ([`SessionManager::set_mechanism`]), so
+    /// that [`SessionManager::ingest_observed`] can run.
+    pub fn has_mechanism(&self) -> bool {
+        self.mechanism.is_some()
     }
 
     /// Switches the service into **enforcing mode**: instead of merely
@@ -559,7 +665,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// [`OnlineError::UnknownUser`]/[`OnlineError::InvalidLocation`] for a
     /// bad request; calibration and quantification failures.
     pub fn release(
-        &mut self,
+        &self,
         id: UserId,
         true_loc: CellId,
         rng: &mut dyn RngCore,
@@ -577,8 +683,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 num_cells: m,
             });
         }
-        let shard = self.shard_of(id);
-        let session = self.shards[shard]
+        let mut scratch = Lease::take(&self.scratch);
+        let mut shard = self.lock_shard(self.shard_of(id))?;
+        let session = shard
+            .sessions
             .get(&id.0)
             .ok_or(OnlineError::UnknownUser { user: id.0 })?;
         let outcome = run_guard(
@@ -587,22 +695,24 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             rng,
             peek_worst_loss(
                 session.windows.iter().map(|w| &w.state),
-                &mut self.scratch.guard,
+                &mut scratch.scratch.guard,
             ),
         )?;
-        let suppressed = outcome.decision == Decision::Suppressed;
         // Journal the committed column by reference (a suppression as
         // such, so replay reconstructs the stats) before it leaves the
         // mechanism.
         if self.store.is_some() {
-            Self::journal(&mut self.store, shard, &release_record(id.0, &outcome))?;
+            Self::journal(&self.store, &mut shard, &release_record(id.0, &outcome))?;
         }
-        let report = self.commit_one(shard, id.0, &outcome.column);
+        let report = self.commit_one(&mut shard, id.0, &outcome.column, &mut scratch.scratch);
         // Count the suppression only once the flat column actually
-        // committed — a failed release must not skew the stats.
-        if suppressed {
+        // committed — a failed release must not skew the stats — and
+        // under the shard lock, so a checkpoint sees both or neither.
+        if outcome.decision == Decision::Suppressed {
             self.instruments.suppressed.inc();
         }
+        drop(shard);
+        drop(scratch);
         self.instruments.guard.record(&outcome);
         self.maybe_checkpoint()?;
         if let Some(t0) = start {
@@ -618,17 +728,25 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// Commits one already-validated, already-journaled column through the
-    /// audit machinery (posterior filtering, windows, ledger, eviction).
-    fn commit_one(&mut self, shard: usize, uid: u64, column: &Vector) -> UserReport {
+    /// audit machinery (posterior filtering, windows, ledger, eviction) in
+    /// a shard the caller holds. The stats move here, under that hold, so
+    /// a checkpoint never snapshots a session without its counts.
+    fn commit_one(
+        &self,
+        shard: &mut Shard<P>,
+        uid: u64,
+        column: &Vector,
+        scratch: &mut ShardScratch,
+    ) -> UserReport {
         let mut wanted = BTreeMap::new();
         wanted.insert(uid, column);
         let (mut reports, delta) = Self::process_shard(
             &self.provider,
             &self.templates,
-            &mut self.shards[shard],
+            &mut shard.sessions,
             &wanted,
             &self.config,
-            &mut self.scratch,
+            scratch,
         );
         self.instruments.absorb(&delta);
         reports.pop().expect("one observation in, one report out")
@@ -669,8 +787,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         if let Some(info) = self.recovery {
             self.instruments.publish_recovery(&info);
         }
-        self.instruments
-            .update_occupancy(self.shards.iter().map(BTreeMap::len));
+        self.instruments.update_occupancy(self.occupancy());
+    }
+
+    /// Sessions per shard, as last stored under each shard's lock.
+    fn occupancy(&self) -> impl Iterator<Item = usize> + '_ {
+        self.occupancy.iter().map(|n| n.load(Ordering::Relaxed))
     }
 
     /// Telemetry from crash recovery, when this service was built by
@@ -679,17 +801,17 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         self.recovery
     }
 
-    /// Registered users.
+    /// Registered users, counted without locking any shard.
     pub fn num_users(&self) -> usize {
-        self.shards.iter().map(BTreeMap::len).sum()
+        self.occupancy().sum()
     }
 
     /// All registered user ids, in ascending id order.
     pub fn users(&self) -> Vec<UserId> {
         let mut ids: Vec<UserId> = self
-            .shards
+            .read_all()
             .iter()
-            .flat_map(|s| s.keys().copied().map(UserId))
+            .flat_map(|s| s.sessions.keys().copied().map(UserId))
             .collect();
         ids.sort_unstable_by_key(|id| id.0);
         ids
@@ -697,9 +819,9 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
 
     /// Active event windows across all users.
     pub fn active_windows(&self) -> usize {
-        self.shards
+        self.read_all()
             .iter()
-            .flat_map(|s| s.values())
+            .flat_map(|s| s.sessions.values())
             .map(Session::active_windows)
             .sum()
     }
@@ -743,31 +865,76 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     ///
     /// # Errors
     /// [`OnlineError::DuplicateUser`]; validation errors for a bad `π`.
-    pub fn add_user(&mut self, id: UserId, pi: Vector) -> Result<()> {
+    pub fn add_user(&self, id: UserId, pi: Vector) -> Result<()> {
         let pi = self.intern_prior(Arc::new(pi), "session initial distribution")?;
-        let shard = self.shard_of(id);
-        if self.shards[shard].contains_key(&id.0) {
-            return Err(OnlineError::DuplicateUser { user: id.0 });
+        {
+            let mut shard = self.lock_shard(self.shard_of(id))?;
+            if shard.sessions.contains_key(&id.0) {
+                return Err(OnlineError::DuplicateUser { user: id.0 });
+            }
+            self.insert_session(&mut shard, id, pi)?;
         }
+        self.maybe_checkpoint()
+    }
+
+    /// First contact: registers `id` with the prior `pi()` and attaches
+    /// `templates` to it, all in one critical section of the user's shard,
+    /// unless the user is already registered. Concurrent first requests for
+    /// one user therefore register it once. Returns whether this call
+    /// registered the user. Failures leave the state as the equivalent
+    /// [`SessionManager::add_user`] and [`SessionManager::attach_event`]
+    /// calls would: a window that failed to attach is not kept, the
+    /// registration is.
+    ///
+    /// # Errors
+    /// As [`SessionManager::add_user`] and
+    /// [`SessionManager::attach_event`].
+    pub fn enroll(
+        &self,
+        id: UserId,
+        pi: impl FnOnce() -> Vector,
+        templates: &[usize],
+    ) -> Result<bool> {
+        {
+            let mut shard = self.lock_shard(self.shard_of(id))?;
+            if shard.sessions.contains_key(&id.0) {
+                return Ok(false);
+            }
+            let pi = self.intern_prior(Arc::new(pi()), "session initial distribution")?;
+            self.insert_session(&mut shard, id, pi)?;
+            for &template in templates {
+                self.attach_journaled(&mut shard, id.0, template)?;
+            }
+        }
+        self.maybe_checkpoint()?;
+        Ok(true)
+    }
+
+    /// Journals and inserts a session the caller checked is new, in a shard
+    /// it holds.
+    fn insert_session(&self, shard: &mut Shard<P>, id: UserId, pi: Arc<Vector>) -> Result<()> {
         // Journal before applying: the insert below cannot fail, and a
         // crash between the two merely replays a registration whose ack
         // never left the building (at-least-once, harmless).
         Self::journal(
-            &mut self.store,
+            &self.store,
             shard,
             &WalRecord::AddUser {
                 user: id.0,
                 pi: Cow::Borrowed(pi.as_slice()),
             },
         )?;
-        self.shards[shard].insert(id.0, Session::new(id, pi, self.config.budget));
-        self.maybe_checkpoint()
+        shard
+            .sessions
+            .insert(id.0, Session::new(id, pi, self.config.budget));
+        self.occupancy[self.shard_of(id)].store(shard.sessions.len(), Ordering::Relaxed);
+        Ok(())
     }
 
     /// Checks a registration prior's length and interns it: a prior
     /// bit-identical to a live interned one shares that one, and a new one
     /// must pass the distribution check first.
-    fn intern_prior(&mut self, pi: Arc<Vector>, op: &'static str) -> Result<Arc<Vector>> {
+    fn intern_prior(&self, pi: Arc<Vector>, op: &'static str) -> Result<Arc<Vector>> {
         let m = self.provider.num_states();
         if pi.len() != m {
             return Err(OnlineError::Quantify(QuantifyError::InvalidInitial(
@@ -778,14 +945,28 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 },
             )));
         }
-        self.priors
+        self.priors()
             .intern(pi)
             .map_err(|e| OnlineError::Quantify(QuantifyError::InvalidInitial(e)))
     }
 
-    /// Read access to one session.
-    pub fn session(&self, id: UserId) -> Option<&Session<P>> {
-        self.shards[self.shard_of(id)].get(&id.0)
+    /// The prior table. It is a cache of weak handles, so what a panic
+    /// left in it is still usable.
+    fn priors(&self) -> MutexGuard<'_, PriorTable> {
+        self.priors.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A copy of one session, taken under its shard's lock; `None` for an
+    /// unknown user or a shard a panic poisoned. The copy shares every
+    /// vector with the live session, so it costs `O(windows)`; while it is
+    /// alive, the session's next observation writes fresh vectors instead
+    /// of overwriting the shared ones.
+    pub fn session(&self, id: UserId) -> Option<Session<P>> {
+        self.lock_shard(self.shard_of(id))
+            .ok()?
+            .sessions
+            .get(&id.0)
+            .cloned()
     }
 
     /// Attaches a registered template to a user as a new event window,
@@ -797,41 +978,52 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// [`OnlineError::UnknownUser`]/[`OnlineError::UnknownTemplate`];
     /// [`QuantifyError::DegeneratePrior`] (wrapped) when the event is
     /// already certain or impossible under the user's posterior.
-    pub fn attach_event(&mut self, id: UserId, template: usize) -> Result<()> {
-        let shard = self.shard_of(id);
-        self.attach_window(shard, id.0, template)?;
-        if let Err(e) = Self::journal(
-            &mut self.store,
-            shard,
-            &WalRecord::AttachEvent {
-                user: id.0,
-                template: template as u32,
-            },
-        ) {
+    pub fn attach_event(&self, id: UserId, template: usize) -> Result<()> {
+        {
+            let mut shard = self.lock_shard(self.shard_of(id))?;
+            self.attach_journaled(&mut shard, id.0, template)?;
+        }
+        self.maybe_checkpoint()
+    }
+
+    /// Attaches and journals one window in a shard the caller holds.
+    fn attach_journaled(&self, shard: &mut Shard<P>, uid: u64, template: usize) -> Result<()> {
+        self.attach_window(&mut shard.sessions, uid, template)?;
+        let record = WalRecord::AttachEvent {
+            user: uid,
+            template: template as u32,
+        };
+        if let Err(e) = Self::journal(&self.store, shard, &record) {
             // Roll the attach back so the in-memory state never runs ahead
             // of the journal on an I/O failure.
-            self.shards[shard]
-                .get_mut(&id.0)
+            shard
+                .sessions
+                .get_mut(&uid)
                 .expect("attached above")
                 .windows
                 .pop();
             return Err(e);
         }
-        self.maybe_checkpoint()
+        Ok(())
     }
 
     /// Attaches `template` to one session without journaling: the window
     /// starts from the (template, prior) pair's cached start when the
     /// session's posterior is an interned prior, and from a fresh one
     /// otherwise.
-    fn attach_window(&mut self, shard: usize, uid: u64, template: usize) -> Result<()> {
+    fn attach_window(
+        &self,
+        sessions: &mut BTreeMap<u64, Session<P>>,
+        uid: u64,
+        template: usize,
+    ) -> Result<()> {
         let model = self.template(template)?;
-        let session = self.shards[shard]
+        let session = sessions
             .get_mut(&uid)
             .ok_or(OnlineError::UnknownUser { user: uid })?;
         let pi = session.shared_posterior();
         let provider = &self.provider;
-        let start = self.priors.start(pi, template, || {
+        let start = self.priors().start(pi, template, || {
             WindowStart::new(&model, provider, Arc::clone(pi))
         })?;
         session.attach(template, model, self.provider.clone(), start);
@@ -843,29 +1035,56 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// # Errors
     /// [`OnlineError::Durable`] when journaling the removal fails (the
     /// user is kept in that case).
-    pub fn remove_user(&mut self, id: UserId) -> Result<bool> {
-        let shard = self.shard_of(id);
-        if !self.shards[shard].contains_key(&id.0) {
-            return Ok(false);
+    pub fn remove_user(&self, id: UserId) -> Result<bool> {
+        {
+            let idx = self.shard_of(id);
+            let mut shard = self.lock_shard(idx)?;
+            if !shard.sessions.contains_key(&id.0) {
+                return Ok(false);
+            }
+            Self::journal(
+                &self.store,
+                &mut shard,
+                &WalRecord::RemoveUser { user: id.0 },
+            )?;
+            shard.sessions.remove(&id.0);
+            self.occupancy[idx].store(shard.sessions.len(), Ordering::Relaxed);
         }
-        Self::journal(
-            &mut self.store,
-            shard,
-            &WalRecord::RemoveUser { user: id.0 },
-        )?;
-        self.shards[shard].remove(&id.0);
         self.maybe_checkpoint()?;
         Ok(true)
     }
 
     /// Ingests one observation for one user. Equivalent to a singleton
-    /// [`SessionManager::ingest_batch`].
+    /// [`SessionManager::ingest_batch`], but it locks only the user's shard.
     ///
     /// # Errors
     /// See [`SessionManager::ingest_batch`].
-    pub fn ingest(&mut self, id: UserId, emission_column: Vector) -> Result<UserReport> {
-        let mut reports = self.ingest_batch(&[(id, emission_column)])?;
-        Ok(reports.pop().expect("one observation in, one report out"))
+    pub fn ingest(&self, id: UserId, emission_column: Vector) -> Result<UserReport> {
+        let start = self
+            .instruments
+            .ingest_seconds
+            .is_enabled()
+            .then(Instant::now);
+        self.check_emission(emission_column.as_slice())?;
+        let report = {
+            let mut scratch = Lease::take(&self.scratch);
+            let mut shard = self.lock_shard(self.shard_of(id))?;
+            if !shard.sessions.contains_key(&id.0) {
+                return Err(OnlineError::UnknownUser { user: id.0 });
+            }
+            // A caller-supplied column is journaled whole (audit path:
+            // nothing is suppressed).
+            let record = WalRecord::Observe {
+                user: id.0,
+                suppressed: false,
+                column: Cow::Borrowed(emission_column.as_slice()),
+            };
+            Self::journal(&self.store, &mut shard, &record)?;
+            self.commit_one(&mut shard, id.0, &emission_column, &mut scratch.scratch)
+        };
+        self.maybe_checkpoint()?;
+        self.record_ingest(start, 1);
+        Ok(report)
     }
 
     /// Ingests one observation for one user as the cell the service's
@@ -880,7 +1099,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// [`OnlineError::UnknownUser`]; [`OnlineError::NoMechanism`] without
     /// [`SessionManager::set_mechanism`]; emission validation and
     /// journaling errors. All are detected before any state is mutated.
-    pub fn ingest_observed(&mut self, id: UserId, observed: CellId) -> Result<UserReport> {
+    pub fn ingest_observed(&self, id: UserId, observed: CellId) -> Result<UserReport> {
         let start = self
             .instruments
             .ingest_seconds
@@ -893,19 +1112,25 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 num_cells: m,
             });
         }
-        let shard = self.shard_of(id);
-        if !self.shards[shard].contains_key(&id.0) {
-            return Err(OnlineError::UnknownUser { user: id.0 });
-        }
-        let mechanism = self.mechanism.as_ref().ok_or(OnlineError::NoMechanism)?;
-        let budget = mechanism.budget();
-        let column = mechanism.emission_column(observed);
-        self.check_emission(column.as_slice())?;
-        if self.store.is_some() {
-            let record = emitted(id.0, Emitter::Source, observed, budget, &column);
-            Self::journal(&mut self.store, shard, &record)?;
-        }
-        let report = self.commit_one(shard, id.0, &column);
+        let report = {
+            let mut scratch = Lease::take(&self.scratch);
+            let mut shard = self.lock_shard(self.shard_of(id))?;
+            if !shard.sessions.contains_key(&id.0) {
+                return Err(OnlineError::UnknownUser { user: id.0 });
+            }
+            let mechanism = self.mechanism.as_ref().ok_or(OnlineError::NoMechanism)?;
+            // The column is built inside the critical section, so a
+            // panicking mechanism poisons the shard like any other
+            // mid-update panic.
+            let budget = mechanism.budget();
+            let column = mechanism.emission_column(observed);
+            self.check_emission(column.as_slice())?;
+            if self.store.is_some() {
+                let record = emitted(id.0, Emitter::Source, observed, budget, &column);
+                Self::journal(&self.store, &mut shard, &record)?;
+            }
+            self.commit_one(&mut shard, id.0, &column, &mut scratch.scratch)
+        };
         self.maybe_checkpoint()?;
         self.record_ingest(start, 1);
         Ok(report)
@@ -932,21 +1157,23 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         // failure leaves both memory and disk untouched.
         self.journal_observations(&by_shard)?;
         let mut reports = Vec::with_capacity(batch.len());
-        for (shard_idx, wanted) in by_shard.iter().enumerate() {
+        let mut scratch = Lease::take(&self.scratch);
+        for ((idx, shard), wanted) in self.shards.iter_mut().enumerate().zip(&by_shard) {
             if wanted.is_empty() {
                 continue;
             }
             let (mut shard_reports, delta) = Self::process_shard(
                 &self.provider,
                 &self.templates,
-                &mut self.shards[shard_idx],
+                &mut owned(shard, idx)?.sessions,
                 wanted,
                 &self.config,
-                &mut self.scratch,
+                &mut scratch.scratch,
             );
             self.instruments.absorb(&delta);
             reports.append(&mut shard_reports);
         }
+        drop(scratch);
         reports.sort_by_key(|r| r.user);
         self.maybe_checkpoint()?;
         self.record_ingest(start, batch.len());
@@ -961,8 +1188,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 .ingest_seconds
                 .observe(t0.elapsed().as_secs_f64());
             self.instruments.ingest_batch_size.observe(batch as f64);
-            self.instruments
-                .update_occupancy(self.shards.iter().map(BTreeMap::len));
+            self.instruments.update_occupancy(self.occupancy());
         }
     }
 
@@ -972,11 +1198,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         if self.store.is_none() {
             return Ok(());
         }
-        for (shard_idx, wanted) in by_shard.iter().enumerate() {
+        for ((idx, shard), wanted) in self.shards.iter_mut().enumerate().zip(by_shard) {
+            let shard = owned(shard, idx)?;
             for (&uid, col) in wanted {
                 Self::journal(
-                    &mut self.store,
-                    shard_idx,
+                    &self.store,
+                    shard,
                     &WalRecord::Observe {
                         user: uid,
                         suppressed: false,
@@ -988,20 +1215,29 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(())
     }
 
-    /// Appends a record to the attached store's shard WAL; a no-op for
-    /// in-memory services.
-    fn journal(store: &mut Option<DurableStore>, shard: usize, record: &WalRecord) -> Result<()> {
-        if let Some(store) = store {
-            store.append(shard, record)?;
+    /// Appends a record to `shard`'s WAL segment; a no-op for in-memory
+    /// services.
+    fn journal(
+        store: &Option<DurableStore>,
+        shard: &mut Shard<P>,
+        record: &WalRecord,
+    ) -> Result<()> {
+        if let (Some(store), Some(wal)) = (store, shard.wal.as_mut()) {
+            store.append(wal, record)?;
         }
         Ok(())
     }
 
     /// Compacts the WAL into a fresh snapshot when the auto-checkpoint
-    /// threshold has been crossed.
-    fn maybe_checkpoint(&mut self) -> Result<()> {
-        if self.store.as_ref().is_some_and(DurableStore::due) {
-            self.checkpoint()?;
+    /// threshold has been crossed. The caller holds no shard lock.
+    fn maybe_checkpoint(&self) -> Result<()> {
+        let Some(store) = self.store.as_ref().filter(|s| s.due()) else {
+            return Ok(());
+        };
+        let mut shards = self.lock_all()?;
+        // Another call may have checkpointed while this one waited.
+        if store.due() {
+            self.checkpoint_locked(store, &mut shards)?;
         }
         Ok(())
     }
@@ -1010,27 +1246,33 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// shape, user existence, one-observation-per-user. Returns the
     /// per-shard observation maps.
     fn validate_batch<'b>(
-        &self,
+        &mut self,
         batch: &'b [(UserId, Vector)],
     ) -> Result<Vec<BTreeMap<u64, &'b Vector>>> {
         let mut by_shard: Vec<BTreeMap<u64, &Vector>> =
             (0..self.shards.len()).map(|_| BTreeMap::new()).collect();
         for (id, col) in batch {
             self.check_emission(col.as_slice())?;
-            let shard = self.shard_of(*id);
-            if !self.shards[shard].contains_key(&id.0) {
+            let idx = self.shard_of(*id);
+            if !owned(&mut self.shards[idx], idx)?
+                .sessions
+                .contains_key(&id.0)
+            {
                 return Err(OnlineError::UnknownUser { user: id.0 });
             }
-            if by_shard[shard].insert(id.0, col).is_some() {
+            if by_shard[idx].insert(id.0, col).is_some() {
                 return Err(OnlineError::DuplicateObservation { user: id.0 });
             }
         }
         Ok(by_shard)
     }
 
-    /// An emission column must have one finite, non-negative entry per
+    /// Checks an emission column: one finite, non-negative entry per
     /// state.
-    fn check_emission(&self, column: &[f64]) -> Result<()> {
+    ///
+    /// # Errors
+    /// [`QuantifyError::InvalidEmission`] (wrapped) otherwise.
+    pub fn check_emission(&self, column: &[f64]) -> Result<()> {
         let m = self.provider.num_states();
         if column.len() != m || column.iter().any(|&x| x < 0.0 || !x.is_finite()) {
             return Err(OnlineError::Quantify(QuantifyError::InvalidEmission {
@@ -1196,8 +1438,49 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         results
     }
 
-    fn shard_of(&self, id: UserId) -> usize {
+    /// The shard `id`'s session lives in: `id % num_shards`.
+    pub fn shard_of(&self, id: UserId) -> usize {
         (id.0 % self.shards.len() as u64) as usize
+    }
+
+    /// Whether a panic poisoned any shard: its state may be half-committed,
+    /// so a daemon stops serving until it is restarted from the journal.
+    pub fn is_poisoned(&self) -> bool {
+        self.shards.iter().any(Mutex::is_poisoned)
+    }
+
+    /// Locks shard `idx` for one call, recording the wait in
+    /// `online_shard_lock_wait_seconds` while telemetry is on.
+    fn lock_shard(&self, idx: usize) -> Result<MutexGuard<'_, Shard<P>>> {
+        let wait = &self.instruments.shard_lock_wait_seconds;
+        let start = wait.is_enabled().then(Instant::now);
+        let shard = self.shard(idx);
+        if let Some(t0) = start {
+            wait.observe(t0.elapsed().as_secs_f64());
+        }
+        shard
+    }
+
+    /// Locks shard `idx`; a shard a panic poisoned is refused.
+    fn shard(&self, idx: usize) -> Result<MutexGuard<'_, Shard<P>>> {
+        self.shards[idx]
+            .lock()
+            .map_err(|_| OnlineError::ShardPanicked { shard: idx })
+    }
+
+    /// Every shard, locked in index order (the lock order a checkpoint
+    /// relies on).
+    fn lock_all(&self) -> Result<Vec<MutexGuard<'_, Shard<P>>>> {
+        (0..self.shards.len()).map(|idx| self.shard(idx)).collect()
+    }
+
+    /// Every shard, locked in index order for a read that also accepts a
+    /// shard a panic poisoned.
+    fn read_all(&self) -> Vec<MutexGuard<'_, Shard<P>>> {
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect()
     }
 
     // ---- Durability -----------------------------------------------------
@@ -1229,13 +1512,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         durable::fnv1a64(s.as_bytes())
     }
 
-    /// The live state as a snapshot source: checkpoints and digests encode
-    /// the sessions' vectors in place instead of copying them.
-    fn live_state(&self) -> LiveState<'_, P> {
+    /// The live state of `shards`, which the caller holds, as a snapshot
+    /// source: checkpoints and digests encode the sessions' vectors in
+    /// place instead of copying them.
+    fn live_state<'a>(&self, shards: &'a [MutexGuard<'_, Shard<P>>]) -> LiveState<'a, P> {
         LiveState {
             fingerprint: self.fingerprint(),
             stats: self.stats().to_array(),
-            shards: &self.shards,
+            shards: shards.iter().map(|s| &s.sessions).collect(),
         }
     }
 
@@ -1246,8 +1530,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// depend on which vectors share an allocation, so a recovered service
     /// that shares more than the live one did still digests the same.
     pub fn state_digest(&self) -> u64 {
+        let shards = self.read_all();
         let mut hash = durable::Fnv1a64::new();
-        durable::encode_payload(&self.live_state(), &mut hash, durable::Layout::Logical);
+        durable::encode_payload(
+            &self.live_state(&shards),
+            &mut hash,
+            durable::Layout::Logical,
+        );
         hash.finish()
     }
 
@@ -1265,21 +1554,25 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         } else {
             1
         };
-        let state = self.live_state();
         let obs = self
             .instruments
             .registry
             .as_ref()
             .map_or_else(StoreInstruments::disabled, StoreInstruments::from_registry);
-        let store = DurableStore::open(
+        let mut shards = self.lock_all()?;
+        let (store, wals) = DurableStore::open(
             dir,
             opts,
-            state.fingerprint,
+            self.fingerprint(),
             self.config.num_shards,
             start,
-            &state,
+            &self.live_state(&shards),
             obs,
         )?;
+        for (shard, wal) in shards.iter_mut().zip(wals) {
+            shard.wal = Some(wal);
+        }
+        drop(shards);
         self.store = Some(store);
         Ok(())
     }
@@ -1291,22 +1584,37 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
 
     /// Compacts the WAL into a fresh snapshot generation. Called
     /// automatically every [`DurableOptions::snapshot_every`] records;
-    /// callers may also checkpoint explicitly (e.g. before shutdown).
+    /// callers may also checkpoint explicitly (e.g. before shutdown). It
+    /// holds every shard's lock, taken in index order, while it runs.
     ///
     /// # Errors
     /// [`OnlineError::InvalidConfig`] when no store is attached;
+    /// [`OnlineError::ShardPanicked`] when a panic poisoned a shard;
     /// [`OnlineError::Durable`] on I/O failure.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        let mut store = self
+    pub fn checkpoint(&self) -> Result<()> {
+        let store = self
             .store
-            .take()
+            .as_ref()
             .ok_or_else(|| OnlineError::InvalidConfig {
                 message: "no durable store attached; call make_durable or open_durable first"
                     .into(),
             })?;
-        let written = store.checkpoint(&self.live_state());
-        self.store = Some(store);
-        Ok(written?)
+        self.checkpoint_locked(store, &mut self.lock_all()?)
+    }
+
+    /// Writes the next generation from `shards`, every shard in index
+    /// order, and switches them to its WAL segments. A failure leaves every
+    /// shard appending to the current generation.
+    fn checkpoint_locked(
+        &self,
+        store: &DurableStore,
+        shards: &mut [MutexGuard<'_, Shard<P>>],
+    ) -> Result<()> {
+        let wals = store.checkpoint(&self.live_state(shards))?;
+        for (shard, wal) in shards.iter_mut().zip(wals) {
+            shard.wal = Some(wal);
+        }
+        Ok(())
     }
 
     /// Read-only crash recovery: rebuilds a service from the newest valid
@@ -1348,6 +1656,8 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     ) -> Result<Self> {
         let t0 = Instant::now();
         let mut svc = Self::with_scenario(provider, config, templates, mechanism)?;
+        // Recovery runs before anyone else can see the service: the shard
+        // locks below are never contended.
         let rec = durable::recover_dir(dir, svc.fingerprint(), svc.config.num_shards)?;
         svc.restore_snapshot(rec.state)?;
         let mut replayed_records = 0u64;
@@ -1365,8 +1675,9 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 torn_records += 1;
                 let mut exhausted_one = false;
                 if let Some(uid) = user {
-                    let shard = svc.shard_of(UserId(uid));
-                    if let Some(session) = svc.shards[shard].get_mut(&uid) {
+                    let idx = svc.shard_of(UserId(uid));
+                    if let Some(session) = owned(&mut svc.shards[idx], idx)?.sessions.get_mut(&uid)
+                    {
                         session.ledger_mut().force_exhaust();
                         exhausted_one = true;
                     }
@@ -1375,13 +1686,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 // user that does not exist, which means the prefix bytes
                 // themselves are suspect: exhaust the whole shard.
                 if !exhausted_one {
-                    svc.exhaust_shard(shard_idx);
+                    svc.exhaust_shard(shard_idx)?;
                 }
             }
         }
         if rec.skipped_newer {
             for shard in 0..svc.shards.len() {
-                svc.exhaust_shard(shard);
+                svc.exhaust_shard(shard)?;
             }
         }
         svc.recovery = Some(RecoveryInfo {
@@ -1455,7 +1766,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// and [`RestoreMemo`] interns it, or checks it against its start, once:
     /// restoring N idle sessions costs `O(distinct vectors × m)`, not
     /// `O(N × m)`.
-    fn restore_snapshot(&mut self, state: SnapshotState) -> Result<()> {
+    fn restore_snapshot(&self, state: SnapshotState) -> Result<()> {
         let m = self.provider.num_states();
         let mut memo = RestoreMemo::default();
         for snap in state.sessions {
@@ -1489,7 +1800,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                     self.intern_decoded(&mut memo, &w.pi, "persisted window prior")?
                 };
                 let provider = &self.provider;
-                let start = self.priors.start(&pi, template, || {
+                let start = self.priors().start(&pi, template, || {
                     WindowStart::new(&model, provider, Arc::clone(&pi))
                 })?;
                 let provider = self.provider.clone();
@@ -1515,10 +1826,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 snap.violations as usize,
             )?;
             let session = Session::from_parts(id, posterior, windows, ledger, snap.t as usize);
-            let shard = self.shard_of(id);
-            if self.shards[shard].insert(snap.user, session).is_some() {
+            let idx = self.shard_of(id);
+            let mut shard = self.shard(idx)?;
+            if shard.sessions.insert(snap.user, session).is_some() {
                 return Err(OnlineError::DuplicateUser { user: snap.user });
             }
+            self.occupancy[idx].store(shard.sessions.len(), Ordering::Relaxed);
         }
         self.instruments
             .store_stats(ServiceStats::from_array(state.stats));
@@ -1528,7 +1841,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// The interned prior for a decoded vector, interned once per decoded
     /// allocation.
     fn intern_decoded(
-        &mut self,
+        &self,
         memo: &mut RestoreMemo,
         decoded: &Arc<Vector>,
         op: &'static str,
@@ -1552,7 +1865,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// after committing it. `rungs` holds the guard rungs rebuilt so far,
     /// by budget bits.
     fn replay(
-        &mut self,
+        &self,
         record: &WalRecord,
         segment: &Path,
         index: usize,
@@ -1565,21 +1878,23 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                     Arc::new(Vector::from(pi.as_ref())),
                     "journaled initial distribution",
                 )?;
-                let shard = self.shard_of(id);
-                if self.shards[shard].contains_key(user) {
+                let mut shard = self.shard(self.shard_of(id))?;
+                if shard.sessions.contains_key(user) {
                     return Err(OnlineError::DuplicateUser { user: *user });
                 }
-                self.shards[shard].insert(*user, Session::new(id, pi, self.config.budget));
-                Ok(())
+                // No store is attached during recovery: nothing is journaled.
+                self.insert_session(&mut shard, id, pi)
             }
             WalRecord::RemoveUser { user } => {
-                let shard = self.shard_of(UserId(*user));
-                self.shards[shard].remove(user);
+                let idx = self.shard_of(UserId(*user));
+                let mut shard = self.shard(idx)?;
+                shard.sessions.remove(user);
+                self.occupancy[idx].store(shard.sessions.len(), Ordering::Relaxed);
                 Ok(())
             }
             WalRecord::AttachEvent { user, template } => {
-                let shard = self.shard_of(UserId(*user));
-                self.attach_window(shard, *user, *template as usize)
+                let mut shard = self.shard(self.shard_of(UserId(*user)))?;
+                self.attach_window(&mut shard.sessions, *user, *template as usize)
             }
             WalRecord::Observe {
                 user,
@@ -1667,13 +1982,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// Replays one committed observation as a singleton commit.
-    fn replay_observe(&mut self, user: u64, column: &Vector, suppressed: bool) -> Result<()> {
+    fn replay_observe(&self, user: u64, column: &Vector, suppressed: bool) -> Result<()> {
         self.check_emission(column.as_slice())?;
-        let shard = self.shard_of(UserId(user));
-        if !self.shards[shard].contains_key(&user) {
+        let mut scratch = Lease::take(&self.scratch);
+        let mut shard = self.shard(self.shard_of(UserId(user)))?;
+        if !shard.sessions.contains_key(&user) {
             return Err(OnlineError::UnknownUser { user });
         }
-        let _ = self.commit_one(shard, user, column);
+        let _ = self.commit_one(&mut shard, user, column, &mut scratch.scratch);
         if suppressed {
             self.instruments.suppressed.inc();
         }
@@ -1681,10 +1997,11 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// Conservative rounding: exhausts every ledger on one shard.
-    fn exhaust_shard(&mut self, shard: usize) {
-        for session in self.shards[shard].values_mut() {
+    fn exhaust_shard(&mut self, idx: usize) -> Result<()> {
+        for session in owned(&mut self.shards[idx], idx)?.sessions.values_mut() {
             session.ledger_mut().force_exhaust();
         }
+        Ok(())
     }
 }
 
@@ -1718,14 +2035,14 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         let templates = &self.templates;
         let config = &self.config;
 
-        let jobs: Vec<_> = self
+        let jobs = self
             .shards
             .iter_mut()
             .enumerate()
             .zip(&by_shard)
             .filter(|((_, _), wanted)| !wanted.is_empty())
-            .map(|((idx, shard), wanted)| (idx, (shard, wanted)))
-            .collect();
+            .map(|((idx, shard), wanted)| Ok((idx, (&mut owned(shard, idx)?.sessions, wanted))))
+            .collect::<Result<Vec<_>>>()?;
         let (mut reports, merged, failure) =
             fan_out_shards(jobs, threads, |(shard, wanted), out, delta| {
                 let mut scratch = ShardScratch::default();
@@ -1788,7 +2105,10 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
                 });
             }
             let shard = self.shard_of(*id);
-            if !self.shards[shard].contains_key(&id.0) {
+            if !owned(&mut self.shards[shard], shard)?
+                .sessions
+                .contains_key(&id.0)
+            {
                 return Err(OnlineError::UnknownUser { user: id.0 });
             }
             if by_shard[shard].insert(id.0, *loc).is_some() {
@@ -1803,14 +2123,16 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         let guard_obs = &guard_obs;
         let journaling = self.store.is_some();
 
-        let jobs: Vec<_> = self
+        let jobs = self
             .shards
             .iter_mut()
             .enumerate()
             .zip(&by_shard)
             .filter(|((_, _), wanted)| !wanted.is_empty())
-            .map(|((idx, shard), wanted)| (idx, (idx, shard, wanted)))
-            .collect();
+            .map(|((idx, shard), wanted)| {
+                Ok((idx, (idx, &mut owned(shard, idx)?.sessions, wanted)))
+            })
+            .collect::<Result<Vec<_>>>()?;
         let (mut items, merged, failure) =
             fan_out_shards(jobs, threads, |(shard_idx, shard, wanted), out, delta| {
                 let mut rng = shard_rng(seed, shard_idx);
@@ -1870,8 +2192,10 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         let mut journal_err = None;
         for (release, record) in &items {
             let Some(record) = record else { continue };
-            let shard = self.shard_of(release.report.user);
-            if let Err(e) = Self::journal(&mut self.store, shard, record) {
+            let idx = self.shard_of(release.report.user);
+            let journaled = owned(&mut self.shards[idx], idx)
+                .and_then(|shard| Self::journal(&self.store, shard, record));
+            if let Err(e) = journaled {
                 journal_err = Some(e);
                 break;
             }
@@ -1894,8 +2218,7 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
             self.instruments
                 .release_batch_size
                 .observe(releases.len() as f64);
-            self.instruments
-                .update_occupancy(self.shards.iter().map(BTreeMap::len));
+            self.instruments.update_occupancy(self.occupancy());
         }
         Ok(releases)
     }
@@ -1993,7 +2316,8 @@ mod tests {
                 _ => (Emitter::Source, inside.0 as u32, budget, hash(rung.as_ref())),
             };
             let record = WalRecord::Emitted { user: 5, by, cell, budget, hash };
-            svc.store.as_mut().unwrap().append(1, &record).unwrap();
+            let wal = svc.shards[1].get_mut().unwrap().wal.as_mut().unwrap();
+            svc.store.as_ref().unwrap().append(wal, &record).unwrap();
             drop(svc);
             let (path, index, detail) = replay_failure(Arc::clone(&chain), &dir, Some(Box::new(plm)));
             prop_assert!(path.ends_with("wal-0000000000000001-0001.log"), "{}", path.display());

@@ -48,6 +48,9 @@ pub(crate) struct ServiceInstruments {
     pub(crate) release_batch_seconds: Histogram,
     /// `online_release_batch_size` (gated).
     pub(crate) release_batch_size: Histogram,
+    /// `online_shard_lock_wait_seconds`: how long a single-user call
+    /// waited for its shard's lock (gated).
+    pub(crate) shard_lock_wait_seconds: Histogram,
     /// `online_sessions` gauge (gated).
     pub(crate) sessions: Gauge,
     /// `online_shard_imbalance` gauge: fullest shard ÷ mean shard
@@ -76,6 +79,7 @@ impl ServiceInstruments {
             release_seconds: Histogram::disabled(),
             release_batch_seconds: Histogram::disabled(),
             release_batch_size: Histogram::disabled(),
+            shard_lock_wait_seconds: Histogram::disabled(),
             sessions: Gauge::disabled(),
             shard_imbalance: Gauge::disabled(),
             guard: GuardInstruments::disabled(),
@@ -98,6 +102,7 @@ impl ServiceInstruments {
         self.release_seconds = registry.histogram("online_release_seconds");
         self.release_batch_seconds = registry.histogram("online_release_batch_seconds");
         self.release_batch_size = registry.histogram("online_release_batch_size");
+        self.shard_lock_wait_seconds = registry.histogram("online_shard_lock_wait_seconds");
         self.sessions = registry.gauge("online_sessions");
         self.shard_imbalance = registry.gauge("online_shard_imbalance");
         self.guard = GuardInstruments::from_registry(registry);

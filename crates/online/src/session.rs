@@ -24,7 +24,7 @@ impl fmt::Display for UserId {
 /// loss across the user's windows is added to `spent`. Once `spent`
 /// reaches `budget` the session is flagged exhausted (the service keeps
 /// quantifying — the flag is advice for the release mechanism upstream).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetLedger {
     budget: f64,
     spent: f64,
@@ -200,7 +200,8 @@ impl<P: TransitionProvider> EventWindow<P> {
 }
 
 /// Per-user session state. Owned by the
-/// [`SessionManager`](crate::SessionManager); read access is public for
+/// [`SessionManager`](crate::SessionManager), which hands out copies
+/// ([`SessionManager::session`](crate::SessionManager::session)) for
 /// reporting and tests.
 ///
 /// The posterior sits behind an `Arc` that is written through only while
@@ -276,9 +277,9 @@ impl<P: TransitionProvider> Session<P> {
         &self.posterior
     }
 
-    /// The privacy-budget ledger.
-    pub fn ledger(&self) -> &BudgetLedger {
-        &self.ledger
+    /// The privacy-budget ledger, by value: it is four words.
+    pub fn ledger(&self) -> BudgetLedger {
+        self.ledger
     }
 
     /// Number of active event windows.

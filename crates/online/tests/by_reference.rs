@@ -108,7 +108,7 @@ fn observed_cells_and_explicit_columns_recover_to_the_same_digest() {
     let mechanism = plm(2.0);
     let mut by_ref = service(&by_ref_dir);
     by_ref.set_mechanism(Box::new(mechanism.clone())).unwrap();
-    let mut explicit = service(&explicit_dir);
+    let explicit = service(&explicit_dir);
     for r in 0..ROUNDS {
         for u in 0..USERS {
             let cell = observed(u, r);

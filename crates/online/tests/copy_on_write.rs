@@ -234,7 +234,7 @@ fn apply_checking_writes(
         .map(|&u| {
             let s = svc.session(UserId(u)).unwrap();
             let pis = s.windows().map(|(_, w)| bits(w.pi())).collect();
-            (addresses(s), state_bits(s), pis)
+            (addresses(&s), state_bits(&s), pis)
         })
         .collect();
     let clones: Vec<Session<_>> = if clone {
@@ -249,7 +249,7 @@ fn apply_checking_writes(
     for (&u, (was, was_bits, was_pis)) in live.iter().zip(&before) {
         let s = svc.session(UserId(u)).unwrap();
         if !touched(u) {
-            assert_eq!(&state_bits(s), was_bits, "untouched user {u} changed");
+            assert_eq!(&state_bits(&s), was_bits, "untouched user {u} changed");
             continue;
         }
         if !observed.contains(&u) {
@@ -264,7 +264,7 @@ fn apply_checking_writes(
         if clone {
             continue;
         }
-        let now = addresses(s);
+        let now = addresses(&s);
         let posterior_shared = was.windows.iter().any(|&(_, pi, _)| pi == was.posterior);
         if posterior_shared {
             assert_ne!(
@@ -327,7 +327,7 @@ proptest! {
             }
             prop_assert_eq!(&reports, &shared_reports[u as usize], "user {}", u);
             match (shared.session(UserId(u)), alone.session(UserId(u))) {
-                (Some(a), Some(b)) => prop_assert_eq!(state_bits(a), state_bits(b), "user {}", u),
+                (Some(a), Some(b)) => prop_assert_eq!(state_bits(&a), state_bits(&b), "user {}", u),
                 (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
             }
         }
@@ -336,7 +336,7 @@ proptest! {
 
 #[test]
 fn idle_users_share_and_a_write_unshares_only_the_writer() {
-    let mut svc = service();
+    let svc = service();
     let pool = prior_pool();
     for u in 0..3 {
         svc.add_user(UserId(u), pool[0].clone()).unwrap();
@@ -345,7 +345,7 @@ fn idle_users_share_and_a_write_unshares_only_the_writer() {
     // Value-equal but bit-distinct priors never merge.
     svc.add_user(UserId(3), pool[1].clone()).unwrap();
     svc.add_user(UserId(4), pool[2].clone()).unwrap();
-    fn session(svc: &SessionManager<Arc<Homogeneous>>, u: u64) -> &Session<Arc<Homogeneous>> {
+    fn session(svc: &SessionManager<Arc<Homogeneous>>, u: u64) -> Session<Arc<Homogeneous>> {
         svc.session(UserId(u)).unwrap()
     }
     let window = |s: &Session<Arc<Homogeneous>>| {
@@ -355,8 +355,9 @@ fn idle_users_share_and_a_write_unshares_only_the_writer() {
     let (a, b, c) = (session(&svc, 0), session(&svc, 1), session(&svc, 2));
     assert!(std::ptr::eq(a.posterior(), b.posterior()));
     assert!(std::ptr::eq(b.posterior(), c.posterior()));
-    assert_eq!(window(a), window(b));
-    assert!(std::ptr::eq(window(a).0, a.posterior()));
+    assert_eq!(window(&a), window(&b));
+    assert!(std::ptr::eq(window(&a).0, a.posterior()));
+    drop((a, b, c));
     assert!(!std::ptr::eq(
         session(&svc, 3).posterior(),
         session(&svc, 4).posterior()
@@ -367,9 +368,10 @@ fn idle_users_share_and_a_write_unshares_only_the_writer() {
     let (a, b, c) = (session(&svc, 0), session(&svc, 1), session(&svc, 2));
     assert!(!std::ptr::eq(a.posterior(), b.posterior()));
     assert!(std::ptr::eq(b.posterior(), c.posterior()));
-    assert_ne!(window(a).1, window(b).1);
-    assert_eq!(window(b), window(c));
+    assert_ne!(window(&a).1, window(&b).1);
+    assert_eq!(window(&b), window(&c));
     assert_eq!(b.posterior(), &pool[0], "the idle users kept the prior");
+    drop((a, b, c));
 
     // A template attached after the write starts from the writer's own
     // posterior; the idle users' cached start is untouched.
@@ -379,7 +381,7 @@ fn idle_users_share_and_a_write_unshares_only_the_writer() {
     let second = |s: &Session<Arc<Homogeneous>>| {
         s.windows().nth(1).unwrap().1.lifted_state() as *const Vector
     };
-    assert_eq!(second(b), second(c));
+    assert_eq!(second(&b), second(&c));
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -421,8 +423,7 @@ fn recovery_shares_idle_state_again() {
     let digest = svc.state_digest();
     drop(svc);
 
-    let mut recovered =
-        SessionManager::recover(chain(), config(), templates(), &dir, None).unwrap();
+    let recovered = SessionManager::recover(chain(), config(), templates(), &dir, None).unwrap();
     assert_eq!(recovered.state_digest(), digest);
     let first = recovered.session(UserId(0)).unwrap();
     let (_, first_window) = first.windows().next().unwrap();
@@ -445,11 +446,14 @@ fn recovery_shares_idle_state_again() {
         active_window.lifted_state(),
         first_window.lifted_state()
     ));
+    // A copy shares the session's vectors, so holding it across the
+    // observations below would make them write fresh ones.
+    drop(active);
 
     // Observing a recovered idle user never writes the vectors the idle
     // population shares; the active user's recovered vectors are its own,
     // so its next observation writes them in place.
-    let idle_bits = state_bits(recovered.session(UserId(2)).unwrap());
+    let idle_bits = state_bits(&recovered.session(UserId(2)).unwrap());
     let at = |svc: &SessionManager<Arc<Homogeneous>>, u: u64| {
         let s = svc.session(UserId(u)).unwrap();
         let (_, w) = s.windows().next().unwrap();
@@ -464,7 +468,10 @@ fn recovery_shares_idle_state_again() {
             .ingest(UserId(u), Vector::from(vec![0.4; 9]))
             .unwrap();
     }
-    assert_eq!(state_bits(recovered.session(UserId(2)).unwrap()), idle_bits);
+    assert_eq!(
+        state_bits(&recovered.session(UserId(2)).unwrap()),
+        idle_bits
+    );
     assert_eq!(
         at(&recovered, idle),
         active_at,

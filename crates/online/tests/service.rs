@@ -444,7 +444,7 @@ fn enforcing_service(
 
 #[test]
 fn enforcing_release_certifies_every_step() {
-    let (mut service, _grid, _) = enforcing_service(0.6);
+    let (service, _grid, _) = enforcing_service(0.6);
     assert!(service.enforcing());
     let mut rng = StdRng::seed_from_u64(11);
     for &loc in &[0usize, 1, 4, 0, 8, 2] {
@@ -501,7 +501,7 @@ fn enforcing_release_suppresses_when_nothing_feasible() {
 
 #[test]
 fn enforcing_mode_validates_requests() {
-    let (mut service, _grid, _) = enforcing_service(1.0);
+    let (service, _grid, _) = enforcing_service(1.0);
     let mut rng = StdRng::seed_from_u64(1);
     assert!(matches!(
         service.release(UserId(99), CellId(0), &mut rng),
@@ -530,7 +530,7 @@ fn enforcing_mode_validates_requests() {
 
 #[test]
 fn enforcing_and_audit_paths_share_the_session_state() {
-    let (mut service, grid, chain) = enforcing_service(1.2);
+    let (service, grid, chain) = enforcing_service(1.2);
     let mut rng = StdRng::seed_from_u64(21);
     let rel = service.release(UserId(1), CellId(4), &mut rng).unwrap();
     assert_eq!(rel.report.t, 1);

@@ -34,7 +34,8 @@
 use crate::http::{write_response, ReadError, Request, RequestReader, Response};
 use crate::proto::encode_error;
 use crate::signal;
-use priste_obs::{Counter, Gauge, Registry};
+use priste_obs::{Counter, Gauge, Histogram, Registry};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -282,7 +283,13 @@ fn accept_loop<H: Handler>(
     }
 }
 
+/// One worker's `<FAMILY>_request_seconds{route,status}` handles, looked
+/// up in the registry once per (route, status) pair instead of once per
+/// request.
+type Latencies = HashMap<(&'static str, u16), Histogram>;
+
 fn worker_loop<H: Handler>(shared: &Shared<H>, rx: &Mutex<Receiver<TcpStream>>) {
+    let mut latencies = Latencies::new();
     loop {
         // Hold the receiver lock only for the blocking recv; handling
         // happens with the lock released so other workers can pick up.
@@ -291,13 +298,13 @@ fn worker_loop<H: Handler>(shared: &Shared<H>, rx: &Mutex<Receiver<TcpStream>>) 
             guard.recv()
         };
         match stream {
-            Ok(stream) => handle_connection(shared, stream),
+            Ok(stream) => handle_connection(shared, stream, &mut latencies),
             Err(_) => return, // Acceptor gone and queue drained.
         }
     }
 }
 
-fn handle_connection<H: Handler>(shared: &Shared<H>, stream: TcpStream) {
+fn handle_connection<H: Handler>(shared: &Shared<H>, stream: TcpStream, latencies: &mut Latencies) {
     let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nodelay(true);
@@ -309,7 +316,7 @@ fn handle_connection<H: Handler>(shared: &Shared<H>, stream: TcpStream) {
         let (status, message) = match reader.read_request() {
             Ok(req) => {
                 shared.in_flight.add(1.0);
-                let mut resp = handle_request(shared, &req);
+                let mut resp = handle_request(shared, &req, latencies);
                 shared.in_flight.add(-1.0);
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 if shared.drain.is_draining() || req.wants_close() {
@@ -336,7 +343,11 @@ fn handle_connection<H: Handler>(shared: &Shared<H>, stream: TcpStream) {
 
 /// The envelope around every parsed request: route label, request id,
 /// span, latency histogram, error counter.
-fn handle_request<H: Handler>(shared: &Shared<H>, req: &Request) -> Response {
+fn handle_request<H: Handler>(
+    shared: &Shared<H>,
+    req: &Request,
+    latencies: &mut Latencies,
+) -> Response {
     let route = match req.path.as_str() {
         "/metrics" => "/metrics",
         "/healthz" => "/healthz",
@@ -364,12 +375,14 @@ fn handle_request<H: Handler>(shared: &Shared<H>, req: &Request) -> Response {
     let status = resp.status;
     span.annotate("status", f64::from(status));
     drop(span);
-    shared
-        .registry
-        .histogram(&format!(
-            "{}_request_seconds{{route=\"{route}\",status=\"{status}\"}}",
-            H::FAMILY
-        ))
+    latencies
+        .entry((route, status))
+        .or_insert_with(|| {
+            shared.registry.histogram(&format!(
+                "{}_request_seconds{{route=\"{route}\",status=\"{status}\"}}",
+                H::FAMILY
+            ))
+        })
         .observe(start.elapsed().as_secs_f64());
     if status >= 400 {
         shared.bump_error(route);

@@ -289,7 +289,7 @@ mod tests {
         }
 
         let session = svc.session(UserId(9)).unwrap();
-        let doc = json::parse(&encode_spend(session)).expect("spend JSON must parse");
+        let doc = json::parse(&encode_spend(&session)).expect("spend JSON must parse");
         assert_eq!(doc.get("observed").and_then(|j| j.as_u64()), Some(1));
         assert_eq!(
             doc.get("remaining").and_then(|j| j.as_f64()),

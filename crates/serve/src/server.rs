@@ -4,18 +4,29 @@
 //!
 //! The skeleton owns the connection model, the request envelope and
 //! `/metrics`, `/healthz`, `/readyz`; this module owns the `/v1` routes.
-//! Service state sits behind a single mutex — JSON parsing and
-//! serialization happen outside the lock, so the critical section is
-//! just the posterior update or guarded release itself.
+//! The handler holds the service itself, with no lock of its own: each
+//! route calls one of the service's `&self` entry points, which locks only
+//! the shard of the request's user (see [`SessionManager`]'s concurrency
+//! notes). Requests for users in different shards therefore run in
+//! parallel, and JSON parsing and serialization happen outside any lock.
+//! Releases draw from one RNG stream per shard ([`shard_rng`] of
+//! [`ServerConfig::seed`]), so a shard's released cells depend only on the
+//! order of its own requests, not on how connections interleave.
+//!
+//! A request is validated before its user is registered: a `/v1` answer
+//! of 400 or 409 never registers anyone. First contact registers the user
+//! with a uniform prior and the first template in one call
+//! ([`SessionManager::enroll`]), so concurrent first requests for one user
+//! register it once.
 //!
 //! # Panics
 //!
 //! A request whose handling panics is answered 500 by the skeleton. If it
-//! panicked inside the service, the state lock is poisoned and the
-//! in-memory state may be half-committed, so from then on every `/v1`
-//! route answers 503, `/readyz` reports unready, and the drain writes no
-//! final checkpoint. The journal holds every acknowledged commit: restart
-//! the worker to recover from it.
+//! panicked inside a shard's critical section, that shard's state may be
+//! half-committed ([`SessionManager::is_poisoned`]), so from then on every
+//! `/v1` route answers 503, `/readyz` reports unready, and the drain writes
+//! no final checkpoint. The journal holds every acknowledged commit:
+//! restart the worker to recover from it.
 //!
 //! # Graceful drain
 //!
@@ -34,12 +45,11 @@ use priste_linalg::Vector;
 use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_obs::Registry;
-use priste_online::{OnlineError, SessionManager, UserId};
+use priste_online::{shard_rng, OnlineError, SessionManager, UserId};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Tuning knobs for [`Server::start`].
@@ -57,7 +67,7 @@ pub struct ServerConfig {
     pub metrics_snapshot: Option<PathBuf>,
     /// Install SIGINT/SIGTERM handlers and treat them as a drain.
     pub handle_signals: bool,
-    /// Seed for the server-side release RNG.
+    /// Seed of the server-side release RNG streams, one per shard.
     pub seed: u64,
 }
 
@@ -74,28 +84,30 @@ impl Default for ServerConfig {
     }
 }
 
-/// The mutexed mutable core: the service and the release RNG.
-struct ServiceState<P> {
-    service: SessionManager<P>,
-    rng: StdRng,
-}
-
 /// The [`Handler`] behind [`Server`]: the `/v1` routes over one
-/// mutexed [`ServiceState`].
+/// [`SessionManager`].
 struct Service<P> {
-    state: Mutex<ServiceState<P>>,
+    service: SessionManager<P>,
+    /// One release stream per shard. A release holds its shard's stream
+    /// while it runs, taking it before the shard's lock, so the stream's
+    /// draws follow the shard's order of releases.
+    streams: Vec<Mutex<StdRng>>,
     drain: DrainHandle,
 }
 
 impl<P: TransitionProvider + Clone> Service<P> {
-    /// The state, or the 503 every route answers once a panic has
-    /// poisoned the lock: the state may be half-committed.
-    fn lock_state(&self) -> std::result::Result<MutexGuard<'_, ServiceState<P>>, Response> {
-        self.state.lock().map_err(|_| poisoned())
+    /// The service, or the 503 every route answers once a panic has
+    /// poisoned a shard: its state may be half-committed.
+    fn live(&self) -> std::result::Result<&SessionManager<P>, Response> {
+        if self.service.is_poisoned() {
+            Err(poisoned())
+        } else {
+            Ok(&self.service)
+        }
     }
 }
 
-impl<P: TransitionProvider + Clone + Send + 'static> Handler for Service<P> {
+impl<P: TransitionProvider + Clone + Send + Sync + 'static> Handler for Service<P> {
     const FAMILY: &'static str = "serve";
     const SPAN: &'static str = "http_request";
     const ID_PREFIX: &'static str = "priste-";
@@ -115,7 +127,7 @@ impl<P: TransitionProvider + Clone + Send + 'static> Handler for Service<P> {
     }
 
     fn not_ready(&self) -> Option<Response> {
-        self.state.is_poisoned().then(poisoned)
+        self.service.is_poisoned().then(poisoned)
     }
 }
 
@@ -125,7 +137,7 @@ pub struct Server<P> {
     daemon: Daemon<Service<P>>,
 }
 
-impl<P: TransitionProvider + Clone + Send + 'static> Server<P> {
+impl<P: TransitionProvider + Clone + Send + Sync + 'static> Server<P> {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
     /// serving `service` on a worker pool.
     ///
@@ -152,10 +164,10 @@ impl<P: TransitionProvider + Clone + Send + 'static> Server<P> {
         }
         let drain = DrainHandle::default();
         let handler = Service {
-            state: Mutex::new(ServiceState {
-                service,
-                rng: StdRng::seed_from_u64(config.seed),
-            }),
+            streams: (0..service.config().num_shards)
+                .map(|shard| Mutex::new(shard_rng(config.seed, shard)))
+                .collect(),
+            service,
             drain: drain.clone(),
         };
         let config = DaemonConfig {
@@ -189,14 +201,14 @@ impl<P: TransitionProvider + Clone + Send + 'static> Server<P> {
     /// Checkpoint or snapshot-write failures; the drain itself cannot
     /// fail.
     pub fn wait(self) -> Result<DrainSummary> {
-        self.daemon.wait(|service| {
-            let Ok(mut st) = service.lock_state() else {
+        self.daemon.wait(|handler| {
+            let Ok(service) = handler.live() else {
                 return Ok(false);
             };
-            if st.service.durable_dir().is_none() {
+            if service.durable_dir().is_none() {
                 return Ok(false);
             }
-            st.service.checkpoint()?;
+            service.checkpoint()?;
             Ok(true)
         })
     }
@@ -216,6 +228,7 @@ fn online_status(e: &OnlineError) -> u16 {
         OnlineError::UnknownUser { .. } | OnlineError::UnknownTemplate { .. } => 404,
         OnlineError::InvalidLocation { .. } | OnlineError::Quantify(_) => 400,
         OnlineError::NotEnforcing | OnlineError::NoMechanism => 409,
+        OnlineError::ShardPanicked { .. } => 503,
         _ => 500,
     }
 }
@@ -224,67 +237,73 @@ fn online_error(e: &OnlineError) -> Response {
     Response::json(online_status(e), proto::encode_error(&e.to_string()))
 }
 
-/// Registers `user` with a uniform prior and the first template on
-/// first contact, mirroring the CLI stream scenario's registration.
-fn ensure_user<P: TransitionProvider + Clone>(
-    st: &mut ServiceState<P>,
-    user: u64,
-    m: usize,
+fn bad_request(message: &str) -> Response {
+    Response::json(400, proto::encode_error(message))
+}
+
+/// Registers `user` with a uniform prior and the first template on first
+/// contact, mirroring the CLI stream scenario's registration.
+fn enroll<P: TransitionProvider + Clone>(
+    service: &SessionManager<P>,
+    user: UserId,
 ) -> std::result::Result<(), Response> {
-    let id = UserId(user);
-    if st.service.session(id).is_some() {
-        return Ok(());
+    let first: &[usize] = if service.templates().is_empty() {
+        &[]
+    } else {
+        &[0]
+    };
+    let m = service.num_states();
+    match service.enroll(user, || Vector::uniform(m), first) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(online_error(&e)),
     }
-    st.service
-        .add_user(id, Vector::uniform(m))
-        .map_err(|e| online_error(&e))?;
-    if !st.service.templates().is_empty() {
-        st.service
-            .attach_event(id, 0)
-            .map_err(|e| online_error(&e))?;
-    }
-    Ok(())
 }
 
 fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> Response {
     let parsed = match proto::decode_ingest(body) {
         Ok(parsed) => parsed,
-        Err(msg) => return Response::json(400, proto::encode_error(&msg)),
+        Err(msg) => return bad_request(&msg),
     };
-    let mut st = match handler.lock_state() {
-        Ok(st) => st,
+    let service = match handler.live() {
+        Ok(service) => service,
         Err(resp) => return resp,
     };
-    let m = st.service.num_states();
-    if let Err(resp) = ensure_user(&mut st, parsed.user, m) {
-        return resp;
-    }
+    let m = service.num_states();
     let id = UserId(parsed.user);
-    let outcome = match (parsed.observed, parsed.column) {
+    // Everything the request can be refused for is checked before its
+    // user is registered.
+    let column = match (parsed.observed, parsed.column) {
         (Some(cell), _) => {
             if cell >= m {
-                return Response::json(
-                    400,
-                    proto::encode_error(&format!("observed cell {cell} outside domain of {m}")),
-                );
+                return bad_request(&format!("observed cell {cell} outside domain of {m}"));
             }
-            st.service.ingest_observed(id, CellId(cell))
+            if !service.has_mechanism() {
+                return online_error(&OnlineError::NoMechanism);
+            }
+            None
         }
         (None, Some(column)) => {
             if column.len() != m {
-                return Response::json(
-                    400,
-                    proto::encode_error(&format!(
-                        "column has {} entries, domain has {m}",
-                        column.len()
-                    )),
-                );
+                return bad_request(&format!(
+                    "column has {} entries, domain has {m}",
+                    column.len()
+                ));
             }
-            st.service.ingest(id, Vector::from(column))
+            if let Err(e) = service.check_emission(&column) {
+                return online_error(&e);
+            }
+            Some(Vector::from(column))
         }
         (None, None) => unreachable!("decode_ingest enforces one-of"),
     };
-    drop(st);
+    if let Err(resp) = enroll(service, id) {
+        return resp;
+    }
+    let outcome = match (column, parsed.observed) {
+        (Some(column), _) => service.ingest(id, column),
+        (None, Some(cell)) => service.ingest_observed(id, CellId(cell)),
+        (None, None) => unreachable!("decode_ingest enforces one-of"),
+    };
     match outcome {
         Ok(report) => Response::json(200, proto::encode_report(&report)),
         Err(e) => online_error(&e),
@@ -294,32 +313,32 @@ fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> R
 fn release<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> Response {
     let parsed = match proto::decode_release(body) {
         Ok(parsed) => parsed,
-        Err(msg) => return Response::json(400, proto::encode_error(&msg)),
+        Err(msg) => return bad_request(&msg),
     };
-    let mut st = match handler.lock_state() {
-        Ok(st) => st,
+    let service = match handler.live() {
+        Ok(service) => service,
         Err(resp) => return resp,
     };
-    let m = st.service.num_states();
+    let m = service.num_states();
     if parsed.true_location >= m {
-        return Response::json(
-            400,
-            proto::encode_error(&format!(
-                "true_location {} outside domain of {m}",
-                parsed.true_location
-            )),
-        );
+        return bad_request(&format!(
+            "true_location {} outside domain of {m}",
+            parsed.true_location
+        ));
     }
-    if let Err(resp) = ensure_user(&mut st, parsed.user, m) {
+    if !service.enforcing() {
+        return online_error(&OnlineError::NotEnforcing);
+    }
+    let id = UserId(parsed.user);
+    if let Err(resp) = enroll(service, id) {
         return resp;
     }
-    let state = &mut *st;
-    let outcome = state.service.release(
-        UserId(parsed.user),
-        CellId(parsed.true_location),
-        &mut state.rng,
-    );
-    drop(st);
+    let outcome = {
+        let mut rng = handler.streams[service.shard_of(id)]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        service.release(id, CellId(parsed.true_location), &mut *rng)
+    };
     match outcome {
         Ok(release) => Response::json(200, proto::encode_release(&release)),
         Err(e) => online_error(&e),
@@ -328,31 +347,31 @@ fn release<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> 
 
 fn spend<P: TransitionProvider + Clone>(handler: &Service<P>, path: &str) -> Response {
     let user = proto::spend_user(path).expect("route matched");
-    let st = match handler.lock_state() {
-        Ok(st) => st,
+    let service = match handler.live() {
+        Ok(service) => service,
         Err(resp) => return resp,
     };
-    match st.service.session(UserId(user)) {
-        Some(session) => Response::json(200, proto::encode_spend(session)),
+    match service.session(UserId(user)) {
+        Some(session) => Response::json(200, proto::encode_spend(&session)),
         None => Response::json(404, proto::encode_error(&format!("unknown user {user}"))),
     }
 }
 
 fn config<P: TransitionProvider + Clone>(handler: &Service<P>) -> Response {
-    let st = match handler.lock_state() {
-        Ok(st) => st,
+    let service = match handler.live() {
+        Ok(service) => service,
         Err(resp) => return resp,
     };
-    let cfg = st.service.config();
+    let cfg = service.config();
     Response::json(
         200,
         proto::encode_config(
-            st.service.num_states(),
+            service.num_states(),
             cfg.epsilon,
             cfg.budget,
-            st.service.enforcing(),
-            st.service.templates().len(),
-            st.service.num_users(),
+            service.enforcing(),
+            service.templates().len(),
+            service.num_users(),
             handler.drain.is_draining(),
         ),
     )

@@ -48,7 +48,7 @@ fn main() -> Result<(), PristeError> {
     let built = pipeline()?;
     let chain = built.chain().expect("mobility set above").clone();
     let m = built.num_cells();
-    let mut service = built.serve_enforcing()?;
+    let service = built.serve_enforcing()?;
     let users = 10u64;
     let mut rng = StdRng::seed_from_u64(2019);
     let mut trajectories = Vec::new();

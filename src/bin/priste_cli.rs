@@ -1571,6 +1571,11 @@ const METRIC_SCHEMA: &[(&str, &str, &str)] = &[
         "releases per enforced batch",
     ),
     (
+        "online_shard_lock_wait_seconds",
+        "histogram",
+        "wait of one single-user call for its shard's lock",
+    ),
+    (
         "online_recovery_duration_seconds",
         "gauge",
         "snapshot-load + WAL-replay time of the last recovery",

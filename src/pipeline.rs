@@ -1107,7 +1107,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(pipeline.chain().unwrap().is_sparse());
-        let mut service = pipeline.serve().unwrap();
+        let service = pipeline.serve().unwrap();
         let user = priste_online::UserId(1);
         service
             .add_user(user, Vector::uniform(pipeline.num_cells()))
@@ -1184,7 +1184,7 @@ mod tests {
         };
         let pipeline = build();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut svc = pipeline.serve_enforcing().unwrap();
+        let svc = pipeline.serve_enforcing().unwrap();
         let user = priste_online::UserId(1);
         svc.add_user(user, Vector::uniform(9)).unwrap();
         svc.attach_event(user, 0).unwrap();

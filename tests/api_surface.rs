@@ -158,8 +158,23 @@ fn parallel_service_methods_are_pinned() {
         u64,
         usize,
     ) -> Result<Vec<EnforcedRelease>, OnlineError> = Mgr::release_batch;
-    let _: fn(&mut Mgr, UserId, CellId, &mut dyn RngCore) -> Result<EnforcedRelease, OnlineError> =
+}
+
+/// Pins the single-user entry points a daemon calls concurrently: each
+/// takes `&self` and locks only its user's shard, so the service is shared
+/// across worker threads without a lock of its own.
+#[test]
+#[allow(clippy::type_complexity)]
+fn single_user_service_methods_take_a_shared_reference() {
+    type Mgr = SessionManager<SharedProvider>;
+    let _: fn(&Mgr, UserId, CellId, &mut dyn RngCore) -> Result<EnforcedRelease, OnlineError> =
         Mgr::release;
+    let _: fn(&Mgr, UserId, Vector) -> Result<UserReport, OnlineError> = Mgr::ingest;
+    let _: fn(&Mgr, UserId, CellId) -> Result<UserReport, OnlineError> = Mgr::ingest_observed;
+    let _: fn(&Mgr, UserId, Vector) -> Result<(), OnlineError> = Mgr::add_user;
+    let _: fn(&Mgr, UserId, usize) -> Result<(), OnlineError> = Mgr::attach_event;
+    let _: fn(&Mgr) -> Result<(), OnlineError> = Mgr::checkpoint;
+    assert_send_sync::<Mgr>();
 }
 
 /// Pins the guard's prebuilt ladder and the one loop that walks it, the

@@ -346,7 +346,7 @@ proptest! {
             .durable_options(DurableOptions { fsync: false, snapshot_every })
             .build()
             .unwrap();
-        let mut svc = pipeline.serve().unwrap();
+        let svc = pipeline.serve().unwrap();
         for u in 0..3u64 {
             svc.add_user(UserId(u), Vector::uniform(4)).unwrap();
             svc.attach_event(UserId(u), 0).unwrap();
