@@ -10,8 +10,9 @@
 //!   per-session cost of registering, checkpointing and recovering users at
 //!   m = 2500, the resident growth of 10⁵ registered idle users there,
 //!   the heap one steady-state durable ingest, one first ingest and one
-//!   enforcing release allocate there, and the time and WAL bytes of one
-//!   journaled observed-cell ingest there.
+//!   enforcing release allocate there, the time of one enforcing release
+//!   and of one staged guard candidate readout there, and the time and WAL
+//!   bytes of one journaled observed-cell ingest there.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput, and
 //!   what the banded §V.A chain those worlds run on costs: one build at
@@ -73,6 +74,7 @@ use priste_markov::{
 use priste_obs::json::{parse, Json};
 use priste_obs::Registry;
 use priste_online::{DurableOptions, OnlineConfig, SessionManager, UserId};
+use priste_quantify::lifted::StepScratch;
 use priste_quantify::IncrementalTwoWorld;
 use priste_serve::{LoadMode, LoadgenOptions, Server, ServerConfig};
 use rand::rngs::StdRng;
@@ -828,6 +830,70 @@ fn suite_online(
              in-memory",
             attempts as f64 / releases as f64
         ),
+    });
+
+    // --- Guarded releases and guard attempts at m = 2500 -----------------
+    //
+    // One enforcing release of a user observed once, timed on a fresh
+    // in-memory service per rep, so every timed release steps its window
+    // inside the event (no evicted window is timed): the guard stages each
+    // window once, reads every candidate out against the stage, and the
+    // chosen column commits through it. Then one candidate readout on its
+    // own: a window observed once and staged, read out against Planar
+    // Laplace candidate columns.
+    let (mut release_us, mut attempts) = (f64::INFINITY, 0);
+    for rep in 0..opts.reps.max(1) {
+        let mut svc = service(&provider_s, &event_s, users);
+        svc.enable_enforcement(Box::new(plm_s.clone()), GuardConfig::default())
+            .expect("enforcement");
+        for u in 0..users {
+            svc.ingest(UserId(u as u64), column(u, 0)).expect("ingest");
+        }
+        let mut rng = StdRng::seed_from_u64(7 + rep as u64);
+        let started = Instant::now();
+        attempts = 0;
+        for u in 0..users {
+            attempts += svc
+                .release(UserId(u as u64), at(u), &mut rng)
+                .expect("release")
+                .attempts;
+        }
+        release_us = release_us.min(started.elapsed().as_secs_f64() * 1e6 / users as f64);
+    }
+    metrics.push(Metric {
+        name: "release_sparse_m2500",
+        value: release_us,
+        unit: "us",
+        note: format!(
+            "SessionManager::release of a user observed once ({users} users, {:.1} guard \
+             attempts each) on the 50x50 CSR world, in-memory",
+            attempts as f64 / users as f64
+        ),
+    });
+    let mut window =
+        IncrementalTwoWorld::new(event_s.clone(), Arc::clone(&provider_s), Vector::uniform(m))
+            .expect("window");
+    window.observe(&column(0, 0)).expect("observe");
+    let mut staged = StepScratch::default();
+    window.stage(&mut staged);
+    let candidates: Vec<Vector> = (0..16)
+        .map(|k| plm_s.emission_column(CellId((k * 151) % m)))
+        .collect();
+    let passes = 64;
+    let readout_ms = best_ms(opts.reps, || {
+        for _ in 0..passes {
+            for candidate in &candidates {
+                std::hint::black_box(window.peek_staged(&mut staged, candidate).expect("peek"));
+            }
+        }
+    });
+    metrics.push(Metric {
+        name: "guard_attempt_sparse_m2500",
+        value: readout_ms * 1e3 / (passes * candidates.len()) as f64,
+        unit: "us",
+        note: "one staged candidate readout (IncrementalTwoWorld::peek_staged) of a \
+               Planar Laplace column against a window observed once, 50x50 CSR world"
+            .into(),
     });
 
     // --- The idle population at m = 2500 ---------------------------------

@@ -381,8 +381,9 @@ pub struct CalibratedRelease {
 ///
 /// Each protected event is tracked by an [`IncrementalTwoWorld`], so one
 /// release of `k` events with `a` backoff attempts costs one lifted step
-/// per window (`O(k·m²)`, `O(k·nnz)` on a CSR chain) plus `O(k·m)` per
-/// attempt, and the commit's own step — no horizon replay. What it checks:
+/// per window (`O(k·m²)`, `O(k·nnz)` on a CSR chain), staged once and
+/// shared by every attempt and by the commit, plus one `O(k·m)` readout
+/// pass per attempt and one for the commit — no horizon replay. What it checks:
 /// at every timestep the committed
 /// column prefix satisfies `|ln odds-lift| ≤ target_epsilon` for every
 /// protected event under the construction-time `π`, re-checkable offline
@@ -501,9 +502,11 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
             rng,
             peek_worst_loss(&self.worlds, &mut self.staged),
         )?;
+        // Commit through the stages the guard just read its candidates
+        // against: no world is stepped twice.
         let mut loss = 0.0f64;
-        for world in &mut self.worlds {
-            loss = loss.max(world.observe(&outcome.column)?.privacy_loss);
+        for (world, staged) in self.worlds.iter_mut().zip(&mut self.staged) {
+            loss = loss.max(world.commit_staged(staged, &outcome.column)?.privacy_loss);
         }
         self.t += 1;
         // One record call covers releases/suppressions, ε spend, and
@@ -523,16 +526,20 @@ impl<P: TransitionProvider + Clone> CalibratedMechanism<P> {
 /// realized loss across a set of worlds were a candidate column committed
 /// next. Every world is staged once here ([`IncrementalTwoWorld::stage`],
 /// into `staged`, one scratch per world, grown as needed and reusable
-/// across releases); the returned closure then weighs each candidate
-/// against the staged rows ([`IncrementalTwoWorld::peek_staged`]), so an
-/// attempt costs `O(m)` per world and allocates nothing — bit-identical to
-/// calling [`IncrementalTwoWorld::peek`] per world per attempt. A
+/// across releases); the returned closure then reads each candidate out
+/// against the staged rows in one fused pass
+/// ([`IncrementalTwoWorld::peek_staged`]), so an attempt costs `O(m)` per
+/// world and writes no vector — bit-identical to calling
+/// [`IncrementalTwoWorld::peek`] per world per attempt. A
 /// zero-likelihood candidate (impossible under the model) is reported as
 /// `+∞` — uncertifiable, so the backoff moves on — rather than an error.
 /// Takes any cloneable iterator of worlds so both [`CalibratedMechanism`]
 /// and `priste-online`'s enforcing sessions (whose windows wrap their
 /// quantifiers) share one policy. The worlds must not observe while the
-/// closure lives.
+/// closure lives. Once it is dropped, `staged[i]` still holds world `i`'s
+/// stage, and the chosen column is committed through it
+/// ([`IncrementalTwoWorld::commit_staged`]) without stepping the world
+/// again.
 ///
 /// The closure fails with quantification errors other than zero
 /// likelihood.

@@ -50,6 +50,20 @@ pub type Result<T> = std::result::Result<T, LinalgError>;
 /// enough to catch construction bugs while loose enough for honest rounding.
 pub const STOCHASTIC_TOL: f64 = 1e-9;
 
+/// Whether every entry is finite and not below zero (`-0.0` counts as
+/// zero): the check every emission column passes. It reads bits, without
+/// a branch per entry, so it vectorizes: a non-negative finite `f64` is
+/// one whose bits lie below those of `+∞`, and `-0.0` is the sign bit
+/// alone.
+pub fn all_non_negative_finite(xs: &[f64]) -> bool {
+    const INFINITY: u64 = f64::INFINITY.to_bits();
+    const NEG_ZERO: u64 = (-0.0f64).to_bits();
+    xs.iter().fold(true, |ok, x| {
+        let bits = x.to_bits();
+        ok & ((bits < INFINITY) | (bits == NEG_ZERO))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,5 +73,31 @@ mod tests {
         let m = Matrix::identity(3);
         let v = Vector::from(vec![1.0, 2.0, 3.0]);
         assert_eq!(m.vecmat(&v).as_slice(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn non_negative_finite_matches_the_float_comparisons() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in values {
+            let invalid = x < 0.0 || !x.is_finite();
+            assert_eq!(all_non_negative_finite(&[x]), !invalid, "{x:?}");
+            assert_eq!(all_non_negative_finite(&[0.5, x, 0.25]), !invalid, "{x:?}");
+        }
+        assert!(all_non_negative_finite(&[]));
     }
 }

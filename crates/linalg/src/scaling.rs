@@ -15,7 +15,10 @@ use crate::Vector;
 
 /// Renormalize when the carried vector's largest entry leaves
 /// `[RENORM_LO, RENORM_HI]`. The window is generous: renormalization costs a
-/// pass over the vector, so we only pay it when drift is real.
+/// pass over the vector, so we only pay it when drift is real. A caller
+/// that already holds the vector's sum can skip
+/// [`ScaledVector::renormalize`] when [`ScaledVector::sum_keeps_scale`]
+/// holds: it would leave the vector as is.
 const RENORM_HI: f64 = 1e100;
 /// See [`RENORM_HI`].
 const RENORM_LO: f64 = 1e-100;
@@ -54,6 +57,18 @@ impl ScaledVector {
     /// May underflow to 0 or overflow to ∞ for extreme scales.
     pub fn sum(&self) -> f64 {
         self.vector.sum() * self.log_scale.exp()
+    }
+
+    /// Whether a vector of `len` non-negative entries whose left-to-right
+    /// float sum is `sum` stays as it is under
+    /// [`ScaledVector::renormalize`], decided without reading its peak.
+    /// Such a sum is at least its largest entry (adding a non-negative
+    /// term never rounds below the running sum) and, for any `len` below
+    /// 2⁵⁰, at most `2·len` times it, so a sum inside
+    /// `[2·len·RENORM_LO, RENORM_HI]` puts the peak inside the window. A
+    /// `false` (a NaN sum included) decides nothing: renormalize.
+    pub fn sum_keeps_scale(sum: f64, len: usize) -> bool {
+        (2.0 * len as f64 * RENORM_LO..=RENORM_HI).contains(&sum)
     }
 
     /// Pulls the carried vector back into floating-point range, folding the

@@ -78,7 +78,9 @@ pub mod session;
 
 pub use durable::{DurableError, DurableOptions};
 pub use error::OnlineError;
-pub use manager::{shard_rng, EnforcedRelease, OnlineConfig, ServiceStats, SessionManager};
+pub use manager::{
+    shard_rng, EnforcedRelease, Enrollment, OnlineConfig, ServiceStats, SessionManager,
+};
 pub use obs::RecoveryInfo;
 pub use session::{BudgetLedger, Session, UserId, UserReport, Verdict, WindowReport};
 

@@ -144,8 +144,10 @@ where
 }
 
 /// The buffers one shard's batched observation runs in: the posterior's
-/// propagated row, the lifted window step, and the guard's staged windows
-/// (one per window of the session being released). Kept across calls, so
+/// propagated row, the lifted window step of an ingest, and the guard's
+/// staged windows (one per window of the session being released). A
+/// release steps each window once, into its guard stage, and commits
+/// through that stage, so it never touches `step`. Kept across calls, so
 /// a steady-state observation or release of a session that owns its
 /// vectors allocates no `O(m)` buffer (at `m = 2500` the scratch itself is
 /// about 140 KB, plus 120 KB per staged window).
@@ -339,6 +341,27 @@ fn release_record(user: u64, outcome: &GuardOutcome) -> WalRecord<'static> {
     }
 }
 
+/// First contact inside a single-user call: when the call's user is not
+/// registered yet, the call registers it with `prior()` and attaches
+/// `templates`, as [`SessionManager::enroll`] would, in the same critical
+/// section as the operation itself, after the request has passed every
+/// check it can fail. The `*_enrolling` entry points take one.
+#[derive(Clone, Copy)]
+pub struct Enrollment<'a> {
+    /// Builds the new user's prior; called only on first contact.
+    pub prior: &'a dyn Fn() -> Vector,
+    /// The templates attached to a new user, in order.
+    pub templates: &'a [usize],
+}
+
+impl std::fmt::Debug for Enrollment<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Enrollment")
+            .field("templates", &self.templates)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Outcome of one enforcing-mode release.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnforcedRelease {
@@ -436,6 +459,26 @@ impl RestoreMemo {
             self.pinned.push(Arc::clone(start.pi()));
             start.matches(mantissa.as_slice(), log_scale)
         })
+    }
+}
+
+/// A window's report for one observation; a zero-likelihood one is a
+/// model mismatch (loss `+∞`), not an error.
+fn window_report(
+    template: usize,
+    observed: std::result::Result<priste_quantify::StreamStep, QuantifyError>,
+    epsilon: f64,
+) -> crate::session::WindowReport {
+    match observed {
+        Ok(step) => report_from_step(template, &step, epsilon),
+        Err(QuantifyError::ZeroLikelihood { t }) => crate::session::WindowReport {
+            template,
+            window_t: t,
+            loss: f64::INFINITY,
+            posterior: 0.0,
+            verdict: Verdict::ModelMismatch,
+        },
+        Err(e) => unreachable!("emission validated up front: {e}"),
     }
 }
 
@@ -653,7 +696,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// Enforcing-mode release: calibrates one observation for the user's
     /// *true* location, certifying it against every active event window
     /// before it leaves the mechanism, then commits it through the normal
-    /// audit path (posterior filtering, ledger, eviction, stats).
+    /// audit path (posterior filtering, ledger, eviction, stats). Each
+    /// window is stepped once per release: the guard stages it, reads every
+    /// candidate out against the stage in one `O(m)` pass, and the chosen
+    /// column commits through the same stage.
     ///
     /// A window whose model assigns the candidate zero likelihood counts
     /// as uncertifiable (loss `+∞`) rather than being evicted here — the
@@ -670,6 +716,33 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         true_loc: CellId,
         rng: &mut dyn RngCore,
     ) -> Result<EnforcedRelease> {
+        self.release_as(id, true_loc, rng, None)
+    }
+
+    /// [`SessionManager::release`], registering the user first if it is
+    /// new ([`Enrollment`]): a daemon's first contact takes the user's
+    /// shard lock once. A request refused for its location or because the
+    /// service is not enforcing registers no one.
+    ///
+    /// # Errors
+    /// As [`SessionManager::release`] and [`SessionManager::enroll`].
+    pub fn release_enrolling(
+        &self,
+        id: UserId,
+        true_loc: CellId,
+        rng: &mut dyn RngCore,
+        enroll: &Enrollment<'_>,
+    ) -> Result<EnforcedRelease> {
+        self.release_as(id, true_loc, rng, Some(enroll))
+    }
+
+    fn release_as(
+        &self,
+        id: UserId,
+        true_loc: CellId,
+        rng: &mut dyn RngCore,
+        enroll: Option<&Enrollment<'_>>,
+    ) -> Result<EnforcedRelease> {
         let start = self
             .instruments
             .release_seconds
@@ -685,10 +758,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         }
         let mut scratch = Lease::take(&self.scratch);
         let mut shard = self.lock_shard(self.shard_of(id))?;
-        let session = shard
-            .sessions
-            .get(&id.0)
-            .ok_or(OnlineError::UnknownUser { user: id.0 })?;
+        if let Some(enroll) = Self::first_contact(&shard, id, enroll)? {
+            self.enroll_locked(&mut shard, id, enroll.prior, enroll.templates)?;
+        }
+        let session = &shard.sessions[&id.0];
         let outcome = run_guard(
             ladder,
             true_loc,
@@ -704,7 +777,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         if self.store.is_some() {
             Self::journal(&self.store, &mut shard, &release_record(id.0, &outcome))?;
         }
-        let report = self.commit_one(&mut shard, id.0, &outcome.column, &mut scratch.scratch);
+        let report = self.commit_one(
+            &mut shard,
+            id.0,
+            &outcome.column,
+            &mut scratch.scratch,
+            true,
+        );
         // Count the suppression only once the flat column actually
         // committed — a failed release must not skew the stats — and
         // under the shard lock, so a checkpoint sees both or neither.
@@ -730,16 +809,18 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// Commits one already-validated, already-journaled column through the
     /// audit machinery (posterior filtering, windows, ledger, eviction) in
     /// a shard the caller holds. The stats move here, under that hold, so
-    /// a checkpoint never snapshots a session without its counts.
+    /// a checkpoint never snapshots a session without its counts. With
+    /// `staged`, the guard has just staged the user's windows into
+    /// `scratch.guard`, and each commits through its stage.
     fn commit_one(
         &self,
         shard: &mut Shard<P>,
         uid: u64,
         column: &Vector,
         scratch: &mut ShardScratch,
+        staged: bool,
     ) -> UserReport {
-        let mut wanted = BTreeMap::new();
-        wanted.insert(uid, column);
+        let wanted = BTreeMap::from([(uid, column)]);
         let (mut reports, delta) = Self::process_shard(
             &self.provider,
             &self.templates,
@@ -747,6 +828,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             &wanted,
             &self.config,
             scratch,
+            staged,
         );
         self.instruments.absorb(&delta);
         reports.pop().expect("one observation in, one report out")
@@ -900,14 +982,45 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             if shard.sessions.contains_key(&id.0) {
                 return Ok(false);
             }
-            let pi = self.intern_prior(Arc::new(pi()), "session initial distribution")?;
-            self.insert_session(&mut shard, id, pi)?;
-            for &template in templates {
-                self.attach_journaled(&mut shard, id.0, template)?;
-            }
+            self.enroll_locked(&mut shard, id, pi, templates)?;
         }
         self.maybe_checkpoint()?;
         Ok(true)
+    }
+
+    /// Registers `id`, which the caller checked is new, with the prior
+    /// `pi()` and attaches `templates`, in a shard it holds.
+    fn enroll_locked(
+        &self,
+        shard: &mut Shard<P>,
+        id: UserId,
+        pi: impl FnOnce() -> Vector,
+        templates: &[usize],
+    ) -> Result<()> {
+        let pi = self.intern_prior(Arc::new(pi()), "session initial distribution")?;
+        self.insert_session(shard, id, pi)?;
+        for &template in templates {
+            self.attach_journaled(shard, id.0, template)?;
+        }
+        Ok(())
+    }
+
+    /// In a shard the caller holds: the enrollment a single-user call must
+    /// run for a new `id` (`None` for a registered one).
+    ///
+    /// # Errors
+    /// [`OnlineError::UnknownUser`] for a new `id` without an enrollment.
+    fn first_contact<'e>(
+        shard: &Shard<P>,
+        id: UserId,
+        enroll: Option<&'e Enrollment<'e>>,
+    ) -> Result<Option<&'e Enrollment<'e>>> {
+        if shard.sessions.contains_key(&id.0) {
+            return Ok(None);
+        }
+        enroll
+            .map(Some)
+            .ok_or(OnlineError::UnknownUser { user: id.0 })
     }
 
     /// Journals and inserts a session the caller checked is new, in a shard
@@ -1060,6 +1173,31 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// # Errors
     /// See [`SessionManager::ingest_batch`].
     pub fn ingest(&self, id: UserId, emission_column: Vector) -> Result<UserReport> {
+        self.ingest_as(id, emission_column, None)
+    }
+
+    /// [`SessionManager::ingest`], registering the user first if it is new
+    /// ([`Enrollment`]): a daemon's first contact takes the user's shard
+    /// lock once. A column refused by [`SessionManager::check_emission`]
+    /// registers no one.
+    ///
+    /// # Errors
+    /// As [`SessionManager::ingest`] and [`SessionManager::enroll`].
+    pub fn ingest_enrolling(
+        &self,
+        id: UserId,
+        emission_column: Vector,
+        enroll: &Enrollment<'_>,
+    ) -> Result<UserReport> {
+        self.ingest_as(id, emission_column, Some(enroll))
+    }
+
+    fn ingest_as(
+        &self,
+        id: UserId,
+        emission_column: Vector,
+        enroll: Option<&Enrollment<'_>>,
+    ) -> Result<UserReport> {
         let start = self
             .instruments
             .ingest_seconds
@@ -1069,8 +1207,8 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         let report = {
             let mut scratch = Lease::take(&self.scratch);
             let mut shard = self.lock_shard(self.shard_of(id))?;
-            if !shard.sessions.contains_key(&id.0) {
-                return Err(OnlineError::UnknownUser { user: id.0 });
+            if let Some(enroll) = Self::first_contact(&shard, id, enroll)? {
+                self.enroll_locked(&mut shard, id, enroll.prior, enroll.templates)?;
             }
             // A caller-supplied column is journaled whole (audit path:
             // nothing is suppressed).
@@ -1080,7 +1218,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 column: Cow::Borrowed(emission_column.as_slice()),
             };
             Self::journal(&self.store, &mut shard, &record)?;
-            self.commit_one(&mut shard, id.0, &emission_column, &mut scratch.scratch)
+            self.commit_one(
+                &mut shard,
+                id.0,
+                &emission_column,
+                &mut scratch.scratch,
+                false,
+            )
         };
         self.maybe_checkpoint()?;
         self.record_ingest(start, 1);
@@ -1100,6 +1244,32 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// [`SessionManager::set_mechanism`]; emission validation and
     /// journaling errors. All are detected before any state is mutated.
     pub fn ingest_observed(&self, id: UserId, observed: CellId) -> Result<UserReport> {
+        self.ingest_observed_as(id, observed, None)
+    }
+
+    /// [`SessionManager::ingest_observed`], registering the user first if
+    /// it is new ([`Enrollment`]): a daemon's first contact takes the
+    /// user's shard lock once. A request refused for its cell, for want of
+    /// a mechanism or for the column the mechanism built registers no one.
+    ///
+    /// # Errors
+    /// As [`SessionManager::ingest_observed`] and
+    /// [`SessionManager::enroll`].
+    pub fn ingest_observed_enrolling(
+        &self,
+        id: UserId,
+        observed: CellId,
+        enroll: &Enrollment<'_>,
+    ) -> Result<UserReport> {
+        self.ingest_observed_as(id, observed, Some(enroll))
+    }
+
+    fn ingest_observed_as(
+        &self,
+        id: UserId,
+        observed: CellId,
+        enroll: Option<&Enrollment<'_>>,
+    ) -> Result<UserReport> {
         let start = self
             .instruments
             .ingest_seconds
@@ -1115,9 +1285,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         let report = {
             let mut scratch = Lease::take(&self.scratch);
             let mut shard = self.lock_shard(self.shard_of(id))?;
-            if !shard.sessions.contains_key(&id.0) {
-                return Err(OnlineError::UnknownUser { user: id.0 });
-            }
+            let enroll = Self::first_contact(&shard, id, enroll)?;
             let mechanism = self.mechanism.as_ref().ok_or(OnlineError::NoMechanism)?;
             // The column is built inside the critical section, so a
             // panicking mechanism poisons the shard like any other
@@ -1125,11 +1293,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             let budget = mechanism.budget();
             let column = mechanism.emission_column(observed);
             self.check_emission(column.as_slice())?;
+            if let Some(enroll) = enroll {
+                self.enroll_locked(&mut shard, id, enroll.prior, enroll.templates)?;
+            }
             if self.store.is_some() {
                 let record = emitted(id.0, Emitter::Source, observed, budget, &column);
                 Self::journal(&self.store, &mut shard, &record)?;
             }
-            self.commit_one(&mut shard, id.0, &column, &mut scratch.scratch)
+            self.commit_one(&mut shard, id.0, &column, &mut scratch.scratch, false)
         };
         self.maybe_checkpoint()?;
         self.record_ingest(start, 1);
@@ -1169,6 +1340,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 wanted,
                 &self.config,
                 &mut scratch.scratch,
+                false,
             );
             self.instruments.absorb(&delta);
             reports.append(&mut shard_reports);
@@ -1274,7 +1446,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// [`QuantifyError::InvalidEmission`] (wrapped) otherwise.
     pub fn check_emission(&self, column: &[f64]) -> Result<()> {
         let m = self.provider.num_states();
-        if column.len() != m || column.iter().any(|&x| x < 0.0 || !x.is_finite()) {
+        if column.len() != m || !priste_linalg::all_non_negative_finite(column) {
             return Err(OnlineError::Quantify(QuantifyError::InvalidEmission {
                 expected: m,
                 actual: column.len(),
@@ -1287,7 +1459,9 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// advancement, ledger/eviction — returning the reports (session-id
     /// order) plus the stats delta to merge. Free of `&mut self` so the
     /// parallel path can run disjoint shards on worker threads, each with
-    /// its own `scratch`.
+    /// its own `scratch`. With `staged`, `wanted` is the one user the guard
+    /// just staged into `scratch.guard`, and its windows commit through
+    /// those stages instead of being stepped again.
     ///
     /// Only the sessions between the batch's lowest and highest user id are
     /// visited, so a one-user batch costs `O(log n)` to select.
@@ -1298,6 +1472,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         wanted: &BTreeMap<u64, &Vector>,
         config: &OnlineConfig,
         scratch: &mut ShardScratch,
+        staged: bool,
     ) -> (Vec<UserReport>, ServiceStats) {
         let mut stats = ServiceStats::default();
         let mut reports = Vec::with_capacity(wanted.len());
@@ -1312,13 +1487,22 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             .collect();
 
         Self::propagate_posteriors(provider, &mut selected, &mut scratch.moved);
-        let window_reports = Self::advance_windows(
-            provider,
-            templates,
-            &mut selected,
-            config.epsilon,
-            &mut scratch.step,
-        );
+        let window_reports = if staged {
+            selected
+                .iter_mut()
+                .map(|(session, col)| {
+                    Self::commit_windows(session, col, config.epsilon, &mut scratch.guard)
+                })
+                .collect()
+        } else {
+            Self::advance_windows(
+                provider,
+                templates,
+                &mut selected,
+                config.epsilon,
+                &mut scratch.step,
+            )
+        };
 
         for ((session, _), wreps) in selected.iter_mut().zip(window_reports) {
             for r in &wreps {
@@ -1417,18 +1601,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                     Some(step) => window.state.observe_with_step(step, scratch, col),
                     None => window.state.observe(col),
                 };
-                let report = match observed {
-                    Ok(step) => report_from_step(window.template, &step, epsilon),
-                    Err(QuantifyError::ZeroLikelihood { t }) => crate::session::WindowReport {
-                        template: window.template,
-                        window_t: t,
-                        loss: f64::INFINITY,
-                        posterior: 0.0,
-                        verdict: Verdict::ModelMismatch,
-                    },
-                    Err(e) => unreachable!("emission validated up front: {e}"),
-                };
-                staged[fi] = Some(report);
+                staged[fi] = Some(window_report(window.template, observed, epsilon));
             }
         }
         // Re-assemble per session in attach order (flat preserves it).
@@ -1436,6 +1609,26 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             results[*si].push(staged[fi].take().expect("every window was advanced"));
         }
         results
+    }
+
+    /// A guarded session's windows, each committed through the stage the
+    /// guard read its candidates against (`staged[i]` for window `i`), so
+    /// no window is stepped a second time. Reports in attach order.
+    fn commit_windows(
+        session: &mut Session<P>,
+        col: &Vector,
+        epsilon: f64,
+        staged: &mut [StepScratch],
+    ) -> Vec<crate::session::WindowReport> {
+        session
+            .windows
+            .iter_mut()
+            .zip(staged)
+            .map(|(window, scratch)| {
+                let observed = window.state.commit_staged(scratch, col);
+                window_report(window.template, observed, epsilon)
+            })
+            .collect()
     }
 
     /// The shard `id`'s session lives in: `id % num_shards`.
@@ -1989,7 +2182,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         if !shard.sessions.contains_key(&user) {
             return Err(OnlineError::UnknownUser { user });
         }
-        let _ = self.commit_one(&mut shard, user, column, &mut scratch.scratch);
+        let _ = self.commit_one(&mut shard, user, column, &mut scratch.scratch, false);
         if suppressed {
             self.instruments.suppressed.inc();
         }
@@ -2046,8 +2239,15 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         let (mut reports, merged, failure) =
             fan_out_shards(jobs, threads, |(shard, wanted), out, delta| {
                 let mut scratch = ShardScratch::default();
-                let (mut shard_reports, shard_delta) =
-                    Self::process_shard(provider, templates, shard, wanted, config, &mut scratch);
+                let (mut shard_reports, shard_delta) = Self::process_shard(
+                    provider,
+                    templates,
+                    shard,
+                    wanted,
+                    config,
+                    &mut scratch,
+                    false,
+                );
                 out.append(&mut shard_reports);
                 delta.absorb(&shard_delta);
                 Ok(())
@@ -2137,9 +2337,11 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
             fan_out_shards(jobs, threads, |(shard_idx, shard, wanted), out, delta| {
                 let mut rng = shard_rng(seed, shard_idx);
                 let mut scratch = ShardScratch::default();
-                // Guard every user against their own windows (peek-only;
-                // commits follow below).
-                let mut outcomes: Vec<(u64, GuardOutcome)> = Vec::with_capacity(wanted.len());
+                // Guard each user against their own windows, then commit the
+                // chosen column through the stages the guard left behind,
+                // one user at a time in user-id order. Commits draw no
+                // randomness, so the shard's stream is consumed exactly as
+                // if every user were guarded first.
                 for (&uid, &loc) in wanted {
                     let session = shard.get(&uid).expect("validated above");
                     let outcome = run_guard(
@@ -2152,19 +2354,17 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
                         ),
                     )?;
                     guard_obs.record(&outcome);
-                    outcomes.push((uid, outcome));
-                }
-                // Commit the chosen columns through the normal batched
-                // audit path (posterior filtering, ledger, eviction). Both
-                // sides iterate in user-id order, so they zip 1:1.
-                let columns: BTreeMap<u64, &Vector> = outcomes
-                    .iter()
-                    .map(|(uid, outcome)| (*uid, &outcome.column))
-                    .collect();
-                let (reports, shard_delta) =
-                    Self::process_shard(provider, templates, shard, &columns, config, &mut scratch);
-                delta.absorb(&shard_delta);
-                for ((uid, outcome), report) in outcomes.into_iter().zip(reports) {
+                    let column = BTreeMap::from([(uid, &outcome.column)]);
+                    let (mut reports, shard_delta) = Self::process_shard(
+                        provider,
+                        templates,
+                        shard,
+                        &column,
+                        config,
+                        &mut scratch,
+                        true,
+                    );
+                    delta.absorb(&shard_delta);
                     if outcome.decision == Decision::Suppressed {
                         delta.suppressed += 1;
                     }
@@ -2173,7 +2373,7 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
                         EnforcedRelease {
                             decision: outcome.decision,
                             attempts: outcome.attempts.len(),
-                            report,
+                            report: reports.pop().expect("one observation in, one report out"),
                         },
                         record,
                     ));

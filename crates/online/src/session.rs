@@ -314,14 +314,18 @@ impl<P: TransitionProvider> Session<P> {
     /// propagation (`posterior · M`) is done by the caller so it can be
     /// batched across sessions; this applies the emission weighting and
     /// normalizes — in place when the session owns its posterior, into a
-    /// fresh vector when anyone else holds it. A vanished posterior
-    /// (observation impossible under the model) resets to uniform and
-    /// reports `false`.
+    /// fresh vector when anyone else holds it. The weighing sums its
+    /// entries as it writes them, in index order from `Iterator::sum`'s
+    /// own initial value, so the normalizer has the bits of a separate
+    /// `Vector::sum` pass. A vanished posterior (observation impossible
+    /// under the model) resets to uniform and reports `false`.
     pub(crate) fn weigh_posterior(&mut self, propagated: &[f64], emission: &Vector) -> bool {
-        let weighed = propagated
-            .iter()
-            .zip(emission.as_slice())
-            .map(|(a, b)| a * b);
+        let mut sum: f64 = std::iter::empty::<f64>().sum();
+        let weighed = propagated.iter().zip(emission.as_slice()).map(|(a, b)| {
+            let x = a * b;
+            sum += x;
+            x
+        });
         match Arc::get_mut(&mut self.posterior) {
             Some(owned) => {
                 for (dst, x) in owned.as_mut_slice().iter_mut().zip(weighed) {
@@ -331,11 +335,12 @@ impl<P: TransitionProvider> Session<P> {
             None => self.posterior = Arc::new(weighed.collect()),
         }
         let p = Arc::get_mut(&mut self.posterior).expect("owned or just installed");
-        if p.normalize_mut().is_err() {
+        if !(sum.is_finite() && sum > 0.0) {
             let n = p.len();
             p.as_mut_slice().fill(1.0 / n as f64);
             return false;
         }
+        p.scale_mut(1.0 / sum);
         true
     }
 

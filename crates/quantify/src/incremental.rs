@@ -20,10 +20,14 @@
 //!   the suffix is the constant true-world selector `[0, 1]ᵀ`),
 //! * `Pr(o_1..o_t) = α_t · 1`.
 //!
-//! One observation therefore costs a single structured lifted step plus an
-//! emission Hadamard — `O(m²)` — which is what makes per-timestamp checking
-//! viable for a service tracking many users ([`priste-online`'s sessions
-//! hold one `IncrementalTwoWorld` per active event window).
+//! One observation therefore costs a single structured lifted step —
+//! `O(m²)`, `O(nnz)` on a CSR chain — plus one fused readout pass that
+//! weighs the emission and accumulates both inner products together
+//! (`O(m)`), which is what makes per-timestamp checking viable for a
+//! service tracking many users ([`priste-online`'s sessions hold one
+//! `IncrementalTwoWorld` per active event window). A guarded release
+//! stages the step once, reads every candidate out against it, and commits
+//! the chosen one through the same stage, so it too pays one step.
 //!
 //! Unlike the borrowing [`TwoWorldEngine`], this type **owns** its state so
 //! sessions can live in long-running collections without self-referential
@@ -34,8 +38,9 @@
 //! `Arc`s: windows started from one [`WindowStart`] share the same `π` and
 //! lifted initial vector, so an unobserved window costs `O(1)` memory and
 //! becomes `O(m)` only on its first observation, which installs a fresh
-//! `α_t`. From then on the window owns `α_t`, and the batched
-//! [`IncrementalTwoWorld::observe_with_step`] overwrites it in place; a
+//! `α_t`. From then on the window owns `α_t`, and a commit through a kept
+//! scratch ([`IncrementalTwoWorld::observe_with_step`],
+//! [`IncrementalTwoWorld::commit_staged`]) overwrites it in place; a
 //! vector anyone else still holds is never written, only replaced. Share
 //! the chain the same way via `Arc<Homogeneous>` (every
 //! `TransitionProvider` is also implemented for `Arc<T>`).
@@ -216,8 +221,10 @@ impl WeakWindowStart {
 /// `π` and the forward vector sit behind `Arc`s. `π` is never written.
 /// The forward vector is written through only while this window is its
 /// sole holder — no clone, [`WindowStart`] or weak handle shares it — and
-/// only by [`IncrementalTwoWorld::observe_with_step`]; every other state
-/// change installs a fresh vector. Clones, and windows built from one
+/// only by a commit ([`IncrementalTwoWorld::commit_staged`], which
+/// [`IncrementalTwoWorld::observe`] and
+/// [`IncrementalTwoWorld::observe_with_step`] run through); every other
+/// state change installs a fresh vector. Clones, and windows built from one
 /// start, therefore share their vectors until one of them observes, and a
 /// write never reaches the others.
 ///
@@ -225,8 +232,10 @@ impl WeakWindowStart {
 /// before the first observation, where `β = α_0`), and a weighing,
 /// `α_{t+1} ∝ β ⊙ [e, e]` for the emission column `e`. Only the weighing
 /// depends on the column, so a guard that tries many candidates at one
-/// timestep stages `β` once ([`IncrementalTwoWorld::stage`]) and pays
-/// `O(m)` per candidate ([`IncrementalTwoWorld::peek_staged`]).
+/// timestep stages `β` once ([`IncrementalTwoWorld::stage`]), pays `O(m)`
+/// per candidate ([`IncrementalTwoWorld::peek_staged`]) and commits the
+/// chosen one through the same stage
+/// ([`IncrementalTwoWorld::commit_staged`]).
 #[derive(Debug, Clone)]
 pub struct IncrementalTwoWorld<P> {
     model: Arc<EventModel>,
@@ -365,11 +374,7 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
                 ),
             });
         }
-        if mantissa
-            .as_slice()
-            .iter()
-            .any(|&x| x < 0.0 || !x.is_finite())
-        {
+        if !priste_linalg::all_non_negative_finite(mantissa.as_slice()) {
             return Err(QuantifyError::InvalidResume {
                 detail: "lifted mantissa carries negative or non-finite entries".into(),
             });
@@ -414,9 +419,13 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     }
 
     /// Computes the column-independent half of the next observation once:
-    /// `β = α_t·M_t` into `scratch` (`O(nnz)`). Before the first
-    /// observation `β = α_0`, which the window holds already, so staging
-    /// only marks the scratch. The stage holds until this window observes.
+    /// the lifted step `β = α_t·M_t` into `scratch` (`O(nnz)`). Before the
+    /// first observation `β = α_0`, which the window holds already, so
+    /// staging only marks the scratch. The stage holds until this window
+    /// observes. Every candidate is then read out against it
+    /// ([`IncrementalTwoWorld::peek_staged`]), and the chosen one is
+    /// committed through it ([`IncrementalTwoWorld::commit_staged`]), so a
+    /// release steps each window once however many candidates it tries.
     pub fn stage(&self, scratch: &mut StepScratch) {
         if self.t >= 1 {
             self.engine()
@@ -427,9 +436,11 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     }
 
     /// [`IncrementalTwoWorld::peek`] against a prior
-    /// [`IncrementalTwoWorld::stage`]: weighs the column into the scratch's
-    /// reused buffer (`O(m)`, no allocation once it is sized), leaving the
-    /// window and `β` untouched for the next candidate.
+    /// [`IncrementalTwoWorld::stage`]: one fused readout pass over the `2m`
+    /// weighed entries (`O(m)`), which writes no vector, leaving the window
+    /// and `β` untouched for the next candidate. Only a weighed vector that
+    /// would need renormalizing is written, into the scratch's reused
+    /// buffer.
     ///
     /// # Errors
     /// As [`IncrementalTwoWorld::peek`].
@@ -442,18 +453,58 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         scratch: &mut StepScratch,
         emission_column: &Vector,
     ) -> Result<StreamStep> {
-        assert_eq!(
-            scratch.staged,
-            Some(self.stamp()),
-            "scratch not staged by this window at its current age"
-        );
-        self.weigh(&scratch.stepped, emission_column, &mut scratch.weighed)
+        self.assert_staged(scratch);
+        self.weigh(
+            &scratch.stepped,
+            emission_column,
+            &mut scratch.weighed,
+            false,
+        )
     }
 
-    /// Consumes one observation: one structured lifted step plus an emission
-    /// weighing (`O(m²)`), then the two inner products of the module docs.
-    /// The weighing writes straight into the window's new forward vector,
-    /// so a window's first observation allocates that `2m` vector only.
+    /// Commits `emission_column` against a prior
+    /// [`IncrementalTwoWorld::stage`]: the fused readout writes the weighed
+    /// forward vector into the scratch as it reads it out, and a successful
+    /// observation installs it the way
+    /// [`IncrementalTwoWorld::observe_with_step`] does. The guard stages a
+    /// window once per release, peeks every candidate against the stage and
+    /// commits the chosen one here, so the commit pays no second lifted
+    /// step. Bit-identical to [`IncrementalTwoWorld::observe`].
+    ///
+    /// # Errors
+    /// As [`IncrementalTwoWorld::peek`]. On error the state is unchanged.
+    ///
+    /// # Panics
+    /// Panics if `scratch` was not staged by this window at its current
+    /// age.
+    pub fn commit_staged(
+        &mut self,
+        scratch: &mut StepScratch,
+        emission_column: &Vector,
+    ) -> Result<StreamStep> {
+        self.assert_staged(scratch);
+        let step = self.weigh(
+            &scratch.stepped,
+            emission_column,
+            &mut scratch.weighed,
+            true,
+        )?;
+        match Arc::get_mut(&mut self.alpha) {
+            Some(alpha) => std::mem::swap(alpha, &mut scratch.weighed),
+            None => {
+                let empty = ScaledVector::new(Vector::zeros(0));
+                self.alpha = Arc::new(std::mem::replace(&mut scratch.weighed, empty));
+            }
+        }
+        self.t += 1;
+        Ok(step)
+    }
+
+    /// Consumes one observation: one structured lifted step (`O(m²)`,
+    /// `O(nnz)` on a CSR chain) plus one fused readout pass that weighs the
+    /// emission into the window's new forward vector and reads the two
+    /// inner products of the module docs out of it. A window's first
+    /// observation allocates that `2m` vector only.
     ///
     /// # Errors
     /// See [`IncrementalTwoWorld::peek`]. On error the state is unchanged,
@@ -461,23 +512,19 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     pub fn observe(&mut self, emission_column: &Vector) -> Result<StreamStep> {
         let mut scratch = StepScratch::default();
         self.stage(&mut scratch);
-        let mut next = ScaledVector::new(Vector::zeros(0));
-        let step = self.weigh(&scratch.stepped, emission_column, &mut next)?;
-        self.alpha = Arc::new(next);
-        self.t += 1;
-        Ok(step)
+        self.commit_staged(&mut scratch, emission_column)
     }
 
     /// Batched-path variant of [`IncrementalTwoWorld::observe`] for every
     /// observation after the first: `step` is this window's scheduled
     /// transition (`step_at` of [`IncrementalTwoWorld::next_step_index`]),
     /// typically built once and shared by every window at the same age. The
-    /// step, the emission weighing and the renormalization run in
-    /// `scratch`; only a successful observation lands in the window. An
-    /// owned forward vector then trades buffers with the scratch, and one
-    /// shared with anyone else (a window start, a clone) is replaced by the
-    /// scratch's — so a window that already owns its state allocates
-    /// nothing. Bit-identical to [`IncrementalTwoWorld::observe`].
+    /// step and the fused readout run in `scratch`; only a successful
+    /// observation lands in the window. An owned forward vector then trades
+    /// buffers with the scratch, and one shared with anyone else (a window
+    /// start, a clone) is replaced by the scratch's — so a window that
+    /// already owns its state allocates nothing. Bit-identical to
+    /// [`IncrementalTwoWorld::observe`].
     ///
     /// # Errors
     /// See [`IncrementalTwoWorld::peek`]. On error the state is unchanged.
@@ -493,16 +540,8 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     ) -> Result<StreamStep> {
         assert!(self.t >= 1, "the first observation has no transition step");
         step.apply_row_scratch(self.alpha.vector.as_slice(), scratch);
-        let step = self.weigh(&scratch.stepped, emission_column, &mut scratch.weighed)?;
-        match Arc::get_mut(&mut self.alpha) {
-            Some(alpha) => std::mem::swap(alpha, &mut scratch.weighed),
-            None => {
-                let empty = ScaledVector::new(Vector::zeros(0));
-                self.alpha = Arc::new(std::mem::replace(&mut scratch.weighed, empty));
-            }
-        }
-        self.t += 1;
-        Ok(step)
+        scratch.staged = Some(self.stamp());
+        self.commit_staged(scratch, emission_column)
     }
 
     /// Rewinds to `t = 0`, keeping the shared model and the prior so a
@@ -522,71 +561,99 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         TwoWorldEngine::new(&self.model.event, &self.provider).expect("validated at construction")
     }
 
-    fn validate_emission(&self, emission_column: &Vector) -> Result<()> {
-        let m = self.num_states();
-        if emission_column.len() != m
-            || emission_column
-                .as_slice()
-                .iter()
-                .any(|&x| x < 0.0 || !x.is_finite())
-        {
-            return Err(QuantifyError::InvalidEmission {
-                expected: m,
-                actual: emission_column.len(),
-            });
-        }
-        Ok(())
-    }
-
     /// What a staged scratch records: this window's forward-vector
     /// address and age.
     fn stamp(&self) -> (usize, usize) {
         (Arc::as_ptr(&self.alpha) as usize, self.t)
     }
 
-    /// The weighing kernel of every observation and peek: validates `e`,
-    /// writes `β ⊙ [e, e]` in one pass into `out` (`β` is `α_0` before the
-    /// first observation, `stepped` after; a fresh `out` is allocated once
-    /// at `2m`, a sized one reused) at the window's log scale, renormalizes,
-    /// and reads the report for `t + 1` out of it.
+    fn assert_staged(&self, scratch: &StepScratch) {
+        assert_eq!(
+            scratch.staged,
+            Some(self.stamp()),
+            "scratch not staged by this window at its current age"
+        );
+    }
+
+    /// The suffix vector the readout at timestep `t` is taken against.
+    fn suffix(&self, t: usize) -> &Vector {
+        &self.model.suffix[t.min(self.model.event.end()) - 1]
+    }
+
+    /// The fused readout of every observation and peek: after a
+    /// branch-free validation of `e`, one left-to-right pass over the `2m`
+    /// entries `v = β ⊙ [e, e]` (`β` is `α_0` before the first
+    /// observation, `stepped` after) accumulates `jb = Σ v·u` and
+    /// `jc = Σ v` together ([`fused_sums`]). With `write`, the same pass
+    /// writes `v` into `out` (sized once to `2m`, then overwritten in
+    /// place) at the window's log scale; without it, nothing is written.
+    ///
+    /// `β` is non-negative (a product of non-negative vectors and
+    /// stochastic matrices) and so is `e`, so `jc` bounds the peak of `v`
+    /// from both sides ([`ScaledVector::sum_keeps_scale`]): while it stays
+    /// inside the window, renormalizing would change nothing and the sums
+    /// are the readout's. Otherwise the vector is written, renormalized and
+    /// read out again in separate passes.
     fn weigh(
         &self,
         stepped: &[f64],
         emission_column: &Vector,
         out: &mut ScaledVector,
+        write: bool,
     ) -> Result<StreamStep> {
-        self.validate_emission(emission_column)?;
+        let e = emission_column.as_slice();
+        let m = self.num_states();
+        if e.len() != m || !priste_linalg::all_non_negative_finite(e) {
+            return Err(QuantifyError::InvalidEmission {
+                expected: m,
+                actual: e.len(),
+            });
+        }
         let beta = if self.t == 0 {
             self.alpha.vector.as_slice()
         } else {
             stepped
         };
-        let e = emission_column.as_slice();
-        let (beta_f, beta_t) = beta.split_at(e.len());
-        let mut v = std::mem::replace(&mut out.vector, Vector::zeros(0)).into_vec();
-        v.clear();
-        let weighed = beta_f.iter().zip(e).chain(beta_t.iter().zip(e));
-        v.extend(weighed.map(|(b, w)| b * w));
-        out.vector = Vector::from(v);
+        let t = self.t + 1;
+        let u = self.suffix(t).as_slice();
         out.log_scale = self.alpha.log_scale;
+        let (jb, jc) = if write {
+            // Every entry is overwritten, so a sized buffer is reused as
+            // is and a fresh one is allocated once, at its final size.
+            fused_sums(beta, e, u, Some(sized(&mut out.vector, 2 * m)))
+        } else {
+            fused_sums(beta, e, u, None)
+        };
+        if ScaledVector::sum_keeps_scale(jc, 2 * m) {
+            return self.readout(t, jb, jc, out.log_scale);
+        }
+        if !write {
+            fused_sums(beta, e, u, Some(sized(&mut out.vector, 2 * m)));
+        }
         out.renormalize();
-        self.report(self.t + 1, out)
+        self.readout(
+            t,
+            out.vector
+                .dot(self.suffix(t))
+                .expect("lifted lengths match"),
+            out.vector.sum(),
+            out.log_scale,
+        )
     }
 
-    /// The Lemma III.2/III.3 readout at timestep `t` for a forward vector.
-    fn report(&self, t: usize, alpha: &ScaledVector) -> Result<StreamStep> {
-        let u = &self.model.suffix[t.min(self.model.event.end()) - 1];
-        let jb = alpha.vector.dot(u).expect("lifted lengths match");
-        let jc = alpha.vector.sum();
+    /// The Lemma III.2/III.3 readout at timestep `t` from a forward
+    /// vector's `jb = α·u_t` and `jc = α·1` at natural-log scale
+    /// `log_scale`.
+    fn readout(&self, t: usize, jb: f64, jc: f64, log_scale: f64) -> Result<StreamStep> {
         if jc <= 0.0 {
             return Err(QuantifyError::ZeroLikelihood { t });
         }
         let log_joint_event = if jb > 0.0 {
-            jb.ln() + alpha.log_scale
+            jb.ln() + log_scale
         } else {
             f64::NEG_INFINITY
         };
-        let log_joint_total = jc.ln() + alpha.log_scale;
+        let log_joint_total = jc.ln() + log_scale;
         let posterior = (jb / jc).clamp(0.0, 1.0);
         let prior_odds = self.prior / (1.0 - self.prior);
         let posterior_odds = if posterior >= 1.0 {
@@ -613,6 +680,53 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     }
 }
 
+/// `vector` resized to `len` entries, whatever they hold: a buffer of that
+/// length is kept as is, and an empty one is allocated once at `len`.
+fn sized(vector: &mut Vector, len: usize) -> &mut [f64] {
+    if vector.len() != len {
+        let mut v = std::mem::replace(vector, Vector::zeros(0)).into_vec();
+        v.resize(len, 0.0);
+        *vector = Vector::from(v);
+    }
+    vector.as_mut_slice()
+}
+
+/// `Σ v·u` and `Σ v` over `v = β ⊙ [e, e]` in one left-to-right pass,
+/// writing each `v` into `out` when it is given (`β`, `u` and `out` are
+/// `2m` long, `e` is `m`). Both sums run in index order from
+/// `Iterator::sum`'s own initial value, so they have the bits of
+/// `Vector::dot` and `Vector::sum` over the written vector. The
+/// accumulators are locals of one plain loop, which keeps them in
+/// registers.
+fn fused_sums(beta: &[f64], e: &[f64], u: &[f64], out: Option<&mut [f64]>) -> (f64, f64) {
+    let m = e.len();
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    let (mut jb, mut jc) = (zero, zero);
+    let halves = beta.chunks_exact(m).zip(u.chunks_exact(m));
+    match out {
+        Some(out) => {
+            for (dst, (beta, u)) in out.chunks_exact_mut(m).zip(halves) {
+                for (((dst, b), w), ui) in dst.iter_mut().zip(beta).zip(e).zip(u) {
+                    let v = b * w;
+                    *dst = v;
+                    jb += v * ui;
+                    jc += v;
+                }
+            }
+        }
+        None => {
+            for (beta, u) in halves {
+                for ((b, w), ui) in beta.iter().zip(e).zip(u) {
+                    let v = b * w;
+                    jb += v * ui;
+                    jc += v;
+                }
+            }
+        }
+    }
+    (jb, jc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,6 +734,7 @@ mod tests {
     use priste_event::Presence;
     use priste_geo::{CellId, Region};
     use priste_markov::{Homogeneous, MarkovModel};
+    use proptest::prelude::*;
 
     fn region(ids: &[usize]) -> Region {
         Region::from_cells(3, ids.iter().map(|&i| CellId(i))).unwrap()
@@ -702,6 +817,20 @@ mod tests {
         inc.peek_staged(&mut scratch, &col).unwrap();
         inc.observe(&col).unwrap();
         let _ = inc.peek_staged(&mut scratch, &col);
+    }
+
+    #[test]
+    #[should_panic(expected = "not staged")]
+    fn a_stage_serves_one_commit_only() {
+        let mut inc =
+            IncrementalTwoWorld::new(presence_event(), chain(), Vector::uniform(3)).unwrap();
+        let col = Vector::from(vec![0.6, 0.3, 0.1]);
+        let mut scratch = StepScratch::default();
+        inc.stage(&mut scratch);
+        inc.commit_staged(&mut scratch, &col).unwrap();
+        inc.stage(&mut scratch);
+        inc.commit_staged(&mut scratch, &col).unwrap();
+        let _ = inc.commit_staged(&mut scratch, &col);
     }
 
     fn bits(v: &Vector) -> Vec<u64> {
@@ -787,6 +916,201 @@ mod tests {
             std::ptr::eq(window.lifted_state(), at),
             "owned: updated in place"
         );
+    }
+
+    /// Today's readout before the fusion, kept as the oracle of the fused
+    /// one: validate the column, write `β ⊙ [e, e]`, renormalize, then take
+    /// the two inner products in separate passes.
+    fn legacy_weigh<P: TransitionProvider>(
+        w: &IncrementalTwoWorld<P>,
+        stepped: &[f64],
+        emission_column: &Vector,
+        out: &mut ScaledVector,
+    ) -> Result<StreamStep> {
+        let m = w.num_states();
+        if emission_column.len() != m
+            || emission_column
+                .as_slice()
+                .iter()
+                .any(|&x| x < 0.0 || !x.is_finite())
+        {
+            return Err(QuantifyError::InvalidEmission {
+                expected: m,
+                actual: emission_column.len(),
+            });
+        }
+        let beta = if w.t == 0 {
+            w.alpha.vector.as_slice()
+        } else {
+            stepped
+        };
+        let e = emission_column.as_slice();
+        let (beta_f, beta_t) = beta.split_at(e.len());
+        let weighed = beta_f.iter().zip(e).chain(beta_t.iter().zip(e));
+        out.vector = Vector::from(weighed.map(|(b, x)| b * x).collect::<Vec<_>>());
+        out.log_scale = w.alpha.log_scale;
+        out.renormalize();
+        let t = w.t + 1;
+        let u = &w.model.suffix[t.min(w.model.event.end()) - 1];
+        let jb = out.vector.dot(u).expect("lifted lengths match");
+        let jc = out.vector.sum();
+        if jc <= 0.0 {
+            return Err(QuantifyError::ZeroLikelihood { t });
+        }
+        let log_joint_event = if jb > 0.0 {
+            jb.ln() + out.log_scale
+        } else {
+            f64::NEG_INFINITY
+        };
+        let log_joint_total = jc.ln() + out.log_scale;
+        let posterior = (jb / jc).clamp(0.0, 1.0);
+        let prior_odds = w.prior / (1.0 - w.prior);
+        let posterior_odds = if posterior >= 1.0 {
+            f64::INFINITY
+        } else {
+            posterior / (1.0 - posterior)
+        };
+        let j_not = jc - jb;
+        let privacy_loss = if jb <= 0.0 || j_not <= 0.0 {
+            f64::INFINITY
+        } else {
+            ((jb / w.prior).ln() - (j_not / (1.0 - w.prior)).ln()).abs()
+        };
+        Ok(StreamStep {
+            t,
+            prior: w.prior,
+            log_joint_event,
+            log_joint_total,
+            posterior,
+            odds_lift: posterior_odds / prior_odds,
+            privacy_loss,
+        })
+    }
+
+    fn result_bits(r: &Result<StreamStep>) -> std::result::Result<(usize, [u64; 6]), String> {
+        r.as_ref()
+            .map(|s| {
+                let fields = [
+                    s.prior,
+                    s.log_joint_event,
+                    s.log_joint_total,
+                    s.posterior,
+                    s.odds_lift,
+                    s.privacy_loss,
+                ];
+                (s.t, fields.map(f64::to_bits))
+            })
+            .map_err(|e| format!("{e:?}"))
+    }
+
+    /// One adversarial non-negative entry at decimal exponents in `exps`:
+    /// zeros, subnormals and magnitudes from `1e-300` to `1e300`.
+    fn adversarial(rng: &mut rand::rngs::StdRng, exps: std::ops::Range<i32>) -> f64 {
+        use rand::Rng;
+        match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            _ => rng.gen_range(1.0..10.0) * 10f64.powi(rng.gen_range(exps)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused one-pass readout equals the old weigh → renormalize →
+        /// report, bit for bit, on the report and on the written vector:
+        /// `β` at every scale (so renormalization fires upward, downward
+        /// and not at all), zero halves and subnormals, zero products
+        /// (`ZeroLikelihood`), and negative, NaN, ±∞ and mis-sized columns
+        /// (`InvalidEmission`). A failed commit leaves the window as it
+        /// was.
+        #[test]
+        fn fused_readout_equals_weigh_renormalize_report_bit_for_bit(
+            m in 2usize..=64,
+            t in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let chain = Homogeneous::new(
+                MarkovModel::new(
+                    priste_linalg::Matrix::from_rows(&vec![vec![1.0 / m as f64; m]; m]).unwrap(),
+                )
+                .unwrap(),
+            );
+            let region = Region::from_cells(m, [CellId(0)]).unwrap();
+            let event: StEvent = Presence::new(region, 2, 3).unwrap().into();
+            let model = Arc::new(EventModel::new(event, &chain).unwrap());
+            let start = WindowStart::new(&model, &chain, Arc::new(Vector::uniform(m))).unwrap();
+            for exps in [-300..-150, -100..100, 150..300, -300..300] {
+                let mut beta: Vec<f64> =
+                    (0..2 * m).map(|_| adversarial(&mut rng, exps.clone())).collect();
+                match rng.gen_range(0..4) {
+                    0 => beta[..m].fill(0.0),
+                    1 => beta[m..].fill(0.0),
+                    _ => {}
+                }
+                let mut column: Vec<f64> =
+                    (0..m).map(|_| adversarial(&mut rng, exps.clone())).collect();
+                if rng.gen_bool(0.2) {
+                    column[rng.gen_range(0..m)] = -0.0;
+                }
+                if rng.gen_bool(0.3) {
+                    let bad = [-1.0, -1e-300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                    column[rng.gen_range(0..m)] = bad[rng.gen_range(0..bad.len())];
+                }
+                if rng.gen_bool(0.05) {
+                    column.pop();
+                }
+                let column = Vector::from(column);
+                // Before the first observation β is the window's own vector.
+                let mantissa = if t == 0 { Vector::from(beta.clone()) } else { Vector::uniform(2 * m) };
+                let log_scale = rng.gen_range(-50.0..50.0);
+                let mut window = IncrementalTwoWorld::resume(
+                    Arc::clone(&model), &chain, start.clone(), mantissa, log_scale, t,
+                )
+                .unwrap();
+                let mut old = ScaledVector::new(Vector::zeros(0));
+                let want = legacy_weigh(&window, &beta, &column, &mut old);
+                for write in [false, true] {
+                    let mut out = ScaledVector::new(Vector::from(vec![7.0; 3]));
+                    let got = window.weigh(&beta, &column, &mut out, write);
+                    prop_assert_eq!(result_bits(&got), result_bits(&want), "write {}", write);
+                    if write && got.is_ok() {
+                        prop_assert_eq!(bits(&out.vector), bits(&old.vector));
+                        prop_assert_eq!(out.log_scale.to_bits(), old.log_scale.to_bits());
+                    }
+                }
+                if matches!(want, Err(QuantifyError::InvalidEmission { .. })) {
+                    prop_assert!(
+                        column.len() != m
+                            || column.as_slice().iter().any(|x| !(*x >= 0.0 && x.is_finite()))
+                    );
+                }
+                // Through the public commit: the staged β of this window.
+                let mut scratch = StepScratch::default();
+                window.stage(&mut scratch);
+                let mut old = ScaledVector::new(Vector::zeros(0));
+                let want = legacy_weigh(&window, &scratch.stepped, &column, &mut old);
+                let before = (bits(window.lifted_state()), window.log_scale().to_bits());
+                let got = window.commit_staged(&mut scratch, &column);
+                prop_assert_eq!(result_bits(&got), result_bits(&want));
+                match got {
+                    Ok(_) => {
+                        prop_assert_eq!(window.observed(), t + 1);
+                        prop_assert_eq!(bits(window.lifted_state()), bits(&old.vector));
+                        prop_assert_eq!(window.log_scale().to_bits(), old.log_scale.to_bits());
+                    }
+                    Err(_) => {
+                        prop_assert_eq!(window.observed(), t);
+                        prop_assert_eq!(
+                            (bits(window.lifted_state()), window.log_scale().to_bits()),
+                            before
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -194,11 +194,7 @@ impl<P: TransitionProvider> TheoremBuilder<P> {
                 actual: emission_column.len(),
             });
         }
-        if emission_column
-            .as_slice()
-            .iter()
-            .any(|&x| x < 0.0 || !x.is_finite())
-        {
+        if !priste_linalg::all_non_negative_finite(emission_column.as_slice()) {
             return Err(QuantifyError::InvalidEmission {
                 expected: m,
                 actual: emission_column.len(),

@@ -412,4 +412,61 @@ proptest! {
             }
         }
     }
+
+    /// A staged commit is the batched step is the plain observation, bit
+    /// for bit, on every step shape a random PRESENCE or PATTERN event
+    /// schedules (Capture or Hold inside its window, BlockDiagonal around
+    /// it), on dense and CSR chains: the window stages once, peeks a few
+    /// candidates against the stage, and commits the last through it. The
+    /// committed window owns its forward vector from its first commit on
+    /// and is written in place after that.
+    #[test]
+    fn commit_staged_equals_observe_with_step_equals_observe_bit_for_bit(
+        mat in stochastic_matrix(4),
+        pi in distribution(4),
+        ev in st_event(4),
+        seed in 0u64..u64::MAX / 2,
+        candidates in 1usize..4,
+    ) {
+        let sparse = SparseMatrix::from_dense(&mat, 0.0);
+        for chain in [
+            Homogeneous::new(MarkovModel::new(mat.clone()).unwrap()),
+            Homogeneous::new(MarkovModel::new_sparse(sparse.clone()).unwrap()),
+        ] {
+            let Some(mut plain) = build_or_skip(&ev, &chain, &pi) else { continue };
+            let mut batched = plain.clone();
+            let mut committed = plain.clone();
+            let model = Arc::clone(plain.model());
+            let engine = TwoWorldEngine::new(model.event(), &chain).unwrap();
+            let (mut step_scratch, mut staged) = (StepScratch::default(), StepScratch::default());
+            let mut owned = None;
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..ev.end() + 2 {
+                committed.stage(&mut staged);
+                let cols: Vec<Vector> =
+                    (0..candidates).map(|_| random_emission(&mut rng, 4)).collect();
+                for col in &cols {
+                    committed.peek_staged(&mut staged, col).unwrap();
+                }
+                let col = cols.last().unwrap();
+                let want = plain.observe(col).unwrap();
+                let via_step = match batched.next_step_index() {
+                    None => batched.observe(col).unwrap(),
+                    Some(idx) => batched
+                        .observe_with_step(&engine.step_at(idx), &mut step_scratch, col)
+                        .unwrap(),
+                };
+                let via_stage = committed.commit_staged(&mut staged, col).unwrap();
+                prop_assert_eq!(step_bits(&via_step), step_bits(&want));
+                prop_assert_eq!(step_bits(&via_stage), step_bits(&want));
+                for window in [&batched, &committed] {
+                    prop_assert_eq!(bits(window.lifted_state()), bits(plain.lifted_state()));
+                    prop_assert_eq!(window.log_scale().to_bits(), plain.log_scale().to_bits());
+                    prop_assert_eq!(window.observed(), plain.observed());
+                }
+                let at = committed.lifted_state() as *const Vector;
+                prop_assert_eq!(*owned.get_or_insert(at), at, "owned: in place");
+            }
+        }
+    }
 }

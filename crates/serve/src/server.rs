@@ -15,9 +15,10 @@
 //!
 //! A request is validated before its user is registered: a `/v1` answer
 //! of 400 or 409 never registers anyone. First contact registers the user
-//! with a uniform prior and the first template in one call
-//! ([`SessionManager::enroll`]), so concurrent first requests for one user
-//! register it once.
+//! with a uniform prior and the first template inside the request's own
+//! critical section ([`Enrollment`], [`SessionManager::ingest_enrolling`]
+//! and its siblings), so concurrent first requests for one user register
+//! it once, and every `/v1` ingest or release takes its shard lock once.
 //!
 //! # Panics
 //!
@@ -45,7 +46,7 @@ use priste_linalg::Vector;
 use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_obs::Registry;
-use priste_online::{shard_rng, OnlineError, SessionManager, UserId};
+use priste_online::{shard_rng, Enrollment, OnlineError, SessionManager, UserId};
 use rand::rngs::StdRng;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -241,21 +242,14 @@ fn bad_request(message: &str) -> Response {
     Response::json(400, proto::encode_error(message))
 }
 
-/// Registers `user` with a uniform prior and the first template on first
-/// contact, mirroring the CLI stream scenario's registration.
-fn enroll<P: TransitionProvider + Clone>(
-    service: &SessionManager<P>,
-    user: UserId,
-) -> std::result::Result<(), Response> {
-    let first: &[usize] = if service.templates().is_empty() {
+/// The templates a user is registered with on first contact: the first
+/// one, mirroring the CLI stream scenario's registration (the prior is
+/// uniform).
+fn first_templates<P: TransitionProvider + Clone>(service: &SessionManager<P>) -> &'static [usize] {
+    if service.templates().is_empty() {
         &[]
     } else {
         &[0]
-    };
-    let m = service.num_states();
-    match service.enroll(user, || Vector::uniform(m), first) {
-        Ok(_) => Ok(()),
-        Err(e) => Err(online_error(&e)),
     }
 }
 
@@ -296,12 +290,14 @@ fn ingest<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> R
         }
         (None, None) => unreachable!("decode_ingest enforces one-of"),
     };
-    if let Err(resp) = enroll(service, id) {
-        return resp;
-    }
+    let prior = || Vector::uniform(m);
+    let enroll = Enrollment {
+        prior: &prior,
+        templates: first_templates(service),
+    };
     let outcome = match (column, parsed.observed) {
-        (Some(column), _) => service.ingest(id, column),
-        (None, Some(cell)) => service.ingest_observed(id, CellId(cell)),
+        (Some(column), _) => service.ingest_enrolling(id, column, &enroll),
+        (None, Some(cell)) => service.ingest_observed_enrolling(id, CellId(cell), &enroll),
         (None, None) => unreachable!("decode_ingest enforces one-of"),
     };
     match outcome {
@@ -330,14 +326,16 @@ fn release<P: TransitionProvider + Clone>(handler: &Service<P>, body: &[u8]) -> 
         return online_error(&OnlineError::NotEnforcing);
     }
     let id = UserId(parsed.user);
-    if let Err(resp) = enroll(service, id) {
-        return resp;
-    }
+    let prior = || Vector::uniform(m);
+    let enroll = Enrollment {
+        prior: &prior,
+        templates: first_templates(service),
+    };
     let outcome = {
         let mut rng = handler.streams[service.shard_of(id)]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        service.release(id, CellId(parsed.true_location), &mut *rng)
+        service.release_enrolling(id, CellId(parsed.true_location), &mut *rng, &enroll)
     };
     match outcome {
         Ok(release) => Response::json(200, proto::encode_release(&release)),

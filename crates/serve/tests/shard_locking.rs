@@ -234,8 +234,8 @@ fn concurrent_ingests_match_a_sequential_replay_bit_for_bit() {
         registry.counter("online_observations_total").get(),
         requests
     );
-    // Every single-user call records its wait for the shard lock: one for
-    // first contact, one for the ingest, one for the spend read.
+    // Every single-user call records its wait for the shard lock: one per
+    // ingest (first contact included) and one per spend read.
     let waits = registry.histogram("online_shard_lock_wait_seconds");
     assert!(waits.count() >= requests, "{} waits", waits.count());
     server.drain_handle().drain();
@@ -305,6 +305,34 @@ fn simultaneous_first_requests_register_a_user_once() {
     server.drain_handle().drain();
     server.wait().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_first_contact_takes_its_shard_lock_once() {
+    let (svc, registry) = service(None, true);
+    let server = start(svc, Some(Box::new(plm())), &registry);
+    let mut client = Client::connect(&server);
+    let waits = || registry.histogram("online_shard_lock_wait_seconds").count();
+    // Two rounds over new users, half ingesting and half releasing: the
+    // first round registers every one of them inside its own request.
+    for round in 0..2 {
+        for user in 0..USERS {
+            let (status, body) = if user % 2 == 0 {
+                client.ingest(user, cell(user, round))
+            } else {
+                let body = format!(
+                    "{{\"user\": {user}, \"true_location\": {}}}",
+                    cell(user, round)
+                );
+                client.request("POST", "/v1/release", &body)
+            };
+            assert_eq!(status, 200, "{body}");
+        }
+        assert_eq!(waits(), (round + 1) * USERS, "round {round}");
+    }
+    assert_eq!(client.users(), USERS);
+    server.drain_handle().drain();
+    server.wait().unwrap();
 }
 
 #[test]
