@@ -13,12 +13,11 @@
 //!   per-user window state is in the spirit of δ-location-set privacy under
 //!   temporal correlations (arXiv:1410.5919).
 //! * [`SessionManager`] — shards users behind one lock per shard (calls
-//!   for users in different shards run in parallel), batches same-timestep
-//!   work (one posterior matmul per group, one shared
-//!   [`LiftedStep`](priste_quantify::lifted::LiftedStep) per (template,
-//!   window-age) group, run for each window in a reused scratch), and
-//!   evicts expired windows. A session that owns its vectors is updated in
-//!   place, so steady-state observations allocate no `O(m)` buffer.
+//!   for users in different shards run in parallel), commits each
+//!   observation in one per-user critical section that a same-timestep
+//!   batch runs once per user, shard by shard, and evicts expired windows.
+//!   A session that owns its vectors is updated in place, in kept scratch
+//!   buffers, so steady-state observations allocate no `O(m)` buffer.
 //! * [`OnlineConfig`] — ε threshold, shard count, window linger, budget.
 //!
 //! Beyond the audit path, the service runs in **enforcing mode**:

@@ -1,5 +1,7 @@
-//! The multi-user service front: sharded sessions, template catalog, and
-//! the batched same-timestep ingest path.
+//! The multi-user service front: sharded sessions, the template catalog,
+//! and one write path. Every ingest and release, single or batched, runs
+//! the same per-user critical section under its user's shard lock; a
+//! batch is a loop of those sections, spread over the shards.
 
 use crate::durable::{
     self, DurableError, DurableOptions, DurableStore, Emitter, SessionSnap, SnapshotSource,
@@ -22,14 +24,13 @@ use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_obs::Registry;
 use priste_quantify::lifted::StepScratch;
-use priste_quantify::{
-    EventModel, IncrementalTwoWorld, QuantifyError, TwoWorldEngine, WindowStart,
-};
+use priste_quantify::{EventModel, IncrementalTwoWorld, QuantifyError, WindowStart};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -47,104 +48,17 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// One deterministic RNG stream per shard, split from a seed. The parallel
-/// release path draws a shard's candidates from it, so they do not depend
-/// on how shards are assigned to worker threads; a daemon keeps one stream
+/// One deterministic RNG stream per shard, split from a seed. A release
+/// batch draws a shard's candidates from it, so they do not depend on how
+/// shards are assigned to worker threads; a daemon keeps one stream
 /// per shard for its releases, so a shard's draws depend only on the order
 /// of its own requests.
 pub fn shard_rng(seed: u64, shard: usize) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_add((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// Shared fan-out scaffolding for the parallel batched paths: round-robins
-/// the per-shard jobs (tagged with their shard index) over up to `threads`
-/// scoped workers, joins, and merges results. Shards hold disjoint
-/// sessions, so workers need no locks. Returns the collected items, the
-/// merged stats delta — including deltas from shards that committed before
-/// another shard failed, so the caller can keep [`ServiceStats`]
-/// consistent with mutated session state — and the first error, if any.
-///
-/// A panicking job is contained (`catch_unwind`) and surfaces as
-/// [`OnlineError::ShardPanicked`] carrying its shard index instead of
-/// taking down the process: the surviving shards' items and deltas are
-/// still absorbed. The panicked shard's own partial delta is kept too —
-/// its sessions may have mutated up to the panic point, and stats that
-/// track the mutation are the lesser inconsistency.
-fn fan_out_shards<J, T>(
-    jobs: Vec<(usize, J)>,
-    threads: usize,
-    work: impl Fn(J, &mut Vec<T>, &mut ServiceStats) -> Result<()> + Sync,
-) -> (Vec<T>, ServiceStats, Option<OnlineError>)
-where
-    J: Send,
-    T: Send,
-{
-    // Never more buckets than jobs: the caller's count only caps the
-    // workers, so a huge request must not size the bucket list.
-    let threads = resolve_threads(threads).min(jobs.len());
-    let mut buckets: Vec<Vec<(usize, J)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (k, job) in jobs.into_iter().enumerate() {
-        buckets[k % threads].push(job);
-    }
-    let mut items = Vec::new();
-    let mut merged = ServiceStats::default();
-    let mut failure: Option<OnlineError> = None;
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                let fallback_shard = bucket[0].0;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut delta = ServiceStats::default();
-                    let mut err = None;
-                    for (shard_idx, job) in bucket {
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            work(job, &mut out, &mut delta)
-                        }));
-                        match result {
-                            Ok(Ok(())) => {}
-                            Ok(Err(e)) => {
-                                err = Some(e);
-                                break;
-                            }
-                            Err(_) => {
-                                err = Some(OnlineError::ShardPanicked { shard: shard_idx });
-                                break;
-                            }
-                        }
-                    }
-                    (out, delta, err)
-                });
-                (fallback_shard, handle)
-            })
-            .collect();
-        for (fallback_shard, handle) in handles {
-            // Panics inside jobs are caught above; a join error can only
-            // come from a panic outside the guarded region, attributed to
-            // the bucket's first shard.
-            let (mut out, delta, err) = handle.join().unwrap_or_else(|_| {
-                (
-                    Vec::new(),
-                    ServiceStats::default(),
-                    Some(OnlineError::ShardPanicked {
-                        shard: fallback_shard,
-                    }),
-                )
-            });
-            items.append(&mut out);
-            merged.absorb(&delta);
-            if failure.is_none() {
-                failure = err;
-            }
-        }
-    });
-    (items, merged, failure)
-}
-
-/// The buffers one shard's batched observation runs in: the posterior's
-/// propagated row, the lifted window step of an ingest, and the guard's
+/// The buffers one commit runs in: the posterior's propagated row, the
+/// lifted window step of an ingest, and the guard's
 /// staged windows (one per window of the session being released). A
 /// release steps each window once, into its guard stage, and commits
 /// through that stage, so it never touches `step`. Kept across calls, so
@@ -158,9 +72,9 @@ struct ShardScratch {
     guard: Vec<StepScratch>,
 }
 
-/// A [`ShardScratch`] lent from the service's free list for one call and
-/// handed back when dropped: resident scratch is bounded by the number of
-/// concurrent calls, not by the number of shards.
+/// A [`ShardScratch`] lent from the service's free list for one call (or
+/// one shard of a batch) and handed back when dropped: resident scratch is
+/// bounded by the number of concurrent calls, not by the number of shards.
 struct Lease<'a> {
     pool: &'a Mutex<Vec<ShardScratch>>,
     scratch: ShardScratch,
@@ -187,6 +101,10 @@ impl Drop for Lease<'_> {
     }
 }
 
+/// One shard's part of a batch: the shard's index and its entries by user
+/// id.
+type ShardJob<'b, T> = (usize, BTreeMap<u64, &'b T>);
+
 /// One shard: its sessions and, while a durable store is attached, the
 /// writer of its WAL segment.
 #[derive(Debug)]
@@ -210,7 +128,7 @@ pub struct OnlineConfig {
     /// be verdicted [`Verdict::Certified`].
     pub epsilon: f64,
     /// Number of session shards (sessions hash to `id % num_shards`; each
-    /// shard batches its posterior propagation and window steps).
+    /// shard has its own lock and WAL segment).
     pub num_shards: usize,
     /// Steps a window is kept past its event end before eviction (post-end
     /// observations still sharpen the posterior via Lemma III.3).
@@ -276,17 +194,6 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Adds another counter set onto this one — the batched paths compute
-    /// per-shard deltas (possibly on worker threads) and merge them here.
-    pub fn absorb(&mut self, other: &ServiceStats) {
-        self.observations += other.observations;
-        self.evicted_windows += other.evicted_windows;
-        self.certified += other.certified;
-        self.violated += other.violated;
-        self.mismatched += other.mismatched;
-        self.suppressed += other.suppressed;
-    }
-
     /// Counters in declaration order, for the snapshot codec.
     pub(crate) fn to_array(self) -> [u64; 6] {
         [
@@ -483,15 +390,21 @@ fn window_report(
 }
 
 /// The streaming service: shards many users' [`Session`]s over one shared
-/// mobility model, batches same-timestep work, and evicts expired windows.
+/// mobility model, commits their observations one user at a time, and
+/// evicts expired windows.
 ///
-/// Batching: within one [`SessionManager::ingest_batch`] call every
-/// session's posterior propagation `p · M` runs per (shard, user-age)
-/// group, and every event window sharing a (template, window-age) pair is
-/// advanced through **one shared [`LiftedStep`]**, built once for the
-/// group and run for each of its windows by
-/// [`IncrementalTwoWorld::observe_with_step`] in the service's reused
-/// scratch buffers.
+/// Batching: [`SessionManager::ingest_batch`],
+/// [`SessionManager::ingest_batch_parallel`] and
+/// [`SessionManager::release_batch`] validate the whole batch first, then
+/// run, for each user, the critical section [`SessionManager::ingest`] or
+/// [`SessionManager::release`] runs, under the user's shard lock, each
+/// shard's users in id order. A batch therefore leaves the state and the
+/// journal that loop of single-user calls would. What a batch shares is
+/// per shard: one lock, one lease of scratch buffers and, for releases,
+/// one RNG stream. Each commit propagates its posterior (`p · M`) and
+/// steps each of its windows through the template's lifted step in those
+/// buffers; the step only borrows the mobility model's matrix, so there
+/// is nothing to build once per group.
 ///
 /// Windows run on their own local clock (timestep 1 = first observation
 /// after attach), so event templates are written in attach-relative time.
@@ -536,24 +449,25 @@ fn window_report(
 /// and the batch paths ([`SessionManager::ingest_batch`],
 /// [`SessionManager::ingest_batch_parallel`],
 /// [`SessionManager::release_batch`]) take `&mut self`, which excludes
-/// every other call: the batch paths reach the shards through
-/// `Mutex::get_mut` and take no lock.
+/// every other call. A batch still takes each shard's lock, through the
+/// helper the single-user calls use, for the shard's part: each worker
+/// holds one shard lock at a time.
 ///
-/// Lock order: a single-user call holds one shard lock at a time. While it
-/// holds it, it may take the prior table's lock (registering a prior or
-/// attaching a window), which is always taken last and held only for that
-/// step. A checkpoint, explicit ([`SessionManager::checkpoint`]) or the
+/// Lock order: a single-user call, or a batch worker, holds one shard lock
+/// at a time. While it holds it, it may take the prior table's lock
+/// (registering a prior or attaching a window), which is always taken last
+/// and held only for that step. A checkpoint, explicit ([`SessionManager::checkpoint`]) or the
 /// automatic one a call runs after releasing its shard lock, takes every
 /// shard lock in index order; it is the only holder of more than one.
 ///
-/// Panics: a panic inside a shard's critical section poisons that shard,
-/// whose state may be half-committed. From then on every call on the shard
+/// Panics: a panic inside a shard's critical section, single-user or
+/// batched, poisons that shard, whose state may be half-committed; a batch
+/// returns it as [`OnlineError::ShardPanicked`] and counts it in
+/// `online_shard_panics_total`. From then on every call on the shard
 /// fails with [`OnlineError::ShardPanicked`], no checkpoint is written, and
 /// [`SessionManager::is_poisoned`] reports it, which is what a daemon fences
 /// its routes on. The journal holds every acknowledged commit: recover from
 /// it.
-///
-/// [`LiftedStep`]: priste_quantify::lifted::LiftedStep
 #[derive(Debug)]
 pub struct SessionManager<P> {
     provider: P,
@@ -748,57 +662,72 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             .release_seconds
             .is_enabled()
             .then(Instant::now);
-        let ladder = self.enforcer.as_ref().ok_or(OnlineError::NotEnforcing)?;
-        let m = self.provider.num_states();
-        if true_loc.index() >= m {
-            return Err(OnlineError::InvalidLocation {
-                cell: true_loc.index(),
-                num_cells: m,
-            });
+        if !self.enforcing() {
+            return Err(OnlineError::NotEnforcing);
         }
-        let mut scratch = Lease::take(&self.scratch);
-        let mut shard = self.lock_shard(self.shard_of(id))?;
-        if let Some(enroll) = Self::first_contact(&shard, id, enroll)? {
-            self.enroll_locked(&mut shard, id, enroll.prior, enroll.templates)?;
-        }
-        let session = &shard.sessions[&id.0];
-        let outcome = run_guard(
-            ladder,
-            true_loc,
-            rng,
-            peek_worst_loss(
-                session.windows.iter().map(|w| &w.state),
-                &mut scratch.scratch.guard,
-            ),
-        )?;
-        // Journal the committed column by reference (a suppression as
-        // such, so replay reconstructs the stats) before it leaves the
-        // mechanism.
-        if self.store.is_some() {
-            Self::journal(&self.store, &mut shard, &release_record(id.0, &outcome))?;
-        }
-        let report = self.commit_one(
-            &mut shard,
-            id.0,
-            &outcome.column,
-            &mut scratch.scratch,
-            true,
-        );
-        // Count the suppression only once the flat column actually
-        // committed — a failed release must not skew the stats — and
-        // under the shard lock, so a checkpoint sees both or neither.
-        if outcome.decision == Decision::Suppressed {
-            self.instruments.suppressed.inc();
-        }
-        drop(shard);
-        drop(scratch);
-        self.instruments.guard.record(&outcome);
+        self.check_location(true_loc)?;
+        let release = {
+            let mut scratch = Lease::take(&self.scratch);
+            let mut shard = self.lock_shard(self.shard_of(id))?;
+            if let Some(enroll) = Self::first_contact(&shard, id, enroll)? {
+                self.enroll_locked(&mut shard, id, enroll.prior, enroll.templates)?;
+            }
+            let mut stats = ServiceStats::default();
+            let release = self.release_locked(
+                &mut shard,
+                id.0,
+                true_loc,
+                rng,
+                &mut scratch.scratch,
+                &mut stats,
+            )?;
+            self.instruments.absorb(&stats);
+            release
+        };
         self.maybe_checkpoint()?;
         if let Some(t0) = start {
             self.instruments
                 .release_seconds
                 .observe(t0.elapsed().as_secs_f64());
         }
+        Ok(release)
+    }
+
+    /// The critical section of one enforcing release, in a shard the caller
+    /// holds: the guard walks the ladder against the user's windows,
+    /// staging each into `scratch.guard`; the outcome is journaled; and the
+    /// chosen column commits through those stages, adding its counts to
+    /// `stats`.
+    fn release_locked(
+        &self,
+        shard: &mut Shard<P>,
+        uid: u64,
+        true_loc: CellId,
+        rng: &mut dyn RngCore,
+        scratch: &mut ShardScratch,
+        stats: &mut ServiceStats,
+    ) -> Result<EnforcedRelease> {
+        let ladder = self.enforcer.as_ref().ok_or(OnlineError::NotEnforcing)?;
+        let session = &shard.sessions[&uid];
+        let outcome = run_guard(
+            ladder,
+            true_loc,
+            rng,
+            peek_worst_loss(session.windows.iter().map(|w| &w.state), &mut scratch.guard),
+        )?;
+        // Journal the committed column by reference (a suppression as
+        // such, so replay reconstructs the stats) before it leaves the
+        // mechanism.
+        if self.store.is_some() {
+            Self::journal(&self.store, shard, &release_record(uid, &outcome))?;
+        }
+        let report = self.commit_one(shard, uid, &outcome.column, scratch, true, stats);
+        // Count the suppression only once the flat column actually
+        // committed: a failed release must not skew the stats.
+        if outcome.decision == Decision::Suppressed {
+            stats.suppressed += 1;
+        }
+        self.instruments.guard.record(&outcome);
         Ok(EnforcedRelease {
             decision: outcome.decision,
             attempts: outcome.attempts.len(),
@@ -806,12 +735,19 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         })
     }
 
-    /// Commits one already-validated, already-journaled column through the
-    /// audit machinery (posterior filtering, windows, ledger, eviction) in
-    /// a shard the caller holds. The stats move here, under that hold, so
-    /// a checkpoint never snapshots a session without its counts. With
+    /// Commits one already-validated, already-journaled column for user
+    /// `uid` in a shard the caller holds: filters the posterior (`p · M`,
+    /// then the emission weighting), steps every event window, charges the
+    /// ledger and evicts, and adds the commit's counts to `stats`. The
+    /// caller moves those into the service's counters while no checkpoint
+    /// can run: a single-user call before it releases the shard lock, a
+    /// batch (which holds `&mut self`) once per shard, so concurrent
+    /// workers do not contend on the counters for every user. With
     /// `staged`, the guard has just staged the user's windows into
-    /// `scratch.guard`, and each commits through its stage.
+    /// `scratch.guard`, and each commits through its stage; otherwise each
+    /// window is staged into `scratch.step` here. Both buffers are kept, so
+    /// a steady-state commit of a session that owns its vectors allocates
+    /// no `O(m)` buffer.
     fn commit_one(
         &self,
         shard: &mut Shard<P>,
@@ -819,19 +755,58 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         column: &Vector,
         scratch: &mut ShardScratch,
         staged: bool,
+        stats: &mut ServiceStats,
     ) -> UserReport {
-        let wanted = BTreeMap::from([(uid, column)]);
-        let (mut reports, delta) = Self::process_shard(
-            &self.provider,
-            &self.templates,
-            &mut shard.sessions,
-            &wanted,
-            &self.config,
-            scratch,
-            staged,
-        );
-        self.instruments.absorb(&delta);
-        reports.pop().expect("one observation in, one report out")
+        let session = shard
+            .sessions
+            .get_mut(&uid)
+            .expect("the caller checked the user");
+        match session.observed() {
+            0 => {
+                // First observation: no propagation, just weigh the prior
+                // (borrowed, not copied: it may be shared).
+                let prior = Arc::clone(session.shared_posterior());
+                session.weigh_posterior(prior.as_slice(), column);
+            }
+            age => {
+                let moved = &mut scratch.moved;
+                moved.resize(self.provider.num_states(), 0.0);
+                self.provider
+                    .transition_at(age)
+                    .vecmat_into(session.posterior().as_slice(), moved);
+                session.weigh_posterior(moved, column);
+            }
+        }
+        stats.observations += 1;
+        let epsilon = self.config.epsilon;
+        let reports = session
+            .windows
+            .iter_mut()
+            .enumerate()
+            .map(|(i, window)| {
+                let observed = if staged {
+                    window.state.commit_staged(&mut scratch.guard[i], column)
+                } else if window.state.observed() == 0 {
+                    // The first observation has no transition step: it
+                    // weighs the (possibly shared) initial vector into the
+                    // window's own first forward vector.
+                    window.state.observe(column)
+                } else {
+                    window.state.stage(&mut scratch.step);
+                    window.state.commit_staged(&mut scratch.step, column)
+                };
+                let report = window_report(window.template, observed, epsilon);
+                match report.verdict {
+                    Verdict::Certified => stats.certified += 1,
+                    Verdict::Violated => stats.violated += 1,
+                    Verdict::ModelMismatch => stats.mismatched += 1,
+                }
+                report
+            })
+            .collect();
+        let report = session.finish_observation(reports, self.config.linger);
+        stats.evicted_windows += report.evicted;
+        report
     }
 
     /// The service configuration.
@@ -1167,8 +1142,8 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(true)
     }
 
-    /// Ingests one observation for one user. Equivalent to a singleton
-    /// [`SessionManager::ingest_batch`], but it locks only the user's shard.
+    /// Ingests one observation for one user, locking only the user's shard.
+    /// Equivalent to a singleton [`SessionManager::ingest_batch`].
     ///
     /// # Errors
     /// See [`SessionManager::ingest_batch`].
@@ -1204,31 +1179,53 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             .is_enabled()
             .then(Instant::now);
         self.check_emission(emission_column.as_slice())?;
-        let report = {
+        let mut reports = {
             let mut scratch = Lease::take(&self.scratch);
             let mut shard = self.lock_shard(self.shard_of(id))?;
             if let Some(enroll) = Self::first_contact(&shard, id, enroll)? {
                 self.enroll_locked(&mut shard, id, enroll.prior, enroll.templates)?;
             }
-            // A caller-supplied column is journaled whole (audit path:
-            // nothing is suppressed).
-            let record = WalRecord::Observe {
-                user: id.0,
-                suppressed: false,
-                column: Cow::Borrowed(emission_column.as_slice()),
-            };
-            Self::journal(&self.store, &mut shard, &record)?;
-            self.commit_one(
+            // The critical section appends to a report list, a batch's or,
+            // here, a list of one.
+            let mut reports = Vec::with_capacity(1);
+            let mut stats = ServiceStats::default();
+            self.ingest_locked(
                 &mut shard,
                 id.0,
                 &emission_column,
                 &mut scratch.scratch,
-                false,
-            )
+                &mut stats,
+                &mut reports,
+            )?;
+            self.instruments.absorb(&stats);
+            reports
         };
         self.maybe_checkpoint()?;
         self.record_ingest(start, 1);
-        Ok(report)
+        Ok(reports.pop().expect("one observation in, one report out"))
+    }
+
+    /// The critical section of one audit ingest, in a shard the caller
+    /// holds: the caller-supplied column is journaled whole (nothing is
+    /// suppressed), then committed, adding its counts to `stats` and its
+    /// report to `reports`.
+    fn ingest_locked(
+        &self,
+        shard: &mut Shard<P>,
+        uid: u64,
+        column: &Vector,
+        scratch: &mut ShardScratch,
+        stats: &mut ServiceStats,
+        reports: &mut Vec<UserReport>,
+    ) -> Result<()> {
+        let record = WalRecord::Observe {
+            user: uid,
+            suppressed: false,
+            column: Cow::Borrowed(column.as_slice()),
+        };
+        Self::journal(&self.store, shard, &record)?;
+        reports.push(self.commit_one(shard, uid, column, scratch, false, stats));
+        Ok(())
     }
 
     /// Ingests one observation for one user as the cell the service's
@@ -1275,13 +1272,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             .ingest_seconds
             .is_enabled()
             .then(Instant::now);
-        let m = self.provider.num_states();
-        if observed.index() >= m {
-            return Err(OnlineError::InvalidLocation {
-                cell: observed.index(),
-                num_cells: m,
-            });
-        }
+        self.check_location(observed)?;
         let report = {
             let mut scratch = Lease::take(&self.scratch);
             let mut shard = self.lock_shard(self.shard_of(id))?;
@@ -1300,7 +1291,17 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 let record = emitted(id.0, Emitter::Source, observed, budget, &column);
                 Self::journal(&self.store, &mut shard, &record)?;
             }
-            self.commit_one(&mut shard, id.0, &column, &mut scratch.scratch, false)
+            let mut stats = ServiceStats::default();
+            let report = self.commit_one(
+                &mut shard,
+                id.0,
+                &column,
+                &mut scratch.scratch,
+                false,
+                &mut stats,
+            );
+            self.instruments.absorb(&stats);
+            report
         };
         self.maybe_checkpoint()?;
         self.record_ingest(start, 1);
@@ -1309,46 +1310,64 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
 
     /// Ingests one same-timestep batch: at most one observation (as the
     /// released emission column) per user. Returns one [`UserReport`] per
-    /// entry, sorted by user id.
+    /// entry, sorted by user id. Each user runs the critical section of
+    /// [`SessionManager::ingest`] (journal, then commit) under its shard's
+    /// lock, shard by shard, each shard's users in id order, so a batch
+    /// leaves the state and the journal a loop of single ingests would.
     ///
     /// # Errors
     /// [`OnlineError::UnknownUser`], [`OnlineError::DuplicateObservation`],
     /// and emission validation errors — all detected *before* any state is
-    /// mutated, so a failed batch leaves the service unchanged.
+    /// mutated, so such a batch leaves the service unchanged. A failure or
+    /// panic past validation stops its shard, and the lowest-numbered
+    /// failed shard's error is returned (a panic as
+    /// [`OnlineError::ShardPanicked`], and the shard stays poisoned); every
+    /// user committed before it is journaled and counted, and the other
+    /// shards commit.
     pub fn ingest_batch(&mut self, batch: &[(UserId, Vector)]) -> Result<Vec<UserReport>> {
         let start = self
             .instruments
             .ingest_seconds
             .is_enabled()
             .then(Instant::now);
-        let by_shard = self.validate_batch(batch)?;
-        // Journal the committed columns before any state mutates: a crash
-        // after the append replays an observation whose report was never
-        // returned (at-least-once spend — conservative), and an append
-        // failure leaves both memory and disk untouched.
-        self.journal_observations(&by_shard)?;
-        let mut reports = Vec::with_capacity(batch.len());
-        let mut scratch = Lease::take(&self.scratch);
-        for ((idx, shard), wanted) in self.shards.iter_mut().enumerate().zip(&by_shard) {
-            if wanted.is_empty() {
-                continue;
-            }
-            let (mut shard_reports, delta) = Self::process_shard(
-                &self.provider,
-                &self.templates,
-                &mut owned(shard, idx)?.sessions,
-                wanted,
-                &self.config,
-                &mut scratch.scratch,
-                false,
-            );
-            self.instruments.absorb(&delta);
-            reports.append(&mut shard_reports);
+        let jobs = self.shard_jobs(batch, |svc, col| svc.check_emission(col.as_slice()))?;
+        let reports = Self::outcome(self.run_shards(
+            jobs.iter(),
+            &|_, wanted, shard, scratch, stats, out| {
+                self.ingest_shard(wanted, shard, scratch, stats, out)
+            },
+        ));
+        self.finish_ingest(start, batch.len(), reports)
+    }
+
+    /// One shard's part of a batched ingest: the critical section of
+    /// [`SessionManager::ingest`] for each user, in id order.
+    fn ingest_shard(
+        &self,
+        wanted: &BTreeMap<u64, &Vector>,
+        shard: &mut Shard<P>,
+        scratch: &mut ShardScratch,
+        stats: &mut ServiceStats,
+        out: &mut Vec<UserReport>,
+    ) -> Result<()> {
+        for (&uid, column) in wanted {
+            self.ingest_locked(shard, uid, column, scratch, stats, out)?;
         }
-        drop(scratch);
+        Ok(())
+    }
+
+    /// Sorts a batched ingest's reports by user and runs what follows the
+    /// critical sections: the automatic checkpoint and the telemetry.
+    fn finish_ingest(
+        &self,
+        start: Option<Instant>,
+        batch: usize,
+        reports: Result<Vec<UserReport>>,
+    ) -> Result<Vec<UserReport>> {
+        let mut reports = reports?;
         reports.sort_by_key(|r| r.user);
         self.maybe_checkpoint()?;
-        self.record_ingest(start, batch.len());
+        self.record_ingest(start, batch);
         Ok(reports)
     }
 
@@ -1362,29 +1381,6 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             self.instruments.ingest_batch_size.observe(batch as f64);
             self.instruments.update_occupancy(self.occupancy());
         }
-    }
-
-    /// Appends one [`WalRecord::Observe`] per batch entry: a caller-supplied
-    /// column is journaled whole (audit path: nothing is suppressed).
-    fn journal_observations(&mut self, by_shard: &[BTreeMap<u64, &Vector>]) -> Result<()> {
-        if self.store.is_none() {
-            return Ok(());
-        }
-        for ((idx, shard), wanted) in self.shards.iter_mut().enumerate().zip(by_shard) {
-            let shard = owned(shard, idx)?;
-            for (&uid, col) in wanted {
-                Self::journal(
-                    &self.store,
-                    shard,
-                    &WalRecord::Observe {
-                        user: uid,
-                        suppressed: false,
-                        column: Cow::Borrowed(col.as_slice()),
-                    },
-                )?;
-            }
-        }
-        Ok(())
     }
 
     /// Appends a record to `shard`'s WAL segment; a no-op for in-memory
@@ -1414,17 +1410,19 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(())
     }
 
-    /// Validation pass for one same-timestep batch (no mutation): emission
-    /// shape, user existence, one-observation-per-user. Returns the
-    /// per-shard observation maps.
-    fn validate_batch<'b>(
+    /// Validation for one same-timestep batch, before anything mutates:
+    /// every entry passes `check`, names a registered user, and no user
+    /// appears twice. Returns the entries grouped by shard, each group in
+    /// id order; a shard with no entry gets no group.
+    fn shard_jobs<'b, T>(
         &mut self,
-        batch: &'b [(UserId, Vector)],
-    ) -> Result<Vec<BTreeMap<u64, &'b Vector>>> {
-        let mut by_shard: Vec<BTreeMap<u64, &Vector>> =
+        batch: &'b [(UserId, T)],
+        check: impl Fn(&Self, &T) -> Result<()>,
+    ) -> Result<Vec<ShardJob<'b, T>>> {
+        let mut by_shard: Vec<BTreeMap<u64, &T>> =
             (0..self.shards.len()).map(|_| BTreeMap::new()).collect();
-        for (id, col) in batch {
-            self.check_emission(col.as_slice())?;
+        for (id, item) in batch {
+            check(self, item)?;
             let idx = self.shard_of(*id);
             if !owned(&mut self.shards[idx], idx)?
                 .sessions
@@ -1432,11 +1430,87 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             {
                 return Err(OnlineError::UnknownUser { user: id.0 });
             }
-            if by_shard[idx].insert(id.0, col).is_some() {
+            if by_shard[idx].insert(id.0, item).is_some() {
                 return Err(OnlineError::DuplicateObservation { user: id.0 });
             }
         }
-        Ok(by_shard)
+        Ok(by_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, wanted)| !wanted.is_empty())
+            .collect())
+    }
+
+    /// Runs each shard's part of a batch on the calling thread, in `jobs`
+    /// order. A part runs in its shard's critical section: `work` gets the
+    /// shard, locked as a single-user call locks it, one lease of scratch
+    /// and the part's stats, and commits the part's users one at a time;
+    /// its first failure stops the shard. The stats move into the counters
+    /// once per part. A panic poisons the shard, as in a single-user call,
+    /// and surfaces as [`OnlineError::ShardPanicked`], counted in
+    /// `online_shard_panics_total`. Returns the items of every committed
+    /// user and the first failed shard with its error.
+    fn run_shards<'j, J: 'j, T>(
+        &self,
+        jobs: impl Iterator<Item = &'j (usize, J)>,
+        work: &impl Fn(
+            usize,
+            &J,
+            &mut Shard<P>,
+            &mut ShardScratch,
+            &mut ServiceStats,
+            &mut Vec<T>,
+        ) -> Result<()>,
+    ) -> (Vec<T>, Option<(usize, OnlineError)>) {
+        let mut out = Vec::new();
+        let mut failure = None;
+        for &(idx, ref job) in jobs {
+            let mut stats = ServiceStats::default();
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut scratch = Lease::take(&self.scratch);
+                let mut shard = self.lock_shard(idx)?;
+                work(
+                    idx,
+                    job,
+                    &mut shard,
+                    &mut scratch.scratch,
+                    &mut stats,
+                    &mut out,
+                )
+            }));
+            // Every user that committed counts, before a failure or a
+            // panic too. The batch holds `&mut self`, so no checkpoint can
+            // run between the commits and this.
+            self.instruments.absorb(&stats);
+            let result = run.unwrap_or_else(|_| {
+                self.instruments.record_shard_panic(idx);
+                Err(OnlineError::ShardPanicked { shard: idx })
+            });
+            if let Err(e) = result {
+                failure.get_or_insert((idx, e));
+            }
+        }
+        (out, failure)
+    }
+
+    /// A batch's items, or the error of its first failed shard.
+    fn outcome<T>((items, failure): (Vec<T>, Option<(usize, OnlineError)>)) -> Result<Vec<T>> {
+        match failure {
+            Some((_, e)) => Err(e),
+            None => Ok(items),
+        }
+    }
+
+    /// Checks that `cell` lies in the state domain.
+    fn check_location(&self, cell: CellId) -> Result<()> {
+        let m = self.provider.num_states();
+        if cell.index() >= m {
+            return Err(OnlineError::InvalidLocation {
+                cell: cell.index(),
+                num_cells: m,
+            });
+        }
+        Ok(())
     }
 
     /// Checks an emission column: one finite, non-negative entry per
@@ -1453,182 +1527,6 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             }));
         }
         Ok(())
-    }
-
-    /// One shard's slice of a batched ingest: posterior propagation, window
-    /// advancement, ledger/eviction — returning the reports (session-id
-    /// order) plus the stats delta to merge. Free of `&mut self` so the
-    /// parallel path can run disjoint shards on worker threads, each with
-    /// its own `scratch`. With `staged`, `wanted` is the one user the guard
-    /// just staged into `scratch.guard`, and its windows commit through
-    /// those stages instead of being stepped again.
-    ///
-    /// Only the sessions between the batch's lowest and highest user id are
-    /// visited, so a one-user batch costs `O(log n)` to select.
-    fn process_shard(
-        provider: &P,
-        templates: &[Arc<EventModel>],
-        shard: &mut BTreeMap<u64, Session<P>>,
-        wanted: &BTreeMap<u64, &Vector>,
-        config: &OnlineConfig,
-        scratch: &mut ShardScratch,
-        staged: bool,
-    ) -> (Vec<UserReport>, ServiceStats) {
-        let mut stats = ServiceStats::default();
-        let mut reports = Vec::with_capacity(wanted.len());
-        let (Some((&first, _)), Some((&last, _))) =
-            (wanted.first_key_value(), wanted.last_key_value())
-        else {
-            return (reports, stats);
-        };
-        let mut selected: Vec<(&mut Session<P>, &Vector)> = shard
-            .range_mut(first..=last)
-            .filter_map(|(uid, s)| wanted.get(uid).map(|col| (s, *col)))
-            .collect();
-
-        Self::propagate_posteriors(provider, &mut selected, &mut scratch.moved);
-        let window_reports = if staged {
-            selected
-                .iter_mut()
-                .map(|(session, col)| {
-                    Self::commit_windows(session, col, config.epsilon, &mut scratch.guard)
-                })
-                .collect()
-        } else {
-            Self::advance_windows(
-                provider,
-                templates,
-                &mut selected,
-                config.epsilon,
-                &mut scratch.step,
-            )
-        };
-
-        for ((session, _), wreps) in selected.iter_mut().zip(window_reports) {
-            for r in &wreps {
-                match r.verdict {
-                    Verdict::Certified => stats.certified += 1,
-                    Verdict::Violated => stats.violated += 1,
-                    Verdict::ModelMismatch => stats.mismatched += 1,
-                }
-            }
-            let report = session.finish_observation(wreps, config.linger);
-            stats.observations += 1;
-            stats.evicted_windows += report.evicted;
-            reports.push(report);
-        }
-        (reports, stats)
-    }
-
-    /// Batched posterior filtering: streams each selected session's `p · M`
-    /// through the provider's backend into the reused `moved` row (grouped
-    /// by user age, so time-varying providers fetch the right matrix), then
-    /// applies each session's emission weighting. With a CSR chain each
-    /// propagation costs `O(nnz)` instead of `O(m²)`.
-    fn propagate_posteriors(
-        provider: &P,
-        selected: &mut [(&mut Session<P>, &Vector)],
-        moved: &mut Vec<f64>,
-    ) {
-        let mut by_age: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, (session, _)) in selected.iter().enumerate() {
-            by_age.entry(session.observed()).or_default().push(i);
-        }
-        moved.resize(provider.num_states(), 0.0);
-        for (age, idxs) in by_age {
-            if age == 0 {
-                // First observation: no propagation, just weigh the prior
-                // (borrowed, not copied: it may be shared).
-                for &i in &idxs {
-                    let (session, col) = &mut selected[i];
-                    let prior = Arc::clone(session.shared_posterior());
-                    session.weigh_posterior(prior.as_slice(), col);
-                }
-                continue;
-            }
-            let matrix = provider.transition_at(age);
-            for &i in &idxs {
-                let (session, col) = &mut selected[i];
-                matrix.vecmat_into(session.posterior().as_slice(), moved);
-                session.weigh_posterior(moved, col);
-            }
-        }
-    }
-
-    /// Batched window advancement: every window sharing a (template,
-    /// window-age) pair is moved through one shared lifted step built once
-    /// from the template schedule, each in turn through the reused
-    /// `scratch`. Returns per-session window reports in attach order.
-    fn advance_windows(
-        provider: &P,
-        templates: &[Arc<EventModel>],
-        selected: &mut [(&mut Session<P>, &Vector)],
-        epsilon: f64,
-        scratch: &mut StepScratch,
-    ) -> Vec<Vec<crate::session::WindowReport>> {
-        let mut results: Vec<Vec<crate::session::WindowReport>> = selected
-            .iter()
-            .map(|(s, _)| Vec::with_capacity(s.active_windows()))
-            .collect();
-
-        // Flatten (session, window) pairs and group by shared step shape.
-        let mut flat: Vec<(usize, &mut EventWindow<P>, &Vector)> = Vec::new();
-        for (si, (session, col)) in selected.iter_mut().enumerate() {
-            let col: &Vector = col;
-            for w in session.windows.iter_mut() {
-                flat.push((si, w, col));
-            }
-        }
-        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (fi, (_, w, _)) in flat.iter().enumerate() {
-            groups
-                .entry((w.template, w.state.observed()))
-                .or_default()
-                .push(fi);
-        }
-
-        let mut staged: Vec<Option<crate::session::WindowReport>> = vec![None; flat.len()];
-        for ((template, age), idxs) in groups {
-            // One step for the whole group. The first observation has no
-            // transition step: it weighs the (possibly shared) initial
-            // vector into the window's own first forward vector.
-            let engine = TwoWorldEngine::new(templates[template].event(), provider)
-                .expect("validated at registration");
-            let step = (age > 0).then(|| engine.step_at(age));
-            for &fi in &idxs {
-                let (_, window, col) = &mut flat[fi];
-                let observed = match &step {
-                    Some(step) => window.state.observe_with_step(step, scratch, col),
-                    None => window.state.observe(col),
-                };
-                staged[fi] = Some(window_report(window.template, observed, epsilon));
-            }
-        }
-        // Re-assemble per session in attach order (flat preserves it).
-        for (fi, (si, _, _)) in flat.iter().enumerate() {
-            results[*si].push(staged[fi].take().expect("every window was advanced"));
-        }
-        results
-    }
-
-    /// A guarded session's windows, each committed through the stage the
-    /// guard read its candidates against (`staged[i]` for window `i`), so
-    /// no window is stepped a second time. Reports in attach order.
-    fn commit_windows(
-        session: &mut Session<P>,
-        col: &Vector,
-        epsilon: f64,
-        staged: &mut [StepScratch],
-    ) -> Vec<crate::session::WindowReport> {
-        session
-            .windows
-            .iter_mut()
-            .zip(staged)
-            .map(|(window, scratch)| {
-                let observed = window.state.commit_staged(scratch, col);
-                window_report(window.template, observed, epsilon)
-            })
-            .collect()
     }
 
     /// The shard `id`'s session lives in: `id % num_shards`.
@@ -2050,12 +1948,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// Applies one journaled record, the `index`-th of `segment`, without
-    /// re-journaling it. Replaying an observation runs the exact same
-    /// per-row arithmetic as the original (possibly batched) execution —
-    /// posterior propagation and lifted window steps are row-independent —
-    /// on the same column, journaled or rebuilt bit for bit, so the
-    /// recovered state is bit-identical to what the live service held
-    /// after committing it. `rungs` holds the guard rungs rebuilt so far,
+    /// re-journaling it. Replaying an observation runs the commit the
+    /// original call ran, single or batched, on the same column, journaled
+    /// or rebuilt bit for bit, so the recovered state is bit-identical to
+    /// what the live service held after committing it. `rungs` holds the guard rungs rebuilt so far,
     /// by budget bits.
     fn replay(
         &self,
@@ -2182,10 +2078,19 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         if !shard.sessions.contains_key(&user) {
             return Err(OnlineError::UnknownUser { user });
         }
-        let _ = self.commit_one(&mut shard, user, column, &mut scratch.scratch, false);
-        if suppressed {
-            self.instruments.suppressed.inc();
-        }
+        let mut stats = ServiceStats {
+            suppressed: usize::from(suppressed),
+            ..ServiceStats::default()
+        };
+        let _ = self.commit_one(
+            &mut shard,
+            user,
+            column,
+            &mut scratch.scratch,
+            false,
+            &mut stats,
+        );
+        self.instruments.absorb(&stats);
         Ok(())
     }
 
@@ -2199,19 +2104,17 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
 }
 
 /// The parallel batched paths — available when the shared model is
-/// thread-safe (the pipeline's `Arc`-backed provider is). Work fans out
-/// over the service's own shards with `std::thread::scope`: shards hold
-/// disjoint sessions, so there is nothing to lock, and the enforcing path
-/// shares one immutable [`GuardLadder`].
+/// thread-safe (the pipeline's `Arc`-backed provider is). Each scoped
+/// worker takes its shards' locks one at a time, as the single-user calls
+/// do, and the enforcing path shares one immutable [`GuardLadder`].
 impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
-    /// [`SessionManager::ingest_batch`] with the per-shard work fanned out
-    /// over up to `threads` workers (`0` = one per available core).
-    /// Reports, stats and session state are identical to the sequential
-    /// path for any thread count.
+    /// [`SessionManager::ingest_batch`] with the shards spread over up to
+    /// `threads` workers (`0` = one per available core). Reports, stats,
+    /// session state and journal are identical to the sequential path for
+    /// any thread count.
     ///
     /// # Errors
-    /// See [`SessionManager::ingest_batch`] — validation runs up front, so
-    /// a failed batch leaves the service unchanged.
+    /// As [`SessionManager::ingest_batch`].
     pub fn ingest_batch_parallel(
         &mut self,
         batch: &[(UserId, Vector)],
@@ -2222,55 +2125,21 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
             .ingest_seconds
             .is_enabled()
             .then(Instant::now);
-        let by_shard = self.validate_batch(batch)?;
-        self.journal_observations(&by_shard)?;
-        let provider = &self.provider;
-        let templates = &self.templates;
-        let config = &self.config;
-
-        let jobs = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .zip(&by_shard)
-            .filter(|((_, _), wanted)| !wanted.is_empty())
-            .map(|((idx, shard), wanted)| Ok((idx, (&mut owned(shard, idx)?.sessions, wanted))))
-            .collect::<Result<Vec<_>>>()?;
-        let (mut reports, merged, failure) =
-            fan_out_shards(jobs, threads, |(shard, wanted), out, delta| {
-                let mut scratch = ShardScratch::default();
-                let (mut shard_reports, shard_delta) = Self::process_shard(
-                    provider,
-                    templates,
-                    shard,
-                    wanted,
-                    config,
-                    &mut scratch,
-                    false,
-                );
-                out.append(&mut shard_reports);
-                delta.absorb(&shard_delta);
-                Ok(())
-            });
-        self.instruments.absorb(&merged);
-        if let Some(e) = failure {
-            if let OnlineError::ShardPanicked { shard } = &e {
-                self.instruments.record_shard_panic(*shard);
-            }
-            return Err(e);
-        }
-        reports.sort_by_key(|r| r.user);
-        self.maybe_checkpoint()?;
-        self.record_ingest(start, batch.len());
-        Ok(reports)
+        let jobs = self.shard_jobs(batch, |svc, col| svc.check_emission(col.as_slice()))?;
+        let reports = self.fan_out(&jobs, threads, |_, wanted, shard, scratch, stats, out| {
+            self.ingest_shard(wanted, shard, scratch, stats, out)
+        });
+        self.finish_ingest(start, batch.len(), reports)
     }
 
     /// One same-timestep **enforcing-mode** batch: calibrates and commits
     /// at most one release per user — [`SessionManager::release`] at fleet
-    /// scale. The guard + commit work fans out over up to `threads` workers
-    /// (`0` = one per available core) on shard-disjoint state, drawing
-    /// candidates from one deterministic RNG stream per shard split from
-    /// `seed`, so results are bit-identical for any thread count.
+    /// scale. Each user runs the critical section of
+    /// [`SessionManager::release`] (guard, journal, commit) under its
+    /// shard's lock, each shard's users in id order, drawing candidates
+    /// from one RNG stream per shard ([`shard_rng`] of `seed`). The shards
+    /// are spread over up to `threads` workers (`0` = one per available
+    /// core), and the results are bit-identical for any thread count.
     ///
     /// Returns one [`EnforcedRelease`] per request, sorted by user id.
     ///
@@ -2278,138 +2147,34 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
     /// [`OnlineError::NotEnforcing`] without enforcement enabled;
     /// [`OnlineError::UnknownUser`]/[`OnlineError::InvalidLocation`]/
     /// [`OnlineError::DuplicateObservation`] — all detected before any
-    /// state is mutated. A quantification failure mid-batch (not reachable
-    /// from validated inputs) may leave earlier shards committed; the
-    /// stats always reflect exactly what committed.
+    /// state is mutated. A failure or panic past validation stops its
+    /// shard as in [`SessionManager::ingest_batch`]: the committed prefix
+    /// is journaled and counted, and the lowest-numbered failed shard's
+    /// error is returned.
     pub fn release_batch(
         &mut self,
         batch: &[(UserId, CellId)],
         seed: u64,
         threads: usize,
     ) -> Result<Vec<EnforcedRelease>> {
-        let ladder = self.enforcer.as_ref().ok_or(OnlineError::NotEnforcing)?;
+        if !self.enforcing() {
+            return Err(OnlineError::NotEnforcing);
+        }
         let start = self
             .instruments
             .release_batch_seconds
             .is_enabled()
             .then(Instant::now);
-
-        // ---- Validation pass (no mutation). -----------------------------
-        let m = self.provider.num_states();
-        let mut by_shard: Vec<BTreeMap<u64, CellId>> = vec![BTreeMap::new(); self.shards.len()];
-        for (id, loc) in batch {
-            if loc.index() >= m {
-                return Err(OnlineError::InvalidLocation {
-                    cell: loc.index(),
-                    num_cells: m,
-                });
-            }
-            let shard = self.shard_of(*id);
-            if !owned(&mut self.shards[shard], shard)?
-                .sessions
-                .contains_key(&id.0)
-            {
-                return Err(OnlineError::UnknownUser { user: id.0 });
-            }
-            if by_shard[shard].insert(id.0, *loc).is_some() {
-                return Err(OnlineError::DuplicateObservation { user: id.0 });
-            }
-        }
-
-        let provider = &self.provider;
-        let templates = &self.templates;
-        let config = &self.config;
-        let guard_obs = self.instruments.guard.clone();
-        let guard_obs = &guard_obs;
-        let journaling = self.store.is_some();
-
-        let jobs = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .zip(&by_shard)
-            .filter(|((_, _), wanted)| !wanted.is_empty())
-            .map(|((idx, shard), wanted)| {
-                Ok((idx, (idx, &mut owned(shard, idx)?.sessions, wanted)))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let (mut items, merged, failure) =
-            fan_out_shards(jobs, threads, |(shard_idx, shard, wanted), out, delta| {
-                let mut rng = shard_rng(seed, shard_idx);
-                let mut scratch = ShardScratch::default();
-                // Guard each user against their own windows, then commit the
-                // chosen column through the stages the guard left behind,
-                // one user at a time in user-id order. Commits draw no
-                // randomness, so the shard's stream is consumed exactly as
-                // if every user were guarded first.
-                for (&uid, &loc) in wanted {
-                    let session = shard.get(&uid).expect("validated above");
-                    let outcome = run_guard(
-                        ladder,
-                        loc,
-                        &mut rng,
-                        peek_worst_loss(
-                            session.windows.iter().map(|w| &w.state),
-                            &mut scratch.guard,
-                        ),
-                    )?;
-                    guard_obs.record(&outcome);
-                    let column = BTreeMap::from([(uid, &outcome.column)]);
-                    let (mut reports, shard_delta) = Self::process_shard(
-                        provider,
-                        templates,
-                        shard,
-                        &column,
-                        config,
-                        &mut scratch,
-                        true,
-                    );
-                    delta.absorb(&shard_delta);
-                    if outcome.decision == Decision::Suppressed {
-                        delta.suppressed += 1;
-                    }
-                    let record = journaling.then(|| release_record(uid, &outcome));
-                    out.push((
-                        EnforcedRelease {
-                            decision: outcome.decision,
-                            attempts: outcome.attempts.len(),
-                            report: reports.pop().expect("one observation in, one report out"),
-                        },
-                        record,
-                    ));
+        let jobs = self.shard_jobs(batch, |svc, loc| svc.check_location(*loc))?;
+        let mut releases =
+            self.fan_out(&jobs, threads, |idx, wanted, shard, scratch, stats, out| {
+                let mut rng = shard_rng(seed, idx);
+                for (&uid, &&loc) in wanted {
+                    out.push(self.release_locked(shard, uid, loc, &mut rng, scratch, stats)?);
                 }
                 Ok(())
-            });
-        // Absorb the deltas from shards that committed even when another
-        // shard failed — the stats must stay consistent with the mutated
-        // session state.
-        self.instruments.absorb(&merged);
-        // Journal everything that committed, shard failure or not: a
-        // release that mutated a ledger must reach the WAL. (The parallel
-        // path applies before journaling; a crash in between loses only
-        // never-acknowledged releases, which is sound.)
-        items.sort_by_key(|(r, _)| r.report.user);
-        let mut journal_err = None;
-        for (release, record) in &items {
-            let Some(record) = record else { continue };
-            let idx = self.shard_of(release.report.user);
-            let journaled = owned(&mut self.shards[idx], idx)
-                .and_then(|shard| Self::journal(&self.store, shard, record));
-            if let Err(e) = journaled {
-                journal_err = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = failure {
-            if let OnlineError::ShardPanicked { shard } = &e {
-                self.instruments.record_shard_panic(*shard);
-            }
-            return Err(e);
-        }
-        if let Some(e) = journal_err {
-            return Err(e);
-        }
-        let releases: Vec<EnforcedRelease> = items.into_iter().map(|(r, _)| r).collect();
+            })?;
+        releases.sort_by_key(|r| r.report.user);
         self.maybe_checkpoint()?;
         if let Some(t0) = start {
             self.instruments
@@ -2421,6 +2186,51 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
             self.instruments.update_occupancy(self.occupancy());
         }
         Ok(releases)
+    }
+
+    /// [`SessionManager::run_shards`] over up to `threads` scoped workers
+    /// (`0` = one per available core, never more than one per shard):
+    /// worker `w` runs every `workers`-th shard part from the `w`-th on.
+    /// Each shard still commits its users in id order on its own state, so
+    /// the items, the state, the journal and the error returned (the
+    /// lowest-numbered failed shard's) do not depend on the thread count.
+    fn fan_out<J: Sync, T: Send>(
+        &self,
+        jobs: &[(usize, J)],
+        threads: usize,
+        work: impl Fn(
+                usize,
+                &J,
+                &mut Shard<P>,
+                &mut ShardScratch,
+                &mut ServiceStats,
+                &mut Vec<T>,
+            ) -> Result<()>
+            + Sync,
+    ) -> Result<Vec<T>> {
+        let workers = resolve_threads(threads).min(jobs.len());
+        if workers <= 1 {
+            return Self::outcome(self.run_shards(jobs.iter(), &work));
+        }
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    scope.spawn(move || self.run_shards(jobs.iter().skip(w).step_by(workers), work))
+                })
+                .collect();
+            let mut items = Vec::new();
+            let mut failure = None;
+            for handle in handles {
+                // Shard panics are caught inside the worker.
+                let (mut out, err) = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                items.append(&mut out);
+                failure = failure.into_iter().chain(err).min_by_key(|&(idx, _)| idx);
+            }
+            Self::outcome((items, failure))
+        })
     }
 }
 
@@ -2530,23 +2340,6 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_contains_worker_panics_and_keeps_surviving_deltas() {
-        let jobs: Vec<(usize, u32)> = vec![(0, 0), (1, 1), (2, 2)];
-        let (mut items, stats, failure) = fan_out_shards(jobs, 3, |job, out, delta| {
-            if job == 1 {
-                panic!("shard worker blew up");
-            }
-            out.push(job);
-            delta.observations += 1;
-            Ok(())
-        });
-        items.sort_unstable();
-        assert_eq!(items, vec![0, 2]);
-        assert_eq!(stats.observations, 2, "surviving shards' deltas absorbed");
-        assert_eq!(failure, Some(OnlineError::ShardPanicked { shard: 1 }));
-    }
-
-    #[test]
     fn huge_thread_counts_match_one_thread() {
         // A thread count far above the shard count (the CLI passes
         // `--threads` through) caps the workers at one per non-empty shard.
@@ -2586,21 +2379,5 @@ mod tests {
             (reports, releases, svc.stats())
         };
         assert_eq!(run(usize::MAX), run(1));
-    }
-
-    #[test]
-    fn fan_out_reports_the_first_error_without_dropping_completed_work() {
-        let jobs: Vec<(usize, u32)> = (0..4).map(|i| (i, i as u32)).collect();
-        let (items, stats, failure) = fan_out_shards(jobs, 1, |job, out, delta| {
-            if job == 2 {
-                return Err(OnlineError::UnknownUser { user: 2 });
-            }
-            out.push(job);
-            delta.observations += 1;
-            Ok(())
-        });
-        assert_eq!(items, vec![0, 1]);
-        assert_eq!(stats.observations, 2);
-        assert_eq!(failure, Some(OnlineError::UnknownUser { user: 2 }));
     }
 }

@@ -12,9 +12,9 @@
 //! * **Gated telemetry** (latency histograms, batch sizes, gauges) starts
 //!   as disabled handles whose record path is a few atomic loads with no
 //!   allocation, and is swapped for live registry handles on attach. The
-//!   hot per-observation loops never see any of it: deltas stay plain
-//!   structs on worker threads and instruments are touched once per
-//!   batch/append.
+//!   per-window loops never see any of it: a commit gathers its counts in
+//!   a plain struct and adds them once, and the latency histograms are
+//!   touched once per call, batch or append.
 
 use crate::manager::ServiceStats;
 use priste_calibrate::GuardInstruments;
@@ -109,7 +109,7 @@ impl ServiceInstruments {
         self.registry = Some(registry.clone());
     }
 
-    /// Adds a (possibly worker-thread-merged) stats delta.
+    /// Adds one commit's stats delta.
     pub(crate) fn absorb(&self, delta: &ServiceStats) {
         self.observations.add(delta.observations as u64);
         self.evicted_windows.add(delta.evicted_windows as u64);
@@ -141,7 +141,7 @@ impl ServiceInstruments {
         self.suppressed.store(stats.suppressed as u64);
     }
 
-    /// Records a contained worker panic: bumps the always-on total and,
+    /// Records a panic a batch caught in a shard: bumps the always-on total and,
     /// when a registry is attached, a per-shard labeled counter (cold
     /// path — the dynamic name allocation only happens on an actual
     /// panic).

@@ -45,7 +45,8 @@
 //!   calibration) and print the realized event-privacy loss per step — the
 //!   diagnostic that shows what an uncalibrated mechanism leaks.
 //! * `check` — per-step Theorem IV.1 verdicts for a plain α-PLM stream:
-//!   which releases would PriSTE have refused?
+//!   which releases violate the ε bound, and which could the solver not
+//!   decide before its cut-off?
 //! * `stream` — the `priste-online` streaming service: simulate N users
 //!   over a synthetic or commuter (GeoLife-sim) feed. In `audit` mode
 //!   (default) every plain α-PLM release is ingested and verdicted; in
@@ -622,7 +623,7 @@ fn cmd_check(flags: &Flags) -> Result<(), CliError> {
     let (mut builder, checker) = pipeline.checker().map_err(runtime)?;
 
     println!("t,true_cell,released_cell,verdict");
-    let mut refused = 0usize;
+    let (mut violated, mut undecided) = (0usize, 0usize);
     for (i, &loc) in traj.iter().enumerate() {
         let obs = plm.perturb(loc, &mut rng);
         let col = plm.emission_column(obs);
@@ -631,19 +632,21 @@ fn cmd_check(flags: &Flags) -> Result<(), CliError> {
         let label = match &verdict {
             TheoremVerdict::Satisfied => "satisfied",
             TheoremVerdict::Violated { .. } => {
-                refused += 1;
+                violated += 1;
                 "VIOLATED"
             }
             TheoremVerdict::Unknown { .. } => {
-                refused += 1;
+                undecided += 1;
                 "unknown"
             }
         };
         println!("{},{},{},{label}", i + 1, loc.one_based(), obs.one_based());
         builder.commit(col).map_err(runtime)?;
     }
+    // An `unknown` verdict is the solver's cut-off, not a violation.
     eprintln!(
-        "{refused}/{} releases of the plain {alpha}-PLM would be refused at ε={epsilon}",
+        "{violated} violated, {undecided} undecided (solver cut-off) of {} releases \
+         of the plain {alpha}-PLM at ε={epsilon}",
         traj.len()
     );
     Ok(())
@@ -873,9 +876,11 @@ fn cmd_stream(flags: &Flags) -> Result<(), CliError> {
 
 /// Enforcing-mode feed: the service holds the mechanism; the guard
 /// certifies (or suppresses) every release. One same-timestep
-/// [`SessionManager::release_batch`] per step, fanned over `threads`
-/// workers with per-shard RNG streams — output is identical for any
-/// thread count.
+/// [`SessionManager::release_batch`] per step: each user's release runs
+/// the single-user critical section under its shard's lock, each shard's
+/// users in id order on the shard's own RNG stream, with the shards spread
+/// over `threads` workers, so the output is identical for any thread
+/// count.
 fn run_stream_enforcing(
     mut service: SessionManager<SharedProvider>,
     trajectories: &[Vec<CellId>],

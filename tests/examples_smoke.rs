@@ -243,6 +243,87 @@ fn cli_stream_enforce_mode_reports_suppressions_column() {
     assert!(stdout.contains("suppressed"), "totals: {stdout}");
 }
 
+#[test]
+fn cli_stream_stdout_is_identical_at_any_thread_count() {
+    for mode in ["audit", "enforce"] {
+        let run = |threads: &str| {
+            let (ok, stdout, stderr) = run_cli(&[
+                "stream",
+                "--users",
+                "9",
+                "--steps",
+                "5",
+                "--side",
+                "4",
+                "--mode",
+                mode,
+                "--epsilon",
+                "0.8",
+                "--alpha",
+                "2",
+                "--seed",
+                "7",
+                "--threads",
+                threads,
+            ]);
+            assert!(ok, "{mode} stream at {threads} threads failed: {stderr}");
+            stdout
+        };
+        let one = run("1");
+        assert!(one.contains("total,9 users,45 observations"), "{one}");
+        assert_eq!(one, run("3"), "{mode} stdout moved with --threads");
+    }
+}
+
+/// `check`'s summary counts violations and solver cut-offs apart, and
+/// each count is the number of stdout rows with that verdict. At m = 2500
+/// the default work budget cuts the any-prior scan off, so this line has
+/// `unknown` rows to count.
+#[test]
+fn cli_check_summary_counts_violated_and_undecided_apart() {
+    let (ok, stdout, stderr) = run_cli(&[
+        "check",
+        "--event",
+        "PRESENCE(S={1:4}, T={2:4})",
+        "--steps",
+        "3",
+        "--seed",
+        "3",
+        "--alpha",
+        "0.01",
+        "--epsilon",
+        "5",
+        "--side",
+        "50",
+    ]);
+    assert!(ok, "check failed: {stderr}");
+    let rows = |label: &str| {
+        stdout
+            .lines()
+            .filter(|l| l.ends_with(&format!(",{label}")))
+            .count()
+    };
+    let summary = stderr
+        .lines()
+        .find(|l| l.contains(" undecided "))
+        .unwrap_or_else(|| panic!("no summary line: {stderr}"));
+    let words: Vec<&str> = summary.split_whitespace().collect();
+    assert_eq!(words[1], "violated,", "{summary}");
+    assert_eq!(words[3], "undecided", "{summary}");
+    assert_eq!(
+        words[0].parse::<usize>().unwrap(),
+        rows("VIOLATED"),
+        "{summary}"
+    );
+    assert_eq!(
+        words[2].parse::<usize>().unwrap(),
+        rows("unknown"),
+        "{summary}"
+    );
+    assert!(summary.contains(" of 3 releases "), "{summary}");
+    assert!(!summary.contains("refused"), "{summary}");
+}
+
 /// The acceptance demo: on the commuter scenario the uncalibrated
 /// planar-Laplace release FAILS the target ε* while the calibrated one
 /// certifies it — deterministically.
