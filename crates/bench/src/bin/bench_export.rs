@@ -1122,10 +1122,14 @@ fn suite_quantify(
     });
     let chain = chain.expect("chain");
     let csr = chain.transition_matrix().as_sparse().expect("csr");
-    // The CSR arrays the chain keeps: a column index and a value per entry,
-    // and `m + 1` row offsets.
-    let (index, value) = (std::mem::size_of::<usize>(), std::mem::size_of::<f64>());
-    let csr_kb = (csr.nnz() * (index + value) + (csr.rows() + 1) * index) as f64 / 1024.0;
+    // The CSR arrays the chain keeps: a `u32` column index and a value per
+    // entry, and `m + 1` row offsets.
+    let (column, value, offset) = (
+        std::mem::size_of::<u32>(),
+        std::mem::size_of::<f64>(),
+        std::mem::size_of::<usize>(),
+    );
+    let csr_kb = (csr.nnz() * (column + value) + (csr.rows() + 1) * offset) as f64 / 1024.0;
     assert!(
         kb <= 1.1 * csr_kb,
         "one chain build at m = 2500 allocated {kb:.1} KB for a {csr_kb:.1} KB CSR"

@@ -148,7 +148,7 @@ fn check_floor(lppm: &dyn Lppm, floor: f64) -> Result<()> {
 /// built for. Immutable, so one ladder serves every release of a guard,
 /// including the worker threads of `priste-online`'s parallel release
 /// path. A rung re-discretizes the mechanism (for the Planar Laplace
-/// mechanism an `O(m)` kernel and summed-area table: ~1 ms and ~120 KB at
+/// mechanism an `O(m)` kernel and summed-area table: ~1 ms and ~100 KB at
 /// m = 2500).
 #[derive(Debug)]
 pub struct GuardLadder {

@@ -17,22 +17,30 @@ use crate::{LinalgError, Matrix, Result, Vector, STOCHASTIC_TOL};
 /// `col_idx`/`values`, with column indices strictly increasing within each
 /// row. Only structurally stored entries participate in products — a stored
 /// explicit zero is allowed but wasteful.
+///
+/// Column indices are `u32`: 12 bytes per stored entry instead of 16, so a
+/// matrix has at most [`SparseMatrix::MAX_COLS`] (2³²) columns. Row offsets
+/// stay `usize`, since `nnz` may exceed 2³².
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
 impl SparseMatrix {
+    /// The most columns a `u32` column index can address: 2³².
+    pub const MAX_COLS: usize = (u32::MAX as usize).saturating_add(1);
+
     /// Wraps raw CSR arrays after validating them.
     ///
     /// Row `r`'s entries are `col_idx[row_ptr[r]..row_ptr[r+1]]` and the
     /// matching `values`; `row_ptr` has `rows + 1` non-decreasing offsets,
-    /// starts at 0 and ends at `nnz = col_idx.len() = values.len()`, and each
-    /// row's columns are in range and strictly increasing.
+    /// starts at 0 and ends at `nnz = col_idx.len() = values.len()`, each
+    /// row's columns are in range and strictly increasing, and `cols` is at
+    /// most [`SparseMatrix::MAX_COLS`].
     ///
     /// # Errors
     /// Returns [`LinalgError::DimensionMismatch`] naming the first violated
@@ -41,7 +49,7 @@ impl SparseMatrix {
         rows: usize,
         cols: usize,
         row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
+        col_idx: Vec<u32>,
         values: Vec<f64>,
     ) -> Result<Self> {
         let mismatch = |op, expected, actual| {
@@ -51,6 +59,9 @@ impl SparseMatrix {
                 actual,
             })
         };
+        if cols > Self::MAX_COLS {
+            return mismatch("sparse from_csr column count", Self::MAX_COLS, cols);
+        }
         let nnz = col_idx.len();
         if values.len() != nnz {
             return mismatch("sparse from_csr values length", nnz, values.len());
@@ -72,10 +83,14 @@ impl SparseMatrix {
             // Strictly increasing columns are all in range if the last is.
             let row = &col_idx[w[0]..w[1]];
             if let Some(k) = row.windows(2).position(|p| p[0] >= p[1]) {
-                return mismatch("sparse from_csr column order", row[k], row[k + 1]);
+                return mismatch(
+                    "sparse from_csr column order",
+                    row[k] as usize,
+                    row[k + 1] as usize,
+                );
             }
-            if let Some(&c) = row.last().filter(|&&c| c >= cols) {
-                return mismatch("sparse from_csr column", cols, c);
+            if let Some(&c) = row.last().filter(|&&c| c as usize >= cols) {
+                return mismatch("sparse from_csr column", cols, c as usize);
             }
         }
         Ok(SparseMatrix {
@@ -93,8 +108,12 @@ impl SparseMatrix {
     /// [`SparseMatrix::to_dense`] reproduces the input bit-for-bit and every
     /// product agrees with the dense one exactly (skipped terms contribute
     /// literal `0.0` additions).
+    ///
+    /// # Panics
+    /// Panics if `m` has more than [`SparseMatrix::MAX_COLS`] columns.
     pub fn from_dense(m: &Matrix, drop_tol: f64) -> Self {
         let (rows, cols) = (m.rows(), m.cols());
+        assert!(cols <= Self::MAX_COLS, "sparse column indices are u32");
         let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
@@ -102,7 +121,7 @@ impl SparseMatrix {
         for r in 0..rows {
             for (c, &v) in m.row(r).iter().enumerate() {
                 if v.abs() > drop_tol {
-                    col_idx.push(c);
+                    col_idx.push(c as u32);
                     values.push(v);
                 }
             }
@@ -123,7 +142,7 @@ impl SparseMatrix {
         for r in 0..self.rows {
             let (cs, vs) = self.row_entries(r);
             for (&c, &v) in cs.iter().zip(vs) {
-                out.set(r, c, v);
+                out.set(r, c as usize, v);
             }
         }
         out
@@ -166,7 +185,8 @@ impl SparseMatrix {
     pub fn get(&self, r: usize, c: usize) -> f64 {
         assert!(r < self.rows && c < self.cols, "sparse get out of bounds");
         let (cs, vs) = self.row_entries(r);
-        match cs.binary_search(&c) {
+        // `c < cols <= MAX_COLS`, so it fits a `u32`.
+        match cs.binary_search(&(c as u32)) {
             Ok(k) => vs[k],
             Err(_) => 0.0,
         }
@@ -176,7 +196,7 @@ impl SparseMatrix {
     ///
     /// # Panics
     /// Panics if `r` is out of bounds.
-    pub fn row_entries(&self, r: usize) -> (&[usize], &[f64]) {
+    pub fn row_entries(&self, r: usize) -> (&[u32], &[f64]) {
         let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
@@ -221,7 +241,7 @@ impl SparseMatrix {
             }
             let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
             for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
-                out[c] += xr * v;
+                out[c as usize] += xr * v;
             }
         }
     }
@@ -264,7 +284,7 @@ impl SparseMatrix {
             *o = self.col_idx[lo..hi]
                 .iter()
                 .zip(&self.values[lo..hi])
-                .map(|(&c, &v)| v * x[c])
+                .map(|(&c, &v)| v * x[c as usize])
                 .sum();
         }
     }
@@ -285,7 +305,7 @@ impl SparseMatrix {
         }
         let mut out = self.clone();
         for (v, &c) in out.values.iter_mut().zip(&out.col_idx) {
-            *v *= d[c];
+            *v *= d[c as usize];
         }
         Ok(out)
     }
@@ -319,7 +339,7 @@ impl SparseMatrix {
             for (&c, &v) in cs.iter().zip(vs) {
                 if v < -STOCHASTIC_TOL {
                     return Err(LinalgError::NegativeEntry {
-                        index: r * self.cols + c,
+                        index: r * self.cols + c as usize,
                         value: v,
                     });
                 }
@@ -396,7 +416,7 @@ mod tests {
 
     #[test]
     fn from_csr_validates_structure_order_and_range() {
-        let csr = |rows, cols, p: &[usize], c: &[usize], v: &[f64]| {
+        let csr = |rows, cols, p: &[usize], c: &[u32], v: &[f64]| {
             SparseMatrix::from_csr(rows, cols, p.to_vec(), c.to_vec(), v.to_vec())
         };
         let ok = csr(2, 3, &[0, 2, 2], &[0, 2], &[1.0, 2.0]).unwrap();
@@ -415,6 +435,9 @@ mod tests {
         assert!(csr(2, 3, &[0, 3, 2], &[0, 1], &[1.0, 2.0]).is_err());
         assert!(csr(2, 3, &[0, 1, 1], &[0, 1], &[1.0, 2.0]).is_err());
         assert!(csr(2, 3, &[0, 1, 3], &[0, 1], &[1.0, 2.0]).is_err());
+        // More columns than a u32 index can address.
+        assert!(csr(0, SparseMatrix::MAX_COLS + 1, &[0], &[], &[]).is_err());
+        assert!(csr(0, SparseMatrix::MAX_COLS, &[0], &[], &[]).is_ok());
         // col_idx and values of different lengths.
         assert!(csr(1, 3, &[0, 2], &[0, 1], &[1.0]).is_err());
         assert!(csr(1, 3, &[0, 1], &[0], &[1.0, 2.0]).is_err());

@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 /// offset between true and output cell, so the mechanism stores a
 /// translation-invariant **kernel** — one raw mass per offset,
 /// `(2·rows − 1)·(2·cols − 1)` values — plus each true cell's row sum:
-/// `O(m)` memory (≈ 120 KB at m = 2500) where the dense matrix takes
+/// `O(m)` memory (≈ 100 KB at m = 2500) where the dense matrix takes
 /// `O(m²)` (50 MB). A row sum is one box of the kernel, so all of them come
 /// from a single summed-area table and a build is `O(m)` time as well
 /// (≈ 1 ms at m = 2500). Entry `(i, j)` is `kernel[offset(j − i)] / row_sum[i]`,
@@ -40,7 +40,6 @@ pub struct PlanarLaplace {
     kernel: Vec<f64>,
     /// Per true cell: the sum of its raw row (the normalizer).
     row_sums: Vec<f64>,
-    inside_mass: Vec<f64>,
     /// The dense matrix, built on the first [`Lppm::emission_matrix`] call.
     emission: OnceLock<Matrix>,
 }
@@ -55,7 +54,6 @@ impl Clone for PlanarLaplace {
             supersample: self.supersample,
             kernel: self.kernel.clone(),
             row_sums: self.row_sums.clone(),
-            inside_mass: self.inside_mass.clone(),
             emission: OnceLock::new(),
         }
     }
@@ -87,21 +85,12 @@ impl PlanarLaplace {
         let supersample = supersample.max(1);
         let kernel = build_kernel(&grid, alpha, supersample);
         let row_sums = box_sums(&kernel, grid.rows(), grid.cols());
-        // Full-plane integral of the kernel e^{−αd} is 2π/α²; the midpoint
-        // sum approximates ∫_cell e^{−αd} / step².
-        let step = grid.cell_size_km() / supersample as f64;
-        let full_plane = std::f64::consts::TAU / (alpha * alpha);
-        let inside_mass = row_sums
-            .iter()
-            .map(|&s| (s * step * step / full_plane).min(1.0))
-            .collect();
         Ok(PlanarLaplace {
             grid,
             alpha,
             supersample,
             kernel,
             row_sums,
-            inside_mass,
             emission: OnceLock::new(),
         })
     }
@@ -112,7 +101,9 @@ impl PlanarLaplace {
     }
 
     /// Per-source-cell fraction of the continuous mechanism's mass that the
-    /// grid captures (before row renormalization).
+    /// grid captures (before row renormalization). Computed on demand from
+    /// the row sums the mechanism keeps (`O(m)`); no serving path reads it,
+    /// so the mechanism stores no copy.
     ///
     /// Renormalization re-injects the lost `1 − inside_mass[i]` onto the
     /// grid, so the *discrete* mechanism satisfies geo-indistinguishability
@@ -122,8 +113,15 @@ impl PlanarLaplace {
     /// deviate by this measurable factor. PriSTE's event-privacy accounting
     /// is unaffected either way — it always consumes the actual emission
     /// matrix.
-    pub fn inside_mass(&self) -> &[f64] {
-        &self.inside_mass
+    pub fn inside_mass(&self) -> Vec<f64> {
+        // Full-plane integral of the kernel e^{−αd} is 2π/α²; the midpoint
+        // sum approximates ∫_cell e^{−αd} / step².
+        let step = self.grid.cell_size_km() / self.supersample as f64;
+        let full_plane = std::f64::consts::TAU / (self.alpha * self.alpha);
+        self.row_sums
+            .iter()
+            .map(|&s| (s * step * step / full_plane).min(1.0))
+            .collect()
     }
 
     /// Row `i` of the emission matrix, in output-cell order, without
@@ -389,7 +387,7 @@ mod tests {
         let inside = plm.inside_mass();
         // Center keeps more mass than a corner; all fractions in (0, 1].
         assert!(inside[12] > inside[0]);
-        for &f in inside {
+        for &f in &inside {
             assert!(f > 0.0 && f <= 1.0);
         }
     }

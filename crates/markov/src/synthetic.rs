@@ -74,7 +74,8 @@ pub fn gaussian_kernel_chain(grid: &GridMap, sigma: f64) -> Result<MarkovModel> 
 ///
 /// # Panics
 /// Panics if `sigma` is non-positive or non-finite (programmer error in
-/// experiment configs).
+/// experiment configs), and if the grid has more cells than a CSR column
+/// index addresses ([`SparseMatrix::MAX_COLS`]).
 pub fn gaussian_kernel_chain_sparse(grid: &GridMap, sigma: f64) -> Result<MarkovModel> {
     assert!(
         sigma.is_finite() && sigma > 0.0,
@@ -118,7 +119,7 @@ pub fn gaussian_kernel_chain_sparse(grid: &GridMap, sigma: f64) -> Result<Markov
                 let start = (rr + rad_r - r) * width + c_lo + rad_c - c;
                 for (cc, &w) in (c_lo..=c_hi).zip(&patch[start..]) {
                     if w >= SPARSE_KERNEL_TRUNCATION {
-                        col_idx.push(rr * cols + cc);
+                        col_idx.push((rr * cols + cc) as u32);
                         values.push(w);
                     }
                 }
@@ -127,7 +128,7 @@ pub fn gaussian_kernel_chain_sparse(grid: &GridMap, sigma: f64) -> Result<Markov
         }
     }
     let mut t = SparseMatrix::from_csr(m, m, row_ptr, col_idx, values)
-        .expect("patch columns are in-range and row-major ordered");
+        .expect("at most MAX_COLS cells, and patch columns are in-range and row-major ordered");
     t.normalize_rows_mut();
     MarkovModel::new_sparse(t)
 }
@@ -243,7 +244,7 @@ mod tests {
                         let dx = (cc as f64 - c as f64) * cell;
                         let w = (-(dx * dx + dy * dy) * inv_two_sigma_sq).exp();
                         if w >= SPARSE_KERNEL_TRUNCATION {
-                            col_idx.push(rr * cols + cc);
+                            col_idx.push((rr * cols + cc) as u32);
                             values.push(w);
                         }
                     }

@@ -214,7 +214,7 @@ impl TransitionMatrix {
             TransitionMatrix::Dense(m) => crate::model::sample_categorical(m.row(r), rng),
             TransitionMatrix::Sparse(s) => {
                 let (cols, vals) = s.row_entries(r);
-                cols[crate::model::sample_categorical(vals, rng)]
+                cols[crate::model::sample_categorical(vals, rng)] as usize
             }
         }
     }

@@ -761,6 +761,12 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             .sessions
             .get_mut(&uid)
             .expect("the caller checked the user");
+        // The report list lives for one call. Taken before a first
+        // observation allocates the session's own vectors, it reuses the
+        // previous call's block instead of being carved between those
+        // long-lived vectors, where it would keep the heap from shrinking
+        // once they are freed.
+        let mut reports = Vec::with_capacity(session.windows.len());
         match session.observed() {
             0 => {
                 // First observation: no propagation, just weigh the prior
@@ -779,31 +785,26 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         }
         stats.observations += 1;
         let epsilon = self.config.epsilon;
-        let reports = session
-            .windows
-            .iter_mut()
-            .enumerate()
-            .map(|(i, window)| {
-                let observed = if staged {
-                    window.state.commit_staged(&mut scratch.guard[i], column)
-                } else if window.state.observed() == 0 {
-                    // The first observation has no transition step: it
-                    // weighs the (possibly shared) initial vector into the
-                    // window's own first forward vector.
-                    window.state.observe(column)
-                } else {
-                    window.state.stage(&mut scratch.step);
-                    window.state.commit_staged(&mut scratch.step, column)
-                };
-                let report = window_report(window.template, observed, epsilon);
-                match report.verdict {
-                    Verdict::Certified => stats.certified += 1,
-                    Verdict::Violated => stats.violated += 1,
-                    Verdict::ModelMismatch => stats.mismatched += 1,
-                }
-                report
-            })
-            .collect();
+        reports.extend(session.windows.iter_mut().enumerate().map(|(i, window)| {
+            let observed = if staged {
+                window.state.commit_staged(&mut scratch.guard[i], column)
+            } else if window.state.observed() == 0 {
+                // The first observation has no transition step: it
+                // weighs the (possibly shared) initial vector into the
+                // window's own first forward vector.
+                window.state.observe(column)
+            } else {
+                window.state.stage(&mut scratch.step);
+                window.state.commit_staged(&mut scratch.step, column)
+            };
+            let report = window_report(window.template, observed, epsilon);
+            match report.verdict {
+                Verdict::Certified => stats.certified += 1,
+                Verdict::Violated => stats.violated += 1,
+                Verdict::ModelMismatch => stats.mismatched += 1,
+            }
+            report
+        }));
         let report = session.finish_observation(reports, self.config.linger);
         stats.evicted_windows += report.evicted;
         report

@@ -213,6 +213,11 @@ impl<P: TransitionProvider> EventWindow<P> {
 /// place — until a window attached in between shares it as its `π`, or the
 /// session is cloned, after which the next observation again installs a
 /// fresh one. A shared vector is never written.
+///
+/// The window list holds exactly one slot per attached window: an attach
+/// reserves one more slot, not `Vec`'s default growth (four slots on the
+/// first push), and evictions compact the list in place, so an idle session
+/// with one window pays for one.
 #[derive(Debug, Clone)]
 pub struct Session<P> {
     id: UserId,
@@ -307,6 +312,7 @@ impl<P: TransitionProvider> Session<P> {
     ) {
         debug_assert!(Arc::ptr_eq(start.pi(), &self.posterior));
         let state = IncrementalTwoWorld::from_start(model, provider, start);
+        self.windows.reserve_exact(1);
         self.windows.push(EventWindow { template, state });
     }
 
@@ -348,7 +354,7 @@ impl<P: TransitionProvider> Session<P> {
     /// window loss, advances the local clock, and evicts expired windows.
     pub(crate) fn finish_observation(
         &mut self,
-        mut reports: Vec<WindowReport>,
+        reports: Vec<WindowReport>,
         linger: usize,
     ) -> UserReport {
         // Mismatched windows carry loss = ∞ as a sentinel; only quantified
@@ -363,22 +369,13 @@ impl<P: TransitionProvider> Session<P> {
         }
         self.t += 1;
 
-        // Evict expired and mismatched windows. `reports` is in attach
-        // order, mirroring `windows`.
-        let mut evicted = 0;
-        let mut keep = Vec::with_capacity(self.windows.len());
-        for (i, w) in self.windows.drain(..).enumerate() {
-            let mismatched = reports
-                .get(i)
-                .is_some_and(|r| r.verdict == Verdict::ModelMismatch);
-            if mismatched || w.expired(linger) {
-                evicted += 1;
-            } else {
-                keep.push(w);
-            }
-        }
-        self.windows = keep;
-        reports.shrink_to_fit();
+        // Evict expired and mismatched windows in place. `reports` is in
+        // attach order, mirroring `windows`.
+        let before = self.windows.len();
+        let mut mismatched = reports.iter().map(|r| r.verdict == Verdict::ModelMismatch);
+        self.windows
+            .retain(|w| !(mismatched.next().unwrap_or(false) || w.expired(linger)));
+        let evicted = before - self.windows.len();
         UserReport {
             user: self.id,
             t: self.t,

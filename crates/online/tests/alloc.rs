@@ -1,5 +1,5 @@
-//! Heap allocated by the two per-request paths of a live service at
-//! `m = 2500`, metered by a counting global allocator:
+//! Heap allocated by the per-request paths and the registration of a live
+//! service, metered by a counting global allocator:
 //!
 //! * the first ingest of a registered user allocates only the state the
 //!   user keeps from then on — its own posterior (one `m`-vector) and its
@@ -8,12 +8,18 @@
 //! * an enforcing release of an already-observed user allocates less than
 //!   one `m`-vector per guard attempt plus one: each attempt's candidate
 //!   column, and no `2m` buffer per attempt (the windows are stepped once
-//!   per release into kept buffers).
+//!   per release into kept buffers);
+//! * registering a user with one template allocates one window slot, not
+//!   the four `Vec`'s first growth reserves;
+//! * a steady-state ingest of a windowed session evicts in place and
+//!   allocates no window list.
 //!
-//! This lives in its own integration-test binary: the allocator is
-//! process-global, so both measurements run in one test, one after the
-//! other, and the crate-level `forbid(unsafe_code)` applies to the library,
-//! not to this test crate (a `GlobalAlloc` impl is necessarily `unsafe`).
+//! This lives in its own integration-test binary, and the crate-level
+//! `forbid(unsafe_code)` applies to the library, not to this test crate (a
+//! `GlobalAlloc` impl is necessarily `unsafe`). The allocator is
+//! process-global, so it counts per thread: every metered call runs on its
+//! test's own thread, and tests running side by side do not disturb each
+//! other's counts.
 
 use priste_event::{Presence, StEvent};
 use priste_geo::{CellId, GridMap, Region};
@@ -21,32 +27,52 @@ use priste_linalg::Vector;
 use priste_lppm::PlanarLaplace;
 use priste_markov::{gaussian_kernel_chain_sparse, Homogeneous};
 use priste_online::{OnlineConfig, SessionManager, UserId};
+use priste_quantify::IncrementalTwoWorld;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct CountingAllocator;
 
-/// Bytes allocated, frees ignored; a growing `realloc` counts its growth.
-static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Bytes this thread allocated, frees ignored; a growing `realloc`
+    /// counts its growth.
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    /// The allocation size [`count_sized`] watches for (0: none).
+    static WATCHED: Cell<usize> = const { Cell::new(0) };
+    /// Allocations of exactly the watched size, `realloc` targets included.
+    static WATCHED_HITS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts `size` new bytes on this thread, in a block now `block` bytes
+/// long (they differ for a `realloc`'s growth).
+fn record(size: usize, block: usize) {
+    // `try_with`: a thread's last frees may run after its locals are gone.
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + size));
+    let _ = WATCHED.try_with(|w| {
+        if w.get() != 0 && w.get() == block {
+            let _ = WATCHED_HITS.try_with(|h| h.set(h.get() + 1));
+        }
+    });
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`; the
-// bookkeeping touches only an atomic, never the memory handed out.
+// bookkeeping touches only thread-local cells, never the memory handed out.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::SeqCst);
+        record(layout.size(), layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size(), Ordering::SeqCst);
+        record(layout.size(), layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::SeqCst);
+        record(new_size.saturating_sub(layout.size()), new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -58,12 +84,25 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Bytes `run` allocates, and its result.
+/// Bytes `run` allocates on this thread, and its result.
 fn allocated<T>(run: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATED.load(Ordering::SeqCst);
+    let before = ALLOCATED.with(Cell::get);
     let out = run();
-    (ALLOCATED.load(Ordering::SeqCst) - before, out)
+    (ALLOCATED.with(Cell::get) - before, out)
 }
+
+/// How many blocks of exactly `size` bytes `run` allocates on this thread
+/// (a `realloc` to that size included), and its result.
+fn count_sized<T>(size: usize, run: impl FnOnce() -> T) -> (usize, T) {
+    WATCHED_HITS.with(|h| h.set(0));
+    WATCHED.with(|w| w.set(size));
+    let out = run();
+    WATCHED.with(|w| w.set(0));
+    (WATCHED_HITS.with(Cell::get), out)
+}
+
+/// A session's window slot: a template index and its quantifier.
+const WINDOW_SLOT: usize = std::mem::size_of::<(usize, IncrementalTwoWorld<Arc<Homogeneous>>)>();
 
 /// Allowance for the per-request bookkeeping (reports, batch maps, `Arc`
 /// headers): far below one `m`-vector (20 000 bytes) at `m = 2500`.
@@ -136,6 +175,87 @@ fn first_ingest_keeps_what_it_allocates_and_releases_allocate_no_2m_per_attempt(
             bytes < bound,
             "a release of {} attempts allocated {bytes} B, not under {bound} B",
             release.attempts
+        );
+    }
+}
+
+/// A 10×10 CSR world with one template per entry of `spans` (a PRESENCE
+/// over the first quarter of the map, from `t = span.0` to `t = span.1`),
+/// in memory, one shard.
+fn small_service(spans: &[(usize, usize)]) -> (SessionManager<Arc<Homogeneous>>, usize) {
+    let grid = GridMap::new(10, 10, 1.0).unwrap();
+    let m = grid.num_cells();
+    let chain = Arc::new(Homogeneous::new(
+        gaussian_kernel_chain_sparse(&grid, 0.5).unwrap(),
+    ));
+    let mut svc = SessionManager::new(
+        chain,
+        OnlineConfig {
+            num_shards: 1,
+            budget: 1e6,
+            ..OnlineConfig::default()
+        },
+    )
+    .unwrap();
+    for &(start, end) in spans {
+        let region = Region::from_one_based_range(m, 1, m / 4).unwrap();
+        let event: StEvent = Presence::new(region, start, end).unwrap().into();
+        svc.register_template(event).unwrap();
+    }
+    (svc, m)
+}
+
+#[test]
+fn registering_a_user_with_one_template_allocates_one_window_slot() {
+    let (svc, m) = small_service(&[(2, 5)]);
+    // A first user warms the (template, prior) start cache and the shard's
+    // session map.
+    svc.add_user(UserId(0), Vector::uniform(m)).unwrap();
+    svc.attach_event(UserId(0), 0).unwrap();
+    let users = 1_000;
+    for u in 1..=users {
+        svc.add_user(UserId(u), Vector::uniform(m)).unwrap();
+    }
+    let (bytes, ()) = allocated(|| {
+        for u in 1..=users {
+            svc.attach_event(UserId(u), 0).unwrap();
+        }
+    });
+    let per_user = bytes / users as usize;
+    assert_eq!(
+        per_user, WINDOW_SLOT,
+        "attaching one template allocated {per_user} B per user; one window slot is {WINDOW_SLOT} B"
+    );
+    assert_eq!(svc.num_users(), users as usize + 1);
+}
+
+#[test]
+fn a_steady_state_ingest_allocates_no_window_list() {
+    // Two windows that stay open through every ingest below.
+    let (svc, m) = small_service(&[(2, 30), (3, 30)]);
+    let id = UserId(1);
+    svc.add_user(id, Vector::uniform(m)).unwrap();
+    svc.attach_event(id, 0).unwrap();
+    svc.attach_event(id, 1).unwrap();
+    let column = |round: usize| -> Vector {
+        (0..m)
+            .map(|i| 0.1 + ((i + round) % 7) as f64 / 10.0)
+            .collect()
+    };
+    // Two warm-up ingests give the session its own vectors and size the
+    // shard's scratch.
+    for round in 0..2 {
+        svc.ingest(id, column(round)).unwrap();
+    }
+    let list = 2 * WINDOW_SLOT;
+    for round in 2..10 {
+        let col = column(round);
+        let (lists, report) = count_sized(list, || svc.ingest(id, col).unwrap());
+        assert_eq!(report.windows.len(), 2, "both windows are still open");
+        assert_eq!(report.evicted, 0);
+        assert_eq!(
+            lists, 0,
+            "ingest {round} allocated {lists} block(s) of {list} B, a two-window list"
         );
     }
 }

@@ -39,13 +39,12 @@
 //! lifted initial vector, so an unobserved window costs `O(1)` memory and
 //! becomes `O(m)` only on its first observation, which installs a fresh
 //! `α_t`. From then on the window owns `α_t`, and a commit through a kept
-//! scratch ([`IncrementalTwoWorld::observe_with_step`],
-//! [`IncrementalTwoWorld::commit_staged`]) overwrites it in place; a
-//! vector anyone else still holds is never written, only replaced. Share
+//! scratch ([`IncrementalTwoWorld::commit_staged`]) overwrites it in place;
+//! a vector anyone else still holds is never written, only replaced. Share
 //! the chain the same way via `Arc<Homogeneous>` (every
 //! `TransitionProvider` is also implemented for `Arc<T>`).
 
-use crate::lifted::{LiftedStep, StepScratch};
+use crate::lifted::StepScratch;
 use crate::{QuantifyError, Result, TwoWorldEngine};
 use priste_event::StEvent;
 use priste_linalg::scaling::ScaledVector;
@@ -222,9 +221,8 @@ impl WeakWindowStart {
 /// The forward vector is written through only while this window is its
 /// sole holder — no clone, [`WindowStart`] or weak handle shares it — and
 /// only by a commit ([`IncrementalTwoWorld::commit_staged`], which
-/// [`IncrementalTwoWorld::observe`] and
-/// [`IncrementalTwoWorld::observe_with_step`] run through); every other
-/// state change installs a fresh vector. Clones, and windows built from one
+/// [`IncrementalTwoWorld::observe`] runs through); every other state change
+/// installs a fresh vector. Clones, and windows built from one
 /// start, therefore share their vectors until one of them observes, and a
 /// write never reaches the others.
 ///
@@ -325,8 +323,7 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
 
     /// The carried lifted forward mantissa (length `2m`; the represented
     /// vector is this times `e^{log_scale}`, but every consumer below is
-    /// scale-invariant). Exposed so a batch driver can apply one shared
-    /// [`LiftedStep`](crate::lifted::LiftedStep) to many sessions at once.
+    /// scale-invariant).
     pub fn lifted_state(&self) -> &Vector {
         &self.alpha.vector
     }
@@ -464,10 +461,12 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
 
     /// Commits `emission_column` against a prior
     /// [`IncrementalTwoWorld::stage`]: the fused readout writes the weighed
-    /// forward vector into the scratch as it reads it out, and a successful
-    /// observation installs it the way
-    /// [`IncrementalTwoWorld::observe_with_step`] does. The guard stages a
-    /// window once per release, peeks every candidate against the stage and
+    /// forward vector into the scratch as it reads it out, and a
+    /// successful observation installs it: an owned forward vector trades
+    /// buffers with the scratch, and one shared with anyone else (a window
+    /// start, a clone) is replaced by the scratch's, so a window that
+    /// already owns its state allocates nothing. The guard stages a window
+    /// once per release, peeks every candidate against the stage and
     /// commits the chosen one here, so the commit pays no second lifted
     /// step. Bit-identical to [`IncrementalTwoWorld::observe`].
     ///
@@ -513,35 +512,6 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         let mut scratch = StepScratch::default();
         self.stage(&mut scratch);
         self.commit_staged(&mut scratch, emission_column)
-    }
-
-    /// Batched-path variant of [`IncrementalTwoWorld::observe`] for every
-    /// observation after the first: `step` is this window's scheduled
-    /// transition (`step_at` of [`IncrementalTwoWorld::next_step_index`]),
-    /// typically built once and shared by every window at the same age. The
-    /// step and the fused readout run in `scratch`; only a successful
-    /// observation lands in the window. An owned forward vector then trades
-    /// buffers with the scratch, and one shared with anyone else (a window
-    /// start, a clone) is replaced by the scratch's — so a window that
-    /// already owns its state allocates nothing. Bit-identical to
-    /// [`IncrementalTwoWorld::observe`].
-    ///
-    /// # Errors
-    /// See [`IncrementalTwoWorld::peek`]. On error the state is unchanged.
-    ///
-    /// # Panics
-    /// Panics before the first observation (it has no transition step)
-    /// and if `step` is over another state domain.
-    pub fn observe_with_step(
-        &mut self,
-        step: &LiftedStep<'_>,
-        scratch: &mut StepScratch,
-        emission_column: &Vector,
-    ) -> Result<StreamStep> {
-        assert!(self.t >= 1, "the first observation has no transition step");
-        step.apply_row_scratch(self.alpha.vector.as_slice(), scratch);
-        scratch.staged = Some(self.stamp());
-        self.commit_staged(scratch, emission_column)
     }
 
     /// Rewinds to `t = 0`, keeping the shared model and the prior so a
@@ -837,27 +807,22 @@ mod tests {
         v.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// One [`IncrementalTwoWorld::observe_with_step`] on `window`, with the
-    /// step it is scheduled for (plain `observe` for the first one).
+    /// One observation of `window` staged and committed through a scratch
+    /// the caller keeps across observations.
     fn observe_scratch(
         window: &mut IncrementalTwoWorld<Homogeneous>,
         scratch: &mut StepScratch,
         col: &Vector,
     ) -> Result<StreamStep> {
-        let Some(idx) = window.next_step_index() else {
-            return window.observe(col);
-        };
-        let provider = chain();
-        let event = window.event().clone();
-        let engine = TwoWorldEngine::new(&event, &provider).unwrap();
-        window.observe_with_step(&engine.step_at(idx), scratch, col)
+        window.stage(scratch);
+        window.commit_staged(scratch, col)
     }
 
     #[test]
     fn scratch_step_path_equals_self_stepped_path() {
         let pi = Vector::from(vec![0.2, 0.4, 0.4]);
         let mut plain = IncrementalTwoWorld::new(presence_event(), chain(), pi.clone()).unwrap();
-        let mut batched = plain.clone();
+        let mut staged = plain.clone();
         let mut scratch = StepScratch::default();
         let cols = [
             Vector::from(vec![0.5, 0.3, 0.2]),
@@ -866,10 +831,10 @@ mod tests {
         ];
         for col in &cols {
             let a = plain.observe(col).unwrap();
-            let b = observe_scratch(&mut batched, &mut scratch, col).unwrap();
+            let b = observe_scratch(&mut staged, &mut scratch, col).unwrap();
             assert_eq!(a, b);
-            assert_eq!(bits(plain.lifted_state()), bits(batched.lifted_state()));
-            assert_eq!(plain.log_scale().to_bits(), batched.log_scale().to_bits());
+            assert_eq!(bits(plain.lifted_state()), bits(staged.lifted_state()));
+            assert_eq!(plain.log_scale().to_bits(), staged.log_scale().to_bits());
         }
     }
 

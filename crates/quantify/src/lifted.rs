@@ -33,14 +33,13 @@ use priste_markov::TransitionMatrix;
 /// in, the stepped `2m` row `β = α_t·M_t`, and the `2m` weighed forward
 /// vector with the log scale it carries. It starts empty (`Default`), and
 /// each buffer is sized on its first use and again only when `m` changes.
-/// A batch driver keeps one and hands it to
-/// [`IncrementalTwoWorld::observe_with_step`] for every window it advances;
-/// the guard stages one per window with [`IncrementalTwoWorld::stage`] and
-/// peeks every candidate through it. Either way a steady-state observation
-/// or attempt allocates no `O(m)` buffer.
+/// A caller keeps one and, for each window it advances, stages the window
+/// into it with [`IncrementalTwoWorld::stage`], peeks any candidates
+/// through it and commits one with [`IncrementalTwoWorld::commit_staged`],
+/// so a steady-state observation or attempt allocates no `O(m)` buffer.
 ///
-/// [`IncrementalTwoWorld::observe_with_step`]: crate::IncrementalTwoWorld::observe_with_step
 /// [`IncrementalTwoWorld::stage`]: crate::IncrementalTwoWorld::stage
+/// [`IncrementalTwoWorld::commit_staged`]: crate::IncrementalTwoWorld::commit_staged
 #[derive(Debug, Clone)]
 pub struct StepScratch {
     half_f: Vec<f64>,

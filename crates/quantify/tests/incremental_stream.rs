@@ -176,8 +176,7 @@ proptest! {
         }
     }
 
-    /// The batched path — one shared [`LiftedStep`] per window age, run by
-    /// `observe_with_step` through one reused [`StepScratch`] — is
+    /// `stage` + `commit_staged` through one reused [`StepScratch`] is
     /// `observe`, bit for bit: every report field, the mantissa and the log
     /// scale, on dense and CSR chains. Windows over one start join the
     /// stream at staggered times, so the scratch serves several windows at
@@ -211,27 +210,19 @@ proptest! {
             let mut scratch = StepScratch::default();
             let mut rng = StdRng::seed_from_u64(seed);
             for t in 0..ev.end() + 2 + windows.len() {
-                for (i, (oracle, batched, _, _, owned)) in windows.iter_mut().enumerate() {
+                for (i, (oracle, staged, _, _, owned)) in windows.iter_mut().enumerate() {
                     if t < i {
                         continue;
                     }
                     let col = random_emission(&mut rng, 4);
                     let want = oracle.observe(&col).unwrap();
-                    let got = match batched.next_step_index() {
-                        None => batched.observe(&col).unwrap(),
-                        Some(idx) => {
-                            let engine = TwoWorldEngine::new(model.event(), &chain).unwrap();
-                            let got = batched
-                                .observe_with_step(&engine.step_at(idx), &mut scratch, &col)
-                                .unwrap();
-                            let at = batched.lifted_state() as *const Vector;
-                            prop_assert_eq!(*owned.get_or_insert(at), at, "owned: in place");
-                            got
-                        }
-                    };
+                    staged.stage(&mut scratch);
+                    let got = staged.commit_staged(&mut scratch, &col).unwrap();
+                    let at = staged.lifted_state() as *const Vector;
+                    prop_assert_eq!(*owned.get_or_insert(at), at, "owned: in place");
                     prop_assert_eq!(step_bits(&want), step_bits(&got));
-                    prop_assert_eq!(bits(oracle.lifted_state()), bits(batched.lifted_state()));
-                    prop_assert_eq!(oracle.log_scale().to_bits(), batched.log_scale().to_bits());
+                    prop_assert_eq!(bits(oracle.lifted_state()), bits(staged.lifted_state()));
+                    prop_assert_eq!(oracle.log_scale().to_bits(), staged.log_scale().to_bits());
                 }
             }
             for (_, _, idle, initial, _) in &windows {
@@ -243,7 +234,8 @@ proptest! {
 
     /// Windows built on one shared [`EventModel`] are bit-identical to
     /// windows that own a private one (`new`), through `peek`, `observe`,
-    /// `observe_with_step`, and a mid-stream `resume`.
+    /// `stage` + `commit_staged` through one kept scratch, and a mid-stream
+    /// `resume`.
     #[test]
     fn shared_model_windows_equal_private_ones_bit_for_bit(
         mat in stochastic_matrix(4),
@@ -281,20 +273,10 @@ proptest! {
             prop_assert_eq!(bits(private.lifted_state()), bits(shared.lifted_state()));
             prop_assert_eq!(private.log_scale().to_bits(), shared.log_scale().to_bits());
 
-            match shared_b.next_step_index() {
-                None => prop_assert_eq!(
-                    private_b.observe(&col).unwrap(),
-                    shared_b.observe(&col).unwrap()
-                ),
-                Some(idx) => {
-                    let engine = TwoWorldEngine::new(model.event(), &chain).unwrap();
-                    let step = engine.step_at(idx);
-                    prop_assert_eq!(
-                        private_b.observe_with_step(&step, &mut scratch, &col).unwrap(),
-                        shared_b.observe_with_step(&step, &mut scratch, &col).unwrap()
-                    );
-                }
-            }
+            private_b.stage(&mut scratch);
+            let want = private_b.commit_staged(&mut scratch, &col).unwrap();
+            shared_b.stage(&mut scratch);
+            prop_assert_eq!(want, shared_b.commit_staged(&mut scratch, &col).unwrap());
             prop_assert_eq!(bits(private_b.lifted_state()), bits(shared_b.lifted_state()));
         }
         // One table served every shared window, however many were built.
@@ -348,8 +330,8 @@ proptest! {
     /// bit, at `t = 0` and at every later age, on dense and CSR chains: one
     /// [`IncrementalTwoWorld::stage`] serves several candidates through
     /// [`IncrementalTwoWorld::peek_staged`], each equal to `peek`; the
-    /// committed candidate's `peek` equals what `observe` and
-    /// `observe_with_step` report; and the forward vector both install
+    /// committed candidate's `peek` equals what `observe` and a commit
+    /// through a kept scratch report; and the forward vector both install
     /// equals an independent step → `hadamard(lift_emission)` →
     /// renormalize of the previous one. Staging and peeking never touch
     /// the window.
@@ -367,7 +349,7 @@ proptest! {
             Homogeneous::new(MarkovModel::new_sparse(sparse.clone()).unwrap()),
         ] {
             let Some(mut plain) = build_or_skip(&ev, &chain, &pi) else { continue };
-            let mut batched = plain.clone();
+            let mut kept = plain.clone();
             let model = Arc::clone(plain.model());
             let engine = TwoWorldEngine::new(model.event(), &chain).unwrap();
             let mut staged = StepScratch::default();
@@ -398,14 +380,10 @@ proptest! {
                 };
                 oracle.renormalize();
                 prop_assert_eq!(step_bits(&plain.observe(col).unwrap()), step_bits(&want));
-                let via_step = match batched.next_step_index() {
-                    None => batched.observe(col).unwrap(),
-                    Some(idx) => batched
-                        .observe_with_step(&engine.step_at(idx), &mut scratch, col)
-                        .unwrap(),
-                };
-                prop_assert_eq!(step_bits(&via_step), step_bits(&want));
-                for window in [&plain, &batched] {
+                kept.stage(&mut scratch);
+                let via_kept = kept.commit_staged(&mut scratch, col).unwrap();
+                prop_assert_eq!(step_bits(&via_kept), step_bits(&want));
+                for window in [&plain, &kept] {
                     prop_assert_eq!(bits(window.lifted_state()), bits(&oracle.vector));
                     prop_assert_eq!(window.log_scale().to_bits(), oracle.log_scale.to_bits());
                 }
@@ -413,15 +391,15 @@ proptest! {
         }
     }
 
-    /// A staged commit is the batched step is the plain observation, bit
-    /// for bit, on every step shape a random PRESENCE or PATTERN event
+    /// A staged commit is the plain observation, bit for bit, on every
+    /// step shape a random PRESENCE or PATTERN event
     /// schedules (Capture or Hold inside its window, BlockDiagonal around
     /// it), on dense and CSR chains: the window stages once, peeks a few
     /// candidates against the stage, and commits the last through it. The
     /// committed window owns its forward vector from its first commit on
     /// and is written in place after that.
     #[test]
-    fn commit_staged_equals_observe_with_step_equals_observe_bit_for_bit(
+    fn commit_staged_equals_observe_bit_for_bit(
         mat in stochastic_matrix(4),
         pi in distribution(4),
         ev in st_event(4),
@@ -434,11 +412,8 @@ proptest! {
             Homogeneous::new(MarkovModel::new_sparse(sparse.clone()).unwrap()),
         ] {
             let Some(mut plain) = build_or_skip(&ev, &chain, &pi) else { continue };
-            let mut batched = plain.clone();
             let mut committed = plain.clone();
-            let model = Arc::clone(plain.model());
-            let engine = TwoWorldEngine::new(model.event(), &chain).unwrap();
-            let (mut step_scratch, mut staged) = (StepScratch::default(), StepScratch::default());
+            let mut staged = StepScratch::default();
             let mut owned = None;
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..ev.end() + 2 {
@@ -450,20 +425,11 @@ proptest! {
                 }
                 let col = cols.last().unwrap();
                 let want = plain.observe(col).unwrap();
-                let via_step = match batched.next_step_index() {
-                    None => batched.observe(col).unwrap(),
-                    Some(idx) => batched
-                        .observe_with_step(&engine.step_at(idx), &mut step_scratch, col)
-                        .unwrap(),
-                };
                 let via_stage = committed.commit_staged(&mut staged, col).unwrap();
-                prop_assert_eq!(step_bits(&via_step), step_bits(&want));
                 prop_assert_eq!(step_bits(&via_stage), step_bits(&want));
-                for window in [&batched, &committed] {
-                    prop_assert_eq!(bits(window.lifted_state()), bits(plain.lifted_state()));
-                    prop_assert_eq!(window.log_scale().to_bits(), plain.log_scale().to_bits());
-                    prop_assert_eq!(window.observed(), plain.observed());
-                }
+                prop_assert_eq!(bits(committed.lifted_state()), bits(plain.lifted_state()));
+                prop_assert_eq!(committed.log_scale().to_bits(), plain.log_scale().to_bits());
+                prop_assert_eq!(committed.observed(), plain.observed());
                 let at = committed.lifted_state() as *const Vector;
                 prop_assert_eq!(*owned.get_or_insert(at), at, "owned: in place");
             }

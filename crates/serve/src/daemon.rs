@@ -4,7 +4,9 @@
 //!
 //! # Architecture
 //!
-//! One non-blocking acceptor thread polls the listener and the
+//! One acceptor thread blocks in `accept` for at most
+//! [`DaemonConfig::poll_interval`] at a time, so a new connection is taken
+//! the moment it arrives and an idle acceptor still wakes to check the
 //! signal/drain flags; accepted connections flow over a channel to a
 //! fixed pool of worker threads, each serving one keep-alive connection
 //! at a time (effective request concurrency = `workers`). A malformed
@@ -166,8 +168,7 @@ impl<H: Handler> Daemon<H> {
         config: DaemonConfig,
         addr: &str,
     ) -> io::Result<Daemon<H>> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = bound_accept(TcpListener::bind(addr)?, config.poll_interval)?;
         let local_addr = listener.local_addr()?;
 
         registry
@@ -256,6 +257,25 @@ impl<H: Handler> Daemon<H> {
     }
 }
 
+/// Makes each `accept` on `listener` wait at most `timeout` (at least
+/// 1 ms). std sets no timeout on a listener, but Linux bounds `accept` by
+/// the socket's receive timeout, which std sets on a stream: the socket
+/// takes a round trip through a `TcpStream` to get one. Elsewhere the
+/// listener polls without blocking, and the acceptor sleeps between polls.
+#[cfg(target_os = "linux")]
+fn bound_accept(listener: TcpListener, timeout: Duration) -> io::Result<TcpListener> {
+    use std::os::fd::OwnedFd;
+    let socket = TcpStream::from(OwnedFd::from(listener));
+    socket.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+    Ok(TcpListener::from(OwnedFd::from(socket)))
+}
+
+#[cfg(not(target_os = "linux"))]
+fn bound_accept(listener: TcpListener, _timeout: Duration) -> io::Result<TcpListener> {
+    listener.set_nonblocking(true)?;
+    Ok(listener)
+}
+
 fn accept_loop<H: Handler>(
     shared: &Shared<H>,
     listener: &TcpListener,
@@ -277,7 +297,10 @@ fn accept_loop<H: Handler>(
                     return;
                 }
             }
-            // WouldBlock is the idle poll; anything else is transient.
+            // On Linux a timed-out accept has already waited; a polling
+            // listener's WouldBlock, or any other (transient) error, backs
+            // off before the next try.
+            Err(e) if cfg!(target_os = "linux") && e.kind() == io::ErrorKind::WouldBlock => {}
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
