@@ -9,7 +9,7 @@ use priste_geo::{CellId, GridMap, Region};
 use priste_linalg::Vector;
 use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{
-    gaussian_kernel_chain, gaussian_kernel_chain_sparse, Homogeneous, MarkovModel,
+    gaussian_kernel_chain, gaussian_kernel_chain_sparse, Homogeneous, MarkovModel, TransitionMatrix,
 };
 use priste_quantify::{naive, IncrementalTwoWorld, TheoremBuilder};
 use rand::rngs::StdRng;
@@ -108,8 +108,12 @@ fn bench_grid_scaling(c: &mut Criterion) {
         let pi = Vector::uniform(m);
 
         if m <= 2500 {
-            let dense =
-                MarkovModel::new(sparse.transition_matrix().to_dense_matrix()).expect("dense twin");
+            // Built dense explicitly: `MarkovModel::new` would pick CSR for
+            // this banded matrix.
+            let dense = MarkovModel::from_transition_matrix(TransitionMatrix::Dense(
+                sparse.transition_matrix().to_dense_matrix(),
+            ))
+            .expect("dense twin");
             let provider = Homogeneous::new(dense);
             let mut q = IncrementalTwoWorld::new(event.clone(), &provider, pi.clone())
                 .expect("incremental");

@@ -166,9 +166,9 @@ fn bench_lifted_apply(c: &mut Criterion) {
     let grid = GridMap::new(20, 20, 1.0).expect("grid");
     let m = grid.num_cells();
     let dense_chain = gaussian_kernel_chain(&grid, 1.0).expect("chain");
-    let dense = TransitionMatrix::Dense(dense_chain.transition().clone());
-    let sparse =
-        TransitionMatrix::Sparse(SparseMatrix::from_dense(dense_chain.transition(), 1e-12));
+    let dense_matrix = dense_chain.transition_matrix().to_dense_matrix();
+    let sparse = TransitionMatrix::Sparse(SparseMatrix::from_dense(&dense_matrix, 1e-12));
+    let dense = TransitionMatrix::Dense(dense_matrix);
     let region = Region::from_cells(m, (0..m / 4).map(CellId)).expect("region");
     let mut rng = StdRng::seed_from_u64(9);
     let xs: Vec<Vector> = (0..64)

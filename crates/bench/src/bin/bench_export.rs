@@ -69,7 +69,7 @@ use priste_linalg::Vector;
 use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{
     gaussian_kernel_chain, gaussian_kernel_chain_sparse, Homogeneous, MarkovModel,
-    TransitionProvider,
+    TransitionMatrix, TransitionProvider,
 };
 use priste_obs::json::{parse, Json};
 use priste_obs::Registry;
@@ -1054,8 +1054,13 @@ fn suite_quantify(
         let pi = Vector::uniform(ms);
 
         if ms <= opts.dense_max_cells {
-            let dense_chain = MarkovModel::new(sparse_chain.transition_matrix().to_dense_matrix())
-                .expect("dense twin");
+            // Built dense explicitly: `MarkovModel::new` would pick CSR for
+            // this banded matrix.
+            let dense_chain = MarkovModel::from_transition_matrix(TransitionMatrix::Dense(
+                sparse_chain.transition_matrix().to_dense_matrix(),
+            ))
+            .expect("dense twin");
+            assert!(!dense_chain.is_sparse(), "the dense comparator runs dense");
             let provider = Homogeneous::new(dense_chain);
             let mut q = IncrementalTwoWorld::new(event_s.clone(), &provider, pi.clone())
                 .expect("quantifier");

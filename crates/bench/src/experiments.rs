@@ -659,7 +659,7 @@ mod tests {
         let scale = Scale::smoke();
         let (grid, chain) = synthetic_world(&scale, 1.0);
         assert_eq!(grid.num_cells(), scale.num_cells());
-        chain.transition().validate_stochastic().unwrap();
+        chain.transition_matrix().validate_stochastic().unwrap();
         let world = geolife_world(&scale);
         assert_eq!(
             world.grid.num_cells(),

@@ -9,7 +9,7 @@
 use crate::Result;
 use priste_geo::{CellId, GridMap};
 use priste_linalg::Vector;
-use priste_lppm::{DeltaLocationSet, Lppm, PlanarLaplace, PosteriorTracker};
+use priste_lppm::{DeltaLocationSet, Lppm, LppmError, PlanarLaplace, PosteriorTracker};
 use priste_markov::MarkovModel;
 use std::sync::Arc;
 
@@ -116,11 +116,11 @@ impl DeltaLocSource {
     /// Builds the δ-location-set source. `initial` is the adversary's `π`
     /// (the paper's experiments use the uniform distribution, §IV.D).
     ///
+    /// The chain may run on either backend: the Markov construction step
+    /// of Algorithm 3 is one product with its transition matrix.
+    ///
     /// # Errors
-    /// δ validation and posterior-tracker construction failures;
-    /// [`CoreError::InvalidConfig`](crate::CoreError::InvalidConfig) for a
-    /// sparse-backed chain (the Markov construction step of Algorithm 3
-    /// reads the dense transition matrix).
+    /// δ validation and posterior-tracker construction failures.
     pub fn new(
         grid: GridMap,
         delta: f64,
@@ -128,11 +128,6 @@ impl DeltaLocSource {
         chain: MarkovModel,
         initial: Vector,
     ) -> Result<Self> {
-        if chain.is_sparse() {
-            return Err(crate::CoreError::InvalidConfig {
-                message: "delta-location sources need a dense-backed mobility chain".into(),
-            });
-        }
         let dls = DeltaLocationSet::new(grid, delta)?;
         let tracker = PosteriorTracker::new(initial)?;
         Ok(DeltaLocSource {
@@ -152,8 +147,12 @@ impl DeltaLocSource {
 
 impl MechanismSource for DeltaLocSource {
     fn base_mechanism(&mut self, _t: usize) -> Result<Arc<Box<dyn Lppm>>> {
-        // Line 2 of Algorithm 3: Markov construction step.
-        let prior = self.tracker.advance(self.chain.transition())?;
+        // Line 2 of Algorithm 3: Markov construction step, p_t⁻ = p_{t−1}⁺·M.
+        let prior = self
+            .chain
+            .transition_matrix()
+            .try_vecmat(self.tracker.posterior())
+            .map_err(LppmError::InvalidPrior)?;
         let mech = self.dls.mechanism_for(&prior, self.alpha)?;
         self.pending_prior = Some(prior);
         Ok(Arc::new(Box::new(mech) as Box<dyn Lppm>))
@@ -203,9 +202,13 @@ mod tests {
         .unwrap();
         let mech = src.base_mechanism(1).unwrap();
         // The concentrated posterior should restrict the output domain.
-        let e = mech.emission_matrix();
         let nonzero_cols: usize = (0..4)
-            .filter(|&c| (0..4).any(|r| e.get(r, c) > 0.0))
+            .filter(|&c| {
+                mech.emission_column(CellId(c))
+                    .as_slice()
+                    .iter()
+                    .any(|&p| p > 0.0)
+            })
             .count();
         assert!(nonzero_cols < 4, "domain was not restricted");
         // Posterior update flows through on_release.

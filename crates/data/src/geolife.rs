@@ -269,7 +269,11 @@ mod tests {
             .map(|k| mk(39.9, 116.12 + 0.013 * k as f64, k as f64 * 300.0))
             .collect();
         let world = build_world(&[trip], &bounds, grid, 300.0, 0.01).unwrap();
-        world.chain.transition().validate_stochastic().unwrap();
+        world
+            .chain
+            .transition_matrix()
+            .validate_stochastic()
+            .unwrap();
         assert!(!world.trajectories.is_empty());
     }
 

@@ -214,7 +214,11 @@ mod tests {
         assert_eq!(world.grid.num_cells(), 400);
         assert_eq!(world.trajectories.len(), 10);
         assert_eq!(world.trajectories[0].len(), 48);
-        world.chain.transition().validate_stochastic().unwrap();
+        world
+            .chain
+            .transition_matrix()
+            .validate_stochastic()
+            .unwrap();
     }
 
     #[test]
@@ -237,7 +241,7 @@ mod tests {
         .unwrap();
         // Self-transitions at anchors should be strong (dwelling), i.e. the
         // chain has a significant mobility pattern in Fig. 13's sense.
-        let t = world.chain.transition();
+        let t = world.chain.transition_matrix();
         let mut max_self: f64 = 0.0;
         for i in 0..world.grid.num_cells() {
             max_self = max_self.max(t.get(i, i));

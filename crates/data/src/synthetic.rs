@@ -82,7 +82,11 @@ mod tests {
         assert_eq!(world.grid.num_cells(), 400);
         assert_eq!(world.trajectories.len(), 1);
         assert_eq!(world.trajectories[0].len(), 50);
-        world.chain.transition().validate_stochastic().unwrap();
+        world
+            .chain
+            .transition_matrix()
+            .validate_stochastic()
+            .unwrap();
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! the non-zero entries in CSR form so the forward (`x · M`) and backward
 //! (`M · x`) products that dominate the quantification engine cost `O(nnz)`
 //! per application. The dense [`Matrix`](crate::Matrix) stays the backend of
-//! choice for small or genuinely dense chains; callers switch between the
-//! two via a density cutover (see `priste_markov::TransitionMatrix`).
+//! choice for genuinely dense chains; a Markov chain picks between the two
+//! itself by a density cutover (see `priste_markov::TransitionMatrix` and
+//! `priste_markov::MarkovModel::new`), so callers need not choose.
 
 use crate::{LinalgError, Matrix, Result, Vector, STOCHASTIC_TOL};
 

@@ -10,11 +10,12 @@
 //! previous release is advanced through the Markov model (`p_t⁻ = p_{t−1}⁺·M`,
 //! Algorithm 3 line 2), the δ-location set `ΔX_t` is carved from `p_t⁻`, an
 //! α-PLM restricted to `ΔX_t` releases the location, and the posterior is
-//! refreshed by Eq. (21). [`PosteriorTracker`] owns that loop's state;
-//! [`DeltaLocationSet::mechanism_for`] materializes the per-step restricted
-//! mechanism as an ordinary [`Lppm`] so the quantification engine treats it
-//! like any other emission matrix (the engine already supports per-`t`
-//! matrices — see §III.C's closing remark).
+//! refreshed by Eq. (21). [`PosteriorTracker`] owns that loop's state (the
+//! caller advances it through its own chain, whichever backend that chain
+//! runs on); [`DeltaLocationSet::mechanism_for`] materializes the per-step
+//! restricted mechanism as an ordinary [`Lppm`] so the quantification engine
+//! treats it like any other emission matrix (the engine already supports
+//! per-`t` matrices — see §III.C's closing remark).
 
 use crate::mechanism::{sample_row, Lppm};
 use crate::planar_laplace::PlanarLaplace;
@@ -114,6 +115,8 @@ pub struct RestrictedPlm {
     grid: GridMap,
     set: Region,
     alpha: f64,
+    /// The restricted emission matrix (`O(m²)`), read only by column and
+    /// by row through [`Lppm`].
     emission: Matrix,
 }
 
@@ -165,8 +168,8 @@ impl Lppm for RestrictedPlm {
         self.alpha
     }
 
-    fn emission_matrix(&self) -> &Matrix {
-        &self.emission
+    fn emission_column(&self, observation: CellId) -> Vector {
+        self.emission.col(observation.index())
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
@@ -225,19 +228,10 @@ impl PosteriorTracker {
         Ok(PosteriorTracker { posterior: initial })
     }
 
-    /// Current posterior `p_t⁺`.
+    /// Current posterior `p_t⁺`; Algorithm 3's line 2 propagates it through
+    /// the chain, `p_t⁻ = p_{t−1}⁺ · M`.
     pub fn posterior(&self) -> &Vector {
         &self.posterior
-    }
-
-    /// Markov construction step (line 2): `p_t⁻ = p_{t−1}⁺ · M`.
-    ///
-    /// # Errors
-    /// [`LppmError::InvalidPrior`] on dimension mismatch.
-    pub fn advance(&self, transition: &Matrix) -> Result<Vector> {
-        transition
-            .try_vecmat(&self.posterior)
-            .map_err(LppmError::InvalidPrior)
     }
 
     /// Bayes update (Eq. (21)): given the prior `p_t⁻` used for this step,
@@ -262,6 +256,7 @@ impl PosteriorTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::dense_emission;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -318,10 +313,11 @@ mod tests {
     fn restricted_emission_only_outputs_inside_set() {
         let set = Region::from_cells(4, [CellId(0), CellId(1)]).unwrap();
         let plm = RestrictedPlm::new(grid4(), set, 1.0).unwrap();
-        plm.emission_matrix().validate_stochastic().unwrap();
+        let e = dense_emission(&plm);
+        e.validate_stochastic().unwrap();
         for i in 0..4 {
-            assert_eq!(plm.emission_matrix().get(i, 2), 0.0);
-            assert_eq!(plm.emission_matrix().get(i, 3), 0.0);
+            assert_eq!(e.get(i, 2), 0.0);
+            assert_eq!(e.get(i, 3), 0.0);
         }
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
@@ -335,17 +331,18 @@ mod tests {
         let grid = GridMap::new(3, 4, 1.0).unwrap();
         let set = Region::from_cells(12, [CellId(1), CellId(6), CellId(11)]).unwrap();
         let restricted = RestrictedPlm::new(grid.clone(), set.clone(), 0.6).unwrap();
-        let base = PlanarLaplace::new(grid.clone(), 0.6).unwrap();
+        let base = dense_emission(&PlanarLaplace::new(grid.clone(), 0.6).unwrap());
         let mask = set.indicator();
         let mut expected = Matrix::zeros(12, 12);
         for (i, src) in surrogates(&grid, &set).into_iter().enumerate() {
-            let base_row = base.emission_matrix().row(src);
+            let base_row = base.row(src);
             for (j, v) in expected.row_mut(i).iter_mut().enumerate() {
                 *v = base_row[j] * mask[j];
             }
         }
         expected.normalize_rows_mut();
-        assert_eq!(restricted.emission_matrix().as_slice(), expected.as_slice());
+        assert_eq!(restricted.emission.as_slice(), expected.as_slice());
+        assert_eq!(dense_emission(&restricted).as_slice(), expected.as_slice());
     }
 
     #[test]
@@ -354,9 +351,8 @@ mod tests {
         // restricted: all mass on cell 0.
         let set = Region::from_cells(4, [CellId(0)]).unwrap();
         let plm = RestrictedPlm::new(grid4(), set, 1.0).unwrap();
-        for i in 0..4 {
-            assert_eq!(plm.emission_matrix().get(i, 0), 1.0);
-        }
+        let column = plm.emission_column(CellId(0));
+        assert_eq!(column.as_slice(), &[1.0; 4]);
     }
 
     #[test]
@@ -365,7 +361,7 @@ mod tests {
         let grid = GridMap::new(1, 4, 1.0).unwrap();
         let set = Region::from_cells(4, [CellId(0), CellId(3)]).unwrap();
         let plm = RestrictedPlm::new(grid, set, 2.0).unwrap();
-        let e = plm.emission_matrix();
+        let e = dense_emission(&plm);
         // Row 1 should match row 0; row 2 should match row 3.
         for j in 0..4 {
             assert!((e.get(1, j) - e.get(0, j)).abs() < 1e-12);
@@ -388,7 +384,7 @@ mod tests {
         let mut tracker = PosteriorTracker::new(Vector::uniform(2)).unwrap();
         // Transition: stay with prob 0.9.
         let m = Matrix::from_rows(&[vec![0.9, 0.1], vec![0.1, 0.9]]).unwrap();
-        let prior = tracker.advance(&m).unwrap();
+        let prior = m.vecmat(tracker.posterior());
         assert!((prior.sum() - 1.0).abs() < 1e-12);
         // Observation twice as likely under state 0.
         let emission = Vector::from(vec![0.6, 0.3]);

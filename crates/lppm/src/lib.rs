@@ -5,16 +5,18 @@
 //! perturbed cell. This crate provides:
 //!
 //! * [`Lppm`] — the emission-matrix abstraction consumed by the
-//!   quantification engine and the PriSTE framework, including the
-//!   budget-scaling hook that Algorithm 2's exponential decay drives.
+//!   quantification engine and the PriSTE framework: a mechanism is its
+//!   emission columns `p̃_o` and the rows [`Lppm::perturb`] samples, stored
+//!   however the mechanism likes, plus the budget-scaling hook that
+//!   Algorithm 2's exponential decay drives.
 //! * [`PlanarLaplace`] — the α-Planar-Laplace mechanism of
 //!   Geo-indistinguishability (Andrés et al., CCS'13), §IV.C's case study,
-//!   as a grid-discretized emission matrix.
+//!   as a grid-discretized emission matrix kept as one `O(m)` kernel.
 //! * [`DeltaLocationSet`] — δ-location-set privacy (Xiao & Xiong, CCS'15),
 //!   §IV.D's case study: the emission domain restricted to the smallest cell
 //!   set carrying prior mass ≥ 1−δ, with the Eq. (21) posterior update.
 //! * [`UniformMechanism`] — the baseline: the α→0 limit that §IV.C's
-//!   convergence argument relies on.
+//!   convergence argument relies on; it stores only `m`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
 use crate::Result;
 use priste_geo::CellId;
-use priste_linalg::{Matrix, Vector};
+use priste_linalg::Vector;
 use rand::RngCore;
 use std::fmt;
 
@@ -8,11 +8,14 @@ use std::fmt;
 /// emission matrix that takes user's true location as input and outputs a
 /// perturbed one".
 ///
-/// Implementations guarantee that [`Lppm::perturb`] samples exactly from the
-/// row of [`Lppm::emission_matrix`] for the true cell, and that
-/// [`Lppm::emission_column`] reads the same entries — the quantification
-/// engine's privacy accounting is only sound if the matrix *is* the
-/// mechanism, not an approximation of it.
+/// PriSTE's accounting reads that matrix only through its columns `p̃_o`
+/// (Lemmas III.2/III.3), so the trait exposes the matrix as
+/// [`Lppm::emission_column`] and its rows as [`Lppm::perturb`]; how the
+/// entries are stored is the implementation's business. Implementations
+/// guarantee that [`Lppm::perturb`] samples exactly from the row for the
+/// true cell whose entries [`Lppm::emission_column`] reads — the
+/// quantification engine's privacy accounting is only sound if the columns
+/// *are* the mechanism, not an approximation of it.
 ///
 /// `Send + Sync` are supertraits: a mechanism is immutable data, and
 /// requiring thread-safety here is what lets `Box<dyn Lppm>` live inside
@@ -25,21 +28,11 @@ pub trait Lppm: Send + Sync {
     /// meaningful budget report the value they were constructed with).
     fn budget(&self) -> f64;
 
-    /// The row-stochastic emission matrix: entry `(i, j)` is
-    /// `Pr(o = s_j | u = s_i)`.
-    ///
-    /// This is `O(m²)` memory. Implementations with a compact
-    /// representation may materialise it lazily on the first call (as
-    /// [`crate::PlanarLaplace`] does); serving paths use
-    /// [`Lppm::emission_column`] and [`Lppm::perturb`] instead.
-    fn emission_matrix(&self) -> &Matrix;
-
     /// Emission column `p̃_o` for a given observation (paper Table I): the
-    /// vector of `Pr(o | u = s_i)` over all true cells `s_i`. This is the
-    /// quantity the Lemma III.2/III.3 recurrences consume.
-    fn emission_column(&self, observation: CellId) -> Vector {
-        self.emission_matrix().col(observation.index())
-    }
+    /// vector of `Pr(o | u = s_i)` over all true cells `s_i`, column `o` of
+    /// the row-stochastic emission matrix. This is the quantity the Lemma
+    /// III.2/III.3 recurrences consume.
+    fn emission_column(&self, observation: CellId) -> Vector;
 
     /// Samples a perturbed location for the given true location.
     ///
@@ -56,8 +49,8 @@ pub trait Lppm: Send + Sync {
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>>;
 }
 
-/// A mechanism prints as its domain size and budget, not its `O(m²)`
-/// emission matrix.
+/// A mechanism prints as its domain size and budget, not its emission
+/// entries.
 impl fmt::Debug for dyn Lppm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Lppm")
@@ -90,6 +83,25 @@ where
         .filter(|&(_, w)| w > 0.0)
         .last()
         .map_or(len - 1, |(i, _)| i)
+}
+
+/// The whole emission matrix, assembled from a mechanism's columns: entry
+/// `(i, o)` is `Pr(o | u = s_i)`. `O(m²)`, for tests only.
+#[cfg(test)]
+pub(crate) fn dense_emission(mechanism: &dyn Lppm) -> priste_linalg::Matrix {
+    let m = mechanism.num_cells();
+    let mut e = priste_linalg::Matrix::zeros(m, m);
+    for o in 0..m {
+        for (i, &p) in mechanism
+            .emission_column(CellId(o))
+            .as_slice()
+            .iter()
+            .enumerate()
+        {
+            e.set(i, o, p);
+        }
+    }
+    e
 }
 
 #[cfg(test)]

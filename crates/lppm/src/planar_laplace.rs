@@ -1,9 +1,8 @@
 use crate::mechanism::{sample_row, Lppm};
 use crate::{LppmError, Result};
 use priste_geo::{CellId, GridMap};
-use priste_linalg::{Matrix, Vector};
+use priste_linalg::Vector;
 use rand::RngCore;
-use std::sync::OnceLock;
 
 /// The α-Planar-Laplace mechanism (α-PLM) of Geo-indistinguishability
 /// (Andrés et al., CCS'13) — the paper's §IV.C case-study LPPM.
@@ -23,14 +22,12 @@ use std::sync::OnceLock;
 /// `O(m²)` (50 MB). A row sum is one box of the kernel, so all of them come
 /// from a single summed-area table and a build is `O(m)` time as well
 /// (≈ 1 ms at m = 2500). Entry `(i, j)` is `kernel[offset(j − i)] / row_sum[i]`,
-/// the one expression behind [`Lppm::emission_column`], [`Lppm::perturb`]
-/// and [`Lppm::emission_matrix`]; the last materialises the dense `O(m²)`
-/// matrix lazily on first call and is meant for tests and diagnostics —
-/// serving paths never touch it.
+/// the one expression behind both [`Lppm::emission_column`] and
+/// [`Lppm::perturb`]; the dense matrix is never built.
 ///
 /// [`Lppm::perturb`] samples from the *discrete emission row*, so releases
 /// and privacy accounting use the identical distribution.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PlanarLaplace {
     grid: GridMap,
     alpha: f64,
@@ -40,23 +37,6 @@ pub struct PlanarLaplace {
     kernel: Vec<f64>,
     /// Per true cell: the sum of its raw row (the normalizer).
     row_sums: Vec<f64>,
-    /// The dense matrix, built on the first [`Lppm::emission_matrix`] call.
-    emission: OnceLock<Matrix>,
-}
-
-impl Clone for PlanarLaplace {
-    /// Clones the kernel only; the copy re-materialises its dense matrix on
-    /// demand instead of duplicating `O(m²)` memory.
-    fn clone(&self) -> Self {
-        PlanarLaplace {
-            grid: self.grid.clone(),
-            alpha: self.alpha,
-            supersample: self.supersample,
-            kernel: self.kernel.clone(),
-            row_sums: self.row_sums.clone(),
-            emission: OnceLock::new(),
-        }
-    }
 }
 
 /// Default number of integration points per cell axis; 3×3 midpoints keep
@@ -91,7 +71,6 @@ impl PlanarLaplace {
             supersample,
             kernel,
             row_sums,
-            emission: OnceLock::new(),
         })
     }
 
@@ -112,7 +91,7 @@ impl PlanarLaplace {
     /// bound holds essentially exactly; boundary cells with loose budgets
     /// deviate by this measurable factor. PriSTE's event-privacy accounting
     /// is unaffected either way — it always consumes the actual emission
-    /// matrix.
+    /// columns.
     pub fn inside_mass(&self) -> Vec<f64> {
         // Full-plane integral of the kernel e^{−αd} is 2π/α²; the midpoint
         // sum approximates ∫_cell e^{−αd} / step².
@@ -147,9 +126,9 @@ impl PlanarLaplace {
 }
 
 /// Emission entry from its raw kernel mass and its row's raw sum —
-/// [`Matrix::normalize_rows_mut`]'s semantics, including the uniform row
-/// when the sum underflows to 0. Every read of the mechanism goes through
-/// here, so the sampled distribution *is* the accounted one.
+/// [`priste_linalg::Matrix::normalize_rows_mut`]'s semantics, including the
+/// uniform row when the sum underflows to 0. Every read of the mechanism
+/// goes through here, so the sampled distribution *is* the accounted one.
 #[inline]
 fn entry(mass: f64, row_sum: f64, uniform: f64) -> f64 {
     if row_sum > 0.0 {
@@ -166,19 +145,6 @@ impl Lppm for PlanarLaplace {
 
     fn budget(&self) -> f64 {
         self.alpha
-    }
-
-    fn emission_matrix(&self) -> &Matrix {
-        self.emission.get_or_init(|| {
-            let m = self.num_cells();
-            let mut e = Matrix::zeros(m, m);
-            for i in 0..m {
-                for (v, p) in e.row_mut(i).iter_mut().zip(self.row(i)) {
-                    *v = p;
-                }
-            }
-            e
-        })
     }
 
     fn emission_column(&self, observation: CellId) -> Vector {
@@ -281,6 +247,7 @@ fn box_sums(kernel: &[f64], rows: usize, cols: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::dense_emission;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -302,14 +269,14 @@ mod tests {
     fn emission_is_stochastic() {
         for alpha in [0.1, 0.5, 1.0, 5.0] {
             let plm = PlanarLaplace::new(grid5(), alpha).unwrap();
-            plm.emission_matrix().validate_stochastic().unwrap();
+            dense_emission(&plm).validate_stochastic().unwrap();
         }
     }
 
     #[test]
     fn diagonal_dominates_for_tight_budget() {
         let plm = PlanarLaplace::new(grid5(), 5.0).unwrap();
-        let e = plm.emission_matrix();
+        let e = dense_emission(&plm);
         for i in 0..25 {
             let row = e.row(i);
             let diag = row[i];
@@ -325,7 +292,8 @@ mod tests {
     fn emission_decays_with_distance() {
         let grid = GridMap::new(1, 8, 1.0).unwrap();
         let plm = PlanarLaplace::new(grid, 1.0).unwrap();
-        let row = plm.emission_matrix().row(0);
+        let e = dense_emission(&plm);
+        let row = e.row(0);
         for w in row.windows(2) {
             assert!(w[0] > w[1], "row not decaying: {row:?}");
         }
@@ -340,7 +308,7 @@ mod tests {
         let grid = grid5();
         let alpha = 1.0;
         let plm = PlanarLaplace::with_supersample(grid.clone(), alpha, 4).unwrap();
-        let e = plm.emission_matrix();
+        let e = dense_emission(&plm);
         let inside = plm.inside_mass();
         for x1 in 0..25 {
             for x2 in 0..25 {
@@ -362,7 +330,7 @@ mod tests {
         let grid = grid5();
         let alpha = 4.0;
         let plm = PlanarLaplace::with_supersample(grid.clone(), alpha, 8).unwrap();
-        let e = plm.emission_matrix();
+        let e = dense_emission(&plm);
         // Interior cells capture nearly all mass at this budget (the ~2%
         // deficit is midpoint-rule error at the density cusp, not leakage).
         assert!(
@@ -397,9 +365,10 @@ mod tests {
         let tight = PlanarLaplace::new(grid5(), 2.0).unwrap();
         let loose = PlanarLaplace::new(grid5(), 0.1).unwrap();
         // Self-emission probability shrinks as the budget loosens.
-        assert!(tight.emission_matrix().get(12, 12) > loose.emission_matrix().get(12, 12));
+        let loose_e = dense_emission(&loose);
+        assert!(dense_emission(&tight).get(12, 12) > loose_e.get(12, 12));
         // And the loose mechanism approaches uniform: max/min ratio is small.
-        let row = loose.emission_matrix().row(12);
+        let row = loose_e.row(12);
         let max = row.iter().cloned().fold(0.0_f64, f64::max);
         let min = row.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max / min < (0.1 * 6.0_f64.hypot(6.0)).exp() * 1.1);
@@ -414,7 +383,8 @@ mod tests {
         for _ in 0..n {
             counts[plm.perturb(CellId(1), &mut rng).index()] += 1;
         }
-        let row = plm.emission_matrix().row(1);
+        let e = dense_emission(&plm);
+        let row = e.row(1);
         for (c, &expect) in counts.iter().zip(row) {
             let f = *c as f64 / n as f64;
             assert!((f - expect).abs() < 0.01, "{f} vs {expect}");
@@ -422,16 +392,16 @@ mod tests {
     }
 
     #[test]
-    fn serving_paths_leave_the_dense_matrix_unbuilt() {
+    fn perturb_rows_and_emission_columns_read_the_same_entries() {
+        // `perturb` samples from `row`; the accounting reads columns. They
+        // must agree bit for bit.
         let plm = PlanarLaplace::new(GridMap::new(3, 4, 1.0).unwrap(), 0.7).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        plm.perturb(CellId(5), &mut rng);
-        plm.emission_column(CellId(2));
-        plm.with_budget(0.35).unwrap();
-        assert!(plm.emission.get().is_none());
-        plm.emission_matrix();
-        assert!(plm.emission.get().is_some());
-        assert!(plm.clone().emission.get().is_none());
+        let e = dense_emission(&plm);
+        for i in 0..12 {
+            let row: Vec<u64> = plm.row(i).map(f64::to_bits).collect();
+            let want: Vec<u64> = e.row(i).iter().map(|p| p.to_bits()).collect();
+            assert_eq!(row, want, "row {i}");
+        }
     }
 
     #[test]
@@ -439,13 +409,10 @@ mod tests {
         // With 2×2 integration points none lies at distance 0, so at this
         // budget every e^{−αd} underflows and each row sum is 0.
         let plm = PlanarLaplace::with_supersample(grid5(), 1e4, 2).unwrap();
-        let e = plm.emission_matrix();
+        let e = dense_emission(&plm);
         assert!(e.as_slice().iter().all(|&p| p == 1.0 / 25.0));
         assert!(plm.inside_mass().iter().all(|&f| f == 0.0));
-        assert_eq!(
-            plm.emission_column(CellId(7)).as_slice(),
-            e.col(7).as_slice()
-        );
+        assert!(plm.row(7).all(|p| p == 1.0 / 25.0));
         let mut rng = StdRng::seed_from_u64(4);
         assert!(plm.perturb(CellId(0), &mut rng).index() < 25);
     }
@@ -480,7 +447,7 @@ mod tests {
         let halved = plm.with_budget(0.1).unwrap();
         assert_eq!(halved.budget(), 0.1);
         assert_eq!(halved.num_cells(), 25);
-        halved.emission_matrix().validate_stochastic().unwrap();
+        dense_emission(&*halved).validate_stochastic().unwrap();
         assert!(halved.with_budget(0.0).is_err());
     }
 }

@@ -3,7 +3,7 @@
 use crate::mechanism::{sample_row, Lppm};
 use crate::Result;
 use priste_geo::CellId;
-use priste_linalg::Matrix;
+use priste_linalg::Vector;
 use rand::RngCore;
 
 /// The uniform mechanism: every output cell is equally likely regardless of
@@ -12,10 +12,11 @@ use rand::RngCore;
 /// This is the `α → 0` limit of the Planar Laplace mechanism, and the reason
 /// Algorithm 2's budget halving always terminates (§IV.C: "When α = 0, it
 /// releases no useful information about the true location … Equations (15)
-/// and (16) are always true in this situation").
+/// and (16) are always true in this situation"). Every entry is `1/m`, so
+/// the mechanism keeps only `m`.
 #[derive(Debug, Clone)]
 pub struct UniformMechanism {
-    emission: Matrix,
+    num_cells: usize,
 }
 
 impl UniformMechanism {
@@ -25,32 +26,26 @@ impl UniformMechanism {
     /// Panics if `num_cells == 0`.
     pub fn new(num_cells: usize) -> Self {
         assert!(num_cells > 0, "uniform mechanism over zero cells");
-        let mut e = Matrix::zeros(num_cells, num_cells);
-        let p = 1.0 / num_cells as f64;
-        for r in 0..num_cells {
-            for v in e.row_mut(r) {
-                *v = p;
-            }
-        }
-        UniformMechanism { emission: e }
+        UniformMechanism { num_cells }
     }
 }
 
 impl Lppm for UniformMechanism {
     fn num_cells(&self) -> usize {
-        self.emission.rows()
+        self.num_cells
     }
 
     fn budget(&self) -> f64 {
         0.0
     }
 
-    fn emission_matrix(&self) -> &Matrix {
-        &self.emission
+    fn emission_column(&self, _observation: CellId) -> Vector {
+        Vector::uniform(self.num_cells)
     }
 
     fn perturb(&self, _true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
-        CellId(sample_row(self.emission.row(0).iter().copied(), rng))
+        let p = 1.0 / self.num_cells as f64;
+        CellId(sample_row(std::iter::repeat_n(p, self.num_cells), rng))
     }
 
     fn with_budget(&self, _budget: f64) -> Result<Box<dyn Lppm>> {
@@ -67,9 +62,10 @@ mod tests {
     #[test]
     fn uniform_rows_are_uniform() {
         let u = UniformMechanism::new(4);
-        u.emission_matrix().validate_stochastic().unwrap();
+        let e = crate::mechanism::dense_emission(&u);
+        e.validate_stochastic().unwrap();
         for r in 0..4 {
-            assert_eq!(u.emission_matrix().row(r), &[0.25; 4]);
+            assert_eq!(e.row(r), &[0.25; 4]);
         }
         assert_eq!(u.budget(), 0.0);
     }

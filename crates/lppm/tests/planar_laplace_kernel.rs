@@ -82,25 +82,20 @@ proptest! {
         let m = grid.num_cells();
         let plm = PlanarLaplace::with_supersample(grid.clone(), alpha, supersample).unwrap();
         let (oracle, inside) = dense_oracle(&grid, alpha, supersample);
-        let e = plm.emission_matrix();
-        for i in 0..m {
-            for j in 0..m {
+        let mut e = Matrix::zeros(m, m);
+        for j in 0..m {
+            let column = plm.emission_column(CellId(j));
+            for i in 0..m {
                 prop_assert!(
-                    close(e.get(i, j), oracle.get(i, j)),
+                    close(column[i], oracle.get(i, j)),
                     "{rows}x{cols} cell {cell} alpha {alpha} s {supersample}: \
-                     ({i},{j}) {} vs oracle {}", e.get(i, j), oracle.get(i, j)
+                     ({i},{j}) {} vs oracle {}", column[i], oracle.get(i, j)
                 );
+                e.set(i, j, column[i]);
             }
         }
         for (&got, &want) in plm.inside_mass().iter().zip(&inside) {
             prop_assert!(close(got, want), "inside mass {} vs oracle {}", got, want);
-        }
-        for o in 0..m {
-            prop_assert_eq!(
-                plm.emission_column(CellId(o)).as_slice(),
-                e.col(o).as_slice(),
-                "column {} differs from the materialised matrix", o
-            );
         }
         e.validate_stochastic().unwrap();
     }
@@ -118,7 +113,7 @@ fn perturb_matches_row_frequencies_on_non_square_grid() {
             counts[plm.perturb(CellId(src), &mut rng).index()] += 1;
         }
         for (o, &c) in counts.iter().enumerate() {
-            let expect = plm.emission_matrix().get(src, o);
+            let expect = plm.emission_column(CellId(o))[src];
             let f = c as f64 / n as f64;
             assert!((f - expect).abs() < 0.01, "{src}→{o}: {f} vs {expect}");
         }

@@ -12,7 +12,8 @@
 //! Contents:
 //!
 //! * [`MarkovModel`] — validated row-stochastic transition matrix with
-//!   propagation, sampling and analysis helpers.
+//!   propagation, sampling and analysis helpers; it keeps the matrix on
+//!   the backend its fill calls for.
 //! * [`train_mle`] / [`TransitionCounts`] — maximum-likelihood estimation
 //!   from observed state sequences with additive smoothing (replaces the R
 //!   `markovchain` dependency).
@@ -20,7 +21,8 @@
 //!   §V.A synthetic world generator, dense and truncated-banded CSR.
 //! * [`stationary_distribution`] — power-iteration stationary analysis.
 //! * [`TransitionMatrix`] — dense/CSR backend enum with the
-//!   [`SPARSE_DENSITY_CUTOVER`] auto-selection rule.
+//!   [`SPARSE_DENSITY_CUTOVER`] auto-selection rule that
+//!   [`MarkovModel::new`] applies.
 //! * [`TransitionProvider`], [`Homogeneous`], [`TimeVarying`] — the chain
 //!   abstraction used by `priste-quantify`.
 

@@ -54,25 +54,31 @@ impl std::error::Error for MarkovError {
 /// given the current state `s_{i+1}`, matching the paper's convention
 /// `p_{t+1} = p_t · M`.
 ///
-/// The matrix lives behind a [`TransitionMatrix`]: dense for small or full
-/// chains, CSR for the banded mobility kernels of large grids. All
-/// propagation/sampling helpers dispatch to the active backend.
+/// The matrix lives behind a [`TransitionMatrix`]: dense for full chains,
+/// CSR for banded ones ([`MarkovModel::new`] picks by fill). All
+/// propagation/sampling helpers dispatch to the active backend, and
+/// [`MarkovModel::transition_matrix`] is the only view of the matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkovModel {
     transition: TransitionMatrix,
 }
 
 impl MarkovModel {
-    /// Wraps a validated row-stochastic transition matrix (dense backend).
+    /// Wraps a validated row-stochastic transition matrix, picking its
+    /// backend by the density cutover ([`TransitionMatrix::auto`]): CSR at
+    /// or below [`crate::SPARSE_DENSITY_CUTOVER`] fill, dense above it. The
+    /// conversion drops only structural zeros, so every product is
+    /// bit-identical on either backend.
     ///
     /// # Errors
     /// [`MarkovError::InvalidTransition`] if the matrix is not square and
     /// row-stochastic.
     pub fn new(transition: Matrix) -> crate::Result<Self> {
-        MarkovModel::from_transition_matrix(TransitionMatrix::Dense(transition))
+        MarkovModel::from_transition_matrix(TransitionMatrix::auto(transition))
     }
 
-    /// Wraps a validated row-stochastic CSR matrix (sparse backend).
+    /// Wraps a validated row-stochastic CSR matrix (sparse backend, kept
+    /// whatever its fill).
     ///
     /// # Errors
     /// [`MarkovError::InvalidTransition`] if the matrix is not square and
@@ -81,7 +87,8 @@ impl MarkovModel {
         MarkovModel::from_transition_matrix(TransitionMatrix::Sparse(transition))
     }
 
-    /// Wraps an already backend-tagged transition matrix.
+    /// Wraps an already backend-tagged transition matrix, keeping the
+    /// caller's choice of backend.
     ///
     /// # Errors
     /// [`MarkovError::InvalidTransition`] if the matrix is not square and
@@ -100,23 +107,6 @@ impl MarkovModel {
             .validate_stochastic()
             .map_err(MarkovError::InvalidTransition)?;
         Ok(MarkovModel { transition })
-    }
-
-    /// Re-picks the backend by the density cutover
-    /// ([`crate::SPARSE_DENSITY_CUTOVER`]): a banded chain converts to CSR,
-    /// a dense one stays (or reverts to) blocked dense. The conversion is
-    /// exact — only structural zeros are dropped — so every product is
-    /// bit-identical across the switch.
-    pub fn with_auto_backend(self) -> Self {
-        let transition = match self.transition {
-            // Already sparse and below the cutover: keep it, avoiding an
-            // O(m²) densify round-trip on big grids.
-            TransitionMatrix::Sparse(s) if s.density() <= crate::SPARSE_DENSITY_CUTOVER => {
-                TransitionMatrix::Sparse(s)
-            }
-            other => TransitionMatrix::auto(other.to_dense_matrix()),
-        };
-        MarkovModel { transition }
     }
 
     /// Whether the CSR backend is active.
@@ -139,21 +129,6 @@ impl MarkovModel {
     /// Number of states `m`.
     pub fn num_states(&self) -> usize {
         self.transition.rows()
-    }
-
-    /// The transition matrix `M` as a dense matrix.
-    ///
-    /// Kept for the many dense-only consumers (trainers, delta-location
-    /// tracking, fixtures); sparse-aware code should use
-    /// [`MarkovModel::transition_matrix`] instead.
-    ///
-    /// # Panics
-    /// Panics if the model is sparse-backed — a CSR chain has no dense
-    /// matrix to borrow.
-    pub fn transition(&self) -> &Matrix {
-        self.transition.as_dense().expect(
-            "dense transition requested from a sparse-backed model; use transition_matrix()",
-        )
     }
 
     /// The backend-tagged transition matrix `M`.

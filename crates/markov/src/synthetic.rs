@@ -143,7 +143,7 @@ mod tests {
         let grid = GridMap::new(5, 5, 1.0).unwrap();
         for sigma in [0.01, 0.1, 1.0, 10.0] {
             let chain = gaussian_kernel_chain(&grid, sigma).unwrap();
-            chain.transition().validate_stochastic().unwrap();
+            chain.transition_matrix().validate_stochastic().unwrap();
         }
     }
 
@@ -153,7 +153,7 @@ mod tests {
         let chain = gaussian_kernel_chain(&grid, 0.01).unwrap();
         // With σ = 0.01 km and 1 km cells, staying put dominates utterly.
         for i in 0..grid.num_cells() {
-            assert!(chain.transition().get(i, i) > 0.999, "cell {i}");
+            assert!(chain.transition_matrix().get(i, i) > 0.999, "cell {i}");
         }
     }
 
@@ -164,7 +164,7 @@ mod tests {
         let uniform = 1.0 / 16.0;
         for i in 0..16 {
             for j in 0..16 {
-                assert!((chain.transition().get(i, j) - uniform).abs() < 1e-4);
+                assert!((chain.transition_matrix().get(i, j) - uniform).abs() < 1e-4);
             }
         }
     }
@@ -176,8 +176,8 @@ mod tests {
         let center = grid.from_row_col(1, 1).unwrap().index();
         let adjacent = grid.from_row_col(1, 2).unwrap().index();
         let corner = grid.from_row_col(0, 0).unwrap().index();
-        let p_adj = chain.transition().get(center, adjacent);
-        let p_cor = chain.transition().get(center, corner);
+        let p_adj = chain.transition_matrix().get(center, adjacent);
+        let p_cor = chain.transition_matrix().get(center, corner);
         assert!(p_adj > p_cor, "adjacent {p_adj} vs corner {p_cor}");
     }
 
@@ -188,7 +188,7 @@ mod tests {
         // symmetric-position cells match by reflection.
         let grid = GridMap::new(3, 3, 1.0).unwrap();
         let chain = gaussian_kernel_chain(&grid, 0.7).unwrap();
-        let t = chain.transition();
+        let t = chain.transition_matrix();
         // Corners 0 and 8 are mirror images: p(0→1) must equal p(8→7).
         assert!((t.get(0, 1) - t.get(8, 7)).abs() < 1e-12);
         assert!((t.get(0, 4) - t.get(8, 4)).abs() < 1e-12);
@@ -198,7 +198,8 @@ mod tests {
     fn monotone_decay_along_a_row_of_cells() {
         let grid = GridMap::new(1, 6, 1.0).unwrap();
         let chain = gaussian_kernel_chain(&grid, 1.5).unwrap();
-        let row = chain.transition().row(0);
+        let t = chain.transition_matrix().to_dense_matrix();
+        let row = t.row(0);
         for w in row.windows(2) {
             assert!(w[0] >= w[1], "row not monotone: {row:?}");
         }
@@ -286,7 +287,7 @@ mod tests {
             let grid = GridMap::new(side, side, 1.0).unwrap();
             let dense = gaussian_kernel_chain(&grid, sigma).unwrap();
             let sparse = gaussian_kernel_chain_sparse(&grid, sigma).unwrap();
-            let d = dense.transition();
+            let d = dense.transition_matrix();
             let s = sparse.transition_matrix();
             for i in 0..grid.num_cells() {
                 for j in 0..grid.num_cells() {

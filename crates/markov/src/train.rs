@@ -142,19 +142,22 @@ mod tests {
     fn pure_mle_matches_hand_computation() {
         // 0→1 twice, 0→2 once ⇒ row 0 = [0, 2/3, 1/3].
         let model = train_mle(3, &[cells(&[0, 1]), cells(&[0, 1]), cells(&[0, 2])], 0.0).unwrap();
-        let row: Vec<f64> = model.transition().row(0).to_vec();
+        let row: Vec<f64> = model.transition_matrix().to_dense_matrix().row(0).to_vec();
         assert!((row[1] - 2.0 / 3.0).abs() < 1e-12);
         assert!((row[2] - 1.0 / 3.0).abs() < 1e-12);
         // Unobserved rows become uniform.
-        assert_eq!(model.transition().row(1), &[1.0 / 3.0; 3]);
+        assert_eq!(
+            model.transition_matrix().to_dense_matrix().row(1),
+            &[1.0 / 3.0; 3]
+        );
     }
 
     #[test]
     fn smoothing_spreads_mass() {
         let model = train_mle(2, &[cells(&[0, 0, 0])], 1.0).unwrap();
         // Row 0 counts: [2, 0] + alpha 1 ⇒ [3/4, 1/4].
-        assert!((model.transition().get(0, 0) - 0.75).abs() < 1e-12);
-        assert!((model.transition().get(0, 1) - 0.25).abs() < 1e-12);
+        assert!((model.transition_matrix().get(0, 0) - 0.75).abs() < 1e-12);
+        assert!((model.transition_matrix().get(0, 1) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -165,7 +168,10 @@ mod tests {
         ));
         // With smoothing the fit degrades gracefully to uniform.
         let m = train_mle(3, &[], 0.5).unwrap();
-        assert_eq!(m.transition().row(0), &[1.0 / 3.0; 3]);
+        assert_eq!(
+            m.transition_matrix().to_dense_matrix().row(0),
+            &[1.0 / 3.0; 3]
+        );
     }
 
     #[test]
@@ -184,13 +190,16 @@ mod tests {
             .sample_trajectory(CellId(0), 60_000, &mut rng)
             .unwrap();
         let fitted = train_mle(3, &[traj], 0.0).unwrap();
-        let err = fitted.transition().max_abs_diff(truth.transition());
+        let err = fitted
+            .transition_matrix()
+            .to_dense_matrix()
+            .max_abs_diff(&truth.transition_matrix().to_dense_matrix());
         assert!(err < 0.02, "estimation error {err}");
     }
 
     #[test]
     fn fitted_matrix_is_always_stochastic() {
         let model = train_mle(4, &[cells(&[0, 1, 2, 3, 0])], 0.1).unwrap();
-        model.transition().validate_stochastic().unwrap();
+        model.transition_matrix().validate_stochastic().unwrap();
     }
 }

@@ -11,7 +11,14 @@
 //! The cutover rule: CSR wins while the fill ratio stays below
 //! [`SPARSE_DENSITY_CUTOVER`]. Above it, the indirection and scattered writes
 //! of CSR lose to the dense kernel's sequential streaming, so
-//! [`TransitionMatrix::auto`] keeps the blocked dense path.
+//! [`TransitionMatrix::auto`] keeps the blocked dense path. [`MarkovModel::new`]
+//! applies that rule to every dense matrix it is given, so a chain picks its
+//! own backend; [`MarkovModel::new_sparse`] and
+//! [`MarkovModel::from_transition_matrix`] keep an explicit choice.
+//!
+//! [`MarkovModel::new`]: crate::MarkovModel::new
+//! [`MarkovModel::new_sparse`]: crate::MarkovModel::new_sparse
+//! [`MarkovModel::from_transition_matrix`]: crate::MarkovModel::from_transition_matrix
 //!
 //! [`TransitionProvider`]: crate::TransitionProvider
 

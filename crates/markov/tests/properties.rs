@@ -81,8 +81,8 @@ proptest! {
         for i in 0..3 {
             let row_observed = traj.windows(2).any(|w| w[0].index() == i);
             for j in 0..3 {
-                if row_observed && truth.transition().get(i, j) == 0.0 {
-                    prop_assert_eq!(fitted.transition().get(i, j), 0.0);
+                if row_observed && truth.transition_matrix().get(i, j) == 0.0 {
+                    prop_assert_eq!(fitted.transition_matrix().get(i, j), 0.0);
                 }
             }
         }
@@ -97,7 +97,7 @@ proptest! {
         let loose = gaussian_kernel_chain(&grid, s1 * factor).unwrap();
         for i in 0..16 {
             prop_assert!(
-                tight.transition().get(i, i) >= loose.transition().get(i, i) - 1e-12
+                tight.transition_matrix().get(i, i) >= loose.transition_matrix().get(i, i) - 1e-12
             );
         }
     }
@@ -112,6 +112,6 @@ proptest! {
         let len = models.len();
         let tv = TimeVarying::new(models.clone()).unwrap();
         let expect = &models[(t - 1).min(len - 1)];
-        prop_assert!(tv.transition_at(t).to_dense_matrix().max_abs_diff(expect.transition()) < 1e-15);
+        prop_assert!(tv.transition_at(t).to_dense_matrix().max_abs_diff(&expect.transition_matrix().to_dense_matrix()) < 1e-15);
     }
 }

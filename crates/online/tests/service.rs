@@ -560,10 +560,6 @@ impl Lppm for CountingPlm {
         self.inner.budget()
     }
 
-    fn emission_matrix(&self) -> &priste_linalg::Matrix {
-        self.inner.emission_matrix()
-    }
-
     fn emission_column(&self, observation: CellId) -> Vector {
         self.inner.emission_column(observation)
     }

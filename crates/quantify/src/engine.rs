@@ -306,8 +306,9 @@ mod tests {
                 for u3 in 0..3 {
                     let in_pattern = (u2 == 0 || u2 == 1) && (u3 == 1 || u3 == 2);
                     if in_pattern {
-                        expected +=
-                            pi[u1] * m.transition().get(u1, u2) * m.transition().get(u2, u3);
+                        expected += pi[u1]
+                            * m.transition_matrix().get(u1, u2)
+                            * m.transition_matrix().get(u2, u3);
                     }
                 }
             }

@@ -394,13 +394,6 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
         Ok(state)
     }
 
-    /// Index of the lifted step that must be applied before the *next*
-    /// observation (`step_at(t)` of the engine schedule), or `None` for the
-    /// very first observation, which is emission-weighting only.
-    pub fn next_step_index(&self) -> Option<usize> {
-        (self.t >= 1).then_some(self.t)
-    }
-
     /// Quantifies the next observation without committing it. A caller
     /// that peeks several candidates at one timestep stages once
     /// ([`IncrementalTwoWorld::stage`]) and peeks each through

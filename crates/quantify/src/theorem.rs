@@ -419,7 +419,7 @@ mod tests {
         let mut expected2 = 0.0;
         for i in 0..3 {
             for j in 0..3 {
-                expected2 += pi[i] * e1[i] * m.transition().get(i, j) * e2[j];
+                expected2 += pi[i] * e1[i] * m.transition_matrix().get(i, j) * e2[j];
             }
         }
         assert!((inputs.log_joint_total(&pi) - expected2.ln()).abs() < 1e-10);

@@ -7,7 +7,7 @@ use priste_event::{Pattern, Presence, StEvent};
 use priste_geo::{CellId, Region};
 use priste_linalg::scaling::ScaledVector;
 use priste_linalg::{Matrix, SparseMatrix, Vector};
-use priste_markov::{Homogeneous, MarkovModel};
+use priste_markov::{Homogeneous, MarkovModel, TransitionMatrix};
 use priste_quantify::lifted::{lift_emission, StepScratch};
 use priste_quantify::{
     EventModel, IncrementalTwoWorld, QuantifyError, StreamStep, TheoremBuilder, TwoWorldEngine,
@@ -191,7 +191,9 @@ proptest! {
     ) {
         let sparse = SparseMatrix::from_dense(&mat, 0.0);
         for chain in [
-            Homogeneous::new(MarkovModel::new(mat.clone()).unwrap()),
+            Homogeneous::new(
+                MarkovModel::from_transition_matrix(TransitionMatrix::Dense(mat.clone())).unwrap(),
+            ),
             Homogeneous::new(MarkovModel::new_sparse(sparse.clone()).unwrap()),
         ] {
             let model = Arc::new(EventModel::new(ev.clone(), &chain).unwrap());
@@ -345,7 +347,9 @@ proptest! {
     ) {
         let sparse = SparseMatrix::from_dense(&mat, 0.0);
         for chain in [
-            Homogeneous::new(MarkovModel::new(mat.clone()).unwrap()),
+            Homogeneous::new(
+                MarkovModel::from_transition_matrix(TransitionMatrix::Dense(mat.clone())).unwrap(),
+            ),
             Homogeneous::new(MarkovModel::new_sparse(sparse.clone()).unwrap()),
         ] {
             let Some(mut plain) = build_or_skip(&ev, &chain, &pi) else { continue };
@@ -370,9 +374,11 @@ proptest! {
 
                 let col = cols.last().unwrap();
                 let want = plain.peek_staged(&mut staged, col).unwrap();
-                let stepped = match plain.next_step_index() {
-                    None => plain.lifted_state().clone(),
-                    Some(idx) => engine.step_at(idx).apply_row(plain.lifted_state()),
+                // The first observation only weights by the emission; the
+                // one after observation `t` applies `step_at(t)` first.
+                let stepped = match plain.observed() {
+                    0 => plain.lifted_state().clone(),
+                    t => engine.step_at(t).apply_row(plain.lifted_state()),
                 };
                 let mut oracle = ScaledVector {
                     vector: stepped.hadamard(&lift_emission(col)).unwrap(),
@@ -408,7 +414,9 @@ proptest! {
     ) {
         let sparse = SparseMatrix::from_dense(&mat, 0.0);
         for chain in [
-            Homogeneous::new(MarkovModel::new(mat.clone()).unwrap()),
+            Homogeneous::new(
+                MarkovModel::from_transition_matrix(TransitionMatrix::Dense(mat.clone())).unwrap(),
+            ),
             Homogeneous::new(MarkovModel::new_sparse(sparse.clone()).unwrap()),
         ] {
             let Some(mut plain) = build_or_skip(&ev, &chain, &pi) else { continue };

@@ -162,7 +162,9 @@ proptest! {
         ev in st_event(5),
         seed in 0u64..u64::MAX / 2,
     ) {
-        let dense = Homogeneous::new(MarkovModel::new(mat.clone()).unwrap());
+        let dense = Homogeneous::new(
+            MarkovModel::from_transition_matrix(TransitionMatrix::Dense(mat.clone())).unwrap(),
+        );
         let sparse = Homogeneous::new(
             MarkovModel::new_sparse(SparseMatrix::from_dense(&mat, 0.0)).unwrap(),
         );

@@ -9,7 +9,7 @@
 
 use priste_event::{Presence, StEvent};
 use priste_geo::{CellId, GridMap, Region};
-use priste_linalg::{Matrix, Vector};
+use priste_linalg::Vector;
 use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous};
 use priste_obs::{json, Registry};
@@ -36,10 +36,6 @@ impl Lppm for Tripwire {
 
     fn budget(&self) -> f64 {
         self.0.budget()
-    }
-
-    fn emission_matrix(&self) -> &Matrix {
-        self.0.emission_matrix()
     }
 
     fn emission_column(&self, observation: CellId) -> Vector {

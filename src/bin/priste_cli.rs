@@ -120,12 +120,12 @@
 //! batched ingest/release work over N workers (0 = all cores) with
 //! identical output for any N.
 //!
-//! Grid scale: `--side N` builds an `N×N` world (`m = N²` cells) with a
-//! dense mobility chain, which is the right backend at the CLI's default
-//! small sides. Past `--side 50` or so a banded world (small `--sigma`)
-//! is better served by the library's CSR path — build the chain with
-//! `priste::markov::gaussian_kernel_chain_sparse` or flip
-//! `Pipeline::sparse_mobility()` on a dense one; see the README's
+//! Grid scale: `--side N` builds an `N×N` world (`m = N²` cells). Its
+//! mobility chain picks its own backend: dense for a full chain, CSR for a
+//! banded one (small `--sigma`), where most entries underflow to zero. The
+//! dense generator still costs `O(m²)` to build, so past `--side 50` or so
+//! a banded world is better built by
+//! `priste::markov::gaussian_kernel_chain_sparse`; see the README's
 //! "Scaling to large grids" section.
 //!
 //! Events use the paper's notation, e.g. `"PRESENCE(S={1:10}, T={4:8})"`.
@@ -521,7 +521,7 @@ fn cmd_world(flags: &Flags) -> Result<(), CliError> {
     }
     let mut max_self = (0usize, 0.0f64);
     for i in 0..grid.num_cells() {
-        let p = chain.transition().get(i, i);
+        let p = chain.transition_matrix().get(i, i);
         if p > max_self.1 {
             max_self = (i, p);
         }

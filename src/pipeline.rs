@@ -132,7 +132,6 @@ pub struct PipelineBuilder {
     grid: GridMap,
     chain: Option<MarkovModel>,
     schedule: Option<Vec<MarkovModel>>,
-    sparse: bool,
     provider: Option<SharedProvider>,
     events: Vec<StEvent>,
     mechanism: Option<MechanismSpec>,
@@ -162,22 +161,6 @@ impl PipelineBuilder {
     /// `schedule[min(t−1, len−1)]`.
     pub fn mobility_schedule(mut self, schedule: Vec<MarkovModel>) -> Self {
         self.schedule = Some(schedule);
-        self
-    }
-
-    /// Converts the mobility model(s) to their density-optimal backend at
-    /// build time ([`MarkovModel::with_auto_backend`]): chains whose
-    /// transition matrix is at or below the
-    /// [`SPARSE_DENSITY_CUTOVER`](priste_markov::SPARSE_DENSITY_CUTOVER)
-    /// density run on the CSR backend, so every derived mode — audit,
-    /// serve, enforce, the cluster — pays `O(nnz)` per observation instead
-    /// of `O(m²)`. Dense-enough chains are left dense; chains built sparse
-    /// (e.g. by [`priste_markov::gaussian_kernel_chain_sparse`]) are
-    /// already sparse-backed and need no knob. Applies to
-    /// [`Self::mobility`] and every model of [`Self::mobility_schedule`];
-    /// pre-built [`Self::mobility_provider`]s are used as supplied.
-    pub fn sparse_mobility(mut self) -> Self {
-        self.sparse = true;
         self
     }
 
@@ -327,22 +310,11 @@ impl PipelineBuilder {
                 self.epsilon
             )));
         }
-        let chain = if self.sparse {
-            self.chain.map(MarkovModel::with_auto_backend)
-        } else {
-            self.chain
-        };
-        let schedule = if self.sparse {
-            self.schedule
-                .map(|s| s.into_iter().map(MarkovModel::with_auto_backend).collect())
-        } else {
-            self.schedule
-        };
         let provider: SharedProvider = if let Some(provider) = self.provider {
             provider
-        } else if let Some(schedule) = schedule {
+        } else if let Some(schedule) = self.schedule {
             Arc::new(TimeVarying::new(schedule)?)
-        } else if let Some(chain) = chain.clone() {
+        } else if let Some(chain) = self.chain.clone() {
             Arc::new(Homogeneous::new(chain))
         } else {
             return Err(PristeError::pipeline(
@@ -400,7 +372,7 @@ impl PipelineBuilder {
 
         Ok(Pipeline {
             grid: self.grid,
-            chain,
+            chain: self.chain,
             provider,
             events: self.events,
             mechanism: self.mechanism,
@@ -504,7 +476,6 @@ impl Pipeline {
             grid,
             chain: None,
             schedule: None,
-            sparse: false,
             provider: None,
             events: Vec::new(),
             mechanism: None,
@@ -599,8 +570,8 @@ impl Pipeline {
     ///
     /// # Errors
     /// [`PristeError::Pipeline`] when events or the mechanism are missing,
-    /// or when a δ-location audit lacks a concrete chain or was given a
-    /// sparse-backed one; layer errors.
+    /// or when a δ-location audit lacks a concrete chain (dense or CSR, either
+    /// serves); layer errors.
     pub fn audit(&self) -> Result<Audit> {
         let mechanism = self.require_mechanism()?;
         let source: AuditSource = if let Some(delta) = self.delta {
@@ -609,12 +580,6 @@ impl Pipeline {
                     "a delta-location audit needs a concrete chain: call .mobility(chain)",
                 )
             })?;
-            if chain.is_sparse() {
-                return Err(PristeError::pipeline(
-                    "delta-location audits rebuild mechanisms from the dense transition \
-                     matrix; supply a dense chain or drop .sparse_mobility()",
-                ));
-            }
             Box::new(DeltaLocSource::new(
                 self.grid.clone(),
                 delta,
@@ -1094,14 +1059,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_mobility_converts_banded_chains_and_serves() {
-        // σ = 0.5 km on a 20×20 grid of 1 km cells: ≤ 45 kept cells a row
-        // on 400 cells sit below the cutover density, so CSR is kept.
+    fn banded_chains_pick_csr_and_serve() {
+        // σ = 0.1 km on a 20×20 grid of 1 km cells: the kernel underflows
+        // to zero past ~3.9 km, so the dense generator's matrix sits far
+        // below the cutover density and `MarkovModel::new` picks CSR itself.
         let grid = GridMap::new(20, 20, 1.0).unwrap();
-        let chain = priste_markov::gaussian_kernel_chain_sparse(&grid, 0.5).unwrap();
+        let chain = gaussian_kernel_chain(&grid, 0.1).unwrap();
         let pipeline = Pipeline::on(grid)
             .mobility(chain)
-            .sparse_mobility()
             .event_spec("PRESENCE(S={1:3}, T={2:3})")
             .planar_laplace(0.8)
             .build()
@@ -1121,33 +1086,57 @@ mod tests {
     }
 
     #[test]
-    fn sparse_mobility_leaves_dense_chains_dense() {
+    fn full_chains_stay_dense() {
         // σ = 1000 approaches uniform: density 1.0, far above the cutover,
-        // so auto-backend keeps the dense representation.
+        // so the chain keeps the dense representation.
         let (grid, _) = small();
         let chain = gaussian_kernel_chain(&grid, 1000.0).unwrap();
-        let pipeline = Pipeline::on(grid)
-            .mobility(chain)
-            .sparse_mobility()
-            .build()
-            .unwrap();
+        let pipeline = Pipeline::on(grid).mobility(chain).build().unwrap();
         assert!(!pipeline.chain().unwrap().is_sparse());
     }
 
     #[test]
-    fn delta_location_audit_rejects_sparse_chains() {
-        let grid = GridMap::new(20, 20, 1.0).unwrap();
-        let chain = priste_markov::gaussian_kernel_chain_sparse(&grid, 0.5).unwrap();
-        let err = Pipeline::on(grid)
-            .mobility(chain)
-            .event_spec("PRESENCE(S={1:3}, T={2:3})")
-            .planar_laplace(1.0)
-            .delta_location(0.2)
-            .build()
-            .unwrap()
-            .audit()
-            .unwrap_err();
-        assert!(err.to_string().contains("dense"), "{err}");
+    fn delta_location_audit_runs_on_csr_chains() {
+        // Algorithm 3's construction step is one product with the chain, so
+        // a CSR chain releases exactly what its dense twin releases.
+        let grid = GridMap::new(6, 6, 1.0).unwrap();
+        let sparse = priste_markov::gaussian_kernel_chain_sparse(&grid, 0.5).unwrap();
+        let dense = MarkovModel::from_transition_matrix(priste_markov::TransitionMatrix::Dense(
+            sparse.transition_matrix().to_dense_matrix(),
+        ))
+        .unwrap();
+        assert!(sparse.is_sparse() && !dense.is_sparse());
+        let mut rng = StdRng::seed_from_u64(17);
+        let trajectory = sparse.sample_trajectory(CellId(14), 8, &mut rng).unwrap();
+        let records = |chain: MarkovModel| {
+            let mut audit = Pipeline::on(grid.clone())
+                .mobility(chain)
+                .event_spec("PRESENCE(S={13:16}, T={3:5})")
+                .planar_laplace(1.0)
+                .delta_location(0.2)
+                .target_epsilon(0.5)
+                .audit()
+                .unwrap();
+            let mut rng = StdRng::seed_from_u64(29);
+            trajectory
+                .iter()
+                .map(|&cell| {
+                    let r = audit.release(cell, &mut rng).unwrap();
+                    (
+                        r.t,
+                        r.observed,
+                        r.final_budget.to_bits(),
+                        r.attempts,
+                        r.conservative_hits,
+                        r.euclid_km.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let on_csr = records(sparse);
+        assert_eq!(on_csr, records(dense));
+        // The trajectory exercises the budget ladder, not only first tries.
+        assert!(on_csr.iter().any(|r| r.3 > 1), "{on_csr:?}");
     }
 
     #[test]
