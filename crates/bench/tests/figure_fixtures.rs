@@ -1,8 +1,12 @@
 //! The smoke-scale figures against committed CSVs.
 //!
-//! `fig7` runs the α-PLM audit, `fig10` the δ-location audit, and `fig13`
-//! sweeps σ from worlds whose chains run on CSR (σ = 0.01) to full dense
-//! ones (σ = 10). Each experiment's CSV text, in the `output::write_csv`
+//! `fig7` and `fig8` run the α-PLM audit on an early and a late event,
+//! `fig9` on both at once and `fig_pattern` on a PATTERN event; `fig10`
+//! runs the δ-location audit; `fig11` and `fig12` run the GeoLife-style
+//! world under the α-PLM and under δ-location sets (whose rungs are
+//! restricted Planar Laplace mechanisms); and `fig13` sweeps
+//! σ from worlds whose chains run on CSR (σ = 0.01) to full dense ones
+//! (σ = 10). Each experiment's CSV text, in the `output::write_csv`
 //! format, must match `tests/fixtures/experiments/<id>.csv` at the
 //! repository root byte for byte: a change of backend, of mechanism
 //! storage or of summation order shows up here as a changed digit.
@@ -35,8 +39,33 @@ fn fig7_matches_the_committed_csvs() {
 }
 
 #[test]
+fn fig8_matches_the_committed_csvs() {
+    assert_matches_fixtures("fig8", experiments::fig8(&Scale::smoke()));
+}
+
+#[test]
+fn fig9_matches_the_committed_csvs() {
+    assert_matches_fixtures("fig9", experiments::fig9(&Scale::smoke()));
+}
+
+#[test]
+fn fig_pattern_matches_the_committed_csvs() {
+    assert_matches_fixtures("fig_pattern", experiments::fig_pattern(&Scale::smoke()));
+}
+
+#[test]
 fn fig10_matches_the_committed_csvs() {
     assert_matches_fixtures("fig10", experiments::fig10(&Scale::smoke()));
+}
+
+#[test]
+fn fig11_matches_the_committed_csvs() {
+    assert_matches_fixtures("fig11", experiments::fig11(&Scale::smoke()));
+}
+
+#[test]
+fn fig12_matches_the_committed_csvs() {
+    assert_matches_fixtures("fig12", experiments::fig12(&Scale::smoke()));
 }
 
 #[test]

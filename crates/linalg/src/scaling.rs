@@ -74,15 +74,31 @@ impl ScaledVector {
     /// Pulls the carried vector back into floating-point range, folding the
     /// extracted factor into `log_scale`.
     pub fn renormalize(&mut self) {
-        let peak = self.vector.max_abs();
-        if peak == 0.0 || !peak.is_finite() {
-            return; // zero vector stays zero; non-finite is surfaced to callers
+        Self::renormalize_parts(&mut [self.vector.as_mut_slice()], &mut self.log_scale);
+    }
+
+    /// [`ScaledVector::renormalize`] of a vector stored in pieces, with
+    /// the same bits: one peak over every piece, in order, and one factor
+    /// applied to each. Returns that factor (`1.0` when nothing moved). A
+    /// piece left out stands for zeros, which do not move the peak and
+    /// stay zeros under any finite factor; a peak in the subnormal range
+    /// overflows the factor to `+∞`, which turns a zero into NaN.
+    pub fn renormalize_parts(parts: &mut [&mut [f64]], log_scale: &mut f64) -> f64 {
+        let peak = parts
+            .iter()
+            .flat_map(|p| p.iter())
+            .fold(0.0_f64, |m, x| m.max(x.abs()));
+        if peak == 0.0 || !peak.is_finite() || (RENORM_LO..=RENORM_HI).contains(&peak) {
+            // A zero vector stays zero; non-finite is surfaced to callers.
+            return 1.0;
         }
-        if !(RENORM_LO..=RENORM_HI).contains(&peak) {
-            let shift = peak.ln();
-            self.vector.scale_mut((-shift).exp());
-            self.log_scale += shift;
+        let shift = peak.ln();
+        let factor = (-shift).exp();
+        for x in parts.iter_mut().flat_map(|p| p.iter_mut()) {
+            *x *= factor;
         }
+        *log_scale += shift;
+        factor
     }
 
     /// Rescales `self` and `other` to a common `log_scale` (the larger of the

@@ -21,7 +21,7 @@ use crate::mechanism::{sample_row, Lppm};
 use crate::planar_laplace::PlanarLaplace;
 use crate::{LppmError, Result};
 use priste_geo::{CellId, GridMap, Region};
-use priste_linalg::{Matrix, Vector};
+use priste_linalg::Vector;
 use rand::RngCore;
 
 /// Factory for per-timestep δ-location-set mechanisms over a fixed grid.
@@ -110,14 +110,24 @@ impl DeltaLocationSet {
 /// An α-PLM with its output domain restricted to a fixed cell set — the
 /// concrete per-timestep mechanism of Algorithm 3 (line 4: "o_t ← α-PLM
 /// within ∆X_t").
+///
+/// Row `i` of its emission matrix is the base PLM's row of `i`'s surrogate,
+/// masked to the set and divided by its in-order sum (every entry `1/m`
+/// when that sum is not positive:
+/// [`priste_linalg::Matrix::normalize_rows_mut`]'s rule).
+/// The mechanism keeps the base PLM, the surrogates and one normalizer per
+/// set cell, and computes each entry it reads in `O(1)`, so a column or a
+/// sampled row costs `O(m)` and the mechanism `O(m)` memory, not the
+/// `O(m²)` of the matrix.
 #[derive(Debug, Clone)]
 pub struct RestrictedPlm {
-    grid: GridMap,
+    base: PlanarLaplace,
     set: Region,
-    alpha: f64,
-    /// The restricted emission matrix (`O(m²)`), read only by column and
-    /// by row through [`Lppm`].
-    emission: Matrix,
+    /// Surrogate per true cell ([`surrogates`]).
+    surrogates: Vec<usize>,
+    /// Per cell of the set, the in-order sum of its masked base row: the
+    /// normalizer of every row it is the surrogate of. Unused elsewhere.
+    norms: Vec<f64>,
 }
 
 impl RestrictedPlm {
@@ -130,26 +140,22 @@ impl RestrictedPlm {
         if set.is_empty() {
             return Err(LppmError::EmptyOutputDomain);
         }
-        let base = PlanarLaplace::new(grid.clone(), alpha)?;
-        let m = grid.num_cells();
-        let mask = set.indicator();
-        let mut emission = Matrix::zeros(m, m);
-        for (i, src) in surrogates(&grid, &set).into_iter().enumerate() {
-            for ((v, p), &keep) in emission
-                .row_mut(i)
-                .iter_mut()
-                .zip(base.row(src))
+        let surrogates = surrogates(&grid, &set);
+        let base = PlanarLaplace::new(grid, alpha)?;
+        let mask = &set.masks().0;
+        let mut norms = vec![0.0; surrogates.len()];
+        for src in set.iter().map(CellId::index) {
+            norms[src] = base
+                .row(src)
                 .zip(mask.as_slice())
-            {
-                *v = p * keep;
-            }
+                .map(|(p, keep)| p * keep)
+                .sum();
         }
-        emission.normalize_rows_mut();
         Ok(RestrictedPlm {
-            grid,
+            base,
             set,
-            alpha,
-            emission,
+            surrogates,
+            norms,
         })
     }
 
@@ -157,31 +163,51 @@ impl RestrictedPlm {
     pub fn output_set(&self) -> &Region {
         &self.set
     }
+
+    /// Entry `(i, j)` of the restricted emission matrix, given the mask
+    /// value `keep` of output cell `j`.
+    fn entry(&self, i: usize, j: usize, keep: f64) -> f64 {
+        let src = self.surrogates[i];
+        let sum = self.norms[src];
+        if sum > 0.0 {
+            self.base.entry_at(src, j) * keep / sum
+        } else {
+            1.0 / self.surrogates.len() as f64
+        }
+    }
 }
 
 impl Lppm for RestrictedPlm {
     fn num_cells(&self) -> usize {
-        self.grid.num_cells()
+        self.surrogates.len()
     }
 
     fn budget(&self) -> f64 {
-        self.alpha
+        self.base.budget()
     }
 
     fn emission_column(&self, observation: CellId) -> Vector {
-        self.emission.col(observation.index())
+        let j = observation.index();
+        let keep = self.set.masks().0[j];
+        (0..self.num_cells())
+            .map(|i| self.entry(i, j, keep))
+            .collect()
     }
 
     fn perturb(&self, true_loc: CellId, rng: &mut dyn RngCore) -> CellId {
+        let i = true_loc.index();
+        let mask = self.set.masks().0.as_slice();
         CellId(sample_row(
-            self.emission.row(true_loc.index()).iter().copied(),
+            mask.iter()
+                .enumerate()
+                .map(|(j, &keep)| self.entry(i, j, keep)),
             rng,
         ))
     }
 
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {
         Ok(Box::new(RestrictedPlm::new(
-            self.grid.clone(),
+            self.base.grid().clone(),
             self.set.clone(),
             budget,
         )?))
@@ -257,6 +283,7 @@ impl PosteriorTracker {
 mod tests {
     use super::*;
     use crate::mechanism::dense_emission;
+    use priste_linalg::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -326,23 +353,90 @@ mod tests {
         }
     }
 
-    #[test]
-    fn restriction_matches_the_materialised_base() {
-        let grid = GridMap::new(3, 4, 1.0).unwrap();
-        let set = Region::from_cells(12, [CellId(1), CellId(6), CellId(11)]).unwrap();
-        let restricted = RestrictedPlm::new(grid.clone(), set.clone(), 0.6).unwrap();
-        let base = dense_emission(&PlanarLaplace::new(grid.clone(), 0.6).unwrap());
+    /// The restricted matrix as it was built before the mechanism kept
+    /// only its normalizers: every masked surrogate row written out, then
+    /// normalized in place.
+    fn dense_build(grid: &GridMap, set: &Region, alpha: f64) -> Matrix {
+        let base = PlanarLaplace::new(grid.clone(), alpha).unwrap();
+        let m = grid.num_cells();
         let mask = set.indicator();
-        let mut expected = Matrix::zeros(12, 12);
-        for (i, src) in surrogates(&grid, &set).into_iter().enumerate() {
-            let base_row = base.row(src);
-            for (j, v) in expected.row_mut(i).iter_mut().enumerate() {
-                *v = base_row[j] * mask[j];
+        let mut emission = Matrix::zeros(m, m);
+        for (i, src) in surrogates(grid, set).into_iter().enumerate() {
+            for ((v, p), &keep) in emission
+                .row_mut(i)
+                .iter_mut()
+                .zip(base.row(src))
+                .zip(mask.as_slice())
+            {
+                *v = p * keep;
             }
         }
-        expected.normalize_rows_mut();
-        assert_eq!(restricted.emission.as_slice(), expected.as_slice());
-        assert_eq!(dense_emission(&restricted).as_slice(), expected.as_slice());
+        emission.normalize_rows_mut();
+        emission
+    }
+
+    #[test]
+    fn restriction_matches_the_materialised_base() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // α = 1e4 underflows every kernel mass but a cell's own, so each
+        // masked row keeps one entry.
+        let cases = [
+            (GridMap::new(3, 4, 1.0).unwrap(), vec![1, 6, 11], 0.6),
+            (GridMap::new(2, 2, 1.0).unwrap(), vec![0], 1.0),
+            (GridMap::new(5, 5, 0.5).unwrap(), vec![0, 12, 13, 24], 2.0),
+            (GridMap::new(5, 5, 0.5).unwrap(), (0..25).collect(), 0.3),
+            (GridMap::new(1, 7, 1.0).unwrap(), vec![3], 1e4),
+            (GridMap::new(4, 3, 1.0).unwrap(), vec![2, 7], 1e4),
+        ];
+        for (grid, cells, alpha) in cases {
+            let m = grid.num_cells();
+            let set = Region::from_cells(m, cells.into_iter().map(CellId)).unwrap();
+            let plm = RestrictedPlm::new(grid.clone(), set.clone(), alpha).unwrap();
+            let dense = dense_build(&grid, &set, alpha);
+            for j in 0..m {
+                assert_eq!(
+                    bits(plm.emission_column(CellId(j)).as_slice()),
+                    bits(dense.col(j).as_slice()),
+                    "column {j}, alpha {alpha}"
+                );
+            }
+            let mask = set.indicator();
+            for i in 0..m {
+                let row: Vec<f64> = (0..m).map(|j| plm.entry(i, j, mask[j])).collect();
+                assert_eq!(bits(&row), bits(dense.row(i)), "row {i}, alpha {alpha}");
+                // `perturb` samples that row with the draws the dense row took.
+                let (mut a, mut b) = (
+                    StdRng::seed_from_u64(i as u64),
+                    StdRng::seed_from_u64(i as u64),
+                );
+                for _ in 0..20 {
+                    assert_eq!(
+                        plm.perturb(CellId(i), &mut a).index(),
+                        sample_row(dense.row(i).iter().copied(), &mut b)
+                    );
+                }
+            }
+            assert_eq!(dense_emission(&plm).as_slice(), dense.as_slice());
+        }
+        // A row whose masked sum is not positive is uniform over all m
+        // cells, as `normalize_rows_mut` makes it. No PLM row gets there (a
+        // cell's own kernel mass is positive), so the sum is forced.
+        let grid = GridMap::new(3, 3, 1.0).unwrap();
+        let set = Region::from_cells(9, [CellId(4), CellId(8)]).unwrap();
+        let mut plm = RestrictedPlm::new(grid.clone(), set.clone(), 1.0).unwrap();
+        plm.norms[4] = 0.0;
+        let mut dense = dense_build(&grid, &set, 1.0);
+        for i in (0..9).filter(|&i| plm.surrogates[i] == 4) {
+            dense.row_mut(i).fill(0.0);
+        }
+        dense.normalize_rows_mut();
+        assert_eq!(dense.row(4), &[1.0 / 9.0; 9]);
+        for j in 0..9 {
+            assert_eq!(
+                bits(plm.emission_column(CellId(j)).as_slice()),
+                bits(dense.col(j).as_slice())
+            );
+        }
     }
 
     #[test]

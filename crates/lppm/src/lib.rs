@@ -15,6 +15,8 @@
 //! * [`DeltaLocationSet`] — δ-location-set privacy (Xiao & Xiong, CCS'15),
 //!   §IV.D's case study: the emission domain restricted to the smallest cell
 //!   set carrying prior mass ≥ 1−δ, with the Eq. (21) posterior update.
+//!   Its restricted mechanism reads a Planar Laplace kernel through each
+//!   cell's surrogate and keeps one normalizer per set cell, `O(m)` too.
 //! * [`UniformMechanism`] — the baseline: the α→0 limit that §IV.C's
 //!   convergence argument relies on; it stores only `m`.
 

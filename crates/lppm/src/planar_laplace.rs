@@ -110,6 +110,15 @@ impl PlanarLaplace {
         self.raw_row(i).map(move |k| entry(k, row_sum, uniform))
     }
 
+    /// Entry `(i, j)` of the emission matrix in `O(1)`: the bits
+    /// [`PlanarLaplace::row`] yields for row `i` at position `j`.
+    pub(crate) fn entry_at(&self, i: usize, j: usize) -> f64 {
+        let (rows, cols) = (self.grid.rows(), self.grid.cols());
+        let width = 2 * cols - 1;
+        let offset = (rows - 1 - i / cols + j / cols) * width + (cols - 1 - i % cols + j % cols);
+        entry(self.kernel[offset], self.row_sums[i], self.uniform())
+    }
+
     /// Raw kernel masses of row `i`: for each output row the offsets
     /// `(rj − ri, 0 − ci), (rj − ri, 1 − ci), …` are one contiguous run.
     fn raw_row(&self, i: usize) -> impl Iterator<Item = f64> + Clone + '_ {

@@ -52,16 +52,32 @@ pub(crate) trait Sink {
         self.put_bytes(&v.to_le_bytes());
     }
 
-    /// Length-prefixed (`u64`) slice of raw IEEE-754 doubles, handed to the
-    /// sink in 4 KiB chunks rather than one call per element.
+    /// Length-prefixed (`u64`) slice of raw IEEE-754 doubles.
     fn put_f64_slice(&mut self, vs: &[f64]) {
         self.put_u64(vs.len() as u64);
+        self.put_f64_words(vs);
+    }
+
+    /// Raw IEEE-754 doubles with no length prefix, handed to the sink in
+    /// 4 KiB chunks rather than one call per element.
+    fn put_f64_words(&mut self, vs: &[f64]) {
         let mut chunk = [0u8; 4096];
         for part in vs.chunks(chunk.len() / 8) {
             for (dst, v) in chunk.chunks_exact_mut(8).zip(part) {
                 dst.copy_from_slice(&v.to_le_bytes());
             }
             self.put_bytes(&chunk[..part.len() * 8]);
+        }
+    }
+
+    /// `n` words of `+0.0` (all-zero bytes), in 4 KiB chunks.
+    fn put_zero_words(&mut self, n: usize) {
+        let chunk = [0u8; 4096];
+        let mut left = n * 8;
+        while left > 0 {
+            let part = left.min(chunk.len());
+            self.put_bytes(&chunk[..part]);
+            left -= part;
         }
     }
 }

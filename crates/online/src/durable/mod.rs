@@ -83,7 +83,8 @@ mod wal;
 
 pub(crate) use codec::{fnv1a64, word_hash, Fnv1a64};
 pub(crate) use snapshot::{
-    encode_payload, Layout, SessionSnap, SnapshotSource, SnapshotState, WindowSnap,
+    encode_payload, BorrowedSession, Layout, Lifted, SessionSnap, SnapshotSource, SnapshotState,
+    WindowSnap,
 };
 pub(crate) use wal::{Emitter, WalRecord, WalScan, WalTail, WalWriter};
 

@@ -70,11 +70,21 @@ const VEC_INLINE: u8 = 0;
 /// follows.
 const VEC_REF: u8 = 1;
 
+/// A window's forward mantissa as the encoder reads it in place from a
+/// live window: its false half and, once the window's event has opened,
+/// its true half. It is written as the logical `2m` vector, an absent true
+/// half as `m` words of `+0.0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Lifted<'a> {
+    pub(crate) f: &'a [f64],
+    pub(crate) t: Option<&'a [f64]>,
+}
+
 /// One event window's replay seed. `V` is `Arc<Vector>` when decoded (a
 /// vector the file shares is one allocation) and `&[f64]` when encoded in
-/// place from a live window.
+/// place from a live window, whose mantissa `L` is then a [`Lifted`].
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WindowSnap<V = Arc<Vector>> {
+pub(crate) struct WindowSnap<V = Arc<Vector>, L = V> {
     /// Template index the window was instantiated from.
     pub(crate) template: u32,
     /// Window-local cursor (observations consumed since attach).
@@ -84,13 +94,16 @@ pub(crate) struct WindowSnap<V = Arc<Vector>> {
     /// Attach-time prior the window was seeded with.
     pub(crate) pi: V,
     /// Stacked two-world forward mantissa (length `2m`).
-    pub(crate) mantissa: V,
+    pub(crate) mantissa: L,
 }
+
+/// A session as the encoder reads it in place from the live service.
+pub(crate) type BorrowedSession<'a> = SessionSnap<&'a [f64], Lifted<'a>>;
 
 /// One user session's persisted state (vectors shared or borrowed, as for
 /// [`WindowSnap`]).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SessionSnap<V = Arc<Vector>> {
+pub(crate) struct SessionSnap<V = Arc<Vector>, L = V> {
     /// User id.
     pub(crate) user: u64,
     /// User-local clock.
@@ -106,7 +119,7 @@ pub(crate) struct SessionSnap<V = Arc<Vector>> {
     /// Filtered location posterior.
     pub(crate) posterior: V,
     /// Active windows, in attach order.
-    pub(crate) windows: Vec<WindowSnap<V>>,
+    pub(crate) windows: Vec<WindowSnap<V, L>>,
 }
 
 /// Full service state at a checkpoint, as decoded from disk.
@@ -132,7 +145,7 @@ pub(crate) trait SnapshotSource {
     /// How many sessions [`SnapshotSource::for_each_session`] visits.
     fn num_sessions(&self) -> usize;
     /// Visits every session in canonical order: shard-major, then user id.
-    fn for_each_session(&self, visit: &mut dyn FnMut(SessionSnap<&[f64]>));
+    fn for_each_session(&self, visit: &mut dyn FnMut(BorrowedSession<'_>));
 }
 
 #[cfg(test)]
@@ -149,7 +162,7 @@ impl SnapshotSource for SnapshotState {
         self.sessions.len()
     }
 
-    fn for_each_session(&self, visit: &mut dyn FnMut(SessionSnap<&[f64]>)) {
+    fn for_each_session(&self, visit: &mut dyn FnMut(BorrowedSession<'_>)) {
         for s in &self.sessions {
             visit(SessionSnap {
                 user: s.user,
@@ -167,7 +180,10 @@ impl SnapshotSource for SnapshotState {
                         t: w.t,
                         log_scale: w.log_scale,
                         pi: w.pi.as_slice(),
-                        mantissa: w.mantissa.as_slice(),
+                        mantissa: Lifted {
+                            f: &w.mantissa.as_slice()[..w.pi.len()],
+                            t: Some(&w.mantissa.as_slice()[w.pi.len()..]),
+                        },
                     })
                     .collect(),
             });
@@ -184,30 +200,54 @@ pub(crate) enum Layout {
     Shared,
 }
 
-/// Writes one vector slot. With `ids` (the [`Layout::Shared`] writer) a
-/// vector seen before is keyed by its allocation — address and length —
-/// and written as a reference. Address keys are sound because the source
-/// borrows every vector for the whole encode: no allocation can be freed
-/// and reused mid-payload.
-fn put_vector(w: &mut dyn Sink, ids: Option<&mut HashMap<(usize, usize), u32>>, v: &[f64]) {
-    let Some(ids) = ids else {
-        return w.put_f64_slice(v);
-    };
-    let next = ids.len();
-    match ids.entry((v.as_ptr() as usize, v.len())) {
-        Entry::Occupied(id) => {
-            w.put_u8(VEC_REF);
-            w.put_u32(*id.get());
-        }
-        Entry::Vacant(slot) => {
-            // Past 2³² distinct vectors the rest are simply never shared.
-            if let Ok(id) = u32::try_from(next) {
-                slot.insert(id);
+/// What the [`Layout::Shared`] writer keys a vector slot by: the
+/// addresses of its pieces (the second `0` for a one-piece vector and for
+/// an absent true half) and its logical length.
+type SlotKey = (usize, usize, usize);
+
+/// Writes one vector slot of `len` logical words: `head` then, when
+/// given, `tail`, and `+0.0` words up to `len`. With `ids` (the
+/// [`Layout::Shared`] writer) a vector seen before is keyed by its
+/// allocation — its pieces' addresses and its length — and written as a
+/// reference. Address keys are sound because the source borrows every
+/// vector for the whole encode: no allocation can be freed and reused
+/// mid-payload.
+fn put_vector(
+    w: &mut dyn Sink,
+    ids: Option<&mut HashMap<SlotKey, u32>>,
+    head: &[f64],
+    tail: Option<&[f64]>,
+    len: usize,
+) {
+    if let Some(ids) = ids {
+        let next = ids.len();
+        let key = (
+            head.as_ptr() as usize,
+            tail.map_or(0, |t| t.as_ptr() as usize),
+            len,
+        );
+        match ids.entry(key) {
+            Entry::Occupied(id) => {
+                w.put_u8(VEC_REF);
+                w.put_u32(*id.get());
+                return;
             }
-            w.put_u8(VEC_INLINE);
-            w.put_f64_slice(v);
+            Entry::Vacant(slot) => {
+                // Past 2³² distinct vectors the rest are simply never shared.
+                if let Ok(id) = u32::try_from(next) {
+                    slot.insert(id);
+                }
+                w.put_u8(VEC_INLINE);
+            }
         }
     }
+    w.put_u64(len as u64);
+    w.put_f64_words(head);
+    let written = head.len() + tail.map_or(0, |t| t.len());
+    if let Some(tail) = tail {
+        w.put_f64_words(tail);
+    }
+    w.put_zero_words(len.saturating_sub(written));
 }
 
 /// Streams the snapshot payload (no file header) into `w`. The
@@ -237,14 +277,15 @@ pub(crate) fn encode_payload(state: &dyn SnapshotSource, w: &mut dyn Sink, layou
         w.put_f64(s.spent);
         w.put_u64(s.observations);
         w.put_u64(s.violations);
-        put_vector(w, ids.as_mut(), s.posterior);
+        put_vector(w, ids.as_mut(), s.posterior, None, s.posterior.len());
         w.put_u32(s.windows.len() as u32);
         for win in &s.windows {
             w.put_u32(win.template);
             w.put_u64(win.t);
             w.put_f64(win.log_scale);
-            put_vector(w, ids.as_mut(), win.pi);
-            put_vector(w, ids.as_mut(), win.mantissa);
+            put_vector(w, ids.as_mut(), win.pi, None, win.pi.len());
+            let Lifted { f, t } = win.mantissa;
+            put_vector(w, ids.as_mut(), f, t, 2 * f.len());
         }
     });
     assert_eq!(written, count, "snapshot source miscounted its sessions");

@@ -4,8 +4,8 @@
 //! batch is a loop of those sections, spread over the shards.
 
 use crate::durable::{
-    self, DurableError, DurableOptions, DurableStore, Emitter, SessionSnap, SnapshotSource,
-    SnapshotState, WalRecord, WalTail, WalWriter, WindowSnap,
+    self, BorrowedSession, DurableError, DurableOptions, DurableStore, Emitter, Lifted,
+    SessionSnap, SnapshotSource, SnapshotState, WalRecord, WalTail, WalWriter, WindowSnap,
 };
 use crate::obs::{RecoveryInfo, ServiceInstruments, StoreInstruments};
 use crate::priors::{same_bits, PriorTable};
@@ -64,7 +64,9 @@ pub fn shard_rng(seed: u64, shard: usize) -> StdRng {
 /// through that stage, so it never touches `step`. Kept across calls, so
 /// a steady-state observation or release of a session that owns its
 /// vectors allocates no `O(m)` buffer (at `m = 2500` the scratch itself is
-/// about 140 KB, plus 120 KB per staged window).
+/// at most about 100 KB, plus at most 80 KB per staged window: a step
+/// scratch holds the stepped and weighed halves, and sizes its true halves
+/// only once a window whose event has opened passes through it).
 #[derive(Debug, Default)]
 struct ShardScratch {
     moved: Vec<f64>,
@@ -105,12 +107,74 @@ impl Drop for Lease<'_> {
 /// id.
 type ShardJob<'b, T> = (usize, BTreeMap<u64, &'b T>);
 
-/// One shard: its sessions and, while a durable store is attached, the
+/// One shard: its sessions, the vectors of the windows it evicted that
+/// its windows will take again and, while a durable store is attached, the
 /// writer of its WAL segment.
+///
+/// A window stores its true half only once its event opens, so it
+/// allocates an `m`-vector then, long after its first observation. The
+/// shard keeps the vectors of the windows it evicts (`spares`) and hands
+/// them to the scratch that weighs its next openings and first
+/// observations, so that memory comes back to this shard's windows
+/// whichever thread serves them; left to the allocator, a vector freed by
+/// one worker thread is not reused by the others. The shard keeps no more
+/// spares than it has windows that have not opened (`unopened`), each of
+/// which will take at least one.
 #[derive(Debug)]
 struct Shard<P> {
     sessions: BTreeMap<u64, Session<P>>,
     wal: Option<WalWriter>,
+    spares: Vec<Vector>,
+    unopened: usize,
+}
+
+impl<P: TransitionProvider> Shard<P> {
+    fn new() -> Self {
+        Shard {
+            sessions: BTreeMap::new(),
+            wal: None,
+            spares: Vec::new(),
+            unopened: 0,
+        }
+    }
+
+    /// Removes a session, returning whether it existed.
+    fn remove(&mut self, uid: u64) -> bool {
+        let Some(session) = self.sessions.remove(&uid) else {
+            return false;
+        };
+        opened(
+            &mut self.spares,
+            &mut self.unopened,
+            session.unopened_windows(),
+        );
+        true
+    }
+}
+
+/// Counts `count` windows of a shard (its `spares` and `unopened`) as
+/// opened, dropping spares beyond the ones its windows will still take.
+fn opened(spares: &mut Vec<Vector>, unopened: &mut usize, count: usize) {
+    debug_assert!(count <= *unopened, "more windows opened than were counted");
+    *unopened = unopened.saturating_sub(count);
+    spares.truncate(*unopened);
+}
+
+/// Takes back a window that left a shard: it no longer counts as
+/// unopened, and the vectors it alone held become spares.
+fn recycle<P: TransitionProvider>(
+    spares: &mut Vec<Vector>,
+    unopened: &mut usize,
+    gone: EventWindow<P>,
+) {
+    if gone.state.true_half().is_none() {
+        opened(spares, unopened, 1);
+    }
+    for half in gone.state.into_halves() {
+        if spares.len() < *unopened {
+            spares.push(half);
+        }
+    }
 }
 
 /// A shard reached through `&mut self`, which no other call can hold: no
@@ -304,7 +368,7 @@ impl<P: TransitionProvider> SnapshotSource for LiveState<'_, P> {
         self.shards.iter().map(|s| s.len()).sum()
     }
 
-    fn for_each_session(&self, visit: &mut dyn FnMut(SessionSnap<&[f64]>)) {
+    fn for_each_session(&self, visit: &mut dyn FnMut(BorrowedSession<'_>)) {
         for session in self.shards.iter().flat_map(|s| s.values()) {
             visit(SessionSnap {
                 user: session.id().0,
@@ -322,7 +386,10 @@ impl<P: TransitionProvider> SnapshotSource for LiveState<'_, P> {
                         t: w.state.observed() as u64,
                         log_scale: w.state.log_scale(),
                         pi: w.state.pi().as_slice(),
-                        mantissa: w.state.lifted_state().as_slice(),
+                        mantissa: Lifted {
+                            f: w.state.false_half().as_slice(),
+                            t: w.state.true_half().map(Vector::as_slice),
+                        },
                     })
                     .collect(),
             });
@@ -419,8 +486,10 @@ fn window_report(
 /// yet clones that (template, prior) pair's cached start — the shared `π`
 /// and lifted initial vector — in `O(1)`. An idle user therefore costs
 /// `O(1)` memory (a few hundred bytes); the first observation gives the
-/// session its own posterior and forward vectors, `O(m)` from then on
-/// (about 60 KB at `m = 2500` with one window). From then on observations
+/// session its own posterior and forward vectors, `O(m)` from then on:
+/// about 40 KB at `m = 2500` with one window whose event has not opened
+/// yet (the window stores its false half only), and 60 KB once it has.
+/// From then on observations
 /// overwrite those vectors in place, and the durable journal encodes into a
 /// buffer it keeps, so a steady-state ingest allocates no `O(m)` buffer; a
 /// vector another session, window, clone or cache still holds is copied on
@@ -511,12 +580,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             });
         }
         let shards = (0..config.num_shards)
-            .map(|_| {
-                Mutex::new(Shard {
-                    sessions: BTreeMap::new(),
-                    wal: None,
-                })
-            })
+            .map(|_| Mutex::new(Shard::new()))
             .collect();
         Ok(SessionManager {
             provider,
@@ -708,6 +772,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         stats: &mut ServiceStats,
     ) -> Result<EnforcedRelease> {
         let ladder = self.enforcer.as_ref().ok_or(OnlineError::NotEnforcing)?;
+        let m = self.provider.num_states();
+        for staged in &mut scratch.guard {
+            staged.refill(m, &mut shard.spares);
+        }
         let session = &shard.sessions[&uid];
         let outcome = run_guard(
             ladder,
@@ -747,7 +815,9 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// `scratch.guard`, and each commits through its stage; otherwise each
     /// window is staged into `scratch.step` here. Both buffers are kept, so
     /// a steady-state commit of a session that owns its vectors allocates
-    /// no `O(m)` buffer.
+    /// no `O(m)` buffer; a buffer a window took (its first forward vector,
+    /// or its true half when its event opens) is refilled from the shard's
+    /// spares, and the windows the commit evicts become spares.
     fn commit_one(
         &self,
         shard: &mut Shard<P>,
@@ -757,10 +827,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         staged: bool,
         stats: &mut ServiceStats,
     ) -> UserReport {
-        let session = shard
-            .sessions
-            .get_mut(&uid)
-            .expect("the caller checked the user");
+        let m = self.provider.num_states();
+        let Shard {
+            sessions,
+            spares,
+            unopened,
+            ..
+        } = &mut *shard;
+        let session = sessions.get_mut(&uid).expect("the caller checked the user");
         // The report list lives for one call. Taken before a first
         // observation allocates the session's own vectors, it reuses the
         // previous call's block instead of being carved between those
@@ -776,7 +850,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             }
             age => {
                 let moved = &mut scratch.moved;
-                moved.resize(self.provider.num_states(), 0.0);
+                moved.resize(m, 0.0);
                 self.provider
                     .transition_at(age)
                     .vecmat_into(session.posterior().as_slice(), moved);
@@ -785,18 +859,17 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         }
         stats.observations += 1;
         let epsilon = self.config.epsilon;
+        let mut newly_opened = 0;
         reports.extend(session.windows.iter_mut().enumerate().map(|(i, window)| {
+            let closed = window.state.true_half().is_none();
             let observed = if staged {
                 window.state.commit_staged(&mut scratch.guard[i], column)
-            } else if window.state.observed() == 0 {
-                // The first observation has no transition step: it
-                // weighs the (possibly shared) initial vector into the
-                // window's own first forward vector.
-                window.state.observe(column)
             } else {
+                scratch.step.refill(m, spares);
                 window.state.stage(&mut scratch.step);
                 window.state.commit_staged(&mut scratch.step, column)
             };
+            newly_opened += usize::from(closed && window.state.true_half().is_some());
             let report = window_report(window.template, observed, epsilon);
             match report.verdict {
                 Verdict::Certified => stats.certified += 1,
@@ -805,7 +878,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             }
             report
         }));
-        let report = session.finish_observation(reports, self.config.linger);
+        opened(spares, unopened, newly_opened);
+        let report = session.finish_observation(reports, self.config.linger, |gone| {
+            recycle(spares, unopened, gone)
+        });
         stats.evicted_windows += report.evicted;
         report
     }
@@ -1077,7 +1153,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
 
     /// Attaches and journals one window in a shard the caller holds.
     fn attach_journaled(&self, shard: &mut Shard<P>, uid: u64, template: usize) -> Result<()> {
-        self.attach_window(&mut shard.sessions, uid, template)?;
+        self.attach_window(shard, uid, template)?;
         let record = WalRecord::AttachEvent {
             user: uid,
             template: template as u32,
@@ -1085,12 +1161,14 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         if let Err(e) = Self::journal(&self.store, shard, &record) {
             // Roll the attach back so the in-memory state never runs ahead
             // of the journal on an I/O failure.
-            shard
+            let window = shard
                 .sessions
                 .get_mut(&uid)
                 .expect("attached above")
                 .windows
-                .pop();
+                .pop()
+                .expect("attached above");
+            recycle(&mut shard.spares, &mut shard.unopened, window);
             return Err(e);
         }
         Ok(())
@@ -1100,14 +1178,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// starts from the (template, prior) pair's cached start when the
     /// session's posterior is an interned prior, and from a fresh one
     /// otherwise.
-    fn attach_window(
-        &self,
-        sessions: &mut BTreeMap<u64, Session<P>>,
-        uid: u64,
-        template: usize,
-    ) -> Result<()> {
+    fn attach_window(&self, shard: &mut Shard<P>, uid: u64, template: usize) -> Result<()> {
         let model = self.template(template)?;
-        let session = sessions
+        let session = shard
+            .sessions
             .get_mut(&uid)
             .ok_or(OnlineError::UnknownUser { user: uid })?;
         let pi = session.shared_posterior();
@@ -1116,6 +1190,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             WindowStart::new(&model, provider, Arc::clone(pi))
         })?;
         session.attach(template, model, self.provider.clone(), start);
+        shard.unopened += session
+            .windows
+            .last()
+            .map_or(0, |w| usize::from(w.state.true_half().is_none()));
         Ok(())
     }
 
@@ -1136,7 +1214,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 &mut shard,
                 &WalRecord::RemoveUser { user: id.0 },
             )?;
-            shard.sessions.remove(&id.0);
+            shard.remove(id.0);
             self.occupancy[idx].store(shard.sessions.len(), Ordering::Relaxed);
         }
         self.maybe_checkpoint()?;
@@ -1920,6 +1998,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             let session = Session::from_parts(id, posterior, windows, ledger, snap.t as usize);
             let idx = self.shard_of(id);
             let mut shard = self.shard(idx)?;
+            shard.unopened += session.unopened_windows();
             if shard.sessions.insert(snap.user, session).is_some() {
                 return Err(OnlineError::DuplicateUser { user: snap.user });
             }
@@ -1978,13 +2057,13 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             WalRecord::RemoveUser { user } => {
                 let idx = self.shard_of(UserId(*user));
                 let mut shard = self.shard(idx)?;
-                shard.sessions.remove(user);
+                shard.remove(*user);
                 self.occupancy[idx].store(shard.sessions.len(), Ordering::Relaxed);
                 Ok(())
             }
             WalRecord::AttachEvent { user, template } => {
                 let mut shard = self.shard(self.shard_of(UserId(*user)))?;
-                self.attach_window(&mut shard.sessions, *user, *template as usize)
+                self.attach_window(&mut shard, *user, *template as usize)
             }
             WalRecord::Observe {
                 user,
@@ -2338,6 +2417,98 @@ mod tests {
             prop_assert!(detail.contains("no mechanism"), "{}", detail);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// Every shard's count of unopened windows matches its sessions, and it
+    /// keeps no more spares than that.
+    fn assert_spares_bounded(svc: &SessionManager<Arc<Homogeneous>>) -> usize {
+        svc.read_all()
+            .iter()
+            .map(|shard| {
+                let unopened: usize = shard.sessions.values().map(Session::unopened_windows).sum();
+                assert_eq!(shard.unopened, unopened);
+                assert!(shard.spares.len() <= unopened);
+                shard.spares.len()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn evicted_windows_become_spares_that_later_windows_take() {
+        let grid = GridMap::new(3, 3, 1.0).unwrap();
+        let chain = Arc::new(Homogeneous::new(gaussian_kernel_chain(&grid, 1.0).unwrap()));
+        let config = OnlineConfig {
+            num_shards: 2,
+            linger: 0,
+            ..OnlineConfig::default()
+        };
+        let dir = tempdir("spares");
+        let mut svc = SessionManager::new(Arc::clone(&chain), config.clone()).unwrap();
+        let region = priste_geo::Region::from_one_based_range(9, 1, 3).unwrap();
+        let templates: Vec<StEvent> = [(1, 2), (2, 3), (4, 5)]
+            .into_iter()
+            .map(|(start, end)| {
+                priste_event::Presence::new(region.clone(), start, end)
+                    .unwrap()
+                    .into()
+            })
+            .collect();
+        for t in &templates {
+            svc.register_template(t.clone()).unwrap();
+        }
+        let plm = PlanarLaplace::new(grid, 2.0).unwrap();
+        svc.enable_enforcement(Box::new(plm.clone()), GuardConfig::default())
+            .unwrap();
+        svc.make_durable(
+            &dir,
+            DurableOptions {
+                fsync: false,
+                snapshot_every: 0,
+            },
+        )
+        .unwrap();
+        for u in 0..8 {
+            svc.add_user(UserId(u), Vector::uniform(9)).unwrap();
+            svc.attach_event(UserId(u), (u % 3) as usize).unwrap();
+        }
+        assert_spares_bounded(&svc);
+        let column = |u: u64, r: u64| {
+            let mut col = Vector::filled(9, 0.1);
+            col[((u + r) % 9) as usize] = 0.6;
+            col
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let (mut most, mut taken) = (0, false);
+        for r in 0..7 {
+            for UserId(u) in svc.users() {
+                let before = assert_spares_bounded(&svc);
+                if r % 2 == 0 {
+                    svc.ingest(UserId(u), column(u, r)).unwrap();
+                } else {
+                    svc.release(UserId(u), CellId((u % 9) as usize), &mut rng)
+                        .unwrap();
+                }
+                let after = assert_spares_bounded(&svc);
+                most = most.max(after);
+                taken |= after < before;
+            }
+            // Fresh windows keep arriving to take the spares.
+            svc.attach_event(UserId(r % 7), 2).unwrap();
+            if r == 3 {
+                svc.remove_user(UserId(7)).unwrap();
+                svc.checkpoint().unwrap();
+            }
+            assert_spares_bounded(&svc);
+        }
+        assert!(most > 0, "no evicted window became a spare");
+        assert!(taken, "no window took a spare");
+        let digest = svc.state_digest();
+        drop(svc);
+        let back =
+            SessionManager::recover(chain, config, templates, &dir, Some(Box::new(plm))).unwrap();
+        assert_eq!(back.state_digest(), digest);
+        assert_spares_bounded(&back);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -350,12 +350,22 @@ impl<P: TransitionProvider> Session<P> {
         true
     }
 
+    /// Windows whose event has not opened yet (no true half stored).
+    pub(crate) fn unopened_windows(&self) -> usize {
+        self.windows
+            .iter()
+            .filter(|w| w.state.true_half().is_none())
+            .count()
+    }
+
     /// Finishes one observation: charges the ledger with the step's worst
-    /// window loss, advances the local clock, and evicts expired windows.
+    /// window loss, advances the local clock, and evicts expired windows,
+    /// handing each to `evicted`.
     pub(crate) fn finish_observation(
         &mut self,
         reports: Vec<WindowReport>,
         linger: usize,
+        mut evicted: impl FnMut(EventWindow<P>),
     ) -> UserReport {
         // Mismatched windows carry loss = ∞ as a sentinel; only quantified
         // verdicts represent realized loss and may touch the ledger.
@@ -374,7 +384,10 @@ impl<P: TransitionProvider> Session<P> {
         let before = self.windows.len();
         let mut mismatched = reports.iter().map(|r| r.verdict == Verdict::ModelMismatch);
         self.windows
-            .retain(|w| !(mismatched.next().unwrap_or(false) || w.expired(linger)));
+            .extract_if(.., |w| {
+                mismatched.next().unwrap_or(false) || w.expired(linger)
+            })
+            .for_each(&mut evicted);
         let evicted = before - self.windows.len();
         UserReport {
             user: self.id,

@@ -3,8 +3,10 @@
 //!
 //! * the first ingest of a registered user allocates only the state the
 //!   user keeps from then on — its own posterior (one `m`-vector) and its
-//!   window's forward vector (one `2m`-vector) — plus a few KB of
-//!   bookkeeping: no temporary `O(m)` vector;
+//!   window's forward vector, whose false half is one `m`-vector before the
+//!   window's event opens and which adds its true half (one more) when the
+//!   event opens at `t = 1` — plus a few KB of bookkeeping: no temporary
+//!   `O(m)` vector;
 //! * an enforcing release of an already-observed user allocates less than
 //!   one `m`-vector per guard attempt plus one: each attempt's candidate
 //!   column, and no `2m` buffer per attempt (the windows are stepped once
@@ -116,9 +118,11 @@ fn first_ingest_keeps_what_it_allocates_and_releases_allocate_no_2m_per_attempt(
     let chain = Arc::new(Homogeneous::new(
         gaussian_kernel_chain_sparse(&grid, 0.5).unwrap(),
     ));
-    let event: StEvent = Presence::new(Region::from_one_based_range(m, 1, m / 4).unwrap(), 2, 5)
-        .unwrap()
-        .into();
+    let event = |opens: usize| -> StEvent {
+        Presence::new(Region::from_one_based_range(m, 1, m / 4).unwrap(), opens, 5)
+            .unwrap()
+            .into()
+    };
     let mut svc = SessionManager::new(
         chain,
         OnlineConfig {
@@ -128,11 +132,17 @@ fn first_ingest_keeps_what_it_allocates_and_releases_allocate_no_2m_per_attempt(
         },
     )
     .unwrap();
-    let template = svc.register_template(event).unwrap();
+    let template = svc.register_template(event(2)).unwrap();
     let users = [UserId(1), UserId(2), UserId(3)];
     for id in users {
         svc.add_user(id, Vector::uniform(m)).unwrap();
         svc.attach_event(id, template).unwrap();
+    }
+    let opening = svc.register_template(event(1)).unwrap();
+    let opened_users = [UserId(4), UserId(5)];
+    for id in opened_users {
+        svc.add_user(id, Vector::uniform(m)).unwrap();
+        svc.attach_event(id, opening).unwrap();
     }
     let column = |seed: usize| -> Vector {
         (0..m)
@@ -142,29 +152,35 @@ fn first_ingest_keeps_what_it_allocates_and_releases_allocate_no_2m_per_attempt(
     let vector = m * std::mem::size_of::<f64>();
 
     // A first ingest warms the service's scratch; the second user's first
-    // ingest is then metered. Its column is built beforehand.
-    svc.ingest(users[0], column(0)).unwrap();
-    let col = column(1);
-    let (bytes, report) = allocated(|| svc.ingest(users[1], col).unwrap());
-    assert_eq!(report.windows.len(), 1);
-    assert!(
-        bytes <= 3 * vector + BOOKKEEPING,
-        "a first ingest allocated {bytes} B; it keeps one m-vector and one 2m-vector \
-         ({} B) plus at most {BOOKKEEPING} B of bookkeeping",
-        3 * vector
-    );
+    // ingest is then metered. Its column is built beforehand. Before its
+    // event opens (at t = 2) the window keeps its false half only; an
+    // event that opens at t = 1 keeps both halves from the first ingest.
+    for (warm, metered, kept) in [
+        (users[0], users[1], 2 * vector),
+        (opened_users[0], opened_users[1], 3 * vector),
+    ] {
+        svc.ingest(warm, column(0)).unwrap();
+        let col = column(1);
+        let (bytes, report) = allocated(|| svc.ingest(metered, col).unwrap());
+        assert_eq!(report.windows.len(), 1);
+        assert!(
+            bytes <= kept + BOOKKEEPING,
+            "a first ingest allocated {bytes} B; it keeps {kept} B (its posterior and its \
+             window's stored halves) plus at most {BOOKKEEPING} B of bookkeeping",
+        );
+    }
 
-    // Enforcing releases of an observed user: two warm-up releases (the
-    // window's first observation, then its first step) size the service's
-    // step and staging buffers; the next ones are metered while the window
-    // still runs.
+    // Enforcing releases of an observed user: three warm-up releases (the
+    // window's first observation, the step that opens its event, then a
+    // step of both halves) size the service's step and staging buffers; the
+    // next ones are metered while the window still runs.
     svc.enable_enforcement(
         Box::new(PlanarLaplace::new(grid, 2.0).unwrap()),
         Default::default(),
     )
     .unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..2 {
+    for _ in 0..3 {
         svc.release(users[2], CellId(0), &mut rng).unwrap();
     }
     for loc in [CellId(0), CellId(m / 2)] {

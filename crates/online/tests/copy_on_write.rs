@@ -13,6 +13,7 @@ use priste_linalg::Vector;
 use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous};
 use priste_online::{DurableOptions, OnlineConfig, Session, SessionManager, UserId};
+use priste_quantify::IncrementalTwoWorld;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,7 +165,7 @@ fn state_bits(s: &Session<Arc<Homogeneous>>) -> String {
                 tpl,
                 w.observed(),
                 bits(w.pi()),
-                bits(w.lifted_state()),
+                bits(&w.lifted_state()),
                 w.log_scale().to_bits(),
             )
         })
@@ -178,12 +179,23 @@ fn state_bits(s: &Session<Arc<Homogeneous>>) -> String {
     )
 }
 
+/// Where a window's forward vector lives: its false half's address and,
+/// once the window's event has opened, its true half's.
+type Halves = (*const Vector, Option<*const Vector>);
+
+fn halves(w: &IncrementalTwoWorld<Arc<Homogeneous>>) -> Halves {
+    (
+        w.false_half() as *const Vector,
+        w.true_half().map(|t| t as *const Vector),
+    )
+}
+
 /// Where a session's vectors live: the posterior's address, and each
 /// window's age, `π` and forward-vector address.
 struct Addresses {
     observed: usize,
     posterior: *const Vector,
-    windows: Vec<(usize, *const Vector, *const Vector)>,
+    windows: Vec<(usize, *const Vector, Halves)>,
 }
 
 fn addresses(s: &Session<Arc<Homogeneous>>) -> Addresses {
@@ -192,13 +204,7 @@ fn addresses(s: &Session<Arc<Homogeneous>>) -> Addresses {
         posterior: s.posterior(),
         windows: s
             .windows()
-            .map(|(_, w)| {
-                (
-                    w.observed(),
-                    w.pi() as *const _,
-                    w.lifted_state() as *const _,
-                )
-            })
+            .map(|(_, w)| (w.observed(), w.pi() as *const _, halves(w)))
             .collect(),
     }
 }
@@ -216,7 +222,8 @@ fn observed_by(op: &Op) -> Vec<u64> {
 /// keeps their addresses: its posterior after the first observation,
 /// unless a window attached since shares it as `π` (that first write must
 /// move it), and every window's forward vector after the window's first
-/// observation. Nothing shared is written: users the op does not touch
+/// observation (a true half from the observation that opens the window's
+/// event). Nothing shared is written: users the op does not touch
 /// keep every bit, every window keeps its `π`, and with `clone` set every
 /// session is cloned first — sharing all of its vectors — and the clones
 /// keep every bit while the service moves on.
@@ -277,7 +284,9 @@ fn apply_checking_writes(
         for &(age, _, alpha) in &now.windows {
             if age >= 2 {
                 assert!(
-                    was.windows.iter().any(|&(_, _, a)| a == alpha),
+                    was.windows
+                        .iter()
+                        .any(|&(_, _, a)| a.0 == alpha.0 && (a.1.is_none() || a.1 == alpha.1)),
                     "user {u}: an observed window's forward vector moved"
                 );
             }
@@ -350,7 +359,7 @@ fn idle_users_share_and_a_write_unshares_only_the_writer() {
     }
     let window = |s: &Session<Arc<Homogeneous>>| {
         let (_, w) = s.windows().next().unwrap();
-        (w.pi() as *const Vector, w.lifted_state() as *const Vector)
+        (w.pi() as *const Vector, halves(w))
     };
     let (a, b, c) = (session(&svc, 0), session(&svc, 1), session(&svc, 2));
     assert!(std::ptr::eq(a.posterior(), b.posterior()));
@@ -378,9 +387,7 @@ fn idle_users_share_and_a_write_unshares_only_the_writer() {
     svc.attach_event(UserId(1), 1).unwrap();
     svc.attach_event(UserId(2), 1).unwrap();
     let (b, c) = (session(&svc, 1), session(&svc, 2));
-    let second = |s: &Session<Arc<Homogeneous>>| {
-        s.windows().nth(1).unwrap().1.lifted_state() as *const Vector
-    };
+    let second = |s: &Session<Arc<Homogeneous>>| halves(s.windows().nth(1).unwrap().1);
     assert_eq!(second(&b), second(&c));
 }
 
@@ -432,7 +439,7 @@ fn recovery_shares_idle_state_again() {
         let (_, w) = s.windows().next().unwrap();
         assert!(std::ptr::eq(s.posterior(), first.posterior()), "user {u}");
         assert!(std::ptr::eq(w.pi(), first.posterior()), "user {u}");
-        assert!(std::ptr::eq(w.lifted_state(), first_window.lifted_state()));
+        assert_eq!(halves(w), halves(first_window));
     }
     assert!(!std::ptr::eq(
         recovered.session(UserId(zero)).unwrap().posterior(),
@@ -442,25 +449,20 @@ fn recovery_shares_idle_state_again() {
     assert!(!std::ptr::eq(active.posterior(), first.posterior()));
     let (_, active_window) = active.windows().next().unwrap();
     assert!(std::ptr::eq(active_window.pi(), first.posterior()));
-    assert!(!std::ptr::eq(
-        active_window.lifted_state(),
-        first_window.lifted_state()
-    ));
+    assert_ne!(halves(active_window), halves(first_window));
     // A copy shares the session's vectors, so holding it across the
     // observations below would make them write fresh ones.
     drop(active);
 
     // Observing a recovered idle user never writes the vectors the idle
     // population shares; the active user's recovered vectors are its own,
-    // so its next observation writes them in place.
+    // so its next observation writes them in place (that observation opens
+    // its window's event, so the window's true half appears then).
     let idle_bits = state_bits(&recovered.session(UserId(2)).unwrap());
     let at = |svc: &SessionManager<Arc<Homogeneous>>, u: u64| {
         let s = svc.session(UserId(u)).unwrap();
         let (_, w) = s.windows().next().unwrap();
-        (
-            s.posterior() as *const Vector,
-            w.lifted_state() as *const Vector,
-        )
+        (s.posterior() as *const Vector, halves(w).0)
     };
     let active_at = at(&recovered, idle);
     for u in [1, idle] {

@@ -229,3 +229,116 @@ fn idle_users_are_written_once_and_recover_shared() {
     drop((svc, back));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Windows whose events have not opened yet store no true half; their
+/// snapshot still writes the logical `2m` mantissa, and recovery rebuilds
+/// them so that the recovered service runs on exactly like the live one.
+/// Templates open at `t = 4` and at `t = 1`; the checkpoint is taken at
+/// `t = 2`, with windows at ages 0 (idle, and attached after an
+/// observation), 2 (before the `t = 4` event opens, one of them holding
+/// signed zeros from a `-0.0` column entry) and 2 (inside the `t = 1`
+/// event). Five more rounds run on both services.
+#[test]
+fn windows_before_their_event_opens_round_trip() {
+    let templates = || -> Vec<StEvent> {
+        vec![
+            Presence::new(region(&[0, 1]), 4, 6).unwrap().into(),
+            Presence::new(region(&[1, 2]), 1, 3).unwrap().into(),
+        ]
+    };
+    let build = || {
+        let mut svc = SessionManager::new(chain(), config()).unwrap();
+        for t in templates() {
+            svc.register_template(t).unwrap();
+        }
+        let priors = [
+            [1.0 / 3.0; 3],
+            [0.5, 0.3, 0.2],
+            [0.2, 0.2, 0.6],
+            [1.0 / 3.0; 3],
+        ];
+        for (u, pi) in priors.iter().enumerate() {
+            svc.add_user(UserId(u as u64), Vector::from(pi.to_vec()))
+                .unwrap();
+        }
+        for (u, tpl) in [(0, 0), (1, 1), (2, 0), (2, 1), (3, 0)] {
+            svc.attach_event(UserId(u), tpl).unwrap();
+        }
+        svc
+    };
+    let rounds = [
+        round(&[
+            (0, [0.7, 0.2, 0.1]),
+            (1, [0.1, 0.8, 0.1]),
+            (2, [0.25, 0.5, 0.25]),
+        ]),
+        round(&[
+            (0, [0.3, 0.3, 0.4]),
+            (1, [0.6, 0.2, 0.2]),
+            (2, [0.1, -0.0, 0.8]),
+        ]),
+        round(&[
+            (0, [0.5, 0.25, 0.25]),
+            (1, [0.2, 0.6, 0.2]),
+            (2, [0.4, 0.4, 0.2]),
+        ]),
+        round(&[
+            (0, [0.2, 0.2, 0.6]),
+            (2, [0.3, 0.3, 0.4]),
+            (3, [0.6, 0.3, 0.1]),
+        ]),
+        round(&[
+            (0, [0.1, 0.7, 0.2]),
+            (1, [0.3, 0.3, 0.4]),
+            (2, [0.5, 0.2, 0.3]),
+        ]),
+        round(&[
+            (0, [0.6, 0.2, 0.2]),
+            (2, [0.2, 0.5, 0.3]),
+            (3, [0.3, 0.4, 0.3]),
+        ]),
+        round(&[
+            (0, [0.4, 0.4, 0.2]),
+            (1, [0.1, 0.1, 0.8]),
+            (2, [0.3, 0.6, 0.1]),
+        ]),
+    ];
+    let dir = tempdir("before-open");
+    let mut live = build();
+    let mut durable = build();
+    durable
+        .make_durable(
+            &dir,
+            DurableOptions {
+                fsync: false,
+                snapshot_every: 0,
+            },
+        )
+        .unwrap();
+    for (i, batch) in rounds[..2].iter().enumerate() {
+        let want = format!("{:?}", live.ingest_batch(batch).unwrap());
+        assert_eq!(format!("{:?}", durable.ingest_batch(batch).unwrap()), want);
+        if i == 0 {
+            // A window attached after its user's first observation starts
+            // from the user's posterior.
+            for svc in [&live, &durable] {
+                svc.attach_event(UserId(1), 0).unwrap();
+            }
+        }
+    }
+    durable.checkpoint().unwrap();
+    drop(durable);
+    let mut recovered =
+        SessionManager::recover(chain(), config(), templates(), &dir, None).unwrap();
+    assert_eq!(recovered.state_digest(), live.state_digest());
+    for batch in &rounds[2..] {
+        let want = format!("{:?}", live.ingest_batch(batch).unwrap());
+        assert_eq!(
+            format!("{:?}", recovered.ingest_batch(batch).unwrap()),
+            want
+        );
+        assert_eq!(recovered.state_digest(), live.state_digest());
+    }
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -13,54 +13,102 @@
 //! The base matrix is a backend-tagged [`TransitionMatrix`]: with a CSR
 //! chain every application costs `O(nnz)` instead of `O(m²)`, which is what
 //! lets the incremental quantifier and the streaming service run on
-//! 10⁴-cell grids. The kernels write into preallocated buffers (no
-//! `split_halves`/`concat` round-trips) and borrow the region's cached
+//! 10⁴-cell grids. The kernels move each half through `M` straight into
+//! its output half and recombine the halves there, in place (no
+//! `split_halves`/`concat` round-trips), borrowing the region's cached
 //! indicator masks ([`Region::masks`]). [`LiftedStep::apply_row`] and
 //! [`LiftedStep::apply_rows`] allocate only their output vectors; they
 //! serve the offline replays and the benchmarks. The serving path never
 //! calls them: the incremental quantifier steps a window once into a
-//! caller-kept [`StepScratch`] and weighs emission columns against that
+//! caller-kept [`StepScratch`], half by half and skipping a true half the
+//! event has not opened yet, and weighs emission columns against that
 //! stepped row, so a steady-state observation or guard attempt allocates
 //! nothing.
 
 use priste_geo::Region;
-use priste_linalg::scaling::ScaledVector;
 use priste_linalg::{Matrix, Vector};
 use priste_markov::TransitionMatrix;
 
+/// A lifted row held as its two `m`-halves: the EVENT-false world `f`
+/// and, once the event has opened, the EVENT-true world `t`. Before the
+/// event opens the true half is exactly `+0.0`, so it is not stored:
+/// `opened` is `false` and `t` is a spare buffer whose entries mean
+/// nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Halves {
+    pub(crate) f: Vector,
+    pub(crate) t: Vector,
+    pub(crate) opened: bool,
+}
+
+impl Default for Halves {
+    fn default() -> Self {
+        Halves {
+            f: Vector::zeros(0),
+            t: Vector::zeros(0),
+            opened: false,
+        }
+    }
+}
+
 /// Reusable buffers for one lifted row application and the emission
-/// weighing after it: the two `m`-long halves a row is moved through `M`
-/// in, the stepped `2m` row `β = α_t·M_t`, and the `2m` weighed forward
-/// vector with the log scale it carries. It starts empty (`Default`), and
-/// each buffer is sized on its first use and again only when `m` changes.
-/// A caller keeps one and, for each window it advances, stages the window
-/// into it with [`IncrementalTwoWorld::stage`], peeks any candidates
-/// through it and commits one with [`IncrementalTwoWorld::commit_staged`],
-/// so a steady-state observation or attempt allocates no `O(m)` buffer.
+/// weighing after it: the stepped row `β = α_t·M_t` and the weighed
+/// forward vector with the log scale it carries, each as two `m`-halves
+/// (`Halves`). A true half is stepped and weighed only once the
+/// window's event has opened; before that a step is one `m`-vector
+/// product and a weighing one `m`-long pass. It starts empty
+/// (`Default`), and each buffer is sized on its first use and again when
+/// `m` changes; a weighed half is sized again after a window's commit took
+/// it (a window's first commit takes the false half, the commit that opens
+/// its event the true one), unless [`StepScratch::refill`] installed a
+/// spare first. A caller keeps one and, for each window it
+/// advances, stages the window into it with
+/// [`IncrementalTwoWorld::stage`], peeks any candidates through it and
+/// commits one with [`IncrementalTwoWorld::commit_staged`], so a
+/// steady-state observation or attempt allocates no `O(m)` buffer.
 ///
 /// [`IncrementalTwoWorld::stage`]: crate::IncrementalTwoWorld::stage
 /// [`IncrementalTwoWorld::commit_staged`]: crate::IncrementalTwoWorld::commit_staged
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StepScratch {
-    half_f: Vec<f64>,
-    half_t: Vec<f64>,
-    pub(crate) stepped: Vec<f64>,
-    pub(crate) weighed: ScaledVector,
-    /// The window (its forward vector's address and age) `stepped` was
-    /// staged for, if any.
+    pub(crate) stepped: Halves,
+    pub(crate) weighed: Halves,
+    pub(crate) weighed_log_scale: f64,
+    /// The window (its forward vector's address and its age) `stepped`
+    /// was staged for, if any.
     pub(crate) staged: Option<(usize, usize)>,
 }
 
-impl Default for StepScratch {
-    fn default() -> Self {
-        StepScratch {
-            half_f: Vec::new(),
-            half_t: Vec::new(),
-            stepped: Vec::new(),
-            weighed: ScaledVector::new(Vector::zeros(0)),
-            staged: None,
+impl StepScratch {
+    /// Installs spare `m`-vectors — say, the halves of windows a service
+    /// evicted ([`IncrementalTwoWorld::into_halves`]) — as the weighed
+    /// halves this scratch would otherwise allocate next: each weighed half
+    /// not sized to `m` (never used yet, or taken by a window's commit)
+    /// takes one from `spares` while it has any. Every entry is
+    /// overwritten before it is read, so what the spares hold does not
+    /// matter.
+    ///
+    /// [`IncrementalTwoWorld::into_halves`]: crate::IncrementalTwoWorld::into_halves
+    pub fn refill(&mut self, m: usize, spares: &mut Vec<Vector>) {
+        for half in [&mut self.weighed.f, &mut self.weighed.t] {
+            if half.len() != m {
+                match spares.pop() {
+                    Some(spare) if spare.len() == m => *half = spare,
+                    _ => return,
+                }
+            }
         }
     }
+}
+
+/// `vector` resized to `len` entries, whatever they hold: a buffer of that
+/// length is kept as is, and any other is replaced by one allocated once
+/// at `len`.
+pub(crate) fn sized(vector: &mut Vector, len: usize) -> &mut [f64] {
+    if vector.len() != len {
+        *vector = Vector::zeros(len);
+    }
+    vector.as_mut_slice()
 }
 
 /// One lifted transition step `M_t`, by shape.
@@ -111,73 +159,92 @@ impl LiftedStep<'_> {
         }
     }
 
-    /// Combines the moved halves `(u_f, u_t) = (x_f·M, x_t·M)` into the
-    /// lifted output row for this step's shape — the shared tail of the
-    /// single and batched row applications:
+    /// Combines the moved halves `(u_f, u_t) = (x_f·M, x_t·M)`, in place,
+    /// into the lifted output row for this step's shape — the shared tail
+    /// of every row application:
     ///
     /// * BlockDiagonal: `y = [u_f, u_t]`,
     /// * Capture: `y_f = u_f ∘ (1−s)`, `y_t = u_f ∘ s + u_t`,
     /// * Hold: `y_f = u_f + u_t ∘ (1−s)`, `y_t = u_t ∘ s`.
     ///
-    /// Region masks are borrowed from the region's cache; `out` must not
-    /// alias the inputs.
-    fn combine_moved_into(&self, uf: &[f64], ut: &[f64], out: &mut [f64]) {
-        let n = uf.len();
-        let (out_f, out_t) = out.split_at_mut(n);
+    /// Region masks are borrowed from the region's cache.
+    fn combine_in_place(&self, f: &mut [f64], t: &mut [f64]) {
         match self {
-            LiftedStep::BlockDiagonal { .. } => {
-                out_f.copy_from_slice(uf);
-                out_t.copy_from_slice(ut);
-            }
+            LiftedStep::BlockDiagonal { .. } => {}
             LiftedStep::Capture { region, .. } => {
                 let (s, not_s) = region.masks();
-                for i in 0..n {
-                    out_f[i] = uf[i] * not_s[i];
-                    out_t[i] = uf[i] * s[i] + ut[i];
+                for (((f, t), s), not_s) in
+                    f.iter_mut().zip(t).zip(s.as_slice()).zip(not_s.as_slice())
+                {
+                    let uf = *f;
+                    *f = uf * not_s;
+                    *t += uf * s;
                 }
             }
             LiftedStep::Hold { region, .. } => {
                 let (s, not_s) = region.masks();
-                for i in 0..n {
-                    out_f[i] = uf[i] + ut[i] * not_s[i];
-                    out_t[i] = ut[i] * s[i];
+                for (((f, t), s), not_s) in
+                    f.iter_mut().zip(t).zip(s.as_slice()).zip(not_s.as_slice())
+                {
+                    let ut = *t;
+                    *f += ut * not_s;
+                    *t = ut * s;
                 }
             }
         }
     }
 
-    /// One row application written into caller-provided storage: moves both
-    /// halves of `x` through `M` (into the `buf_*` scratch slices, each of
-    /// length `m`) and recombines into `out` (length `2m`).
-    fn apply_row_into(&self, x: &[f64], buf_f: &mut [f64], buf_t: &mut [f64], out: &mut [f64]) {
+    /// One row application written into `out` (length `2m`): moves both
+    /// halves of `x` through `M` into the halves of `out`, then recombines
+    /// them there.
+    fn apply_row_into(&self, x: &[f64], out: &mut [f64]) {
         let n = self.base_states();
         let m = self.base();
-        m.vecmat_into(&x[..n], buf_f);
-        m.vecmat_into(&x[n..], buf_t);
-        self.combine_moved_into(buf_f, buf_t, out);
+        let (f, t) = out.split_at_mut(n);
+        m.vecmat_into(&x[..n], f);
+        m.vecmat_into(&x[n..], t);
+        self.combine_in_place(f, t);
     }
 
-    /// [`LiftedStep::apply_row`] into `scratch.stepped` (sized to `2m`
-    /// here), moving the halves through `scratch`'s own buffers. Clears
-    /// the scratch's staging mark.
+    /// [`LiftedStep::apply_row`] of the row `[x_f, x_t]` into
+    /// `scratch.stepped`, whose halves are sized to `m` here. An absent
+    /// true half (`None`, the event not yet opened) stands for `+0.0`, and
+    /// only `x_f` is moved through `M`: a BlockDiagonal step leaves the
+    /// stepped true half absent, a Hold step's `y_f = u_f + 0` is `u_f`
+    /// and its `y_t` is `0`, and a Capture step opens it with
+    /// `y_t = u_f ∘ s + 0`. The added zeros are exact: every `u` entry is
+    /// a sum of non-negative products started from `+0.0`, so it is never
+    /// `-0.0`. Clears the scratch's staging mark.
     ///
     /// # Panics
-    /// Panics if `x.len() != 2m`.
-    pub(crate) fn apply_row_scratch(&self, x: &[f64], scratch: &mut StepScratch) {
+    /// Panics if a given half is not `m` long.
+    pub(crate) fn apply_row_scratch(
+        &self,
+        x_f: &[f64],
+        x_t: Option<&[f64]>,
+        scratch: &mut StepScratch,
+    ) {
         let n = self.base_states();
-        assert_eq!(x.len(), 2 * n, "lifted row vector length mismatch");
-        if scratch.half_f.len() != n {
-            scratch.half_f = vec![0.0; n];
-            scratch.half_t = vec![0.0; n];
-            scratch.stepped = vec![0.0; 2 * n];
-        }
+        let m = self.base();
         scratch.staged = None;
-        self.apply_row_into(
-            x,
-            &mut scratch.half_f,
-            &mut scratch.half_t,
-            &mut scratch.stepped,
-        );
+        let out = &mut scratch.stepped;
+        let f = sized(&mut out.f, n);
+        m.vecmat_into(x_f, f);
+        out.opened = match (x_t, self) {
+            (Some(x_t), _) => {
+                let t = sized(&mut out.t, n);
+                m.vecmat_into(x_t, t);
+                self.combine_in_place(f, t);
+                true
+            }
+            (None, LiftedStep::Capture { .. }) => {
+                let t = sized(&mut out.t, n);
+                t.fill(0.0);
+                self.combine_in_place(f, t);
+                true
+            }
+            (None, LiftedStep::BlockDiagonal { .. } | LiftedStep::Hold { .. }) => false,
+        };
     }
 
     /// Row-vector application `x · M_t` for a lifted row vector
@@ -191,35 +258,27 @@ impl LiftedStep<'_> {
     pub fn apply_row(&self, x: &Vector) -> Vector {
         let n = self.base_states();
         assert_eq!(x.len(), 2 * n, "lifted row vector length mismatch");
-        let mut buf_f = vec![0.0; n];
-        let mut buf_t = vec![0.0; n];
         let mut out = vec![0.0; 2 * n];
-        self.apply_row_into(x.as_slice(), &mut buf_f, &mut buf_t, &mut out);
+        self.apply_row_into(x.as_slice(), &mut out);
         Vector::from(out)
     }
 
     /// Batched row application: `xs[i] · M_t` for many lifted row vectors at
-    /// once — the streaming service's "one shared step per timestep" path.
-    /// Each vector's halves are pushed through `M` into two reused scratch
-    /// buffers and recombined directly into that vector's output storage:
-    /// per batch the only allocations are the `k` output vectors themselves
-    /// (no half-splitting copies, no stacked intermediate matrices).
+    /// once. Each vector's halves are pushed through `M` straight into that
+    /// vector's output storage and recombined there: per batch the only
+    /// allocations are the `k` output vectors themselves (no half-splitting
+    /// copies, no stacked intermediate matrices).
     /// Equivalent to mapping [`LiftedStep::apply_row`].
     ///
     /// # Panics
     /// Panics if any input has length `!= 2m`.
     pub fn apply_rows(&self, xs: &[Vector]) -> Vec<Vector> {
         let n = self.base_states();
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let mut buf_f = vec![0.0; n];
-        let mut buf_t = vec![0.0; n];
         xs.iter()
             .map(|x| {
                 assert_eq!(x.len(), 2 * n, "lifted row vector length mismatch");
                 let mut out = vec![0.0; 2 * n];
-                self.apply_row_into(x.as_slice(), &mut buf_f, &mut buf_t, &mut out);
+                self.apply_row_into(x.as_slice(), &mut out);
                 Vector::from(out)
             })
             .collect()

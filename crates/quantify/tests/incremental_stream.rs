@@ -7,7 +7,7 @@ use priste_event::{Pattern, Presence, StEvent};
 use priste_geo::{CellId, Region};
 use priste_linalg::scaling::ScaledVector;
 use priste_linalg::{Matrix, SparseMatrix, Vector};
-use priste_markov::{Homogeneous, MarkovModel, TransitionMatrix};
+use priste_markov::{Homogeneous, MarkovModel, TransitionMatrix, TransitionProvider};
 use priste_quantify::lifted::{lift_emission, StepScratch};
 use priste_quantify::{
     EventModel, IncrementalTwoWorld, QuantifyError, StreamStep, TheoremBuilder, TwoWorldEngine,
@@ -88,6 +88,28 @@ fn build_or_skip<'c>(
 /// Raw bit patterns, so equality means bit-identical (not merely `==`).
 fn bits(v: &Vector) -> Vec<u64> {
     v.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Where a window's halves live: the false half, and the true half once
+/// the event has opened.
+type HalvesAt = (*const Vector, Option<*const Vector>);
+
+fn halves_at<P: TransitionProvider>(w: &IncrementalTwoWorld<P>) -> HalvesAt {
+    (
+        w.false_half() as *const Vector,
+        w.true_half().map(|t| t as *const Vector),
+    )
+}
+
+/// Whether a window still writes its halves where they lived when they
+/// were first recorded in `owned`: the false half since the first check,
+/// the true half since it appeared.
+fn in_place<P: TransitionProvider>(
+    owned: &mut (Option<*const Vector>, Option<*const Vector>),
+    w: &IncrementalTwoWorld<P>,
+) -> bool {
+    let (f, t) = halves_at(w);
+    *owned.0.get_or_insert(f) == f && t.is_none_or(|t| *owned.1.get_or_insert(t) == t)
 }
 
 /// Every field of a [`StreamStep`], as bits.
@@ -206,8 +228,8 @@ proptest! {
                 };
                 let oracle = IncrementalTwoWorld::from_start(Arc::clone(&model), &chain, start);
                 let idle = oracle.clone();
-                let initial = bits(idle.lifted_state());
-                windows.push((oracle.clone(), oracle, idle, initial, None));
+                let initial = bits(&idle.lifted_state());
+                windows.push((oracle.clone(), oracle, idle, initial, (None, None)));
             }
             let mut scratch = StepScratch::default();
             let mut rng = StdRng::seed_from_u64(seed);
@@ -220,15 +242,14 @@ proptest! {
                     let want = oracle.observe(&col).unwrap();
                     staged.stage(&mut scratch);
                     let got = staged.commit_staged(&mut scratch, &col).unwrap();
-                    let at = staged.lifted_state() as *const Vector;
-                    prop_assert_eq!(*owned.get_or_insert(at), at, "owned: in place");
+                    prop_assert!(in_place(owned, staged), "owned: in place");
                     prop_assert_eq!(step_bits(&want), step_bits(&got));
-                    prop_assert_eq!(bits(oracle.lifted_state()), bits(staged.lifted_state()));
+                    prop_assert_eq!(bits(&oracle.lifted_state()), bits(&staged.lifted_state()));
                     prop_assert_eq!(oracle.log_scale().to_bits(), staged.log_scale().to_bits());
                 }
             }
             for (_, _, idle, initial, _) in &windows {
-                prop_assert_eq!(&bits(idle.lifted_state()), initial);
+                prop_assert_eq!(&bits(&idle.lifted_state()), initial);
                 prop_assert_eq!(idle.observed(), 0);
             }
         }
@@ -255,7 +276,7 @@ proptest! {
         let mut shared_b = shared.clone();
         let mut scratch = StepScratch::default();
         prop_assert_eq!(private.prior().to_bits(), shared.prior().to_bits());
-        prop_assert_eq!(bits(private.lifted_state()), bits(shared.lifted_state()));
+        prop_assert_eq!(bits(&private.lifted_state()), bits(&shared.lifted_state()));
         let mut rng = StdRng::seed_from_u64(seed);
         for t in 0..ev.end() + 2 {
             if t == resume_at {
@@ -263,7 +284,7 @@ proptest! {
                     Arc::clone(&model),
                     &chain,
                     WindowStart::new(&model, &chain, Arc::new(pi.clone())).unwrap(),
-                    shared.lifted_state().clone(),
+                    shared.lifted_state(),
                     shared.log_scale(),
                     shared.observed(),
                 )
@@ -272,14 +293,14 @@ proptest! {
             let col = random_emission(&mut rng, 4);
             prop_assert_eq!(private.peek(&col).unwrap(), shared.peek(&col).unwrap());
             prop_assert_eq!(private.observe(&col).unwrap(), shared.observe(&col).unwrap());
-            prop_assert_eq!(bits(private.lifted_state()), bits(shared.lifted_state()));
+            prop_assert_eq!(bits(&private.lifted_state()), bits(&shared.lifted_state()));
             prop_assert_eq!(private.log_scale().to_bits(), shared.log_scale().to_bits());
 
             private_b.stage(&mut scratch);
             let want = private_b.commit_staged(&mut scratch, &col).unwrap();
             shared_b.stage(&mut scratch);
             prop_assert_eq!(want, shared_b.commit_staged(&mut scratch, &col).unwrap());
-            prop_assert_eq!(bits(private_b.lifted_state()), bits(shared_b.lifted_state()));
+            prop_assert_eq!(bits(&private_b.lifted_state()), bits(&shared_b.lifted_state()));
         }
         // One table served every shared window, however many were built.
         prop_assert!(Arc::ptr_eq(shared.model(), &model));
@@ -306,17 +327,20 @@ proptest! {
         let mut a = IncrementalTwoWorld::from_start(Arc::clone(&model), &chain, start.clone());
         let b = IncrementalTwoWorld::from_start(Arc::clone(&model), &chain, start.clone());
         prop_assert!(std::ptr::eq(a.pi(), b.pi()));
-        prop_assert!(std::ptr::eq(a.lifted_state(), b.lifted_state()));
-        let idle_bits = bits(b.lifted_state());
+        prop_assert_eq!(halves_at(&a), halves_at(&b));
+        let idle_bits = bits(&b.lifted_state());
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..ev.end() + 2 {
             let col = random_emission(&mut rng, 4);
             prop_assert_eq!(private.observe(&col).unwrap(), a.observe(&col).unwrap());
-            prop_assert_eq!(bits(private.lifted_state()), bits(a.lifted_state()));
+            prop_assert_eq!(bits(&private.lifted_state()), bits(&a.lifted_state()));
             prop_assert_eq!(private.log_scale().to_bits(), a.log_scale().to_bits());
         }
-        prop_assert!(!std::ptr::eq(a.lifted_state(), b.lifted_state()));
-        prop_assert_eq!(bits(b.lifted_state()), idle_bits);
+        prop_assert!(!std::ptr::eq(a.false_half(), b.false_half()));
+        if let (Some(at), Some(bt)) = (a.true_half(), b.true_half()) {
+            prop_assert!(!std::ptr::eq(at, bt));
+        }
+        prop_assert_eq!(bits(&b.lifted_state()), idle_bits);
         prop_assert_eq!(b.observed(), 0);
         // Rewinding installs a fresh initial vector with the start's bits.
         a.reset();
@@ -360,7 +384,7 @@ proptest! {
             let mut scratch = StepScratch::default();
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..ev.end() + 2 {
-                let before = (bits(plain.lifted_state()), plain.log_scale().to_bits(), plain.observed());
+                let before = (bits(&plain.lifted_state()), plain.log_scale().to_bits(), plain.observed());
                 plain.stage(&mut staged);
                 let cols: Vec<Vector> =
                     (0..candidates).map(|_| random_emission(&mut rng, 4)).collect();
@@ -369,7 +393,7 @@ proptest! {
                     let staged_peek = plain.peek_staged(&mut staged, col).unwrap();
                     prop_assert_eq!(step_bits(&staged_peek), step_bits(&peeked));
                 }
-                let after = (bits(plain.lifted_state()), plain.log_scale().to_bits(), plain.observed());
+                let after = (bits(&plain.lifted_state()), plain.log_scale().to_bits(), plain.observed());
                 prop_assert_eq!(&after, &before);
 
                 let col = cols.last().unwrap();
@@ -377,8 +401,8 @@ proptest! {
                 // The first observation only weights by the emission; the
                 // one after observation `t` applies `step_at(t)` first.
                 let stepped = match plain.observed() {
-                    0 => plain.lifted_state().clone(),
-                    t => engine.step_at(t).apply_row(plain.lifted_state()),
+                    0 => plain.lifted_state(),
+                    t => engine.step_at(t).apply_row(&plain.lifted_state()),
                 };
                 let mut oracle = ScaledVector {
                     vector: stepped.hadamard(&lift_emission(col)).unwrap(),
@@ -390,7 +414,7 @@ proptest! {
                 let via_kept = kept.commit_staged(&mut scratch, col).unwrap();
                 prop_assert_eq!(step_bits(&via_kept), step_bits(&want));
                 for window in [&plain, &kept] {
-                    prop_assert_eq!(bits(window.lifted_state()), bits(&oracle.vector));
+                    prop_assert_eq!(bits(&window.lifted_state()), bits(&oracle.vector));
                     prop_assert_eq!(window.log_scale().to_bits(), oracle.log_scale.to_bits());
                 }
             }
@@ -422,7 +446,7 @@ proptest! {
             let Some(mut plain) = build_or_skip(&ev, &chain, &pi) else { continue };
             let mut committed = plain.clone();
             let mut staged = StepScratch::default();
-            let mut owned = None;
+            let mut owned = (None, None);
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..ev.end() + 2 {
                 committed.stage(&mut staged);
@@ -435,11 +459,10 @@ proptest! {
                 let want = plain.observe(col).unwrap();
                 let via_stage = committed.commit_staged(&mut staged, col).unwrap();
                 prop_assert_eq!(step_bits(&via_stage), step_bits(&want));
-                prop_assert_eq!(bits(committed.lifted_state()), bits(plain.lifted_state()));
+                prop_assert_eq!(bits(&committed.lifted_state()), bits(&plain.lifted_state()));
                 prop_assert_eq!(committed.log_scale().to_bits(), plain.log_scale().to_bits());
                 prop_assert_eq!(committed.observed(), plain.observed());
-                let at = committed.lifted_state() as *const Vector;
-                prop_assert_eq!(*owned.get_or_insert(at), at, "owned: in place");
+                prop_assert!(in_place(&mut owned, &committed), "owned: in place");
             }
         }
     }

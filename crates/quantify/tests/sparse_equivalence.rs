@@ -197,7 +197,7 @@ proptest! {
                 );
             }
             prop_assert!(
-                inc_d.lifted_state().max_abs_diff(inc_s.lifted_state()) <= 1e-12,
+                inc_d.lifted_state().max_abs_diff(&inc_s.lifted_state()) <= 1e-12,
                 "t={} lifted state diverged ({})", t, ev
             );
         }
