@@ -1,18 +1,18 @@
 //! Machine-readable benchmark exporter with a regression gate.
 //!
-//! Three suites, each written as a flat JSON artifact so CI and the repo
-//! root keep a queryable performance record without parsing Criterion's
-//! console output:
+//! Five suites, each written as a flat JSON artifact so CI and the repo
+//! root keep a queryable performance record:
 //!
 //! * `online` (`BENCH_online.json`) — session-service hot paths: audit
-//!   ingest (with and without a live metrics registry attached), enforced
-//!   release, the durability tax, crash/recover round-trips, and the
-//!   per-session cost of registering, checkpointing and recovering users at
-//!   m = 2500, the resident growth of 10⁵ registered idle users there,
-//!   the heap one steady-state durable ingest, one first ingest and one
-//!   enforcing release allocate there, the time of one enforcing release
-//!   and of one staged guard candidate readout there, and the time and WAL
-//!   bytes of one journaled observed-cell ingest there.
+//!   ingest (sequential, thread-parallel, and with a live metrics registry
+//!   attached), enforced release, the durability tax, crash/recover
+//!   round-trips, and the per-session cost of registering, checkpointing
+//!   and recovering users at m = 2500, the resident growth of 10⁵
+//!   registered idle users there, the heap one steady-state durable
+//!   ingest, one first ingest and one enforcing release allocate there,
+//!   the time of one enforcing release and of one staged guard candidate
+//!   readout there, and the time and WAL bytes of one journaled
+//!   observed-cell ingest there.
 //! * `quantify` (`BENCH_quantify.json`) — the incremental two-world
 //!   engine: quantifier construction and per-step observe throughput, and
 //!   what the banded §V.A chain those worlds run on costs: one build at
@@ -76,6 +76,7 @@ use priste_obs::Registry;
 use priste_online::{DurableOptions, OnlineConfig, SessionManager, UserId};
 use priste_quantify::lifted::StepScratch;
 use priste_quantify::IncrementalTwoWorld;
+use priste_serve::daemon::DaemonConfig;
 use priste_serve::{LoadMode, LoadgenOptions, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -420,6 +421,20 @@ fn suite_online(
         value: observations / ((ingest_ms - cold_ms).max(1e-6) / 1e3),
         unit: "obs/s",
         note: "sequential ingest_batch, cold-start cost subtracted".into(),
+    });
+
+    // The same stream with the shards spread over one worker per core.
+    let parallel_ms = best_ms(opts.reps, || {
+        let mut svc = service(provider, event, opts.users);
+        for step in &feed {
+            svc.ingest_batch_parallel(step, 0).expect("ingest");
+        }
+    });
+    metrics.push(Metric {
+        name: "audit_ingest_parallel",
+        value: observations / ((parallel_ms - cold_ms).max(1e-6) / 1e3),
+        unit: "obs/s",
+        note: "ingest_batch_parallel, one worker per core, cold-start cost subtracted".into(),
     });
 
     // The observability tax: the same stream with a live metrics registry
@@ -1315,7 +1330,10 @@ fn suite_serve(
         Some(Box::new(mechanism)),
         registry,
         ServerConfig {
-            poll_interval: std::time::Duration::from_millis(5),
+            daemon: DaemonConfig {
+                poll_interval: std::time::Duration::from_millis(5),
+                ..DaemonConfig::default()
+            },
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -1386,7 +1404,10 @@ fn serve_ingest_m2500(opts: &Opts) -> Metric {
         Some(Box::new(mechanism)),
         Registry::new(),
         ServerConfig {
-            poll_interval: std::time::Duration::from_millis(5),
+            daemon: DaemonConfig {
+                poll_interval: std::time::Duration::from_millis(5),
+                ..DaemonConfig::default()
+            },
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -1439,7 +1460,10 @@ fn start_cluster_worker(
         Some(Box::new(mechanism)),
         Registry::new(),
         ServerConfig {
-            poll_interval: std::time::Duration::from_millis(5),
+            daemon: DaemonConfig {
+                poll_interval: std::time::Duration::from_millis(5),
+                ..DaemonConfig::default()
+            },
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -1460,7 +1484,10 @@ fn routed_run(
         map,
         Registry::new(),
         RouterConfig {
-            poll_interval: std::time::Duration::from_millis(5),
+            daemon: DaemonConfig {
+                poll_interval: std::time::Duration::from_millis(5),
+                ..DaemonConfig::default()
+            },
             ..RouterConfig::default()
         },
         "127.0.0.1:0",

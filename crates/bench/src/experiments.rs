@@ -10,11 +10,12 @@ use priste_core::runner::{self, Aggregate};
 use priste_core::{DeltaLocSource, PlmSource, PristeConfig};
 use priste_data::{geolife_sim, World};
 use priste_event::{dsl::parse_event, Pattern, StEvent};
-use priste_geo::{GridMap, Region};
+use priste_geo::{CellId, GridMap, Region};
 use priste_linalg::Vector;
 use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous, MarkovModel};
-use priste_quantify::{naive, TheoremBuilder};
+use priste_qp::SolverConfig;
+use priste_quantify::{naive, sweep, TheoremBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -561,8 +562,8 @@ fn time_pattern_point(
 
     // A fixed observation stream (released cells 1..end cycling over the map).
     let mut rng = StdRng::seed_from_u64(seed);
-    let obs: Vec<priste_geo::CellId> = chain
-        .sample_trajectory(priste_geo::CellId(0), end, &mut rng)
+    let obs: Vec<CellId> = chain
+        .sample_trajectory(CellId(0), end, &mut rng)
         .expect("sampling");
     let cols: Vec<Vector> = obs.iter().map(|&o| plm.emission_column(o)).collect();
 
@@ -598,6 +599,59 @@ fn time_pattern_point(
         elapsed
     };
     (base_s, fast_s)
+}
+
+/// Ablation: HMM rescaling vs raw floating point in the quantification
+/// chain.
+///
+/// The joint probabilities of Lemmas III.2/III.3 are products of `T`
+/// sub-stochastic factors; raw `f64` evaluation underflows once
+/// `ln Pr(o_1..o_t)` drops below ~−745. This runs a long horizon (at least
+/// 400 steps on a 5×5 world) and reports, per timestep: the joint's log
+/// value (finite throughout thanks to the scaled representation), the raw
+/// `f64` the same value collapses to (0.0 once underflowed), and the
+/// minimal certifiable ε — which stays computable arbitrarily far past the
+/// underflow point because the Theorem IV.1 decision only consumes the
+/// scale-invariant `(b, c)` pair. Without rescaling, b and c would both be
+/// exactly 0.0 there and every decision would degenerate.
+///
+/// # Panics
+/// Panics on construction failure (the configuration is static).
+pub fn ablation_scaling(scale: &Scale) -> Experiment {
+    // Small map, long horizon: underflow arrives fast.
+    let grid = GridMap::new(5, 5, 1.0).expect("grid");
+    let chain = gaussian_kernel_chain(&grid, 1.0).expect("chain");
+    let event = parse_event("PRESENCE(S={1:5}, T={4:8})", 25).expect("event");
+    let plm = PlanarLaplace::new(grid.clone(), 0.5).expect("plm");
+    let mut builder = TheoremBuilder::new(&event, Homogeneous::new(chain)).expect("builder");
+    let pi = Vector::uniform(25);
+    let solver = SolverConfig::default();
+
+    let horizon = 400.max(scale.horizon);
+    let mut log_joint = Vec::new();
+    let mut raw_joint = Vec::new();
+    let mut min_eps = Vec::new();
+    for t in 1..=horizon {
+        let col = plm.emission_column(CellId((t * 3) % 25));
+        let inputs = builder.candidate(&col).expect("candidate");
+        let lj = inputs.log_joint_total(&pi);
+        let cap = sweep::min_certifiable_epsilon(&inputs, 1e-4, 64.0, 1e-3, &solver);
+        log_joint.push(lj);
+        raw_joint.push(lj.exp()); // what raw f64 arithmetic would hold
+        min_eps.push(cap.min_epsilon.unwrap_or(f64::NAN));
+        builder.commit(col).expect("commit");
+    }
+
+    let mut exp = Experiment::new(
+        "ablation_scaling",
+        "Rescaled vs raw joint probability over a 400-step horizon (5×5 world, 0.5-PLM)",
+        "time",
+        (1..=horizon).map(|t| t as f64).collect(),
+    );
+    exp.push_series("log joint (scaled, finite)", log_joint);
+    exp.push_series("raw f64 joint (underflows)", raw_joint);
+    exp.push_series("min certifiable eps", min_eps);
+    exp
 }
 
 /// Table III: conservative release under QP deadlines. Returns one

@@ -1,10 +1,11 @@
 //! Experiment harness for the PriSTE evaluation (paper §V).
 //!
-//! Every table and figure of the paper has (a) a binary in `src/bin/` that
+//! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates its data series (printed as a table and written as CSV under
-//! `target/experiments/`), and (b) a Criterion bench in `benches/`
-//! exercising its computational core. Each binary and bench is named after
-//! the paper figure or table (§V) it reproduces.
+//! `target/experiments/`), named after the paper figure or table (§V) it
+//! reproduces; the series themselves live in [`experiments`]. Layer timings
+//! are `bench_export` rows, committed as the `BENCH_*.json` files at the
+//! repository root.
 //!
 //! Scale control: the paper runs 20×20 grids, 50 timestamps, 100 runs per
 //! point. That is reproducible here ([`Scale::paper`]) but takes hours for

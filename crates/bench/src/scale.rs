@@ -46,7 +46,7 @@ impl Scale {
         }
     }
 
-    /// Tiny scale for Criterion benches and CI smoke tests.
+    /// Tiny scale for the committed figure fixtures and CI smoke tests.
     pub fn smoke() -> Self {
         Scale {
             grid_side: 6,

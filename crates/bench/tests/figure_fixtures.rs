@@ -6,10 +6,12 @@
 //! world under the α-PLM and under δ-location sets (whose rungs are
 //! restricted Planar Laplace mechanisms); and `fig13` sweeps
 //! σ from worlds whose chains run on CSR (σ = 0.01) to full dense ones
-//! (σ = 10). Each experiment's CSV text, in the `output::write_csv`
-//! format, must match `tests/fixtures/experiments/<id>.csv` at the
-//! repository root byte for byte: a change of backend, of mechanism
-//! storage or of summation order shows up here as a changed digit.
+//! (σ = 10); `ablation_scaling` runs the rescaled quantification chain
+//! past the point where raw `f64` underflows. Each experiment's CSV text,
+//! in the `output::write_csv` format, must match
+//! `tests/fixtures/experiments/<id>.csv` at the repository root byte for
+//! byte: a change of backend, of mechanism storage or of summation order
+//! shows up here as a changed digit.
 
 use priste_bench::{experiments, output, Experiment, Scale};
 use std::path::PathBuf;
@@ -71,4 +73,48 @@ fn fig12_matches_the_committed_csvs() {
 #[test]
 fn fig13_matches_the_committed_csvs() {
     assert_matches_fixtures("fig13", experiments::fig13(&Scale::smoke()));
+}
+
+#[test]
+fn ablation_scaling_matches_the_committed_csv() {
+    assert_matches_fixtures(
+        "ablation_scaling",
+        vec![experiments::ablation_scaling(&Scale::smoke())],
+    );
+}
+
+/// The audit only ever lowers a mechanism's budget: in every budget panel,
+/// each `<α>-PLM` series releases at most its base α (up to the rounding
+/// of a mean over runs).
+#[test]
+fn plm_budget_series_never_exceed_their_base_alpha() {
+    let mut checked = 0;
+    for entry in std::fs::read_dir(fixture_dir()).expect("fixture dir") {
+        let path = entry.expect("fixture entry").path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.contains("euclid") {
+            continue; // distances, not budgets
+        }
+        let text = std::fs::read_to_string(&path).expect("read fixture");
+        let mut lines = text.lines();
+        let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+        let rows: Vec<Vec<f64>> = lines
+            .map(|l| l.split(',').map(|v| v.parse().expect("number")).collect())
+            .collect();
+        for (col, label) in header.iter().enumerate() {
+            let Some(alpha) = label.strip_suffix("-PLM") else {
+                continue;
+            };
+            let alpha: f64 = alpha.parse().expect("alpha label");
+            for row in &rows {
+                assert!(
+                    row[col] <= alpha * (1.0 + 1e-12),
+                    "{name}: {label} released budget {} above its base",
+                    row[col]
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked >= 15, "only {checked} α-PLM series found");
 }

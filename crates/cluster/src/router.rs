@@ -37,7 +37,6 @@ use priste_serve::http::{Request, Response};
 use priste_serve::proto::{self, encode_error};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -45,35 +44,24 @@ use std::time::Duration;
 /// Tuning knobs for [`Router::start`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Serving threads — also the effective client-request concurrency.
-    pub workers: usize,
-    /// Largest accepted request body (413 beyond it).
-    pub max_body_bytes: usize,
-    /// Client-socket read timeout; bounds drain latency.
-    pub poll_interval: Duration,
+    /// The connection model every daemon shares; its `workers` are the
+    /// router's serving threads, the effective client-request concurrency.
+    pub daemon: DaemonConfig,
     /// How often the prober re-checks every worker's `/readyz`.
     pub probe_interval: Duration,
     /// Upstream transport tuning (retries, backoff, timeouts, pool).
     pub pool: PoolConfig,
     /// `Retry-After` seconds advertised on fail-fast 503s.
     pub retry_after_seconds: u64,
-    /// Where [`Router::wait`] writes the final metrics snapshot.
-    pub metrics_snapshot: Option<PathBuf>,
-    /// Install SIGINT/SIGTERM handlers and treat them as a drain.
-    pub handle_signals: bool,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            workers: 8,
-            max_body_bytes: 64 * 1024,
-            poll_interval: Duration::from_millis(25),
+            daemon: DaemonConfig::default(),
             probe_interval: Duration::from_millis(250),
             pool: PoolConfig::default(),
             retry_after_seconds: 1,
-            metrics_snapshot: None,
-            handle_signals: false,
         }
     }
 }
@@ -197,14 +185,7 @@ impl Router {
             retry_after_seconds: config.retry_after_seconds,
             remaps_total: registry.counter("cluster_remaps_total"),
         };
-        let daemon_config = DaemonConfig {
-            workers: config.workers,
-            max_body_bytes: config.max_body_bytes,
-            poll_interval: config.poll_interval,
-            metrics_snapshot: config.metrics_snapshot,
-            handle_signals: config.handle_signals,
-        };
-        let daemon = Daemon::start(routes, drain.clone(), registry, daemon_config, addr)?;
+        let daemon = Daemon::start(routes, drain.clone(), registry, config.daemon, addr)?;
         let probe_interval = config.probe_interval;
         let prober = thread::spawn(move || probe_loop(&upstreams, &drain, probe_interval));
         Ok(Router { daemon, prober })

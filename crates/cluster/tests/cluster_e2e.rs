@@ -13,6 +13,7 @@ use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous};
 use priste_obs::{json, Registry};
 use priste_online::{DurableOptions, OnlineConfig, SessionManager, UserId};
+use priste_serve::daemon::DaemonConfig;
 use priste_serve::http::read_response;
 use priste_serve::{Server, ServerConfig};
 use std::io::{Read, Write};
@@ -122,8 +123,11 @@ fn finish_worker(
         Some(Box::new(mechanism) as Box<dyn Lppm>),
         registry.clone(),
         ServerConfig {
-            workers: 2,
-            poll_interval: Duration::from_millis(5),
+            daemon: DaemonConfig {
+                workers: 2,
+                poll_interval: Duration::from_millis(5),
+                ..DaemonConfig::default()
+            },
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -136,9 +140,13 @@ fn finish_worker(
 /// `Retry-After`.
 fn quick_router_config() -> RouterConfig {
     RouterConfig {
-        workers: 4,
-        max_body_bytes: 64 * 1024,
-        poll_interval: Duration::from_millis(5),
+        daemon: DaemonConfig {
+            workers: 4,
+            max_body_bytes: 64 * 1024,
+            poll_interval: Duration::from_millis(5),
+            metrics_snapshot: None,
+            handle_signals: false,
+        },
         probe_interval: Duration::from_millis(50),
         pool: PoolConfig {
             connect_attempts: 2,
@@ -148,8 +156,6 @@ fn quick_router_config() -> RouterConfig {
             pool_capacity: 8,
         },
         retry_after_seconds: 7,
-        metrics_snapshot: None,
-        handle_signals: false,
     }
 }
 

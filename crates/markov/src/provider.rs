@@ -87,11 +87,6 @@ impl TimeVarying {
             schedule,
         })
     }
-
-    /// Length of the explicit schedule.
-    pub fn schedule_len(&self) -> usize {
-        self.schedule.len()
-    }
 }
 
 impl TransitionProvider for TimeVarying {

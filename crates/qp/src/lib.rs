@@ -100,16 +100,6 @@ impl Default for SolverConfig {
     }
 }
 
-impl SolverConfig {
-    /// A configuration with the given work budget and defaults otherwise.
-    pub fn with_budget(work_budget: u64) -> Self {
-        SolverConfig {
-            work_budget,
-            ..Self::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

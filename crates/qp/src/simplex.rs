@@ -242,7 +242,13 @@ mod tests {
         // early_exit_above = −∞ forces an exit on the very first improving
         // pair, marking the scan incomplete.
         assert!(!out.complete);
-        let v = check_nonpositive(&p, &SolverConfig::with_budget(3));
+        let v = check_nonpositive(
+            &p,
+            &SolverConfig {
+                work_budget: 3,
+                ..SolverConfig::default()
+            },
+        );
         // With 20 states and budget 3, either a genuine violation was found
         // among the first pairs or the verdict must be Unknown.
         match v {

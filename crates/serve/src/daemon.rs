@@ -90,6 +90,18 @@ pub struct DaemonConfig {
     pub handle_signals: bool,
 }
 
+impl Default for DaemonConfig {
+    fn default() -> Self {
+        DaemonConfig {
+            workers: 8,
+            max_body_bytes: 64 * 1024,
+            poll_interval: Duration::from_millis(25),
+            metrics_snapshot: None,
+            handle_signals: false,
+        }
+    }
+}
+
 /// What the drained daemon did, returned by `wait`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainSummary {

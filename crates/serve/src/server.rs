@@ -32,7 +32,7 @@
 //! # Graceful drain
 //!
 //! [`DrainHandle::drain`] (or SIGINT/SIGTERM when
-//! [`ServerConfig::handle_signals`] is set) starts the skeleton's drain.
+//! [`DaemonConfig::handle_signals`] is set) starts the skeleton's drain.
 //! [`Server::wait`] then writes a final durable checkpoint (when the
 //! service is durable) and a last metrics snapshot to disk, and returns
 //! the [`DrainSummary`].
@@ -49,25 +49,13 @@ use priste_obs::Registry;
 use priste_online::{shard_rng, Enrollment, OnlineError, SessionManager, UserId};
 use rand::rngs::StdRng;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads — also the effective request concurrency, since
-    /// each worker owns one keep-alive connection at a time.
-    pub workers: usize,
-    /// Largest accepted request body (413 beyond it).
-    pub max_body_bytes: usize,
-    /// Socket read timeout; bounds how quickly idle connections and the
-    /// acceptor notice a drain.
-    pub poll_interval: Duration,
-    /// Where `wait` writes the final `render_json` metrics snapshot.
-    pub metrics_snapshot: Option<PathBuf>,
-    /// Install SIGINT/SIGTERM handlers and treat them as a drain.
-    pub handle_signals: bool,
+    /// The connection model every daemon shares.
+    pub daemon: DaemonConfig,
     /// Seed of the server-side release RNG streams, one per shard.
     pub seed: u64,
 }
@@ -75,11 +63,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: 8,
-            max_body_bytes: 64 * 1024,
-            poll_interval: Duration::from_millis(25),
-            metrics_snapshot: None,
-            handle_signals: false,
+            daemon: DaemonConfig::default(),
             seed: 7,
         }
     }
@@ -171,14 +155,7 @@ impl<P: TransitionProvider + Clone + Send + Sync + 'static> Server<P> {
             service,
             drain: drain.clone(),
         };
-        let config = DaemonConfig {
-            workers: config.workers,
-            max_body_bytes: config.max_body_bytes,
-            poll_interval: config.poll_interval,
-            metrics_snapshot: config.metrics_snapshot,
-            handle_signals: config.handle_signals,
-        };
-        let daemon = Daemon::start(handler, drain, registry, config, addr)?;
+        let daemon = Daemon::start(handler, drain, registry, config.daemon, addr)?;
         Ok(Server { daemon })
     }
 

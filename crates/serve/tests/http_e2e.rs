@@ -10,6 +10,7 @@ use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous};
 use priste_obs::{json, Registry};
 use priste_online::{DurableOptions, OnlineConfig, SessionManager, UserId};
+use priste_serve::daemon::DaemonConfig;
 use priste_serve::http::read_response;
 use priste_serve::{LoadMode, LoadgenOptions, Server, ServerConfig};
 use std::io::Write;
@@ -95,8 +96,11 @@ fn build_server(
 
 fn quick_config() -> ServerConfig {
     ServerConfig {
-        workers: 4,
-        poll_interval: Duration::from_millis(5),
+        daemon: DaemonConfig {
+            workers: 4,
+            poll_interval: Duration::from_millis(5),
+            ..DaemonConfig::default()
+        },
         ..ServerConfig::default()
     }
 }
@@ -310,10 +314,8 @@ fn malformed_traffic_gets_4xx_and_bumps_error_counters() {
 fn graceful_drain_checkpoints_and_snapshots_metrics() {
     let dir = unique_dir("drain");
     let snapshot = unique_dir("snap").with_extension("json");
-    let config = ServerConfig {
-        metrics_snapshot: Some(snapshot.clone()),
-        ..quick_config()
-    };
+    let mut config = quick_config();
+    config.daemon.metrics_snapshot = Some(snapshot.clone());
     let (server, _registry) = build_server(Some(&dir), config);
     let addr = server.local_addr().to_string();
 

@@ -14,6 +14,7 @@ use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous};
 use priste_obs::{json, Registry};
 use priste_online::{DurableOptions, OnlineConfig, SessionManager, UserId};
+use priste_serve::daemon::DaemonConfig;
 use priste_serve::http::read_response;
 use priste_serve::{Server, ServerConfig};
 use rand::RngCore;
@@ -143,8 +144,11 @@ fn a_panic_in_the_service_fences_mutations_and_recovery_keeps_committed_spend() 
         Some(tripwire()),
         Registry::new(),
         ServerConfig {
-            workers: 2,
-            poll_interval: Duration::from_millis(5),
+            daemon: DaemonConfig {
+                workers: 2,
+                poll_interval: Duration::from_millis(5),
+                ..DaemonConfig::default()
+            },
             ..ServerConfig::default()
         },
         "127.0.0.1:0",

@@ -11,6 +11,7 @@ use priste_lppm::{Lppm, PlanarLaplace};
 use priste_markov::{gaussian_kernel_chain, Homogeneous};
 use priste_obs::{json, Registry};
 use priste_online::{DurableOptions, OnlineConfig, SessionManager, UserId};
+use priste_serve::daemon::DaemonConfig;
 use priste_serve::http::read_response;
 use priste_serve::{Server, ServerConfig};
 use rand::RngCore;
@@ -106,10 +107,12 @@ fn start(
         mechanism,
         registry.clone(),
         ServerConfig {
-            workers: 8,
-            poll_interval: Duration::from_millis(5),
+            daemon: DaemonConfig {
+                workers: 8,
+                poll_interval: Duration::from_millis(5),
+                ..DaemonConfig::default()
+            },
             seed: 11,
-            ..ServerConfig::default()
         },
         "127.0.0.1:0",
     )

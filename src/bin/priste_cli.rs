@@ -139,6 +139,7 @@
 use priste::calibrate::{Decision, GuardConfig, PlanarLaplaceError, PlannerConfig, UtilityModel};
 use priste::obs::StderrSink;
 use priste::prelude::*;
+use priste::serve::daemon::DaemonConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -1177,6 +1178,22 @@ fn cmd_calibrate(flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The connection model `serve` and `cluster` share: `--workers` (at
+/// least 1), `--metrics-json` as the drain-time snapshot, and
+/// SIGINT/SIGTERM as a drain.
+fn daemon_config(flags: &Flags) -> Result<DaemonConfig, CliError> {
+    let workers = flags.usize_or("workers", 8)?;
+    if workers == 0 {
+        return Err(CliError::Usage("--workers must be at least 1".into()));
+    }
+    Ok(DaemonConfig {
+        workers,
+        metrics_snapshot: flags.0.get("metrics-json").map(std::path::PathBuf::from),
+        handle_signals: true,
+        ..DaemonConfig::default()
+    })
+}
+
 /// The scenario served as an HTTP daemon: the `stream` pipeline behind
 /// `priste-serve`, with the metrics plane always on (that is the point of
 /// the daemon) and signal-driven graceful drain.
@@ -1187,10 +1204,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
             "--mode must be audit or enforce, got {mode:?}"
         )));
     }
-    let workers = flags.usize_or("workers", 8)?;
-    if workers == 0 {
-        return Err(CliError::Usage("--workers must be at least 1".into()));
-    }
+    let daemon = daemon_config(flags)?;
     let addr = flags.str_or("addr", "127.0.0.1:8750");
 
     // Unlike `stream`, the registry is unconditional — the live `/metrics`
@@ -1202,11 +1216,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
     }
     let pipeline = stream_pipeline(flags, Some(&registry))?;
     let config = ServerConfig {
-        workers,
-        metrics_snapshot: flags.0.get("metrics-json").map(std::path::PathBuf::from),
-        handle_signals: true,
+        daemon,
         seed: flags.u64_or("seed", 1)?,
-        ..ServerConfig::default()
     };
     let server = if mode == "enforce" {
         pipeline.serve_http_enforcing(addr, config)
@@ -1236,10 +1247,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), CliError> {
 /// The `priste-cluster` router daemon: fronts N workers, either spawned
 /// here as child `serve` processes or already running elsewhere.
 fn cmd_cluster(flags: &Flags) -> Result<(), CliError> {
-    let workers = flags.usize_or("workers", 8)?;
-    if workers == 0 {
-        return Err(CliError::Usage("--workers must be at least 1".into()));
-    }
+    let daemon = daemon_config(flags)?;
     let addr = flags.str_or("addr", "127.0.0.1:8760");
     let sources = ["spawn", "worker-addrs", "shard-map"]
         .iter()
@@ -1272,10 +1280,8 @@ fn cmd_cluster(flags: &Flags) -> Result<(), CliError> {
         registry.set_sink(Arc::new(StderrSink));
     }
     let config = RouterConfig {
-        workers,
+        daemon,
         retry_after_seconds: flags.u64_or("retry-after", 1)?,
-        metrics_snapshot: flags.0.get("metrics-json").map(std::path::PathBuf::from),
-        handle_signals: true,
         ..RouterConfig::default()
     };
     let router = Router::start(map.clone(), registry, config, addr).map_err(runtime)?;
