@@ -7,17 +7,34 @@
 //! restricted Planar Laplace mechanisms); and `fig13` sweeps
 //! σ from worlds whose chains run on CSR (σ = 0.01) to full dense ones
 //! (σ = 10); `ablation_scaling` runs the rescaled quantification chain
-//! past the point where raw `f64` underflows. Each experiment's CSV text,
+//! past the point where raw `f64` underflows; `table3` sweeps the QP work
+//! budget, with its runtime column left out. Each experiment's CSV text,
 //! in the `output::write_csv` format, must match
 //! `tests/fixtures/experiments/<id>.csv` at the repository root byte for
 //! byte: a change of backend, of mechanism storage or of summation order
 //! shows up here as a changed digit.
 
 use priste_bench::{experiments, output, Experiment, Scale};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/experiments")
+}
+
+/// A fixture's header labels and its numeric rows.
+fn read_fixture(path: &Path) -> (Vec<String>, Vec<Vec<f64>>) {
+    let text = std::fs::read_to_string(path).expect("read fixture");
+    let mut lines = text.lines();
+    let header = lines
+        .next()
+        .expect("header")
+        .split(',')
+        .map(String::from)
+        .collect();
+    let rows = lines
+        .map(|l| l.split(',').map(|v| v.parse().expect("number")).collect())
+        .collect();
+    (header, rows)
 }
 
 fn assert_matches_fixtures(name: &str, experiments: Vec<Experiment>) {
@@ -83,6 +100,41 @@ fn ablation_scaling_matches_the_committed_csv() {
     );
 }
 
+#[test]
+fn table3_matches_the_committed_csv() {
+    let mut table = experiments::table3(&Scale::smoke());
+    table.series.retain(|s| s.label != "ave total runtime (s)");
+    assert_eq!(table.series.len(), 3, "the runtime series was not dropped");
+    assert_matches_fixtures("table3", vec![table]);
+}
+
+/// A larger ε keeps at least as much budget: in every committed ε series,
+/// the mean budget over time never falls from one ε to the next larger one.
+#[test]
+fn a_larger_epsilon_keeps_more_budget() {
+    for id in ["fig7a", "fig8a", "fig9a", "fig10a"] {
+        let (header, rows) = read_fixture(&fixture_dir().join(format!("{id}.csv")));
+        let mut means: Vec<(f64, f64)> = header
+            .iter()
+            .enumerate()
+            .filter_map(|(col, label)| {
+                let eps: f64 = label.strip_prefix("eps=")?.parse().expect("ε label");
+                let mean = rows.iter().map(|r| r[col]).sum::<f64>() / rows.len() as f64;
+                Some((eps, mean))
+            })
+            .collect();
+        assert!(means.len() >= 3, "{id}: only {} ε series", means.len());
+        means.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for pair in means.windows(2) {
+            let ((lo_eps, lo), (hi_eps, hi)) = (pair[0], pair[1]);
+            assert!(
+                hi >= lo,
+                "{id}: ε = {hi_eps} keeps {hi}, less than ε = {lo_eps}'s {lo}"
+            );
+        }
+    }
+}
+
 /// The audit only ever lowers a mechanism's budget: in every budget panel,
 /// each `<α>-PLM` series releases at most its base α (up to the rounding
 /// of a mean over runs).
@@ -95,12 +147,7 @@ fn plm_budget_series_never_exceed_their_base_alpha() {
         if name.contains("euclid") {
             continue; // distances, not budgets
         }
-        let text = std::fs::read_to_string(&path).expect("read fixture");
-        let mut lines = text.lines();
-        let header: Vec<&str> = lines.next().expect("header").split(',').collect();
-        let rows: Vec<Vec<f64>> = lines
-            .map(|l| l.split(',').map(|v| v.parse().expect("number")).collect())
-            .collect();
+        let (header, rows) = read_fixture(&path);
         for (col, label) in header.iter().enumerate() {
             let Some(alpha) = label.strip_suffix("-PLM") else {
                 continue;

@@ -9,20 +9,23 @@ use priste_qp::SolverConfig;
 /// candidates, the timestamp is released through the *uniform* mechanism
 /// (the paper's α → 0 limit, which satisfies Eqs. (15)/(16) for every π).
 /// Each Theorem IV.1 check runs under [`SolverConfig::default`]'s work
-/// budget.
+/// budget unless `qp_work_budget` sets one. That default completes a check
+/// only for m ≤ 446 cells; above that every check is `Unknown`, and every
+/// timestamp falls back to the uniform mechanism.
 #[derive(Debug, Clone)]
 pub struct PristeConfig {
     /// The ε of ε-spatiotemporal event privacy (Definition II.4).
     pub epsilon: f64,
-    /// Optional wall-clock deadline per QP check (Table III's threshold).
-    pub qp_deadline: Option<std::time::Duration>,
+    /// Coordinate pairs one Theorem IV.1 check may scan (Table III's
+    /// threshold); `None` keeps [`SolverConfig::default`]'s budget.
+    pub qp_work_budget: Option<u64>,
 }
 
 impl Default for PristeConfig {
     fn default() -> Self {
         PristeConfig {
             epsilon: 1.0,
-            qp_deadline: None,
+            qp_work_budget: None,
         }
     }
 }
@@ -51,9 +54,10 @@ impl PristeConfig {
 
     /// The solver configuration for one constraint check.
     pub fn solver_config(&self) -> SolverConfig {
+        let default = SolverConfig::default();
         SolverConfig {
-            deadline: self.qp_deadline,
-            ..SolverConfig::default()
+            work_budget: self.qp_work_budget.unwrap_or(default.work_budget),
+            ..default
         }
     }
 }
@@ -78,12 +82,15 @@ mod tests {
 
     #[test]
     fn solver_config_inherits_fields() {
+        let default = SolverConfig::default();
+        let solver = PristeConfig::default().solver_config();
+        assert_eq!(solver.work_budget, default.work_budget);
         let c = PristeConfig {
-            qp_deadline: Some(std::time::Duration::from_millis(3)),
+            qp_work_budget: Some(7),
             ..Default::default()
         };
         let solver = c.solver_config();
-        assert_eq!(solver.deadline, c.qp_deadline);
-        assert_eq!(solver.work_budget, SolverConfig::default().work_budget);
+        assert_eq!(solver.work_budget, 7);
+        assert_eq!(solver.tolerance, default.tolerance);
     }
 }

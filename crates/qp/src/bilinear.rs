@@ -116,7 +116,7 @@ mod tests {
             Vector::from(vec![0.02, -0.5, 0.01, -0.2]),
             Vector::from(vec![0.0, 0.01, -0.01, 0.0]),
         );
-        let full = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        let full = maximize_simplex(&p, u64::MAX, f64::INFINITY);
         assert!(full.best_value > 1e-9, "program must be violable");
         let tight = check_nonpositive(
             &p,
@@ -138,7 +138,7 @@ mod tests {
             Vector::from(vec![1.0, 1.0]),
             Vector::from(vec![0.0, 0.0]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
         // On the simplex, πa = πg = 1 always ⇒ f = 1 (vs 4 at π = 1 on the
         // box the paper states literally).
         assert!(

@@ -18,14 +18,15 @@
 //! because the paper's quadratic matrices are outer products `aᵀ(…)`. On
 //! the simplex such a form attains its maximum on an edge, so the
 //! `O(m²)` pair scan of [`simplex`] is exact. Like CPLEX under the paper's
-//! one-second threshold, the scan is *budgeted* and returns a three-valued
-//! [`Verdict`]:
+//! one-second threshold, the scan is *budgeted*, in pairs rather than
+//! seconds so that a verdict is a function of its inputs alone, and returns
+//! a three-valued [`Verdict`]:
 //!
 //! * `Holds` — a **sound** certificate: a complete pair scan whose every
 //!   pair value is finite and ≤ the tolerance.
 //! * `Violated` — a concrete witness `π` with `f(π) > 0`.
-//! * `Unknown` — budget or deadline exhausted, or a non-finite pair value,
-//!   before certifying; the framework's *conservative release* (§IV.C)
+//! * `Unknown` — budget exhausted, or a non-finite pair value, before
+//!   certifying; the framework's *conservative release* (§IV.C)
 //!   treats this as a failure and keeps decaying the mechanism's budget, so
 //!   privacy is never claimed without a certificate.
 
@@ -78,16 +79,17 @@ impl Verdict {
 pub struct SolverConfig {
     /// Coordinate pairs the scan may examine. The deterministic analogue of
     /// the paper's CPLEX wall-clock threshold (Table III); exhausting it
-    /// yields [`Verdict::Unknown`].
+    /// yields [`Verdict::Unknown`]. [`TheoremChecker::check`] gives each of
+    /// its two constraints half, and a complete scan of an m-cell program
+    /// takes m(m+1)/2 pairs, so a complete check needs m(m+1): the default
+    /// 200 000 covers only m ≤ 446, and every check above that is
+    /// `Unknown` until the default is derived from m (`ROADMAP.md`,
+    /// direction 1).
     pub work_budget: u64,
     /// Decision tolerance: values within `±tolerance` of zero count as
     /// non-positive (absorbs floating-point noise in the homogeneous
     /// rescaling).
     pub tolerance: f64,
-    /// Optional wall-clock deadline for one check — the faithful analogue
-    /// of the paper's CPLEX time threshold (Table III). `None` (default)
-    /// keeps checks fully deterministic via `work_budget` alone.
-    pub deadline: Option<std::time::Duration>,
 }
 
 impl Default for SolverConfig {
@@ -95,7 +97,6 @@ impl Default for SolverConfig {
         SolverConfig {
             work_budget: 200_000,
             tolerance: 1e-9,
-            deadline: None,
         }
     }
 }

@@ -76,19 +76,12 @@ pub struct SimplexOutcome {
 }
 
 /// Scans all coordinate pairs (each one work unit). Stops early when the
-/// budget or the wall-clock `deadline` runs out (elapsed time is polled
-/// every 1024 pairs to keep the hot loop branch-cheap), or at the first
-/// non-finite pair value, which no comparison could rank; either leaves the
-/// scan incomplete. `early_exit_above` (if finite) stops as soon as any
-/// pair exceeds it — the violation fast-path.
-pub fn maximize_simplex(
-    p: &BilinearProgram,
-    budget: u64,
-    early_exit_above: f64,
-    deadline: Option<std::time::Duration>,
-) -> SimplexOutcome {
+/// budget runs out, or at the first non-finite pair value, which no
+/// comparison could rank; either leaves the scan incomplete.
+/// `early_exit_above` (if finite) stops as soon as any pair exceeds it —
+/// the violation fast-path.
+pub fn maximize_simplex(p: &BilinearProgram, budget: u64, early_exit_above: f64) -> SimplexOutcome {
     let n = p.dim();
-    let started = std::time::Instant::now();
     let mut best_v = f64::NEG_INFINITY;
     let mut best = (0usize, 0usize, 1.0f64);
     let mut work = 0u64;
@@ -98,12 +91,6 @@ pub fn maximize_simplex(
             if work >= budget {
                 complete = false;
                 break 'outer;
-            }
-            if let Some(d) = deadline {
-                if work.is_multiple_of(1024) && started.elapsed() > d {
-                    complete = false;
-                    break 'outer;
-                }
             }
             work += 1;
             let (l, v) = pair_max(p, i, j);
@@ -139,10 +126,10 @@ pub fn maximize_simplex(
 ///
 /// * Every examined pair with value > tolerance ⇒ `Violated` (sound).
 /// * All pairs examined and none positive ⇒ `Holds` (exact certificate).
-/// * Budget or deadline exhausted, or a non-finite pair value, first ⇒
+/// * Budget exhausted, or a non-finite pair value, first ⇒
 ///   `Unknown`.
 pub fn check_nonpositive(p: &BilinearProgram, cfg: &SolverConfig) -> Verdict {
-    let out = maximize_simplex(p, cfg.work_budget, cfg.tolerance, cfg.deadline);
+    let out = maximize_simplex(p, cfg.work_budget, cfg.tolerance);
     if out.best_value > cfg.tolerance {
         return Verdict::Violated {
             witness: out.best_point,
@@ -206,7 +193,7 @@ mod tests {
         for case in 0..200 {
             let n = rng.gen_range(1..=3);
             let p = random_program(&mut rng, n);
-            let exact = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+            let exact = maximize_simplex(&p, u64::MAX, f64::INFINITY);
             assert!(exact.complete);
             let grid = simplex_grid_max(&p, 120);
             assert!(
@@ -229,7 +216,7 @@ mod tests {
             Vector::from(vec![-1.0, 1.0]),
             Vector::from(vec![0.0, 0.0]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
         assert!((out.best_value - 0.125).abs() < 1e-12);
         assert!((out.best_point[0] - 0.25).abs() < 1e-9);
     }
@@ -238,7 +225,7 @@ mod tests {
     fn budget_exhaustion_reports_incomplete() {
         let mut rng = StdRng::seed_from_u64(7);
         let p = random_program(&mut rng, 20);
-        let out = maximize_simplex(&p, 5, f64::NEG_INFINITY, None);
+        let out = maximize_simplex(&p, 5, f64::NEG_INFINITY);
         // early_exit_above = −∞ forces an exit on the very first improving
         // pair, marking the scan incomplete.
         assert!(!out.complete);
@@ -267,7 +254,7 @@ mod tests {
             Vector::from(vec![-1.0; 6]),
             Vector::from(vec![-0.1; 6]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
         assert!(out.complete);
         assert_eq!(out.work_used, (n * (n + 1) / 2) as u64);
         assert!(check_nonpositive(&p, &SolverConfig::default()).holds());
@@ -281,7 +268,7 @@ mod tests {
             Vector::from(vec![2.0, 0.1]),
             Vector::from(vec![0.5, 0.0]),
         );
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
         // f(e_0) = 1·2 + 0.5 = 2.5.
         assert!((out.best_value - 2.5).abs() < 1e-12);
         assert_eq!(out.best_point.as_slice(), &[1.0, 0.0]);
@@ -306,7 +293,7 @@ mod tests {
                 matches!(v, Verdict::Unknown { .. }),
                 "NaN at {k} gave {v:?}"
             );
-            assert!(!maximize_simplex(&p, u64::MAX, f64::INFINITY, None).complete);
+            assert!(!maximize_simplex(&p, u64::MAX, f64::INFINITY).complete);
         }
     }
 }

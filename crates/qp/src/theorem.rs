@@ -290,6 +290,43 @@ mod tests {
         assert!(prev_satisfied, "even ε = 8 failed — inputs degenerate?");
     }
 
+    /// An uninformative release on `m` cells (`b = c ∘ a` with constant
+    /// `c`): both constraints hold, so only the budget decides the verdict.
+    fn uninformative_of_size(m: usize) -> (Vector, Vector, Vector) {
+        let a: Vector = (0..m).map(|i| (i % 7 + 1) as f64 / 8.0).collect();
+        let c = Vector::from(vec![0.4; m]);
+        let b = a.scale(0.4);
+        (a, b, c)
+    }
+
+    #[test]
+    fn a_complete_check_takes_m_times_m_plus_one_pairs() {
+        // Each constraint gets half the budget and a complete scan takes
+        // m(m+1)/2 pairs, so one pair short of m(m+1) leaves it undecided.
+        let m = 12;
+        let (a, b, c) = uninformative_of_size(m);
+        let pairs = (m * (m + 1)) as u64;
+        let check = |work_budget| {
+            let config = SolverConfig {
+                work_budget,
+                ..SolverConfig::default()
+            };
+            TheoremChecker::new(1.0, config).check(&a, &b, &c)
+        };
+        assert!(matches!(check(pairs - 1), TheoremVerdict::Unknown { .. }));
+        assert_eq!(check(pairs), TheoremVerdict::Satisfied);
+
+        // The default budget therefore certifies up to m = 446
+        // (446·447 = 199 362 ≤ 200 000 < 447·448). A default derived from
+        // m (`ROADMAP.md`, direction 1) flips the m = 447 case.
+        let default = |m| {
+            let (a, b, c) = uninformative_of_size(m);
+            TheoremChecker::new(1.0, SolverConfig::default()).check(&a, &b, &c)
+        };
+        assert_eq!(default(446), TheoremVerdict::Satisfied);
+        assert!(matches!(default(447), TheoremVerdict::Unknown { .. }));
+    }
+
     #[test]
     #[should_panic(expected = "epsilon must be positive")]
     fn rejects_bad_epsilon() {

@@ -25,7 +25,7 @@ proptest! {
     /// feasible.
     #[test]
     fn simplex_witness_is_feasible_and_achieving(p in program(6)) {
-        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY, None);
+        let out = maximize_simplex(&p, u64::MAX, f64::INFINITY);
         prop_assert!((out.best_point.sum() - 1.0).abs() < 1e-9);
         for &x in out.best_point.as_slice() {
             prop_assert!((-1e-12..=1.0 + 1e-12).contains(&x));
@@ -37,12 +37,12 @@ proptest! {
     /// exactly c (since Σπ = 1) — an analytic identity the scan must obey.
     #[test]
     fn linear_shift_identity(p in program(4), c in -2.0f64..2.0) {
-        let base = maximize_simplex(&p, u64::MAX, f64::INFINITY, None).best_value;
+        let base = maximize_simplex(&p, u64::MAX, f64::INFINITY).best_value;
         let shifted_h = Vector::from(
             p.h.as_slice().iter().map(|&x| x + c).collect::<Vec<_>>(),
         );
         let shifted = BilinearProgram::new(p.a.clone(), p.g.clone(), shifted_h);
-        let shifted_max = maximize_simplex(&shifted, u64::MAX, f64::INFINITY, None).best_value;
+        let shifted_max = maximize_simplex(&shifted, u64::MAX, f64::INFINITY).best_value;
         prop_assert!(
             (shifted_max - base - c).abs() < 1e-8,
             "shift identity broken: {shifted_max} vs {base} + {c}"
@@ -54,13 +54,13 @@ proptest! {
     #[test]
     fn bilinear_homogeneity_in_g(p in program(4), k in 0.1f64..4.0) {
         let zero_h = BilinearProgram::new(p.a.clone(), p.g.clone(), Vector::zeros(4));
-        let base = maximize_simplex(&zero_h, u64::MAX, f64::INFINITY, None).best_value;
+        let base = maximize_simplex(&zero_h, u64::MAX, f64::INFINITY).best_value;
         let scaled = BilinearProgram::new(
             p.a.clone(),
             p.g.scale(k),
             Vector::zeros(4),
         );
-        let scaled_max = maximize_simplex(&scaled, u64::MAX, f64::INFINITY, None).best_value;
+        let scaled_max = maximize_simplex(&scaled, u64::MAX, f64::INFINITY).best_value;
         // max(k·f) = k·max(f) only when max ≥ 0 is not required — it holds
         // for any sign because scaling g scales every pair value linearly.
         prop_assert!(

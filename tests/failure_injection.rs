@@ -107,14 +107,14 @@ fn event_domain_mismatch_fails_at_construction() {
 }
 
 #[test]
-fn deadline_zero_forces_conservative_fallbacks_but_never_unsoundness() {
-    // A deadline no check can meet: everything falls back to uniform
+fn one_pair_budget_forces_conservative_fallbacks_but_never_unsoundness() {
+    // A work budget no check can complete: everything falls back to uniform
     // releases (budget 0) — maximum conservatism, zero leakage.
     let (grid, chain) = world();
     let event = parse_event("PRESENCE(S={1:3}, T={2:3})", 9).unwrap();
     let events = vec![event.clone()];
     let mut config = PristeConfig::with_epsilon(0.5);
-    config.qp_deadline = Some(std::time::Duration::from_nanos(1));
+    config.qp_work_budget = Some(1);
     let source = PlmSource::new(grid.clone(), 0.5).unwrap();
     let mut priste = Priste::new(
         &events,
@@ -132,7 +132,7 @@ fn deadline_zero_forces_conservative_fallbacks_but_never_unsoundness() {
         let rec = priste.release(loc, &mut rng).unwrap();
         assert_eq!(
             rec.final_budget, 0.0,
-            "nothing should certify under a 1ns deadline"
+            "nothing should certify within one pair"
         );
         assert!(rec.conservative_hits > 0);
         let uniform = UniformMechanism::new(9);
