@@ -147,7 +147,7 @@ fn check_floor(lppm: &dyn Lppm, floor: f64) -> Result<()> {
 /// the order [`run_guard`] walks them, plus the [`GuardConfig`] they were
 /// built for. Immutable, so one ladder serves every release of a guard,
 /// including the worker threads of `priste-online`'s parallel release
-/// path. A rung re-discretizes the mechanism (for the Planar Laplace
+/// path, and every release of an α-PLM audit (`priste_core::Priste`). A rung re-discretizes the mechanism (for the Planar Laplace
 /// mechanism an `O(m)` kernel and summed-area table: ~1 ms and ~100 KB at
 /// m = 2500).
 #[derive(Debug)]
@@ -231,8 +231,9 @@ pub enum Decision {
 }
 
 /// Outcome of one guard pass, decoupled from any particular world store so
-/// both [`CalibratedMechanism`] and `priste-online`'s enforcing sessions
-/// can share the loop.
+/// [`CalibratedMechanism`], `priste-online`'s enforcing sessions and the
+/// paper's Algorithm 2 audit (`priste_core::Priste::release`) share the
+/// loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardOutcome {
     /// The verdict.
@@ -321,6 +322,12 @@ pub fn suppression_column(m: usize) -> Vector {
 /// `observe` — nothing is mutated until the caller commits
 /// [`GuardOutcome::column`]). When the floor rung fails too, the release is
 /// suppressed and the flat [`suppression_column`] is committed instead.
+///
+/// The one Algorithm 2 loop of the workspace: [`CalibratedMechanism`] and
+/// `priste-online`'s enforcing sessions pass [`peek_worst_loss`], and
+/// `priste_core::Priste::release` passes its any-π Theorem IV.1 check,
+/// reading 0 when every event certifies and `+∞` otherwise (it then
+/// releases through the uniform mechanism rather than suppress).
 ///
 /// # Errors
 /// Whatever `worst_loss` raises.

@@ -23,7 +23,8 @@
 //!   suppressing it when nothing feasible remains, so no uncertified
 //!   candidate ever ships. Its rungs are one prebuilt [`GuardLadder`], and
 //!   `priste-online` builds its *enforcing mode* on the same [`run_guard`]
-//!   loop over it.
+//!   loop over it, as `priste_core::Priste` builds the paper's Algorithm 2
+//!   audit.
 //!
 //! ```
 //! use priste_calibrate::{CalibratedMechanism, GuardConfig};

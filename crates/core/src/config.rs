@@ -3,10 +3,12 @@ use priste_qp::SolverConfig;
 
 /// Configuration of the PriSTE framework.
 ///
-/// Algorithm 2's budget ladder is fixed, not configured: each failed check
-/// halves the budget (`DECAY` = ½, line 19), and once the halved budget
-/// falls below `BUDGET_FLOOR` = 1e-4, or after `MAX_ATTEMPTS` = 40
-/// candidates, the timestamp is released through the *uniform* mechanism
+/// Algorithm 2's budget ladder is fixed, not configured: it is the guard's
+/// [`GuardLadder`](priste_calibrate::GuardLadder) under
+/// [`GuardConfig::default`](priste_calibrate::GuardConfig)'s backoff and
+/// floor. Each failed check halves the budget (line 19) down to the floor
+/// of 1e-3, or to the base budget if that is lower; once the floor rung
+/// fails too, the timestamp is released through the *uniform* mechanism
 /// (the paper's α → 0 limit, which satisfies Eqs. (15)/(16) for every π).
 /// Each Theorem IV.1 check runs under [`SolverConfig::default`]'s work
 /// budget unless `qp_work_budget` sets one. That default completes a check

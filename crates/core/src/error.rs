@@ -23,14 +23,6 @@ pub enum CoreError {
         /// Domain size.
         num_cells: usize,
     },
-    /// Budget decay hit the configured floor and the uniform fallback was
-    /// disabled.
-    BudgetExhausted {
-        /// Timestamp at which calibration failed.
-        t: usize,
-        /// The floor that was reached.
-        floor: f64,
-    },
     /// Configuration validation failure.
     InvalidConfig {
         /// What was wrong.
@@ -49,12 +41,6 @@ impl fmt::Display for CoreError {
             CoreError::NoEvents => write!(f, "at least one spatiotemporal event is required"),
             CoreError::LocationOutOfRange { cell, num_cells } => {
                 write!(f, "true location {cell} out of range for {num_cells} cells")
-            }
-            CoreError::BudgetExhausted { t, floor } => {
-                write!(
-                    f,
-                    "budget decayed to the floor {floor} at t={t} without certifying"
-                )
             }
             CoreError::InvalidConfig { message } => write!(f, "invalid configuration: {message}"),
         }
@@ -77,6 +63,22 @@ impl std::error::Error for CoreError {
 impl From<priste_lppm::LppmError> for CoreError {
     fn from(e: priste_lppm::LppmError) -> Self {
         CoreError::Lppm(e)
+    }
+}
+
+/// The guard's ladder and loop fail in the layers below or on their
+/// configuration; each failure keeps its variant here.
+impl From<priste_calibrate::CalibrateError> for CoreError {
+    fn from(e: priste_calibrate::CalibrateError) -> Self {
+        use priste_calibrate::CalibrateError;
+        match e {
+            CalibrateError::Lppm(e) => CoreError::Lppm(e),
+            CalibrateError::Quantify(e) => CoreError::Quantify(e),
+            CalibrateError::InvalidConfig { message } => CoreError::InvalidConfig { message },
+            e => CoreError::InvalidConfig {
+                message: e.to_string(),
+            },
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 use crate::source::MechanismSource;
 use crate::{CoreError, PristeConfig, Result};
+use priste_calibrate::{run_guard, Decision, GuardConfig, GuardLadder};
 use priste_event::StEvent;
 use priste_geo::{CellId, GridMap};
 use priste_lppm::{Lppm, UniformMechanism};
@@ -8,19 +9,6 @@ use priste_qp::{TheoremChecker, TheoremVerdict};
 use priste_quantify::TheoremBuilder;
 use rand::RngCore;
 use std::sync::Arc;
-
-/// Budget decay factor applied after each failed check: Algorithm 2
-/// line 19 halves the budget.
-const DECAY: f64 = 0.5;
-
-/// Once the decayed budget falls below this, the timestamp is released
-/// through the uniform mechanism (the paper's α → 0 limit).
-const BUDGET_FLOOR: f64 = 1e-4;
-
-/// Candidates per timestamp before the uniform fallback is forced — a
-/// safety net for base budgets so large that halving would not reach
-/// [`BUDGET_FLOOR`] first.
-const MAX_ATTEMPTS: u32 = 40;
 
 /// Outcome of one released timestamp.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +21,8 @@ pub struct ReleaseRecord {
     /// fallback) — the paper's per-timestamp utility metric (Figs. 7–10).
     pub final_budget: f64,
     /// Candidate locations drawn before one certified (Algorithm 2 may
-    /// re-run line 2 several times per timestamp).
+    /// re-run line 2 several times per timestamp): one per ladder rung
+    /// tried, so a uniform fallback counts every rung.
     pub attempts: u32,
     /// Checks that ended `Unknown` (QP budget exhausted) — the paper's
     /// "# of Conservative Release" column in Table III.
@@ -44,7 +33,8 @@ pub struct ReleaseRecord {
 }
 
 /// The PriSTE engine: one [`TheoremBuilder`] per protected event, a QP
-/// checker, and the budget-decay release loop of Algorithms 2/3.
+/// checker, and Algorithms 2/3's release loop, which walks the guard's
+/// budget ladder ([`GuardLadder`]) through [`run_guard`].
 ///
 /// Owns its per-event builders (which own their events), so a `Priste`
 /// value has no borrowed event slice and can be returned from builder APIs
@@ -55,6 +45,12 @@ pub struct Priste<P, S> {
     source: S,
     config: PristeConfig,
     grid: GridMap,
+    /// The ladder of the last base mechanism the source kept: a source
+    /// that hands out the same `Arc` every step ([`crate::PlmSource`])
+    /// builds one ladder. A mechanism the source does not keep
+    /// ([`crate::DeltaLocSource`]'s, rebuilt from the posterior) gets a
+    /// ladder of its own for its step.
+    ladder: Option<(Arc<Box<dyn Lppm>>, GuardLadder)>,
     t: usize,
 }
 
@@ -100,6 +96,7 @@ where
             source,
             config,
             grid,
+            ladder: None,
             t: 0,
         })
     }
@@ -114,9 +111,11 @@ where
         &self.source
     }
 
-    /// Releases one timestamp: draws candidates from the mechanism, halving
-    /// its budget until every event's Theorem IV.1 check certifies, then
-    /// commits the released emission column to all event builders.
+    /// Releases one timestamp: walks the base mechanism's budget ladder
+    /// until a candidate passes every event's Theorem IV.1 check, then
+    /// commits the released emission column to all event builders. When
+    /// no rung certifies, the timestamp is released through the uniform
+    /// mechanism with budget 0.
     ///
     /// # Errors
     /// Layer errors; [`CoreError::LocationOutOfRange`] for a bad input.
@@ -130,79 +129,74 @@ where
         }
         let t = self.t + 1;
         let base = self.source.base_mechanism(t)?;
-        let mut budget = self.source.base_budget();
-        let mut mechanism = Arc::clone(&base);
-        let mut attempts = 0u32;
+        // The guard's floor, lowered to a base budget beneath it: that base
+        // is then the only rung.
+        let config = GuardConfig {
+            target_epsilon: self.config.epsilon,
+            floor: GuardConfig::default().floor.min(base.budget()),
+            ..GuardConfig::default()
+        };
+        let fresh;
+        let ladder = match Arc::try_unwrap(base) {
+            // A mechanism the source does not keep is this step's alone.
+            Ok(prototype) => {
+                fresh = GuardLadder::new(prototype, config)?;
+                &fresh
+            }
+            Err(shared) => {
+                if !matches!(&self.ladder, Some((last, _)) if Arc::ptr_eq(last, &shared)) {
+                    let prototype = shared.with_budget(shared.budget())?;
+                    self.ladder = Some((shared, GuardLadder::new(prototype, config)?));
+                }
+                &self.ladder.as_ref().expect("built above").1
+            }
+        };
+
+        // Lines 3–16 per candidate: check every event, stopping at the
+        // first that fails. A pass reads as loss 0, a failure as +∞.
+        let (builders, checker) = (&self.builders, &self.checker);
         let mut conservative_hits = 0u32;
-
-        loop {
-            attempts += 1;
-            // Algorithm 2 line 2: draw a candidate perturbed location.
-            let candidate = mechanism.perturb(true_loc, rng);
-            let column = mechanism.emission_column(candidate);
-
-            // Lines 3–16: check ε-ST-event privacy for every event.
-            let mut all_ok = true;
-            for builder in &self.builders {
-                let inputs = builder.candidate(&column)?;
-                match self.checker.check(&inputs.a, &inputs.b, &inputs.c) {
+        let outcome = run_guard(ladder, true_loc, rng, |column| {
+            for builder in builders {
+                let inputs = builder.candidate(column)?;
+                match checker.check(&inputs.a, &inputs.b, &inputs.c) {
                     TheoremVerdict::Satisfied => {}
                     TheoremVerdict::Unknown { .. } => {
                         conservative_hits += 1;
-                        all_ok = false;
-                        break;
+                        return Ok(f64::INFINITY);
                     }
-                    TheoremVerdict::Violated { .. } => {
-                        all_ok = false;
-                        break;
-                    }
+                    TheoremVerdict::Violated { .. } => return Ok(f64::INFINITY),
                 }
             }
+            Ok(0.0)
+        })?;
 
-            if all_ok {
-                // Lines 17 & 21–25: release and commit the real column.
-                for builder in &mut self.builders {
-                    builder.commit(column.clone())?;
-                }
-                self.source.on_release(t, candidate, &column)?;
-                self.t = t;
-                return Ok(ReleaseRecord {
-                    t,
-                    observed: candidate,
-                    final_budget: budget,
-                    attempts,
-                    conservative_hits,
-                    euclid_km: self.grid.distance_km(true_loc, candidate)?,
-                });
-            }
-
-            // Line 19: decay the budget and retry.
-            let next_budget = budget * DECAY;
-            if next_budget < BUDGET_FLOOR || attempts >= MAX_ATTEMPTS {
-                // The paper's α→0 limit: the uniform mechanism carries no
-                // information about the true location, so both Theorem IV.1
-                // inequalities hold for every π (§IV.C). Release through it
-                // with budget reported as 0.
+        let (observed, final_budget, column) = match outcome.decision {
+            Decision::Released { observed, budget } => (observed, budget, outcome.column),
+            // The paper's α → 0 limit: the uniform mechanism carries no
+            // information about the true location, so both Theorem IV.1
+            // inequalities hold for every π (§IV.C). Release through it
+            // with budget reported as 0.
+            Decision::Suppressed => {
                 let uniform = UniformMechanism::new(m);
-                let candidate = uniform.perturb(true_loc, rng);
-                let column = uniform.emission_column(candidate);
-                for builder in &mut self.builders {
-                    builder.commit(column.clone())?;
-                }
-                self.source.on_release(t, candidate, &column)?;
-                self.t = t;
-                return Ok(ReleaseRecord {
-                    t,
-                    observed: candidate,
-                    final_budget: 0.0,
-                    attempts,
-                    conservative_hits,
-                    euclid_km: self.grid.distance_km(true_loc, candidate)?,
-                });
+                let observed = uniform.perturb(true_loc, rng);
+                (observed, 0.0, uniform.emission_column(observed))
             }
-            budget = next_budget;
-            mechanism = Arc::new(mechanism.with_budget(budget)?);
+        };
+        // Lines 17 & 21–25: release and commit the real column.
+        for builder in &mut self.builders {
+            builder.commit(column.clone())?;
         }
+        self.source.on_release(t, observed, &column)?;
+        self.t = t;
+        Ok(ReleaseRecord {
+            t,
+            observed,
+            final_budget,
+            attempts: outcome.attempts.len() as u32,
+            conservative_hits,
+            euclid_km: self.grid.distance_km(true_loc, observed)?,
+        })
     }
 }
 
@@ -394,8 +388,33 @@ mod tests {
     }
 
     #[test]
+    fn a_base_budget_below_the_guard_floor_is_its_own_floor_rung() {
+        // α = 5e-4 lies under the guard's 1e-3 floor: the ladder is the base
+        // alone, which certifies at ε = 1, and a check that can never
+        // complete walks that one rung before the uniform fallback.
+        let (grid, chain) = small_world();
+        let events = vec![presence_event(&grid)];
+        let mut rng = StdRng::seed_from_u64(5);
+        for (work_budget, budget) in [(None, 5e-4), (Some(1), 0.0)] {
+            let config = PristeConfig {
+                qp_work_budget: work_budget,
+                ..PristeConfig::with_epsilon(1.0)
+            };
+            let source = PlmSource::new(grid.clone(), 5e-4).unwrap();
+            let mut priste =
+                Priste::new(&events, chain.clone(), source, grid.clone(), config).unwrap();
+            for loc in [0, 4, 8] {
+                let rec = priste.release(CellId(loc), &mut rng).unwrap();
+                assert_eq!(rec.final_budget, budget);
+                assert_eq!(rec.attempts, 1);
+                assert_eq!(rec.conservative_hits, u32::from(work_budget.is_some()));
+            }
+        }
+    }
+
+    #[test]
     fn uniform_fallback_engages_under_impossible_epsilon() {
-        // ε so small that even the bottom of the halving ladder rarely
+        // ε so small that even the floor rung of the ladder rarely
         // certifies: the fallback must keep the stream flowing with budget
         // 0 rather than erroring.
         let (grid, chain) = small_world();

@@ -11,14 +11,17 @@
 //!    coefficient vectors;
 //! 3. the **QP checker** ([`priste_qp::TheoremChecker`]) certifies (or
 //!    refutes) ε-spatiotemporal event privacy for *every* adversarial
-//!    initial probability; on failure the LPPM's budget is halved and a new
-//!    candidate drawn (Algorithm 2 line 19 — the exponential decay whose
-//!    termination the α→0 limit guarantees).
+//!    initial probability; on failure a new candidate is drawn from the
+//!    next rung of the guard's budget ladder
+//!    ([`priste_calibrate::GuardLadder`], walked by
+//!    [`priste_calibrate::run_guard`]), each rung half the budget of the
+//!    last (Algorithm 2 line 19). Below the floor rung the uniform mechanism
+//!    releases: the α→0 limit that ends the exponential decay.
 //!
 //! Concrete instantiations:
 //!
 //! * [`PlmSource`] — Algorithm 2: PriSTE with Geo-indistinguishability
-//!   (α-Planar-Laplace), with a per-budget mechanism cache.
+//!   (α-Planar-Laplace), one mechanism whose ladder is built once.
 //! * [`DeltaLocSource`] — Algorithm 3: PriSTE with δ-location-set privacy,
 //!   whose mechanism is rebuilt each step from the adversarial posterior
 //!   (Eq. (21) update).

@@ -16,8 +16,10 @@ use std::sync::Arc;
 /// Supplier of the base mechanism at each timestamp, with a hook for
 /// observing what was actually released (Algorithm 3's posterior update).
 pub trait MechanismSource {
-    /// The base (full-budget) mechanism for timestamp `t`. Budget decay is
-    /// applied by the framework through [`Lppm::with_budget`].
+    /// The base (full-budget) mechanism for timestamp `t`. The framework
+    /// builds its budget ladder from it through [`Lppm::with_budget`], once
+    /// per distinct mechanism: return the same `Arc` every step to keep
+    /// one ladder.
     ///
     /// # Errors
     /// Mechanism construction failures.
@@ -29,9 +31,6 @@ pub trait MechanismSource {
     /// # Errors
     /// Posterior-update failures (impossible observations).
     fn on_release(&mut self, t: usize, observed: CellId, emission_column: &Vector) -> Result<()>;
-
-    /// The base privacy budget (for reporting).
-    fn base_budget(&self) -> f64;
 }
 
 /// Boxed sources delegate, so heterogeneous pipelines (`PlmSource` vs
@@ -45,17 +44,12 @@ impl<T: MechanismSource + ?Sized> MechanismSource for Box<T> {
     fn on_release(&mut self, t: usize, observed: CellId, emission_column: &Vector) -> Result<()> {
         (**self).on_release(t, observed, emission_column)
     }
-
-    fn base_budget(&self) -> f64 {
-        (**self).base_budget()
-    }
 }
 
 /// Algorithm 2's source: a fixed α-Planar-Laplace mechanism. The framework
-/// builds its decayed variants itself through [`Lppm::with_budget`].
+/// builds its decayed variants itself through [`Lppm::with_budget`], once.
 pub struct PlmSource {
     base: Arc<Box<dyn Lppm>>,
-    alpha: f64,
 }
 
 impl PlmSource {
@@ -72,10 +66,8 @@ impl PlmSource {
     /// source; the prototype's construction-time budget is the base of the
     /// decay ladder.
     pub fn from_mechanism(lppm: Box<dyn Lppm>) -> Self {
-        let alpha = lppm.budget();
         PlmSource {
             base: Arc::new(lppm),
-            alpha,
         }
     }
 }
@@ -92,10 +84,6 @@ impl MechanismSource for PlmSource {
         _emission_column: &Vector,
     ) -> Result<()> {
         Ok(())
-    }
-
-    fn base_budget(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -165,10 +153,6 @@ impl MechanismSource for DeltaLocSource {
             .expect("on_release follows base_mechanism within one timestep");
         self.tracker.update(&prior, emission_column)?;
         Ok(())
-    }
-
-    fn base_budget(&self) -> f64 {
-        self.alpha
     }
 }
 

@@ -141,6 +141,13 @@ impl RestrictedPlm {
             return Err(LppmError::EmptyOutputDomain);
         }
         let surrogates = surrogates(&grid, &set);
+        Self::with_parts(grid, set, surrogates, alpha)
+    }
+
+    /// The mechanism over a non-empty `set` and its `surrogates`: builds
+    /// the base α-PLM and the normalizer of every set cell, the only parts
+    /// that depend on α.
+    fn with_parts(grid: GridMap, set: Region, surrogates: Vec<usize>, alpha: f64) -> Result<Self> {
         let base = PlanarLaplace::new(grid, alpha)?;
         let mask = &set.masks().0;
         let mut norms = vec![0.0; surrogates.len()];
@@ -205,10 +212,13 @@ impl Lppm for RestrictedPlm {
         ))
     }
 
+    /// Keeps the set and the surrogates, which do not depend on the
+    /// budget.
     fn with_budget(&self, budget: f64) -> Result<Box<dyn Lppm>> {
-        Ok(Box::new(RestrictedPlm::new(
+        Ok(Box::new(RestrictedPlm::with_parts(
             self.base.grid().clone(),
             self.set.clone(),
+            self.surrogates.clone(),
             budget,
         )?))
     }
@@ -511,5 +521,13 @@ mod tests {
         assert!(!plm.output_set().contains(CellId(3)));
         let halved = plm.with_budget(0.25).unwrap();
         assert_eq!(halved.budget(), 0.25);
+        // Reusing the set and surrogates builds the mechanism `new` builds.
+        let fresh = RestrictedPlm::new(grid4(), plm.output_set().clone(), 0.25).unwrap();
+        for o in 0..4 {
+            assert_eq!(
+                halved.emission_column(CellId(o)).as_slice(),
+                fresh.emission_column(CellId(o)).as_slice()
+            );
+        }
     }
 }

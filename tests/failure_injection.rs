@@ -32,10 +32,6 @@ impl MechanismSource for FailingSource {
     fn on_release(&mut self, t: usize, observed: CellId, col: &Vector) -> priste::core::Result<()> {
         self.inner.on_release(t, observed, col)
     }
-
-    fn base_budget(&self) -> f64 {
-        0.5
-    }
 }
 
 #[test]
@@ -128,13 +124,22 @@ fn one_pair_budget_forces_conservative_fallbacks_but_never_unsoundness() {
     let traj = chain.sample_trajectory(CellId(4), 5, &mut rng).unwrap();
     let mut adversary =
         IncrementalTwoWorld::new(event, Homogeneous::new(chain), Vector::uniform(9)).unwrap();
+    // Every rung of the guard's ladder (α = 0.5 halved to the 1e-3 floor)
+    // draws one candidate whose check ends `Unknown`.
+    let plm = Box::new(PlanarLaplace::new(grid.clone(), 0.5).unwrap());
+    let rungs = GuardLadder::new(plm, GuardConfig::default())
+        .unwrap()
+        .rungs()
+        .len() as u32;
+    assert_eq!(rungs, 10);
     for &loc in &traj {
         let rec = priste.release(loc, &mut rng).unwrap();
         assert_eq!(
             rec.final_budget, 0.0,
             "nothing should certify within one pair"
         );
-        assert!(rec.conservative_hits > 0);
+        assert_eq!(rec.conservative_hits, rungs);
+        assert_eq!(rec.attempts, rungs);
         let uniform = UniformMechanism::new(9);
         let step = adversary
             .observe(&uniform.emission_column(rec.observed))
