@@ -413,28 +413,28 @@ fn suite_online(
     let ingest_ms = best_ms(opts.reps, || {
         let mut svc = service(provider, event, opts.users);
         for step in &feed {
-            svc.ingest_batch(step).expect("ingest");
+            svc.ingest_batch(step, 1).expect("ingest");
         }
     });
     metrics.push(Metric {
         name: "audit_ingest",
         value: observations / ((ingest_ms - cold_ms).max(1e-6) / 1e3),
         unit: "obs/s",
-        note: "sequential ingest_batch, cold-start cost subtracted".into(),
+        note: "ingest_batch at threads 1, cold-start cost subtracted".into(),
     });
 
     // The same stream with the shards spread over one worker per core.
     let parallel_ms = best_ms(opts.reps, || {
         let mut svc = service(provider, event, opts.users);
         for step in &feed {
-            svc.ingest_batch_parallel(step, 0).expect("ingest");
+            svc.ingest_batch(step, 0).expect("ingest");
         }
     });
     metrics.push(Metric {
         name: "audit_ingest_parallel",
         value: observations / ((parallel_ms - cold_ms).max(1e-6) / 1e3),
         unit: "obs/s",
-        note: "ingest_batch_parallel, one worker per core, cold-start cost subtracted".into(),
+        note: "ingest_batch at threads 0 (one worker per core), cold-start cost subtracted".into(),
     });
 
     // The observability tax: the same stream with a live metrics registry
@@ -444,7 +444,7 @@ fn suite_online(
         let mut svc = service(provider, event, opts.users);
         svc.observe(&registry);
         for step in &feed {
-            svc.ingest_batch(step).expect("ingest");
+            svc.ingest_batch(step, 1).expect("ingest");
         }
     });
     metrics.push(Metric {
@@ -474,7 +474,7 @@ fn suite_online(
         )
         .expect("make_durable");
         for step in &feed {
-            svc.ingest_batch(step).expect("ingest");
+            svc.ingest_batch(step, 1).expect("ingest");
         }
         drop(svc);
         std::fs::remove_dir_all(&dir).ok();
@@ -547,7 +547,7 @@ fn suite_online(
         )
         .expect("make_durable");
         for step in &feed {
-            svc.ingest_batch(step).expect("ingest");
+            svc.ingest_batch(step, 1).expect("ingest");
         }
         if checkpoint {
             svc.checkpoint().expect("checkpoint");
@@ -623,7 +623,7 @@ fn suite_online(
         let ingest_ms = best_ms(opts.reps, || {
             let mut svc = service(&provider_s, &event_s, users);
             for step in &feed {
-                svc.ingest_batch(step).expect("ingest");
+                svc.ingest_batch(step, 1).expect("ingest");
             }
         });
         metrics.push(Metric {
@@ -961,7 +961,7 @@ fn suite_online(
             (UserId(u), column.collect())
         })
         .collect();
-    active.ingest_batch(&round).expect("ingest");
+    active.ingest_batch(&round, 1).expect("ingest");
     for (svc, checkpoint, recover, what) in [
         (
             idle,

@@ -108,11 +108,8 @@ pub fn run_plm_point(
         let grid = grid.clone();
         move || PlmSource::new(grid.clone(), alpha)
     };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    runner::run_many_parallel(
-        events, chain, grid, config, &factory, horizon, scale.runs, scale.seed, threads,
+    runner::run_many(
+        events, chain, grid, config, &factory, horizon, scale.runs, scale.seed, 0,
     )
     .expect("experiment run")
 }
@@ -146,11 +143,8 @@ pub fn run_delta_point(
             )
         }
     };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    runner::run_many_parallel(
-        events, chain, grid, config, &factory, horizon, scale.runs, scale.seed, threads,
+    runner::run_many(
+        events, chain, grid, config, &factory, horizon, scale.runs, scale.seed, 0,
     )
     .expect("experiment run")
 }

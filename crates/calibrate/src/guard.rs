@@ -35,7 +35,7 @@
 //! certificate therefore bounds the loss of the committed-column model, not
 //! the exact ε-ST-event privacy of the realized stream. Choosing the rung
 //! from public state alone, by certifying every column of a rung before
-//! sampling, would make the two coincide (`ROADMAP.md`, direction 3).
+//! sampling, would make the two coincide (`ROADMAP.md`, direction 5).
 
 use crate::{CalibrateError, Result};
 use priste_event::StEvent;

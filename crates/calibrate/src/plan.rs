@@ -40,7 +40,7 @@ use crate::utility::UtilityModel;
 use crate::{CalibrateError, Result};
 use priste_event::StEvent;
 use priste_geo::CellId;
-use priste_linalg::Vector;
+use priste_linalg::{par, Vector};
 use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_qp::{knapsack::max_budgeted, SolverConfig, TheoremChecker};
@@ -75,9 +75,9 @@ pub struct PlannerConfig {
     /// Smallest per-step location budget before a step is declared
     /// infeasible.
     pub floor: f64,
-    /// Worker threads for the per-column oracle fan-out (`std::thread`
-    /// scoped; at least 1, and 1 = sequential). The plan is bit-identical
-    /// for any value.
+    /// Worker threads for the per-column oracle fan-out
+    /// ([`priste_linalg::par::map_chunks`]). The plan is bit-identical for
+    /// any value.
     pub threads: usize,
 }
 
@@ -105,11 +105,6 @@ impl PlannerConfig {
         if !(self.floor > 0.0 && self.floor.is_finite()) {
             return Err(CalibrateError::InvalidConfig {
                 message: format!("floor must be positive and finite, got {}", self.floor),
-            });
-        }
-        if self.threads == 0 {
-            return Err(CalibrateError::InvalidConfig {
-                message: "threads must be at least 1, got 0".into(),
             });
         }
         Ok(())
@@ -580,28 +575,17 @@ impl<P: TransitionProvider> Planner<P> {
     }
 
     /// Whether every candidate column certifies the target, fanned out over
-    /// the configured worker threads.
+    /// the configured worker threads; each chunk stops at its first
+    /// failing column.
     fn all_certify(&self, inputs: &[TheoremInputs]) -> bool {
         let checker = &TheoremChecker::new(self.target, SolverConfig::default());
-        let check = |chunk: &[TheoremInputs]| {
+        par::map_chunks(inputs, self.config.threads, |chunk| {
             chunk
                 .iter()
                 .all(|inp| checker.check(&inp.a, &inp.b, &inp.c).satisfied())
-        };
-        let threads = self.config.threads.clamp(1, inputs.len().max(1));
-        if threads == 1 {
-            return check(inputs);
-        }
-        let chunk_len = inputs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || check(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .all(|h| h.join().expect("planner worker panicked"))
         })
+        .into_iter()
+        .all(|ok| ok)
     }
 
     /// Greedy search for one timestep starting from `start` (the previous
@@ -847,21 +831,18 @@ mod tests {
     }
 
     #[test]
-    fn planner_rejects_zero_threads() {
+    fn zero_threads_plans_like_one() {
         let (grid, provider) = world();
         let event = presence(grid.num_cells());
-        let cfg = PlannerConfig {
-            threads: 0,
-            ..PlannerConfig::default()
+        // `0` is one worker per available core, as everywhere else.
+        let plan = |threads| {
+            let cfg = PlannerConfig {
+                threads,
+                ..PlannerConfig::default()
+            };
+            plan_greedy(plm(&grid, 2.0), &event, provider.clone(), 2, 1.0, &cfg).unwrap()
         };
-        // `0` is not "all cores" here: it must be a config error, not a
-        // silent single thread.
-        match plan_greedy(plm(&grid, 2.0), &event, provider, 2, 1.0, &cfg) {
-            Err(CalibrateError::InvalidConfig { message }) => {
-                assert!(message.contains("threads"), "{message}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
+        assert_eq!(plan(0).steps, plan(1).steps);
     }
 
     #[test]

@@ -56,10 +56,10 @@ impl PristeConfig {
 
     /// The solver configuration for one constraint check.
     pub fn solver_config(&self) -> SolverConfig {
-        let default = SolverConfig::default();
         SolverConfig {
-            work_budget: self.qp_work_budget.unwrap_or(default.work_budget),
-            ..default
+            work_budget: self
+                .qp_work_budget
+                .unwrap_or(SolverConfig::default().work_budget),
         }
     }
 }
@@ -93,6 +93,5 @@ mod tests {
         };
         let solver = c.solver_config();
         assert_eq!(solver.work_budget, 7);
-        assert_eq!(solver.tolerance, default.tolerance);
     }
 }

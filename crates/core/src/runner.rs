@@ -11,6 +11,7 @@ use crate::source::MechanismSource;
 use crate::{Priste, PristeConfig, ReleaseRecord, Result};
 use priste_event::StEvent;
 use priste_geo::{CellId, GridMap};
+use priste_linalg::par;
 use priste_markov::{Homogeneous, MarkovModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,58 +61,19 @@ pub struct Aggregate {
     pub mean_conservative_hits: f64,
 }
 
-/// Factory invoked once per run to build a fresh mechanism source (sources
-/// are stateful — Algorithm 3's posterior must restart per run).
-pub type SourceFactory<S> = dyn Fn() -> Result<S>;
-
 /// Runs the framework over `runs` sampled trajectories of length `horizon`
 /// and aggregates utility. Run `k` is seeded with `base_seed + k`, so whole
-/// experiments are reproducible.
+/// experiments are reproducible. `source_factory` builds a fresh mechanism
+/// source per run (sources are stateful: Algorithm 3's posterior must
+/// restart). The runs are spread over `threads` workers
+/// ([`priste_linalg::par::map_chunks`]: `0` = one per available core) and
+/// aggregated in run order, so the result is bit-identical for any thread
+/// count.
 ///
 /// # Errors
-/// Propagates construction and release errors from any run.
+/// Propagates the lowest-numbered failing run's error.
 #[allow(clippy::too_many_arguments)]
 pub fn run_many<S: MechanismSource>(
-    events: &[StEvent],
-    chain: &MarkovModel,
-    grid: &GridMap,
-    config: &PristeConfig,
-    source_factory: &SourceFactory<S>,
-    horizon: usize,
-    runs: usize,
-    base_seed: u64,
-) -> Result<Aggregate> {
-    let mut all: Vec<RunResult> = Vec::with_capacity(runs);
-    for k in 0..runs {
-        let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(k as u64));
-        let start = sample_start(chain, &mut rng)?;
-        let trajectory = chain.sample_trajectory(start, horizon, &mut rng)?;
-        let result = run_one(
-            events,
-            chain,
-            grid,
-            config,
-            source_factory()?,
-            &trajectory,
-            &mut rng,
-        )?;
-        all.push(result);
-    }
-    Ok(aggregate(&all, horizon))
-}
-
-/// Parallel variant of [`run_many`]: distributes runs over `threads` OS
-/// threads (run `k` keeps seed `base_seed + k`, so results are identical to
-/// the sequential version for any thread count — aggregation is
-/// order-insensitive).
-///
-/// # Errors
-/// Propagates the first failing run's error.
-///
-/// # Panics
-/// Panics if a worker thread panics (programming error in a lower layer).
-#[allow(clippy::too_many_arguments)]
-pub fn run_many_parallel<S: MechanismSource>(
     events: &[StEvent],
     chain: &MarkovModel,
     grid: &GridMap,
@@ -122,40 +84,31 @@ pub fn run_many_parallel<S: MechanismSource>(
     base_seed: u64,
     threads: usize,
 ) -> Result<Aggregate> {
-    let threads = threads.max(1).min(runs.max(1));
-    let worker_results: Vec<Result<Vec<RunResult>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || -> Result<Vec<RunResult>> {
-                    let mut out = Vec::new();
-                    let mut k = w;
-                    while k < runs {
-                        let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(k as u64));
-                        let start = sample_start(chain, &mut rng)?;
-                        let trajectory = chain.sample_trajectory(start, horizon, &mut rng)?;
-                        out.push(run_one(
-                            events,
-                            chain,
-                            grid,
-                            config,
-                            source_factory()?,
-                            &trajectory,
-                            &mut rng,
-                        )?);
-                        k += threads;
-                    }
-                    Ok(out)
-                })
+    let seeds: Vec<u64> = (0..runs as u64)
+        .map(|k| base_seed.wrapping_add(k))
+        .collect();
+    let chunks = par::map_chunks(&seeds, threads, |chunk| {
+        chunk
+            .iter()
+            .map(|&seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let start = sample_start(chain, &mut rng)?;
+                let trajectory = chain.sample_trajectory(start, horizon, &mut rng)?;
+                run_one(
+                    events,
+                    chain,
+                    grid,
+                    config,
+                    source_factory()?,
+                    &trajectory,
+                    &mut rng,
+                )
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("runner worker panicked"))
-            .collect()
+            .collect::<Result<Vec<RunResult>>>()
     });
     let mut all = Vec::with_capacity(runs);
-    for r in worker_results {
-        all.extend(r?);
+    for chunk in chunks {
+        all.extend(chunk?);
     }
     Ok(aggregate(&all, horizon))
 }
@@ -265,8 +218,8 @@ mod tests {
             let grid = grid.clone();
             move || PlmSource::new(grid.clone(), 0.5)
         };
-        let a1 = run_many(&events, &chain, &grid, &config, &factory, 4, 3, 42).unwrap();
-        let a2 = run_many(&events, &chain, &grid, &config, &factory, 4, 3, 42).unwrap();
+        let a1 = run_many(&events, &chain, &grid, &config, &factory, 4, 3, 42, 1).unwrap();
+        let a2 = run_many(&events, &chain, &grid, &config, &factory, 4, 3, 42, 1).unwrap();
         assert_eq!(a1.budget_by_t, a2.budget_by_t, "same seed must reproduce");
         assert_eq!(a1.runs, 3);
         assert_eq!(a1.budget_by_t.len(), 4);
@@ -282,26 +235,42 @@ mod tests {
             let grid = grid.clone();
             move || PlmSource::new(grid.clone(), 0.5)
         };
-        let a1 = run_many(&events, &chain, &grid, &config, &factory, 4, 2, 1).unwrap();
-        let a2 = run_many(&events, &chain, &grid, &config, &factory, 4, 2, 2).unwrap();
+        let a1 = run_many(&events, &chain, &grid, &config, &factory, 4, 2, 1, 1).unwrap();
+        let a2 = run_many(&events, &chain, &grid, &config, &factory, 4, 2, 2, 1).unwrap();
         assert_ne!(a1.euclid_by_t, a2.euclid_by_t);
     }
 
     #[test]
     fn parallel_matches_sequential_bit_for_bit() {
-        let (grid, chain, events) = world();
-        let config = PristeConfig::with_epsilon(1.0);
+        // A world whose per-timestamp sums are inexact in f64, so any
+        // change in summation order shows in the last bit.
+        let grid = GridMap::new(5, 5, 0.7).unwrap();
+        let chain = gaussian_kernel_chain(&grid, 1.3).unwrap();
+        let events: Vec<StEvent> =
+            vec![
+                Presence::new(Region::from_one_based_range(25, 1, 6).unwrap(), 2, 4)
+                    .unwrap()
+                    .into(),
+            ];
+        let config = PristeConfig::with_epsilon(0.7);
         let factory = {
             let grid = grid.clone();
-            move || PlmSource::new(grid.clone(), 0.5)
+            move || PlmSource::new(grid.clone(), 0.9)
         };
-        let seq = run_many(&events, &chain, &grid, &config, &factory, 4, 6, 11).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let par =
-                run_many_parallel(&events, &chain, &grid, &config, &factory, 4, 6, 11, threads)
-                    .unwrap();
-            assert_eq!(seq.budget_by_t, par.budget_by_t, "threads={threads}");
-            assert_eq!(seq.euclid_by_t, par.euclid_by_t, "threads={threads}");
+        let run = |threads| run_many(&events, &chain, &grid, &config, &factory, 6, 40, 5, threads);
+        let bits = |a: &Aggregate| {
+            let series = [&a.budget_by_t, &a.budget_std_by_t, &a.euclid_by_t];
+            let scalars = [a.mean_budget, a.mean_euclid_km, a.mean_conservative_hits];
+            let mut bits: Vec<u64> = series
+                .iter()
+                .flat_map(|s| s.iter().map(|x| x.to_bits()))
+                .collect();
+            bits.extend(scalars.iter().map(|x| x.to_bits()));
+            (a.runs, bits)
+        };
+        let seq = bits(&run(1).unwrap());
+        for threads in [0, 2, 3, 4, 7] {
+            assert_eq!(bits(&run(threads).unwrap()), seq, "threads={threads}");
         }
     }
 
@@ -322,7 +291,7 @@ mod tests {
             let grid = grid.clone();
             move || PlmSource::new(grid.clone(), 0.2)
         };
-        let a = run_many(&events, &chain, &grid, &config, &factory, 3, 3, 7).unwrap();
+        let a = run_many(&events, &chain, &grid, &config, &factory, 3, 3, 7, 1).unwrap();
         for (t, std) in a.budget_std_by_t.iter().enumerate() {
             assert!(std.abs() < 1e-9, "t={t}: std {std}");
         }

@@ -6,7 +6,7 @@
 //! [`MechanismSource`] trait captures exactly that difference so one
 //! framework loop serves both case studies.
 
-use crate::Result;
+use crate::{CoreError, Result};
 use priste_geo::{CellId, GridMap};
 use priste_linalg::Vector;
 use priste_lppm::{DeltaLocationSet, Lppm, LppmError, PlanarLaplace, PosteriorTracker};
@@ -59,16 +59,29 @@ impl PlmSource {
     /// PLM construction failures (bad α).
     pub fn new(grid: GridMap, alpha: f64) -> Result<Self> {
         let plm = PlanarLaplace::new(grid, alpha)?;
-        Ok(Self::from_mechanism(Box::new(plm)))
+        Self::from_mechanism(Box::new(plm))
     }
 
     /// Wraps an arbitrary prototype mechanism as an Algorithm 2-style
-    /// source; the prototype's construction-time budget is the base of the
-    /// decay ladder.
-    pub fn from_mechanism(lppm: Box<dyn Lppm>) -> Self {
-        PlmSource {
-            base: Arc::new(lppm),
+    /// source; the prototype's construction-time budget is the top of the
+    /// guard's ladder.
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidConfig`] for a budget that is not positive and
+    /// finite (the uniform mechanism's is 0): the ladder has no rung to
+    /// start from.
+    pub fn from_mechanism(lppm: Box<dyn Lppm>) -> Result<Self> {
+        let budget = lppm.budget();
+        if !(budget > 0.0 && budget.is_finite()) {
+            return Err(CoreError::InvalidConfig {
+                message: format!(
+                    "the base mechanism's budget must be positive and finite, got {budget}"
+                ),
+            });
         }
+        Ok(PlmSource {
+            base: Arc::new(lppm),
+        })
     }
 }
 

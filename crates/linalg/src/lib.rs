@@ -23,6 +23,9 @@
 //! * [`scaling`] — HMM-style rescaled vectors that keep long products of
 //!   sub-stochastic factors inside `f64` range while tracking the logarithm
 //!   of the accumulated scale.
+//! * [`par`] — the workspace's one fan-out helper ([`par::map_chunks`]):
+//!   contiguous chunks on scoped threads, results in input order, and the
+//!   one `threads` rule (`0` = one worker per available core).
 //!
 //! All operations are deterministic; no randomness lives in this crate.
 
@@ -31,6 +34,7 @@
 
 mod error;
 mod matrix;
+pub mod par;
 pub mod scaling;
 mod sparse;
 mod vector;

@@ -19,7 +19,7 @@ use priste_calibrate::{
 };
 use priste_event::StEvent;
 use priste_geo::CellId;
-use priste_linalg::Vector;
+use priste_linalg::{par, Vector};
 use priste_lppm::Lppm;
 use priste_markov::TransitionProvider;
 use priste_obs::Registry;
@@ -35,18 +35,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-/// Resolves a caller-facing thread knob: `0` means "one worker per
-/// available core".
-fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        requested
-    }
-}
 
 /// One deterministic RNG stream per shard, split from a seed. A release
 /// batch draws a shard's candidates from it, so they do not depend on how
@@ -460,8 +448,7 @@ fn window_report(
 /// mobility model, commits their observations one user at a time, and
 /// evicts expired windows.
 ///
-/// Batching: [`SessionManager::ingest_batch`],
-/// [`SessionManager::ingest_batch_parallel`] and
+/// Batching: [`SessionManager::ingest_batch`] and
 /// [`SessionManager::release_batch`] validate the whole batch first, then
 /// run, for each user, the critical section [`SessionManager::ingest`] or
 /// [`SessionManager::release`] runs, under the user's shard lock, each
@@ -515,8 +502,7 @@ fn window_report(
 /// Set-up ([`SessionManager::register_template`],
 /// [`SessionManager::set_mechanism`], [`SessionManager::enable_enforcement`],
 /// [`SessionManager::observe`], [`SessionManager::make_durable`]), recovery
-/// and the batch paths ([`SessionManager::ingest_batch`],
-/// [`SessionManager::ingest_batch_parallel`],
+/// and the batch paths ([`SessionManager::ingest_batch`] and
 /// [`SessionManager::release_batch`]) take `&mut self`, which excludes
 /// every other call. A batch still takes each shard's lock, through the
 /// helper the single-user calls use, for the shard's part: each worker
@@ -1387,38 +1373,6 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         Ok(report)
     }
 
-    /// Ingests one same-timestep batch: at most one observation (as the
-    /// released emission column) per user. Returns one [`UserReport`] per
-    /// entry, sorted by user id. Each user runs the critical section of
-    /// [`SessionManager::ingest`] (journal, then commit) under its shard's
-    /// lock, shard by shard, each shard's users in id order, so a batch
-    /// leaves the state and the journal a loop of single ingests would.
-    ///
-    /// # Errors
-    /// [`OnlineError::UnknownUser`], [`OnlineError::DuplicateObservation`],
-    /// and emission validation errors — all detected *before* any state is
-    /// mutated, so such a batch leaves the service unchanged. A failure or
-    /// panic past validation stops its shard, and the lowest-numbered
-    /// failed shard's error is returned (a panic as
-    /// [`OnlineError::ShardPanicked`], and the shard stays poisoned); every
-    /// user committed before it is journaled and counted, and the other
-    /// shards commit.
-    pub fn ingest_batch(&mut self, batch: &[(UserId, Vector)]) -> Result<Vec<UserReport>> {
-        let start = self
-            .instruments
-            .ingest_seconds
-            .is_enabled()
-            .then(Instant::now);
-        let jobs = self.shard_jobs(batch, |svc, col| svc.check_emission(col.as_slice()))?;
-        let reports = Self::outcome(self.run_shards(
-            jobs.iter(),
-            &|_, wanted, shard, scratch, stats, out| {
-                self.ingest_shard(wanted, shard, scratch, stats, out)
-            },
-        ));
-        self.finish_ingest(start, batch.len(), reports)
-    }
-
     /// One shard's part of a batched ingest: the critical section of
     /// [`SessionManager::ingest`] for each user, in id order.
     fn ingest_shard(
@@ -1528,10 +1482,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// once per part. A panic poisons the shard, as in a single-user call,
     /// and surfaces as [`OnlineError::ShardPanicked`], counted in
     /// `online_shard_panics_total`. Returns the items of every committed
-    /// user and the first failed shard with its error.
-    fn run_shards<'j, J: 'j, T>(
+    /// user and the first failed shard's error.
+    fn run_shards<J, T>(
         &self,
-        jobs: impl Iterator<Item = &'j (usize, J)>,
+        jobs: &[(usize, J)],
         work: &impl Fn(
             usize,
             &J,
@@ -1540,7 +1494,7 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             &mut ServiceStats,
             &mut Vec<T>,
         ) -> Result<()>,
-    ) -> (Vec<T>, Option<(usize, OnlineError)>) {
+    ) -> (Vec<T>, Option<OnlineError>) {
         let mut out = Vec::new();
         let mut failure = None;
         for &(idx, ref job) in jobs {
@@ -1566,18 +1520,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 Err(OnlineError::ShardPanicked { shard: idx })
             });
             if let Err(e) = result {
-                failure.get_or_insert((idx, e));
+                failure.get_or_insert(e);
             }
         }
         (out, failure)
-    }
-
-    /// A batch's items, or the error of its first failed shard.
-    fn outcome<T>((items, failure): (Vec<T>, Option<(usize, OnlineError)>)) -> Result<Vec<T>> {
-        match failure {
-            Some((_, e)) => Err(e),
-            None => Ok(items),
-        }
     }
 
     /// Checks that `cell` lies in the state domain.
@@ -2183,19 +2129,31 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 }
 
-/// The parallel batched paths — available when the shared model is
-/// thread-safe (the pipeline's `Arc`-backed provider is). Each scoped
-/// worker takes its shards' locks one at a time, as the single-user calls
-/// do, and the enforcing path shares one immutable [`GuardLadder`].
+/// The batched paths. Their shards are spread over up to `threads`
+/// workers ([`par::map_chunks`]: `0` = one per available core, never more
+/// than one per shard), so the shared model must be thread-safe (the
+/// pipeline's `Arc`-backed provider is). Each worker takes its shards'
+/// locks one at a time, as the single-user calls do, and the enforcing
+/// path shares one immutable [`GuardLadder`].
 impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
-    /// [`SessionManager::ingest_batch`] with the shards spread over up to
-    /// `threads` workers (`0` = one per available core). Reports, stats,
-    /// session state and journal are identical to the sequential path for
-    /// any thread count.
+    /// Ingests one same-timestep batch: at most one observation (as the
+    /// released emission column) per user. Returns one [`UserReport`] per
+    /// entry, sorted by user id. Each user runs the critical section of
+    /// [`SessionManager::ingest`] (journal, then commit) under its shard's
+    /// lock, each shard's users in id order, so a batch leaves the state
+    /// and the journal a loop of single ingests would, for any thread
+    /// count.
     ///
     /// # Errors
-    /// As [`SessionManager::ingest_batch`].
-    pub fn ingest_batch_parallel(
+    /// [`OnlineError::UnknownUser`], [`OnlineError::DuplicateObservation`],
+    /// and emission validation errors — all detected *before* any state is
+    /// mutated, so such a batch leaves the service unchanged. A failure or
+    /// panic past validation stops its shard, and the lowest-numbered
+    /// failed shard's error is returned (a panic as
+    /// [`OnlineError::ShardPanicked`], and the shard stays poisoned); every
+    /// user committed before it is journaled and counted, and the other
+    /// shards commit.
+    pub fn ingest_batch(
         &mut self,
         batch: &[(UserId, Vector)],
         threads: usize,
@@ -2217,9 +2175,8 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
     /// scale. Each user runs the critical section of
     /// [`SessionManager::release`] (guard, journal, commit) under its
     /// shard's lock, each shard's users in id order, drawing candidates
-    /// from one RNG stream per shard ([`shard_rng`] of `seed`). The shards
-    /// are spread over up to `threads` workers (`0` = one per available
-    /// core), and the results are bit-identical for any thread count.
+    /// from one RNG stream per shard ([`shard_rng`] of `seed`), so the
+    /// results are bit-identical for any thread count.
     ///
     /// Returns one [`EnforcedRelease`] per request, sorted by user id.
     ///
@@ -2268,11 +2225,10 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
         Ok(releases)
     }
 
-    /// [`SessionManager::run_shards`] over up to `threads` scoped workers
-    /// (`0` = one per available core, never more than one per shard):
-    /// worker `w` runs every `workers`-th shard part from the `w`-th on.
-    /// Each shard still commits its users in id order on its own state, so
-    /// the items, the state, the journal and the error returned (the
+    /// [`SessionManager::run_shards`] over contiguous runs of shard parts
+    /// on up to `threads` workers. Each shard still commits its users in
+    /// id order on its own state, and the parts come back in shard order,
+    /// so the items, the state, the journal and the error returned (the
     /// lowest-numbered failed shard's) do not depend on the thread count.
     fn fan_out<J: Sync, T: Send>(
         &self,
@@ -2288,29 +2244,13 @@ impl<P: TransitionProvider + Clone + Send + Sync> SessionManager<P> {
             ) -> Result<()>
             + Sync,
     ) -> Result<Vec<T>> {
-        let workers = resolve_threads(threads).min(jobs.len());
-        if workers <= 1 {
-            return Self::outcome(self.run_shards(jobs.iter(), &work));
+        let mut items = Vec::new();
+        let mut failure = None;
+        for (mut out, err) in par::map_chunks(jobs, threads, |part| self.run_shards(part, &work)) {
+            items.append(&mut out);
+            failure = failure.or(err);
         }
-        let work = &work;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || self.run_shards(jobs.iter().skip(w).step_by(workers), work))
-                })
-                .collect();
-            let mut items = Vec::new();
-            let mut failure = None;
-            for handle in handles {
-                // Shard panics are caught inside the worker.
-                let (mut out, err) = handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                items.append(&mut out);
-                failure = failure.into_iter().chain(err).min_by_key(|&(idx, _)| idx);
-            }
-            Self::outcome((items, failure))
-        })
+        failure.map_or(Ok(items), Err)
     }
 }
 
@@ -2546,7 +2486,7 @@ mod tests {
             .collect();
         let run = |threads: usize| {
             let mut svc = fleet();
-            let reports = svc.ingest_batch_parallel(&ingest, threads).unwrap();
+            let reports = svc.ingest_batch(&ingest, threads).unwrap();
             let releases = svc.release_batch(&release, 11, threads).unwrap();
             (reports, releases, svc.stats())
         };

@@ -1,6 +1,6 @@
-//! A batch is a loop of single-user calls: `ingest_batch` (and its
-//! parallel twin) leaves the reports, the state and every durable file a
-//! loop of `ingest` over the same users leaves, and
+//! A batch is a loop of single-user calls: `ingest_batch(batch, threads)`
+//! leaves the reports, the state and every durable file a loop of `ingest`
+//! over the same users leaves, and
 //! `release_batch(batch, seed, threads)` those of a loop of `release`
 //! that walks each shard's users in id order on that shard's
 //! `shard_rng(seed, shard)`. Equal WAL bytes pin that the journal order
@@ -77,8 +77,7 @@ fn ingest(svc: &mut SessionManager<Arc<Homogeneous>>, drive: Drive, round: u64) 
         .map(|u| (UserId(u), column(u, round)))
         .collect();
     match drive {
-        Drive::Batch { threads: 1 } => svc.ingest_batch(&batch).unwrap(),
-        Drive::Batch { threads } => svc.ingest_batch_parallel(&batch, threads).unwrap(),
+        Drive::Batch { threads } => svc.ingest_batch(&batch, threads).unwrap(),
         Drive::Loop => {
             let mut reports: Vec<UserReport> = (0..SHARDS)
                 .flat_map(|shard| batch.iter().filter(move |(id, _)| svc_shard(*id) == shard))

@@ -42,7 +42,7 @@ fn ingest_round(svc: &mut SessionManager<Arc<Homogeneous>>, round: u64) {
             (UserId(u), Vector::from(column))
         })
         .collect();
-    svc.ingest_batch(&batch).unwrap();
+    svc.ingest_batch(&batch, 1).unwrap();
 }
 
 fn tempdir(tag: &str) -> PathBuf {

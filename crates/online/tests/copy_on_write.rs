@@ -138,7 +138,7 @@ fn apply(svc: &mut SessionManager<Arc<Homogeneous>>, op: &Op) -> Vec<(u64, Strin
         Op::Ingest(batch) => {
             let batch: Vec<(UserId, Vector)> =
                 batch.iter().map(|(u, c)| (UserId(*u), c.clone())).collect();
-            svc.ingest_batch(&batch)
+            svc.ingest_batch(&batch, 1)
                 .unwrap()
                 .into_iter()
                 .map(|r| (r.user.0, format!("{r:?}")))

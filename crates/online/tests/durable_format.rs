@@ -93,21 +93,27 @@ fn scenario(dir: &Path) -> SessionManager<Arc<Homogeneous>> {
         },
     )
     .unwrap();
-    svc.ingest_batch(&round(&[
-        (0, [0.7, 0.2, 0.1]),
-        (1, [0.1, 0.8, 0.1]),
-        (2, [0.25, 0.5, 0.25]),
-    ]))
+    svc.ingest_batch(
+        &round(&[
+            (0, [0.7, 0.2, 0.1]),
+            (1, [0.1, 0.8, 0.1]),
+            (2, [0.25, 0.5, 0.25]),
+        ]),
+        1,
+    )
     .unwrap();
     svc.attach_event(UserId(1), 1).unwrap();
-    svc.ingest_batch(&round(&[
-        (0, [0.3, 0.3, 0.4]),
-        (1, [0.6, 0.2, 0.2]),
-        (2, [0.1, 0.1, 0.8]),
-    ]))
+    svc.ingest_batch(
+        &round(&[
+            (0, [0.3, 0.3, 0.4]),
+            (1, [0.6, 0.2, 0.2]),
+            (2, [0.1, 0.1, 0.8]),
+        ]),
+        1,
+    )
     .unwrap();
     svc.checkpoint().unwrap();
-    svc.ingest_batch(&round(&[(0, [0.5, 0.25, 0.25]), (2, [0.2, 0.6, 0.2])]))
+    svc.ingest_batch(&round(&[(0, [0.5, 0.25, 0.25]), (2, [0.2, 0.6, 0.2])]), 1)
         .unwrap();
     svc.add_user(UserId(3), Vector::uniform(3)).unwrap();
     svc.attach_event(UserId(3), 0).unwrap();
@@ -316,8 +322,11 @@ fn windows_before_their_event_opens_round_trip() {
         )
         .unwrap();
     for (i, batch) in rounds[..2].iter().enumerate() {
-        let want = format!("{:?}", live.ingest_batch(batch).unwrap());
-        assert_eq!(format!("{:?}", durable.ingest_batch(batch).unwrap()), want);
+        let want = format!("{:?}", live.ingest_batch(batch, 1).unwrap());
+        assert_eq!(
+            format!("{:?}", durable.ingest_batch(batch, 1).unwrap()),
+            want
+        );
         if i == 0 {
             // A window attached after its user's first observation starts
             // from the user's posterior.
@@ -332,9 +341,9 @@ fn windows_before_their_event_opens_round_trip() {
         SessionManager::recover(chain(), config(), templates(), &dir, None).unwrap();
     assert_eq!(recovered.state_digest(), live.state_digest());
     for batch in &rounds[2..] {
-        let want = format!("{:?}", live.ingest_batch(batch).unwrap());
+        let want = format!("{:?}", live.ingest_batch(batch, 1).unwrap());
         assert_eq!(
-            format!("{:?}", recovered.ingest_batch(batch).unwrap()),
+            format!("{:?}", recovered.ingest_batch(batch, 1).unwrap()),
             want
         );
         assert_eq!(recovered.state_digest(), live.state_digest());

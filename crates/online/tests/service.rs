@@ -88,7 +88,7 @@ fn batched_service_equals_hand_driven_incremental_state() {
 
     for t in 1..=5 {
         let batch: Vec<(UserId, Vector)> = users.iter().map(|&u| (u, column_for(u.0, t))).collect();
-        let reports = svc.ingest_batch(&batch).unwrap();
+        let reports = svc.ingest_batch(&batch, 1).unwrap();
         assert_eq!(reports.len(), users.len());
         for report in &reports {
             let (_, windows) = refs.iter_mut().find(|(u, _)| *u == report.user.0).unwrap();
@@ -131,7 +131,7 @@ fn shard_count_does_not_change_results() {
         for t in 1..=4 {
             let batch: Vec<(UserId, Vector)> =
                 (0..9).map(|u| (UserId(u), column_for(u, t))).collect();
-            all.extend(svc.ingest_batch(&batch).unwrap());
+            all.extend(svc.ingest_batch(&batch, 1).unwrap());
         }
         all
     };
@@ -293,7 +293,7 @@ fn service_rejects_bad_inputs_without_mutating_state() {
         (UserId(1), Vector::uniform(3)),
     ];
     assert!(matches!(
-        svc.ingest_batch(&dup),
+        svc.ingest_batch(&dup, 1),
         Err(OnlineError::DuplicateObservation { user: 1 })
     ));
     assert_eq!(svc.stats(), before);
@@ -380,7 +380,7 @@ fn plm_driven_feed_runs_end_to_end_on_a_grid_world() {
                 (UserId(u), plm.emission_column(obs))
             })
             .collect();
-        let reports = svc.ingest_batch(&batch).unwrap();
+        let reports = svc.ingest_batch(&batch, 1).unwrap();
         assert_eq!(reports.len(), users as usize);
         for r in &reports {
             assert!(r.worst_loss >= 0.0);
@@ -683,8 +683,8 @@ fn parallel_ingest_equals_sequential_ingest() {
     for t in 1..=6 {
         let batch: Vec<(UserId, Vector)> =
             (0..23u64).map(|u| (UserId(u), column_for(u, t))).collect();
-        let sequential = seq.ingest_batch(&batch).unwrap();
-        let parallel = par.ingest_batch_parallel(&batch, 4).unwrap();
+        let sequential = seq.ingest_batch(&batch, 1).unwrap();
+        let parallel = par.ingest_batch(&batch, 4).unwrap();
         assert_eq!(sequential, parallel, "t={t}");
     }
     assert_eq!(seq.stats(), par.stats());

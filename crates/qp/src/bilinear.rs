@@ -118,13 +118,7 @@ mod tests {
         );
         let full = maximize_simplex(&p, u64::MAX, f64::INFINITY);
         assert!(full.best_value > 1e-9, "program must be violable");
-        let tight = check_nonpositive(
-            &p,
-            &SolverConfig {
-                work_budget: 1,
-                ..SolverConfig::default()
-            },
-        );
+        let tight = check_nonpositive(&p, &SolverConfig { work_budget: 1 });
         assert!(
             !tight.holds(),
             "tiny budget claimed Holds on a violated program"

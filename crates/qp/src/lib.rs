@@ -74,7 +74,7 @@ impl Verdict {
     }
 }
 
-/// Budget and tolerances for a check.
+/// Budget for a check.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Coordinate pairs the scan may examine. The deterministic analogue of
@@ -86,17 +86,12 @@ pub struct SolverConfig {
     /// `Unknown` until the default is derived from m (`ROADMAP.md`,
     /// direction 1).
     pub work_budget: u64,
-    /// Decision tolerance: values within `±tolerance` of zero count as
-    /// non-positive (absorbs floating-point noise in the homogeneous
-    /// rescaling).
-    pub tolerance: f64,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             work_budget: 200_000,
-            tolerance: 1e-9,
         }
     }
 }

@@ -122,15 +122,21 @@ pub fn maximize_simplex(p: &BilinearProgram, budget: u64, early_exit_above: f64)
     }
 }
 
+/// Decision tolerance: a maximum within `TOLERANCE` of zero counts as
+/// non-positive (absorbs floating-point noise in the homogeneous
+/// rescaling). Absolute, on the rescaled (b, c) scale; `ROADMAP.md`
+/// direction 2 replaces it with a slack in loss units.
+const TOLERANCE: f64 = 1e-9;
+
 /// Budgeted non-positivity check: `max f ≤ 0` over the simplex?
 ///
-/// * Every examined pair with value > tolerance ⇒ `Violated` (sound).
+/// * Every examined pair with value > `TOLERANCE` ⇒ `Violated` (sound).
 /// * All pairs examined and none positive ⇒ `Holds` (exact certificate).
 /// * Budget exhausted, or a non-finite pair value, first ⇒
 ///   `Unknown`.
 pub fn check_nonpositive(p: &BilinearProgram, cfg: &SolverConfig) -> Verdict {
-    let out = maximize_simplex(p, cfg.work_budget, cfg.tolerance);
-    if out.best_value > cfg.tolerance {
+    let out = maximize_simplex(p, cfg.work_budget, TOLERANCE);
+    if out.best_value > TOLERANCE {
         return Verdict::Violated {
             witness: out.best_point,
             value: out.best_value,
@@ -229,13 +235,7 @@ mod tests {
         // early_exit_above = −∞ forces an exit on the very first improving
         // pair, marking the scan incomplete.
         assert!(!out.complete);
-        let v = check_nonpositive(
-            &p,
-            &SolverConfig {
-                work_budget: 3,
-                ..SolverConfig::default()
-            },
-        );
+        let v = check_nonpositive(&p, &SolverConfig { work_budget: 3 });
         // With 20 states and budget 3, either a genuine violation was found
         // among the first pairs or the verdict must be Unknown.
         match v {

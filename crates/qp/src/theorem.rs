@@ -68,18 +68,11 @@ impl TheoremChecker {
     /// Creates a checker for ε-spatiotemporal event privacy.
     ///
     /// # Panics
-    /// Panics for a non-positive or non-finite ε, or a negative or
-    /// non-finite tolerance (configuration bugs: a NaN tolerance would
-    /// certify every program).
+    /// Panics for a non-positive or non-finite ε (a configuration bug).
     pub fn new(epsilon: f64, config: SolverConfig) -> Self {
         assert!(
             epsilon.is_finite() && epsilon > 0.0,
             "epsilon must be positive and finite, got {epsilon}"
-        );
-        assert!(
-            config.tolerance.is_finite() && config.tolerance >= 0.0,
-            "tolerance must be non-negative and finite, got {}",
-            config.tolerance
         );
         TheoremChecker { epsilon, config }
     }
@@ -306,13 +299,8 @@ mod tests {
         let m = 12;
         let (a, b, c) = uninformative_of_size(m);
         let pairs = (m * (m + 1)) as u64;
-        let check = |work_budget| {
-            let config = SolverConfig {
-                work_budget,
-                ..SolverConfig::default()
-            };
-            TheoremChecker::new(1.0, config).check(&a, &b, &c)
-        };
+        let check =
+            |work_budget| TheoremChecker::new(1.0, SolverConfig { work_budget }).check(&a, &b, &c);
         assert!(matches!(check(pairs - 1), TheoremVerdict::Unknown { .. }));
         assert_eq!(check(pairs), TheoremVerdict::Satisfied);
 
@@ -331,16 +319,6 @@ mod tests {
     #[should_panic(expected = "epsilon must be positive")]
     fn rejects_bad_epsilon() {
         let _ = TheoremChecker::new(0.0, SolverConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "tolerance must be non-negative")]
-    fn rejects_nan_tolerance() {
-        let config = SolverConfig {
-            tolerance: f64::NAN,
-            ..SolverConfig::default()
-        };
-        let _ = TheoremChecker::new(1.0, config);
     }
 
     #[test]

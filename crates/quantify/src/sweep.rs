@@ -15,13 +15,13 @@
 //!   budgets) move the answer slowly, so seeding the bracket from the
 //!   previous answer replaces the full `[eps_min, eps_max]` bisection with
 //!   a few probes around the hint ([`min_certifiable_epsilon_warm`]);
-//! * **threading** — independent bisections parallelize perfectly with
-//!   `std::thread::scope`; [`min_certifiable_epsilons`] chunks a batch of
-//!   [`TheoremInputs`] across a caller-chosen number of worker threads
-//!   (the repo builds with vendored deps only, so no rayon — scoped
-//!   threads are the whole machinery).
+//! * **threading** — independent bisections parallelize perfectly;
+//!   [`min_certifiable_epsilons`] chunks a batch of [`TheoremInputs`]
+//!   across a caller-chosen number of workers
+//!   ([`priste_linalg::par::map_chunks`]).
 
 use crate::TheoremInputs;
+use priste_linalg::par;
 use priste_qp::{SolverConfig, TheoremChecker};
 
 /// Relative half-width of the initial warm-start window around a hint;
@@ -189,7 +189,7 @@ pub fn min_certifiable_epsilon_warm(
 }
 
 /// Bulk ε-capacity: one bisection per [`TheoremInputs`], fanned out over
-/// `threads` scoped worker threads (clamped to `[1, inputs.len()]`).
+/// `threads` workers ([`par::map_chunks`]: `0` = one per available core).
 ///
 /// Every query is seeded with the caller's `warm` hint alone, so each
 /// answer depends only on its own inputs and the result is bit-identical
@@ -203,29 +203,15 @@ pub fn min_certifiable_epsilons(
     threads: usize,
     warm: Option<f64>,
 ) -> Vec<EpsilonCapacity> {
-    let scan = |chunk: &[TheoremInputs]| -> Vec<EpsilonCapacity> {
+    par::map_chunks(inputs, threads, |chunk| {
         chunk
             .iter()
             .map(|inp| min_certifiable_epsilon_warm(inp, eps_min, eps_max, tolerance, solver, warm))
-            .collect()
-    };
-
-    let threads = threads.clamp(1, inputs.len().max(1));
-    if threads == 1 {
-        return scan(inputs);
-    }
-    let chunk_len = inputs.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(inputs.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || scan(chunk)))
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("capacity worker panicked"));
-        }
-    });
-    out
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! incrementally (O(m²) per observation) and evicts windows as they expire.
 //! The service — templates pre-registered, model shared via `Arc` — is
 //! derived from one [`Pipeline`], and each timestep's batch is fanned out
-//! over all cores with [`SessionManager::ingest_batch_parallel`].
+//! with [`SessionManager::ingest_batch`] at `threads = 0`, one worker per
+//! available core.
 //!
 //! Run with `cargo run --example streaming_service`.
 
@@ -65,7 +66,7 @@ fn main() -> Result<(), PristeError> {
                 (UserId(u), plm.emission_column(observed))
             })
             .collect();
-        for report in service.ingest_batch_parallel(&batch, 0)? {
+        for report in service.ingest_batch(&batch, 0)? {
             let slot = &mut worst[report.user.0 as usize];
             *slot = slot.max(report.worst_loss);
         }

@@ -117,8 +117,11 @@
 //! `protect`, `.quantifier()`/`.checker()` for `quantify`/`check`,
 //! `.serve()`/`.serve_enforcing()` for `stream`, and
 //! `.plan_*()`/`.enforce()` for `calibrate`. `stream --threads N` fans the
-//! batched ingest/release work over N workers (0 = all cores) with
-//! identical output for any N.
+//! batched work (`SessionManager::ingest_batch(batch, threads)` and
+//! `release_batch`) over N workers, and `calibrate --threads N` the
+//! planners' per-column checks. `0` means one worker per available core,
+//! the rule of every `threads` knob in the workspace, and the output is
+//! identical for any N.
 //!
 //! Grid scale: `--side N` builds an `N×N` world (`m = N²` cells). Its
 //! mobility chain picks its own backend: dense for a full chain, CSR for a
@@ -816,10 +819,7 @@ fn cmd_stream(flags: &Flags) -> Result<(), CliError> {
                 (UserId(u as u64), plm.emission_column(observed))
             })
             .collect();
-        for report in service
-            .ingest_batch_parallel(&batch, threads)
-            .map_err(runtime)?
-        {
+        for report in service.ingest_batch(&batch, threads).map_err(runtime)? {
             let u = report.user.0 as usize;
             if report.worst_loss.is_finite() {
                 worst_loss[u] = worst_loss[u].max(report.worst_loss);

@@ -590,7 +590,7 @@ impl Pipeline {
         } else {
             Box::new(PlmSource::from_mechanism(
                 mechanism.instantiate(&self.grid)?,
-            ))
+            )?)
         };
         Ok(Priste::new(
             &self.events,
@@ -969,6 +969,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use priste_geo::CellId;
+    use priste_lppm::UniformMechanism;
     use priste_markov::gaussian_kernel_chain;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1015,6 +1016,26 @@ mod tests {
         assert_eq!(pipeline.target_epsilon(), 0.7);
         assert_eq!(pipeline.serve().unwrap().config().epsilon, 0.7);
         assert_eq!(pipeline.enforce().unwrap().config().target_epsilon, 0.7);
+    }
+
+    #[test]
+    fn a_zero_budget_mechanism_fails_every_mode_up_front() {
+        // The uniform mechanism's budget is 0: the guard's ladder has no
+        // rung, so the audit must fail when it is derived, not at its
+        // first release, as the enforcing modes do.
+        let (grid, chain) = small();
+        let m = grid.num_cells();
+        let pipeline = Pipeline::on(grid)
+            .mobility(chain)
+            .event_spec("PRESENCE(S={1:3}, T={2:3})")
+            .mechanism(UniformMechanism::new(m))
+            .target_epsilon(1.0)
+            .build()
+            .unwrap();
+        let err = pipeline.audit().unwrap_err();
+        assert!(err.to_string().contains("budget"), "{err}");
+        assert!(pipeline.enforce().is_err());
+        assert!(pipeline.serve_enforcing().is_err());
     }
 
     #[test]

@@ -148,10 +148,8 @@ fn pipeline_method_set_is_pinned() {
 #[allow(clippy::type_complexity)]
 fn parallel_service_methods_are_pinned() {
     type Mgr = SessionManager<SharedProvider>;
-    let _: fn(&mut Mgr, &[(UserId, Vector)]) -> Result<Vec<UserReport>, OnlineError> =
-        Mgr::ingest_batch;
     let _: fn(&mut Mgr, &[(UserId, Vector)], usize) -> Result<Vec<UserReport>, OnlineError> =
-        Mgr::ingest_batch_parallel;
+        Mgr::ingest_batch;
     let _: fn(
         &mut Mgr,
         &[(UserId, CellId)],

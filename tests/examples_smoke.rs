@@ -574,7 +574,7 @@ fn adversary_bound_example_runs_to_completion() {
 }
 
 /// `examples/streaming_service.rs` — 100 users over m = 64 for 12 steps —
-/// is the only example on the `ingest_batch_parallel(.., 0)` path (one
+/// is the only example on the `ingest_batch(.., 0)` path (one
 /// worker per core). It must run to completion and account for every
 /// observation.
 #[test]

@@ -200,8 +200,8 @@ proptest! {
                     (UserId(u), plm.emission_column(obs))
                 })
                 .collect();
-            let a = seq.ingest_batch(&batch).unwrap();
-            let b = par.ingest_batch_parallel(&batch, threads).unwrap();
+            let a = seq.ingest_batch(&batch, 1).unwrap();
+            let b = par.ingest_batch(&batch, threads).unwrap();
             prop_assert_eq!(a, b, "ingest reports diverged");
         }
         prop_assert_eq!(seq.stats(), par.stats());
