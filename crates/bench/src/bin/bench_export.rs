@@ -655,8 +655,8 @@ fn suite_online(
 
     // --- Steady-state allocation at m = 2500 -----------------------------
     //
-    // A durable ingest of a user whose posterior and window vectors are
-    // already its own — the observed half of a live service — should write
+    // A durable ingest of a user whose window vectors (and posterior, once
+    // stored) are already its own — the observed half of a live service — should write
     // them in place and encode its WAL frame into the shard's kept buffer:
     // no O(m) allocation at all. Three warm rounds give every user its own
     // vectors (the second opens each window's event, which adds its true
@@ -776,12 +776,13 @@ fn suite_online(
     // --- First ingests and guarded releases at m = 2500 ------------------
     //
     // A user's first ingest should allocate only the state it keeps from
-    // then on — its posterior (one m-vector) and its window's forward
-    // vector, of which only the false half (one m-vector) is stored before
-    // the window's event opens at t = 2 — and an enforcing release of an
-    // observed user one candidate column per guard attempt plus one (the
-    // windows are stepped once per release into the service's kept
-    // buffers, not once per attempt). One ingest and two release rounds
+    // then on: its window's forward vector, of which only the false half
+    // (one m-vector) is stored before the window's event opens at t = 2.
+    // The session stores no posterior while that window carries its
+    // filter. An enforcing release of an observed user should allocate one
+    // candidate column per guard attempt plus one (the windows are stepped
+    // once per release into the service's kept buffers, not once per
+    // attempt). One ingest and two release rounds
     // warm the scratch: the first release round opens every window's
     // event, and each opening takes a weighed true half that the scratch
     // sizes again on its next use.
@@ -796,7 +797,7 @@ fn suite_online(
             svc.ingest(u, col).expect("ingest");
         }
     }) / ingests as f64;
-    let kept_kb = 2.0 * m_vector_kb;
+    let kept_kb = m_vector_kb;
     assert!(
         kb <= kept_kb + 4.0,
         "a first ingest allocated {kb:.1} KB, over the {kept_kb:.1} KB it keeps plus 4 KB"
@@ -807,8 +808,8 @@ fn suite_online(
         unit: "KB",
         note: format!(
             "mean heap allocated by the first ingest of a registered user ({ingests} users) \
-             on the 50x50 CSR world, in-memory; it keeps {kept_kb:.1} KB (its posterior and \
-             its window's false half, the event opening at t = 2)"
+             on the 50x50 CSR world, in-memory; it keeps {kept_kb:.1} KB (its window's false \
+             half, the event opening at t = 2, which carries its filter)"
         ),
     });
     svc.enable_enforcement(

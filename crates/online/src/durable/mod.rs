@@ -671,6 +671,56 @@ mod tests {
         }
     }
 
+    /// A posterior a window carries is derived for the one visit that
+    /// writes it, into a buffer freed right after: the next session's may
+    /// reuse its address. Every such posterior is written inline, so each
+    /// session's slot decodes to its own values, never to another's.
+    #[test]
+    fn derived_posteriors_are_written_inline() {
+        use crate::{OnlineConfig, SessionManager, UserId};
+        use priste_event::{Presence, StEvent};
+        use priste_geo::{CellId, Region};
+        use priste_linalg::Vector;
+        use priste_markov::{Homogeneous, MarkovModel};
+        use std::sync::Arc;
+
+        let chain = Arc::new(Homogeneous::new(MarkovModel::paper_example()));
+        let region = Region::from_cells(3, [CellId(0), CellId(1)]).unwrap();
+        let event: StEvent = Presence::new(region, 2, 3).unwrap().into();
+        let config = OnlineConfig {
+            num_shards: 1,
+            ..OnlineConfig::default()
+        };
+        let mut svc = SessionManager::new(chain, config).unwrap();
+        let tpl = svc.register_template(event).unwrap();
+        let columns = [
+            [0.7, 0.2, 0.1],
+            [0.1, 0.8, 0.1],
+            [0.2, 0.2, 0.6],
+            [0.3, 0.3, 0.4],
+        ];
+        for (u, column) in columns.iter().enumerate() {
+            let id = UserId(u as u64);
+            svc.add_user(id, Vector::uniform(3)).unwrap();
+            svc.attach_event(id, tpl).unwrap();
+            svc.ingest(id, Vector::from(column.to_vec())).unwrap();
+        }
+        let dir = tempdir("derived");
+        let opts = DurableOptions {
+            fsync: false,
+            snapshot_every: 0,
+        };
+        svc.make_durable(&dir, opts).unwrap();
+        let state = snapshot::read_snapshot(&snap_path(&dir, 1), 1).unwrap();
+        assert_eq!(state.sessions.len(), columns.len());
+        for s in &state.sessions {
+            let live = svc.session(UserId(s.user)).unwrap();
+            assert!(matches!(live.posterior(), std::borrow::Cow::Owned(_)));
+            assert_eq!(*s.posterior, *live.posterior(), "user {}", s.user);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn display_is_informative() {
         let e = DurableError::NoSnapshot {

@@ -23,7 +23,9 @@
 //! writer keys vectors by allocation, so a prior and its initial lift
 //! shared by many idle sessions are written once and then cost five bytes
 //! a slot: an idle session with one window is 87 B instead of ≈ 80 KB at
-//! m = 2500. The
+//! m = 2500. A posterior that a session derives from one of its windows
+//! lives only for that session's visit, so it is always written inline,
+//! never keyed: a later one may reuse its address. The
 //! decoder hands every reference the same `Arc` as its target, so reading
 //! N idle sessions allocates their shared vectors once.
 //!
@@ -46,6 +48,7 @@
 //! never a half-written current file. Memory stays bounded: no copy of the
 //! state is ever assembled.
 
+use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
@@ -97,13 +100,16 @@ pub(crate) struct WindowSnap<V = Arc<Vector>, L = V> {
     pub(crate) mantissa: L,
 }
 
-/// A session as the encoder reads it in place from the live service.
-pub(crate) type BorrowedSession<'a> = SessionSnap<&'a [f64], Lifted<'a>>;
+/// A session as the encoder reads it in place from the live service. Its
+/// posterior is borrowed where it is stored, and owned when the source
+/// derived it for this visit alone: the encoder writes an owned one inline,
+/// since its buffer may be freed and its address reused by the next one.
+pub(crate) type BorrowedSession<'a> = SessionSnap<&'a [f64], Lifted<'a>, Cow<'a, [f64]>>;
 
 /// One user session's persisted state (vectors shared or borrowed, as for
-/// [`WindowSnap`]).
+/// [`WindowSnap`]; `Q` is the posterior's).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SessionSnap<V = Arc<Vector>, L = V> {
+pub(crate) struct SessionSnap<V = Arc<Vector>, L = V, Q = V> {
     /// User id.
     pub(crate) user: u64,
     /// User-local clock.
@@ -117,7 +123,7 @@ pub(crate) struct SessionSnap<V = Arc<Vector>, L = V> {
     /// Ledger violation count.
     pub(crate) violations: u64,
     /// Filtered location posterior.
-    pub(crate) posterior: V,
+    pub(crate) posterior: Q,
     /// Active windows, in attach order.
     pub(crate) windows: Vec<WindowSnap<V, L>>,
 }
@@ -171,7 +177,7 @@ impl SnapshotSource for SnapshotState {
                 spent: s.spent,
                 observations: s.observations,
                 violations: s.violations,
-                posterior: s.posterior.as_slice(),
+                posterior: Cow::Borrowed(s.posterior.as_slice()),
                 windows: s
                     .windows
                     .iter()
@@ -205,41 +211,54 @@ pub(crate) enum Layout {
 /// an absent true half) and its logical length.
 type SlotKey = (usize, usize, usize);
 
+/// The [`Layout::Shared`] writer's vector ids: every inline vector takes
+/// the next id, as the reader counts them, and a keyed one is entered under
+/// its [`SlotKey`].
+#[derive(Default)]
+struct Ids {
+    keyed: HashMap<SlotKey, u32>,
+    next: usize,
+}
+
 /// Writes one vector slot of `len` logical words: `head` then, when
 /// given, `tail`, and `+0.0` words up to `len`. With `ids` (the
-/// [`Layout::Shared`] writer) a vector seen before is keyed by its
+/// [`Layout::Shared`] writer) a `keyed` vector seen before is keyed by its
 /// allocation — its pieces' addresses and its length — and written as a
 /// reference. Address keys are sound because the source borrows every
-/// vector for the whole encode: no allocation can be freed and reused
-/// mid-payload.
+/// keyed vector for the whole encode: no allocation can be freed and
+/// reused mid-payload. A vector that is not `keyed` is always written
+/// inline.
 fn put_vector(
     w: &mut dyn Sink,
-    ids: Option<&mut HashMap<SlotKey, u32>>,
+    ids: Option<&mut Ids>,
+    keyed: bool,
     head: &[f64],
     tail: Option<&[f64]>,
     len: usize,
 ) {
     if let Some(ids) = ids {
-        let next = ids.len();
-        let key = (
-            head.as_ptr() as usize,
-            tail.map_or(0, |t| t.as_ptr() as usize),
-            len,
-        );
-        match ids.entry(key) {
-            Entry::Occupied(id) => {
-                w.put_u8(VEC_REF);
-                w.put_u32(*id.get());
-                return;
-            }
-            Entry::Vacant(slot) => {
-                // Past 2³² distinct vectors the rest are simply never shared.
-                if let Ok(id) = u32::try_from(next) {
-                    slot.insert(id);
+        if keyed {
+            let key = (
+                head.as_ptr() as usize,
+                tail.map_or(0, |t| t.as_ptr() as usize),
+                len,
+            );
+            match ids.keyed.entry(key) {
+                Entry::Occupied(id) => {
+                    w.put_u8(VEC_REF);
+                    w.put_u32(*id.get());
+                    return;
                 }
-                w.put_u8(VEC_INLINE);
+                Entry::Vacant(slot) => {
+                    // Past 2³² distinct vectors the rest are simply never shared.
+                    if let Ok(id) = u32::try_from(ids.next) {
+                        slot.insert(id);
+                    }
+                }
             }
         }
+        ids.next += 1;
+        w.put_u8(VEC_INLINE);
     }
     w.put_u64(len as u64);
     w.put_f64_words(head);
@@ -261,7 +280,7 @@ fn put_vector(
 /// If the source visits a different number of sessions than it reports —
 /// the count prefix would then misdescribe the payload.
 pub(crate) fn encode_payload(state: &dyn SnapshotSource, w: &mut dyn Sink, layout: Layout) {
-    let mut ids = (layout == Layout::Shared).then(HashMap::new);
+    let mut ids = (layout == Layout::Shared).then(Ids::default);
     w.put_u64(state.fingerprint());
     for c in state.stats() {
         w.put_u64(c);
@@ -277,15 +296,23 @@ pub(crate) fn encode_payload(state: &dyn SnapshotSource, w: &mut dyn Sink, layou
         w.put_f64(s.spent);
         w.put_u64(s.observations);
         w.put_u64(s.violations);
-        put_vector(w, ids.as_mut(), s.posterior, None, s.posterior.len());
+        let keyed = matches!(s.posterior, Cow::Borrowed(_));
+        put_vector(
+            w,
+            ids.as_mut(),
+            keyed,
+            &s.posterior,
+            None,
+            s.posterior.len(),
+        );
         w.put_u32(s.windows.len() as u32);
         for win in &s.windows {
             w.put_u32(win.template);
             w.put_u64(win.t);
             w.put_f64(win.log_scale);
-            put_vector(w, ids.as_mut(), win.pi, None, win.pi.len());
+            put_vector(w, ids.as_mut(), true, win.pi, None, win.pi.len());
             let Lifted { f, t } = win.mantissa;
-            put_vector(w, ids.as_mut(), f, t, 2 * f.len());
+            put_vector(w, ids.as_mut(), true, f, t, 2 * f.len());
         }
     });
     assert_eq!(written, count, "snapshot source miscounted its sessions");

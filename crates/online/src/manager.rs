@@ -45,8 +45,8 @@ pub fn shard_rng(seed: u64, shard: usize) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_add((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// The buffers one commit runs in: the posterior's propagated row, the
-/// lifted window step of an ingest, and the guard's
+/// The buffers one commit runs in: an eagerly filtered posterior's
+/// propagated row, the lifted window step of an ingest, and the guard's
 /// staged windows (one per window of the session being released). A
 /// release steps each window once, into its guard stage, and commits
 /// through that stage, so it never touches `step`. Kept across calls, so
@@ -148,6 +148,14 @@ fn opened(spares: &mut Vec<Vector>, unopened: &mut usize, count: usize) {
     spares.truncate(*unopened);
 }
 
+/// Keeps a vector a shard's window no longer needs as a spare, while the
+/// shard has fewer spares than windows that have not opened.
+fn spare(spares: &mut Vec<Vector>, unopened: usize, v: Vector) {
+    if spares.len() < unopened {
+        spares.push(v);
+    }
+}
+
 /// Takes back a window that left a shard: it no longer counts as
 /// unopened, and the vectors it alone held become spares.
 fn recycle<P: TransitionProvider>(
@@ -159,9 +167,7 @@ fn recycle<P: TransitionProvider>(
         opened(spares, unopened, 1);
     }
     for half in gone.state.into_halves() {
-        if spares.len() < *unopened {
-            spares.push(half);
-        }
+        spare(spares, *unopened, half);
     }
 }
 
@@ -335,8 +341,9 @@ pub struct EnforcedRelease {
 }
 
 /// The live service as a [`SnapshotSource`]: the snapshot encoder reads
-/// every posterior and window vector where it lives, in shards the caller
-/// holds.
+/// every window vector and stored posterior where it lives, in shards the
+/// caller holds, and a posterior a window carries from the copy
+/// [`Session::posterior`] derives for that session's visit.
 struct LiveState<'a, P> {
     fingerprint: u64,
     stats: [u64; 6],
@@ -365,7 +372,10 @@ impl<P: TransitionProvider> SnapshotSource for LiveState<'_, P> {
                 spent: session.ledger().spent(),
                 observations: session.ledger().observations() as u64,
                 violations: session.ledger().violations() as u64,
-                posterior: session.posterior().as_slice(),
+                posterior: match session.posterior() {
+                    Cow::Borrowed(stored) => Cow::Borrowed(stored.as_slice()),
+                    Cow::Owned(derived) => Cow::Owned(derived.into_vec()),
+                },
                 windows: session
                     .windows
                     .iter()
@@ -455,10 +465,11 @@ fn window_report(
 /// shard's users in id order. A batch therefore leaves the state and the
 /// journal that loop of single-user calls would. What a batch shares is
 /// per shard: one lock, one lease of scratch buffers and, for releases,
-/// one RNG stream. Each commit propagates its posterior (`p · M`) and
-/// steps each of its windows through the template's lifted step in those
-/// buffers; the step only borrows the mobility model's matrix, so there
-/// is nothing to build once per group.
+/// one RNG stream. Each commit steps each of its windows through the
+/// template's lifted step in those buffers, and propagates its posterior
+/// (`p · M`) only when no window carries it ([`Session`]); the step only
+/// borrows the mobility model's matrix, so there is nothing to build once
+/// per group.
 ///
 /// Windows run on their own local clock (timestep 1 = first observation
 /// after attach), so event templates are written in attach-relative time.
@@ -473,10 +484,11 @@ fn window_report(
 /// yet clones that (template, prior) pair's cached start — the shared `π`
 /// and lifted initial vector — in `O(1)`. An idle user therefore costs
 /// `O(1)` memory (a few hundred bytes); the first observation gives the
-/// session its own posterior and forward vectors, `O(m)` from then on:
-/// about 40 KB at `m = 2500` with one window whose event has not opened
-/// yet (the window stores its false half only), and 60 KB once it has.
-/// From then on observations
+/// session its own forward vectors, `O(m)` from then on: about 20 KB at
+/// `m = 2500` with one window whose event has not opened yet (the window
+/// stores its false half only), and 40 KB once it has. That window
+/// carries the session's filter, so the session stores no posterior until
+/// it is evicted, and then one more `m`-vector. From then on observations
 /// overwrite those vectors in place, and the durable journal encodes into a
 /// buffer it keeps, so a steady-state ingest allocates no `O(m)` buffer; a
 /// vector another session, window, clone or cache still holds is copied on
@@ -790,9 +802,10 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// Commits one already-validated, already-journaled column for user
-    /// `uid` in a shard the caller holds: filters the posterior (`p · M`,
-    /// then the emission weighting), steps every event window, charges the
-    /// ledger and evicts, and adds the commit's counts to `stats`. The
+    /// `uid` in a shard the caller holds: filters an eager posterior (`p ·
+    /// M`, then the emission weighting; nothing while a window carries
+    /// it), steps every event window, charges the ledger and evicts, and
+    /// adds the commit's counts to `stats`. The
     /// caller moves those into the service's counters while no checkpoint
     /// can run: a single-user call before it releases the shard lock, a
     /// batch (which holds `&mut self`) once per shard, so concurrent
@@ -827,27 +840,27 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
         // long-lived vectors, where it would keep the heap from shrinking
         // once they are freed.
         let mut reports = Vec::with_capacity(session.windows.len());
-        match session.observed() {
-            0 => {
-                // First observation: no propagation, just weigh the prior
-                // (borrowed, not copied: it may be shared).
-                let prior = Arc::clone(session.shared_posterior());
-                session.weigh_posterior(prior.as_slice(), column);
-            }
-            age => {
-                let moved = &mut scratch.moved;
-                moved.resize(m, 0.0);
-                self.provider
-                    .transition_at(age)
-                    .vecmat_into(session.posterior().as_slice(), moved);
-                session.weigh_posterior(moved, column);
+        let closed = session.unopened_windows();
+        if !session.windows_carry_filter() {
+            match session.observed() {
+                0 => {
+                    // First observation: no propagation, just weigh the prior
+                    // (borrowed, not copied: it may be shared).
+                    let prior = Arc::clone(session.eager_posterior());
+                    session.weigh_posterior(prior.as_slice(), column);
+                }
+                age => {
+                    let moved = &mut scratch.moved;
+                    moved.resize(m, 0.0);
+                    self.provider
+                        .transition_at(age)
+                        .vecmat_into(session.eager_posterior().as_slice(), moved);
+                    session.weigh_posterior(moved, column);
+                }
             }
         }
-        stats.observations += 1;
         let epsilon = self.config.epsilon;
-        let mut newly_opened = 0;
         reports.extend(session.windows.iter_mut().enumerate().map(|(i, window)| {
-            let closed = window.state.true_half().is_none();
             let observed = if staged {
                 window.state.commit_staged(&mut scratch.guard[i], column)
             } else {
@@ -855,7 +868,6 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
                 window.state.stage(&mut scratch.step);
                 window.state.commit_staged(&mut scratch.step, column)
             };
-            newly_opened += usize::from(closed && window.state.true_half().is_some());
             let report = window_report(window.template, observed, epsilon);
             match report.verdict {
                 Verdict::Certified => stats.certified += 1,
@@ -864,10 +876,11 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
             }
             report
         }));
-        opened(spares, unopened, newly_opened);
-        let report = session.finish_observation(reports, self.config.linger, |gone| {
-            recycle(spares, unopened, gone)
-        });
+        let report = session
+            .finish_observation(reports, self.config.linger, |v| spare(spares, *unopened, v));
+        // Windows that opened or left count as opened.
+        opened(spares, unopened, closed - session.unopened_windows());
+        stats.observations += 1;
         stats.evicted_windows += report.evicted;
         report
     }
@@ -1163,17 +1176,17 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     /// Attaches `template` to one session without journaling: the window
     /// starts from the (template, prior) pair's cached start when the
     /// session's posterior is an interned prior, and from a fresh one
-    /// otherwise.
+    /// otherwise (a derived posterior becomes the new window's own `π`).
     fn attach_window(&self, shard: &mut Shard<P>, uid: u64, template: usize) -> Result<()> {
         let model = self.template(template)?;
         let session = shard
             .sessions
             .get_mut(&uid)
             .ok_or(OnlineError::UnknownUser { user: uid })?;
-        let pi = session.shared_posterior();
+        let pi = session.attach_pi();
         let provider = &self.provider;
-        let start = self.priors().start(pi, template, || {
-            WindowStart::new(&model, provider, Arc::clone(pi))
+        let start = self.priors().start(&pi, template, || {
+            WindowStart::new(&model, provider, Arc::clone(&pi))
         })?;
         session.attach(template, model, self.provider.clone(), start);
         shard.unopened += session
@@ -1873,7 +1886,9 @@ impl<P: TransitionProvider + Clone> SessionManager<P> {
     }
 
     /// Rebuilds every session from a decoded snapshot; every window resumes
-    /// on its template's shared model. Unobserved sessions' posteriors and
+    /// on its template's shared model, and a persisted posterior that a
+    /// restored window attached before the first observation carries is
+    /// dropped, as live. Unobserved sessions' posteriors and
     /// window priors go through the prior table, and a `t = 0` window whose
     /// vector is its prior's cached start, bit for bit, shares that start —
     /// so a restored idle population shares its state as it did live.

@@ -5,6 +5,7 @@
 use priste_linalg::Vector;
 use priste_markov::TransitionProvider;
 use priste_quantify::{EventModel, IncrementalTwoWorld, StreamStep, WindowStart};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -204,15 +205,28 @@ impl<P: TransitionProvider> EventWindow<P> {
 /// ([`SessionManager::session`](crate::SessionManager::session)) for
 /// reporting and tests.
 ///
-/// The posterior sits behind an `Arc` that is written through only while
-/// the session is its sole holder: a fresh session shares its prior with
-/// every user registered with the same bits (and the service's prior table
-/// keeps a weak handle on it), windows attached before the first
-/// observation share it too, and the first observation installs the
-/// session's own vector. Later observations overwrite that vector in
-/// place — until a window attached in between shares it as its `π`, or the
-/// session is cloned, after which the next observation again installs a
-/// fresh one. A shared vector is never written.
+/// One filter per session. Summed over its two worlds, the lifted forward
+/// vector of a window attached before the session's first observation (an
+/// *age-0* window: its clock reads the session's) is the session's
+/// location filter `Pr(u_t, o_1..o_t)` (Lemmas III.2/III.3). While one is
+/// live the session stores no posterior of its own:
+/// [`Session::posterior`] normalizes that window's halves on demand, and an
+/// observation steps the windows only. When the last age-0 window is
+/// evicted, the posterior is normalized into its false half's allocation
+/// (uniform if the halves vanished), and from then on the session filters
+/// eagerly, propagating and weighing its own posterior. A window attached
+/// later starts from the posterior at attach time, not from `π`, so it
+/// never carries the filter; a session whose windows were all attached
+/// later filters eagerly from its first observation.
+///
+/// A stored posterior sits behind an `Arc` that is written through only
+/// while the session is its sole holder: a fresh session shares its prior
+/// with every user registered with the same bits (and the service's prior
+/// table keeps a weak handle on it), and windows attached before the first
+/// observation share it too. An eager observation overwrites the session's
+/// own vector in place — until a window attached in between shares it as
+/// its `π`, or the session is cloned, after which the next observation
+/// installs a fresh one. A shared vector is never written.
 ///
 /// The window list holds exactly one slot per attached window: an attach
 /// reserves one more slot, not `Vec`'s default growth (four slots on the
@@ -222,8 +236,9 @@ impl<P: TransitionProvider> EventWindow<P> {
 pub struct Session<P> {
     id: UserId,
     /// Filtered location posterior `Pr(u_t | o_1..o_t)` under the service's
-    /// mobility model; the π handed to windows attached at time `t`.
-    posterior: Arc<Vector>,
+    /// mobility model, the π handed to windows attached at time `t`; `None`
+    /// while an age-0 window carries it.
+    posterior: Option<Arc<Vector>>,
     pub(crate) windows: Vec<EventWindow<P>>,
     ledger: BudgetLedger,
     t: usize,
@@ -233,14 +248,15 @@ impl<P: TransitionProvider> Session<P> {
     pub(crate) fn new(id: UserId, pi: Arc<Vector>, budget: f64) -> Self {
         Session {
             id,
-            posterior: pi,
+            posterior: Some(pi),
             windows: Vec::new(),
             ledger: BudgetLedger::new(budget).expect("budget validated by OnlineConfig"),
             t: 0,
         }
     }
 
-    /// Rebuilds a session from persisted state (durable recovery).
+    /// Rebuilds a session from persisted state (durable recovery). A
+    /// stored `posterior` is dropped when an age-0 window carries it.
     pub(crate) fn from_parts(
         id: UserId,
         posterior: Arc<Vector>,
@@ -248,13 +264,17 @@ impl<P: TransitionProvider> Session<P> {
         ledger: BudgetLedger,
         t: usize,
     ) -> Self {
-        Session {
+        let mut session = Session {
             id,
-            posterior,
+            posterior: Some(posterior),
             windows,
             ledger,
             t,
+        };
+        if t > 0 && session.carrier().is_some() {
+            session.posterior = None;
         }
+        session
     }
 
     /// Mutable ledger access for the recovery path's conservative rounding.
@@ -272,14 +292,41 @@ impl<P: TransitionProvider> Session<P> {
         self.t
     }
 
-    /// The current filtered location posterior.
-    pub fn posterior(&self) -> &Vector {
-        &self.posterior
+    /// The current filtered location posterior: the stored vector, or one
+    /// normalized from the age-0 window that carries it.
+    pub fn posterior(&self) -> Cow<'_, Vector> {
+        match &self.posterior {
+            Some(stored) => Cow::Borrowed(stored),
+            None => {
+                let carrier = self.carrier().expect("a derived posterior has a carrier");
+                Cow::Owned(carried_filter(&carrier.state))
+            }
+        }
     }
 
-    /// The posterior's shared allocation (the π of the next attach).
-    pub(crate) fn shared_posterior(&self) -> &Arc<Vector> {
-        &self.posterior
+    /// The posterior of an eagerly filtered session.
+    ///
+    /// # Panics
+    /// While an age-0 window carries the posterior.
+    pub(crate) fn eager_posterior(&self) -> &Arc<Vector> {
+        self.posterior
+            .as_ref()
+            .expect("an eager filter stores its posterior")
+    }
+
+    /// The π of the next attach: the stored posterior, shared, or a fresh
+    /// allocation of the derived one.
+    pub(crate) fn attach_pi(&self) -> Arc<Vector> {
+        match &self.posterior {
+            Some(stored) => Arc::clone(stored),
+            None => Arc::new(self.posterior().into_owned()),
+        }
+    }
+
+    /// The first window whose clock reads the session's: one attached
+    /// before the first observation, which carries the filter.
+    fn carrier(&self) -> Option<&EventWindow<P>> {
+        self.windows.iter().find(|w| w.state.observed() == self.t)
     }
 
     /// The privacy-budget ledger, by value: it is four words.
@@ -310,10 +357,25 @@ impl<P: TransitionProvider> Session<P> {
         provider: P,
         start: WindowStart,
     ) {
-        debug_assert!(Arc::ptr_eq(start.pi(), &self.posterior));
+        debug_assert!(self
+            .posterior
+            .as_ref()
+            .is_none_or(|stored| Arc::ptr_eq(start.pi(), stored)));
         let state = IncrementalTwoWorld::from_start(model, provider, start);
         self.windows.reserve_exact(1);
         self.windows.push(EventWindow { template, state });
+    }
+
+    /// Whether the windows carry the filter through the next observation,
+    /// so that it needs no posterior work: true while a derived posterior's
+    /// carrier is live and, before the first observation, whenever a window
+    /// is attached (every window attached by then is age-0), in which case
+    /// the stored prior is let go.
+    pub(crate) fn windows_carry_filter(&mut self) -> bool {
+        if self.t == 0 && !self.windows.is_empty() {
+            self.posterior = None;
+        }
+        self.posterior.is_none()
     }
 
     /// Folds one observation into the filtered posterior. The transition
@@ -332,15 +394,19 @@ impl<P: TransitionProvider> Session<P> {
             sum += x;
             x
         });
-        match Arc::get_mut(&mut self.posterior) {
+        let posterior = self
+            .posterior
+            .as_mut()
+            .expect("an eager filter stores its posterior");
+        match Arc::get_mut(posterior) {
             Some(owned) => {
                 for (dst, x) in owned.as_mut_slice().iter_mut().zip(weighed) {
                     *dst = x;
                 }
             }
-            None => self.posterior = Arc::new(weighed.collect()),
+            None => *posterior = Arc::new(weighed.collect()),
         }
-        let p = Arc::get_mut(&mut self.posterior).expect("owned or just installed");
+        let p = Arc::get_mut(posterior).expect("owned or just installed");
         if !(sum.is_finite() && sum > 0.0) {
             let n = p.len();
             p.as_mut_slice().fill(1.0 / n as f64);
@@ -360,12 +426,16 @@ impl<P: TransitionProvider> Session<P> {
 
     /// Finishes one observation: charges the ledger with the step's worst
     /// window loss, advances the local clock, and evicts expired windows,
-    /// handing each to `evicted`.
+    /// handing every vector an evicted window alone held to `spare`. When
+    /// that evicts the last window carrying a derived posterior, the
+    /// posterior is normalized into the carrier's false half, which is then
+    /// not handed on; if every carrier was mismatched the observation
+    /// vanished, and the posterior is uniform.
     pub(crate) fn finish_observation(
         &mut self,
         reports: Vec<WindowReport>,
         linger: usize,
-        mut evicted: impl FnMut(EventWindow<P>),
+        mut spare: impl FnMut(Vector),
     ) -> UserReport {
         // Mismatched windows carry loss = ∞ as a sentinel; only quantified
         // verdicts represent realized loss and may touch the ledger.
@@ -383,12 +453,32 @@ impl<P: TransitionProvider> Session<P> {
         // attach order, mirroring `windows`.
         let before = self.windows.len();
         let mut mismatched = reports.iter().map(|r| r.verdict == Verdict::ModelMismatch);
+        let derived = self.posterior.is_none();
+        let (t, m) = (
+            self.t,
+            self.windows.first().map_or(0, |w| w.state.num_states()),
+        );
+        let mut carrier = None;
         self.windows
             .extract_if(.., |w| {
                 mismatched.next().unwrap_or(false) || w.expired(linger)
             })
-            .for_each(&mut evicted);
+            .for_each(|w| {
+                if derived && carrier.is_none() && w.state.observed() == t {
+                    carrier = Some(w);
+                } else {
+                    w.state.into_halves().for_each(&mut spare);
+                }
+            });
         let evicted = before - self.windows.len();
+        if derived && self.carrier().is_none() {
+            self.posterior = Some(Arc::new(match carrier {
+                Some(w) => settle(w.state, &mut spare),
+                None => Vector::uniform(m),
+            }));
+        } else if let Some(w) = carrier {
+            w.state.into_halves().for_each(&mut spare);
+        }
         UserReport {
             user: self.id,
             t: self.t,
@@ -398,6 +488,62 @@ impl<P: TransitionProvider> Session<P> {
             budget_remaining: self.ledger.remaining(),
             exhausted: self.ledger.exhausted(),
         }
+    }
+}
+
+/// Whether a window's event has opened: before, what its true half stores
+/// stands for zeros.
+fn event_open<P: TransitionProvider>(state: &IncrementalTwoWorld<P>) -> bool {
+    state.observed() >= state.event().start()
+}
+
+/// The filter a window carries, normalized into a copy of its false half.
+fn carried_filter<P: TransitionProvider>(state: &IncrementalTwoWorld<P>) -> Vector {
+    let mut f = state.false_half().clone();
+    let t = state.true_half().filter(|_| event_open(state));
+    fold_filter(f.as_mut_slice(), t.map(Vector::as_slice));
+    f
+}
+
+/// Normalizes `f + t` into `f`: the filter a window's two halves carry.
+/// Halves that sum to zero or to a non-finite value leave it uniform, the
+/// eager filter's rule for a vanished posterior.
+fn fold_filter(f: &mut [f64], t: Option<&[f64]>) {
+    if let Some(t) = t {
+        for (a, b) in f.iter_mut().zip(t) {
+            *a += b;
+        }
+    }
+    let sum: f64 = f.iter().sum();
+    if !(sum.is_finite() && sum > 0.0) {
+        f.fill(1.0 / f.len() as f64);
+        return;
+    }
+    let scale = 1.0 / sum;
+    for x in f {
+        *x *= scale;
+    }
+}
+
+/// The posterior an evicted carrier leaves behind: its halves normalized
+/// into its false half's allocation when the window alone holds its
+/// forward vector (the true half is then handed to `spare`), or into a
+/// copy when a clone shares it.
+fn settle<P: TransitionProvider>(
+    carrier: IncrementalTwoWorld<P>,
+    spare: impl FnMut(Vector),
+) -> Vector {
+    let open = event_open(&carrier);
+    match carrier.try_into_halves() {
+        Ok((mut f, t)) => {
+            fold_filter(
+                f.as_mut_slice(),
+                t.as_ref().filter(|_| open).map(Vector::as_slice),
+            );
+            t.into_iter().for_each(spare);
+            f
+        }
+        Err(shared) => carried_filter(&shared),
     }
 }
 

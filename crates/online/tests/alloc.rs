@@ -2,11 +2,11 @@
 //! service, metered by a counting global allocator:
 //!
 //! * the first ingest of a registered user allocates only the state the
-//!   user keeps from then on — its own posterior (one `m`-vector) and its
-//!   window's forward vector, whose false half is one `m`-vector before the
-//!   window's event opens and which adds its true half (one more) when the
-//!   event opens at `t = 1` — plus a few KB of bookkeeping: no temporary
-//!   `O(m)` vector;
+//!   user keeps from then on — its window's forward vector, whose false
+//!   half is one `m`-vector before the window's event opens and which adds
+//!   its true half (one more) when the event opens at `t = 1`; the session
+//!   stores no posterior while that window carries its filter — plus a few
+//!   KB of bookkeeping: no temporary `O(m)` vector;
 //! * an enforcing release of an already-observed user allocates less than
 //!   one `m`-vector per guard attempt plus one: each attempt's candidate
 //!   column, and no `2m` buffer per attempt (the windows are stepped once
@@ -155,9 +155,11 @@ fn first_ingest_keeps_what_it_allocates_and_releases_allocate_no_2m_per_attempt(
     // ingest is then metered. Its column is built beforehand. Before its
     // event opens (at t = 2) the window keeps its false half only; an
     // event that opens at t = 1 keeps both halves from the first ingest.
+    // Either way the window carries the session's filter, so the session
+    // stores no posterior.
     for (warm, metered, kept) in [
-        (users[0], users[1], 2 * vector),
-        (opened_users[0], opened_users[1], 3 * vector),
+        (users[0], users[1], vector),
+        (opened_users[0], opened_users[1], 2 * vector),
     ] {
         svc.ingest(warm, column(0)).unwrap();
         let col = column(1);
@@ -165,8 +167,8 @@ fn first_ingest_keeps_what_it_allocates_and_releases_allocate_no_2m_per_attempt(
         assert_eq!(report.windows.len(), 1);
         assert!(
             bytes <= kept + BOOKKEEPING,
-            "a first ingest allocated {bytes} B; it keeps {kept} B (its posterior and its \
-             window's stored halves) plus at most {BOOKKEEPING} B of bookkeeping",
+            "a first ingest allocated {bytes} B; it keeps {kept} B (its window's stored \
+             halves) plus at most {BOOKKEEPING} B of bookkeeping",
         );
     }
 

@@ -119,10 +119,10 @@ fn a_session_copy_outlives_later_observations_unchanged() {
     drive(&svc, 1);
     let copy = svc.session(UserId(1)).unwrap();
     let spent = copy.ledger().spent();
-    let posterior = copy.posterior().clone();
+    let posterior = copy.posterior().into_owned();
     svc.ingest_observed(UserId(1), CellId(4)).unwrap();
     assert_eq!(copy.ledger().spent(), spent);
-    assert_eq!(copy.posterior(), &posterior);
+    assert_eq!(*copy.posterior(), posterior);
     assert_eq!(
         copy.observed() + 1,
         svc.session(UserId(1)).unwrap().observed()

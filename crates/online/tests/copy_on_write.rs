@@ -17,6 +17,7 @@ use priste_quantify::IncrementalTwoWorld;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -175,8 +176,17 @@ fn state_bits(s: &Session<Arc<Homogeneous>>) -> String {
         s.observed(),
         s.ledger().spent().to_bits(),
         s.ledger().observations(),
-        bits(s.posterior()),
+        bits(&s.posterior()),
     )
+}
+
+/// Where a session stores its posterior: `None` while a window attached
+/// before its first observation carries it.
+fn stored(s: &Session<Arc<Homogeneous>>) -> Option<*const Vector> {
+    match s.posterior() {
+        Cow::Borrowed(p) => Some(p as *const Vector),
+        Cow::Owned(_) => None,
+    }
 }
 
 /// Where a window's forward vector lives: its false half's address and,
@@ -190,18 +200,18 @@ fn halves(w: &IncrementalTwoWorld<Arc<Homogeneous>>) -> Halves {
     )
 }
 
-/// Where a session's vectors live: the posterior's address, and each
-/// window's age, `π` and forward-vector address.
+/// Where a session's vectors live: the stored posterior's address, and
+/// each window's age, `π` and forward-vector address.
 struct Addresses {
     observed: usize,
-    posterior: *const Vector,
+    posterior: Option<*const Vector>,
     windows: Vec<(usize, *const Vector, Halves)>,
 }
 
 fn addresses(s: &Session<Arc<Homogeneous>>) -> Addresses {
     Addresses {
         observed: s.observed(),
-        posterior: s.posterior(),
+        posterior: stored(s),
         windows: s
             .windows()
             .map(|(_, w)| (w.observed(), w.pi() as *const _, halves(w)))
@@ -272,14 +282,13 @@ fn apply_checking_writes(
             continue;
         }
         let now = addresses(&s);
-        let posterior_shared = was.windows.iter().any(|&(_, pi, _)| pi == was.posterior);
-        if posterior_shared {
-            assert_ne!(
-                now.posterior, was.posterior,
-                "user {u}: wrote a shared posterior"
-            );
-        } else if was.observed >= 1 {
-            assert_eq!(now.posterior, was.posterior, "user {u}: posterior moved");
+        if let (Some(was_at), Some(now_at)) = (was.posterior, now.posterior) {
+            let posterior_shared = was.windows.iter().any(|&(_, pi, _)| pi == was_at);
+            if posterior_shared {
+                assert_ne!(now_at, was_at, "user {u}: wrote a shared posterior");
+            } else if was.observed >= 1 {
+                assert_eq!(now_at, was_at, "user {u}: posterior moved");
+            }
         }
         for &(age, _, alpha) in &now.windows {
             if age >= 2 {
@@ -362,24 +371,24 @@ fn idle_users_share_and_a_write_unshares_only_the_writer() {
         (w.pi() as *const Vector, halves(w))
     };
     let (a, b, c) = (session(&svc, 0), session(&svc, 1), session(&svc, 2));
-    assert!(std::ptr::eq(a.posterior(), b.posterior()));
-    assert!(std::ptr::eq(b.posterior(), c.posterior()));
+    assert!(stored(&a).is_some());
+    assert_eq!(stored(&a), stored(&b));
+    assert_eq!(stored(&b), stored(&c));
     assert_eq!(window(&a), window(&b));
-    assert!(std::ptr::eq(window(&a).0, a.posterior()));
+    assert_eq!(Some(window(&a).0), stored(&a));
     drop((a, b, c));
-    assert!(!std::ptr::eq(
-        session(&svc, 3).posterior(),
-        session(&svc, 4).posterior()
-    ));
+    assert_ne!(stored(&session(&svc, 3)), stored(&session(&svc, 4)));
     assert_eq!(session(&svc, 3).posterior(), session(&svc, 4).posterior());
 
+    // The writer's window carries its filter: it stores no posterior.
     svc.ingest(UserId(0), Vector::from(vec![0.5; 9])).unwrap();
     let (a, b, c) = (session(&svc, 0), session(&svc, 1), session(&svc, 2));
-    assert!(!std::ptr::eq(a.posterior(), b.posterior()));
-    assert!(std::ptr::eq(b.posterior(), c.posterior()));
+    assert_eq!(stored(&a), None);
+    assert!(stored(&b).is_some());
+    assert_eq!(stored(&b), stored(&c));
     assert_ne!(window(&a).1, window(&b).1);
     assert_eq!(window(&b), window(&c));
-    assert_eq!(b.posterior(), &pool[0], "the idle users kept the prior");
+    assert_eq!(*b.posterior(), pool[0], "the idle users kept the prior");
     drop((a, b, c));
 
     // A template attached after the write starts from the writer's own
@@ -437,18 +446,20 @@ fn recovery_shares_idle_state_again() {
     for u in (1..idle).chain(idle + 1..idle + 3) {
         let s = recovered.session(UserId(u)).unwrap();
         let (_, w) = s.windows().next().unwrap();
-        assert!(std::ptr::eq(s.posterior(), first.posterior()), "user {u}");
-        assert!(std::ptr::eq(w.pi(), first.posterior()), "user {u}");
+        assert!(stored(&s).is_some(), "user {u}");
+        assert_eq!(stored(&s), stored(&first), "user {u}");
+        assert_eq!(Some(w.pi() as *const Vector), stored(&first), "user {u}");
         assert_eq!(halves(w), halves(first_window));
     }
-    assert!(!std::ptr::eq(
-        recovered.session(UserId(zero)).unwrap().posterior(),
-        recovered.session(UserId(negative)).unwrap().posterior()
-    ));
+    assert_ne!(
+        stored(&recovered.session(UserId(zero)).unwrap()),
+        stored(&recovered.session(UserId(negative)).unwrap())
+    );
+    // The active user's window carries its filter, live and recovered.
     let active = recovered.session(UserId(idle)).unwrap();
-    assert!(!std::ptr::eq(active.posterior(), first.posterior()));
+    assert_eq!(stored(&active), None);
     let (_, active_window) = active.windows().next().unwrap();
-    assert!(std::ptr::eq(active_window.pi(), first.posterior()));
+    assert_eq!(Some(active_window.pi() as *const Vector), stored(&first));
     assert_ne!(halves(active_window), halves(first_window));
     // A copy shares the session's vectors, so holding it across the
     // observations below would make them write fresh ones.
@@ -462,7 +473,7 @@ fn recovery_shares_idle_state_again() {
     let at = |svc: &SessionManager<Arc<Homogeneous>>, u: u64| {
         let s = svc.session(UserId(u)).unwrap();
         let (_, w) = s.windows().next().unwrap();
-        (s.posterior() as *const Vector, halves(w).0)
+        (stored(&s), halves(w).0)
     };
     let active_at = at(&recovered, idle);
     for u in [1, idle] {

@@ -14,12 +14,14 @@ use priste_geo::{CellId, Region};
 use priste_linalg::Vector;
 use priste_markov::{gaussian_kernel_chain_sparse, Homogeneous, MarkovModel};
 use priste_online::{DurableOptions, OnlineConfig, SessionManager, UserId};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// `state_digest` of the scenario's final state, recorded when the first
-/// fixture directory was written.
-const PINNED_DIGEST: u64 = 0x5463_ca16_897b_6d57;
+/// `state_digest` of the scenario's final state. Re-pinned when sessions
+/// began reading their posterior off a window attached before their first
+/// observation: the values moved by about 1e-13, the format did not.
+const PINNED_DIGEST: u64 = 0x6839_2e5f_2679_ae26;
 
 /// The generation-2 checkpoint of a fixture directory.
 const SNAPSHOT: &str = "snap-0000000000000002.bin";
@@ -226,12 +228,16 @@ fn idle_users_are_written_once_and_recover_shared() {
     let back = SessionManager::recover(provider, config(), vec![event], &dir, None).unwrap();
     assert_eq!(back.state_digest(), svc.state_digest());
     let first = back.session(UserId(0)).unwrap();
+    let first = first.posterior();
+    assert!(matches!(first, Cow::Borrowed(_)));
     for u in 1..IDLE {
         let idle = back.session(UserId(u)).unwrap();
-        assert!(std::ptr::eq(idle.posterior(), first.posterior()));
+        assert!(std::ptr::eq(&*idle.posterior(), &*first));
     }
+    // The observed user's window carries its filter: no posterior is
+    // stored, live or recovered.
     let observed = back.session(UserId(IDLE)).unwrap();
-    assert!(!std::ptr::eq(observed.posterior(), first.posterior()));
+    assert!(matches!(observed.posterior(), Cow::Owned(_)));
     drop((svc, back));
     std::fs::remove_dir_all(&dir).unwrap();
 }

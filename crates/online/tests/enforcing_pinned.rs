@@ -5,6 +5,10 @@
 //! final `state_digest` were recorded from the build that staged the guard
 //! once per release and committed through a second lifted step, so any
 //! change to how a release is read out or committed must keep every bit.
+//! The digests were re-pinned when sessions began reading their posterior
+//! off the window attached before their first observation: that moved the
+//! posteriors by about 1e-13, and nothing else (the digest with every
+//! posterior slot left out stayed the same).
 
 use priste_calibrate::{Decision, GuardConfig};
 use priste_event::{Presence, StEvent};
@@ -39,7 +43,7 @@ const PINNED_RELEASES: [(Option<usize>, usize); 15] = [
     (Some(88), 6),
 ];
 /// `state_digest` after the in-process releases.
-const PINNED_RELEASE_DIGEST: u64 = 0xe41b_a142_9ba3_bbd2;
+const PINNED_RELEASE_DIGEST: u64 = 0x289b_5d17_708d_4e49;
 /// `(released cell, attempts)` per batched release, round-major.
 const PINNED_BATCH_RELEASES: [(Option<usize>, usize); 15] = [
     (Some(700), 5),
@@ -59,7 +63,7 @@ const PINNED_BATCH_RELEASES: [(Option<usize>, usize); 15] = [
     (Some(2367), 6),
 ];
 /// `state_digest` after the batched releases.
-const PINNED_BATCH_DIGEST: u64 = 0x17ad_00f4_6dab_a156;
+const PINNED_BATCH_DIGEST: u64 = 0xf589_f06f_6d40_3419;
 
 /// The enforcing service: σ = 0.5 km banded chain, a PRESENCE event over
 /// the first quarter of the map at window times 2..=5, the α = 2 Planar

@@ -407,12 +407,23 @@ impl<P: TransitionProvider> IncrementalTwoWorld<P> {
     /// halves once the window owns its vector, none while a clone or a
     /// [`WindowStart`] shares it.
     pub fn into_halves(self) -> impl Iterator<Item = Vector> {
-        let Forward { f, t, .. } = Arc::try_unwrap(self.alpha).unwrap_or_else(|_| Forward {
-            f: Vector::zeros(0),
-            t: None,
-            log_scale: 0.0,
-        });
-        std::iter::once(f).chain(t).filter(|v| !v.is_empty())
+        let (f, t) = self
+            .try_into_halves()
+            .map_or((None, None), |(f, t)| (Some(f), t));
+        f.into_iter().chain(t)
+    }
+
+    /// The stored halves of the forward vector, false then true, when this
+    /// window alone holds them; the window itself, unchanged, while a clone
+    /// or a [`WindowStart`] shares them.
+    ///
+    /// # Errors
+    /// The window, when its forward vector is shared.
+    pub fn try_into_halves(self) -> std::result::Result<(Vector, Option<Vector>), Self> {
+        match Arc::try_unwrap(self.alpha) {
+            Ok(Forward { f, t, .. }) => Ok((f, t)),
+            Err(alpha) => Err(IncrementalTwoWorld { alpha, ..self }),
+        }
     }
 
     /// The natural-log scale factor of the carried forward vector: the
